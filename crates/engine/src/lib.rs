@@ -15,16 +15,14 @@
 //! admission control re-uses the matchmaking service to refuse cases no
 //! live container can serve.
 //!
-//! Determinism is the design constraint, not an afterthought: world
-//! state always commits in a canonical rotated order that is a pure
-//! function of the tick.  Under [`CoreSpec::Sharded`] each tick runs in
-//! two phases — a parallel *prepare* over shard-partitioned fibers
-//! against a read-only world snapshot, then a sequential *commit* in
-//! canonical order that re-validates each speculation — so the
-//! [`EngineConfig::workers`] knob changes wall-clock time only.  A
-//! given seed therefore produces a byte-identical merged JSONL trace at
-//! any `(shards, workers)` combination and on every core — the
-//! invariant the engine conformance suite pins.
+//! Determinism is the design constraint, not an afterthought: stepping
+//! is single-threaded and world state always commits in a canonical
+//! rotated order that is a pure function of the tick.  [`CoreSpec`]
+//! selects between two cores — the event-driven default, which parks
+//! blocked fibers on capacity wait-sets, and the every-tick-rescan
+//! oracle it is differentially tested against.  A given seed produces
+//! a byte-identical merged JSONL trace on both — the invariant the
+//! engine conformance suite pins.
 
 #![warn(missing_docs)]
 

@@ -6,10 +6,9 @@ use crate::snapshot::{
     AdmissionRecord, BlueprintPool, EngineSnapshot, FinishedImage, SlotImage, WaitingImage,
 };
 use gridflow_process::{ActivityKind, CaseDescription, ProcessGraph};
-use gridflow_services::matchmaking::{matchmake, MatchRequest, ShardedMatchIndex};
+use gridflow_services::matchmaking::{matchmake, MatchRequest};
 use gridflow_services::{
     CaseFiber, EnactmentConfig, EnactmentReport, FiberStatus, GridWorld, PlanCacheHandle,
-    PreparedStep,
 };
 use gridflow_store::{SnapshotRecord, Store, StoreError, StoreResult};
 use gridflow_telemetry::{ScopedSink, TraceEvent, TraceHandle, TraceLog, TraceSink};
@@ -55,27 +54,18 @@ impl PartialEq for StoreBinding {
     }
 }
 
-/// Which execution core drives a run — the first-class core selection
-/// that replaced the old `scan_core: bool` flag.
+/// Which execution core drives a run.
 ///
-/// Every core emits byte-identical merged traces for a given `(seed,
+/// Both cores emit byte-identical merged traces for a given `(seed,
 /// workload, case count)`; the differential equivalence suite pins the
-/// three-way agreement down.  They differ only in *how* they get
-/// there:
+/// agreement down.  They differ only in *how* they get there:
 ///
 /// - [`CoreSpec::Event`] (the default) classifies fibers into a ready
 ///   queue and capacity wait-sets so blocked fibers re-check
 ///   contention cheaply.
 /// - [`CoreSpec::Scan`] re-derives every fiber's situation from
-///   scratch each tick — the frozen differential oracle.
-/// - [`CoreSpec::Sharded`] runs the event core's tick as two phases:
-///   a parallel *prepare* phase where each shard speculatively works
-///   out its fibers' next moves against a shard-partitioned match
-///   index on real `std::thread::scope` workers, then a sequential
-///   *commit* phase that resolves cross-shard reservations and
-///   splices the shards' buffered emissions into the merged trace in
-///   canonical order.  `shards: 1` degenerates to the event core plus
-///   an inline prepare pass.
+///   scratch each tick — the frozen differential oracle the event core
+///   is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CoreSpec {
     /// The event-driven core — wait-sets, dispatch caching, match
@@ -85,43 +75,16 @@ pub enum CoreSpec {
     /// The legacy every-tick-rescan loop, kept verbatim as the
     /// differential oracle.
     Scan,
-    /// The two-phase sharded core: parallel per-shard prepare, ordered
-    /// cross-shard commit.
-    Sharded {
-        /// How many shards containers and cases are partitioned into.
-        /// Values are clamped to at least 1; shard count never changes
-        /// the merged trace, only how much of the tick runs in
-        /// parallel.
-        shards: usize,
-    },
-}
-
-impl CoreSpec {
-    /// The shard count this core partitions the world into (1 for the
-    /// unsharded cores).
-    pub fn shards(&self) -> usize {
-        match self {
-            CoreSpec::Sharded { shards } => (*shards).max(1),
-            _ => 1,
-        }
-    }
-
-    /// Does this core run the two-phase prepare/commit tick?
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, CoreSpec::Sharded { .. })
-    }
 }
 
 /// Scheduler knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// How many `std::thread::scope` workers the sharded core's prepare
-    /// phase fans shards across (clamped to the shard count).  The
-    /// unsharded cores are single-threaded and ignore it.
-    ///
-    /// Commit stays sequential in canonical order under every setting,
-    /// so this knob **cannot** change the merged trace: a seed yields
-    /// byte-identical JSONL for any worker count.
+    /// Inert.  Both cores are single-threaded; the event core never
+    /// reads this, and the scan oracle only uses it to chunk an
+    /// already-ordered step list (order-preserving, so no byte of the
+    /// trace can depend on it).  Kept so existing `EngineConfig {
+    /// workers: .., .. }` literals keep compiling.
     pub workers: usize,
     /// Cases enacting at once; the rest wait in the admission queue.
     pub max_in_flight: usize,
@@ -133,8 +96,8 @@ pub struct EngineConfig {
     /// Abort every still-running case once this many ticks have
     /// elapsed — the engine's defense against a live-locked schedule.
     pub max_ticks: u64,
-    /// Which execution core drives the run.  See [`CoreSpec`]; every
-    /// core emits byte-identical merged traces.
+    /// Which execution core drives the run.  See [`CoreSpec`]; both
+    /// cores emit byte-identical merged traces.
     pub core: CoreSpec,
     /// Which admission policy orders the waiting queue.  The default,
     /// [`PolicySpec::Fifo`], is byte-identical to the pre-policy
@@ -161,9 +124,9 @@ pub struct EngineConfig {
     /// handle into every fiber's planning service (fresh spawns and
     /// recovery rebuilds alike), so identical-key (re)plans across the
     /// fleet run GP once and reuse the byte-identical result.  Replans
-    /// execute in the sequential commit path under every core, so the
-    /// hit/miss pattern — and with it the merged trace — stays
-    /// deterministic at any worker or shard count.
+    /// execute sequentially in the canonical stepping order on both
+    /// cores, so the hit/miss pattern — and with it the merged trace —
+    /// stays deterministic.
     ///
     /// Recovery note: re-execution regenerates the crashed run's
     /// events, so a store-verified recovery must be given the same (or
@@ -391,9 +354,8 @@ impl CaseScheduler {
     /// the harness uses to inject mid-schedule faults such as node
     /// loss.
     ///
-    /// Dispatches on [`EngineConfig::core`]: the event-driven core
-    /// (optionally sharded into a two-phase parallel tick) or the
-    /// legacy scan core.  Every core emits byte-identical merged traces
+    /// Dispatches on [`EngineConfig::core`]: the event-driven core or
+    /// the legacy scan core.  Both emit byte-identical merged traces
     /// for every `(seed, workload, case count)` — the differential
     /// equivalence suite pins that down.
     pub fn run_with(
@@ -403,7 +365,7 @@ impl CaseScheduler {
     ) -> EngineOutcome {
         match self.config.core {
             CoreSpec::Scan => self.run_scan(world, on_tick),
-            CoreSpec::Event | CoreSpec::Sharded { .. } => self.run_event(world, on_tick),
+            CoreSpec::Event => self.run_event(world, on_tick),
         }
     }
 
@@ -637,11 +599,8 @@ impl CaseScheduler {
     ///
     /// # Panics
     ///
-    /// If [`EngineConfig::store`] is `None`.  Recovery runs the
-    /// configured [`CoreSpec`] unless it is [`CoreSpec::Scan`] (the
-    /// scan oracle has no store support), in which case the event core
-    /// runs; traces are core-invariant, so a run snapshotted under one
-    /// core recovers byte-identically under another.
+    /// If [`EngineConfig::store`] is `None`.  Recovery always runs the
+    /// event core (the scan oracle has no store support).
     pub fn recover(
         &mut self,
         world: &mut GridWorld,
@@ -690,13 +649,6 @@ impl CaseScheduler {
         }
         let image = EngineSnapshot::from_bytes(&record.state)
             .map_err(|e| StoreError::Corrupt(format!("snapshot payload: {e}")))?;
-        if let Err(index) = image.verify_shard_assignments() {
-            return Err(StoreError::Corrupt(format!(
-                "live case {index} carries a shard assignment inconsistent \
-                 with the snapshot's core {:?}",
-                image.core
-            )));
-        }
         if image.next_tick != record.next_tick {
             return Err(StoreError::Corrupt(format!(
                 "snapshot payload resumes at tick {} but its record says {}",
@@ -805,10 +757,6 @@ impl CaseScheduler {
         let binding = self.config.store.clone();
         let mut flush_cursor = binding.as_ref().map_or(0, |b| b.journal.next_seq());
         let mut killed = false;
-        // The sharded core's engine-owned match index, rebuilt lazily
-        // whenever the world's matchmaking generation moves (container
-        // up/down).  The unsharded cores never build it.
-        let mut shard_index: Option<ShardedMatchIndex> = None;
 
         loop {
             // Simulated process death: stop before this tick emits
@@ -912,8 +860,7 @@ impl CaseScheduler {
             // Step the ready queue in the canonical order rotated by the
             // tick over the *full* live list, so rotation fairness (and
             // hence the trace) is independent of who happens to be
-            // parked.  Worker chunking is order-preserving, as in the
-            // scan core.
+            // parked.
             let n = st.live.len();
             let rotation = (st.tick as usize) % n.max(1);
             let order: Vec<usize> = (0..n)
@@ -921,87 +868,10 @@ impl CaseScheduler {
                 .filter(|&i| matches!(st.live[i].wait, WaitState::Ready))
                 .collect();
 
-            // Sharded two-phase tick, phase 1: prepare every ready
-            // fiber against the frozen world, shards fanned across
-            // `std::thread::scope` workers.  Prepare is semantically
-            // invisible — `step` *is* prepare + commit — so neither the
-            // shard count, the worker count, nor the inline fallback
-            // below can change a byte of the merged trace.
-            let mut prepared: Vec<Option<PreparedStep>> = Vec::new();
-            if self.config.core.is_sharded() && !order.is_empty() {
-                let shards = self.config.core.shards();
-                if shard_index.as_ref().map(ShardedMatchIndex::generation)
-                    != Some(world.generation())
-                {
-                    shard_index = Some(ShardedMatchIndex::build(world, shards));
-                }
-                let index = shard_index.as_ref();
-                prepared = (0..n).map(|_| None).collect();
-                // Partition the ready fibers by shard — submission
-                // index mod shard count, the same striping the match
-                // index and snapshot images use — then fold shards onto
-                // at most `workers` threads.  Fibers are disjoint
-                // across shards, so each thread gets exclusive `&mut`
-                // access to its own; the world is shared read-only.
-                let mut parts: Vec<Vec<(usize, &mut CaseFiber)>> =
-                    (0..shards).map(|_| Vec::new()).collect();
-                for (slot_idx, entry) in st.live.iter_mut().enumerate() {
-                    if matches!(entry.wait, WaitState::Ready) {
-                        parts[entry.slot.index % shards].push((slot_idx, &mut entry.slot.fiber));
-                    }
-                }
-                let busy = parts.iter().filter(|p| !p.is_empty()).count();
-                // Below this many ready fibers the ~10-20µs per-thread
-                // spawn cost outweighs the parallelism; prepare inline.
-                const SPAWN_THRESHOLD: usize = 8;
-                let threads = if order.len() < SPAWN_THRESHOLD {
-                    1
-                } else {
-                    self.config.workers.max(1).min(busy.max(1))
-                };
-                let mut groups: Vec<Vec<(usize, &mut CaseFiber)>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for (shard, part) in parts.into_iter().enumerate() {
-                    groups[shard % threads].extend(part);
-                }
-                let world_ref: &GridWorld = world;
-                let prep = |group: Vec<(usize, &mut CaseFiber)>| {
-                    group
-                        .into_iter()
-                        .map(|(slot_idx, fiber)| (slot_idx, fiber.prepare(world_ref, index)))
-                        .collect::<Vec<_>>()
-                };
-                let results: Vec<Vec<(usize, PreparedStep)>> = if threads <= 1 {
-                    groups.into_iter().map(prep).collect()
-                } else {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = groups
-                            .into_iter()
-                            .map(|group| scope.spawn(|| prep(group)))
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("prepare worker panicked"))
-                            .collect()
-                    })
-                };
-                for (slot_idx, step) in results.into_iter().flatten() {
-                    prepared[slot_idx] = Some(step);
-                }
-            }
-
-            // Phase 2 (and the unsharded cores' whole step loop):
-            // commit in the canonical rotated order, sequentially, so
-            // the merged trace is independent of shard and worker
-            // counts.
             let mut done: Vec<usize> = Vec::new();
             for &slot_idx in &order {
                 let entry = &mut st.live[slot_idx];
-                let status = match prepared.get_mut(slot_idx).and_then(Option::take) {
-                    Some(step) => entry.slot.fiber.step_prepared(world, step),
-                    None => entry.slot.fiber.step(world),
-                };
-                match status {
+                match entry.slot.fiber.step(world) {
                     FiberStatus::Progressed => entry.wait = WaitState::Ready,
                     FiberStatus::Blocked { .. } => {
                         entry.slot.blocked_ticks += 1;
@@ -1162,10 +1032,7 @@ impl CaseScheduler {
 
     /// Freeze the loop state into its serializable image.  Waiting
     /// specs are interned through a [`BlueprintPool`] so the shared
-    /// workload is stored once, not once per waiting case.  Under a
-    /// sharded core each live slot records its shard assignment
-    /// (`index mod shards`) so recovery can prove the assignment
-    /// round-tripped.
+    /// workload is stored once, not once per waiting case.
     fn capture_snapshot(core: CoreSpec, st: &EventState, world: &GridWorld) -> EngineSnapshot {
         let mut pool = BlueprintPool::default();
         let waiting = st
@@ -1189,7 +1056,6 @@ impl CaseScheduler {
                     WaitState::Ready => None,
                     WaitState::Capacity { blockers } => Some(blockers.clone()),
                 },
-                shard: core.is_sharded().then(|| entry.slot.index % core.shards()),
                 fiber: pool.slim(entry.slot.fiber.image()),
             })
             .collect();

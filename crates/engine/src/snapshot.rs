@@ -198,13 +198,6 @@ pub struct SlotImage {
     /// always-wake wait).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub blockers: Option<Vec<String>>,
-    /// The shard this fiber belonged to when the snapshot was captured
-    /// under [`CoreSpec::Sharded`] (`submission index mod shards`);
-    /// `None` under the unsharded cores and in pre-version-2 payloads.
-    /// Recovery cross-checks it against the snapshot's own recorded
-    /// core, proving shard assignments round-trip through the store.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub shard: Option<usize>,
     /// The fiber's mid-enactment image, blueprint bulk interned.
     pub fiber: FiberSlim,
 }
@@ -244,10 +237,9 @@ pub const ENGINE_SNAPSHOT_VERSION: u32 = 2;
 pub struct EngineSnapshot {
     /// Snapshot schema version (see [`ENGINE_SNAPSHOT_VERSION`]).
     pub version: u32,
-    /// The core that captured the snapshot.  Informational plus a
-    /// round-trip check: under [`CoreSpec::Sharded`] each live slot's
-    /// recorded [`SlotImage::shard`] must equal `index mod shards`.
-    /// Traces are core-invariant, so recovery may run a different core.
+    /// The core the capturing scheduler was configured with.
+    /// Informational: recovery always runs the event core.  A payload
+    /// naming a core this build does not have is refused at decode.
     pub core: CoreSpec,
     /// First tick the restored loop will execute.
     pub next_tick: u64,
@@ -350,21 +342,5 @@ impl EngineSnapshot {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
-    /// Shard-assignment round-trip check: under a sharded recorded
-    /// core, every live slot's `shard` must equal `index mod shards`
-    /// (pre-version-2 slots with no recorded shard are exempt).
-    /// Returns the offending slot's submission index on mismatch.
-    pub fn verify_shard_assignments(&self) -> Result<(), usize> {
-        let shards = self.core.shards();
-        for slot in &self.live {
-            if let Some(shard) = slot.shard {
-                if shard != slot.index % shards {
-                    return Err(slot.index);
-                }
-            }
-        }
-        Ok(())
     }
 }

@@ -7,7 +7,7 @@
 //! execution count, Bernoulli activity failures from the world seed)
 //! and the scheduler fixes *when* each case may act, so the merged
 //! trace of the whole fleet is a pure function of `(plan, workload,
-//! case count)` — and provably independent of the worker count.
+//! case count)`.
 
 use crate::clock::VirtualClock;
 use crate::plan::FaultPlan;
@@ -34,15 +34,12 @@ use std::sync::{Arc, Mutex};
 /// `tests/deprecated_shims.rs` pins the two surfaces equivalent.
 #[derive(Clone)]
 pub struct EngineSpec {
-    /// Prepare-phase worker threads for [`CoreSpec::Sharded`]
-    /// (clamped to the shard count; the unsharded cores ignore it).
-    /// Can never change the merged trace — only wall-clock time.
+    /// Inert; see [`EngineConfig::workers`].
     pub workers: usize,
     /// Cases enacting at once; the rest wait in the admission queue.
     pub max_in_flight: usize,
-    /// Which execution core drives the run ([`CoreSpec::Event`],
-    /// [`CoreSpec::Scan`], or [`CoreSpec::Sharded`]); all cores emit
-    /// byte-identical merged traces.
+    /// Which execution core drives the run ([`CoreSpec::Event`] or
+    /// [`CoreSpec::Scan`]); both emit byte-identical merged traces.
     pub core: CoreSpec,
     /// Admission policy ordering the waiting queue.
     pub policy: PolicySpec,
@@ -91,7 +88,7 @@ impl std::fmt::Debug for EngineSpec {
 }
 
 impl EngineSpec {
-    /// Set the prepare-phase worker count.
+    /// Set the (inert) worker count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -229,8 +226,9 @@ impl<'a> MultiCaseScenario<'a> {
         self
     }
 
-    /// Chunk each tick's step list across `workers` (cannot change the
-    /// merged trace — that invariance is the point).
+    /// Inert: both cores are single-threaded, and only the scan oracle
+    /// reads the value (to chunk an already-ordered step list, which
+    /// cannot move a byte of the trace).  See [`EngineConfig::workers`].
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -248,10 +246,9 @@ impl<'a> MultiCaseScenario<'a> {
         self
     }
 
-    /// Select the scheduler core: the event core (default), the legacy
-    /// scan core (the differential suite's oracle), or the sharded
-    /// two-phase core.  All three produce byte-identical merged traces
-    /// for a given scenario.
+    /// Select the scheduler core: the event core (default) or the
+    /// legacy scan core (the differential suite's oracle).  Both
+    /// produce byte-identical merged traces for a given scenario.
     pub fn core(mut self, core: CoreSpec) -> Self {
         self.config.core = core;
         self

@@ -238,16 +238,7 @@ impl<'g> AtnMachine<'g> {
     /// enactment errors on the next step.
     pub fn restore(graph: &'g ProcessGraph, snapshot: AtnSnapshot) -> Result<Self> {
         graph.validate()?;
-        Ok(Self::restore_prevalidated(graph, snapshot))
-    }
-
-    /// [`AtnMachine::restore`] minus the graph validation: pure field
-    /// moves, no allocation.  Only for callers that have already
-    /// validated this exact graph (e.g. a prepare pass that built a
-    /// machine over it earlier in the same step); pairing it with an
-    /// unvalidated graph surfaces as enactment errors on the next step.
-    pub fn restore_prevalidated(graph: &'g ProcessGraph, snapshot: AtnSnapshot) -> Self {
-        AtnMachine {
+        Ok(AtnMachine {
             graph,
             join_arrivals: snapshot.join_arrivals,
             ready: snapshot.ready,
@@ -256,7 +247,7 @@ impl<'g> AtnMachine<'g> {
             finished: snapshot.finished,
             executions: snapshot.executions,
             trace: snapshot.trace,
-        }
+        })
     }
 
     /// Move a ready activity into the running set.

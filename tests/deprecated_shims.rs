@@ -56,7 +56,7 @@ fn engine_spec_matches_the_individual_builder_methods() {
     let spec = EngineSpec::default()
         .workers(8)
         .max_in_flight(3)
-        .core(CoreSpec::Sharded { shards: 2 })
+        .core(CoreSpec::Scan)
         .policy(PolicySpec::Priority);
     let consolidated = MultiCaseScenario::new(&plan, &wl, 5)
         .spec(spec)
@@ -66,7 +66,7 @@ fn engine_spec_matches_the_individual_builder_methods() {
     let chained = MultiCaseScenario::new(&plan, &wl, 5)
         .workers(8)
         .max_in_flight(3)
-        .core(CoreSpec::Sharded { shards: 2 })
+        .core(CoreSpec::Scan)
         .policy(PolicySpec::Priority)
         .case_hints(hints)
         .traced()

@@ -78,76 +78,59 @@ fn essence(records: &[TraceRecord]) -> Vec<(u64, String, String, TraceEvent)> {
 #[test]
 fn warm_trace_differs_from_cold_only_in_cache_events() {
     const FLEET: usize = 6;
-    for (workers, core) in [
-        (1, CoreSpec::Event),
-        (8, CoreSpec::Event),
-        (1, CoreSpec::Sharded { shards: 4 }),
-        (8, CoreSpec::Sharded { shards: 4 }),
-    ] {
-        let disabled = churn_records(FLEET, workers, core, None);
-        let cache = PlanCacheHandle::in_proc();
-        let cold = churn_records(FLEET, workers, core, Some(&cache));
-        let warm = churn_records(FLEET, workers, core, Some(&cache));
+    let disabled = churn_records(FLEET, 1, CoreSpec::Event, None);
+    let cache = PlanCacheHandle::in_proc();
+    let cold = churn_records(FLEET, 1, CoreSpec::Event, Some(&cache));
+    let warm = churn_records(FLEET, 1, CoreSpec::Event, Some(&cache));
 
-        // Cold: the first replan runs GP, the rest of the fleet hits
-        // the entry it published.  Warm: everyone hits.
-        let cold_q = TraceQuery::new(cold.clone());
-        assert_eq!(cold_q.plan_runs(), 1, "workers={workers} core={core:?}");
-        assert_eq!(cold_q.plan_cache_hits(), FLEET - 1);
-        cold_q.assert_plans_at_most_once_per_key();
-        let warm_q = TraceQuery::new(warm.clone());
-        assert_eq!(warm_q.plan_runs(), 0, "warm fleet must not run GP");
-        assert_eq!(warm_q.plan_cache_hits(), FLEET);
-        warm_q.assert_plans_at_most_once_per_key();
+    // Cold: the first replan runs GP, the rest of the fleet hits
+    // the entry it published.  Warm: everyone hits.
+    let cold_q = TraceQuery::new(cold.clone());
+    assert_eq!(cold_q.plan_runs(), 1);
+    assert_eq!(cold_q.plan_cache_hits(), FLEET - 1);
+    cold_q.assert_plans_at_most_once_per_key();
+    let warm_q = TraceQuery::new(warm.clone());
+    assert_eq!(warm_q.plan_runs(), 0, "warm fleet must not run GP");
+    assert_eq!(warm_q.plan_cache_hits(), FLEET);
+    warm_q.assert_plans_at_most_once_per_key();
 
-        // Warm vs cold: byte-identical except the deterministic
-        // `plan.cache_*` records (the cold leader's miss reads as a hit
-        // when the fleet starts warm).
-        assert_eq!(cold.len(), warm.len());
-        for (c, w) in cold.iter().zip(&warm) {
-            if c == w {
-                continue;
-            }
-            assert!(
-                c.event.label().starts_with("plan.cache_"),
-                "non-cache divergence at seq {}: {c:?} vs {w:?}",
-                c.seq
-            );
-            assert_eq!(c.event.plan_key(), w.event.plan_key());
-            assert_eq!((c.seq, c.tick, &c.source), (w.seq, w.tick, &w.source));
+    // Warm vs cold: byte-identical except the deterministic
+    // `plan.cache_*` records (the cold leader's miss reads as a hit
+    // when the fleet starts warm).
+    assert_eq!(cold.len(), warm.len());
+    for (c, w) in cold.iter().zip(&warm) {
+        if c == w {
+            continue;
         }
-
-        // Cache disabled: zero new events — the trace is the cold one
-        // with its cache announcements filtered out.
-        assert!(essence(&disabled)
-            .iter()
-            .all(|(_, _, _, e)| e.plan_key().is_none()));
-        let cold_sans_cache: Vec<_> = essence(&cold)
-            .into_iter()
-            .filter(|(_, _, _, e)| e.plan_key().is_none())
-            .collect();
-        assert_eq!(essence(&disabled), cold_sans_cache);
+        assert!(
+            c.event.label().starts_with("plan.cache_"),
+            "non-cache divergence at seq {}: {c:?} vs {w:?}",
+            c.seq
+        );
+        assert_eq!(c.event.plan_key(), w.event.plan_key());
+        assert_eq!((c.seq, c.tick, &c.source), (w.seq, w.tick, &w.source));
     }
+
+    // Cache disabled: zero new events — the trace is the cold one
+    // with its cache announcements filtered out.
+    assert!(essence(&disabled)
+        .iter()
+        .all(|(_, _, _, e)| e.plan_key().is_none()));
+    let cold_sans_cache: Vec<_> = essence(&cold)
+        .into_iter()
+        .filter(|(_, _, _, e)| e.plan_key().is_none())
+        .collect();
+    assert_eq!(essence(&disabled), cold_sans_cache);
 }
 
 #[test]
 fn churn_traces_are_identical_across_workers_and_cores() {
     const FLEET: usize = 6;
-    let combos = [
-        (1, CoreSpec::Event),
-        (8, CoreSpec::Event),
-        (1, CoreSpec::Sharded { shards: 4 }),
-        (8, CoreSpec::Sharded { shards: 4 }),
-    ];
-    let reference_cold =
-        churn_records(FLEET, 1, CoreSpec::Event, Some(&PlanCacheHandle::in_proc()));
-    for (workers, core) in combos {
-        let cold = churn_records(FLEET, workers, core, Some(&PlanCacheHandle::in_proc()));
-        assert_eq!(
-            cold, reference_cold,
-            "cold churn diverged at workers={workers} core={core:?}"
-        );
-    }
+    // The scan oracle is the one reader of the worker count left (it
+    // chunks its ordered step list), so one run varies both.
+    let event = churn_records(FLEET, 1, CoreSpec::Event, Some(&PlanCacheHandle::in_proc()));
+    let scan_w8 = churn_records(FLEET, 8, CoreSpec::Scan, Some(&PlanCacheHandle::in_proc()));
+    assert_eq!(event, scan_w8, "cold churn diverged on the scan core");
 }
 
 // ------------------------------------------------------------------ 2

@@ -13,8 +13,6 @@
 //!    `TraceQuery` admission helpers), and `FairShare` spreads
 //!    same-tick admissions across tenants instead of letting one
 //!    tenant's burst starve the rest.
-//! 3. **Every policy is deterministic.**  Same fleet, same policy ⇒
-//!    byte-identical merged JSONL at any worker count.
 
 use gridflow_engine::{CaseHints, PolicySpec};
 use gridflow_harness::workload::dinner_workload;
@@ -150,28 +148,6 @@ fn fair_share_spreads_same_tick_admissions_across_tenants() {
         vec!["dinner-0", "dinner-2"],
         "fair share should give tenants a and b one opening slot each"
     );
-}
-
-// ------------------------------------------------------------------ 3
-
-#[test]
-fn every_policy_is_worker_count_invariant() {
-    let wl = dinner_workload();
-    let plan = FaultPlan::default();
-    for policy in PolicySpec::ALL {
-        let run = |workers: usize| {
-            jsonl(
-                MultiCaseScenario::new(&plan, &wl, 5)
-                    .max_in_flight(2)
-                    .workers(workers)
-                    .policy(policy)
-                    .case_hints(staggered_priority),
-            )
-        };
-        let w1 = run(1);
-        assert!(!w1.is_empty());
-        assert_eq!(w1, run(8), "{} diverged at workers=8", policy.name());
-    }
 }
 
 #[test]

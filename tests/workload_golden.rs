@@ -11,9 +11,8 @@
 //!    the same tick when the virtual laboratory has three live `P3DR`
 //!    hosts.
 //! 2. **The generator is seed-deterministic.**  The same knobs produce
-//!    a byte-identical [`Workload`] (via [`Workload::fingerprint`]),
-//!    and under FIFO admission a byte-identical merged JSONL trace at
-//!    workers 1, 2, and 8.
+//!    a byte-identical [`Workload`] (via [`Workload::fingerprint`]);
+//!    the merged traces they enact to are pinned in `trace_golden.rs`.
 //!
 //! [`Workload`]: gridflow_harness::workload::Workload
 //! [`Workload::fingerprint`]: gridflow_harness::workload::Workload::fingerprint
@@ -23,9 +22,8 @@ use gridflow_harness::workload::{
 };
 use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceEvent, TraceQuery};
 
-fn traced_run(wl: &Workload, cases: usize, workers: usize) -> (TraceQuery, String) {
+fn traced_run(wl: &Workload, cases: usize) -> TraceQuery {
     let outcome = MultiCaseScenario::new(&FaultPlan::default(), wl, cases)
-        .workers(workers)
         .traced()
         .run();
     assert!(
@@ -39,8 +37,7 @@ fn traced_run(wl: &Workload, cases: usize, workers: usize) -> (TraceQuery, Strin
             .map(|c| c.report.abort_reason.clone())
             .collect::<Vec<_>>()
     );
-    let log = outcome.trace.expect("traced");
-    (TraceQuery::new(log.records()), log.to_jsonl())
+    TraceQuery::new(outcome.trace.expect("traced").records())
 }
 
 fn dispatched(activity: &'static str) -> impl FnMut(&TraceEvent) -> bool {
@@ -52,7 +49,7 @@ fn dispatched(activity: &'static str) -> impl FnMut(&TraceEvent) -> bool {
 #[test]
 fn virus_trace_respects_the_pipelines_happens_before_edges() {
     let wl = virus_reconstruction_workload();
-    let (q, _) = traced_run(&wl, 1, 1);
+    let q = traced_run(&wl, 1);
     // The one-shot prefix runs exactly once; only the refinement loop's
     // body (POR, P3DR2/3/4, PSF) may legitimately re-dispatch, once per
     // pass.  (`check_no_double_dispatch` is the crash/resume invariant
@@ -116,17 +113,6 @@ fn virus_p3dr_fan_out_branches_dispatch_concurrently() {
     assert_eq!(t2, t4, "P3DR2 and P3DR4 should fan out in the same tick");
 }
 
-#[test]
-fn virus_trace_is_identical_across_worker_counts() {
-    let wl = virus_reconstruction_workload();
-    let (_, w1) = traced_run(&wl, 2, 1);
-    let (_, w2) = traced_run(&wl, 2, 2);
-    let (_, w8) = traced_run(&wl, 2, 8);
-    assert!(!w1.is_empty());
-    assert_eq!(w1, w2, "virus fleet diverged at workers=2");
-    assert_eq!(w1, w8, "virus fleet diverged at workers=8");
-}
-
 // ------------------------------------------- generator determinism
 
 #[test]
@@ -148,19 +134,6 @@ fn same_knobs_build_byte_identical_workloads() {
                 "shape {shape:?} / {duration:?} not seed-deterministic"
             );
         }
-    }
-}
-
-#[test]
-fn generated_workloads_trace_identically_across_worker_counts() {
-    for shape in GraphShape::ALL {
-        let wl = WorkloadGen::new(19).shape(shape).width(2).depth(2).build();
-        let (_, w1) = traced_run(&wl, 3, 1);
-        let (_, w2) = traced_run(&wl, 3, 2);
-        let (_, w8) = traced_run(&wl, 3, 8);
-        assert!(!w1.is_empty(), "{}: empty trace", wl.name);
-        assert_eq!(w1, w2, "{} diverged at workers=2", wl.name);
-        assert_eq!(w1, w8, "{} diverged at workers=8", wl.name);
     }
 }
 
