@@ -1,13 +1,10 @@
-//! **Planner throughput — GP search, fitness memoization, and the
-//! fleet-shared plan cache.**
+//! **Planner throughput — GP search and the fleet-shared plan cache.**
 //!
 //! Three sweeps, reported into `BENCH_planner.json`:
 //!
 //! 1. **GP search throughput** — repeated full GP runs of the dinner
-//!    planning problem (population 80 × 25 generations), with fitness
-//!    memoization on and off, reporting plans/sec, generations/sec,
-//!    and the memo hit count per run.  Memoization is a strict
-//!    performance knob: both rows produce byte-identical winners.
+//!    planning problem (population 80 × 25 generations), reporting
+//!    plans/sec and generations/sec.
 //! 2. **Cold vs warm fleet planning** — an identical-goal fleet of N
 //!    planning requests, once with the cache disabled (N full GP runs)
 //!    and once against a pre-warmed [`PlanCacheHandle`] (N content-
@@ -24,7 +21,7 @@
 //! ```
 //!
 //! `--guard` reads the committed `BENCH_planner.json` *before*
-//! overwriting it and exits non-zero if the headline point (memoized
+//! overwriting it and exits non-zero if the headline point (GP
 //! plans/sec, best of three measurements) regressed more than 20%
 //! against it, or if the warm-cache fleet fails to beat the cold fleet
 //! by at least 10× — the CI seam that keeps the plan cache's
@@ -51,12 +48,11 @@ const GUARD_MEASUREMENTS: usize = 3;
 /// at least this factor in wall time.
 const WARM_SPEEDUP_MIN: f64 = 10.0;
 
-fn gp_config(memoize: bool) -> GpConfig {
+fn gp_config() -> GpConfig {
     GpConfig {
         population_size: POPULATION,
         generations: GENERATIONS,
         seed: GP_SEED,
-        memoize_fitness: memoize,
         ..GpConfig::default()
     }
 }
@@ -84,30 +80,26 @@ fn dinner_request() -> PlanRequest {
 }
 
 /// One throughput measurement: `plans` full GP runs, returning
-/// (plans/sec, memo hits of the last run).
-fn measure_gp(memoize: bool, plans: usize) -> (f64, usize) {
+/// plans/sec.
+fn measure_gp(plans: usize) -> f64 {
     let problem = dinner_problem();
     let start = Instant::now();
-    let mut memo_hits = 0;
     for _ in 0..plans {
-        let result = GpPlanner::new(gp_config(memoize), problem.clone()).run();
-        memo_hits = result.memo_hits;
+        std::hint::black_box(GpPlanner::new(gp_config(), problem.clone()).run());
     }
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    (plans as f64 / wall, memo_hits)
+    plans as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// The committed baseline memoized plans/sec, if the report on disk
-/// has one.
+/// The committed baseline GP plans/sec, if the report on disk has one.
 fn baseline_plans_per_sec(path: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
     let report: serde_json::Value = serde_json::from_str(&text).ok()?;
-    report.get("results")?.as_array()?.iter().find_map(|r| {
-        r.get("memoize")?
-            .as_bool()?
-            .then(|| r.get("plans_per_sec")?.as_f64())
-            .flatten()
-    })
+    report
+        .get("results")?
+        .as_array()?
+        .first()?
+        .get("plans_per_sec")?
+        .as_f64()
 }
 
 fn main() {
@@ -126,56 +118,36 @@ fn main() {
     let path = "BENCH_planner.json";
     let baseline = guard.then(|| baseline_plans_per_sec(path)).flatten();
 
-    banner("planner throughput: GP search with and without fitness memoization");
-    let mut rows = Vec::new();
-    let mut results = Vec::new();
-    let mut guard_measured: Option<f64> = None;
-    for memoize in [true, false] {
-        let start = Instant::now();
-        let (plans_per_sec, memo_hits) = measure_gp(memoize, plans);
-        let wall = start.elapsed();
-        let generations_per_sec = plans_per_sec * GENERATIONS as f64;
-        if memoize {
-            guard_measured = Some(plans_per_sec);
-        }
-        rows.push(vec![
-            memoize.to_string(),
-            plans.to_string(),
-            format!("{:.1}", wall.as_secs_f64() * 1e3),
-            format!("{plans_per_sec:.2}"),
-            format!("{generations_per_sec:.0}"),
-            memo_hits.to_string(),
-        ]);
-        results.push(json!({
-            "memoize": memoize,
-            "population_size": POPULATION,
-            "generations": GENERATIONS,
-            "plans": plans,
-            "wall_ms": wall.as_secs_f64() * 1e3,
-            "plans_per_sec": plans_per_sec,
-            "generations_per_sec": generations_per_sec,
-            "memo_hits_per_plan": memo_hits,
-        }));
-    }
+    banner("planner throughput: GP search");
+    let start = Instant::now();
+    let plans_per_sec = measure_gp(plans);
+    let wall = start.elapsed();
+    let generations_per_sec = plans_per_sec * GENERATIONS as f64;
     println!(
         "{}",
         render_table(
-            &[
-                "memoize",
-                "plans",
-                "wall ms",
-                "plans/s",
-                "generations/s",
-                "memo hits/plan",
-            ],
-            &rows,
+            &["plans", "wall ms", "plans/s", "generations/s"],
+            &[vec![
+                plans.to_string(),
+                format!("{:.1}", wall.as_secs_f64() * 1e3),
+                format!("{plans_per_sec:.2}"),
+                format!("{generations_per_sec:.0}"),
+            ]],
         )
     );
+    let results = vec![json!({
+        "population_size": POPULATION,
+        "generations": GENERATIONS,
+        "plans": plans,
+        "wall_ms": wall.as_secs_f64() * 1e3,
+        "plans_per_sec": plans_per_sec,
+        "generations_per_sec": generations_per_sec,
+    })];
 
     banner("fleet planning: cold (cache disabled) vs warm (shared cache)");
     let world = dinner_world();
     let request = dinner_request();
-    let uncached = PlanningService::new(gp_config(true));
+    let uncached = PlanningService::new(gp_config());
     let start = Instant::now();
     for _ in 0..fleet {
         uncached.plan(&world, &request).expect("cold plan");
@@ -183,7 +155,7 @@ fn main() {
     let cold_wall = start.elapsed();
 
     let cache = PlanCacheHandle::in_proc();
-    let cached = PlanningService::new(gp_config(true)).with_plan_cache(cache.clone());
+    let cached = PlanningService::new(gp_config()).with_plan_cache(cache.clone());
     // Single-flight dedup: the fleet issued cold against one shared
     // cache — request 0 runs GP, requests 1..N hit its entry.
     let start = Instant::now();
@@ -255,17 +227,17 @@ fn main() {
     println!("wrote {path}");
 
     if guard {
-        let mut measured = guard_measured.expect("memoized cell always measured");
+        let mut measured = plans_per_sec;
         // Best-of-N: shared CI runners jitter wall-clock throughput far
         // more than any real regression.
         for _ in 1..GUARD_MEASUREMENTS {
-            measured = measured.max(measure_gp(true, plans).0);
+            measured = measured.max(measure_gp(plans));
         }
         match baseline {
             Some(base) => {
                 let floor = base * GUARD_FLOOR;
                 println!(
-                    "guard: memoized GP: {measured:.2} plans/s vs committed baseline \
+                    "guard: GP: {measured:.2} plans/s vs committed baseline \
                      {base:.2} (floor {floor:.2})"
                 );
                 if measured < floor {

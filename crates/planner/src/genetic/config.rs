@@ -43,12 +43,6 @@ pub struct GpConfig {
     /// generations, which is why the paper reads its answer off the
     /// *final* generation.
     pub elitism: usize,
-    /// Memoize fitness by plan-tree content hash within a run (identical
-    /// trees recur heavily across generations under selection and
-    /// elitism).  Fitness evaluation is pure, so this is a strict
-    /// performance knob: results are byte-identical with it on or off,
-    /// at any thread count.
-    pub memoize_fitness: bool,
 }
 
 impl Default for GpConfig {
@@ -67,7 +61,6 @@ impl Default for GpConfig {
             threads: 0,
             early_stop_on_perfect: false,
             elitism: 0,
-            memoize_fitness: true,
         }
     }
 }

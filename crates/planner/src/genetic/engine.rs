@@ -19,13 +19,11 @@ use crate::fitness::{evaluate, Fitness};
 use crate::genetic::config::GpConfig;
 use crate::genetic::init::random_tree;
 use crate::genetic::ops::{crossover, mutate};
-use crate::key::plan_tree_hash;
 use crate::problem::PlanningProblem;
 use gridflow_plan::PlanNode;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-generation statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,13 +53,8 @@ pub struct GpResult {
     pub best_ever_fitness: Fitness,
     /// Per-generation statistics, in order.
     pub history: Vec<GenerationStats>,
-    /// Total *logical* fitness evaluations (one per individual per
-    /// generation, whether served from the memo or computed fresh).
+    /// Total fitness evaluations performed.
     pub evaluations: usize,
-    /// How many of those evaluations were served from the per-run
-    /// fitness memo instead of being recomputed (0 when
-    /// [`GpConfig::memoize_fitness`] is off).
-    pub memo_hits: usize,
 }
 
 /// The GP planner: a configuration plus a problem.
@@ -112,13 +105,9 @@ impl GpPlanner {
         let mut evaluations = 0usize;
         let mut best_ever: Option<(PlanNode, Fitness)> = None;
         let mut final_best: Option<(PlanNode, Fitness)> = None;
-        // Per-run fitness memo, keyed by plan-tree content hash.  Lives
-        // for this run only — cross-run reuse is the plan cache's job.
-        let mut memo: HashMap<u128, Fitness> = HashMap::new();
-        let mut memo_hits = 0usize;
 
         for generation in 0..cfg.generations.max(1) {
-            let fitnesses = self.evaluate_population(&population, &mut memo, &mut memo_hits);
+            let fitnesses = self.evaluate_population(&population);
             evaluations += fitnesses.len();
 
             let (best_idx, best_fit) = fitnesses
@@ -228,58 +217,23 @@ impl GpPlanner {
             best_ever_fitness,
             history,
             evaluations,
-            memo_hits,
         }
     }
 
-    /// Evaluate the whole population.
-    ///
-    /// With memoization on, duplicate trees (within this generation or
-    /// remembered from earlier ones) are identified by content hash in
-    /// first-occurrence order, only the fresh ones are computed, and
-    /// results are filled back positionally — so the returned vector is
-    /// identical to the unmemoized one at any thread count.
-    fn evaluate_population(
-        &self,
-        population: &[PlanNode],
-        memo: &mut HashMap<u128, Fitness>,
-        memo_hits: &mut usize,
-    ) -> Vec<Fitness> {
-        if !self.config.memoize_fitness {
-            let all: Vec<&PlanNode> = population.iter().collect();
-            return self.evaluate_trees(&all);
-        }
-        let keys: Vec<u128> = population.iter().map(plan_tree_hash).collect();
-        let mut fresh_keys: Vec<u128> = Vec::new();
-        let mut fresh_trees: Vec<&PlanNode> = Vec::new();
-        for (tree, &key) in population.iter().zip(&keys) {
-            if !memo.contains_key(&key) && !fresh_keys.contains(&key) {
-                fresh_keys.push(key);
-                fresh_trees.push(tree);
-            }
-        }
-        *memo_hits += population.len() - fresh_trees.len();
-        let fresh_fits = self.evaluate_trees(&fresh_trees);
-        for (key, fit) in fresh_keys.into_iter().zip(fresh_fits) {
-            memo.insert(key, fit);
-        }
-        keys.iter().map(|key| memo[key]).collect()
-    }
-
-    /// Compute fitness for the given trees, in parallel when beneficial.
-    fn evaluate_trees(&self, trees: &[&PlanNode]) -> Vec<Fitness> {
+    /// Evaluate the whole population, in parallel when beneficial.
+    fn evaluate_population(&self, population: &[PlanNode]) -> Vec<Fitness> {
         let cfg = &self.config;
         let threads = cfg.effective_threads();
-        if threads <= 1 || trees.len() < 32 {
-            return trees
+        if threads <= 1 || population.len() < 32 {
+            return population
                 .iter()
                 .map(|t| evaluate(t, &self.problem, cfg.smax, cfg.weights, cfg.flow_cap))
                 .collect();
         }
-        let chunk_size = trees.len().div_ceil(threads);
-        let mut out: Vec<Fitness> = Vec::with_capacity(trees.len());
+        let chunk_size = population.len().div_ceil(threads);
+        let mut out: Vec<Fitness> = Vec::with_capacity(population.len());
         std::thread::scope(|scope| {
-            let handles: Vec<_> = trees
+            let handles: Vec<_> = population
                 .chunks(chunk_size)
                 .map(|chunk| {
                     scope.spawn(move || {
@@ -425,28 +379,6 @@ mod tests {
         }
         // And the final answer equals the best ever seen.
         assert!((result.best_fitness.overall - result.best_ever_fitness.overall).abs() < 1e-12);
-    }
-
-    #[test]
-    fn memoization_is_a_pure_performance_knob() {
-        let on = GpPlanner::new(small_config(9), chain_problem()).run();
-        let off = GpPlanner::new(
-            GpConfig {
-                memoize_fitness: false,
-                ..small_config(9)
-            },
-            chain_problem(),
-        )
-        .run();
-        assert_eq!(on.best, off.best);
-        assert_eq!(on.best_ever, off.best_ever);
-        assert_eq!(on.history, off.history);
-        assert_eq!(on.evaluations, off.evaluations);
-        assert_eq!(off.memo_hits, 0);
-        assert!(
-            on.memo_hits > 0,
-            "selection clones winners, so duplicate trees must recur"
-        );
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! tree, so the second run can be skipped entirely.
 //!
 //! The key is a stable 128-bit FNV-1a hash over a canonical rendering of
-//! the inputs.  Performance-only knobs (`threads`, `memoize_fitness`)
-//! are normalized out before hashing — they cannot change the result,
-//! and folding them in would only split otherwise-identical requests
-//! across distinct cache entries.
+//! the inputs.  The one performance-only knob (`threads`) is
+//! normalized out before hashing — it cannot change the result, and
+//! folding it in would only split otherwise-identical requests across
+//! distinct cache entries.
 
 use crate::genetic::GpConfig;
 use crate::problem::PlanningProblem;
-use gridflow_plan::PlanNode;
 use std::fmt;
 
 /// FNV-1a 128-bit offset basis.
@@ -68,27 +67,6 @@ impl fmt::Write for StableHasher {
     }
 }
 
-/// Stable 128-bit content hash of any `Debug`-renderable value.
-///
-/// The derived `Debug` rendering is a canonical encoding for the plain
-/// data types hashed here: field order is fixed by the declaration and
-/// `f64` formats as its shortest exact round-trip representation.
-pub fn stable_hash_debug<T: fmt::Debug>(value: &T) -> u128 {
-    use fmt::Write as _;
-    let mut hasher = StableHasher::new();
-    write!(hasher, "{value:?}").expect("StableHasher never fails");
-    hasher.finish()
-}
-
-/// Stable content hash of a plan tree.
-///
-/// Used to memoize fitness within a GP run (identical trees recur
-/// heavily across generations under selection and elitism) and usable by
-/// any layer that wants to content-address plans.
-pub fn plan_tree_hash(tree: &PlanNode) -> u128 {
-    stable_hash_debug(tree)
-}
-
 /// Content-addressed identity of a planning request.
 ///
 /// Two requests with equal keys are guaranteed (by GP determinism — see
@@ -108,10 +86,9 @@ impl PlanKey {
     /// even for services the current catalog no longer offers.
     pub fn compute(config: &GpConfig, problem: &PlanningProblem, excluded: &[String]) -> PlanKey {
         use fmt::Write as _;
-        // Normalize performance-only knobs: they do not affect the plan.
+        // Normalize the performance-only knob: it does not affect the plan.
         let mut canonical = *config;
         canonical.threads = 0;
-        canonical.memoize_fitness = false;
         let mut hasher = StableHasher::new();
         write!(
             hasher,
@@ -195,28 +172,11 @@ mod tests {
     fn performance_knobs_are_normalized_out() {
         let base = PlanKey::compute(&GpConfig::default(), &problem(), &[]);
         for threads in [1usize, 2, 8] {
-            for memoize_fitness in [false, true] {
-                let cfg = GpConfig {
-                    threads,
-                    memoize_fitness,
-                    ..GpConfig::default()
-                };
-                assert_eq!(PlanKey::compute(&cfg, &problem(), &[]), base);
-            }
+            let cfg = GpConfig {
+                threads,
+                ..GpConfig::default()
+            };
+            assert_eq!(PlanKey::compute(&cfg, &problem(), &[]), base);
         }
-    }
-
-    #[test]
-    fn tree_hash_distinguishes_structure() {
-        let a = PlanNode::Sequential(vec![
-            PlanNode::Terminal("x".into()),
-            PlanNode::Terminal("y".into()),
-        ]);
-        let b = PlanNode::Concurrent(vec![
-            PlanNode::Terminal("x".into()),
-            PlanNode::Terminal("y".into()),
-        ]);
-        assert_ne!(plan_tree_hash(&a), plan_tree_hash(&b));
-        assert_eq!(plan_tree_hash(&a), plan_tree_hash(&a.clone()));
     }
 }

@@ -50,7 +50,7 @@ pub mod state;
 pub mod prelude {
     pub use crate::fitness::{Fitness, FitnessWeights};
     pub use crate::genetic::{GenerationStats, GpConfig, GpPlanner, GpResult};
-    pub use crate::key::{plan_tree_hash, PlanKey, StableHasher};
+    pub use crate::key::{PlanKey, StableHasher};
     pub use crate::problem::{ActivitySpec, GoalSpec, PlanningProblem};
     pub use crate::replan::{replan, ReplanRequest};
     pub use crate::simulate::{simulate, SimOutcome};
@@ -59,6 +59,6 @@ pub mod prelude {
 
 pub use fitness::{evaluate, Fitness, FitnessWeights};
 pub use genetic::{GpConfig, GpPlanner, GpResult};
-pub use key::{plan_tree_hash, PlanKey, StableHasher};
+pub use key::{PlanKey, StableHasher};
 pub use problem::{ActivitySpec, GoalSpec, PlanningProblem};
 pub use state::PlanningState;

@@ -21,7 +21,7 @@ use gridflow_harness::workload::{
     cook_loss_churn_plan, cook_loss_churn_plan_scaled, dinner_replan_workload,
     dinner_replan_workload_scaled, dinner_world,
 };
-use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceQuery, Workload};
+use gridflow_harness::{MultiCaseScenario, TraceQuery, Workload};
 use gridflow_planner::prelude::GpConfig;
 use gridflow_planner::GoalSpec;
 use gridflow_services::{PlanCacheHandle, PlanRequest, PlanningService};
@@ -294,21 +294,4 @@ fn disabled_cache_fleet_still_replans_per_case() {
     assert_eq!(q.plan_runs(), 3);
     assert_eq!(q.plan_cache_hits(), 0);
     q.assert_plans_at_most_once_per_key();
-}
-
-#[test]
-fn scenario_spec_carries_the_plan_cache() {
-    use gridflow_harness::EngineSpec;
-    let plan = FaultPlan::seeded(1);
-    let wl = dinner_replan_workload(11);
-    let cache = PlanCacheHandle::in_proc();
-    let spec = EngineSpec::default().plan_cache(cache.clone());
-    // A spec-built scenario and a builder-built one behave identically:
-    // no faults, so no replans, so the cache stays empty either way.
-    let via_spec = MultiCaseScenario::new(&plan, &wl, 2)
-        .spec(spec)
-        .traced()
-        .run();
-    assert!(via_spec.engine.all_succeeded());
-    assert!(cache.is_empty(), "no replans — nothing to cache");
 }

@@ -56,13 +56,14 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("generated-choice", 61, 0xace7edbb62b7f4a6),
     ("generated-iterative", 89, 0x6c3cc2c30b02ca0b),
     ("churn-uncached", 310, 0x354da403ec12ad2d),
-    ("churn-cached", 316, 0xb057efa99a968e9d),
+    ("churn-cached", 316, 0xc110297c737bee8d),
     ("kill-recover", 93, 0x605aebcd98483566),
 ];
 
-/// `(payload bytes, fnv1a64(payload))` of the latest snapshot left in
-/// the store by the kill→recover scenario.
-const GOLDEN_SNAPSHOT: (usize, u64) = (25971, 0xd4d113097eda21c2);
+/// `(payload bytes, fnv1a64(payload))` of the snapshot the kill→recover
+/// scenario recovers from: the latest one the crashed run left in the
+/// store, with fibers still live and their blueprints interned.
+const GOLDEN_SNAPSHOT: (usize, u64) = (26898, 0xe34bbba40849136e);
 
 fn jsonl(plan: &FaultPlan, wl: &Workload, cases: usize, in_flight: usize) -> String {
     MultiCaseScenario::new(plan, wl, cases)
@@ -89,7 +90,8 @@ fn churn(cache: Option<PlanCacheHandle>) -> String {
 }
 
 /// Kill a flaky fleet mid-run, recover it from the same store, and
-/// return the store's merged log plus its latest snapshot payload.
+/// return the store's merged log plus the payload of the snapshot the
+/// recovery started from.
 fn kill_recover() -> (String, Vec<u8>) {
     let plan = FaultPlan::seeded(7).failing_activities(0.2);
     let wl = dinner_workload();
@@ -97,17 +99,18 @@ fn kill_recover() -> (String, Vec<u8>) {
     let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
     let crashed = scenario().store(store.clone(), 2).kill_at(5).run();
     assert!(crashed.engine.killed, "the run should have been killed");
+    let snapshot = store
+        .lock()
+        .unwrap()
+        .latest_snapshot()
+        .unwrap()
+        .expect("the crashed run snapshots before the kill tick");
     let recovered = scenario()
         .store(store.clone(), 2)
         .recover()
         .expect("recovery succeeds");
     assert!(!recovered.engine.killed);
-    let guard = store.lock().unwrap();
-    let merged = merged_jsonl(&guard.replay_from(0).unwrap());
-    let snapshot = guard
-        .latest_snapshot()
-        .unwrap()
-        .expect("the recovered run snapshots");
+    let merged = merged_jsonl(&store.lock().unwrap().replay_from(0).unwrap());
     (merged, snapshot.state)
 }
 
