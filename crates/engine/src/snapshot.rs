@@ -344,3 +344,186 @@ impl EngineSnapshot {
         serde_json::from_str(text).map_err(|e| e.to_string())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::{CaseScheduler, EngineConfig, EngineOutcome, StoreBinding};
+    use gridflow_process::{lower::lower, parser::parse_process, Condition, DataItem};
+    use gridflow_services::{GridWorld, OutputSpec, ServiceOffering};
+    use gridflow_store::{MemStore, SnapshotRecord, Store, StoreError, StoreResult};
+    use gridflow_telemetry::{FrozenClock, TraceLog};
+    use std::sync::Mutex;
+
+    /// One container per service of a two-step workflow.  Built from
+    /// JSON because this crate does not depend on `gridflow-grid`.
+    fn world() -> GridWorld {
+        let node = |service: &str| {
+            (
+                format!(
+                    r#"{{"id":"ac-{service}","resource_id":"{service}","services":["{service}"],
+                        "up":true,"completed":0,"failed":0}}"#
+                ),
+                format!(
+                    r#"{{"id":"{service}","kind":"PcCluster","nodes":1,"location":"unknown",
+                        "domain":"default","reliability":1.0,"cost_per_cpu_hour":1.0,
+                        "software":[],"hardware":{{"arch":"x86","cpu_ghz":2.4,"memory_mb":1024,
+                        "bandwidth_mbps":100.0,"latency_us":150.0}}}}"#
+                ),
+            )
+        };
+        let (c0, r0) = node("prep");
+        let (c1, r1) = node("cook");
+        let topology = format!(r#"{{"containers":[{c0},{c1}],"resources":[{r0},{r1}]}}"#);
+        let mut w = GridWorld::new(serde_json::from_str(&topology).expect("topology decodes"));
+        w.offer(ServiceOffering::new(
+            "prep",
+            ["Raw"],
+            vec![OutputSpec::plain("Prepped")],
+        ));
+        w.offer(ServiceOffering::new(
+            "cook",
+            ["Prepped"],
+            vec![OutputSpec::plain("Cooked")],
+        ));
+        w
+    }
+
+    /// A scheduler over a two-case fleet admitted one at a time, bound
+    /// to `store` and journalling into `journal`.
+    fn scheduler(
+        store: Arc<Mutex<dyn Store>>,
+        journal: TraceLog,
+        kill_at: Option<u64>,
+    ) -> CaseScheduler {
+        let mut scheduler = CaseScheduler::new(EngineConfig {
+            max_in_flight: 1,
+            store: Some(StoreBinding {
+                store,
+                journal: journal.clone(),
+                snapshot_every: 1,
+            }),
+            kill_at,
+            ..EngineConfig::default()
+        })
+        .trace(Arc::new(journal));
+        let graph = lower("meal", &parse_process("BEGIN prep; cook; END").unwrap()).unwrap();
+        let goal = (102..=108)
+            .map(|i| Condition::classified(format!("D{i}"), "Cooked"))
+            .fold(Condition::classified("D101", "Cooked"), Condition::or);
+        let case = Arc::new(
+            CaseDescription::new("meal")
+                .with_data("D1", DataItem::classified("Raw"))
+                .with_goal("G1", goal),
+        );
+        for i in 0..2 {
+            scheduler.submit(CaseSpec {
+                label: format!("meal-{i}"),
+                graph: graph.clone(),
+                case: case.clone(),
+                config: EnactmentConfig::default(),
+                hints: CaseHints::default(),
+            });
+        }
+        scheduler
+    }
+
+    /// The latest snapshot of a run killed at tick 1: `meal-0` is live
+    /// mid-workflow, `meal-1` still waits.
+    fn captured() -> SnapshotRecord {
+        let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+        let outcome = scheduler(store.clone(), TraceLog::new(), Some(1)).run(&mut world());
+        assert!(outcome.killed);
+        let record = store.lock().unwrap().latest_snapshot().unwrap().unwrap();
+        let image = EngineSnapshot::from_bytes(&record.state).unwrap();
+        assert_eq!((image.live.len(), image.waiting.len()), (1, 1));
+        record
+    }
+
+    /// Recover from a store holding only `record` with its payload
+    /// replaced by `payload`.
+    fn recover_from(record: &SnapshotRecord, payload: Vec<u8>) -> StoreResult<EngineOutcome> {
+        let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+        store.lock().unwrap().snapshot(SnapshotRecord::new(
+            record.next_tick,
+            record.journal_seq,
+            record.clock_ticks,
+            record.clock_s,
+            payload,
+        ))?;
+        let journal = TraceLog::resuming(record.journal_seq, Arc::new(FrozenClock));
+        scheduler(store, journal, None).recover(&mut world(), |_, _| {})
+    }
+
+    /// `payload` with `edit` applied to its top-level JSON object.
+    fn edited(payload: &[u8], edit: impl FnOnce(&mut serde_json::Map)) -> Vec<u8> {
+        let mut value: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap();
+        edit(value.as_object_mut().unwrap());
+        serde_json::to_string(&value).unwrap().into_bytes()
+    }
+
+    #[test]
+    fn event_core_payloads_round_trip_byte_for_byte() {
+        let record = captured();
+        let image = EngineSnapshot::from_bytes(&record.state).unwrap();
+        assert_eq!((image.version, image.core), (2, CoreSpec::Event));
+        assert_eq!(image.to_bytes(), record.state);
+    }
+
+    #[test]
+    fn older_payload_shapes_still_restore() {
+        let record = captured();
+        let baseline = recover_from(&record, record.state.clone()).unwrap();
+        assert!(baseline.all_succeeded() && baseline.cases.len() == 2);
+
+        // Version 1: neither `version` nor `core`.
+        let v1 = edited(&record.state, |obj| {
+            obj.remove("version");
+            obj.remove("core");
+        });
+        let image = EngineSnapshot::from_bytes(&v1).unwrap();
+        assert_eq!((image.version, image.core), (1, CoreSpec::Event));
+        assert_eq!(recover_from(&record, v1).unwrap(), baseline);
+
+        // Version 2 as a since-removed core wrote it: a `shard` stamp on
+        // each live slot.  Unknown keys are ignored.
+        let stamped = edited(&record.state, |obj| {
+            let slot = &mut obj.get_mut("live").unwrap().as_array_mut().unwrap()[0];
+            let shard = serde_json::to_value(3u64).unwrap();
+            slot.as_object_mut().unwrap().insert("shard".into(), shard);
+        });
+        assert!(std::str::from_utf8(&stamped)
+            .unwrap()
+            .contains(r#""shard":3"#));
+        assert_eq!(recover_from(&record, stamped).unwrap(), baseline);
+    }
+
+    #[test]
+    fn unknown_cores_and_newer_versions_are_refused_not_panicked_on() {
+        let record = captured();
+        let refusals = [
+            (
+                edited(&record.state, |obj| {
+                    let core = serde_json::from_str(r#"{"Sharded":{"shards":4}}"#).unwrap();
+                    obj.insert("core".into(), core);
+                }),
+                "field `core`",
+            ),
+            (
+                edited(&record.state, |obj| {
+                    obj.insert("version".into(), serde_json::to_value(3u64).unwrap());
+                }),
+                "version 3 is newer",
+            ),
+        ];
+        for (payload, names) in refusals {
+            let decode = EngineSnapshot::from_bytes(&payload).unwrap_err();
+            assert!(decode.contains(names), "{decode}");
+            match recover_from(&record, payload) {
+                Err(StoreError::Corrupt(why)) => assert!(why.contains(names), "{why}"),
+                other => panic!("expected StoreError::Corrupt, got {other:?}"),
+            }
+        }
+    }
+}
