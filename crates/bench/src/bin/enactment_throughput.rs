@@ -31,8 +31,9 @@
 //! `--guard` reads the committed `BENCH_enactment.json` *before*
 //! overwriting it and exits non-zero if the headline point (N=512,
 //! best of three measurements) regressed more than 20% in cases/sec
-//! against it — the CI seam that keeps the event core's throughput
-//! claim honest.
+//! against it, or if this run's own `file ÷ trace-only` store ratio
+//! fell below half the committed ratio — a same-run ratio, so the
+//! machine the baseline came from cancels out.
 
 use gridflow_bench::{banner, render_table};
 use gridflow_engine::{
@@ -62,6 +63,9 @@ const GUARD_FLOOR: f64 = 0.8;
 /// more than any real regression, and best-of-N strips the downward
 /// noise without hiding a genuine slowdown.
 const GUARD_MEASUREMENTS: usize = 3;
+/// The store gate: this run's `file ÷ trace-only` cases/sec ratio may
+/// not fall below this share of the committed report's ratio.
+const GUARD_STORE_RATIO_FLOOR: f64 = 0.5;
 /// Default fleet size per workload × policy matrix cell.
 const MATRIX_CASES: usize = 32;
 /// Fleet size and snapshot cadence for the durable-store overhead sweep.
@@ -155,15 +159,26 @@ fn percentile_ticks(sorted: &[u64], pct: f64) -> u64 {
 }
 
 /// The committed baseline cases/sec for the guard point, if the report
-/// on disk has one.
-fn baseline_cases_per_sec(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let report: serde_json::Value = serde_json::from_str(&text).ok()?;
+/// has one.
+fn baseline_cases_per_sec(report: &serde_json::Value) -> Option<f64> {
     report.get("results")?.as_array()?.iter().find_map(|r| {
         (r.get("cases")?.as_u64()? == GUARD_CASES)
             .then(|| r.get("cases_per_sec")?.as_f64())
             .flatten()
     })
+}
+
+/// `file ÷ trace-only` cases/sec over one report's `"store"` cells, if
+/// both were measured at the guard's fleet size.
+fn store_ratio(cells: &[serde_json::Value]) -> Option<f64> {
+    let rate = |backend: &str| {
+        cells.iter().find_map(|c| {
+            (c.get("backend")?.as_str()? == backend && c.get("cases")?.as_u64()? == GUARD_CASES)
+                .then(|| c.get("cases_per_sec")?.as_f64())
+                .flatten()
+        })
+    };
+    Some(rate("file")? / rate("trace-only")?)
 }
 
 fn main() {
@@ -183,7 +198,14 @@ fn main() {
         .unwrap_or(MATRIX_CASES);
 
     let path = "BENCH_enactment.json";
-    let baseline = guard.then(|| baseline_cases_per_sec(path)).flatten();
+    let committed: Option<serde_json::Value> = guard
+        .then(|| std::fs::read_to_string(path).ok())
+        .flatten()
+        .and_then(|text| serde_json::from_str(&text).ok());
+    let baseline = committed.as_ref().and_then(baseline_cases_per_sec);
+    let baseline_store_ratio = committed
+        .as_ref()
+        .and_then(|report| store_ratio(report.get("store")?.as_array()?));
 
     banner("engine throughput: concurrent multi-case enactment");
     let wl = dinner_workload();
@@ -381,6 +403,7 @@ fn main() {
         )
     );
 
+    let measured_store_ratio = store_ratio(&store_cells);
     let report = json!({
         "bench": "enactment_throughput",
         "workload": wl.name,
@@ -420,6 +443,20 @@ fn main() {
                 }
             }
             None => println!("guard: no committed baseline for the guard point; recording only"),
+        }
+        match (measured_store_ratio, baseline_store_ratio) {
+            (Some(ratio), Some(base)) => {
+                let floor = base * GUARD_STORE_RATIO_FLOOR;
+                println!(
+                    "guard: store file ÷ trace-only: {ratio:.3} this run \
+                     vs committed {base:.3} (floor {floor:.3})"
+                );
+                if ratio < floor {
+                    eprintln!("guard: the durable store's same-run cost ratio halved — failing");
+                    std::process::exit(1);
+                }
+            }
+            _ => println!("guard: no N={GUARD_CASES} store ratio on both sides; recording only"),
         }
     }
 }

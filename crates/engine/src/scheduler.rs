@@ -275,7 +275,13 @@ struct EventSlot {
 struct EventState {
     waiting: VecDeque<(usize, CaseSpec)>,
     live: Vec<EventSlot>,
-    finished: Vec<(usize, CaseOutcome)>,
+    finished: Vec<FinishedImage>,
+    /// `finished[i]` as snapshot JSON, for the prefix of `finished` some
+    /// snapshot has already included: a sealed outcome never changes,
+    /// so [`CaseScheduler::capture_snapshot`] encodes each one once and
+    /// splices the text into every later payload.  Stays empty unless
+    /// snapshots are being taken.
+    finished_json: Vec<String>,
     tick: u64,
     policy: Box<dyn AdmissionPolicy>,
     /// Committed admissions in order — serialized into snapshots so a
@@ -562,19 +568,25 @@ impl CaseScheduler {
         world: &mut GridWorld,
         on_tick: impl FnMut(u64, &mut GridWorld),
     ) -> EngineOutcome {
+        let st = self.fresh_state(world);
+        self.run_event_loop(world, on_tick, st)
+    }
+
+    /// The loop state of a run starting at tick 0 from the submitted
+    /// specs.
+    fn fresh_state(&mut self, world: &GridWorld) -> EventState {
         let specs = std::mem::take(&mut self.pending);
-        let last_generation = world.generation();
-        let st = EventState {
+        EventState {
             waiting: specs.into_iter().enumerate().collect(),
             live: Vec::new(),
             finished: Vec::new(),
+            finished_json: Vec::new(),
             tick: 0,
             policy: self.config.policy.build(),
             admissions: Vec::new(),
             freed: Vec::new(),
-            last_generation,
-        };
-        self.run_event_loop(world, on_tick, st)
+            last_generation: world.generation(),
+        }
     }
 
     /// Resume a crashed run from the durable store.
@@ -626,18 +638,7 @@ impl CaseScheduler {
                     binding.journal.next_seq()
                 )));
             }
-            let specs = std::mem::take(&mut self.pending);
-            let last_generation = world.generation();
-            let st = EventState {
-                waiting: specs.into_iter().enumerate().collect(),
-                live: Vec::new(),
-                finished: Vec::new(),
-                tick: 0,
-                policy: self.config.policy.build(),
-                admissions: Vec::new(),
-                freed: Vec::new(),
-                last_generation,
-            };
+            let st = self.fresh_state(world);
             return Ok(self.run_event_loop(world, on_tick, st));
         };
         if binding.journal.next_seq() != record.journal_seq {
@@ -668,15 +669,31 @@ impl CaseScheduler {
                 hints: &a.hints,
             });
         }
+        // Re-share each blueprint's description behind one Arc, as the
+        // original submissions did, so snapshots taken from here on
+        // intern waiting specs and live fibers by pointer again.
+        let shared: Vec<_> = image
+            .blueprints
+            .into_iter()
+            .map(|b| (b.graph, Arc::new(b.case), b.config))
+            .collect();
         let mut live = Vec::new();
         for slot in image.live {
             let index = slot.index;
-            let Some(fiber_image) = slot.fiber.hydrate(&image.blueprints) else {
+            let Some((graph, case, config)) = shared.get(slot.fiber.blueprint) else {
                 return Err(StoreError::Corrupt(format!(
                     "live case {index} references a blueprint past the pool"
                 )));
             };
-            let trace = self.scoped_trace(&fiber_image.label);
+            let trace = self.scoped_trace(&slot.fiber.label);
+            let mut fiber = CaseFiber::from_slim(
+                slot.fiber,
+                graph.clone(),
+                case.clone(),
+                config.clone(),
+                trace,
+            );
+            self.install_plan_cache(&mut fiber);
             live.push(EventSlot {
                 wait: match slot.blockers {
                     None => WaitState::Ready,
@@ -684,23 +701,12 @@ impl CaseScheduler {
                 },
                 slot: Slot {
                     index,
-                    fiber: {
-                        let mut fiber = CaseFiber::from_image(fiber_image, trace);
-                        self.install_plan_cache(&mut fiber);
-                        fiber
-                    },
+                    fiber,
                     admitted_tick: slot.admitted_tick,
                     blocked_ticks: slot.blocked_ticks,
                 },
             });
         }
-        // Re-share each blueprint's description behind one Arc, as the
-        // original submissions did.
-        let shared: Vec<_> = image
-            .blueprints
-            .into_iter()
-            .map(|b| (b.graph, Arc::new(b.case), b.config))
-            .collect();
         let mut waiting = VecDeque::new();
         for w in image.waiting {
             let Some((graph, case, config)) = shared.get(w.blueprint) else {
@@ -725,11 +731,8 @@ impl CaseScheduler {
         let st = EventState {
             waiting,
             live,
-            finished: image
-                .finished
-                .into_iter()
-                .map(|f| (f.index, f.outcome))
-                .collect(),
+            finished: image.finished,
+            finished_json: Vec::new(),
             tick: image.next_tick,
             policy,
             admissions: image.admissions,
@@ -821,16 +824,16 @@ impl CaseScheduler {
                         );
                         let mut fiber = self.spawn_fiber(&spec);
                         fiber.abort(format!("admission refused: {reason}"));
-                        st.finished.push((
+                        st.finished.push(FinishedImage {
                             index,
-                            CaseOutcome {
+                            outcome: CaseOutcome {
                                 label: spec.label.clone(),
                                 report: fiber.into_report(),
                                 admitted_tick: None,
                                 finished_tick: st.tick,
                                 blocked_ticks: 0,
                             },
-                        ));
+                        });
                     }
                 }
             }
@@ -900,16 +903,16 @@ impl CaseScheduler {
                         success: slot.fiber.report().success,
                     },
                 );
-                st.finished.push((
-                    slot.index,
-                    CaseOutcome {
+                st.finished.push(FinishedImage {
+                    index: slot.index,
+                    outcome: CaseOutcome {
                         label: slot.fiber.label().to_owned(),
                         report: slot.fiber.into_report(),
                         admitted_tick: Some(slot.admitted_tick),
                         finished_tick: st.tick,
                         blocked_ticks: slot.blocked_ticks,
                     },
-                ));
+                });
             }
 
             // Drain the tick's reservations and remember which
@@ -950,16 +953,16 @@ impl CaseScheduler {
                             success: false,
                         },
                     );
-                    st.finished.push((
-                        slot.index,
-                        CaseOutcome {
+                    st.finished.push(FinishedImage {
+                        index: slot.index,
+                        outcome: CaseOutcome {
                             label: slot.fiber.label().to_owned(),
                             report: slot.fiber.into_report(),
                             admitted_tick: Some(slot.admitted_tick),
                             finished_tick: st.tick,
                             blocked_ticks: slot.blocked_ticks,
                         },
-                    ));
+                    });
                 }
                 st.waiting.clear();
                 break;
@@ -975,13 +978,12 @@ impl CaseScheduler {
             if let Some(b) = &binding {
                 if b.snapshot_every > 0 && st.tick.is_multiple_of(b.snapshot_every) {
                     let (clock_ticks, clock_s) = b.journal.clock_now();
-                    let image = Self::capture_snapshot(self.config.core, &st, world);
                     let record = SnapshotRecord::new(
                         st.tick,
                         flush_cursor,
                         clock_ticks,
                         clock_s,
-                        image.to_bytes(),
+                        Self::capture_snapshot(self.config.core, &mut st, world),
                     );
                     b.store
                         .lock()
@@ -1004,9 +1006,9 @@ impl CaseScheduler {
         }
 
         world.enable_reservations(reservations_before);
-        st.finished.sort_by_key(|(index, _)| *index);
+        st.finished.sort_by_key(|f| f.index);
         EngineOutcome {
-            cases: st.finished.into_iter().map(|(_, c)| c).collect(),
+            cases: st.finished.into_iter().map(|f| f.outcome).collect(),
             ticks: st.tick.max(1),
             killed,
         }
@@ -1030,10 +1032,11 @@ impl CaseScheduler {
             .unwrap_or_else(|e| panic!("durable store rejected a journal flush: {e}"));
     }
 
-    /// Freeze the loop state into its serializable image.  Waiting
-    /// specs are interned through a [`BlueprintPool`] so the shared
-    /// workload is stored once, not once per waiting case.
-    fn capture_snapshot(core: CoreSpec, st: &EventState, world: &GridWorld) -> EngineSnapshot {
+    /// Freeze the loop state into a snapshot payload.  Waiting specs
+    /// and live fibers are interned through a [`BlueprintPool`] so the
+    /// shared workload is stored once, not once per case, and finished
+    /// outcomes are encoded once each (see `EventState::finished_json`).
+    fn capture_snapshot(core: CoreSpec, st: &mut EventState, world: &GridWorld) -> Vec<u8> {
         let mut pool = BlueprintPool::default();
         let waiting = st
             .waiting
@@ -1056,9 +1059,13 @@ impl CaseScheduler {
                     WaitState::Ready => None,
                     WaitState::Capacity { blockers } => Some(blockers.clone()),
                 },
-                fiber: pool.slim(entry.slot.fiber.image()),
+                fiber: pool.slim(&entry.slot.fiber),
             })
             .collect();
+        for image in &st.finished[st.finished_json.len()..] {
+            st.finished_json
+                .push(serde_json::to_string(image).expect("finished images serialize"));
+        }
         EngineSnapshot {
             version: crate::snapshot::ENGINE_SNAPSHOT_VERSION,
             core,
@@ -1066,19 +1073,13 @@ impl CaseScheduler {
             blueprints: pool.into_entries(),
             waiting,
             live,
-            finished: st
-                .finished
-                .iter()
-                .map(|(index, outcome)| FinishedImage {
-                    index: *index,
-                    outcome: outcome.clone(),
-                })
-                .collect(),
+            finished: Vec::new(),
             admissions: st.admissions.clone(),
             freed: st.freed.clone(),
             last_generation: st.last_generation,
             world: world.image(),
         }
+        .to_bytes_with_finished(&st.finished_json)
     }
 
     /// The admission policy's next pick, removed from the waiting queue

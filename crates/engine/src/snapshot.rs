@@ -2,7 +2,7 @@
 //!
 //! [`EngineSnapshot`] is what a [`SnapshotRecord`] payload holds: the
 //! complete scheduler state at a tick boundary — waiting queue, live
-//! fibers (as [`FiberImage`]s), finished outcomes, the admission
+//! fibers (as [`FiberSlim`]s), finished outcomes, the admission
 //! history the policy is rebuilt from, the wake-signal bookkeeping, and
 //! the [`WorldImage`] of the shared substrate.  Restoring one onto a
 //! fresh world and a journal reseeded at the snapshot's sequence number
@@ -12,11 +12,11 @@
 
 use crate::policy::CaseHints;
 use crate::scheduler::{CaseOutcome, CaseSpec, CoreSpec};
-use gridflow_process::{AtnSnapshot, CaseDescription, DataState, ProcessGraph};
-use gridflow_recovery::RecoveryState;
-use gridflow_services::{EnactmentConfig, EnactmentReport, FiberImage, PendingImage, WorldImage};
+use gridflow_process::{CaseDescription, ProcessGraph};
+pub use gridflow_services::FiberSlim;
+use gridflow_services::{CaseFiber, EnactmentConfig, WorldImage};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One distinct (graph, case description, config) triple, stored once
@@ -42,64 +42,44 @@ pub struct CaseBlueprint {
 pub struct BlueprintPool {
     entries: Vec<CaseBlueprint>,
     // Capture-time identity fast path: the `Arc<CaseDescription>`
-    // pointer each entry was first captured from.  Specs sharing that
-    // Arc still have their graph/config compared — the pointer only
-    // short-circuits the (potentially large) description comparison.
+    // pointer each entry was first captured from.  Specs and fibers
+    // sharing that Arc still have their graph/config compared — the
+    // pointer only short-circuits the (potentially large) description
+    // comparison.
     sources: Vec<*const CaseDescription>,
 }
 
 impl BlueprintPool {
     /// Intern `spec`'s blueprint, returning its pool index.
     pub fn intern(&mut self, spec: &CaseSpec) -> usize {
-        self.intern_parts(
-            &spec.graph,
-            &spec.case,
-            &spec.config,
-            Arc::as_ptr(&spec.case),
-        )
+        self.intern_parts(&spec.graph, &spec.case, &spec.config)
     }
 
-    /// Intern a live fiber's image, splitting its blueprint-shaped bulk
-    /// (graph, case, config) into the pool and returning the remainder.
-    /// A re-planned fiber's graph differs from its submission blueprint
-    /// and simply interns as a further pool entry.
-    pub fn slim(&mut self, fiber: FiberImage) -> FiberSlim {
-        let blueprint =
-            self.intern_parts(&fiber.graph, &fiber.case, &fiber.config, std::ptr::null());
-        FiberSlim {
-            blueprint,
-            label: fiber.label,
-            snapshot: fiber.snapshot,
-            prime_flow_base: fiber.prime_flow_base,
-            flow_base: fiber.flow_base,
-            state: fiber.state,
-            report: fiber.report,
-            excluded: fiber.excluded,
-            recovery: fiber.recovery,
-            since_checkpoint: fiber.since_checkpoint,
-            done: fiber.done,
-            pending: fiber.pending,
-        }
+    /// Capture a live fiber with its blueprint-shaped bulk (graph,
+    /// case, config) interned by borrowing it.  A re-planned fiber's
+    /// graph differs from its submission blueprint and simply interns
+    /// as a further pool entry.
+    pub fn slim(&mut self, fiber: &CaseFiber) -> FiberSlim {
+        let (graph, case, config) = fiber.blueprint();
+        fiber.slim(self.intern_parts(graph, case, config))
     }
 
     fn intern_parts(
         &mut self,
         graph: &ProcessGraph,
-        case: &CaseDescription,
+        case: &Arc<CaseDescription>,
         config: &EnactmentConfig,
-        ptr: *const CaseDescription,
     ) -> usize {
+        let ptr = Arc::as_ptr(case);
         if let Some(found) = (0..self.entries.len()).find(|&i| {
             let b = &self.entries[i];
-            b.graph == *graph
-                && b.config == *config
-                && ((!ptr.is_null() && self.sources[i] == ptr) || b.case == *case)
+            b.graph == *graph && b.config == *config && (self.sources[i] == ptr || b.case == **case)
         }) {
             return found;
         }
         self.entries.push(CaseBlueprint {
             graph: graph.clone(),
-            case: case.clone(),
+            case: (**case).clone(),
             config: config.clone(),
         });
         self.sources.push(ptr);
@@ -109,64 +89,6 @@ impl BlueprintPool {
     /// Seal the pool into the snapshot's blueprint table.
     pub fn into_entries(self) -> Vec<CaseBlueprint> {
         self.entries
-    }
-}
-
-/// A [`FiberImage`] with its blueprint-shaped bulk interned into the
-/// snapshot's pool — every other field is carried verbatim, so
-/// [`FiberSlim::hydrate`] reconstructs the image exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FiberSlim {
-    /// Index into [`EngineSnapshot::blueprints`] holding the fiber's
-    /// (graph, case, config).
-    pub blueprint: usize,
-    /// Case label (trace scope and reservation-hold owner).
-    pub label: String,
-    /// ATN machine state, if any step has run.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub snapshot: Option<AtnSnapshot>,
-    /// Whether the next restore primes the flow baseline.
-    pub prime_flow_base: bool,
-    /// Flow-transition baseline counts.
-    pub flow_base: BTreeMap<String, usize>,
-    /// Data state.
-    pub state: DataState,
-    /// The report so far, including captured checkpoints.
-    pub report: EnactmentReport,
-    /// Services excluded by re-planning.
-    pub excluded: Vec<String>,
-    /// Recovery-layer state (breakers, attempts, pending backoffs).
-    pub recovery: RecoveryState,
-    /// Activities executed since the last cadence checkpoint.
-    pub since_checkpoint: usize,
-    /// Has the enactment reached a terminal state?
-    pub done: bool,
-    /// Cached blocked dispatch, if the fiber is waiting on capacity.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub pending: Option<PendingImage>,
-}
-
-impl FiberSlim {
-    /// Rebuild the full [`FiberImage`] from the snapshot's blueprint
-    /// table; `None` if the blueprint index is out of range.
-    pub fn hydrate(self, blueprints: &[CaseBlueprint]) -> Option<FiberImage> {
-        let b = blueprints.get(self.blueprint)?;
-        Some(FiberImage {
-            config: b.config.clone(),
-            case: b.case.clone(),
-            label: self.label,
-            graph: b.graph.clone(),
-            snapshot: self.snapshot,
-            prime_flow_base: self.prime_flow_base,
-            flow_base: self.flow_base,
-            state: self.state,
-            report: self.report,
-            excluded: self.excluded,
-            recovery: self.recovery,
-            since_checkpoint: self.since_checkpoint,
-            done: self.done,
-            pending: self.pending,
-        })
     }
 }
 
@@ -243,7 +165,7 @@ pub struct EngineSnapshot {
     pub core: CoreSpec,
     /// First tick the restored loop will execute.
     pub next_tick: u64,
-    /// The distinct blueprints the waiting queue references.
+    /// The distinct blueprints waiting cases and live fibers reference.
     pub blueprints: Vec<CaseBlueprint>,
     /// Waiting queue, in queue order.
     pub waiting: Vec<WaitingImage>,
@@ -335,6 +257,33 @@ impl EngineSnapshot {
             .into_bytes()
     }
 
+    /// [`to_bytes`](Self::to_bytes) for the event loop, which keeps
+    /// every sealed [`FinishedImage`] already encoded: `self.finished`
+    /// must be empty, and `finished` is spliced in where its encoding
+    /// belongs, so outcomes are not cloned and re-encoded at every
+    /// cadence tick.
+    pub(crate) fn to_bytes_with_finished(&self, finished: &[String]) -> Vec<u8> {
+        debug_assert!(self.finished.is_empty());
+        let serde::Value::Object(fields) = self.to_json_value() else {
+            unreachable!("engine snapshots serialize as objects");
+        };
+        let mut out = String::from("{");
+        for (key, value) in &fields {
+            if out.len() > 1 {
+                out.push(',');
+            }
+            if key == "finished" {
+                out.push_str("\"finished\":[");
+                out.push_str(&finished.join(","));
+                out.push(']');
+            } else {
+                write!(out, "\"{key}\":{value}").expect("writing to a String cannot fail");
+            }
+        }
+        out.push('}');
+        out.into_bytes()
+    }
+
     /// Deserialize a snapshot record's payload.  Version 1 payloads
     /// (no `version`/`core` fields) deserialize with the historical
     /// defaults; payloads newer than [`ENGINE_SNAPSHOT_VERSION`] are
@@ -389,9 +338,10 @@ mod tests {
         w
     }
 
-    /// A scheduler over a two-case fleet admitted one at a time, bound
+    /// A scheduler over a fleet of `cases` admitted one at a time, bound
     /// to `store` and journalling into `journal`.
     fn scheduler(
+        cases: usize,
         store: Arc<Mutex<dyn Store>>,
         journal: TraceLog,
         kill_at: Option<u64>,
@@ -416,7 +366,7 @@ mod tests {
                 .with_data("D1", DataItem::classified("Raw"))
                 .with_goal("G1", goal),
         );
-        for i in 0..2 {
+        for i in 0..cases {
             scheduler.submit(CaseSpec {
                 label: format!("meal-{i}"),
                 graph: graph.clone(),
@@ -432,7 +382,7 @@ mod tests {
     /// mid-workflow, `meal-1` still waits.
     fn captured() -> SnapshotRecord {
         let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
-        let outcome = scheduler(store.clone(), TraceLog::new(), Some(1)).run(&mut world());
+        let outcome = scheduler(2, store.clone(), TraceLog::new(), Some(1)).run(&mut world());
         assert!(outcome.killed);
         let record = store.lock().unwrap().latest_snapshot().unwrap().unwrap();
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
@@ -452,7 +402,7 @@ mod tests {
             payload,
         ))?;
         let journal = TraceLog::resuming(record.journal_seq, Arc::new(FrozenClock));
-        scheduler(store, journal, None).recover(&mut world(), |_, _| {})
+        scheduler(2, store, journal, None).recover(&mut world(), |_, _| {})
     }
 
     /// `payload` with `edit` applied to its top-level JSON object.
@@ -469,6 +419,62 @@ mod tests {
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
         assert_eq!((image.version, image.core), (2, CoreSpec::Event));
         assert_eq!(image.to_bytes(), record.state);
+    }
+
+    /// The payload the event loop wrote equals the plain encoding of
+    /// the fully-populated snapshot it decodes to.
+    fn assert_spliced_is_plain(record: &SnapshotRecord) -> EngineSnapshot {
+        let image = EngineSnapshot::from_bytes(&record.state).unwrap();
+        let plain = serde_json::to_string(&image).unwrap();
+        assert_eq!(std::str::from_utf8(&record.state).unwrap(), plain);
+        image
+    }
+
+    #[test]
+    fn spliced_payloads_equal_the_plain_encoding_byte_for_byte() {
+        // Three cases admitted one at a time, a snapshot every tick.
+        let run = |store: &Arc<Mutex<dyn Store>>, journal: TraceLog, kill_at: u64| {
+            scheduler(3, store.clone(), journal, Some(kill_at))
+        };
+        let latest = |store: &Arc<Mutex<dyn Store>>| {
+            store.lock().unwrap().latest_snapshot().unwrap().unwrap()
+        };
+        // Mid-run: one case finished, one live, one waiting.
+        let mid = (1..32)
+            .find(|&tick| {
+                let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+                assert!(run(&store, TraceLog::new(), tick).run(&mut world()).killed);
+                let image = assert_spliced_is_plain(&latest(&store));
+                (image.waiting.len(), image.live.len(), image.finished.len()) == (1, 1, 1)
+            })
+            .expect("some tick has a waiting, a live and a finished case");
+
+        // The first snapshot after a recover is taken with the outcome
+        // cache rebuilt from the restored state; it must be the snapshot
+        // an uninterrupted run takes at that tick.
+        let crashed: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+        run(&crashed, TraceLog::new(), mid).run(&mut world());
+        let journal = TraceLog::resuming(latest(&crashed).journal_seq, Arc::new(FrozenClock));
+        let outcome = run(&crashed, journal, mid + 1).recover(&mut world(), |_, _| {});
+        assert!(outcome.unwrap().killed);
+        let after = latest(&crashed);
+        assert_eq!(after.next_tick, mid + 1);
+        let image = assert_spliced_is_plain(&after);
+        assert_eq!(image.finished.len(), 1);
+        let straight: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+        run(&straight, TraceLog::new(), mid + 1).run(&mut world());
+        assert_eq!(after, latest(&straight));
+
+        // Empty state: nothing waiting, live or finished.
+        let empty = EngineSnapshot {
+            blueprints: Vec::new(),
+            waiting: Vec::new(),
+            live: Vec::new(),
+            finished: Vec::new(),
+            admissions: Vec::new(),
+            ..image
+        };
+        assert_eq!(empty.to_bytes_with_finished(&[]), empty.to_bytes());
     }
 
     #[test]

@@ -423,7 +423,7 @@ struct PendingDispatch {
 }
 
 /// Serializable mirror of a [`PendingDispatch`] inside a
-/// [`FiberImage`].
+/// [`FiberSlim`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PendingImage {
     /// The ready activity the blocking step chose.
@@ -438,28 +438,28 @@ pub struct PendingImage {
     pub taken: Option<Vec<String>>,
 }
 
-/// A complete, serializable capture of a [`CaseFiber`] between steps —
-/// the per-case payload of a durable engine snapshot.
+/// A serializable capture of a [`CaseFiber`] between steps — the
+/// per-case payload of a durable engine snapshot.
 ///
 /// Unlike [`EnactmentCheckpoint`] (which records only enactment
-/// accounting and is captured on the fiber's own cadence), an image is
-/// a *total* capture at an arbitrary tick boundary: it also carries the
-/// engine-facing fields a checkpoint deliberately omits — the blocked
-/// dispatch cache, the flow-transition baseline, the checkpoint cadence
-/// counter, and the report with its accumulated checkpoints — so
-/// [`CaseFiber::from_image`] reconstructs the fiber *exactly*, emitting
+/// accounting and is captured on the fiber's own cadence), a slim image
+/// is a *total* capture at an arbitrary tick boundary: it also carries
+/// the engine-facing fields a checkpoint deliberately omits — the
+/// blocked dispatch cache, the flow-transition baseline, the checkpoint
+/// cadence counter, and the report with its accumulated checkpoints.
+/// The one thing it leaves out is the fiber's blueprint-shaped bulk
+/// ([`CaseFiber::blueprint`]: graph, case description, config), which a
+/// fleet shares: the capturer stores that once and records where in
+/// `blueprint`.  Handed the same three parts back,
+/// [`CaseFiber::from_slim`] reconstructs the fiber *exactly*, emitting
 /// nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FiberImage {
-    /// Enactment configuration (includes the planner seed, so the
-    /// rebuilt planning service is exact).
-    pub config: EnactmentConfig,
-    /// The case being enacted.
-    pub case: CaseDescription,
+pub struct FiberSlim {
+    /// The capturer's reference to the fiber's (graph, case, config) —
+    /// in an engine snapshot, an index into its blueprint table.
+    pub blueprint: usize,
     /// Case label (trace scope and reservation-hold owner).
     pub label: String,
-    /// The process graph in force (original or re-planned).
-    pub graph: ProcessGraph,
     /// ATN machine state, if any step has run.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub snapshot: Option<AtnSnapshot>,
@@ -528,7 +528,7 @@ pub struct CaseFiber {
     pending: Option<PendingDispatch>,
     /// Recovery tick of the last monitoring probe, when
     /// [`EnactmentConfig::probe_interval`] throttles probing.  Not
-    /// persisted in [`FiberImage`]: a restored fiber probes on its
+    /// persisted in [`FiberSlim`]: a restored fiber probes on its
     /// first opportunity, which is also the legacy behavior when the
     /// interval is unset.
     last_probe_tick: Option<u64>,
@@ -645,15 +645,20 @@ impl CaseFiber {
         }
     }
 
-    /// Capture the fiber's complete state as a serializable
-    /// [`FiberImage`] (see there for how this differs from a
-    /// checkpoint).  Must be taken between steps.
-    pub fn image(&self) -> FiberImage {
-        FiberImage {
-            config: self.config.clone(),
-            case: (*self.case).clone(),
+    /// The blueprint-shaped bulk a [`FiberSlim`] leaves out, borrowed:
+    /// the graph in force (original or re-planned), the shared case
+    /// description and the enactment configuration.
+    pub fn blueprint(&self) -> (&ProcessGraph, &Arc<CaseDescription>, &EnactmentConfig) {
+        (&self.current_graph, &self.case, &self.config)
+    }
+
+    /// Capture the fiber's state as a serializable [`FiberSlim`] whose
+    /// `blueprint` field records where the caller keeps
+    /// [`CaseFiber::blueprint`].  Must be taken between steps.
+    pub fn slim(&self, blueprint: usize) -> FiberSlim {
+        FiberSlim {
+            blueprint,
             label: self.label.clone(),
-            graph: self.current_graph.clone(),
             snapshot: self.snapshot.clone(),
             prime_flow_base: self.prime_flow_base,
             flow_base: self.flow_base.clone(),
@@ -672,17 +677,22 @@ impl CaseFiber {
         }
     }
 
-    /// Rebuild a fiber from a captured [`FiberImage`], *silently*: no
-    /// `EnactmentStarted` (or any other event) is emitted, because the
-    /// original run already emitted everything up to the capture point
-    /// and a crash-recovered trace must stay byte-identical to an
+    /// Rebuild a fiber from a captured [`FiberSlim`] and the blueprint
+    /// parts it was captured beside, *silently*: no `EnactmentStarted`
+    /// (or any other event) is emitted, because the original run
+    /// already emitted everything up to the capture point and a
+    /// crash-recovered trace must stay byte-identical to an
     /// uninterrupted one.
-    pub fn from_image(image: FiberImage, trace: TraceHandle) -> Self {
-        let FiberImage {
-            config,
-            case,
+    pub fn from_slim(
+        slim: FiberSlim,
+        graph: ProcessGraph,
+        case: Arc<CaseDescription>,
+        config: EnactmentConfig,
+        trace: TraceHandle,
+    ) -> Self {
+        let FiberSlim {
+            blueprint: _,
             label,
-            graph,
             snapshot,
             prime_flow_base,
             flow_base,
@@ -693,10 +703,9 @@ impl CaseFiber {
             since_checkpoint,
             done,
             pending,
-        } = image;
+        } = slim;
         let recovery = RecoveryManager::restore(config.recovery.clone(), recovery, trace.clone());
         let planning = PlanningService::new(config.gp).with_trace_handle(trace.clone());
-        let case = Arc::new(case);
         let initial_classifications = initial_classifications(&case);
         CaseFiber {
             config,
@@ -1570,10 +1579,11 @@ mod tests {
         // Capture both halves of the state (fiber + world), serialize
         // the fiber image, and restore into a fresh world rebuilt from
         // the same seed.
-        let image = fa.image();
+        let image = fa.slim(0);
         let json = serde_json::to_string(&image).unwrap();
-        let back: FiberImage = serde_json::from_str(&json).unwrap();
+        let back: FiberSlim = serde_json::from_str(&json).unwrap();
         assert_eq!(back, image);
+        let (graph, case, config) = fa.blueprint();
         let world_image = wa.image();
         let mut wb = world(5);
         wb.restore_image(&world_image).unwrap();
@@ -1581,7 +1591,13 @@ mod tests {
             log_a.len() as u64,
             std::sync::Arc::new(gridflow_telemetry::FrozenClock),
         );
-        let mut fb = CaseFiber::from_image(back, TraceHandle::from(log_b.clone()));
+        let mut fb = CaseFiber::from_slim(
+            back,
+            graph.clone(),
+            case.clone(),
+            config.clone(),
+            TraceHandle::from(log_b.clone()),
+        );
         // The restore is silent: recovery must not re-emit history.
         assert!(log_b.is_empty());
         assert_eq!(fb.label(), fa.label());

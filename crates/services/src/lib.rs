@@ -43,7 +43,7 @@ pub mod world;
 
 pub use coordination::{
     CaseFiber, EnactmentCheckpoint, EnactmentConfig, EnactmentReport, Enactor, EnactorBuilder,
-    FiberImage, FiberStatus, PendingImage,
+    FiberSlim, FiberStatus, PendingImage,
 };
 pub use error::{Result, ServiceError};
 pub use matchmaking::{MatchIndex, MatchRequest, RankedMatch};

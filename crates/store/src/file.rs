@@ -8,9 +8,11 @@
 //! record that fails its length or CRC check marks the end of the valid
 //! prefix — the segment is truncated there, any later segments are
 //! removed, and the damage is *reported* in an [`OpenReport`] rather
-//! than panicking.  The crash model is process death: writes reach the
-//! OS on every append, and durability across power loss (fsync policy)
-//! is explicitly out of scope for this simulation-first store.
+//! than panicking.  The crash model is process death: every
+//! `append()`/`snapshot()` call hands its bytes to the OS before it
+//! returns — one `write_all` per segment the call touches, on a handle
+//! kept open across calls — and durability across power loss (fsync
+//! policy) is explicitly out of scope for this simulation-first store.
 
 use crate::record::{
     decode_record, encode_event, encode_snapshot, header_is_valid, segment_header, Decoded,
@@ -60,6 +62,9 @@ pub struct FileStore {
     core: JournalCore,
     current_index: u64,
     current_records: usize,
+    /// Append handle on segment `current_index`, opened by the first
+    /// write that reaches the segment.
+    current: Option<fs::File>,
 }
 
 impl FileStore {
@@ -163,6 +168,7 @@ impl FileStore {
             core: JournalCore::from_parts(events, snapshots),
             current_index,
             current_records,
+            current: None,
         };
         Ok((store, report))
     }
@@ -177,41 +183,69 @@ impl FileStore {
         &self.dir
     }
 
-    fn write_record(&mut self, bytes: &[u8]) -> StoreResult<()> {
+    /// Add one framed record to `batch`, the bytes bound for the
+    /// current segment; a full segment's batch is written out first and
+    /// the next segment started.
+    fn stage(&mut self, batch: &mut Vec<u8>, frame: &[u8]) -> StoreResult<()> {
         if self.current_records >= self.records_per_segment {
+            self.write_batch(batch)?;
             self.current_index += 1;
             self.current_records = 0;
+            self.current = None;
         }
-        let path = segment_path(&self.dir, self.current_index);
-        let mut file = fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&path)
-            .map_err(io_err)?;
-        if file.metadata().map_err(io_err)?.len() == 0 {
-            file.write_all(&segment_header()).map_err(io_err)?;
-        }
-        file.write_all(bytes).map_err(io_err)?;
+        batch.extend_from_slice(frame);
         self.current_records += 1;
+        Ok(())
+    }
+
+    /// Hand `batch` to the OS in one write to the current segment —
+    /// behind the segment header when the file is new — and empty it.
+    fn write_batch(&mut self, batch: &mut Vec<u8>) -> StoreResult<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let file = match &mut self.current {
+            Some(file) => file,
+            None => {
+                let file = fs::OpenOptions::new()
+                    .append(true)
+                    .create(true)
+                    .open(segment_path(&self.dir, self.current_index))
+                    .map_err(io_err)?;
+                if file.metadata().map_err(io_err)?.len() == 0 {
+                    batch.splice(0..0, segment_header());
+                }
+                self.current.insert(file)
+            }
+        };
+        file.write_all(batch).map_err(io_err)?;
+        batch.clear();
         Ok(())
     }
 }
 
 impl Store for FileStore {
     fn append(&mut self, events: &[TraceRecord]) -> StoreResult<()> {
-        for record in events {
+        let mut batch = Vec::new();
+        let accepted = events.iter().try_for_each(|record| {
             if self.core.accept_event(record)? == Accepted::Stored {
-                let bytes = encode_event(record);
-                self.write_record(&bytes)?;
+                self.stage(&mut batch, &encode_event(record))?;
             }
-        }
-        Ok(())
+            Ok(())
+        });
+        // Records accepted before a refused one are already part of the
+        // log: they reach the segment whatever `accepted` says.
+        let written = self.write_batch(&mut batch);
+        accepted.and(written)
     }
 
     fn snapshot(&mut self, snap: SnapshotRecord) -> StoreResult<()> {
-        if self.core.accept_snapshot(&snap)? == Accepted::Stored {
-            let bytes = encode_snapshot(&snap);
-            self.write_record(&bytes)?;
+        if self.core.accept_snapshot(snap)? == Accepted::Stored {
+            let stored = self.core.snapshots.last().expect("just stored");
+            let frame = encode_snapshot(stored);
+            let mut batch = Vec::new();
+            self.stage(&mut batch, &frame)?;
+            self.write_batch(&mut batch)?;
         }
         Ok(())
     }
@@ -332,6 +366,74 @@ mod tests {
         let mut store = store;
         store.append(&[event(5), event(6)]).unwrap();
         assert!(segment_path(tmp.path(), 3).exists());
+    }
+
+    /// Every segment file in `dir`, by name.
+    fn segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                let name = e.file_name().into_string().unwrap();
+                (name, fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn batched_appends_write_the_bytes_of_one_append_per_record() {
+        // Segments of three: a batch of five crosses one boundary, a
+        // batch of eight two; the second store is also reopened mid-log
+        // and must go on filling its half-full segment.
+        for count in [5u64, 8] {
+            let events: Vec<_> = (0..count).map(event).collect();
+            let one_by_one = TempDir::new("single");
+            {
+                let mut store = FileStore::create(one_by_one.path(), 3).unwrap();
+                for record in &events {
+                    store.append(std::slice::from_ref(record)).unwrap();
+                }
+                store.snapshot(snap(count, count)).unwrap();
+            }
+            let batched = TempDir::new("batched");
+            {
+                let mut store = FileStore::create(batched.path(), 3).unwrap();
+                store.append(&events[..1]).unwrap();
+                drop(store);
+                let (mut store, report) = FileStore::open(batched.path(), 3).unwrap();
+                assert_eq!((report.events, report.truncated), (1, false));
+                store.append(&events[1..]).unwrap();
+                store.snapshot(snap(count, count)).unwrap();
+            }
+            let files = segment_files(batched.path());
+            assert_eq!(files.len(), (count as usize + 1).div_ceil(3));
+            assert_eq!(files, segment_files(one_by_one.path()));
+        }
+    }
+
+    #[test]
+    fn a_refused_record_leaves_the_accepted_prefix_on_disk() {
+        let tmp = TempDir::new("gap");
+        {
+            let mut store = FileStore::create(tmp.path(), 2).unwrap();
+            let offered = [event(0), event(1), event(2), event(4), event(5)];
+            assert_eq!(
+                store.append(&offered),
+                Err(StoreError::SequenceGap {
+                    expected: 3,
+                    found: 4
+                })
+            );
+            assert_eq!(store.next_seq(), 3);
+        }
+        let (store, report) = FileStore::open(tmp.path(), 2).unwrap();
+        assert_eq!((report.events, report.truncated), (3, false));
+        assert_eq!(
+            store.replay_from(0).unwrap(),
+            vec![event(0), event(1), event(2)]
+        );
     }
 
     #[test]

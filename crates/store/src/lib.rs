@@ -293,16 +293,21 @@ impl JournalCore {
             return Ok(Accepted::Stored);
         }
         let stored = &self.events[(record.seq - base) as usize];
-        let stored_json = serde_json::to_string(stored).expect("trace records serialize");
-        let offered_json = serde_json::to_string(record).expect("trace records serialize");
-        if stored_json != offered_json {
+        // Equal records encode identically, so only records that differ
+        // as values need their bytes compared.  (The one `==`-equal pair
+        // JSON tells apart is 0.0 and -0.0; virtual clocks, durations
+        // and costs never produce a negative zero.)
+        if stored != record
+            && serde_json::to_string(stored).expect("trace records serialize")
+                != serde_json::to_string(record).expect("trace records serialize")
+        {
             return Err(StoreError::ReplayDivergence { seq: record.seq });
         }
         Ok(Accepted::Duplicate)
     }
 
     /// Verified snapshot append (see [`Store::snapshot`]).
-    pub(crate) fn accept_snapshot(&mut self, snap: &SnapshotRecord) -> StoreResult<Accepted> {
+    pub(crate) fn accept_snapshot(&mut self, snap: SnapshotRecord) -> StoreResult<Accepted> {
         snap.verify_hash()?;
         if let Some(existing) = self
             .snapshots
@@ -324,7 +329,7 @@ impl JournalCore {
                 )));
             }
         }
-        self.snapshots.push(snap.clone());
+        self.snapshots.push(snap);
         Ok(Accepted::Stored)
     }
 }
@@ -374,18 +379,24 @@ mod tests {
     fn snapshots_verify_hash_and_schema() {
         let mut core = JournalCore::default();
         let snap = SnapshotRecord::new(4, 10, 4, 1.5, b"abc".to_vec());
-        assert_eq!(core.accept_snapshot(&snap).unwrap(), Accepted::Stored);
-        assert_eq!(core.accept_snapshot(&snap).unwrap(), Accepted::Duplicate);
+        assert_eq!(
+            core.accept_snapshot(snap.clone()).unwrap(),
+            Accepted::Stored
+        );
+        assert_eq!(
+            core.accept_snapshot(snap.clone()).unwrap(),
+            Accepted::Duplicate
+        );
         // Same position, different payload: divergence.
         let mut other = SnapshotRecord::new(4, 10, 4, 1.5, b"xyz".to_vec());
         assert_eq!(
-            core.accept_snapshot(&other),
+            core.accept_snapshot(other.clone()),
             Err(StoreError::ReplayDivergence { seq: 10 })
         );
         // Tampered payload fails its hash.
         other.state_hash = snap.state_hash;
         assert!(matches!(
-            core.accept_snapshot(&other),
+            core.accept_snapshot(other),
             Err(StoreError::Corrupt(_))
         ));
         // A future-schema snapshot is readable but refuses recovery.
@@ -394,7 +405,7 @@ mod tests {
             journal_seq: 11,
             ..SnapshotRecord::new(5, 11, 5, 2.0, b"v2".to_vec())
         };
-        core.accept_snapshot(&future).unwrap();
+        core.accept_snapshot(future).unwrap();
         assert_eq!(
             core.latest_snapshot(),
             Err(StoreError::UnsupportedSchema {

@@ -30,7 +30,7 @@ impl Store for MemStore {
     }
 
     fn snapshot(&mut self, snap: SnapshotRecord) -> StoreResult<()> {
-        self.core.accept_snapshot(&snap)?;
+        self.core.accept_snapshot(snap)?;
         Ok(())
     }
 

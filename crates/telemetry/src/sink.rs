@@ -152,13 +152,12 @@ impl TraceLog {
     /// incremental read used to flush a tick's worth of journal into a
     /// durable store.
     pub fn records_from(&self, seq: u64) -> Vec<TraceRecord> {
-        self.state
-            .lock()
-            .records
-            .iter()
-            .filter(|r| r.seq >= seq)
-            .cloned()
-            .collect()
+        let st = self.state.lock();
+        // Sequence numbers are dense from the first record's (0, or a
+        // resumed log's base), so `seq` locates its record directly.
+        let base = st.records.first().map_or(0, |r| r.seq);
+        let start = usize::try_from(seq.saturating_sub(base)).unwrap_or(usize::MAX);
+        st.records.get(start..).unwrap_or_default().to_vec()
     }
 
     /// Number of records so far.
@@ -582,6 +581,12 @@ mod tests {
         assert_eq!(log.records_from(8)[0].seq, 8);
         assert!(log.records_from(9).is_empty());
         assert_eq!(log.records_from(0).len(), 2);
+        // Indexing by `seq - base` returns what a scan of the log would,
+        // below the base, inside it and past its end.
+        for seq in (0..=10).chain([u64::MAX]) {
+            let scanned: Vec<_> = recs.iter().filter(|r| r.seq >= seq).cloned().collect();
+            assert_eq!(log.records_from(seq), scanned, "from {seq}");
+        }
     }
 
     #[test]
