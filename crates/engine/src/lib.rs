@@ -15,14 +15,15 @@
 //! admission control re-uses the matchmaking service to refuse cases no
 //! live container can serve.
 //!
-//! Determinism is the design constraint, not an afterthought: stepping
-//! is single-threaded and world state always commits in a canonical
-//! rotated order that is a pure function of the tick.  [`CoreSpec`]
-//! selects between two cores — the event-driven default, which parks
-//! blocked fibers on capacity wait-sets, and the every-tick-rescan
-//! oracle it is differentially tested against.  A given seed produces
-//! a byte-identical merged JSONL trace on both — the invariant the
-//! engine conformance suite pins.
+//! Determinism is the design constraint, not an afterthought: there is
+//! one tick loop, stepping is single-threaded, and world state always
+//! commits in a canonical rotated order that is a pure function of the
+//! tick.  Every live fiber is stepped every tick; a blocked fiber keeps
+//! its own cache of the dispatch it is waiting on, so its re-step is a
+//! contention re-check rather than a re-derivation.  A given seed
+//! produces a byte-identical merged JSONL trace on every run — the
+//! invariant the engine conformance suite pins, and `trace_golden`
+//! pins across commits.
 
 #![warn(missing_docs)]
 
@@ -35,7 +36,7 @@ pub use policy::{
     WaitingCase,
 };
 pub use scheduler::{
-    CaseOutcome, CaseScheduler, CaseSpec, CoreSpec, EngineConfig, EngineOutcome, StoreBinding,
+    CaseOutcome, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, StoreBinding,
 };
 pub use snapshot::{
     AdmissionRecord, BlueprintPool, CaseBlueprint, EngineSnapshot, FinishedImage, SlotImage,

@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 /// snapshots go, and which journal they are read back out of.
 ///
 /// `journal` **must** be the same [`TraceLog`] the scheduler records
-/// into (wired via [`CaseScheduler::trace`]) — the event core flushes
+/// into (wired via [`CaseScheduler::trace`]) — the tick loop flushes
 /// `journal.records_from(..)` into `store` at every tick boundary, so a
 /// different log would persist someone else's events.  For crash
 /// recovery the caller reseeds the journal
@@ -54,37 +54,13 @@ impl PartialEq for StoreBinding {
     }
 }
 
-/// Which execution core drives a run.
-///
-/// Both cores emit byte-identical merged traces for a given `(seed,
-/// workload, case count)`; the differential equivalence suite pins the
-/// agreement down.  They differ only in *how* they get there:
-///
-/// - [`CoreSpec::Event`] (the default) classifies fibers into a ready
-///   queue and capacity wait-sets so blocked fibers re-check
-///   contention cheaply.
-/// - [`CoreSpec::Scan`] re-derives every fiber's situation from
-///   scratch each tick — the frozen differential oracle the event core
-///   is tested against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum CoreSpec {
-    /// The event-driven core — wait-sets, dispatch caching, match
-    /// index.  The default.
-    #[default]
-    Event,
-    /// The legacy every-tick-rescan loop, kept verbatim as the
-    /// differential oracle.
-    Scan,
-}
-
 /// Scheduler knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Inert.  Both cores are single-threaded; the event core never
-    /// reads this, and the scan oracle only uses it to chunk an
-    /// already-ordered step list (order-preserving, so no byte of the
-    /// trace can depend on it).  Kept so existing `EngineConfig {
-    /// workers: .., .. }` literals keep compiling.
+    /// Read by nothing: the scheduler is single-threaded.  Kept only
+    /// because `benchmark/src/fleet.rs` writes `EngineConfig { workers:
+    /// .., .. }` literals and that directory is frozen between
+    /// benchmark-archetype PRs.
     pub workers: usize,
     /// Cases enacting at once; the rest wait in the admission queue.
     pub max_in_flight: usize,
@@ -96,9 +72,6 @@ pub struct EngineConfig {
     /// Abort every still-running case once this many ticks have
     /// elapsed — the engine's defense against a live-locked schedule.
     pub max_ticks: u64,
-    /// Which execution core drives the run.  See [`CoreSpec`]; both
-    /// cores emit byte-identical merged traces.
-    pub core: CoreSpec,
     /// Which admission policy orders the waiting queue.  The default,
     /// [`PolicySpec::Fifo`], is byte-identical to the pre-policy
     /// engine; non-FIFO policies reorder admission only and stamp each
@@ -106,26 +79,24 @@ pub struct EngineConfig {
     pub policy: PolicySpec,
     /// Durable store attachment.  `None` (the default) leaves the
     /// engine exactly as before — no I/O, no snapshots.  `Some` makes
-    /// the event core flush the journal's new records into the store at
+    /// the tick loop flush the journal's new records into the store at
     /// every tick boundary and capture an [`EngineSnapshot`] every
-    /// [`StoreBinding::snapshot_every`] ticks.  The legacy scan core
-    /// ignores the binding entirely (it is a frozen differential
-    /// oracle, not a feature surface).
+    /// [`StoreBinding::snapshot_every`] ticks.
     pub store: Option<StoreBinding>,
-    /// Crash-injection knob: stop the event core dead at the top of
+    /// Crash-injection knob: stop the tick loop dead at the top of
     /// this tick, *before* the tick's `TickStarted` is emitted and
     /// before any of its events reach the store.  The durable log is
     /// left holding exactly the ticks `< kill_at` — the state a real
     /// process death at that boundary would leave.  `None` (the
-    /// default) never kills.  Ignored by the scan core.
+    /// default) never kills.
     pub kill_at: Option<u64>,
     /// Fleet-shared, content-addressed plan cache.  `None` (the
     /// default) plans per-case exactly as before.  `Some` installs the
     /// handle into every fiber's planning service (fresh spawns and
     /// recovery rebuilds alike), so identical-key (re)plans across the
     /// fleet run GP once and reuse the byte-identical result.  Replans
-    /// execute sequentially in the canonical stepping order on both
-    /// cores, so the hit/miss pattern — and with it the merged trace —
+    /// execute sequentially in the canonical stepping order, so the
+    /// hit/miss pattern — and with it the merged trace —
     /// stays deterministic.
     ///
     /// Recovery note: re-execution regenerates the crashed run's
@@ -142,7 +113,6 @@ impl Default for EngineConfig {
             max_in_flight: 16,
             enforce_reservations: true,
             max_ticks: 100_000,
-            core: CoreSpec::Event,
             policy: PolicySpec::Fifo,
             store: None,
             kill_at: None,
@@ -245,36 +215,14 @@ struct Slot {
     blocked_ticks: u64,
 }
 
-/// A live fiber's scheduling state in the event core.
-enum WaitState {
-    /// In the ready queue: stepped this tick.
-    Ready,
-    /// Parked on reserved-away capacity until one of its blockers frees
-    /// a slot or the world's matchmaking generation changes (its
-    /// candidate ranking may then differ).  Under tick-scoped
-    /// reservations every hold drains at each tick boundary, so
-    /// capacity waiters wake every tick by construction — the wait
-    /// set's value is that a woken blocked fiber re-checks contention
-    /// in O(candidates) instead of re-deriving its whole step.  An
-    /// empty blocker set (recovery-ladder blocks, whose candidate list
-    /// is not cacheable) always wakes.
-    Capacity { blockers: Vec<String> },
-}
-
-/// A [`Slot`] plus its event-core scheduling state.
-struct EventSlot {
-    slot: Slot,
-    wait: WaitState,
-}
-
-/// The event core's complete loop state, factored out of the loop so a
+/// The tick loop's complete state, factored out of the loop so a
 /// run can start fresh ([`CaseScheduler::run`]) or resume from a
 /// restored [`EngineSnapshot`] ([`CaseScheduler::recover`]) through the
 /// *same* code path — recovery re-executes the identical loop, which is
 /// what makes the regenerated trace byte-verifiable.
-struct EventState {
+struct LoopState {
     waiting: VecDeque<(usize, CaseSpec)>,
-    live: Vec<EventSlot>,
+    live: Vec<Slot>,
     finished: Vec<FinishedImage>,
     /// `finished[i]` as snapshot JSON, for the prefix of `finished` some
     /// snapshot has already included: a sealed outcome never changes,
@@ -288,10 +236,6 @@ struct EventState {
     /// restored run can rebuild the policy's history by replaying
     /// [`AdmissionPolicy::admitted`] calls.
     admissions: Vec<AdmissionRecord>,
-    /// Containers whose tick-scoped holds drained at the previous tick
-    /// boundary — the wake signal for capacity waiters.
-    freed: Vec<String>,
-    last_generation: u64,
 }
 
 /// The multi-case enactment engine.
@@ -360,223 +304,24 @@ impl CaseScheduler {
     /// the harness uses to inject mid-schedule faults such as node
     /// loss.
     ///
-    /// Dispatches on [`EngineConfig::core`]: the event-driven core or
-    /// the legacy scan core.  Both emit byte-identical merged traces
-    /// for every `(seed, workload, case count)` — the differential
-    /// equivalence suite pins that down.
+    /// A case blocked on reserved-away capacity is stepped every tick
+    /// like any other and announces one `CaseBlocked` per tick it stays
+    /// blocked; what such a re-step may skip is the fiber's own
+    /// business (the dispatch it caches between steps).
     pub fn run_with(
         &mut self,
         world: &mut GridWorld,
         on_tick: impl FnMut(u64, &mut GridWorld),
     ) -> EngineOutcome {
-        match self.config.core {
-            CoreSpec::Scan => self.run_scan(world, on_tick),
-            CoreSpec::Event => self.run_event(world, on_tick),
-        }
-    }
-
-    /// The legacy scan core: every tick re-derives every fiber's
-    /// situation from scratch.  Kept verbatim as the differential
-    /// oracle for the event core — do not "improve" it.
-    fn run_scan(
-        &mut self,
-        world: &mut GridWorld,
-        mut on_tick: impl FnMut(u64, &mut GridWorld),
-    ) -> EngineOutcome {
-        let reservations_before = world.reservations_enabled();
-        world.enable_reservations(self.config.enforce_reservations);
-
-        let specs = std::mem::take(&mut self.pending);
-        let mut waiting: VecDeque<(usize, CaseSpec)> = specs.into_iter().enumerate().collect();
-        let mut live: Vec<Slot> = Vec::new();
-        let mut finished: Vec<(usize, CaseOutcome)> = Vec::new();
-        let mut tick: u64 = 0;
-        let mut policy = self.config.policy.build();
-
-        loop {
-            self.trace.emit("engine", TraceEvent::TickStarted { tick });
-            on_tick(tick, world);
-
-            // Policy-ordered admission, gated on matchmaking: a case
-            // none of the live containers can serve is refused outright
-            // instead of failing activity-by-activity later.
-            while live.len() < self.config.max_in_flight.max(1) {
-                let Some((index, spec, why)) = Self::pick_next(policy.as_mut(), &mut waiting, tick)
-                else {
-                    break;
-                };
-                match self.admission_gap(world, &spec.graph) {
-                    None => {
-                        self.trace.emit(
-                            "engine",
-                            TraceEvent::CaseAdmitted {
-                                case: spec.label.clone(),
-                                tick,
-                                reason: why,
-                            },
-                        );
-                        policy.admitted(&WaitingCase {
-                            submitted: index,
-                            label: &spec.label,
-                            hints: &spec.hints,
-                        });
-                        let fiber = self.spawn_fiber(&spec);
-                        live.push(Slot {
-                            index,
-                            fiber,
-                            admitted_tick: tick,
-                            blocked_ticks: 0,
-                        });
-                    }
-                    Some(reason) => {
-                        self.trace.emit(
-                            "engine",
-                            TraceEvent::CaseRejected {
-                                case: spec.label.clone(),
-                                reason: reason.clone(),
-                            },
-                        );
-                        let mut fiber = self.spawn_fiber(&spec);
-                        fiber.abort(format!("admission refused: {reason}"));
-                        finished.push((
-                            index,
-                            CaseOutcome {
-                                label: spec.label.clone(),
-                                report: fiber.into_report(),
-                                admitted_tick: None,
-                                finished_tick: tick,
-                                blocked_ticks: 0,
-                            },
-                        ));
-                    }
-                }
-            }
-
-            if live.is_empty() && waiting.is_empty() {
-                break;
-            }
-
-            // Step every live case once, in canonical order rotated by
-            // the tick so first pick of the tick's capacity circulates.
-            // `workers` only chunks this already-ordered list — the
-            // chunking is order-preserving, so the merged trace cannot
-            // depend on it.
-            let n = live.len();
-            let rotation = (tick as usize) % n.max(1);
-            let order: Vec<usize> = (0..n).map(|i| (i + rotation) % n).collect();
-            let chunk = n.div_ceil(self.config.workers.max(1));
-            let mut done: Vec<usize> = Vec::new();
-            for worker_share in order.chunks(chunk.max(1)) {
-                for &slot_idx in worker_share {
-                    let slot = &mut live[slot_idx];
-                    match slot.fiber.step(world) {
-                        FiberStatus::Progressed => {}
-                        FiberStatus::Blocked { .. } => slot.blocked_ticks += 1,
-                        FiberStatus::Finished => done.push(slot_idx),
-                    }
-                }
-            }
-
-            // Retire finished cases (highest slot first so removals
-            // don't shift pending indices).
-            done.sort_unstable();
-            for &slot_idx in done.iter().rev() {
-                let slot = live.remove(slot_idx);
-                self.trace.emit(
-                    "engine",
-                    TraceEvent::CaseCompleted {
-                        case: slot.fiber.label().to_owned(),
-                        success: slot.fiber.report().success,
-                    },
-                );
-                finished.push((
-                    slot.index,
-                    CaseOutcome {
-                        label: slot.fiber.label().to_owned(),
-                        report: slot.fiber.into_report(),
-                        admitted_tick: Some(slot.admitted_tick),
-                        finished_tick: tick,
-                        blocked_ticks: slot.blocked_ticks,
-                    },
-                ));
-            }
-
-            // Reservations are tick-scoped: release every hold, in
-            // deterministic (container, holder) order.
-            for (container, holders) in world.drain_reservations() {
-                for case in holders {
-                    self.trace.emit(
-                        "engine",
-                        TraceEvent::SlotReleased {
-                            case,
-                            container: container.clone(),
-                        },
-                    );
-                }
-            }
-
-            tick += 1;
-            if tick >= self.config.max_ticks {
-                for mut slot in live.drain(..) {
-                    slot.fiber.abort(format!(
-                        "engine tick budget exhausted after {} ticks",
-                        self.config.max_ticks
-                    ));
-                    self.trace.emit(
-                        "engine",
-                        TraceEvent::CaseCompleted {
-                            case: slot.fiber.label().to_owned(),
-                            success: false,
-                        },
-                    );
-                    finished.push((
-                        slot.index,
-                        CaseOutcome {
-                            label: slot.fiber.label().to_owned(),
-                            report: slot.fiber.into_report(),
-                            admitted_tick: Some(slot.admitted_tick),
-                            finished_tick: tick,
-                            blocked_ticks: slot.blocked_ticks,
-                        },
-                    ));
-                }
-                waiting.clear();
-                break;
-            }
-        }
-
-        world.enable_reservations(reservations_before);
-        finished.sort_by_key(|(index, _)| *index);
-        EngineOutcome {
-            cases: finished.into_iter().map(|(_, c)| c).collect(),
-            ticks: tick.max(1),
-            killed: false,
-        }
-    }
-
-    /// The event-driven core: live fibers are classified into a ready
-    /// queue and capacity wait-sets.  A blocked fiber parks on the set
-    /// of containers it found reserved away; the tick boundary's
-    /// reservation drain is the wake signal.  Because reservations are
-    /// tick-scoped, every blocker's hold drains every tick, so capacity
-    /// waiters always wake — the trace stays byte-identical to the scan
-    /// core's (one `CaseBlocked` per blocked tick) while the woken
-    /// fiber's re-step is a cheap contention re-check instead of a full
-    /// plan/matchmake re-derivation.
-    fn run_event(
-        &mut self,
-        world: &mut GridWorld,
-        on_tick: impl FnMut(u64, &mut GridWorld),
-    ) -> EngineOutcome {
-        let st = self.fresh_state(world);
-        self.run_event_loop(world, on_tick, st)
+        let st = self.fresh_state();
+        self.run_loop(world, on_tick, st)
     }
 
     /// The loop state of a run starting at tick 0 from the submitted
     /// specs.
-    fn fresh_state(&mut self, world: &GridWorld) -> EventState {
+    fn fresh_state(&mut self) -> LoopState {
         let specs = std::mem::take(&mut self.pending);
-        EventState {
+        LoopState {
             waiting: specs.into_iter().enumerate().collect(),
             live: Vec::new(),
             finished: Vec::new(),
@@ -584,8 +329,6 @@ impl CaseScheduler {
             tick: 0,
             policy: self.config.policy.build(),
             admissions: Vec::new(),
-            freed: Vec::new(),
-            last_generation: world.generation(),
         }
     }
 
@@ -596,7 +339,7 @@ impl CaseScheduler {
     /// [`StoreError::UnsupportedSchema`], mirroring
     /// `EnactmentCheckpoint::validate`), restores the world image onto
     /// `world`, rebuilds every live fiber and the admission policy's
-    /// history, and re-enters the event loop at the snapshot's tick.
+    /// history, and re-enters the tick loop at the snapshot's tick.
     /// With no snapshot in the log the run restarts from the submitted
     /// specs (replay-only recovery).  Either way the suffix is
     /// *re-executed*, not skipped: the store byte-verifies every
@@ -611,8 +354,7 @@ impl CaseScheduler {
     ///
     /// # Panics
     ///
-    /// If [`EngineConfig::store`] is `None`.  Recovery always runs the
-    /// event core (the scan oracle has no store support).
+    /// If [`EngineConfig::store`] is `None`.
     pub fn recover(
         &mut self,
         world: &mut GridWorld,
@@ -638,8 +380,8 @@ impl CaseScheduler {
                     binding.journal.next_seq()
                 )));
             }
-            let st = self.fresh_state(world);
-            return Ok(self.run_event_loop(world, on_tick, st));
+            let st = self.fresh_state();
+            return Ok(self.run_loop(world, on_tick, st));
         };
         if binding.journal.next_seq() != record.journal_seq {
             return Err(StoreError::Corrupt(format!(
@@ -694,17 +436,11 @@ impl CaseScheduler {
                 trace,
             );
             self.install_plan_cache(&mut fiber);
-            live.push(EventSlot {
-                wait: match slot.blockers {
-                    None => WaitState::Ready,
-                    Some(blockers) => WaitState::Capacity { blockers },
-                },
-                slot: Slot {
-                    index,
-                    fiber,
-                    admitted_tick: slot.admitted_tick,
-                    blocked_ticks: slot.blocked_ticks,
-                },
+            live.push(Slot {
+                index,
+                fiber,
+                admitted_tick: slot.admitted_tick,
+                blocked_ticks: slot.blocked_ticks,
             });
         }
         let mut waiting = VecDeque::new();
@@ -728,7 +464,7 @@ impl CaseScheduler {
                 },
             ));
         }
-        let st = EventState {
+        let st = LoopState {
             waiting,
             live,
             finished: image.finished,
@@ -736,23 +472,21 @@ impl CaseScheduler {
             tick: image.next_tick,
             policy,
             admissions: image.admissions,
-            freed: image.freed,
-            last_generation: image.last_generation,
         };
-        Ok(self.run_event_loop(world, on_tick, st))
+        Ok(self.run_loop(world, on_tick, st))
     }
 
-    /// The event loop proper, driving an [`EventState`] that is either
+    /// The tick loop proper, driving a [`LoopState`] that is either
     /// fresh or restored from a snapshot.  When a [`StoreBinding`] is
     /// configured, every tick boundary flushes the journal's new
     /// records into the store and every `snapshot_every` ticks captures
     /// an [`EngineSnapshot`]; [`EngineConfig::kill_at`] stops the loop
     /// dead at a tick boundary to simulate a crash.
-    fn run_event_loop(
+    fn run_loop(
         &mut self,
         world: &mut GridWorld,
         mut on_tick: impl FnMut(u64, &mut GridWorld),
-        mut st: EventState,
+        mut st: LoopState,
     ) -> EngineOutcome {
         let reservations_before = world.reservations_enabled();
         world.enable_reservations(self.config.enforce_reservations);
@@ -775,8 +509,9 @@ impl CaseScheduler {
                 .emit("engine", TraceEvent::TickStarted { tick: st.tick });
             on_tick(st.tick, world);
 
-            // Policy-ordered admission, identical to the scan core;
-            // fresh admissions enter the ready queue.
+            // Policy-ordered admission, gated on matchmaking: a case
+            // none of the live containers can serve is refused outright
+            // instead of failing activity-by-activity later.
             while st.live.len() < self.config.max_in_flight.max(1) {
                 let Some((index, spec, why)) =
                     Self::pick_next(st.policy.as_mut(), &mut st.waiting, st.tick)
@@ -804,14 +539,11 @@ impl CaseScheduler {
                             hints: spec.hints.clone(),
                         });
                         let fiber = self.spawn_fiber(&spec);
-                        st.live.push(EventSlot {
-                            slot: Slot {
-                                index,
-                                fiber,
-                                admitted_tick: st.tick,
-                                blocked_ticks: 0,
-                            },
-                            wait: WaitState::Ready,
+                        st.live.push(Slot {
+                            index,
+                            fiber,
+                            admitted_tick: st.tick,
+                            blocked_ticks: 0,
                         });
                     }
                     Some(reason) => {
@@ -842,51 +574,16 @@ impl CaseScheduler {
                 break;
             }
 
-            // Wake phase: move capacity waiters whose blockers freed a
-            // slot (or whose candidate ranking may have changed) back to
-            // the ready queue.
-            let generation = world.generation();
-            for entry in &mut st.live {
-                let wake = match &entry.wait {
-                    WaitState::Ready => true,
-                    WaitState::Capacity { blockers } => {
-                        blockers.is_empty()
-                            || generation != st.last_generation
-                            || blockers.iter().any(|b| st.freed.contains(b))
-                    }
-                };
-                if wake {
-                    entry.wait = WaitState::Ready;
-                }
-            }
-
-            // Step the ready queue in the canonical order rotated by the
-            // tick over the *full* live list, so rotation fairness (and
-            // hence the trace) is independent of who happens to be
-            // parked.
+            // Step every live case once, in canonical order rotated by
+            // the tick so first pick of the tick's capacity circulates.
             let n = st.live.len();
             let rotation = (st.tick as usize) % n.max(1);
-            let order: Vec<usize> = (0..n)
-                .map(|i| (i + rotation) % n)
-                .filter(|&i| matches!(st.live[i].wait, WaitState::Ready))
-                .collect();
-
             let mut done: Vec<usize> = Vec::new();
-            for &slot_idx in &order {
-                let entry = &mut st.live[slot_idx];
-                match entry.slot.fiber.step(world) {
-                    FiberStatus::Progressed => entry.wait = WaitState::Ready,
-                    FiberStatus::Blocked { .. } => {
-                        entry.slot.blocked_ticks += 1;
-                        entry.wait = WaitState::Capacity {
-                            blockers: entry
-                                .slot
-                                .fiber
-                                .blocked_on()
-                                .map(<[String]>::to_vec)
-                                .unwrap_or_default(),
-                        };
-                    }
+            for slot_idx in (0..n).map(|i| (i + rotation) % n) {
+                let slot = &mut st.live[slot_idx];
+                match slot.fiber.step(world) {
+                    FiberStatus::Progressed => {}
+                    FiberStatus::Blocked { .. } => slot.blocked_ticks += 1,
                     FiberStatus::Finished => done.push(slot_idx),
                 }
             }
@@ -895,7 +592,7 @@ impl CaseScheduler {
             // don't shift pending indices).
             done.sort_unstable();
             for &slot_idx in done.iter().rev() {
-                let slot = st.live.remove(slot_idx).slot;
+                let slot = st.live.remove(slot_idx);
                 self.trace.emit(
                     "engine",
                     TraceEvent::CaseCompleted {
@@ -915,9 +612,8 @@ impl CaseScheduler {
                 });
             }
 
-            // Drain the tick's reservations and remember which
-            // containers freed capacity — next tick's wake signal.
-            st.freed.clear();
+            // Reservations are tick-scoped: release every hold, in
+            // deterministic (container, holder) order.
             for (container, holders) in world.drain_reservations() {
                 for case in holders {
                     self.trace.emit(
@@ -928,9 +624,7 @@ impl CaseScheduler {
                         },
                     );
                 }
-                st.freed.push(container);
             }
-            st.last_generation = world.generation();
 
             // Durable boundary: everything emitted through the end of
             // this tick reaches the store before the next tick starts.
@@ -940,8 +634,7 @@ impl CaseScheduler {
 
             st.tick += 1;
             if st.tick >= self.config.max_ticks {
-                for entry in st.live.drain(..) {
-                    let mut slot = entry.slot;
+                for mut slot in st.live.drain(..) {
                     slot.fiber.abort(format!(
                         "engine tick budget exhausted after {} ticks",
                         self.config.max_ticks
@@ -983,7 +676,7 @@ impl CaseScheduler {
                         flush_cursor,
                         clock_ticks,
                         clock_s,
-                        Self::capture_snapshot(self.config.core, &mut st, world),
+                        Self::capture_snapshot(&mut st, world),
                     );
                     b.store
                         .lock()
@@ -1035,8 +728,8 @@ impl CaseScheduler {
     /// Freeze the loop state into a snapshot payload.  Waiting specs
     /// and live fibers are interned through a [`BlueprintPool`] so the
     /// shared workload is stored once, not once per case, and finished
-    /// outcomes are encoded once each (see `EventState::finished_json`).
-    fn capture_snapshot(core: CoreSpec, st: &mut EventState, world: &GridWorld) -> Vec<u8> {
+    /// outcomes are encoded once each (see `LoopState::finished_json`).
+    fn capture_snapshot(st: &mut LoopState, world: &GridWorld) -> Vec<u8> {
         let mut pool = BlueprintPool::default();
         let waiting = st
             .waiting
@@ -1051,15 +744,11 @@ impl CaseScheduler {
         let live = st
             .live
             .iter()
-            .map(|entry| SlotImage {
-                index: entry.slot.index,
-                admitted_tick: entry.slot.admitted_tick,
-                blocked_ticks: entry.slot.blocked_ticks,
-                blockers: match &entry.wait {
-                    WaitState::Ready => None,
-                    WaitState::Capacity { blockers } => Some(blockers.clone()),
-                },
-                fiber: pool.slim(&entry.slot.fiber),
+            .map(|slot| SlotImage {
+                index: slot.index,
+                admitted_tick: slot.admitted_tick,
+                blocked_ticks: slot.blocked_ticks,
+                fiber: pool.slim(&slot.fiber),
             })
             .collect();
         for image in &st.finished[st.finished_json.len()..] {
@@ -1068,15 +757,12 @@ impl CaseScheduler {
         }
         EngineSnapshot {
             version: crate::snapshot::ENGINE_SNAPSHOT_VERSION,
-            core,
             next_tick: st.tick,
             blueprints: pool.into_entries(),
             waiting,
             live,
             finished: Vec::new(),
             admissions: st.admissions.clone(),
-            freed: st.freed.clone(),
-            last_generation: st.last_generation,
             world: world.image(),
         }
         .to_bytes_with_finished(&st.finished_json)

@@ -1,17 +1,17 @@
-//! Serializable images of the event core's loop state.
+//! Serializable images of the scheduler's loop state.
 //!
 //! [`EngineSnapshot`] is what a [`SnapshotRecord`] payload holds: the
 //! complete scheduler state at a tick boundary — waiting queue, live
-//! fibers (as [`FiberSlim`]s), finished outcomes, the admission
-//! history the policy is rebuilt from, the wake-signal bookkeeping, and
-//! the [`WorldImage`] of the shared substrate.  Restoring one onto a
+//! fibers (as [`FiberSlim`]s, each carrying its own blocked-dispatch
+//! cache), finished outcomes, the admission history the policy is
+//! rebuilt from, and the [`WorldImage`] of the shared substrate.  Restoring one onto a
 //! fresh world and a journal reseeded at the snapshot's sequence number
 //! reproduces the crashed run's remaining trace byte-for-byte.
 //!
 //! [`SnapshotRecord`]: gridflow_store::SnapshotRecord
 
 use crate::policy::CaseHints;
-use crate::scheduler::{CaseOutcome, CaseSpec, CoreSpec};
+use crate::scheduler::{CaseOutcome, CaseSpec};
 use gridflow_process::{CaseDescription, ProcessGraph};
 pub use gridflow_services::FiberSlim;
 use gridflow_services::{CaseFiber, EnactmentConfig, WorldImage};
@@ -115,11 +115,6 @@ pub struct SlotImage {
     pub admitted_tick: u64,
     /// Ticks spent blocked on reserved-away capacity so far.
     pub blocked_ticks: u64,
-    /// `None` when the fiber was in the ready queue; `Some(blockers)`
-    /// when it was parked on a capacity wait-set (possibly empty — an
-    /// always-wake wait).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub blockers: Option<Vec<String>>,
     /// The fiber's mid-enactment image, blueprint bulk interned.
     pub fiber: FiberSlim,
 }
@@ -148,21 +143,22 @@ pub struct AdmissionRecord {
 
 /// Engine-snapshot schema version written by this build.
 ///
-/// Version 1 payloads (pre-`CoreSpec`) carry neither a `version` nor a
-/// `core` field; deserialization defaults them to `1` and
-/// [`CoreSpec::Event`], so old checkpoints keep restoring.  Payloads
-/// from a *newer* schema than this build understands are refused.
-pub const ENGINE_SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 is the state of the one tick loop.  Older payloads keep
+/// restoring: version 1 carries no `version` key (it defaults to `1`),
+/// and versions 1–2 also recorded which scheduler core wrote them
+/// (`core`) and that core's scheduling hints (`freed`,
+/// `last_generation`, a `blockers` list on parked live slots).  The
+/// hints are ignored — a blocked fiber's [`FiberSlim::pending`] is the
+/// state they summarised — but a `core` other than `"Event"` names a
+/// loop this build does not have and is refused, as is any payload
+/// from a *newer* schema than this build understands.
+pub const ENGINE_SNAPSHOT_VERSION: u32 = 3;
 
-/// The event core's complete loop state at a tick boundary.
+/// The scheduler's complete loop state at a tick boundary.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     /// Snapshot schema version (see [`ENGINE_SNAPSHOT_VERSION`]).
     pub version: u32,
-    /// The core the capturing scheduler was configured with.
-    /// Informational: recovery always runs the event core.  A payload
-    /// naming a core this build does not have is refused at decode.
-    pub core: CoreSpec,
     /// First tick the restored loop will execute.
     pub next_tick: u64,
     /// The distinct blueprints waiting cases and live fibers reference.
@@ -176,35 +172,24 @@ pub struct EngineSnapshot {
     pub finished: Vec<FinishedImage>,
     /// Committed admissions so far, in admission order.
     pub admissions: Vec<AdmissionRecord>,
-    /// Containers whose holds drained at the captured tick boundary —
-    /// the next tick's wake signal.
-    pub freed: Vec<String>,
-    /// World matchmaking generation observed at the boundary.
-    pub last_generation: u64,
     /// The shared substrate's state image.
     pub world: WorldImage,
 }
 
-// Hand-written serde: version 1 payloads predate the `version` and
-// `core` fields, so deserialization must default them instead of
-// erroring on the missing keys, and must refuse payloads newer than
-// this build's schema.
+// Hand-written serde: version 1 payloads predate the `version` key, so
+// deserialization must default it instead of erroring, must refuse
+// payloads newer than this build's schema, and must refuse a `core`
+// key naming anything but the loop that is left.
 impl Serialize for EngineSnapshot {
     fn to_json_value(&self) -> serde::Value {
         let mut m = serde::Map::new();
         m.insert("version".to_string(), self.version.to_json_value());
-        m.insert("core".to_string(), self.core.to_json_value());
         m.insert("next_tick".to_string(), self.next_tick.to_json_value());
         m.insert("blueprints".to_string(), self.blueprints.to_json_value());
         m.insert("waiting".to_string(), self.waiting.to_json_value());
         m.insert("live".to_string(), self.live.to_json_value());
         m.insert("finished".to_string(), self.finished.to_json_value());
         m.insert("admissions".to_string(), self.admissions.to_json_value());
-        m.insert("freed".to_string(), self.freed.to_json_value());
-        m.insert(
-            "last_generation".to_string(),
-            self.last_generation.to_json_value(),
-        );
         m.insert("world".to_string(), self.world.to_json_value());
         serde::Value::Object(m)
     }
@@ -228,22 +213,19 @@ impl Deserialize for EngineSnapshot {
                  build's {ENGINE_SNAPSHOT_VERSION}"
             )));
         }
-        let core = match obj.get("core") {
-            Some(v) => CoreSpec::from_json_value(v)
-                .map_err(|e| serde::Error::custom(format!("field `core`: {e}")))?,
-            None => CoreSpec::Event,
-        };
+        if let Some(core) = obj.get("core").filter(|c| c.as_str() != Some("Event")) {
+            return Err(serde::Error::custom(format!(
+                "field `core`: {core} names a scheduler core this build does not have"
+            )));
+        }
         Ok(EngineSnapshot {
             version,
-            core,
             next_tick: serde::__field(obj, "next_tick", "EngineSnapshot")?,
             blueprints: serde::__field(obj, "blueprints", "EngineSnapshot")?,
             waiting: serde::__field(obj, "waiting", "EngineSnapshot")?,
             live: serde::__field(obj, "live", "EngineSnapshot")?,
             finished: serde::__field(obj, "finished", "EngineSnapshot")?,
             admissions: serde::__field(obj, "admissions", "EngineSnapshot")?,
-            freed: serde::__field(obj, "freed", "EngineSnapshot")?,
-            last_generation: serde::__field(obj, "last_generation", "EngineSnapshot")?,
             world: serde::__field(obj, "world", "EngineSnapshot")?,
         })
     }
@@ -257,7 +239,7 @@ impl EngineSnapshot {
             .into_bytes()
     }
 
-    /// [`to_bytes`](Self::to_bytes) for the event loop, which keeps
+    /// [`to_bytes`](Self::to_bytes) for the tick loop, which keeps
     /// every sealed [`FinishedImage`] already encoded: `self.finished`
     /// must be empty, and `finished` is spliced in where its encoding
     /// belongs, so outcomes are not cloned and re-encoded at every
@@ -284,10 +266,10 @@ impl EngineSnapshot {
         out.into_bytes()
     }
 
-    /// Deserialize a snapshot record's payload.  Version 1 payloads
-    /// (no `version`/`core` fields) deserialize with the historical
-    /// defaults; payloads newer than [`ENGINE_SNAPSHOT_VERSION`] are
-    /// refused.
+    /// Deserialize a snapshot record's payload.  Older payloads
+    /// restore (see [`ENGINE_SNAPSHOT_VERSION`]); payloads newer than
+    /// this build's schema, or written by a scheduler core this build
+    /// does not have, are refused.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         serde_json::from_str(text).map_err(|e| e.to_string())
@@ -417,11 +399,16 @@ mod tests {
     fn event_core_payloads_round_trip_byte_for_byte() {
         let record = captured();
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
-        assert_eq!((image.version, image.core), (2, CoreSpec::Event));
+        assert_eq!(image.version, 3);
         assert_eq!(image.to_bytes(), record.state);
+        // Nothing a removed scheduler core kept is written any more.
+        let text = std::str::from_utf8(&record.state).unwrap();
+        for key in ["core", "freed", "last_generation", "blockers"] {
+            assert!(!text.contains(&format!(r#""{key}":"#)), "{key} written");
+        }
     }
 
-    /// The payload the event loop wrote equals the plain encoding of
+    /// The payload the tick loop wrote equals the plain encoding of
     /// the fully-populated snapshot it decodes to.
     fn assert_spliced_is_plain(record: &SnapshotRecord) -> EngineSnapshot {
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
@@ -477,24 +464,53 @@ mod tests {
         assert_eq!(empty.to_bytes_with_finished(&[]), empty.to_bytes());
     }
 
+    /// `payload` as a version-2 build wrote it: the `core` that ran, its
+    /// wake hints, and a `blockers` list on the live slot.
+    fn as_v2(payload: &[u8]) -> Vec<u8> {
+        let json = |text: &str| serde_json::from_str::<serde_json::Value>(text).unwrap();
+        edited(payload, |obj| {
+            obj.insert("version".into(), json("2"));
+            obj.insert("core".into(), json(r#""Event""#));
+            obj.insert("freed".into(), json(r#"["ac-prep"]"#));
+            obj.insert("last_generation".into(), json("2"));
+            let slot = &mut obj.get_mut("live").unwrap().as_array_mut().unwrap()[0];
+            let slot = slot.as_object_mut().unwrap();
+            slot.insert("blockers".into(), json(r#"["ac-cook"]"#));
+        })
+    }
+
     #[test]
     fn older_payload_shapes_still_restore() {
         let record = captured();
         let baseline = recover_from(&record, record.state.clone()).unwrap();
         assert!(baseline.all_succeeded() && baseline.cases.len() == 2);
 
-        // Version 1: neither `version` nor `core`.
-        let v1 = edited(&record.state, |obj| {
+        // Version 2: the removed keys are present and ignored.
+        let v2 = as_v2(&record.state);
+        let text = std::str::from_utf8(&v2).unwrap();
+        for key in [
+            r#""version":2"#,
+            r#""core":"Event""#,
+            r#""freed":["ac-prep"]"#,
+            r#""last_generation":2"#,
+            r#""blockers":["ac-cook"]"#,
+        ] {
+            assert!(text.contains(key), "{key} missing from the v2 shape");
+        }
+        assert_eq!(EngineSnapshot::from_bytes(&v2).unwrap().version, 2);
+        assert_eq!(recover_from(&record, v2.clone()).unwrap(), baseline);
+
+        // Version 1: the same state with neither `version` nor `core`.
+        let v1 = edited(&v2, |obj| {
             obj.remove("version");
             obj.remove("core");
         });
-        let image = EngineSnapshot::from_bytes(&v1).unwrap();
-        assert_eq!((image.version, image.core), (1, CoreSpec::Event));
+        assert_eq!(EngineSnapshot::from_bytes(&v1).unwrap().version, 1);
         assert_eq!(recover_from(&record, v1).unwrap(), baseline);
 
-        // Version 2 as a since-removed core wrote it: a `shard` stamp on
+        // Version 2 as the sharded core wrote it: a `shard` stamp on
         // each live slot.  Unknown keys are ignored.
-        let stamped = edited(&record.state, |obj| {
+        let stamped = edited(&v2, |obj| {
             let slot = &mut obj.get_mut("live").unwrap().as_array_mut().unwrap()[0];
             let shard = serde_json::to_value(3u64).unwrap();
             slot.as_object_mut().unwrap().insert("shard".into(), shard);
@@ -508,19 +524,20 @@ mod tests {
     #[test]
     fn unknown_cores_and_newer_versions_are_refused_not_panicked_on() {
         let record = captured();
+        let with_core = |core: &str| {
+            let core = serde_json::from_str(core).unwrap();
+            edited(&as_v2(&record.state), |obj| {
+                obj.insert("core".into(), core);
+            })
+        };
         let refusals = [
+            (with_core(r#"{"Sharded":{"shards":4}}"#), "field `core`"),
+            (with_core(r#""Scan""#), "field `core`"),
             (
                 edited(&record.state, |obj| {
-                    let core = serde_json::from_str(r#"{"Sharded":{"shards":4}}"#).unwrap();
-                    obj.insert("core".into(), core);
+                    obj.insert("version".into(), serde_json::to_value(4u64).unwrap());
                 }),
-                "field `core`",
-            ),
-            (
-                edited(&record.state, |obj| {
-                    obj.insert("version".into(), serde_json::to_value(3u64).unwrap());
-                }),
-                "version 3 is newer",
+                "version 4 is newer",
             ),
         ];
         for (payload, names) in refusals {

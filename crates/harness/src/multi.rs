@@ -14,8 +14,8 @@ use crate::plan::FaultPlan;
 use crate::remote::{RemoteMirror, RemoteReport, TransportSpec};
 use crate::workload::Workload;
 use gridflow_engine::{
-    CaseHints, CaseOutcome, CaseScheduler, CaseSpec, CoreSpec, EngineConfig, EngineOutcome,
-    PolicySpec, StoreBinding,
+    CaseHints, CaseOutcome, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, PolicySpec,
+    StoreBinding,
 };
 use gridflow_services::{GridWorld, PlanCacheHandle};
 use gridflow_store::{Store, StoreResult};
@@ -91,9 +91,8 @@ impl<'a> MultiCaseScenario<'a> {
         }
     }
 
-    /// Inert: both cores are single-threaded, and only the scan oracle
-    /// reads the value (to chunk an already-ordered step list, which
-    /// cannot move a byte of the trace).  See [`EngineConfig::workers`].
+    /// Read by nothing (see [`EngineConfig::workers`]); kept only
+    /// because `benchmark/src/fleet.rs` calls it.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -108,14 +107,6 @@ impl<'a> MultiCaseScenario<'a> {
     /// Replace the whole engine configuration.
     pub fn engine_config(mut self, config: EngineConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Select the scheduler core: the event core (default) or the
-    /// legacy scan core (the differential suite's oracle).  Both
-    /// produce byte-identical merged traces for a given scenario.
-    pub fn core(mut self, core: CoreSpec) -> Self {
-        self.config.core = core;
         self
     }
 

@@ -1,6 +1,6 @@
 //! The seeded workload generator: [`WorkloadGen`] stamps out
 //! [`Workload`]s parameterized along the Yu & Buyya workflow-taxonomy
-//! axes, so the engine, the differential oracle, and the bench matrix
+//! axes, so the engine, its conformance suites, and the bench matrix
 //! are exercised on *families* of shapes instead of one mascot.
 //!
 //! Axes and their taxonomy reading:

@@ -406,34 +406,21 @@ enum ActivityOutcome {
 /// state), and — when the candidate ranking provably could not have
 /// changed — the matchmake itself.  Every observable emission is
 /// preserved: a still-blocked re-step produces exactly the one
-/// `CaseBlocked` event the full path would.
-struct PendingDispatch {
-    /// The ready activity the blocking step chose.
-    activity_id: String,
-    /// The service it resolves to.
-    service: String,
-    /// [`GridWorld::generation`] at the blocking step: candidate
-    /// rankings are only reused while the generation is unchanged.
-    generation: u64,
-    /// The reserved-away candidate set, in rank order.  `None` when the
-    /// recovery ladder is enabled — its monitoring feed and admission
-    /// filter mutate breaker state (and may emit trace events) every
-    /// step, so a blocked re-step must re-run the full dispatch path.
-    taken: Option<Vec<String>>,
-}
-
-/// Serializable mirror of a [`PendingDispatch`] inside a
-/// [`FiberSlim`].
+/// `CaseBlocked` event the full path would.  Stored as is in a
+/// [`FiberSlim`], so a restored fiber resumes on the same path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PendingImage {
+pub struct PendingDispatch {
     /// The ready activity the blocking step chose.
     pub activity_id: String,
     /// The service it resolves to.
     pub service: String,
-    /// World generation the cached ranking was computed at.
+    /// [`GridWorld::generation`] at the blocking step: candidate
+    /// rankings are only reused while the generation is unchanged.
     pub generation: u64,
-    /// The reserved-away candidate set, in rank order (absent when the
-    /// recovery ladder forces full re-dispatch).
+    /// The reserved-away candidate set, in rank order.  `None` when the
+    /// recovery ladder is enabled — its monitoring feed and admission
+    /// filter mutate breaker state (and may emit trace events) every
+    /// step, so a blocked re-step must re-run the full dispatch path.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub taken: Option<Vec<String>>,
 }
@@ -482,7 +469,7 @@ pub struct FiberSlim {
     pub done: bool,
     /// Cached blocked dispatch, if the fiber is waiting on capacity.
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub pending: Option<PendingImage>,
+    pub pending: Option<PendingDispatch>,
 }
 
 /// A resumable, single-step enactment — the coroutine the enactor's
@@ -668,12 +655,7 @@ impl CaseFiber {
             recovery: self.recovery.snapshot(),
             since_checkpoint: self.since_checkpoint,
             done: self.done,
-            pending: self.pending.as_ref().map(|p| PendingImage {
-                activity_id: p.activity_id.clone(),
-                service: p.service.clone(),
-                generation: p.generation,
-                taken: p.taken.clone(),
-            }),
+            pending: self.pending.clone(),
         }
     }
 
@@ -724,12 +706,7 @@ impl CaseFiber {
             recovery,
             since_checkpoint,
             done,
-            pending: pending.map(|p| PendingDispatch {
-                activity_id: p.activity_id,
-                service: p.service,
-                generation: p.generation,
-                taken: p.taken,
-            }),
+            pending,
             last_probe_tick: None,
         }
     }
@@ -948,13 +925,6 @@ impl CaseFiber {
             }
             Err(_) => self.escalate_replan(world, &activity_id, &service),
         }
-    }
-
-    /// The containers this fiber is blocked on (rank order), if its
-    /// last step blocked on reserved-away capacity with a cacheable
-    /// candidate set.  The scheduler's wait-set bookkeeping reads this.
-    pub fn blocked_on(&self) -> Option<&[String]> {
-        self.pending.as_ref().and_then(|p| p.taken.as_deref())
     }
 
     /// Record a capacity block: cache the dispatch context for the next
@@ -1621,6 +1591,82 @@ mod tests {
         assert_eq!(fa.report(), fb.report());
         assert!(fa.report().success);
         assert_eq!(log_a.records_from(suffix_from), log_b.records());
+    }
+
+    /// Two fibers contend for the one live `prep` slot over a shared
+    /// world with reservations on; a test-made hold keeps the loser
+    /// blocked for as long as the script wants.  With `rederive` set,
+    /// every step starts from `pending = None`, i.e. takes the full
+    /// derivation the cached re-step claims to be equivalent to.
+    /// Returns the merged JSONL, both final reports, and the loser's
+    /// status per tick.
+    fn contended_run(rederive: bool) -> (String, [EnactmentReport; 2], Vec<FiberStatus>) {
+        use gridflow_telemetry::{TraceHandle, TraceLog};
+        let log = TraceLog::new();
+        let mut w = world(9);
+        w.enable_reservations(true);
+        w.set_container_up("ac-h1", false).unwrap();
+        let fiber = |label: &str| {
+            CaseFiber::new(
+                EnactmentConfig::default(),
+                TraceHandle::from(log.clone()),
+                &graph(),
+                case(),
+                label,
+            )
+        };
+        let (mut winner, mut loser) = (fiber("winner"), fiber("loser"));
+        let mut statuses = Vec::new();
+        for tick in 0..16 {
+            // Ticks 1–3: someone else holds the slot the loser wants.
+            // Tick 2 also moves the matchmaking generation, so the
+            // cached ranking is stale and only the dispatch is reused.
+            // Tick 4 is the tick the slot frees.
+            if (1..=3).contains(&tick) {
+                assert!(w.try_reserve("squatter", "ac-h0"));
+            }
+            if tick == 2 {
+                w.bump_generation();
+            }
+            if rederive {
+                winner.pending = None;
+                loser.pending = None;
+            }
+            winner.step(&mut w);
+            if !rederive && (1..=4).contains(&tick) {
+                assert!(loser.pending.is_some(), "tick {tick}: nothing cached");
+            }
+            statuses.push(loser.step(&mut w));
+            w.drain_reservations();
+            if winner.is_done() && loser.is_done() {
+                break;
+            }
+        }
+        assert!(winner.is_done() && loser.is_done());
+        (
+            log.to_jsonl(),
+            [winner.into_report(), loser.into_report()],
+            statuses,
+        )
+    }
+
+    #[test]
+    fn cached_blocked_resteps_equal_the_full_rederivation() {
+        let (cached_jsonl, cached_reports, cached) = contended_run(false);
+        let (full_jsonl, full_reports, full) = contended_run(true);
+        // The script did what it says: blocked on ticks 0–3, through a
+        // generation bump, and dispatched on the tick the slot freed.
+        let blocked = FiberStatus::Blocked {
+            service: "prep".into(),
+        };
+        assert!(cached[..4].iter().all(|status| *status == blocked));
+        assert_eq!(cached[4], FiberStatus::Progressed);
+        assert_eq!(cached_jsonl.matches(r#"{"CaseBlocked":"#).count(), 4);
+        assert!(cached_reports.iter().all(|r| r.success));
+
+        assert_eq!(cached, full);
+        assert_eq!(cached_reports, full_reports);
+        assert_eq!(cached_jsonl, full_jsonl);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod world;
 
 pub use coordination::{
     CaseFiber, EnactmentCheckpoint, EnactmentConfig, EnactmentReport, Enactor, EnactorBuilder,
-    FiberSlim, FiberStatus, PendingImage,
+    FiberSlim, FiberStatus,
 };
 pub use error::{Result, ServiceError};
 pub use matchmaking::{MatchIndex, MatchRequest, RankedMatch};

@@ -222,7 +222,7 @@ fn indexed_matches(world: &GridWorld, request: &MatchRequest) -> Option<Vec<Rank
 
 /// The pre-index matchmaking path: scan every container, look up its
 /// resource, estimate, filter, sort.  Kept verbatim as the fallback
-/// when the index cannot be trusted — and as the oracle the index
+/// when the index cannot be trusted — and as the reference the index
 /// equivalence tests compare against.
 fn scan_matches(
     world: &GridWorld,

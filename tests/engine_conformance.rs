@@ -14,13 +14,62 @@
 //!    rest of the fleet is unaffected.
 
 use gridflow_engine::{CaseScheduler, CaseSpec, EngineConfig};
-use gridflow_harness::workload::dinner_workload;
-use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceEvent, TraceLog, TraceQuery};
+use gridflow_harness::workload::{
+    dinner_recovery_workload, dinner_workload, DurationProfile, GraphShape, Workload, WorkloadGen,
+};
+use gridflow_harness::{
+    FaultPlan, MultiCaseScenario, TraceEvent, TraceLog, TraceQuery, TraceViolation,
+};
 use gridflow_services::Enactor;
+use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn query(log: &TraceLog) -> TraceQuery {
     TraceQuery::new(log.records())
+}
+
+/// Enact `cases` copies of `wl` under `plan` twice, require the same
+/// merged JSONL of both runs, and check on it what must hold of any
+/// fleet whatever was done to it: no slot is double-booked,
+/// every partition window is healed (when the run lived to see the
+/// heal ticks), and — within each case's own `case:<label>/` scope,
+/// unless the workflow loops — no activity is dispatched again once it
+/// has completed.
+fn replayed_and_checked(
+    plan: &FaultPlan,
+    wl: &Workload,
+    cases: usize,
+    in_flight: usize,
+    loops: bool,
+) -> Result<(), TraceViolation> {
+    let run = || {
+        let outcome = MultiCaseScenario::new(plan, wl, cases)
+            .max_in_flight(in_flight)
+            .traced()
+            .run();
+        (outcome.engine.ticks, outcome.trace.expect("traced"))
+    };
+    let (ticks, log) = run();
+    let jsonl = log.to_jsonl();
+    assert!(!jsonl.is_empty(), "{}: empty trace", wl.name);
+    assert_eq!(jsonl, run().1.to_jsonl(), "{}: two runs diverged", wl.name);
+
+    let records = log.records();
+    let q = TraceQuery::new(records.clone());
+    q.check_no_double_booking(wl.fresh_world(plan, 0).capacities())?;
+    if plan.partitions.iter().all(|cut| ticks > cut.heal_tick) {
+        q.check_partition_discipline()?;
+    }
+    if loops {
+        return Ok(());
+    }
+    for i in 0..cases {
+        let scope = format!("case:{}-{i}/", wl.name);
+        let own = records.iter().filter(|r| r.source.starts_with(&scope));
+        TraceQuery::new(own.cloned().collect()).check_no_double_dispatch()?;
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------------------ 1
@@ -191,6 +240,19 @@ fn mid_schedule_node_loss_fails_over_without_failing_the_fleet() {
         .all(|e| e.container == "ac-h2" || e.container == "ac-h3"));
 }
 
+/// Submit `<label>-0` and `<label>-1`, two copies of `wl`'s case.
+fn submit_pair(scheduler: &mut CaseScheduler, wl: &Workload, label: &str) {
+    for i in 0..2 {
+        scheduler.submit(CaseSpec {
+            label: format!("{label}-{i}"),
+            graph: wl.graph.clone(),
+            case: wl.case.clone().into(),
+            config: wl.config.clone(),
+            hints: Default::default(),
+        });
+    }
+}
+
 #[test]
 fn tick_budget_aborts_stragglers_instead_of_hanging() {
     let wl = dinner_workload();
@@ -198,15 +260,7 @@ fn tick_budget_aborts_stragglers_instead_of_hanging() {
         max_ticks: 2,
         ..EngineConfig::default()
     });
-    for i in 0..2 {
-        scheduler.submit(CaseSpec {
-            label: format!("budget-{i}"),
-            graph: wl.graph.clone(),
-            case: wl.case.clone().into(),
-            config: wl.config.clone(),
-            hints: Default::default(),
-        });
-    }
+    submit_pair(&mut scheduler, &wl, "budget");
     let mut world = wl.fresh_world(&FaultPlan::default(), 0);
     let outcome = scheduler.run(&mut world);
     assert_eq!(outcome.ticks, 2);
@@ -223,6 +277,45 @@ fn tick_budget_aborts_stragglers_instead_of_hanging() {
 }
 
 #[test]
+fn zero_capacity_hosts_block_every_live_case_every_tick_until_the_budget_abort() {
+    // Every `prep` host is up but has no slots: admission (which asks
+    // only for a live candidate) lets the fleet in, and from then on
+    // each case finds every candidate booked on every tick.  Nothing
+    // ever holds a reservation there, so nothing is ever released —
+    // the block must still be announced and counted once per case per
+    // tick, and only the tick budget ends the run.
+    const MAX_TICKS: u64 = 6;
+    let wl = dinner_workload();
+    let log = TraceLog::new();
+    let mut scheduler = CaseScheduler::new(EngineConfig {
+        max_ticks: MAX_TICKS,
+        ..EngineConfig::default()
+    })
+    .trace(Arc::new(log.clone()));
+    submit_pair(&mut scheduler, &wl, "starved");
+    let mut world = wl.fresh_world(&FaultPlan::default(), 0);
+    for container in world.hosting_containers("prep") {
+        world.set_capacity(&container, 0);
+    }
+    let outcome = scheduler.run(&mut world);
+    assert_eq!(outcome.ticks, MAX_TICKS);
+    assert_eq!(outcome.cases.len(), 2);
+    for case in &outcome.cases {
+        assert_eq!(case.admitted_tick, Some(0));
+        assert_eq!(case.blocked_ticks, MAX_TICKS, "{}", case.label);
+        assert!(case.report.executions.is_empty());
+        let reason = case.report.abort_reason.as_deref().unwrap_or("");
+        assert!(reason.contains("tick budget exhausted"), "{reason}");
+    }
+    let q = query(&log);
+    assert_eq!(
+        q.count(|e| matches!(e, TraceEvent::CaseBlocked { service, .. } if service == "prep")),
+        2 * MAX_TICKS as usize
+    );
+    assert_eq!(q.count(|e| matches!(e, TraceEvent::SlotReserved { .. })), 0);
+}
+
+#[test]
 fn engine_events_carry_case_labels_for_cross_case_queries() {
     let outcome = MultiCaseScenario::new(&FaultPlan::default(), &dinner_workload(), 2)
         .traced()
@@ -235,4 +328,84 @@ fn engine_events_carry_case_labels_for_cross_case_queries() {
         .collect();
     assert!(labelled.iter().any(|c| c == "dinner-0"));
     assert!(labelled.iter().any(|c| c == "dinner-1"));
+}
+
+// ------------------------------------------------- generated and chaos
+
+/// The nightly chaos sweep: 32 seeds of fleets under node loss *and* a
+/// partition window at once.
+#[test]
+#[ignore = "nightly: 32-seed node-loss + partition replay sweep"]
+fn nightly_chaos_replay_seed_sweep() {
+    for seed in 0..32u64 {
+        let (wl, cases, in_flight) = if seed % 3 == 0 {
+            (dinner_recovery_workload(), 3, 2)
+        } else {
+            (dinner_workload(), 4, 3)
+        };
+        let plan = FaultPlan::seeded(seed)
+            .failing_activities(0.15)
+            .losing_node(
+                if seed % 2 == 0 { "ac-h1" } else { "ac-h4" },
+                seed as usize % 5,
+            )
+            .partitioning(
+                "coordinator",
+                if seed % 2 == 0 { "ac-h2" } else { "ac-h0" },
+                1 + seed % 3,
+                4 + seed % 4,
+            );
+        if let Err(violation) = replayed_and_checked(&plan, &wl, cases, in_flight, false) {
+            panic!("chaos, seed {seed}: {violation}");
+        }
+    }
+}
+
+/// Strategy over the generator's taxonomy knobs, kept small enough
+/// that each sampled workload enacts in milliseconds.
+fn workload_gen() -> impl Strategy<Value = (GraphShape, WorkloadGen)> {
+    (
+        any::<u64>(),
+        prop_oneof![
+            Just(GraphShape::Linear),
+            Just(GraphShape::FanOutJoin),
+            Just(GraphShape::ChoiceDense),
+            Just(GraphShape::Iterative),
+        ],
+        2usize..4,
+        1usize..4,
+        prop_oneof![
+            Just(DurationProfile::DataStaged),
+            Just(DurationProfile::ComputeBound),
+        ],
+        prop_oneof![Just(false), Just(true)],
+    )
+        .prop_map(|(seed, shape, width, depth, duration, hetero)| {
+            let gen = WorkloadGen::new(seed)
+                .shape(shape)
+                .width(width)
+                .depth(depth)
+                .duration(duration)
+                .heterogeneous_capacity(hetero)
+                .fleet(3);
+            (shape, gen)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The generator-driven sweep: for any sampled (seed, shape, width,
+    /// depth, duration, capacity profile), a fleet of three replays
+    /// byte-identically and its merged trace keeps the fleet invariants.
+    #[test]
+    fn generated_workloads_replay_byte_identically_and_keep_the_fleet_invariants(
+        sample in workload_gen()
+    ) {
+        let (shape, gen) = sample;
+        let wl = gen.build();
+        let loops = shape == GraphShape::Iterative;
+        let checked = replayed_and_checked(&FaultPlan::default(), &wl, 3, 2, loops);
+        prop_assert!(checked.is_ok(), "{}: {}", wl.name, checked.unwrap_err());
+    }
 }

@@ -16,7 +16,6 @@
 //!    GP once per distinct key, provable from the merged trace alone
 //!    via [`TraceQuery::assert_plans_at_most_once_per_key`].
 
-use gridflow_engine::CoreSpec;
 use gridflow_harness::workload::{
     cook_loss_churn_plan, cook_loss_churn_plan_scaled, dinner_replan_workload,
     dinner_replan_workload_scaled, dinner_world,
@@ -32,17 +31,10 @@ use std::sync::{Arc, Condvar, Mutex};
 /// loses both `cook` hosts right after everyone has prepped, so every
 /// case escalates to the GP planner with the same content-addressed
 /// problem (goal `Plated`, produced `Prepped`, excluded `cook`).
-fn churn_records(
-    fleet: usize,
-    workers: usize,
-    core: CoreSpec,
-    cache: Option<&PlanCacheHandle>,
-) -> Vec<TraceRecord> {
+fn churn_records(fleet: usize, cache: Option<&PlanCacheHandle>) -> Vec<TraceRecord> {
     let plan = cook_loss_churn_plan(23);
     let wl = dinner_replan_workload(11);
     let mut scenario = MultiCaseScenario::new(&plan, &wl, fleet)
-        .workers(workers)
-        .core(core)
         .max_in_flight(fleet)
         .traced();
     if let Some(cache) = cache {
@@ -78,10 +70,10 @@ fn essence(records: &[TraceRecord]) -> Vec<(u64, String, String, TraceEvent)> {
 #[test]
 fn warm_trace_differs_from_cold_only_in_cache_events() {
     const FLEET: usize = 6;
-    let disabled = churn_records(FLEET, 1, CoreSpec::Event, None);
+    let disabled = churn_records(FLEET, None);
     let cache = PlanCacheHandle::in_proc();
-    let cold = churn_records(FLEET, 1, CoreSpec::Event, Some(&cache));
-    let warm = churn_records(FLEET, 1, CoreSpec::Event, Some(&cache));
+    let cold = churn_records(FLEET, Some(&cache));
+    let warm = churn_records(FLEET, Some(&cache));
 
     // Cold: the first replan runs GP, the rest of the fleet hits
     // the entry it published.  Warm: everyone hits.
@@ -121,16 +113,6 @@ fn warm_trace_differs_from_cold_only_in_cache_events() {
         .filter(|(_, _, _, e)| e.plan_key().is_none())
         .collect();
     assert_eq!(essence(&disabled), cold_sans_cache);
-}
-
-#[test]
-fn churn_traces_are_identical_across_workers_and_cores() {
-    const FLEET: usize = 6;
-    // The scan oracle is the one reader of the worker count left (it
-    // chunks its ordered step list), so one run varies both.
-    let event = churn_records(FLEET, 1, CoreSpec::Event, Some(&PlanCacheHandle::in_proc()));
-    let scan_w8 = churn_records(FLEET, 8, CoreSpec::Scan, Some(&PlanCacheHandle::in_proc()));
-    assert_eq!(event, scan_w8, "cold churn diverged on the scan core");
 }
 
 // ------------------------------------------------------------------ 2
@@ -289,7 +271,7 @@ fn disabled_cache_fleet_still_replans_per_case() {
     // Without a cache every case runs its own GP — the legacy behavior
     // the cache exists to collapse.  `plan_runs` falls back to counting
     // generation-zero events when no cache events exist.
-    let records = churn_records(3, 1, CoreSpec::Event, None);
+    let records = churn_records(3, None);
     let q = TraceQuery::new(records);
     assert_eq!(q.plan_runs(), 3);
     assert_eq!(q.plan_cache_hits(), 0);

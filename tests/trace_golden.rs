@@ -1,13 +1,15 @@
 //! Cross-commit trace anchor.
 //!
 //! Every other byte-identity suite in the repo compares two runs of the
-//! *same* build (event vs scan, crashed vs uninterrupted, warm vs
+//! *same* build (first vs second, crashed vs uninterrupted, warm vs
 //! cold), so none of them can tell whether a refactor moved the trace.
 //! This one can: it pins the record count and FNV-1a of the merged
-//! JSONL of the differential suite's scenario shapes, on the default
-//! (event) core, to values computed by an earlier commit.  A change
-//! that claims "same behaviour" must leave the table alone; a change
-//! that moves bytes on purpose regenerates the affected rows with
+//! JSONL of the engine's scenario shapes — flaky, clean, contended,
+//! partitioned, node loss, recovery ladder, refusal, chaos, virus,
+//! generated, plan churn, kill→recover — to values computed by an
+//! earlier commit.  A change that claims "same behaviour" must leave
+//! the table alone; a change that moves bytes on purpose regenerates
+//! the affected rows with
 //!
 //! ```text
 //! cargo test -p gridflow-harness --test trace_golden -- --ignored --nocapture print_goldens
@@ -34,13 +36,42 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("flaky-5", 70, 0xa2a55e8864a705c4),
     ("flaky-6", 126, 0xfc3c7fd4b605111d),
     ("flaky-7", 121, 0x9e0332fcdd85a7c3),
+    ("flaky-8", 125, 0x8ef3efe6a0d22c14),
+    ("flaky-9", 74, 0xf9ac57068e15f1a8),
+    ("flaky-10", 56, 0x15b6d3a55cbcdfb5),
+    ("flaky-11", 115, 0x0d4c2f2aec09e794),
+    ("flaky-12", 125, 0x5fc8685aa52e6a1c),
+    ("flaky-13", 80, 0xd25f54e3e74d9503),
+    ("flaky-14", 77, 0x1e6f2e8766ea4e1a),
+    ("flaky-15", 126, 0x7c2314b9ef353432),
+    ("flaky-16", 115, 0x0d4c2f2aec09e794),
+    ("flaky-17", 126, 0x49c66a220df1abba),
+    ("flaky-18", 103, 0xe403079dbec1d05d),
+    ("flaky-19", 79, 0x9562dc5cbeb2b1b8),
+    ("flaky-20", 74, 0x4f367a3e85e0232d),
+    ("flaky-21", 121, 0xabce13364a38d382),
+    ("flaky-22", 72, 0x73d41a806f0d0602),
+    ("flaky-23", 112, 0x91a761a8cb396fc2),
+    ("flaky-24", 110, 0x0b62cb7d57471466),
+    ("flaky-25", 104, 0xf9f280543b84fc5e),
+    ("flaky-26", 76, 0x7a142b08eebeaf31),
+    ("flaky-27", 67, 0xa584e4538f3e9a1b),
+    ("flaky-28", 80, 0xe9ccbe2061292d1b),
+    ("flaky-29", 90, 0xb134ea09781ed469),
+    ("flaky-30", 126, 0xac8a5083f2be469d),
+    ("flaky-31", 31, 0x7a52b2bef9fa0f52),
     ("clean-1", 26, 0x70755d1ebf82d987),
+    ("clean-2", 47, 0x9d00b6cde6da87f7),
     ("clean-4", 92, 0x62ed83f1c3604264),
     ("clean-8", 180, 0xb3c01377a9b4e722),
     ("contended-5", 99, 0xc2ac832037607d27),
+    ("partitioned-3", 94, 0x1a6cc532a1c8a7de),
     ("partitioned-17", 99, 0x967807fcd596bde7),
+    ("partitioned-29", 80, 0x003a154f3c8460c2),
     ("node-loss-7", 71, 0x2b7180b76cd41d5d),
+    ("recovery-ladder-2", 93, 0xab679e84145b77d2),
     ("recovery-ladder-13", 89, 0x990c679f3622562b),
+    ("recovery-ladder-31", 108, 0x90f4957a45128756),
     ("refused", 12, 0x5bc733276ab30363),
     ("chaos-0", 89, 0x95ca9c06eb948839),
     ("chaos-1", 61, 0x079b0e8e2d67c1db),
@@ -63,7 +94,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 /// `(payload bytes, fnv1a64(payload))` of the snapshot the kill→recover
 /// scenario recovers from: the latest one the crashed run left in the
 /// store, with fibers still live and their blueprints interned.
-const GOLDEN_SNAPSHOT: (usize, u64) = (26898, 0xe34bbba40849136e);
+const GOLDEN_SNAPSHOT: (usize, u64) = (26852, 0xa15dc13c3b606261);
 
 fn jsonl(plan: &FaultPlan, wl: &Workload, cases: usize, in_flight: usize) -> String {
     MultiCaseScenario::new(plan, wl, cases)
@@ -120,11 +151,11 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
     let dinner = dinner_workload();
     let recovery = dinner_recovery_workload();
     let mut out: Vec<(String, String)> = Vec::new();
-    for seed in 0..8u64 {
+    for seed in 0..32u64 {
         let plan = FaultPlan::seeded(seed).failing_activities(0.2);
         out.push((format!("flaky-{seed}"), jsonl(&plan, &dinner, 5, 3)));
     }
-    for cases in [1, 4, 8] {
+    for cases in [1, 2, 4, 8] {
         out.push((
             format!("clean-{cases}"),
             jsonl(&FaultPlan::default(), &dinner, cases, 4),
@@ -134,20 +165,12 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
         "contended-5".into(),
         jsonl(&FaultPlan::seeded(5).losing_node("ac-h1", 0), &dinner, 4, 4),
     ));
-    out.push((
-        "partitioned-17".into(),
-        jsonl(
-            &FaultPlan::seeded(17).failing_activities(0.1).partitioning(
-                "coordinator",
-                "ac-h0",
-                2,
-                6,
-            ),
-            &recovery,
-            3,
-            3,
-        ),
-    ));
+    for seed in [3, 17, 29] {
+        let plan = FaultPlan::seeded(seed)
+            .failing_activities(0.1)
+            .partitioning("coordinator", "ac-h0", 2, 6);
+        out.push((format!("partitioned-{seed}"), jsonl(&plan, &recovery, 3, 3)));
+    }
     out.push((
         "node-loss-7".into(),
         jsonl(
@@ -159,17 +182,15 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
             3,
         ),
     ));
-    out.push((
-        "recovery-ladder-13".into(),
-        jsonl(
-            &FaultPlan::seeded(13)
-                .failing_activities(0.3)
-                .transient_failures(),
-            &recovery,
-            3,
-            2,
-        ),
-    ));
+    for seed in [2, 13, 31] {
+        let plan = FaultPlan::seeded(seed)
+            .failing_activities(0.3)
+            .transient_failures();
+        out.push((
+            format!("recovery-ladder-{seed}"),
+            jsonl(&plan, &recovery, 3, 2),
+        ));
+    }
     out.push((
         "refused".into(),
         jsonl(
