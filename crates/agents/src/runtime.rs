@@ -191,7 +191,9 @@ impl AgentRuntime {
         self.directory.set_trace_sink(sink);
     }
 
-    /// Spawn an agent on its own thread and register it.
+    /// Spawn an agent on its own thread and register it.  Returns once
+    /// the agent's [`Agent::on_start`] has run, so nothing the caller
+    /// does next can race it.
     pub fn spawn<A: Agent>(&mut self, mut agent: A) -> Result<()> {
         let name = agent.name();
         let service_type = agent.service_type();
@@ -209,10 +211,12 @@ impl AgentRuntime {
             stopped: std::cell::Cell::new(false),
         };
         let thread_name = name.clone();
+        let (started, on_started) = crossbeam_channel::bounded::<()>(0);
         let handle = std::thread::Builder::new()
             .name(thread_name.clone())
             .spawn(move || {
                 agent.on_start(&ctx);
+                drop(started);
                 loop {
                     // Drain messages buffered by request_and_wait first.
                     while let Some(msg) = ctx.next_pending() {
@@ -228,6 +232,10 @@ impl AgentRuntime {
                 }
             })
             .expect("failed to spawn agent thread");
+        // Nothing is ever sent: the receive ends when the thread drops
+        // its end, after `on_start` returns (or unwinds — that panic
+        // surfaces when the thread is joined).
+        let _ = on_started.recv();
         self.threads.push((name, handle));
         Ok(())
     }
@@ -547,6 +555,30 @@ mod tests {
             .request("silent", "t", json!({}), Duration::from_millis(80))
             .unwrap_err();
         assert!(matches!(err, AgentError::Timeout { .. }));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn spawn_returns_after_on_start_has_run() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct SlowStarter(Arc<AtomicBool>);
+        impl Agent for SlowStarter {
+            fn name(&self) -> String {
+                "slow".into()
+            }
+            fn service_type(&self) -> String {
+                "slow".into()
+            }
+            fn handle(&mut self, _msg: AclMessage, _ctx: &AgentContext) {}
+            fn on_start(&mut self, _ctx: &AgentContext) {
+                std::thread::sleep(Duration::from_millis(50));
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let started = Arc::new(AtomicBool::new(false));
+        let mut rt = AgentRuntime::new();
+        rt.spawn(SlowStarter(started.clone())).unwrap();
+        assert!(started.load(Ordering::SeqCst));
         rt.shutdown();
     }
 

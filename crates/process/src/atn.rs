@@ -11,6 +11,12 @@
 //! condition set against the current [`DataState`], Merge fires on any
 //! predecessor).
 //!
+//! The token game itself runs on [`AtnSnapshot`] — the machine's whole
+//! mutable state, which is also what a checkpoint serializes — against
+//! a graph passed to each step; [`AtnMachine`] binds one to the graph
+//! it borrows.  A driver that owns its graph (a coordination fiber)
+//! steps the state itself instead.
+//!
 //! The driver loop (the coordination service, the plan simulator, or a
 //! test) is:
 //!
@@ -79,28 +85,20 @@ pub enum EnactmentEvent {
     Finished,
 }
 
-/// A serializable snapshot of an [`AtnMachine`]'s mutable state —
-/// everything except the borrowed graph.  Supports the checkpointing
-/// §1 of the paper calls for on long-lasting tasks: snapshot between
-/// activity completions, persist, and [`AtnMachine::restore`] later
-/// against the same graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The token game's whole mutable state: which Joins hold which
+/// tokens, what is ready and running, and the trace so far.  It is
+/// also the serialized form — the checkpointing §1 of the paper calls
+/// for on long-lasting tasks persists exactly this between activity
+/// completions.
+///
+/// The state does not hold its graph: every stepping method takes the
+/// [`ProcessGraph`] it plays on.  The caller pairs a state with the
+/// graph it was started on and checks [`ProcessGraph::validate`] once
+/// ([`AtnMachine`] does both); a mismatched graph surfaces as
+/// enactment errors on the next step.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AtnSnapshot {
-    /// Join id → ids of incoming *transitions* whose tokens have arrived.
-    join_arrivals: BTreeMap<String, BTreeSet<String>>,
-    ready: Vec<String>,
-    running: BTreeSet<String>,
-    started: bool,
-    finished: bool,
-    executions: BTreeMap<String, usize>,
-    trace: Vec<EnactmentEvent>,
-}
-
-/// Token-game interpreter over a process graph.
-#[derive(Debug, Clone)]
-pub struct AtnMachine<'g> {
-    graph: &'g ProcessGraph,
-    /// Join id → set of incoming *transition* ids whose tokens have
+    /// Join id → ids of incoming *transitions* whose tokens have
     /// arrived.  Tracking transitions (not predecessor activities) keeps
     /// the count right when several parallel edges share endpoints —
     /// e.g. a Fork with two empty branches has two distinct FORK→JOIN
@@ -118,45 +116,31 @@ pub struct AtnMachine<'g> {
     trace: Vec<EnactmentEvent>,
 }
 
-impl<'g> AtnMachine<'g> {
-    /// Build a machine over a validated graph.
-    pub fn new(graph: &'g ProcessGraph) -> Result<Self> {
-        graph.validate()?;
-        Ok(AtnMachine {
-            graph,
-            join_arrivals: BTreeMap::new(),
-            ready: Vec::new(),
-            running: BTreeSet::new(),
-            started: false,
-            finished: false,
-            executions: BTreeMap::new(),
-            trace: Vec::new(),
-        })
+/// The unique outgoing transition of a single-successor activity.
+fn sole_outgoing<'g>(graph: &'g ProcessGraph, id: &str) -> Result<&'g Transition> {
+    let out = graph.outgoing(id);
+    match out.as_slice() {
+        [t] => Ok(t),
+        _ => Err(ProcessError::Enactment(format!(
+            "activity `{id}` has {} outgoing transitions, expected exactly 1",
+            out.len()
+        ))),
     }
+}
 
+impl AtnSnapshot {
     /// Fire the Begin activity and propagate.
-    pub fn start(&mut self, state: &DataState) -> Result<()> {
+    pub fn start(&mut self, graph: &ProcessGraph, state: &DataState) -> Result<()> {
         if self.started {
             return Err(ProcessError::Enactment("machine already started".into()));
         }
+        let begin = graph
+            .begin()
+            .ok_or_else(|| ProcessError::Enactment("graph has no Begin activity".into()))?;
         self.started = true;
         self.trace.push(EnactmentEvent::Started);
-        let begin = self.graph.begin().expect("validated").id.clone();
-        self.record_execution(&begin);
-        let out = self.sole_outgoing(&begin)?;
-        self.fire(&out, state)
-    }
-
-    /// The unique outgoing transition of a single-successor activity.
-    fn sole_outgoing(&self, id: &str) -> Result<Transition> {
-        let out = self.graph.outgoing(id);
-        match out.as_slice() {
-            [t] => Ok((*t).clone()),
-            _ => Err(ProcessError::Enactment(format!(
-                "activity `{id}` has {} outgoing transitions, expected exactly 1",
-                out.len()
-            ))),
-        }
+        self.record_execution(&begin.id);
+        self.fire(graph, sole_outgoing(graph, &begin.id)?, state)
     }
 
     /// End-user activities currently ready to run.
@@ -164,32 +148,9 @@ impl<'g> AtnMachine<'g> {
         &self.ready
     }
 
-    /// End-user activities currently running.
-    pub fn running(&self) -> impl Iterator<Item = &str> {
-        self.running.iter().map(String::as_str)
-    }
-
     /// Has the End activity fired?
     pub fn is_finished(&self) -> bool {
         self.finished
-    }
-
-    /// Overall status.
-    pub fn status(&self) -> AtnStatus {
-        if !self.started {
-            AtnStatus::NotStarted
-        } else if self.finished {
-            AtnStatus::Finished
-        } else if self.ready.is_empty() && self.running.is_empty() {
-            AtnStatus::Stuck
-        } else {
-            AtnStatus::Active
-        }
-    }
-
-    /// The enactment trace so far.
-    pub fn trace(&self) -> &[EnactmentEvent] {
-        &self.trace
     }
 
     /// Number of times `id` has executed (flow-control activities
@@ -198,60 +159,7 @@ impl<'g> AtnMachine<'g> {
         self.executions.get(id).copied().unwrap_or(0)
     }
 
-    /// Total number of activity executions so far.
-    pub fn total_executions(&self) -> usize {
-        self.executions.values().sum()
-    }
-
-    /// Capture the machine's mutable state for checkpointing.
-    pub fn snapshot(&self) -> AtnSnapshot {
-        AtnSnapshot {
-            join_arrivals: self.join_arrivals.clone(),
-            ready: self.ready.clone(),
-            running: self.running.clone(),
-            started: self.started,
-            finished: self.finished,
-            executions: self.executions.clone(),
-            trace: self.trace.clone(),
-        }
-    }
-
-    /// Capture the machine's mutable state by consuming the machine —
-    /// [`AtnMachine::snapshot`] without the clones.  The hot path for
-    /// drivers that are done stepping the machine and only need its
-    /// state back (the per-tick restore → fire → snapshot cycle).
-    pub fn into_snapshot(self) -> AtnSnapshot {
-        AtnSnapshot {
-            join_arrivals: self.join_arrivals,
-            ready: self.ready,
-            running: self.running,
-            started: self.started,
-            finished: self.finished,
-            executions: self.executions,
-            trace: self.trace,
-        }
-    }
-
-    /// Rebuild a machine from a snapshot against the same (validated)
-    /// graph.  The caller is responsible for pairing snapshots with the
-    /// graph they were taken from; a mismatched graph surfaces as
-    /// enactment errors on the next step.
-    pub fn restore(graph: &'g ProcessGraph, snapshot: AtnSnapshot) -> Result<Self> {
-        graph.validate()?;
-        Ok(AtnMachine {
-            graph,
-            join_arrivals: snapshot.join_arrivals,
-            ready: snapshot.ready,
-            running: snapshot.running,
-            started: snapshot.started,
-            finished: snapshot.finished,
-            executions: snapshot.executions,
-            trace: snapshot.trace,
-        })
-    }
-
-    /// Move a ready activity into the running set.
-    pub fn begin_activity(&mut self, id: &str) -> Result<()> {
+    fn begin_activity(&mut self, id: &str) -> Result<()> {
         let Some(pos) = self.ready.iter().position(|r| r == id) else {
             return Err(ProcessError::Enactment(format!(
                 "activity `{id}` is not ready"
@@ -264,10 +172,12 @@ impl<'g> AtnMachine<'g> {
         Ok(())
     }
 
-    /// Report a running activity complete and propagate its token.  The
-    /// `state` parameter is the data state *after* the activity's outputs
-    /// have been applied; Choice conditions downstream observe it.
-    pub fn complete_activity(&mut self, id: &str, state: &DataState) -> Result<()> {
+    fn complete_activity(
+        &mut self,
+        graph: &ProcessGraph,
+        id: &str,
+        state: &DataState,
+    ) -> Result<()> {
         if !self.running.remove(id) {
             return Err(ProcessError::Enactment(format!(
                 "activity `{id}` is not running"
@@ -276,15 +186,21 @@ impl<'g> AtnMachine<'g> {
         self.trace
             .push(EnactmentEvent::ActivityCompleted(id.to_owned()));
         self.record_execution(id);
-        let out = self.sole_outgoing(id)?;
-        self.fire(&out, state)
+        self.fire(graph, sole_outgoing(graph, id)?, state)
     }
 
-    /// Convenience: start + complete in one call (for drivers that do not
-    /// model activity duration).
-    pub fn run_activity(&mut self, id: &str, state: &DataState) -> Result<()> {
+    /// Start a ready activity and complete it in one call, propagating
+    /// its token.  `state` is the data state *after* the activity's
+    /// outputs have been applied; Choice conditions downstream observe
+    /// it.
+    pub fn run_activity(
+        &mut self,
+        graph: &ProcessGraph,
+        id: &str,
+        state: &DataState,
+    ) -> Result<()> {
         self.begin_activity(id)?;
-        self.complete_activity(id, state)
+        self.complete_activity(graph, id, state)
     }
 
     fn record_execution(&mut self, id: &str) {
@@ -293,10 +209,9 @@ impl<'g> AtnMachine<'g> {
 
     /// A token travels along transition `via` and arrives at its
     /// destination.
-    fn fire(&mut self, via: &Transition, state: &DataState) -> Result<()> {
+    fn fire(&mut self, graph: &ProcessGraph, via: &Transition, state: &DataState) -> Result<()> {
         let node = via.dest.as_str();
-        let decl = self
-            .graph
+        let decl = graph
             .activity(node)
             .ok_or_else(|| ProcessError::Enactment(format!("missing activity `{node}`")))?;
         match decl.kind {
@@ -316,18 +231,15 @@ impl<'g> AtnMachine<'g> {
                 self.record_execution(node);
                 self.trace
                     .push(EnactmentEvent::ForkTriggered(node.to_owned()));
-                let outs: Vec<Transition> =
-                    self.graph.outgoing(node).into_iter().cloned().collect();
-                for out in outs {
-                    self.fire(&out, state)?;
+                for out in graph.outgoing(node) {
+                    self.fire(graph, out, state)?;
                 }
                 Ok(())
             }
             ActivityKind::Join => {
                 let arrivals = self.join_arrivals.entry(node.to_owned()).or_default();
                 arrivals.insert(via.id.clone());
-                let expected: BTreeSet<String> = self
-                    .graph
+                let expected: BTreeSet<String> = graph
                     .incoming(node)
                     .into_iter()
                     .map(|t| t.id.clone())
@@ -336,8 +248,7 @@ impl<'g> AtnMachine<'g> {
                     self.join_arrivals.remove(node);
                     self.record_execution(node);
                     self.trace.push(EnactmentEvent::JoinFired(node.to_owned()));
-                    let out = self.sole_outgoing(node)?;
-                    self.fire(&out, state)
+                    self.fire(graph, sole_outgoing(graph, node)?, state)
                 } else {
                     Ok(())
                 }
@@ -345,24 +256,21 @@ impl<'g> AtnMachine<'g> {
             ActivityKind::Merge => {
                 self.record_execution(node);
                 self.trace.push(EnactmentEvent::MergeFired(node.to_owned()));
-                let out = self.sole_outgoing(node)?;
-                self.fire(&out, state)
+                self.fire(graph, sole_outgoing(graph, node)?, state)
             }
             ActivityKind::Choice => {
                 self.record_execution(node);
-                let chosen = self
-                    .graph
+                let chosen = graph
                     .outgoing(node)
                     .into_iter()
-                    .find(|t| t.condition.as_ref().map(|c| c.eval(state)).unwrap_or(true))
-                    .cloned();
+                    .find(|t| t.condition.as_ref().map(|c| c.eval(state)).unwrap_or(true));
                 match chosen {
                     Some(t) => {
                         self.trace.push(EnactmentEvent::ChoiceTaken {
                             choice: node.to_owned(),
                             transition: t.id.clone(),
                         });
-                        self.fire(&t, state)
+                        self.fire(graph, t, state)
                     }
                     None => Err(ProcessError::Enactment(format!(
                         "no viable branch at Choice `{node}`"
@@ -370,6 +278,106 @@ impl<'g> AtnMachine<'g> {
                 }
             }
         }
+    }
+}
+
+/// Token-game interpreter over a process graph: an [`AtnSnapshot`]
+/// bound to the validated graph it plays on.
+#[derive(Debug, Clone)]
+pub struct AtnMachine<'g> {
+    graph: &'g ProcessGraph,
+    state: AtnSnapshot,
+}
+
+impl<'g> AtnMachine<'g> {
+    /// Build a machine over a validated graph.
+    pub fn new(graph: &'g ProcessGraph) -> Result<Self> {
+        Self::restore(graph, AtnSnapshot::default())
+    }
+
+    /// Rebuild a machine from a snapshot against the same (validated)
+    /// graph.  The caller is responsible for pairing snapshots with the
+    /// graph they were taken from; a mismatched graph surfaces as
+    /// enactment errors on the next step.
+    pub fn restore(graph: &'g ProcessGraph, snapshot: AtnSnapshot) -> Result<Self> {
+        graph.validate()?;
+        Ok(AtnMachine {
+            graph,
+            state: snapshot,
+        })
+    }
+
+    /// Capture the machine's mutable state for checkpointing.
+    pub fn snapshot(&self) -> AtnSnapshot {
+        self.state.clone()
+    }
+
+    /// Fire the Begin activity and propagate.
+    pub fn start(&mut self, state: &DataState) -> Result<()> {
+        self.state.start(self.graph, state)
+    }
+
+    /// End-user activities currently ready to run.
+    pub fn ready(&self) -> &[String] {
+        self.state.ready()
+    }
+
+    /// End-user activities currently running.
+    pub fn running(&self) -> impl Iterator<Item = &str> {
+        self.state.running.iter().map(String::as_str)
+    }
+
+    /// Has the End activity fired?
+    pub fn is_finished(&self) -> bool {
+        self.state.is_finished()
+    }
+
+    /// Overall status.
+    pub fn status(&self) -> AtnStatus {
+        let s = &self.state;
+        if !s.started {
+            AtnStatus::NotStarted
+        } else if s.finished {
+            AtnStatus::Finished
+        } else if s.ready.is_empty() && s.running.is_empty() {
+            AtnStatus::Stuck
+        } else {
+            AtnStatus::Active
+        }
+    }
+
+    /// The enactment trace so far.
+    pub fn trace(&self) -> &[EnactmentEvent] {
+        &self.state.trace
+    }
+
+    /// Number of times `id` has executed (flow-control activities
+    /// included).
+    pub fn executions(&self, id: &str) -> usize {
+        self.state.executions(id)
+    }
+
+    /// Total number of activity executions so far.
+    pub fn total_executions(&self) -> usize {
+        self.state.executions.values().sum()
+    }
+
+    /// Move a ready activity into the running set.
+    pub fn begin_activity(&mut self, id: &str) -> Result<()> {
+        self.state.begin_activity(id)
+    }
+
+    /// Report a running activity complete and propagate its token.  The
+    /// `state` parameter is the data state *after* the activity's outputs
+    /// have been applied; Choice conditions downstream observe it.
+    pub fn complete_activity(&mut self, id: &str, state: &DataState) -> Result<()> {
+        self.state.complete_activity(self.graph, id, state)
+    }
+
+    /// Convenience: start + complete in one call (for drivers that do not
+    /// model activity duration).
+    pub fn run_activity(&mut self, id: &str, state: &DataState) -> Result<()> {
+        self.state.run_activity(self.graph, id, state)
     }
 }
 

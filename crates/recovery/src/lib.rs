@@ -24,21 +24,18 @@
 //! `lease.granted`/`lease.expired`, `breaker.opened`/`half_open`/
 //! `closed`), making the whole ladder assertable per seed.
 //!
-//! All three deadline kinds register into a shared virtual-time
-//! [`TimerWheel`] (ticks, stable FIFO within a tick), so "what is due
-//! by tick T?" is a range pop instead of a scan; the wheel is
-//! runtime-only and rebuilt from [`RecoveryState`] on restore.
+//! [`RecoveryState`] is the only copy of what the ladder remembers: a
+//! lease is an allowance checked when its execution settles, a breaker
+//! cooldown is the `until_tick` of its [`BreakerState`], and a backoff
+//! wait is a [`PendingBackoff`] the manager elapses by jumping its
+//! clock.
 
 #![warn(missing_docs)]
 
 mod breaker;
 mod manager;
 mod policy;
-mod wheel;
 
 pub use breaker::{Admission, BreakerConfig, BreakerRecord, BreakerSignal, BreakerState};
-pub use manager::{
-    Deadline, LeaseConfig, PendingBackoff, RecoveryManager, RecoveryPolicy, RecoveryState,
-};
+pub use manager::{LeaseConfig, PendingBackoff, RecoveryManager, RecoveryPolicy, RecoveryState};
 pub use policy::RetryPolicy;
-pub use wheel::{Fired, TimerId, TimerWheel};

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::breaker::{Admission, BreakerConfig, BreakerRecord, BreakerSignal, BreakerState};
 use crate::policy::RetryPolicy;
-use crate::wheel::{TimerId, TimerWheel};
 
 /// Trace source tag for everything the recovery layer emits.
 const SOURCE: &str = "recovery";
@@ -110,50 +109,15 @@ pub struct RecoveryState {
     pub pending_backoffs: Vec<PendingBackoff>,
 }
 
-/// One future deadline registered on the recovery layer's
-/// [`TimerWheel`] — every kind of virtual-time wait the ladder tracks.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Deadline {
-    /// A scheduled backoff retry (mirrors one
-    /// [`RecoveryState::pending_backoffs`] entry).
-    Retry(PendingBackoff),
-    /// An outstanding activity lease granted at dispatch.
-    Lease {
-        /// Leased activity.
-        activity: String,
-        /// Container executing it.
-        container: String,
-        /// The allowance that was granted, in ticks.
-        lease_ticks: u64,
-    },
-    /// An open breaker's cooldown end: the tick at which the container
-    /// may take its half-open probe.
-    BreakerProbe {
-        /// The quarantined container.
-        container: String,
-    },
-}
-
 /// Drives retries, leases, and breakers for one enactment.
 ///
-/// All three deadline kinds — retry backoffs, activity leases, breaker
-/// half-open probes — register into one virtual-time [`TimerWheel`]
-/// instead of being rediscovered by scans of their owning collections.
-/// The wheel is runtime-only structure: the serialized
-/// [`RecoveryState`] schema is unchanged (pending backoffs still
-/// serialize as the insertion-ordered `Vec`), and
-/// [`RecoveryManager::restore`] rebuilds the wheel from it.
+/// Everything the manager remembers is its serializable
+/// [`RecoveryState`]; the policy and the trace handle are configuration.
 #[derive(Debug, Clone)]
 pub struct RecoveryManager {
     policy: RecoveryPolicy,
     state: RecoveryState,
     trace: TraceHandle,
-    /// Virtual-time deadline registry (see [`Deadline`]).
-    wheel: TimerWheel<Deadline>,
-    /// Live lease entries: `(activity, container)` → wheel handle.
-    active_leases: BTreeMap<(String, String), TimerId>,
-    /// Open-breaker cooldown entries: container → wheel handle.
-    breaker_probes: BTreeMap<String, TimerId>,
 }
 
 impl RecoveryManager {
@@ -164,45 +128,15 @@ impl RecoveryManager {
 
     /// A fresh manager announcing its decisions on `trace`.
     pub fn with_trace_handle(policy: RecoveryPolicy, trace: TraceHandle) -> Self {
-        RecoveryManager {
-            policy,
-            state: RecoveryState::default(),
-            trace,
-            wheel: TimerWheel::new(),
-            active_leases: BTreeMap::new(),
-            breaker_probes: BTreeMap::new(),
-        }
+        Self::restore(policy, RecoveryState::default(), trace)
     }
 
     /// Rebuild a manager from checkpointed state (crash/resume path).
-    /// The timer wheel is runtime-only, so it is reconstructed here:
-    /// pending backoffs re-register in their checkpointed order
-    /// (preserving FIFO ties) and every still-open breaker re-registers
-    /// its cooldown probe.
     pub fn restore(policy: RecoveryPolicy, state: RecoveryState, trace: TraceHandle) -> Self {
-        let mut wheel = TimerWheel::new();
-        for pending in &state.pending_backoffs {
-            wheel.schedule(pending.resume_tick, Deadline::Retry(pending.clone()));
-        }
-        let mut breaker_probes = BTreeMap::new();
-        for (container, record) in &state.breakers {
-            if let BreakerState::Open { until_tick } = record.state {
-                let id = wheel.schedule(
-                    until_tick,
-                    Deadline::BreakerProbe {
-                        container: container.clone(),
-                    },
-                );
-                breaker_probes.insert(container.clone(), id);
-            }
-        }
         RecoveryManager {
             policy,
             state,
             trace,
-            wheel,
-            active_leases: BTreeMap::new(),
-            breaker_probes,
         }
     }
 
@@ -229,19 +163,6 @@ impl RecoveryManager {
     /// Current recovery-clock reading.
     pub fn now_tick(&self) -> u64 {
         self.state.now_tick
-    }
-
-    /// The earliest registered deadline (backoff, lease, or breaker
-    /// cooldown), if any — the next recovery tick at which something
-    /// is due.
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.wheel.next_deadline()
-    }
-
-    /// Every registered deadline in firing order (ascending tick, FIFO
-    /// within a tick).
-    pub fn deadlines(&self) -> impl Iterator<Item = (u64, &Deadline)> {
-        self.wheel.iter()
     }
 
     /// Convert virtual execution seconds to recovery ticks (1 tick per
@@ -315,26 +236,10 @@ impl RecoveryManager {
     // ---------------------------------------------------------- leases
 
     /// Grant a lease for a dispatch, if leases are configured.
-    /// Announces `lease.granted`, registers the deadline on the wheel,
-    /// and returns the allowance in ticks.
+    /// Announces `lease.granted` and returns the allowance in ticks.
     pub fn grant_lease(&mut self, activity: &str, container: &str) -> Option<u64> {
         let lease_ticks = self.policy.lease.as_ref()?.lease_ticks;
         let deadline_tick = self.state.now_tick.saturating_add(lease_ticks);
-        let key = (activity.to_string(), container.to_string());
-        // A re-grant (retry on the same candidate) supersedes any
-        // still-registered lease for the pair.
-        if let Some(stale) = self.active_leases.remove(&key) {
-            self.wheel.cancel(stale);
-        }
-        let id = self.wheel.schedule(
-            deadline_tick,
-            Deadline::Lease {
-                activity: activity.to_string(),
-                container: container.to_string(),
-                lease_ticks,
-            },
-        );
-        self.active_leases.insert(key, id);
         self.trace.emit(
             SOURCE,
             TraceEvent::LeaseGranted {
@@ -353,15 +258,10 @@ impl RecoveryManager {
     ///
     /// The verdict is an *overrun check against the granted allowance*
     /// (`took_ticks > lease_ticks`), deliberately independent of the
-    /// wheel's absolute deadline: the caller settles an execution whose
-    /// duration it already knows, whether or not the recovery clock has
-    /// been advanced past the grant.  Either way the lease is settled
-    /// and its wheel entry retired.
+    /// absolute `deadline_tick` the grant announced: the caller settles
+    /// an execution whose duration it already knows, whether or not the
+    /// recovery clock has been advanced past the grant.
     pub fn lease_expired(&mut self, activity: &str, container: &str, took_ticks: u64) -> bool {
-        let key = (activity.to_string(), container.to_string());
-        if let Some(id) = self.active_leases.remove(&key) {
-            self.wheel.cancel(id);
-        }
         let Some(lease) = self.policy.lease.as_ref() else {
             return false;
         };
@@ -385,7 +285,6 @@ impl RecoveryManager {
 
     /// Feed a successful execution outcome into the breaker.
     pub fn record_success(&mut self, container: &str) {
-        self.settle_leases_on(container);
         if self.policy.breaker.is_none() {
             return;
         }
@@ -398,7 +297,6 @@ impl RecoveryManager {
     /// Feed a failed execution outcome (or expired lease) into the
     /// breaker; may trip it open (`breaker.opened`).
     pub fn record_failure(&mut self, container: &str) {
-        self.settle_leases_on(container);
         let Some(cfg) = self.policy.breaker.clone() else {
             return;
         };
@@ -475,8 +373,6 @@ impl RecoveryManager {
             attempt,
             resume_tick,
         };
-        self.wheel
-            .schedule(resume_tick, Deadline::Retry(pending.clone()));
         self.state.pending_backoffs.push(pending);
         self.trace.emit(
             SOURCE,
@@ -493,63 +389,23 @@ impl RecoveryManager {
     }
 
     /// Elapse every pending backoff for `activity`: the recovery clock
-    /// jumps to the latest deadline and the entries are consumed — both
-    /// from the wheel (which yields them in firing order) and from the
-    /// serialized mirror in [`RecoveryState::pending_backoffs`].
+    /// jumps to the latest of their resume ticks (never backwards) and
+    /// the entries are consumed.
     pub fn await_retry(&mut self, activity: &str) {
-        let fired = self
-            .wheel
-            .extract(|d| matches!(d, Deadline::Retry(p) if p.activity == activity));
-        if let Some(latest) = fired.last().map(|f| f.deadline) {
+        let backoffs = &mut self.state.pending_backoffs;
+        let latest = backoffs
+            .iter()
+            .filter(|p| p.activity == activity)
+            .map(|p| p.resume_tick)
+            .max();
+        if let Some(latest) = latest {
             self.state.now_tick = self.state.now_tick.max(latest);
-            self.state
-                .pending_backoffs
-                .retain(|p| p.activity != activity);
-        }
-    }
-
-    /// Retire any still-registered lease entries for `container`: an
-    /// execution outcome has arrived, so the lease is no longer a
-    /// pending deadline (the failed-dispatch path never consults
-    /// [`RecoveryManager::lease_expired`], which otherwise settles it).
-    fn settle_leases_on(&mut self, container: &str) {
-        let settled: Vec<(String, String)> = self
-            .active_leases
-            .keys()
-            .filter(|(_, c)| c == container)
-            .cloned()
-            .collect();
-        for key in settled {
-            if let Some(id) = self.active_leases.remove(&key) {
-                self.wheel.cancel(id);
-            }
+            backoffs.retain(|p| p.activity != activity);
         }
     }
 
     fn emit_signal(&mut self, container: &str, signal: Option<BreakerSignal>) {
         let Some(signal) = signal else { return };
-        // Maintain the cooldown-probe registry: an opened breaker's
-        // `until_tick` is a future deadline; any transition out of open
-        // (half-open, closed) retires it.
-        match &signal {
-            BreakerSignal::Opened { until_tick, .. } => {
-                if let Some(stale) = self.breaker_probes.remove(container) {
-                    self.wheel.cancel(stale);
-                }
-                let id = self.wheel.schedule(
-                    *until_tick,
-                    Deadline::BreakerProbe {
-                        container: container.to_string(),
-                    },
-                );
-                self.breaker_probes.insert(container.to_string(), id);
-            }
-            BreakerSignal::HalfOpened | BreakerSignal::Closed => {
-                if let Some(id) = self.breaker_probes.remove(container) {
-                    self.wheel.cancel(id);
-                }
-            }
-        }
         let event = match signal {
             BreakerSignal::Opened {
                 consecutive_failures,
@@ -658,52 +514,32 @@ mod tests {
     }
 
     #[test]
-    fn wheel_tracks_backoffs_leases_and_breaker_cooldowns() {
-        let mut m = RecoveryManager::new(policy());
-        assert_eq!(m.next_deadline(), None);
-        // A granted lease registers its absolute deadline.
-        m.grant_lease("A1", "c1");
-        assert_eq!(m.next_deadline(), Some(5));
-        // A scheduled retry registers its resume tick.
-        let resume = m.schedule_retry("A1", "cook", "c1", 1, 1);
-        assert_eq!(resume, 2);
-        assert_eq!(m.next_deadline(), Some(2));
-        // Settling the execution retires the lease; draining the
-        // backoff empties the wheel.
-        assert!(m.lease_expired("A1", "c1", 6));
-        m.await_retry("A1");
-        assert_eq!(m.next_deadline(), None);
-        // Tripping a breaker registers its cooldown end...
-        m.record_failure("c1");
-        m.record_failure("c1");
-        let until = m.state().now_tick + 10;
-        assert_eq!(m.next_deadline(), Some(until));
-        // ...and the half-open transition retires it.
-        m.tick(10);
-        m.note_probe("c1", true);
-        assert_eq!(m.next_deadline(), None);
-    }
-
-    #[test]
-    fn failed_dispatch_settles_the_lease_without_an_expiry_check() {
-        let mut m = RecoveryManager::new(policy());
-        m.grant_lease("A1", "c1");
-        assert_eq!(m.deadlines().count(), 1);
-        // The Err path never calls lease_expired; the outcome report
-        // itself must retire the registered deadline.
-        m.record_failure("c1");
-        assert_eq!(m.deadlines().count(), 0);
-    }
-
-    #[test]
-    fn restore_rebuilds_the_wheel_from_checkpointed_state() {
-        let mut m = RecoveryManager::new(policy());
-        m.record_failure("c1");
-        m.record_failure("c1"); // breaker opens, cooldown ends at 10
-        m.schedule_retry("A1", "cook", "c2", 1, 1); // resume at 2
-        let restored = RecoveryManager::restore(policy(), m.snapshot(), TraceHandle::none());
-        let rebuilt: Vec<u64> = restored.deadlines().map(|(t, _)| t).collect();
-        assert_eq!(rebuilt, vec![2, 10]);
+    fn await_retry_jumps_to_the_largest_resume_tick_of_that_activity_only() {
+        // A1 waits on two backoffs (resume ticks 2 and 4), A2 on one.
+        let scheduled = || {
+            let mut m = RecoveryManager::new(policy());
+            assert_eq!(m.schedule_retry("A1", "cook", "c1", 1, 1), 2);
+            assert_eq!(m.schedule_retry("A1", "cook", "c2", 2, 2), 4);
+            assert_eq!(m.schedule_retry("A2", "plate", "c3", 1, 1), 2);
+            m
+        };
+        let mut direct = scheduled();
+        direct.await_retry("A1");
+        assert_eq!(direct.now_tick(), 4);
+        let left = &direct.state().pending_backoffs;
+        assert_eq!(left.len(), 1);
+        assert_eq!((left[0].activity.as_str(), left[0].resume_tick), ("A2", 2));
+        // A crash between scheduling and waiting changes nothing.
+        let crashed = scheduled();
+        let mut restored =
+            RecoveryManager::restore(policy(), crashed.snapshot(), TraceHandle::none());
+        restored.await_retry("A1");
+        assert_eq!(restored.state(), direct.state());
+        // A deadline already behind the clock never moves it backwards.
+        direct.tick(10);
+        direct.await_retry("A2");
+        assert_eq!(direct.now_tick(), 14);
+        assert!(direct.state().pending_backoffs.is_empty());
     }
 
     #[test]

@@ -17,9 +17,7 @@ use crate::planning::{PlanRequest, PlanningService};
 use crate::world::GridWorld;
 use gridflow_planner::prelude::GpConfig;
 use gridflow_planner::GoalSpec;
-use gridflow_process::{
-    ActivityKind, AtnMachine, AtnSnapshot, CaseDescription, DataState, ProcessGraph,
-};
+use gridflow_process::{ActivityKind, AtnSnapshot, CaseDescription, DataState, ProcessGraph};
 use gridflow_recovery::{Admission, RecoveryManager, RecoveryPolicy, RecoveryState};
 use gridflow_telemetry::{TraceEvent, TraceHandle, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -64,15 +62,6 @@ pub struct EnactmentConfig {
     /// reproduces the legacy one-shot candidate loop (and its traces)
     /// exactly.
     pub recovery: RecoveryPolicy,
-    /// Minimum recovery ticks between monitoring probes feeding the
-    /// circuit breakers.  `None` (the default) probes before every
-    /// recovery-enabled dispatch — the legacy cadence, byte-identical
-    /// to pre-interval traces; `Some(n)` skips probes until `n` ticks
-    /// have elapsed since the last one.  Omitted from serialized
-    /// checkpoints when `None`, so legacy checkpoint bytes are
-    /// unchanged.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub probe_interval: Option<u64>,
 }
 
 impl Default for EnactmentConfig {
@@ -91,7 +80,6 @@ impl Default for EnactmentConfig {
             wrap_replans_with_constraint: None,
             checkpoint_every: None,
             recovery: RecoveryPolicy::disabled(),
-            probe_interval: None,
         }
     }
 }
@@ -399,15 +387,14 @@ enum ActivityOutcome {
 /// Cached context from a step that returned [`FiberStatus::Blocked`].
 ///
 /// While a fiber is blocked on reserved-away capacity nothing about its
-/// own state changes — the ATN snapshot, data state, and graph are
-/// exactly as the blocking step left them.  The next step can therefore
-/// skip the graph clone, machine rebuild, finished/loop checks, and
-/// ready-set scan (they are deterministic functions of unchanged
-/// state), and — when the candidate ranking provably could not have
-/// changed — the matchmake itself.  Every observable emission is
-/// preserved: a still-blocked re-step produces exactly the one
-/// `CaseBlocked` event the full path would.  Stored as is in a
-/// [`FiberSlim`], so a restored fiber resumes on the same path.
+/// own state changes — the ATN state, data state, and graph are exactly
+/// as the blocking step left them — so the next step would choose the
+/// same activity.  When the candidate ranking provably could not have
+/// changed either and every ranked candidate is still fully booked, that
+/// step skips the matchmake too and just reports the block again.  Every
+/// observable emission is preserved: a still-blocked re-step produces
+/// exactly the one `CaseBlocked` event the full path would.  Stored as
+/// is in a [`FiberSlim`], so a restored fiber resumes the same way.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PendingDispatch {
     /// The ready activity the blocking step chose.
@@ -477,12 +464,13 @@ pub struct FiberSlim {
 ///
 /// One [`CaseFiber::step`] executes at most one activity (or installs
 /// one re-planned graph) and reports how far it got, so a scheduler can
-/// interleave many fibers over one shared [`GridWorld`].  Because the
-/// ATN machine borrows its graph, the fiber persists an [`AtnSnapshot`]
-/// between steps and rebuilds the machine each step; restore preserves
-/// execution counts, so flow-transition accounting and loop bounds
-/// carry across steps unchanged and a fiber-driven single case traces
-/// byte-identically to the pre-fiber enactor.
+/// interleave many fibers over one shared [`GridWorld`].  The fiber owns
+/// its graph and its ATN state ([`AtnSnapshot`], the same value a
+/// checkpoint serializes) and plays the token game on them directly, so
+/// a step clones no graph and rebuilds no machine; the graph is
+/// validated once, on the first step after it is installed.  A
+/// fiber-driven single case traces byte-identically to the pre-fiber
+/// enactor.
 pub struct CaseFiber {
     config: EnactmentConfig,
     trace: TraceHandle,
@@ -510,15 +498,13 @@ pub struct CaseFiber {
     recovery: RecoveryManager,
     since_checkpoint: usize,
     done: bool,
-    /// Set while the fiber is blocked on capacity: the dispatch to
-    /// re-try without re-deriving it (see [`PendingDispatch`]).
+    /// Set while the fiber is blocked on capacity (see
+    /// [`PendingDispatch`]).
     pending: Option<PendingDispatch>,
-    /// Recovery tick of the last monitoring probe, when
-    /// [`EnactmentConfig::probe_interval`] throttles probing.  Not
-    /// persisted in [`FiberSlim`]: a restored fiber probes on its
-    /// first opportunity, which is also the legacy behavior when the
-    /// interval is unset.
-    last_probe_tick: Option<u64>,
+    /// Has `current_graph` passed [`ProcessGraph::validate`]?  Cleared
+    /// whenever a graph is installed (construction, restore, re-plan),
+    /// so the first step on it checks and later steps do not.
+    graph_checked: bool,
 }
 
 impl std::fmt::Debug for CaseFiber {
@@ -628,7 +614,7 @@ impl CaseFiber {
             since_checkpoint: 0,
             done: false,
             pending: None,
-            last_probe_tick: None,
+            graph_checked: false,
         }
     }
 
@@ -707,7 +693,7 @@ impl CaseFiber {
             since_checkpoint,
             done,
             pending,
-            last_probe_tick: None,
+            graph_checked: false,
         }
     }
 
@@ -765,44 +751,61 @@ impl CaseFiber {
         if self.done {
             return FiberStatus::Finished;
         }
-        // Blocked fast path: nothing about the fiber changed since the
-        // step that blocked, so the expensive re-derivation (graph
-        // clone, machine rebuild, ready-set scan — and sometimes the
-        // matchmake) is skipped.  Emissions are identical either way.
+        // Contention-only fast path: while the world's matchmaking
+        // generation is unchanged the blocking step's candidate ranking
+        // still stands, and if every ranked candidate is still fully
+        // booked the outcome is another block — one `CaseBlocked`
+        // event, nothing else, exactly like the full path.
         if let Some(pending) = self.pending.take() {
-            return self.step_resume(world, pending);
-        }
-        let graph = self.current_graph.clone();
-        let machine = match self.snapshot.take() {
-            Some(snapshot) => match AtnMachine::restore(&graph, snapshot) {
-                Ok(m) => {
-                    if self.prime_flow_base {
-                        self.flow_base = flow_counts(&graph, &m);
-                        self.prime_flow_base = false;
-                    }
-                    m
+            if let Some(taken) = &pending.taken {
+                if world.reservations_enabled()
+                    && world.generation() == pending.generation
+                    && !taken.is_empty()
+                    && taken.iter().all(|c| world.free_slots(c) == 0)
+                {
+                    let service = pending.service.clone();
+                    self.trace.emit(
+                        "enactor",
+                        TraceEvent::CaseBlocked {
+                            case: self.label.clone(),
+                            service: service.clone(),
+                        },
+                    );
+                    self.pending = Some(pending);
+                    return FiberStatus::Blocked { service };
                 }
-                Err(e) => {
-                    return self.finish_aborted(format!("checkpoint restore failed: {e}"));
-                }
-            },
-            None => {
-                self.flow_base.clear();
-                let mut m = match AtnMachine::new(&graph) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        return self.finish_aborted(format!("invalid process graph: {e}"));
-                    }
-                };
-                if let Err(e) = m.start(&self.state) {
-                    return self.finish_aborted(format!("start failed: {e}"));
-                }
-                self.emit_transitions(&graph, &m);
-                m
             }
-        };
+        }
+        // The ATN state is the step's to mutate; it goes back into
+        // `self.snapshot` unless the step ends the enactment or installs
+        // another graph.
+        let fresh = self.snapshot.is_none();
+        let mut atn = self.snapshot.take().unwrap_or_default();
+        if fresh {
+            self.flow_base.clear();
+        }
+        if !self.graph_checked {
+            if let Err(e) = self.current_graph.validate() {
+                let what = if fresh {
+                    "invalid process graph"
+                } else {
+                    "checkpoint restore failed"
+                };
+                return self.finish_aborted(format!("{what}: {e}"));
+            }
+            self.graph_checked = true;
+        }
+        if fresh {
+            if let Err(e) = atn.start(&self.current_graph, &self.state) {
+                return self.finish_aborted(format!("start failed: {e}"));
+            }
+            self.emit_transitions(&atn);
+        } else if self.prime_flow_base {
+            self.flow_base = flow_counts(&self.current_graph, &atn);
+            self.prime_flow_base = false;
+        }
 
-        if machine.is_finished() {
+        if atn.is_finished() {
             self.report.success = self.case.goals_met(&self.state);
             if !self.report.success {
                 self.report.abort_reason = Some("workflow finished but case goals unmet".into());
@@ -810,125 +813,45 @@ impl CaseFiber {
             return self.finish();
         }
         // Loop-bound defense.
-        if let Some(merge) = graph
+        if let Some(merge) = self
+            .current_graph
             .activities()
             .iter()
             .filter(|a| a.kind == ActivityKind::Merge)
-            .find(|a| machine.executions(&a.id) > self.config.max_loop_iterations)
+            .find(|a| atn.executions(&a.id) > self.config.max_loop_iterations)
         {
             return self.finish_aborted(format!(
                 "loop at `{}` exceeded {} iterations",
                 merge.id, self.config.max_loop_iterations
             ));
         }
-        let Some(activity_id) = machine.ready().first().cloned() else {
+        let Some(activity_id) = atn.ready().first().cloned() else {
             return self.finish_aborted("workflow stuck: no ready activities".to_string());
         };
-        let service = graph
+        let service = self
+            .current_graph
             .activity(&activity_id)
             .and_then(|a| a.service.clone())
             .unwrap_or_else(|| activity_id.clone());
 
         // Monitoring feedback: let live probes open/half-open the
         // circuit breakers before matchmaking sees the candidates.
-        self.monitor_probe(world);
+        if self.recovery.enabled() {
+            MonitoringService.feed_recovery(world, &mut self.recovery);
+        }
 
         match self.run_activity(world, &service, &activity_id) {
             Ok(ActivityOutcome::Blocked { taken }) => {
-                self.snapshot = Some(machine.into_snapshot());
+                self.snapshot = Some(atn);
                 self.note_blocked(world, activity_id, service, taken)
             }
-            Ok(ActivityOutcome::Completed) => self.advance_machine(&graph, machine, &activity_id),
-            Err(_) => self.escalate_replan(world, &activity_id, &service),
-        }
-    }
-
-    /// The single monitoring-feedback point both dispatch paths share:
-    /// run [`MonitoringService::feed_recovery`] so live probes
-    /// open/half-open the circuit breakers before matchmaking sees the
-    /// candidates.  No-op while recovery is disabled.  With
-    /// [`EnactmentConfig::probe_interval`] set, probes are throttled to
-    /// at most one per `n` recovery ticks; unset (the default) probes
-    /// on every opportunity, the legacy cadence.
-    fn monitor_probe(&mut self, world: &mut GridWorld) {
-        if !self.recovery.enabled() {
-            return;
-        }
-        if let Some(interval) = self.config.probe_interval {
-            let now = self.recovery.now_tick();
-            if let Some(last) = self.last_probe_tick {
-                if now.saturating_sub(last) < interval {
-                    return;
-                }
-            }
-            self.last_probe_tick = Some(now);
-        }
-        MonitoringService.feed_recovery(world, &mut self.recovery);
-    }
-
-    /// Resume a fiber whose previous step reported
-    /// [`FiberStatus::Blocked`].  The fiber's own state (graph,
-    /// snapshot, data) is untouched since that step, so its
-    /// finished/loop-bound/ready conclusions still hold and the step
-    /// goes straight to the dispatch; the machine is rebuilt only when
-    /// the dispatch actually completes and the ATN must advance.
-    fn step_resume(&mut self, world: &mut GridWorld, pending: PendingDispatch) -> FiberStatus {
-        // Contention-only fast path: while the world's matchmaking
-        // generation is unchanged the blocking step's candidate ranking
-        // still stands, and if every ranked candidate is still fully
-        // booked the outcome is another block — one `CaseBlocked`
-        // event, nothing else, exactly like the full path.
-        if let Some(taken) = &pending.taken {
-            if world.reservations_enabled()
-                && world.generation() == pending.generation
-                && !taken.is_empty()
-                && taken.iter().all(|c| world.free_slots(c) == 0)
-            {
-                let service = pending.service.clone();
-                self.trace.emit(
-                    "enactor",
-                    TraceEvent::CaseBlocked {
-                        case: self.label.clone(),
-                        service: service.clone(),
-                    },
-                );
-                self.pending = Some(pending);
-                return FiberStatus::Blocked { service };
-            }
-        }
-        let PendingDispatch {
-            activity_id,
-            service,
-            ..
-        } = pending;
-        // Monitoring feedback, exactly as the full path runs it before
-        // matchmaking sees the candidates.
-        self.monitor_probe(world);
-        match self.run_activity(world, &service, &activity_id) {
-            Ok(ActivityOutcome::Blocked { taken }) => {
-                // The snapshot is already in place from the step that
-                // first blocked.
-                self.note_blocked(world, activity_id, service, taken)
-            }
-            Ok(ActivityOutcome::Completed) => {
-                let graph = self.current_graph.clone();
-                let Some(snapshot) = self.snapshot.take() else {
-                    return self.finish_aborted("blocked fiber lost its snapshot".to_string());
-                };
-                let machine = match AtnMachine::restore(&graph, snapshot) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        return self.finish_aborted(format!("checkpoint restore failed: {e}"));
-                    }
-                };
-                self.advance_machine(&graph, machine, &activity_id)
-            }
+            Ok(ActivityOutcome::Completed) => self.advance_machine(atn, &activity_id),
             Err(_) => self.escalate_replan(world, &activity_id, &service),
         }
     }
 
     /// Record a capacity block: cache the dispatch context for the next
-    /// step's fast path, announce `CaseBlocked`, and report
+    /// step's contention check, announce `CaseBlocked`, and report
     /// [`FiberStatus::Blocked`].
     fn note_blocked(
         &mut self,
@@ -953,28 +876,22 @@ impl CaseFiber {
         FiberStatus::Blocked { service }
     }
 
-    /// Advance the ATN past a completed activity: fire the machine,
-    /// surface flow transitions, honor the checkpoint cadence, and
-    /// persist the snapshot for the next step.  Takes the machine by
-    /// value so the final persist is a move, not a clone.
-    fn advance_machine(
-        &mut self,
-        graph: &ProcessGraph,
-        mut machine: AtnMachine,
-        activity_id: &str,
-    ) -> FiberStatus {
-        if let Err(e) = machine.run_activity(activity_id, &self.state) {
+    /// Advance the ATN past a completed activity: fire its token,
+    /// surface flow transitions, honor the checkpoint cadence, and keep
+    /// the state for the next step.
+    fn advance_machine(&mut self, mut atn: AtnSnapshot, activity_id: &str) -> FiberStatus {
+        if let Err(e) = atn.run_activity(&self.current_graph, activity_id, &self.state) {
             return self.finish_aborted(format!("machine error: {e}"));
         }
-        self.emit_transitions(graph, &machine);
+        self.emit_transitions(&atn);
         self.since_checkpoint += 1;
         if let Some(every) = self.config.checkpoint_every {
             if self.since_checkpoint >= every.max(1) {
                 self.since_checkpoint = 0;
-                self.capture_checkpoint(graph, &machine);
+                self.capture_checkpoint(&atn);
             }
         }
-        self.snapshot = Some(machine.into_snapshot());
+        self.snapshot = Some(atn);
         FiberStatus::Progressed
     }
 
@@ -1020,9 +937,10 @@ impl CaseFiber {
                     .emit("enactor", TraceEvent::ReplanInstalled { viable: true });
                 match self.refinement_wrap(&response) {
                     Ok(g) => {
-                        // The next step builds a fresh machine over the
-                        // re-planned graph.
+                        // The next step validates the re-planned graph
+                        // and starts a fresh token game on it.
                         self.current_graph = g;
+                        self.graph_checked = false;
                         self.snapshot = None;
                         FiberStatus::Progressed
                     }
@@ -1057,11 +975,11 @@ impl CaseFiber {
         FiberStatus::Finished
     }
 
-    fn capture_checkpoint(&mut self, graph: &ProcessGraph, machine: &AtnMachine) {
+    fn capture_checkpoint(&mut self, atn: &AtnSnapshot) {
         self.report.checkpoints.push(EnactmentCheckpoint {
             version: CHECKPOINT_VERSION,
-            graph: graph.clone(),
-            snapshot: machine.snapshot(),
+            graph: self.current_graph.clone(),
+            snapshot: atn.clone(),
             state: self.state.clone(),
             executions: self.report.executions.clone(),
             failed_attempts: self.report.failed_attempts.clone(),
@@ -1083,16 +1001,17 @@ impl CaseFiber {
 
     /// Emit a `TransitionFired` event for every flow-control node whose
     /// ATN execution count grew past the baseline, then advance it.
-    fn emit_transitions(&mut self, graph: &ProcessGraph, machine: &AtnMachine) {
+    fn emit_transitions(&mut self, atn: &AtnSnapshot) {
         if !self.trace.is_installed() {
             return;
         }
-        for a in graph
+        for a in self
+            .current_graph
             .activities()
             .iter()
             .filter(|a| a.kind != ActivityKind::EndUser)
         {
-            let n = machine.executions(&a.id);
+            let n = atn.executions(&a.id);
             let prev = self.flow_base.get(&a.id).copied().unwrap_or(0);
             for _ in prev..n {
                 self.trace.emit(
@@ -1408,12 +1327,12 @@ fn empty_report(case: &CaseDescription) -> EnactmentReport {
 }
 
 /// Current ATN execution counts for a graph's flow-control nodes.
-fn flow_counts(graph: &ProcessGraph, machine: &AtnMachine) -> BTreeMap<String, usize> {
+fn flow_counts(graph: &ProcessGraph, atn: &AtnSnapshot) -> BTreeMap<String, usize> {
     graph
         .activities()
         .iter()
         .filter(|a| a.kind != ActivityKind::EndUser)
-        .map(|a| (a.id.clone(), machine.executions(&a.id)))
+        .map(|a| (a.id.clone(), atn.executions(&a.id)))
         .collect()
 }
 
@@ -1596,11 +1515,14 @@ mod tests {
     /// Two fibers contend for the one live `prep` slot over a shared
     /// world with reservations on; a test-made hold keeps the loser
     /// blocked for as long as the script wants.  With `rederive` set,
-    /// every step starts from `pending = None`, i.e. takes the full
-    /// derivation the cached re-step claims to be equivalent to.
+    /// every step starts from `pending = None`, i.e. runs the matchmake
+    /// the cached contention check claims it can skip.
     /// Returns the merged JSONL, both final reports, and the loser's
     /// status per tick.
-    fn contended_run(rederive: bool) -> (String, [EnactmentReport; 2], Vec<FiberStatus>) {
+    fn contended_run(
+        graph: &ProcessGraph,
+        rederive: bool,
+    ) -> (String, [EnactmentReport; 2], Vec<FiberStatus>) {
         use gridflow_telemetry::{TraceHandle, TraceLog};
         let log = TraceLog::new();
         let mut w = world(9);
@@ -1610,7 +1532,7 @@ mod tests {
             CaseFiber::new(
                 EnactmentConfig::default(),
                 TraceHandle::from(log.clone()),
-                &graph(),
+                graph,
                 case(),
                 label,
             )
@@ -1634,7 +1556,8 @@ mod tests {
             }
             winner.step(&mut w);
             if !rederive && (1..=4).contains(&tick) {
-                assert!(loser.pending.is_some(), "tick {tick}: nothing cached");
+                let cached = loser.pending.as_ref().map(|p| p.activity_id.as_str());
+                assert_eq!(cached, Some("prep"), "tick {tick}: nothing cached");
             }
             statuses.push(loser.step(&mut w));
             w.drain_reservations();
@@ -1652,21 +1575,28 @@ mod tests {
 
     #[test]
     fn cached_blocked_resteps_equal_the_full_rederivation() {
-        let (cached_jsonl, cached_reports, cached) = contended_run(false);
-        let (full_jsonl, full_reports, full) = contended_run(true);
-        // The script did what it says: blocked on ticks 0–3, through a
-        // generation bump, and dispatched on the tick the slot freed.
-        let blocked = FiberStatus::Blocked {
-            service: "prep".into(),
-        };
-        assert!(cached[..4].iter().all(|status| *status == blocked));
-        assert_eq!(cached[4], FiberStatus::Progressed);
-        assert_eq!(cached_jsonl.matches(r#"{"CaseBlocked":"#).count(), 4);
-        assert!(cached_reports.iter().all(|r| r.success));
+        // The second graph blocks with two activities ready (`prep` and
+        // `nuke`), so the re-step has a choice to get wrong.
+        let forked = parse_process("BEGIN FORK { { prep; }, { nuke; } } JOIN; plate; END").unwrap();
+        for graph in [graph(), lower("forked", &forked).unwrap()] {
+            let (cached_jsonl, cached_reports, cached) = contended_run(&graph, false);
+            let (full_jsonl, full_reports, full) = contended_run(&graph, true);
+            // The script did what it says: blocked on ticks 0–3, through
+            // a generation bump, and dispatched the activity the cache
+            // named on the tick the slot freed.
+            let blocked = FiberStatus::Blocked {
+                service: "prep".into(),
+            };
+            assert!(cached[..4].iter().all(|status| *status == blocked));
+            assert_eq!(cached[4], FiberStatus::Progressed);
+            assert_eq!(cached_jsonl.matches(r#"{"CaseBlocked":"#).count(), 4);
+            assert!(cached_reports.iter().all(|r| r.success));
+            assert_eq!(cached_reports[1].executions[0].activity, "prep");
 
-        assert_eq!(cached, full);
-        assert_eq!(cached_reports, full_reports);
-        assert_eq!(cached_jsonl, full_jsonl);
+            assert_eq!(cached, full);
+            assert_eq!(cached_reports, full_reports);
+            assert_eq!(cached_jsonl, full_jsonl);
+        }
     }
 
     #[test]
