@@ -55,7 +55,8 @@ fn main() {
     let mut chosen = None;
     for seed in 0..200u64 {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        if let Some((c1, c2)) = crossover(&parent1, &parent2, &mut rng, 40) {
+        let (mut c1, mut c2) = (parent1.clone(), parent2.clone());
+        if crossover(&mut c1, &mut c2, &mut rng, 40) {
             let c1_has_concurrent = c1.controller_counts().1 > 0;
             let c2_has_selective = c2.controller_counts().2 > 0;
             if c1_has_concurrent && c2_has_selective {

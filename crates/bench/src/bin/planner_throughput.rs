@@ -1,16 +1,20 @@
 //! **Planner throughput — GP search and the fleet-shared plan cache.**
 //!
-//! Three sweeps, reported into `BENCH_planner.json`:
+//! Four sweeps, reported into `BENCH_planner.json`:
 //!
 //! 1. **GP search throughput** — repeated full GP runs of the dinner
 //!    planning problem (population 80 × 25 generations), reporting
 //!    plans/sec and generations/sec.
-//! 2. **Cold vs warm fleet planning** — an identical-goal fleet of N
+//! 2. **The Table-1 cell** — the case-study problem at the paper's
+//!    parameters (population 200 × 20 generations, what `plan-cold`
+//!    runs), distinct seeds, at `threads: 1` and at the default
+//!    `threads: 0`, interleaved so both see the same machine.
+//! 3. **Cold vs warm fleet planning** — an identical-goal fleet of N
 //!    planning requests, once with the cache disabled (N full GP runs)
 //!    and once against a pre-warmed [`PlanCacheHandle`] (N content-
 //!    addressed hits), reporting both wall times, the speedup, and the
 //!    cache hit rate.
-//! 3. **Single-flight dedup** — the same fleet issued cold against one
+//! 4. **Single-flight dedup** — the same fleet issued cold against one
 //!    shared cache: the first request runs GP, the rest hit the entry
 //!    it published.
 //!
@@ -23,10 +27,18 @@
 //! `--guard` reads the committed `BENCH_planner.json` *before*
 //! overwriting it and exits non-zero if the headline point (GP
 //! plans/sec, best of three measurements) regressed more than 20%
-//! against it, or if the warm-cache fleet fails to beat the cold fleet
-//! by at least 10× — the CI seam that keeps the plan cache's
-//! fleet-scale claim honest.
+//! against it, if the Table-1 cell at the default thread count runs
+//! below 0.9× its own serial rate (the engine has no threaded path
+//! since a sweep showed it costing more than it saved; this keeps one
+//! from coming back unmeasured), or if the warm-cache fleet fails to
+//! beat the cold fleet by at least 10× — the CI seam that keeps the
+//! plan cache's fleet-scale claim honest.  The committed file's
+//! `table1_before` and `thread_sweep` blocks — the Table-1 cell at the
+//! commit before the simulator was lowered to ids, and population 200 /
+//! 1,000 / 5,000 at `threads` 1 and 2 while a threaded path still
+//! existed — cannot be measured again and are carried over unchanged.
 
+use gridflow::casestudy;
 use gridflow_bench::{banner, render_table};
 use gridflow_harness::workload::dinner_world;
 use gridflow_planner::prelude::*;
@@ -47,6 +59,10 @@ const GUARD_MEASUREMENTS: usize = 3;
 /// The warm-cache fleet must beat the cold (cache-disabled) fleet by
 /// at least this factor in wall time.
 const WARM_SPEEDUP_MIN: f64 = 10.0;
+/// Same-run floor for Table-1 plans/sec at `threads: 0` over `threads: 1`.
+const AUTO_OVER_SERIAL_MIN: f64 = 0.9;
+/// Blocks of the committed report measured at earlier commits.
+const CARRIED_OVER: [&str; 2] = ["table1_before", "thread_sweep"];
 
 fn gp_config() -> GpConfig {
     GpConfig {
@@ -90,10 +106,35 @@ fn measure_gp(plans: usize) -> f64 {
     plans as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
+/// Median wall milliseconds per plan of the case-study problem at
+/// Table 1's parameters, one column per entry of `threads`: every seed
+/// runs at every thread count back to back.
+fn measure_table1(threads: &[usize], seeds: usize) -> Vec<f64> {
+    let problem = casestudy::planning_problem();
+    let mut ms: Vec<Vec<f64>> = vec![Vec::with_capacity(seeds); threads.len()];
+    for seed in 0..seeds as u64 {
+        for (column, &threads) in ms.iter_mut().zip(threads) {
+            let config = GpConfig {
+                seed,
+                threads,
+                ..GpConfig::default()
+            };
+            let planner = GpPlanner::new(config, problem.clone());
+            let start = Instant::now();
+            std::hint::black_box(planner.run());
+            column.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    ms.into_iter()
+        .map(|mut column| {
+            column.sort_by(f64::total_cmp);
+            column[column.len() / 2]
+        })
+        .collect()
+}
+
 /// The committed baseline GP plans/sec, if the report on disk has one.
-fn baseline_plans_per_sec(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let report: serde_json::Value = serde_json::from_str(&text).ok()?;
+fn baseline_plans_per_sec(report: &serde_json::Value) -> Option<f64> {
     report
         .get("results")?
         .as_array()?
@@ -116,7 +157,11 @@ fn main() {
     let guard = args.iter().any(|a| a == "--guard");
 
     let path = "BENCH_planner.json";
-    let baseline = guard.then(|| baseline_plans_per_sec(path)).flatten();
+    let committed: serde_json::Value = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::from_str(&text).ok())
+        .unwrap_or_default();
+    let baseline = guard.then(|| baseline_plans_per_sec(&committed)).flatten();
 
     banner("planner throughput: GP search");
     let start = Instant::now();
@@ -143,6 +188,29 @@ fn main() {
         "plans_per_sec": plans_per_sec,
         "generations_per_sec": generations_per_sec,
     })];
+
+    banner("Table-1 cell: case study, population 200 x 20 generations");
+    let seeds = 4 * plans;
+    let table1 = measure_table1(&[1, 0], seeds);
+    let auto_over_serial = table1[0] / table1[1];
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rows: Vec<Vec<String>> = ["1".to_string(), format!("0 ({cores} cores)")]
+        .into_iter()
+        .zip(&table1)
+        .map(|(threads, ms)| {
+            vec![
+                threads,
+                seeds.to_string(),
+                format!("{ms:.2}"),
+                format!("{:.1}", 1e3 / ms),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(&["threads", "seeds", "ms/plan p50", "plans/s"], &rows)
+    );
+    println!("auto / serial plans/s: {auto_over_serial:.2}");
 
     banner("fleet planning: cold (cache disabled) vs warm (shared cache)");
     let world = dinner_world();
@@ -204,10 +272,21 @@ fn main() {
     );
     println!("warm speedup over cold: {warm_speedup:.0}x; cache hit rate: {hit_rate:.4}");
 
-    let report = json!({
+    let mut report = json!({
         "bench": "planner_throughput",
         "gp": {"population_size": POPULATION, "generations": GENERATIONS, "seed": GP_SEED},
         "results": results,
+        "table1": {
+            "population_size": 200,
+            "generations": 20,
+            "seeds": seeds,
+            "available_parallelism": cores,
+            "ms_per_plan_threads_1": table1[0],
+            "ms_per_plan_threads_auto": table1[1],
+            "plans_per_sec_threads_1": 1e3 / table1[0],
+            "plans_per_sec_threads_auto": 1e3 / table1[1],
+            "auto_over_serial": auto_over_serial,
+        },
         "fleet": {
             "cases": fleet,
             "cold_wall_ms": cold_wall.as_secs_f64() * 1e3,
@@ -219,6 +298,11 @@ fn main() {
             "dedup_gp_runs": dedup_stats.misses,
         },
     });
+    for block in CARRIED_OVER {
+        if let Some(rows) = committed.get(block) {
+            report[block] = rows.clone();
+        }
+    }
     std::fs::write(
         path,
         serde_json::to_string_pretty(&report).expect("serializes"),
@@ -246,6 +330,13 @@ fn main() {
                 }
             }
             None => println!("guard: no committed baseline for the guard point; recording only"),
+        }
+        println!(
+            "guard: Table-1 auto / serial {auto_over_serial:.2} (gate {AUTO_OVER_SERIAL_MIN})"
+        );
+        if auto_over_serial < AUTO_OVER_SERIAL_MIN {
+            eprintln!("guard: default thread count slower than serial — failing");
+            std::process::exit(1);
         }
         println!(
             "guard: warm fleet {warm_speedup:.0}x faster than cold (gate {WARM_SPEEDUP_MIN}x)"

@@ -46,6 +46,10 @@ pub struct RunStat {
     pub seed: u64,
     /// Best-of-final-generation fitness.
     pub fitness: Fitness,
+    /// Fitness of the best plan of *any* generation — the ablation the
+    /// success-rate rows report; the paper (and `fitness`) read the final
+    /// generation.
+    pub best_ever: Fitness,
 }
 
 /// The Table 2 aggregate over N runs.
@@ -66,8 +70,22 @@ pub struct Table2Result {
 impl Table2Result {
     /// Do all runs solve the problem (f_v = f_g = 1)?
     pub fn all_perfect(&self) -> bool {
-        self.runs.iter().all(|r| r.fitness.is_perfect())
+        self.imperfect().next().is_none()
     }
+
+    /// The runs whose final-generation best is not a perfect plan.
+    pub fn imperfect(&self) -> impl Iterator<Item = &RunStat> {
+        self.runs.iter().filter(|r| !r.fitness.is_perfect())
+    }
+}
+
+/// The Wilson score interval at 95 % for `successes` out of `n` trials.
+pub fn wilson_95(successes: usize, n: usize) -> (f64, f64) {
+    let (n, z2) = (n as f64, 1.96f64 * 1.96);
+    let p = successes as f64 / n;
+    let centre = (p + z2 / (2.0 * n)) / (1.0 + z2 / n);
+    let half = (z2 * (p * (1.0 - p) / n + z2 / (4.0 * n * n))).sqrt() / (1.0 + z2 / n);
+    ((centre - half).max(0.0), (centre + half).min(1.0))
 }
 
 impl fmt::Display for Table2Result {
@@ -100,7 +118,41 @@ impl fmt::Display for Table2Result {
             "{:<28} {:>8}",
             "Average Size of solutions",
             format_num(self.avg_size)
-        )
+        )?;
+        // The success rate the averages hide, with what the failures lost.
+        let n = self.runs.len();
+        let imperfect: Vec<&RunStat> = self.imperfect().collect();
+        let (low, high) = wilson_95(n - imperfect.len(), n);
+        writeln!(
+            f,
+            "{:<28} {:>8}  (Wilson 95%: {low:.3}-{high:.3})",
+            "Perfect plans (f_v = f_g = 1)",
+            format!("{}/{n}", n - imperfect.len())
+        )?;
+        for run in &imperfect {
+            let Fitness { validity, goal, .. } = run.fitness;
+            writeln!(
+                f,
+                "  seed {}: f_v {validity:.3}, f_g {goal:.3}; best-ever plan perfect: {}",
+                run.seed,
+                run.best_ever.is_perfect()
+            )?;
+        }
+        if !imperfect.is_empty() {
+            let short =
+                |of: fn(&Fitness) -> f64| imperfect.iter().filter(|r| of(&r.fitness) < 1.0).count();
+            writeln!(
+                f,
+                "  short on f_v: {}, on f_g: {}; closed by returning the best-ever plan: {}",
+                short(|x| x.validity),
+                short(|x| x.goal),
+                imperfect
+                    .iter()
+                    .filter(|r| r.best_ever.is_perfect())
+                    .count()
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -128,6 +180,7 @@ pub fn table2_on(problem: &PlanningProblem, config: GpConfig, runs: usize) -> Ta
             RunStat {
                 seed: cfg.seed,
                 fitness: result.best_fitness,
+                best_ever: result.best_ever_fitness,
             }
         })
         .collect();
@@ -207,6 +260,49 @@ mod tests {
         let rendered = result.to_string();
         assert!(rendered.contains("Average Fitness"));
         assert!(rendered.contains("Average Size of solutions"));
+    }
+
+    #[test]
+    fn wilson_interval_brackets_the_observed_rate() {
+        let (low, high) = wilson_95(987, 1000);
+        assert!((low - 0.978).abs() < 1e-3 && (high - 0.992).abs() < 1e-3);
+        assert_eq!(wilson_95(10, 10).1, 1.0);
+        assert!(
+            wilson_95(10, 10).0 < 0.73,
+            "10/10 bounds the rate only loosely"
+        );
+    }
+
+    #[test]
+    fn display_names_the_term_each_imperfect_run_lost() {
+        let perfect = Fitness {
+            validity: 1.0,
+            goal: 1.0,
+            representation: 0.8,
+            overall: 0.94,
+            size: 8,
+        };
+        let lost_goal = Fitness {
+            goal: 0.0,
+            ..perfect
+        };
+        let run = |seed, fitness| RunStat {
+            seed,
+            fitness,
+            best_ever: perfect,
+        };
+        let result = Table2Result {
+            runs: vec![run(1, perfect), run(2, lost_goal), run(3, perfect)],
+            avg_fitness: 0.0,
+            avg_validity: 0.0,
+            avg_goal: 0.0,
+            avg_size: 0.0,
+        };
+        let rendered = result.to_string();
+        assert!(rendered.contains("2/3"), "{rendered}");
+        assert!(rendered.contains("seed 2: f_v 1.000, f_g 0.000; best-ever plan perfect: true"));
+        assert!(rendered
+            .contains("short on f_v: 0, on f_g: 1; closed by returning the best-ever plan: 1"));
     }
 
     #[test]

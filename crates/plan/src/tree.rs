@@ -55,22 +55,24 @@ impl PlanNode {
     /// The number of nodes in the tree — the paper's plan-tree *size*
     /// (terminal and controller nodes both count; `S_max` bounds this).
     pub fn size(&self) -> usize {
-        1 + self.children().iter().map(|c| c.size()).sum::<usize>()
+        1 + self.children().map(PlanNode::size).sum::<usize>()
     }
 
     /// Maximum depth (a terminal has depth 1).
     pub fn depth(&self) -> usize {
-        1 + self.children().iter().map(|c| c.depth()).max().unwrap_or(0)
+        1 + self.children().map(PlanNode::depth).max().unwrap_or(0)
     }
 
     /// Borrowed children, in order (guards dropped).
-    pub fn children(&self) -> Vec<&PlanNode> {
-        match self {
-            PlanNode::Terminal(_) => Vec::new(),
-            PlanNode::Sequential(c) | PlanNode::Concurrent(c) => c.iter().collect(),
-            PlanNode::Selective(c) => c.iter().map(|(_, n)| n).collect(),
-            PlanNode::Iterative { body, .. } => body.iter().collect(),
-        }
+    pub fn children(&self) -> impl Iterator<Item = &PlanNode> {
+        let (plain, guarded): (&[PlanNode], &[(Condition, PlanNode)]) = match self {
+            PlanNode::Terminal(_) => (&[], &[]),
+            PlanNode::Sequential(c)
+            | PlanNode::Concurrent(c)
+            | PlanNode::Iterative { body: c, .. } => (c, &[]),
+            PlanNode::Selective(c) => (&[], c),
+        };
+        plain.iter().chain(guarded.iter().map(|(_, n)| n))
     }
 
     /// Every terminal activity name, in left-to-right order (duplicates
@@ -118,17 +120,14 @@ impl PlanNode {
     pub fn is_gp_valid(&self) -> bool {
         match self {
             PlanNode::Terminal(_) => true,
-            _ => {
-                let children = self.children();
-                !children.is_empty() && children.iter().all(|c| c.is_gp_valid())
-            }
+            _ => self.children().next().is_some() && self.children().all(PlanNode::is_gp_valid),
         }
     }
 
     /// Visit every node (preorder), returning the number visited.
     pub fn visit(&self, f: &mut impl FnMut(&PlanNode)) -> usize {
         f(self);
-        1 + self.children().iter().map(|c| c.visit(f)).sum::<usize>()
+        1 + self.children().map(|c| c.visit(f)).sum::<usize>()
     }
 
     /// Borrow the node at preorder index `idx` (0 = this node).
@@ -138,12 +137,31 @@ impl PlanNode {
                 return Some(node);
             }
             *idx -= 1;
-            for c in node.children() {
-                if let Some(found) = go(c, idx) {
-                    return Some(found);
-                }
+            node.children().find_map(|c| go(c, idx))
+        }
+        let mut idx = idx;
+        go(self, &mut idx)
+    }
+
+    /// Mutably borrow the node at preorder index `idx`: the slot the
+    /// genetic operators write a subtree into or swap one out of.
+    pub fn node_at_mut(&mut self, idx: usize) -> Option<&mut PlanNode> {
+        fn go<'a>(node: &'a mut PlanNode, idx: &mut usize) -> Option<&'a mut PlanNode> {
+            if *idx == 0 {
+                return Some(node);
             }
-            None
+            *idx -= 1;
+            let (plain, guarded): (&mut [PlanNode], &mut [(Condition, PlanNode)]) = match node {
+                PlanNode::Terminal(_) => (&mut [], &mut []),
+                PlanNode::Sequential(c)
+                | PlanNode::Concurrent(c)
+                | PlanNode::Iterative { body: c, .. } => (c, &mut []),
+                PlanNode::Selective(c) => (&mut [], c),
+            };
+            plain
+                .iter_mut()
+                .chain(guarded.iter_mut().map(|(_, n)| n))
+                .find_map(|c| go(c, idx))
         }
         let mut idx = idx;
         go(self, &mut idx)
@@ -153,32 +171,8 @@ impl PlanNode {
     /// returning the subtree that was there.  Returns `None` (tree
     /// unchanged) if `idx` is out of range.
     pub fn replace_at(&mut self, idx: usize, replacement: PlanNode) -> Option<PlanNode> {
-        fn go(
-            node: &mut PlanNode,
-            idx: &mut usize,
-            replacement: &mut Option<PlanNode>,
-        ) -> Option<PlanNode> {
-            if *idx == 0 {
-                let new = replacement.take().expect("single use");
-                return Some(std::mem::replace(node, new));
-            }
-            *idx -= 1;
-            let children: Vec<&mut PlanNode> = match node {
-                PlanNode::Terminal(_) => Vec::new(),
-                PlanNode::Sequential(c) | PlanNode::Concurrent(c) => c.iter_mut().collect(),
-                PlanNode::Selective(c) => c.iter_mut().map(|(_, n)| n).collect(),
-                PlanNode::Iterative { body, .. } => body.iter_mut().collect(),
-            };
-            for c in children {
-                if let Some(old) = go(c, idx, replacement) {
-                    return Some(old);
-                }
-            }
-            None
-        }
-        let mut slot = Some(replacement);
-        let mut idx = idx;
-        go(self, &mut idx, &mut slot)
+        self.node_at_mut(idx)
+            .map(|slot| std::mem::replace(slot, replacement))
     }
 
     /// Replace every iterative node whose condition is the abstract
@@ -310,7 +304,7 @@ mod tests {
     fn depth_and_children() {
         let t = figure_11();
         assert_eq!(t.depth(), 4); // Sequential > Iterative > Concurrent > Terminal
-        assert_eq!(t.children().len(), 3);
+        assert_eq!(t.children().count(), 3);
         assert_eq!(PlanNode::terminal("A").depth(), 1);
     }
 

@@ -113,6 +113,20 @@ proptest! {
         prop_assert!(tree.node_at(size).is_none());
     }
 
+    /// `node_at_mut(i)` borrows the very node `node_at(i)` does, for every
+    /// preorder index, under all four controller kinds.
+    #[test]
+    fn node_at_mut_addresses_the_same_node(tree in plan_node()) {
+        let mut tree = tree;
+        for idx in 0..tree.size() {
+            let shared: *const PlanNode = tree.node_at(idx).unwrap();
+            let exclusive: *const PlanNode = tree.node_at_mut(idx).unwrap();
+            prop_assert_eq!(shared, exclusive, "index {}", idx);
+        }
+        let size = tree.size();
+        prop_assert!(tree.node_at_mut(size).is_none());
+    }
+
     /// `replace_at` at any valid index keeps the tree GP-valid and adjusts
     /// the size by the difference of the subtree sizes.
     #[test]

@@ -1,7 +1,7 @@
 //! The three-part fitness of §3.4.4 (Equations 1–4).
 
 use crate::problem::PlanningProblem;
-use crate::simulate::simulate_capped;
+use crate::simulate::{simulate_capped, SimOutcome};
 use gridflow_plan::PlanNode;
 use serde::{Deserialize, Serialize};
 
@@ -68,10 +68,27 @@ impl Fitness {
     }
 }
 
-/// Evaluate a plan tree (Eqs. 1–4).
-///
-/// `f_r = 1 − size/S_max` (Eq. 3); trees at or above `S_max` clamp to 0
-/// (the GP operators never produce them, but ad-hoc callers can).
+impl Fitness {
+    /// Combine a simulation outcome with the size of the simulated tree
+    /// (Eqs. 3–4).  `f_r = 1 − size/S_max`; trees at or above `S_max`
+    /// clamp to 0 (the GP operators never produce them, but ad-hoc
+    /// callers can).
+    pub(crate) fn of(outcome: SimOutcome, size: usize, smax: usize, w: FitnessWeights) -> Self {
+        let validity = outcome.validity_fitness();
+        let goal = outcome.goal_fitness();
+        let representation = (1.0 - size as f64 / smax as f64).max(0.0);
+        Fitness {
+            validity,
+            goal,
+            representation,
+            overall: w.validity * validity + w.goal * goal + w.representation * representation,
+            size,
+        }
+    }
+}
+
+/// Evaluate a plan tree (Eqs. 1–4).  Lowers `problem` on every call;
+/// the GP engine lowers it once per run.
 pub fn evaluate(
     tree: &PlanNode,
     problem: &PlanningProblem,
@@ -80,19 +97,7 @@ pub fn evaluate(
     flow_cap: usize,
 ) -> Fitness {
     let outcome = simulate_capped(tree, problem, flow_cap);
-    let validity = outcome.validity_fitness();
-    let goal = outcome.goal_fitness(problem);
-    let size = tree.size();
-    let representation = (1.0 - size as f64 / smax as f64).max(0.0);
-    let overall =
-        weights.validity * validity + weights.goal * goal + weights.representation * representation;
-    Fitness {
-        validity,
-        goal,
-        representation,
-        overall,
-        size,
-    }
+    Fitness::of(outcome, tree.size(), smax, weights)
 }
 
 #[cfg(test)]

@@ -31,7 +31,10 @@ pub struct GpConfig {
     pub init_max_size: usize,
     /// RNG seed; same seed + same problem ⇒ same result.
     pub seed: u64,
-    /// Worker threads for fitness evaluation; 0 = auto-detect.
+    /// Accepted and ignored: a run is single-threaded (the engine's module
+    /// docs give the measurement).  Kept because the frozen
+    /// `benchmark/src/workloads.rs` names it; the next `benchmark`-archetype
+    /// PR can drop the field.
     pub threads: usize,
     /// Stop as soon as a generation's best plan reaches `f_v = f_g = 1`.
     /// The paper runs the full generation budget; ablation benches enable
@@ -96,17 +99,6 @@ impl GpConfig {
         )?;
         Ok(())
     }
-
-    /// Effective number of evaluation threads.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,18 +159,5 @@ mod tests {
         .validate()
         .is_err());
         assert!(GpConfig { elitism: 5, ..base }.validate().is_ok());
-    }
-
-    #[test]
-    fn effective_threads_is_positive() {
-        assert!(GpConfig::default().effective_threads() >= 1);
-        assert_eq!(
-            GpConfig {
-                threads: 3,
-                ..GpConfig::default()
-            }
-            .effective_threads(),
-            3
-        );
     }
 }

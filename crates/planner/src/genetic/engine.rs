@@ -10,16 +10,23 @@
 //! 3. Select a plan that has the highest fitness as the final solution.
 //! ```
 //!
-//! Fitness evaluation is embarrassingly parallel and is spread over a
-//! scoped thread pool; selection and the genetic operators run on a
-//! single seeded RNG, so runs are fully deterministic for a given
-//! `(config.seed, problem)` pair regardless of thread count.
+//! Everything runs on the calling thread: initialization, selection and
+//! the genetic operators draw from a single seeded RNG and fitness
+//! evaluation is a pure function, so a run is fully determined by its
+//! `(config.seed, problem)` pair.  Evaluation is embarrassingly parallel,
+//! but against the lowered problem (see [`crate::simulate`]) a
+//! 200-individual generation is ≈0.2 ms of it: measured at populations
+//! 200 / 1,000 / 5,000, two scoped threads per generation gave 0.87× /
+//! 0.96× / 1.07× of serial plans/s (`BENCH_planner.json`,
+//! `thread_sweep`), so there is no threaded path.
 
-use crate::fitness::{evaluate, Fitness};
+use crate::fitness::Fitness;
 use crate::genetic::config::GpConfig;
 use crate::genetic::init::random_tree;
 use crate::genetic::ops::{crossover, mutate};
 use crate::problem::PlanningProblem;
+use crate::simulate::Simulator;
+use crate::state::PlanningState;
 use gridflow_plan::PlanNode;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -57,12 +64,12 @@ pub struct GpResult {
     pub evaluations: usize,
 }
 
-/// The GP planner: a configuration plus a problem.
+/// The GP planner: a configuration plus a problem, lowered to ids once
+/// for every evaluation of the run.
 #[derive(Debug, Clone)]
 pub struct GpPlanner {
     config: GpConfig,
-    problem: PlanningProblem,
-    activity_names: Vec<String>,
+    simulator: Simulator,
 }
 
 impl GpPlanner {
@@ -72,32 +79,21 @@ impl GpPlanner {
         if let Err(msg) = config.validate() {
             panic!("invalid GP configuration: {msg}");
         }
-        let activity_names = problem.activities.iter().map(|a| a.name.clone()).collect();
         GpPlanner {
             config,
-            problem,
-            activity_names,
+            simulator: Simulator::new(&problem),
         }
-    }
-
-    /// Borrow the problem.
-    pub fn problem(&self) -> &PlanningProblem {
-        &self.problem
-    }
-
-    /// Borrow the configuration.
-    pub fn config(&self) -> &GpConfig {
-        &self.config
     }
 
     /// Run the GP to completion.
     pub fn run(&self) -> GpResult {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let cfg = &self.config;
+        let activity_names = self.simulator.activity_names();
         let mut population: Vec<PlanNode> = (0..cfg.population_size)
             .map(|_| {
                 let size = rng.gen_range(1..=cfg.init_max_size);
-                random_tree(&mut rng, size, &self.activity_names)
+                random_tree(&mut rng, size, activity_names)
             })
             .collect();
 
@@ -113,11 +109,7 @@ impl GpPlanner {
             let (best_idx, best_fit) = fitnesses
                 .iter()
                 .enumerate()
-                .max_by(|a, b| {
-                    a.1.overall
-                        .partial_cmp(&b.1.overall)
-                        .expect("fitness is finite")
-                })
+                .max_by(|a, b| a.1.overall.total_cmp(&b.1.overall))
                 .map(|(i, f)| (i, *f))
                 .expect("population is non-empty");
             let mean_overall =
@@ -147,12 +139,7 @@ impl GpPlanner {
             // Elitism: remember the top-k before selection disturbs them.
             let elites: Vec<PlanNode> = if cfg.elitism > 0 {
                 let mut ranked: Vec<usize> = (0..population.len()).collect();
-                ranked.sort_by(|&a, &b| {
-                    fitnesses[b]
-                        .overall
-                        .partial_cmp(&fitnesses[a].overall)
-                        .expect("fitness is finite")
-                });
+                ranked.sort_by(|&a, &b| fitnesses[b].overall.total_cmp(&fitnesses[a].overall));
                 ranked
                     .into_iter()
                     .take(cfg.elitism)
@@ -167,24 +154,16 @@ impl GpPlanner {
             for _ in 0..cfg.population_size {
                 let winner = (0..cfg.tournament_size)
                     .map(|_| rng.gen_range(0..population.len()))
-                    .max_by(|&a, &b| {
-                        fitnesses[a]
-                            .overall
-                            .partial_cmp(&fitnesses[b].overall)
-                            .expect("fitness is finite")
-                    })
+                    .max_by(|&a, &b| fitnesses[a].overall.total_cmp(&fitnesses[b].overall))
                     .expect("tournament_size >= 1");
                 next.push(population[winner].clone());
             }
 
             // (c) Crossover over consecutive pairs.
-            for pair in (0..next.len() / 2).map(|i| 2 * i) {
+            for pair in next.chunks_exact_mut(2) {
                 if rng.gen_bool(cfg.crossover_rate) {
-                    let (a, b) = (next[pair].clone(), next[pair + 1].clone());
-                    if let Some((ca, cb)) = crossover(&a, &b, &mut rng, cfg.smax) {
-                        next[pair] = ca;
-                        next[pair + 1] = cb;
-                    }
+                    let (a, b) = pair.split_at_mut(1);
+                    crossover(&mut a[0], &mut b[0], &mut rng, cfg.smax);
                 }
             }
 
@@ -196,7 +175,7 @@ impl GpPlanner {
                     cfg.mutation_rate,
                     cfg.smax,
                     cfg.init_max_size,
-                    &self.activity_names,
+                    activity_names,
                 );
             }
 
@@ -220,37 +199,18 @@ impl GpPlanner {
         }
     }
 
-    /// Evaluate the whole population, in parallel when beneficial.
+    /// (a) Evaluate the whole population against the lowered problem,
+    /// sharing one simulation state.
     fn evaluate_population(&self, population: &[PlanNode]) -> Vec<Fitness> {
         let cfg = &self.config;
-        let threads = cfg.effective_threads();
-        if threads <= 1 || population.len() < 32 {
-            return population
-                .iter()
-                .map(|t| evaluate(t, &self.problem, cfg.smax, cfg.weights, cfg.flow_cap))
-                .collect();
-        }
-        let chunk_size = population.len().div_ceil(threads);
-        let mut out: Vec<Fitness> = Vec::with_capacity(population.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = population
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|t| {
-                                evaluate(t, &self.problem, cfg.smax, cfg.weights, cfg.flow_cap)
-                            })
-                            .collect::<Vec<Fitness>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("evaluation worker panicked"));
-            }
-        });
-        out
+        let mut state = PlanningState::default();
+        population
+            .iter()
+            .map(|t| {
+                let outcome = self.simulator.run(t, cfg.flow_cap, &mut state);
+                Fitness::of(outcome, t.size(), cfg.smax, cfg.weights)
+            })
+            .collect()
     }
 }
 
@@ -296,7 +256,7 @@ mod tests {
         let r2 = GpPlanner::new(small_config(7), chain_problem()).run();
         assert_eq!(r1.best, r2.best);
         assert_eq!(r1.history, r2.history);
-        // And thread count must not change the outcome.
+        // And the ignored thread count must not change the outcome.
         let mut cfg = small_config(7);
         cfg.threads = 1;
         let r3 = GpPlanner::new(cfg, chain_problem()).run();

@@ -5,34 +5,26 @@ use crate::genetic::init::random_tree;
 use gridflow_plan::PlanNode;
 use rand::Rng;
 
-/// Subtree crossover (§3.4.3, Fig. 8).
+/// Subtree crossover (§3.4.3, Fig. 8), in place.
 ///
 /// A random node is selected in each parent and the associated subtrees
 /// are exchanged.  "In case the size of a new tree exceeds `S_max`,
-/// crossover fails and both parents are kept" — modelled by returning
-/// `None`.
-pub fn crossover<R: Rng>(
-    a: &PlanNode,
-    b: &PlanNode,
-    rng: &mut R,
-    smax: usize,
-) -> Option<(PlanNode, PlanNode)> {
-    let idx_a = rng.gen_range(0..a.size());
-    let idx_b = rng.gen_range(0..b.size());
-    let sub_a = a.node_at(idx_a).expect("index in range").clone();
-    let sub_b = b.node_at(idx_b).expect("index in range").clone();
-    let new_a_size = a.size() - sub_a.size() + sub_b.size();
-    let new_b_size = b.size() - sub_b.size() + sub_a.size();
-    if new_a_size > smax || new_b_size > smax {
-        return None;
+/// crossover fails and both parents are kept" — untouched, returning
+/// `false`.  Either way exactly two draws are consumed.
+pub fn crossover<R: Rng>(a: &mut PlanNode, b: &mut PlanNode, rng: &mut R, smax: usize) -> bool {
+    let (size_a, size_b) = (a.size(), b.size());
+    let sub_a = a
+        .node_at_mut(rng.gen_range(0..size_a))
+        .expect("index in range");
+    let sub_b = b
+        .node_at_mut(rng.gen_range(0..size_b))
+        .expect("index in range");
+    let (moved_a, moved_b) = (sub_a.size(), sub_b.size());
+    if size_a - moved_a + moved_b > smax || size_b - moved_b + moved_a > smax {
+        return false;
     }
-    let mut child_a = a.clone();
-    child_a.replace_at(idx_a, sub_b).expect("index in range");
-    let mut child_b = b.clone();
-    child_b.replace_at(idx_b, sub_a).expect("index in range");
-    debug_assert_eq!(child_a.size(), new_a_size);
-    debug_assert_eq!(child_b.size(), new_b_size);
-    Some((child_a, child_b))
+    std::mem::swap(sub_a, sub_b);
+    true
 }
 
 /// Subtree-replacement mutation (§3.4.3, Fig. 9).
@@ -51,21 +43,21 @@ pub fn mutate<R: Rng>(
     activities: &[String],
 ) -> usize {
     let mut applied = 0;
-    // Sample selections against the *current* tree on each pass; indices
-    // shift as mutations land, so process one selection at a time.
+    // Selections are sampled against the *current* tree: indices shift
+    // and `size` changes as replacements land.
+    let mut size = tree.size();
     let mut i = 0;
-    loop {
-        let size = tree.size();
-        if i >= size {
-            break;
-        }
+    while i < size {
         if rng.gen_bool(rate) {
-            let old_size = tree.node_at(i).expect("index in range").size();
-            let budget = smax.saturating_sub(size - old_size).max(1);
+            let slot = tree.node_at_mut(i).expect("index in range");
+            let kept = size - slot.size();
+            let budget = smax.saturating_sub(kept).max(1);
             let new_size = rng.gen_range(1..=budget.min(init_max_size));
             let replacement = random_tree(rng, new_size, activities);
-            if size - old_size + replacement.size() <= smax {
-                tree.replace_at(i, replacement).expect("index in range");
+            debug_assert_eq!(replacement.size(), new_size);
+            if kept + new_size <= smax {
+                *slot = replacement;
+                size = kept + new_size;
                 applied += 1;
             }
         }
@@ -95,24 +87,38 @@ mod tests {
     fn crossover_preserves_total_size() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for _ in 0..100 {
-            let (a, b) = sample_pair(&mut rng);
-            if let Some((ca, cb)) = crossover(&a, &b, &mut rng, 40) {
-                assert_eq!(ca.size() + cb.size(), a.size() + b.size());
-                assert!(ca.is_gp_valid() && cb.is_gp_valid());
-            }
+            let (mut a, mut b) = sample_pair(&mut rng);
+            let total = a.size() + b.size();
+            crossover(&mut a, &mut b, &mut rng, 40);
+            assert_eq!(a.size() + b.size(), total);
+            assert!(a.is_gp_valid() && b.is_gp_valid());
         }
     }
 
     #[test]
     fn crossover_respects_smax() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let (mut refused, mut applied) = (0, 0);
         for _ in 0..200 {
-            let (a, b) = sample_pair(&mut rng);
-            if let Some((ca, cb)) = crossover(&a, &b, &mut rng, 16) {
-                assert!(ca.size() <= 16);
-                assert!(cb.size() <= 16);
+            let (mut a, mut b) = sample_pair(&mut rng);
+            let parents = (a.clone(), b.clone());
+            // The two draws a crossover consumes, applied or refused.
+            let mut two_draws = rng.clone();
+            two_draws.gen_range(0..a.size());
+            two_draws.gen_range(0..b.size());
+            if crossover(&mut a, &mut b, &mut rng, 16) {
+                applied += 1;
+                assert!(a.size() <= 16 && b.size() <= 16);
+            } else {
+                refused += 1;
+                assert_eq!((a, b), parents, "a refused crossover keeps both parents");
             }
+            assert_eq!(rng, two_draws);
         }
+        assert!(
+            refused > 0 && applied > 0,
+            "{refused} refused, {applied} applied"
+        );
     }
 
     #[test]
@@ -120,11 +126,11 @@ mod tests {
         // With both trees of size 1, the only choice is the root; children
         // are the parents swapped.
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let a = PlanNode::terminal("A");
-        let b = PlanNode::terminal("B");
-        let (ca, cb) = crossover(&a, &b, &mut rng, 40).unwrap();
-        assert_eq!(ca, b);
-        assert_eq!(cb, a);
+        let mut a = PlanNode::terminal("A");
+        let mut b = PlanNode::terminal("B");
+        assert!(crossover(&mut a, &mut b, &mut rng, 40));
+        assert_eq!(a, PlanNode::terminal("B"));
+        assert_eq!(b, PlanNode::terminal("A"));
     }
 
     #[test]
@@ -158,6 +164,29 @@ mod tests {
             assert!(t.size() <= 40, "size {} exceeds smax", t.size());
             assert!(t.is_gp_valid());
         }
+    }
+
+    #[test]
+    fn refused_mutation_keeps_the_tree() {
+        // Every node but the root of an oversized tree leaves more than
+        // S_max nodes behind, so its replacement is drawn and refused.
+        let oversized = PlanNode::Sequential(vec![PlanNode::terminal("A"); 30]);
+        let mut drawn_and_refused = 0;
+        for seed in 0..50 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut selections_only = rng.clone();
+            let mut t = oversized.clone();
+            if mutate(&mut t, &mut rng, 0.05, 5, 5, &names()) == 0 {
+                assert_eq!(t, oversized);
+                for _ in 0..oversized.size() {
+                    selections_only.gen_bool(0.05);
+                }
+                if rng != selections_only {
+                    drawn_and_refused += 1;
+                }
+            }
+        }
+        assert!(drawn_and_refused > 0);
     }
 
     #[test]

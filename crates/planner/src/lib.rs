@@ -44,7 +44,7 @@ pub mod key;
 pub mod problem;
 pub mod replan;
 pub mod simulate;
-pub mod state;
+mod state;
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -54,11 +54,9 @@ pub mod prelude {
     pub use crate::problem::{ActivitySpec, GoalSpec, PlanningProblem};
     pub use crate::replan::{replan, ReplanRequest};
     pub use crate::simulate::{simulate, SimOutcome};
-    pub use crate::state::PlanningState;
 }
 
 pub use fitness::{evaluate, Fitness, FitnessWeights};
 pub use genetic::{GpConfig, GpPlanner, GpResult};
 pub use key::{PlanKey, StableHasher};
 pub use problem::{ActivitySpec, GoalSpec, PlanningProblem};
-pub use state::PlanningState;

@@ -1,7 +1,8 @@
 //! Plan simulation (§3.4.4): "to evaluate the plan validity fitness, we
 //! need to simulate the execution of a plan".
 //!
-//! The simulator walks a plan tree over a [`PlanningState`]:
+//! The simulator walks a plan tree over a `PlanningState`, one
+//! multiset of data classifications per enumerated flow:
 //!
 //! * a **terminal** checks its preconditions against the current state;
 //!   if they hold it is a *valid* execution and its outputs are applied,
@@ -13,47 +14,45 @@
 //!   right (one admissible order);
 //! * a **selective** node forks the simulation: "we need to enumerate each
 //!   possible flow of execution and simulate the execution of a plan
-//!   multiple times" — each child spawns a separate *world*;
+//!   multiple times" — each child spawns a separate *flow*;
 //! * an **iterative** node's stopping condition is opaque at planning
 //!   time; the simulator unrolls the body once (the do-while lower bound:
 //!   every admissible enactment runs the body at least once).
 //!
-//! Worlds multiply exponentially in the number of selective nodes, so the
+//! Flows multiply exponentially in the number of selective nodes, so the
 //! simulator caps them at [`DEFAULT_FLOW_CAP`] (configurable); beyond the
 //! cap, the earliest-enumerated flows are kept.  "If a single activity is
 //! simulated multiple times, each execution is counted in the validity
-//! check" — counts aggregate across worlds.
+//! check" — counts aggregate across flows.
+//!
+//! Names are resolved once, not once per execution: a [`Simulator`] is a
+//! problem lowered to dense classification ids — the initial counts, each
+//! activity's required-input and output ids, each goal's id — built once
+//! per planner (or per call of the public [`simulate`] / [`evaluate`]
+//! wrappers), and a terminal looks its activity up once however many
+//! flows execute it.
+//!
+//! [`evaluate`]: crate::fitness::evaluate
 
-use crate::problem::PlanningProblem;
-use crate::state::PlanningState;
+use crate::problem::{ActivitySpec, PlanningProblem};
+use crate::state::{PlanningState, Signature};
 use gridflow_plan::PlanNode;
-use serde::{Deserialize, Serialize};
 
 /// Default cap on the number of enumerated flows.
 pub const DEFAULT_FLOW_CAP: usize = 64;
 
-/// One enumerated flow of execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct World {
-    /// State after executing this flow.
-    pub state: PlanningState,
-    /// Valid activity executions in this flow.
-    pub valid: usize,
-    /// Total activity executions in this flow.
-    pub executed: usize,
-}
-
 /// Aggregated simulation outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOutcome {
-    /// Every enumerated flow (at most the configured cap).
-    pub worlds: Vec<World>,
+    /// Enumerated flows of execution (at most the configured cap).
+    pub flows: usize,
     /// Sum of valid executions across flows.
     pub total_valid: usize,
     /// Sum of executions across flows.
     pub total_executed: usize,
     /// True when the flow cap truncated enumeration.
     pub truncated: bool,
+    goal: f64,
 }
 
 impl SimOutcome {
@@ -70,23 +69,8 @@ impl SimOutcome {
     /// Goal fitness `f_g` (Eq. 2), averaged over flows ("if a plan is
     /// simulated multiple times … the goal fitness is given as the average
     /// goal fitness of each execution").  With no goals, trivially 1.
-    pub fn goal_fitness(&self, problem: &PlanningProblem) -> f64 {
-        if problem.goals.is_empty() {
-            return 1.0;
-        }
-        let per_world: f64 = self
-            .worlds
-            .iter()
-            .map(|w| {
-                let satisfied = problem
-                    .goals
-                    .iter()
-                    .filter(|g| w.state.satisfies_goal(g))
-                    .count();
-                satisfied as f64 / problem.goals.len() as f64
-            })
-            .sum();
-        per_world / self.worlds.len().max(1) as f64
+    pub fn goal_fitness(&self) -> f64 {
+        self.goal
     }
 }
 
@@ -97,82 +81,125 @@ pub fn simulate(tree: &PlanNode, problem: &PlanningProblem) -> SimOutcome {
 
 /// Simulate with an explicit flow cap.
 pub fn simulate_capped(tree: &PlanNode, problem: &PlanningProblem, flow_cap: usize) -> SimOutcome {
-    let initial = World {
-        state: PlanningState::from_classifications(problem.initial.iter().cloned()),
-        valid: 0,
-        executed: 0,
-    };
-    let mut truncated = false;
-    let worlds = sim_node(
-        tree,
-        vec![initial],
-        problem,
-        flow_cap.max(1),
-        &mut truncated,
-    );
-    let total_valid = worlds.iter().map(|w| w.valid).sum();
-    let total_executed = worlds.iter().map(|w| w.executed).sum();
-    SimOutcome {
-        worlds,
-        total_valid,
-        total_executed,
-        truncated,
-    }
+    Simulator::new(problem).run(tree, flow_cap, &mut PlanningState::default())
 }
 
-fn sim_node(
-    node: &PlanNode,
-    mut worlds: Vec<World>,
-    problem: &PlanningProblem,
-    flow_cap: usize,
-    truncated: &mut bool,
-) -> Vec<World> {
-    match node {
-        PlanNode::Terminal(name) => {
-            for w in &mut worlds {
-                w.executed += 1;
-                match problem.activity(name) {
-                    Some(spec) if w.state.satisfies_inputs(spec) => {
-                        w.valid += 1;
-                        w.state.apply_outputs(spec);
-                    }
-                    // Unknown service or unmet preconditions: invalid
-                    // execution, state unchanged.
-                    _ => {}
+/// A planning problem lowered to classification ids.
+#[derive(Debug, Clone)]
+pub(crate) struct Simulator {
+    /// `S_init` as a count per classification id.
+    initial: Vec<u32>,
+    /// `G` as `(classification id, min_count)`.
+    goals: Vec<(usize, usize)>,
+    /// `T` in problem order: service names, and their signatures.
+    names: Vec<String>,
+    signatures: Vec<Signature>,
+}
+
+impl Simulator {
+    /// Lower `problem`.  Every classification it mentions gets an id, so
+    /// a goal nothing produces is an id whose count stays 0.
+    pub fn new(problem: &PlanningProblem) -> Self {
+        let specs = &problem.activities;
+        let mut classes: Vec<&String> = (problem.initial.iter())
+            .chain(specs.iter().flat_map(|a| a.inputs.iter().chain(&a.outputs)))
+            .chain(problem.goals.iter().map(|g| &g.classification))
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        let id = |name: &String| classes.binary_search(&name).expect("interned above");
+        let multiset = |names: &[String]| {
+            let mut counts = vec![0u32; classes.len()];
+            names.iter().for_each(|name| counts[id(name)] += 1);
+            counts
+        };
+        let signature = |spec: &ActivitySpec| Signature {
+            required: (multiset(&spec.inputs).into_iter().enumerate())
+                .filter(|&(_, needed)| needed > 0)
+                .collect(),
+            outputs: spec.outputs.iter().map(id).collect(),
+        };
+        Simulator {
+            initial: multiset(&problem.initial),
+            goals: (problem.goals.iter())
+                .map(|g| (id(&g.classification), g.min_count))
+                .collect(),
+            names: specs.iter().map(|a| a.name.clone()).collect(),
+            signatures: specs.iter().map(signature).collect(),
+        }
+    }
+
+    /// The service name of every activity in `T`, in problem order.
+    pub fn activity_names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Simulate `tree` from `S_init`, using `state` as scratch.
+    pub fn run(&self, tree: &PlanNode, flow_cap: usize, state: &mut PlanningState) -> SimOutcome {
+        state.reset(&self.initial);
+        let mut truncated = false;
+        self.sim_node(tree, state, 0, flow_cap.max(1), &mut truncated);
+        let flows = state.flows();
+        let met = |flow: usize| {
+            let held = (self.goals.iter())
+                .filter(|&&(c, min_count)| state.count(flow, c) as usize >= min_count);
+            held.count() as f64 / self.goals.len() as f64
+        };
+        SimOutcome {
+            flows: flows.len(),
+            total_valid: flows.iter().map(|f| f.valid).sum(),
+            total_executed: flows.iter().map(|f| f.executed).sum(),
+            truncated,
+            goal: match self.goals.len() {
+                0 => 1.0,
+                _ => (0..flows.len()).map(met).sum::<f64>() / flows.len().max(1) as f64,
+            },
+        }
+    }
+
+    /// Run `node` in every flow from `from` on; a selective node replaces
+    /// those flows by their forks.
+    fn sim_node(
+        &self,
+        node: &PlanNode,
+        state: &mut PlanningState,
+        from: usize,
+        flow_cap: usize,
+        truncated: &mut bool,
+    ) {
+        match node {
+            PlanNode::Terminal(name) => {
+                // The first spec of a duplicated name wins; an unknown
+                // service is an invalid execution.
+                let known = self.names.iter().position(|n| n == name);
+                state.execute(from, known.map(|i| &self.signatures[i]));
+            }
+            PlanNode::Sequential(children)
+            | PlanNode::Concurrent(children)
+            | PlanNode::Iterative { body: children, .. } => {
+                for child in children {
+                    self.sim_node(child, state, from, flow_cap, truncated);
                 }
             }
-            worlds
-        }
-        PlanNode::Sequential(children) | PlanNode::Iterative { body: children, .. } => {
-            for child in children {
-                worlds = sim_node(child, worlds, problem, flow_cap, truncated);
-            }
-            worlds
-        }
-        PlanNode::Concurrent(children) => {
-            // One admissible order: left to right.
-            for child in children {
-                worlds = sim_node(child, worlds, problem, flow_cap, truncated);
-            }
-            worlds
-        }
-        PlanNode::Selective(children) => {
-            if children.is_empty() {
-                return worlds;
-            }
-            let mut out = Vec::with_capacity(worlds.len() * children.len());
-            'outer: for w in worlds {
-                for (_, child) in children {
-                    if out.len() >= flow_cap {
-                        *truncated = true;
-                        break 'outer;
-                    }
-                    let forked = sim_node(child, vec![w.clone()], problem, flow_cap, truncated);
-                    out.extend(forked);
+            PlanNode::Selective(children) => {
+                if children.is_empty() {
+                    return;
                 }
+                // Forks accumulate behind the flows they came from.
+                let end = state.flows().len();
+                'outer: for flow in from..end {
+                    for (_, child) in children {
+                        let fork = state.flows().len();
+                        if fork - end >= flow_cap {
+                            *truncated = true;
+                            break 'outer;
+                        }
+                        state.fork(flow);
+                        self.sim_node(child, state, fork, flow_cap, truncated);
+                    }
+                }
+                state.retire(from..end, flow_cap);
             }
-            out.truncate(flow_cap);
-            out
         }
     }
 }
@@ -202,7 +229,7 @@ mod tests {
         assert_eq!(out.total_executed, 2);
         assert_eq!(out.total_valid, 2);
         assert_eq!(out.validity_fitness(), 1.0);
-        assert_eq!(out.goal_fitness(&chain_problem()), 1.0);
+        assert_eq!(out.goal_fitness(), 1.0);
     }
 
     #[test]
@@ -215,7 +242,7 @@ mod tests {
         assert_eq!(out.total_executed, 2);
         assert_eq!(out.total_valid, 1);
         assert_eq!(out.validity_fitness(), 0.5);
-        assert_eq!(out.goal_fitness(&chain_problem()), 0.0);
+        assert_eq!(out.goal_fitness(), 0.0);
     }
 
     #[test]
@@ -231,7 +258,7 @@ mod tests {
         let tree = PlanNode::Sequential(vec![]);
         let out = simulate(&tree, &chain_problem());
         assert_eq!(out.validity_fitness(), 1.0);
-        assert_eq!(out.goal_fitness(&chain_problem()), 0.0);
+        assert_eq!(out.goal_fitness(), 0.0);
     }
 
     #[test]
@@ -247,8 +274,8 @@ mod tests {
         ]);
         let problem = chain_problem();
         let out = simulate(&tree, &problem);
-        assert_eq!(out.worlds.len(), 2);
-        assert_eq!(out.goal_fitness(&problem), 0.5);
+        assert_eq!(out.flows, 2);
+        assert_eq!(out.goal_fitness(), 0.5);
         // Flow 1: step1 (valid) + step2 (valid); flow 2: step1 + step1
         // (second still valid: Raw persists).
         assert_eq!(out.total_executed, 4);
@@ -265,7 +292,7 @@ mod tests {
         };
         let tree = PlanNode::Sequential(vec![sel("step1", "step1"), sel("step2", "step2")]);
         let out = simulate(&tree, &chain_problem());
-        assert_eq!(out.worlds.len(), 4);
+        assert_eq!(out.flows, 4);
         assert!(!out.truncated);
     }
 
@@ -278,7 +305,7 @@ mod tests {
         // 2^6 = 64 flows, cap at 8.
         let tree = PlanNode::Sequential(vec![sel.clone(); 6]);
         let out = simulate_capped(&tree, &chain_problem(), 8);
-        assert_eq!(out.worlds.len(), 8);
+        assert_eq!(out.flows, 8);
         assert!(out.truncated);
     }
 
@@ -316,6 +343,6 @@ mod tests {
         ]);
         let out = simulate(&twice, &problem);
         assert_eq!(out.total_valid, 3);
-        assert_eq!(out.goal_fitness(&problem), 1.0);
+        assert_eq!(out.goal_fitness(), 1.0);
     }
 }

@@ -4,7 +4,7 @@ use gridflow_planner::genetic::{crossover, mutate, random_tree};
 use gridflow_planner::prelude::*;
 use gridflow_planner::{evaluate, FitnessWeights};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn sample_problem() -> PlanningProblem {
@@ -54,18 +54,26 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Crossover conserves node counts and never exceeds S_max.
+    /// Crossover conserves node counts and never exceeds S_max; refused,
+    /// it leaves both parents untouched; either way it draws twice.
     #[test]
     fn crossover_invariants(seed in any::<u64>(), sa in 1usize..25, sb in 1usize..25) {
         let problem = sample_problem();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = random_tree(&mut rng, sa, &names(&problem));
-        let b = random_tree(&mut rng, sb, &names(&problem));
-        if let Some((ca, cb)) = crossover(&a, &b, &mut rng, 30) {
-            prop_assert_eq!(ca.size() + cb.size(), sa + sb);
-            prop_assert!(ca.size() <= 30 && cb.size() <= 30);
-            prop_assert!(ca.is_gp_valid() && cb.is_gp_valid());
+        let mut a = random_tree(&mut rng, sa, &names(&problem));
+        let mut b = random_tree(&mut rng, sb, &names(&problem));
+        let parents = (a.clone(), b.clone());
+        let mut two_draws = rng.clone();
+        two_draws.gen_range(0..sa);
+        two_draws.gen_range(0..sb);
+        if crossover(&mut a, &mut b, &mut rng, 30) {
+            prop_assert_eq!(a.size() + b.size(), sa + sb);
+            prop_assert!(a.size() <= 30 && b.size() <= 30);
+            prop_assert!(a.is_gp_valid() && b.is_gp_valid());
+        } else {
+            prop_assert_eq!((a, b), parents);
         }
+        prop_assert_eq!(rng, two_draws);
     }
 
     /// Mutation keeps trees GP-valid and within S_max at any rate.
@@ -93,11 +101,9 @@ proptest! {
         prop_assert_eq!(f1, f2);
     }
 
-    /// A GP run is reproducible from its seed, and invariant to thread
-    /// count: the same `(seed, problem)` yields an identical `GpResult`
-    /// across `threads ∈ {1, 2, 8}`.  (Population 64 ≥ the engine's
-    /// parallel-eval threshold, so the multi-threaded path genuinely
-    /// runs.)
+    /// A GP run is reproducible from its seed, and the ignored `threads`
+    /// knob cannot change it: the same `(seed, problem)` yields an
+    /// identical `GpResult` across `threads ∈ {1, 2, 8}`.
     #[test]
     fn gp_run_reproducible(seed in any::<u64>()) {
         let cfg = GpConfig {
