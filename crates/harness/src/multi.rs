@@ -308,9 +308,13 @@ impl<'a> MultiCaseScenario<'a> {
 
     /// The per-tick hook that stages scripted faults against the shared
     /// world: node losses keyed to the execution count, and partition
-    /// windows keyed to the engine tick.  Restored worlds replay
-    /// correctly: a loss already applied before the crash finds its
-    /// container down (`was_up` false) and does not re-emit.
+    /// windows keyed to the engine tick.  The hook remembers nothing, so
+    /// restored worlds replay correctly: a loss already applied before
+    /// the crash finds its container down (`was_up` false) and does not
+    /// re-emit, and the engine calls the hook once per tick with
+    /// consecutive ticks, so a window's boundaries are the ticks *equal*
+    /// to `from_tick` / `heal_tick` — a run recovered inside an open
+    /// window starts past the first and stages only the second.
     ///
     /// A partition `(a, b)` is applied conservatively: each side that
     /// names a container in the topology is unreachable (down) for
@@ -324,7 +328,6 @@ impl<'a> MultiCaseScenario<'a> {
         plan: &FaultPlan,
         runner_trace: TraceHandle,
     ) -> impl FnMut(u64, &mut GridWorld) + '_ {
-        let mut phases = vec![0u8; plan.partitions.len()];
         move |tick, world| {
             for loss in &plan.node_loss {
                 if loss.after_executions <= world.history.len() {
@@ -346,44 +349,39 @@ impl<'a> MultiCaseScenario<'a> {
                 }
             }
             for (i, cut) in plan.partitions.iter().enumerate() {
-                match phases[i] {
-                    // A window the run jumped clean over (or a
-                    // degenerate `from == heal` one) never opened.
-                    0 if tick >= cut.heal_tick => phases[i] = 2,
-                    0 if tick >= cut.from_tick => {
-                        for side in [&cut.a, &cut.b] {
-                            if world.topology.container(side).is_some() {
-                                let _ = world.set_container_up(side, false);
-                            }
+                // A degenerate `from >= heal` window never opens.
+                if cut.from_tick >= cut.heal_tick {
+                    continue;
+                }
+                if tick == cut.from_tick {
+                    for side in [&cut.a, &cut.b] {
+                        if world.topology.container(side).is_some() {
+                            let _ = world.set_container_up(side, false);
                         }
-                        runner_trace.emit(
-                            "runner",
-                            TraceEvent::PartitionStarted {
-                                a: cut.a.clone(),
-                                b: cut.b.clone(),
-                                heal_tick: cut.heal_tick,
-                            },
-                        );
-                        phases[i] = 1;
                     }
-                    1 if tick >= cut.heal_tick => {
-                        for side in [&cut.a, &cut.b] {
-                            if world.topology.container(side).is_some()
-                                && !held_down(plan, side, world.history.len(), tick, i)
-                            {
-                                let _ = world.set_container_up(side, true);
-                            }
+                    runner_trace.emit(
+                        "runner",
+                        TraceEvent::PartitionStarted {
+                            a: cut.a.clone(),
+                            b: cut.b.clone(),
+                            heal_tick: cut.heal_tick,
+                        },
+                    );
+                } else if tick == cut.heal_tick {
+                    for side in [&cut.a, &cut.b] {
+                        if world.topology.container(side).is_some()
+                            && !held_down(plan, side, world.history.len(), tick, i)
+                        {
+                            let _ = world.set_container_up(side, true);
                         }
-                        runner_trace.emit(
-                            "runner",
-                            TraceEvent::PartitionHealed {
-                                a: cut.a.clone(),
-                                b: cut.b.clone(),
-                            },
-                        );
-                        phases[i] = 2;
                     }
-                    _ => {}
+                    runner_trace.emit(
+                        "runner",
+                        TraceEvent::PartitionHealed {
+                            a: cut.a.clone(),
+                            b: cut.b.clone(),
+                        },
+                    );
                 }
             }
         }

@@ -316,6 +316,36 @@ fn recovery_ladder_fleets_survive_kills_at_every_tick() {
     }
 }
 
+/// A partition window's open/healed state must survive the crash the
+/// way node losses do: the recovery fleet with one `prep` host cut off
+/// for ticks [2, 6), killed at every tick — before, inside and after
+/// the window — and recovered snapshot-led (every tick, every second
+/// tick) and replay-only.  A hook that forgot the window was already
+/// open re-emits `transport.partitioned` on its first recovered tick.
+#[test]
+fn partition_windows_survive_kills_at_every_tick() {
+    let fleet = Fleet {
+        plan: FaultPlan::seeded(7).failing_activities(0.2).partitioning(
+            "coordinator",
+            "ac-h0",
+            2,
+            6,
+        ),
+        workload: dinner_recovery_workload(),
+        cases: 4,
+        in_flight: 2,
+        policy: PolicySpec::Fifo,
+        hints: None,
+    };
+    let (jsonl, baseline) = fleet.baseline();
+    assert!(baseline.ticks > 6, "the run must outlive the heal tick");
+    for snapshot_every in [0, 1, 2] {
+        for kill in 0..baseline.ticks {
+            fleet.prove_crash_replay(kill, snapshot_every, &jsonl, &baseline);
+        }
+    }
+}
+
 /// The full nightly sweep: 32 seeds across the workload generator's
 /// shape taxonomy and all four admission policies, each killed at
 /// *every* tick of its schedule and recovered — the exhaustive form of
