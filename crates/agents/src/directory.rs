@@ -6,34 +6,14 @@
 //! registry in `gridflow-services`; the directory here only provides
 //! transport-level routing.
 
-use crate::delivery::DeliveryBackend;
 use crate::error::{AgentError, Result};
 use crate::message::AclMessage;
-use crate::routing::RouteTable;
 use crate::transport::{Transport, TransportSlot};
 use crossbeam_channel::Sender;
 use gridflow_telemetry::{TraceEvent, TraceSink, TraceSlot};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// A route table paired with the backend that executes its routes.
-#[derive(Clone)]
-struct RemoteBinding {
-    routes: RouteTable,
-    backend: Arc<dyn DeliveryBackend>,
-}
-
-/// Shared, swappable remote binding (mirrors [`TransportSlot`]).
-#[derive(Default, Clone)]
-struct RemoteSlot(Arc<RwLock<Option<RemoteBinding>>>);
-
-impl std::fmt::Debug for RemoteSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = self.0.read().as_ref().map(|b| b.backend.name());
-        f.debug_tuple("RemoteSlot").field(&name).finish()
-    }
-}
 
 /// Control messages delivered to an agent thread.
 #[derive(Debug, Clone)]
@@ -70,7 +50,6 @@ pub struct Directory {
     inner: Arc<RwLock<BTreeMap<String, AgentInfo>>>,
     transport: TransportSlot,
     trace: TraceSlot,
-    remote: RemoteSlot,
 }
 
 impl Directory {
@@ -151,29 +130,6 @@ impl Directory {
         self.trace.set(sink);
     }
 
-    /// Remove the installed trace sink.
-    pub fn clear_trace_sink(&self) {
-        self.trace.clear();
-    }
-
-    /// Install a remote binding: receivers that are not registered
-    /// locally are resolved through `routes` and handed to `backend`.
-    /// Clones of this directory share the installation.  Without a
-    /// binding (the default) routing behaves exactly as before.
-    pub fn set_remote(&self, routes: RouteTable, backend: Arc<dyn DeliveryBackend>) {
-        *self.remote.0.write() = Some(RemoteBinding { routes, backend });
-    }
-
-    /// Remove the remote binding; unknown receivers error again.
-    pub fn clear_remote(&self) {
-        *self.remote.0.write() = None;
-    }
-
-    /// The installed remote route table, if a binding is present.
-    pub fn remote_routes(&self) -> Option<RouteTable> {
-        self.remote.0.read().as_ref().map(|b| b.routes.clone())
-    }
-
     /// Route a message to its receiver's mailbox, passing it through the
     /// installed [`Transport`] first (if any).  A transport may expand
     /// one message into zero (drop — still `Ok`: a lost datagram, not an
@@ -202,24 +158,9 @@ impl Directory {
         }
     }
 
-    /// Direct mailbox routing, bypassing any installed transport.  A
-    /// receiver with no local registration falls through to the remote
-    /// binding (if one is installed and has a route for the name); the
-    /// receiving node's directory emits its own delivery trace.
+    /// Direct mailbox routing, bypassing any installed transport.
     pub fn route(&self, msg: AclMessage) -> Result<()> {
-        let info = match self.lookup(&msg.receiver) {
-            Ok(info) => info,
-            Err(AgentError::UnknownAgent(name)) => {
-                let binding = self.remote.0.read().clone();
-                if let Some(binding) = binding {
-                    if let Some(route) = binding.routes.resolve(&name) {
-                        return binding.backend.deliver_remote(&route, msg);
-                    }
-                }
-                return Err(AgentError::UnknownAgent(name));
-            }
-            Err(e) => return Err(e),
-        };
+        let info = self.lookup(&msg.receiver)?;
         let (id, receiver) = (msg.id, msg.receiver.clone());
         info.mailbox
             .send(Control::Deliver(msg))
@@ -431,18 +372,6 @@ mod tests {
             &recs[1].event,
             TraceEvent::MessageDelivered { id, .. } if *id == req.id
         ));
-
-        // Clearing the sink stops recording; delivery is unaffected.
-        dir.clear_trace_sink();
-        dir.deliver(AclMessage::new(
-            Performative::Inform,
-            "a",
-            "target",
-            "t",
-            json!(3),
-        ))
-        .unwrap();
-        assert_eq!(log.len(), 4);
     }
 
     #[test]

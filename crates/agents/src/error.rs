@@ -28,15 +28,6 @@ pub enum AgentError {
         /// The reason carried in the reply content.
         reason: String,
     },
-    /// Payload (de)serialization failed.
-    Payload(String),
-    /// Remote delivery through a backend failed.
-    Remote {
-        /// The endpoint the delivery was addressed to.
-        endpoint: String,
-        /// The backend's failure description.
-        reason: String,
-    },
     /// The runtime is already shut down.
     ShutDown,
 }
@@ -52,10 +43,6 @@ impl fmt::Display for AgentError {
             }
             Self::Refused { agent, reason } => {
                 write!(f, "agent `{agent}` refused: {reason}")
-            }
-            Self::Payload(msg) => write!(f, "payload error: {msg}"),
-            Self::Remote { endpoint, reason } => {
-                write!(f, "remote delivery to `{endpoint}` failed: {reason}")
             }
             Self::ShutDown => write!(f, "agent runtime is shut down"),
         }

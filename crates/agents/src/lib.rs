@@ -22,22 +22,18 @@
 
 #![warn(missing_docs)]
 
-pub mod delivery;
 pub mod directory;
 pub mod error;
 pub mod message;
 pub mod net;
-pub mod routing;
 pub mod runtime;
 pub mod transport;
 pub mod wire;
 
-pub use delivery::{DeliveryBackend, InProcBackend, TcpBackend};
 pub use directory::{AgentInfo, Directory};
 pub use error::{AgentError, Result};
 pub use message::{AclMessage, Performative};
 pub use net::{NodeServer, RetryCfg, TcpChannel};
-pub use routing::{RemoteRoute, RouteTable};
 pub use runtime::{Agent, AgentContext, AgentRuntime, RuntimeHandle};
 pub use transport::{Passthrough, Transport};
 pub use wire::Frame;

@@ -99,12 +99,6 @@ impl AclMessage {
         }
     }
 
-    /// Deserialize the content into a typed payload.
-    pub fn parse_content<T: serde::de::DeserializeOwned>(&self) -> crate::error::Result<T> {
-        serde_json::from_value(self.content.clone())
-            .map_err(|e| crate::error::AgentError::Payload(e.to_string()))
-    }
-
     /// Is this a terminal negative answer (refuse/failure)?
     pub fn is_negative(&self) -> bool {
         matches!(
@@ -140,45 +134,6 @@ mod tests {
         assert_eq!(rep.receiver, "coordination");
         assert_eq!(rep.in_reply_to, Some(req.id));
         assert_eq!(rep.ontology, "planning");
-    }
-
-    #[test]
-    fn typed_content_round_trip() {
-        #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
-        struct Payload {
-            goal: String,
-            count: usize,
-        }
-        let msg = AclMessage::new(
-            Performative::Inform,
-            "a",
-            "b",
-            "t",
-            serde_json::to_value(Payload {
-                goal: "x".into(),
-                count: 3,
-            })
-            .unwrap(),
-        );
-        let p: Payload = msg.parse_content().unwrap();
-        assert_eq!(
-            p,
-            Payload {
-                goal: "x".into(),
-                count: 3
-            }
-        );
-    }
-
-    #[test]
-    fn parse_content_reports_mismatch() {
-        #[derive(serde::Deserialize, Debug)]
-        #[allow(dead_code)]
-        struct Payload {
-            must_exist: String,
-        }
-        let msg = AclMessage::new(Performative::Inform, "a", "b", "t", json!({"other": 1}));
-        assert!(msg.parse_content::<Payload>().is_err());
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! socket timeouts, and seeded exponential-backoff retry so failure
 //! handling is reproducible run-to-run.
 //!
-//! This layer deliberately uses *wall-clock* time: it is the real
-//! substrate underneath the deterministic engine, exercised by loopback
-//! tests and examples rather than by the virtual-clock suites.
+//! This layer deliberately uses *wall-clock* time and nothing in the
+//! workspace routes a message through it: its only reader is the
+//! `agents.tcp_ping_us_p50` probe in `benchmark/src/probes.rs`, which
+//! this repo may not edit outside a `benchmark`-archetype PR.  It stays
+//! until multi-node placement is unparked or such a PR drops the probe.
 
 use crate::directory::Directory;
 use crate::wire::{read_frame, write_frame, Frame};
@@ -22,9 +24,13 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long a parked connection-handler thread waits on a read before
-/// re-checking the server's stop flag.
+/// How long a connection-handler thread parked between frames waits
+/// for the next one before re-checking the server's stop flag.
 const HANDLER_POLL: Duration = Duration::from_millis(50);
+
+/// How long a handler waits on a read once a frame has begun; a peer
+/// silent for longer mid-frame is treated as gone.
+const FRAME_DEADLINE: Duration = Duration::from_secs(1);
 
 /// A TCP endpoint hosting a [`Directory`]: every [`Frame::Deliver`]
 /// received is handed to `Directory::deliver` (so installed transports
@@ -133,20 +139,26 @@ fn handle_connection(
         Err(_) => return,
     };
     let mut writer = stream;
-    // Short read timeouts let the handler notice shutdown promptly.
-    let _ = reader.set_read_timeout(Some(HANDLER_POLL));
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let frame = match read_frame(&mut reader) {
-            Ok(f) => f,
+        // Poll for shutdown only at a frame boundary: `peek` consumes
+        // nothing, so timing out here cannot split a frame.
+        let _ = reader.set_read_timeout(Some(HANDLER_POLL));
+        match reader.peek(&mut [0u8; 1]) {
+            Ok(0) => return, // peer closed
+            Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 continue;
             }
-            Err(_) => return, // peer closed or protocol error
+            Err(_) => return,
+        }
+        let _ = reader.set_read_timeout(Some(FRAME_DEADLINE));
+        let Ok(frame) = read_frame(&mut reader) else {
+            return; // peer closed, stalled mid-frame, or protocol error
         };
         let reply = match frame {
             Frame::Deliver(msg) => {
@@ -271,11 +283,6 @@ impl TcpChannel {
         if pool.len() < POOL_CAP {
             pool.push(stream);
         }
-    }
-
-    /// Drop all pooled connections (e.g. after the server restarted).
-    pub fn reset_pool(&self) {
-        self.pool.lock().clear();
     }
 
     fn attempt(&self, frame: &Frame) -> io::Result<Frame> {
@@ -421,6 +428,22 @@ mod tests {
             RetryCfg::default(),
         );
         assert!(chan.ping().is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_peer_pausing_mid_frame_stays_in_sync() {
+        use std::io::Write;
+        let (dir, _rx) = hosted_directory("target");
+        let mut server = NodeServer::serve("127.0.0.1:0", dir).unwrap();
+        let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let bytes = crate::wire::encode_frame(&Frame::Ping { nonce: 7 }).unwrap();
+        // Length prefix, a pause longer than HANDLER_POLL, then the body.
+        peer.write_all(&bytes[..4]).unwrap();
+        thread::sleep(Duration::from_millis(120));
+        peer.write_all(&bytes[4..]).unwrap();
+        assert_eq!(read_frame(&mut peer).unwrap(), Frame::Pong { nonce: 7 });
         server.shutdown();
     }
 

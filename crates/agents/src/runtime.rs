@@ -41,11 +41,6 @@ pub struct AgentContext {
 }
 
 impl AgentContext {
-    /// The running agent's own name.
-    pub fn self_name(&self) -> &str {
-        &self.agent_name
-    }
-
     /// The shared directory (lookup by name or service type).
     pub fn directory(&self) -> &Directory {
         &self.directory

@@ -6,6 +6,12 @@
 //! vocabulary is deliberately tiny — deliver, ack/nack, and a ping/pong
 //! pair for health probing — because everything interesting rides
 //! inside the [`AclMessage`] payload.
+//!
+//! Like [`net`](crate::net), this module carries no workspace traffic:
+//! its only reader outside `net` is `benchmark/src/probes.rs`
+//! (`agents.frame_encode_ns`, `agents.frame_decode_ns`), frozen outside
+//! `benchmark`-archetype PRs.  It stays until multi-node placement is
+//! unparked or such a PR drops those probes.
 
 use crate::message::AclMessage;
 use serde::{Deserialize, Serialize};

@@ -25,7 +25,7 @@ use gridflow_grid::workload::TaskDemand;
 use gridflow_grid::GridTopology;
 use gridflow_ontology::{schema, Instance, KnowledgeBase, Value};
 use gridflow_plan::PlanNode;
-use gridflow_planner::{ActivitySpec, GoalSpec, PlanningProblem};
+use gridflow_planner::{GoalSpec, PlanningProblem};
 use gridflow_process::{
     ActivityDecl, ActivityKind, CaseDescription, CompareOp, Condition, DataItem, ProcessGraph,
 };
@@ -137,14 +137,6 @@ pub fn planning_problem() -> PlanningProblem {
             .map(ServiceOffering::activity_spec)
             .collect(),
     }
-}
-
-/// The planner-facing activity specs (C1–C8 as classification multisets).
-pub fn activity_specs() -> Vec<ActivitySpec> {
-    offerings()
-        .iter()
-        .map(ServiceOffering::activity_spec)
-        .collect()
 }
 
 /// Cons1, normalized to D12 (see the module docs): continue the

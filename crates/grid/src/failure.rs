@@ -1,16 +1,13 @@
-//! Failure models: seeded stochastic failures and deterministic failure
-//! scripts.
+//! Failure model: seeded stochastic failures.
 //!
 //! "The ability to recover from errors caused by the failure of
 //! individual nodes is a critical aspect for the execution of complex
 //! tasks" (§1).  The re-planning benches drive the coordination stack
-//! under both a Bernoulli per-execution failure model and scripted
-//! failures at chosen points.
+//! under a Bernoulli per-execution failure model; failures scripted at
+//! chosen points are the harness's `FaultPlan`.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Seeded Bernoulli per-execution failure model, optionally modulated by
 /// resource reliability.
@@ -74,38 +71,6 @@ impl FailureModel {
             self.draws += 1;
             let _ = self.rng.gen_range(0.0..1.0);
         }
-    }
-}
-
-/// A deterministic failure script: which container fails before which
-/// (0-based) execution attempt.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FailureScript {
-    /// container id → set of attempt indices at which it is down.
-    downs: BTreeMap<String, Vec<u64>>,
-}
-
-impl FailureScript {
-    /// An empty script (nothing fails).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `container` to be down for attempt `attempt`.
-    pub fn fail_at(mut self, container: impl Into<String>, attempt: u64) -> Self {
-        self.downs
-            .entry(container.into())
-            .or_default()
-            .push(attempt);
-        self
-    }
-
-    /// Is `container` scripted to be down at `attempt`?
-    pub fn is_down(&self, container: &str, attempt: u64) -> bool {
-        self.downs
-            .get(container)
-            .map(|v| v.contains(&attempt))
-            .unwrap_or(false)
     }
 }
 
@@ -194,15 +159,5 @@ mod tests {
         assert_eq!(b.draws(), 4);
         let resumed: Vec<bool> = (0..6).map(|_| b.execution_fails(0.9)).collect();
         assert_eq!(resumed, outcomes[4..]);
-    }
-
-    #[test]
-    fn script_hits_exact_attempts() {
-        let s = FailureScript::new().fail_at("ac-1", 2).fail_at("ac-1", 4);
-        assert!(!s.is_down("ac-1", 0));
-        assert!(s.is_down("ac-1", 2));
-        assert!(!s.is_down("ac-1", 3));
-        assert!(s.is_down("ac-1", 4));
-        assert!(!s.is_down("ac-2", 2));
     }
 }

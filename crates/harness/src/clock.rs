@@ -59,11 +59,6 @@ impl VirtualClock {
         self.inner.lock().seconds += dt.max(0.0);
     }
 
-    /// Virtual seconds elapsed.
-    pub fn now_s(&self) -> f64 {
-        self.inner.lock().seconds
-    }
-
     /// Both components, read atomically.
     pub fn now(&self) -> (u64, f64) {
         let s = self.inner.lock();
@@ -100,14 +95,14 @@ mod tests {
         c.tick();
         d.advance_s(2.5);
         assert_eq!(d.ticks(), 1);
-        assert!((c.now_s() - 2.5).abs() < 1e-12);
+        assert!((c.now().1 - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn negative_advances_are_clamped() {
         let c = VirtualClock::new();
         c.advance_s(-1.0);
-        assert_eq!(c.now_s(), 0.0);
+        assert_eq!(c.now().1, 0.0);
     }
 
     #[test]

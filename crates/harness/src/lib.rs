@@ -56,7 +56,6 @@
 pub mod clock;
 pub mod multi;
 pub mod plan;
-pub mod remote;
 pub mod runner;
 pub mod transport;
 pub mod workload;
@@ -66,7 +65,6 @@ pub use multi::MultiCaseScenario;
 pub use plan::{
     FaultAction, FaultEvent, FaultPlan, FaultSchedule, NodeLoss, PartitionSpec, Slowdown,
 };
-pub use remote::{RemoteMirror, RemoteReport, TcpMirrorConfig, TransportSpec};
 pub use runner::{
     execution_counts, is_execution_prefix, outcome_fingerprint, report_fingerprint, run_scenario,
     Scenario, ScenarioOutcome,
@@ -77,8 +75,8 @@ pub use workload::{dinner_workload, Workload};
 // The telemetry surface tests lean on, re-exported so harness consumers
 // need only one crate in scope.
 pub use gridflow_telemetry::{
-    MetricsRegistry, TeeSink, TraceEvent, TraceHandle, TraceLog, TraceQuery, TraceRecord,
-    TraceSink, TraceViolation,
+    MetricsRegistry, TraceEvent, TraceHandle, TraceLog, TraceQuery, TraceRecord, TraceSink,
+    TraceViolation,
 };
 
 // The recovery surface the fault scenarios configure, re-exported for

@@ -11,7 +11,6 @@
 
 use crate::clock::VirtualClock;
 use crate::plan::FaultPlan;
-use crate::remote::{RemoteMirror, RemoteReport, TransportSpec};
 use crate::workload::Workload;
 use gridflow_engine::{
     CaseHints, CaseOutcome, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, PolicySpec,
@@ -19,7 +18,7 @@ use gridflow_engine::{
 };
 use gridflow_services::{GridWorld, PlanCacheHandle};
 use gridflow_store::{Store, StoreResult};
-use gridflow_telemetry::{TeeSink, TraceEvent, TraceHandle, TraceLog, TraceSink};
+use gridflow_telemetry::{TraceEvent, TraceHandle, TraceLog, TraceSink};
 use std::sync::{Arc, Mutex};
 
 /// The record of one multi-case run.
@@ -31,10 +30,6 @@ pub struct MultiCaseOutcome {
     /// The merged event log (engine events under source `engine`, each
     /// case's under `case:<label>/…`), when tracing was requested.
     pub trace: Option<TraceLog>,
-    /// What the remote mirror plane observed, when the scenario selected
-    /// [`TransportSpec::Tcp`].  `None` under the in-proc default.
-    /// Observational only — never part of run equality.
-    pub remote: Option<RemoteReport>,
 }
 
 impl MultiCaseOutcome {
@@ -60,7 +55,6 @@ pub struct MultiCaseScenario<'a> {
     hints_fn: Option<fn(usize) -> CaseHints>,
     store: Option<(Arc<Mutex<dyn Store>>, u64)>,
     kill_at: Option<u64>,
-    transport: TransportSpec,
 }
 
 impl std::fmt::Debug for MultiCaseScenario<'_> {
@@ -87,7 +81,6 @@ impl<'a> MultiCaseScenario<'a> {
             hints_fn: None,
             store: None,
             kill_at: None,
-            transport: TransportSpec::default(),
         }
     }
 
@@ -101,12 +94,6 @@ impl<'a> MultiCaseScenario<'a> {
     /// Cap concurrently-enacting cases; the rest queue for admission.
     pub fn max_in_flight(mut self, cap: usize) -> Self {
         self.config.max_in_flight = cap;
-        self
-    }
-
-    /// Replace the whole engine configuration.
-    pub fn engine_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -151,17 +138,6 @@ impl<'a> MultiCaseScenario<'a> {
         self
     }
 
-    /// Select the delivery substrate.  The in-proc default changes
-    /// nothing; [`TransportSpec::Tcp`] tees the merged trace stream
-    /// through a [`RemoteMirror`] onto a loopback TCP node woken on
-    /// demand, returning its [`RemoteReport`] in
-    /// [`MultiCaseOutcome::remote`].  The engine plane — case outcomes,
-    /// tick count, merged trace bytes — is identical either way.
-    pub fn transport(mut self, transport: TransportSpec) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Route every fiber's replans through a fleet-shared,
     /// content-addressed plan cache.  A strict performance knob: GP is a
     /// deterministic function of `(seed, problem)`, so cache hits return
@@ -183,10 +159,14 @@ impl<'a> MultiCaseScenario<'a> {
         let log = self
             .traced
             .then(|| TraceLog::with_clock(Arc::new(VirtualClock::new())));
-        let mirror = self.build_mirror();
         let mut scheduler = CaseScheduler::new(self.engine_config_for(log.as_ref()));
-        let runner_trace = match Self::merged_sink(log.as_ref(), mirror.as_ref()) {
-            Some(sink) => {
+        let runner_trace = match &log {
+            Some(log) => {
+                // One sink shared by the scheduler and the runner's own
+                // events, not an `Arc` each: the second allocation per
+                // run is enough to move the benchmark's `durable-journal`
+                // `peak_rss_mb` from 97 to 108 MB (CHANGES.md, PR 18).
+                let sink: Arc<dyn TraceSink> = Arc::new(log.clone());
                 scheduler = scheduler.trace(sink.clone());
                 TraceHandle::new(sink)
             }
@@ -195,11 +175,7 @@ impl<'a> MultiCaseScenario<'a> {
         self.submit_fleet(&mut scheduler);
         let mut world = self.workload.fresh_world(self.plan, 0);
         let engine = scheduler.run_with(&mut world, Self::fault_hook(self.plan, runner_trace));
-        MultiCaseOutcome {
-            engine,
-            trace: log,
-            remote: mirror.map(RemoteMirror::finish),
-        }
+        MultiCaseOutcome { engine, trace: log }
     }
 
     /// Recover a crashed run from the scenario's store: reseed a trace
@@ -233,8 +209,7 @@ impl<'a> MultiCaseScenario<'a> {
             ),
             None => TraceLog::with_clock(Arc::new(VirtualClock::new())),
         };
-        let mirror = self.build_mirror();
-        let sink = Self::merged_sink(Some(&log), mirror.as_ref()).expect("log is always a sink");
+        let sink: Arc<dyn TraceSink> = Arc::new(log.clone());
         let mut scheduler =
             CaseScheduler::new(self.engine_config_for(Some(&log))).trace(sink.clone());
         let runner_trace = TraceHandle::new(sink);
@@ -246,31 +221,7 @@ impl<'a> MultiCaseScenario<'a> {
         Ok(MultiCaseOutcome {
             engine,
             trace: Some(log),
-            remote: mirror.map(RemoteMirror::finish),
         })
-    }
-
-    /// The remote mirror for this run, if the transport calls for one.
-    fn build_mirror(&self) -> Option<RemoteMirror> {
-        match &self.transport {
-            TransportSpec::InProc => None,
-            TransportSpec::Tcp(cfg) => Some(RemoteMirror::new(cfg.clone())),
-        }
-    }
-
-    /// The sink the scheduler and runner share: the primary log first
-    /// (its bytes stay identical to an un-teed run), the mirror second.
-    fn merged_sink(
-        log: Option<&TraceLog>,
-        mirror: Option<&RemoteMirror>,
-    ) -> Option<Arc<dyn TraceSink>> {
-        let base = log.map(|l| Arc::new(l.clone()) as Arc<dyn TraceSink>);
-        match (base, mirror) {
-            (Some(base), Some(m)) => Some(Arc::new(TeeSink::new(vec![base, m.sink()]))),
-            (Some(base), None) => Some(base),
-            (None, Some(m)) => Some(m.sink()),
-            (None, None) => None,
-        }
     }
 
     /// The engine configuration for a run: the scenario's config plus

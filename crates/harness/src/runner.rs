@@ -12,7 +12,6 @@
 
 use crate::clock::VirtualClock;
 use crate::plan::FaultPlan;
-use crate::remote::{RemoteMirror, RemoteReport, TransportSpec};
 use crate::workload::Workload;
 use gridflow_recovery::RecoveryPolicy;
 use gridflow_services::coordination::{EnactmentCheckpoint, EnactmentReport, Enactor};
@@ -38,16 +37,11 @@ pub struct ScenarioOutcome {
     /// [`Scenario::traced`].  `None` for untraced runs and for runs
     /// recording into an external handle the caller already holds.
     pub trace: Option<TraceLog>,
-    /// What the remote mirror plane observed, when the scenario selected
-    /// [`TransportSpec::Tcp`].  `None` under the in-proc default.
-    pub remote: Option<RemoteReport>,
 }
 
 // The trace is a recording *of* the outcome, not part of it: two runs
 // are equal when their phase accounting agrees, whether or not either
-// kept a log.  The remote report is ignored for the same reason — wire
-// timings are wall-clock noise, never semantics.  (This is also what
-// keeps `traced()` and `transport()` pure observers.)
+// kept a log.  (This is also what keeps `traced()` a pure observer.)
 impl PartialEq for ScenarioOutcome {
     fn eq(&self, other: &Self) -> bool {
         self.reports == other.reports
@@ -158,12 +152,10 @@ pub struct Scenario<'a> {
     max_resumes: usize,
     trace: TraceChoice,
     recovery: Option<RecoveryPolicy>,
-    transport: TransportSpec,
 }
 
 impl<'a> Scenario<'a> {
-    /// A scenario with the default resume budget (4), no tracing, and
-    /// the in-proc transport.
+    /// A scenario with the default resume budget (4) and no tracing.
     pub fn new(plan: &'a FaultPlan, workload: &'a Workload) -> Self {
         Scenario {
             plan,
@@ -171,7 +163,6 @@ impl<'a> Scenario<'a> {
             max_resumes: 4,
             trace: TraceChoice::Off,
             recovery: None,
-            transport: TransportSpec::default(),
         }
     }
 
@@ -208,18 +199,6 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// Select the delivery substrate.  The default,
-    /// [`TransportSpec::InProc`], changes nothing; [`TransportSpec::Tcp`]
-    /// tees the run's trace stream through a [`RemoteMirror`] onto a
-    /// real loopback TCP node (woken on demand, health-probed into
-    /// circuit breakers) and returns its [`RemoteReport`] in
-    /// [`ScenarioOutcome::remote`].  Either way the engine plane — phase
-    /// reports and primary trace bytes — is identical.
-    pub fn transport(mut self, transport: TransportSpec) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Unfold the scenario: phases, faults, crashes and resumes, all
     /// mirrored into the trace alongside the events the [`Enactor`]
     /// emits itself.
@@ -232,21 +211,12 @@ impl<'a> Scenario<'a> {
             }
             TraceChoice::External(handle) => (handle, None),
         };
-        let mirror = match &self.transport {
-            TransportSpec::InProc => None,
-            TransportSpec::Tcp(cfg) => Some(RemoteMirror::new(cfg.clone())),
-        };
-        let handle = match &mirror {
-            Some(mirror) => mirror.tee(handle),
-            None => handle,
-        };
         let workload = match self.recovery {
             Some(policy) => self.workload.clone().with_recovery(policy),
             None => self.workload.clone(),
         };
         let mut outcome = run_impl(self.plan, &workload, self.max_resumes, handle);
         outcome.trace = log;
-        outcome.remote = mirror.map(RemoteMirror::finish);
         outcome
     }
 }
@@ -324,7 +294,6 @@ fn run_impl(
         reports,
         last_checkpoint: resume_cp,
         trace: None,
-        remote: None,
     }
 }
 

@@ -56,11 +56,6 @@ impl ClassDef {
         self.is_abstract = true;
         self
     }
-
-    /// Find a slot declared *directly* on this class.
-    pub fn own_slot(&self, name: &str) -> Option<&SlotDef> {
-        self.slots.iter().find(|s| s.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -76,8 +71,7 @@ mod tests {
             .with_slot(SlotDef::optional("Location", ValueType::Str));
         assert_eq!(c.name, "Resource");
         assert_eq!(c.slots.len(), 2);
-        assert!(c.own_slot("Name").is_some());
-        assert!(c.own_slot("Missing").is_none());
+        assert_eq!(c.slots[0].name, "Name");
         assert!(!c.is_abstract);
     }
 

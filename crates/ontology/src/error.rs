@@ -51,8 +51,6 @@ pub enum OntologyError {
     },
     /// An abstract class cannot be instantiated directly.
     AbstractClass(String),
-    /// Attempted to remove a class that still has instances or subclasses.
-    ClassInUse(String),
     /// Serialization / deserialization failure.
     Serde(String),
 }
@@ -86,9 +84,6 @@ impl fmt::Display for OntologyError {
             }
             Self::AbstractClass(c) => {
                 write!(f, "class `{c}` is abstract and cannot be instantiated")
-            }
-            Self::ClassInUse(c) => {
-                write!(f, "class `{c}` still has instances or subclasses")
             }
             Self::Serde(msg) => write!(f, "serialization error: {msg}"),
         }

@@ -60,11 +60,6 @@ impl Instance {
         self.get(slot).and_then(Value::as_int)
     }
 
-    /// The float (or widened integer) stored under `slot`.
-    pub fn get_float(&self, slot: &str) -> Option<f64> {
-        self.get(slot).and_then(Value::as_float)
-    }
-
     /// The list stored under `slot`, if present and a list.
     pub fn get_list(&self, slot: &str) -> Option<&[Value]> {
         self.get(slot).and_then(Value::as_list)
@@ -96,7 +91,6 @@ mod tests {
             .with("Tags", Value::str_list(["pod", "input"]));
         assert_eq!(inst.get_str("Name"), Some("parameters"));
         assert_eq!(inst.get_int("Size"), Some(3_000));
-        assert_eq!(inst.get_float("Size"), Some(3_000.0));
         assert_eq!(inst.get_ref("Creator"), Some("User"));
         assert_eq!(inst.get_list("Tags").map(|l| l.len()), Some(2));
         assert!(inst.get("Missing").is_none());

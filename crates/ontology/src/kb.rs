@@ -42,10 +42,8 @@ impl KnowledgeBase {
 
     /// Add a class definition.
     ///
-    /// Fails if a class with the same name exists, if the declared parent is
-    /// unknown, or if adding the class would create an inheritance cycle
-    /// (impossible when the parent must pre-exist, but checked defensively
-    /// for the benefit of [`Self::replace_class`]).
+    /// Fails if a class with the same name exists or if the declared
+    /// parent is unknown (a parent must pre-exist, so no cycle can form).
     pub fn add_class(&mut self, class: ClassDef) -> Result<()> {
         if self.classes.contains_key(&class.name) {
             return Err(OntologyError::DuplicateClass(class.name));
@@ -60,70 +58,6 @@ impl KnowledgeBase {
         }
         self.classes.insert(class.name.clone(), class);
         Ok(())
-    }
-
-    /// Replace an existing class definition (e.g. to evolve an ontology).
-    ///
-    /// The parent must exist and the replacement must not introduce a cycle.
-    /// Existing instances are *not* revalidated automatically; call
-    /// [`Self::validate_all`] after a schema change.
-    pub fn replace_class(&mut self, class: ClassDef) -> Result<()> {
-        if !self.classes.contains_key(&class.name) {
-            return Err(OntologyError::UnknownClass(class.name));
-        }
-        if let Some(parent) = &class.parent {
-            if !self.classes.contains_key(parent) && parent != &class.name {
-                return Err(OntologyError::UnknownParent {
-                    class: class.name.clone(),
-                    parent: parent.clone(),
-                });
-            }
-        }
-        let name = class.name.clone();
-        let old = self.classes.insert(name.clone(), class);
-        if self.has_cycle(&name) {
-            // Roll back.
-            match old {
-                Some(old) => {
-                    self.classes.insert(name.clone(), old);
-                }
-                None => {
-                    self.classes.remove(&name);
-                }
-            }
-            return Err(OntologyError::InheritanceCycle(name));
-        }
-        Ok(())
-    }
-
-    fn has_cycle(&self, start: &str) -> bool {
-        let mut seen = vec![start.to_owned()];
-        let mut current = start;
-        while let Some(parent) = self.classes.get(current).and_then(|c| c.parent.as_deref()) {
-            if seen.iter().any(|s| s == parent) {
-                return true;
-            }
-            seen.push(parent.to_owned());
-            current = parent;
-        }
-        false
-    }
-
-    /// Remove a class.  Fails if the class still has instances or
-    /// subclasses.
-    pub fn remove_class(&mut self, name: &str) -> Result<ClassDef> {
-        if !self.classes.contains_key(name) {
-            return Err(OntologyError::UnknownClass(name.to_owned()));
-        }
-        let has_subclass = self
-            .classes
-            .values()
-            .any(|c| c.parent.as_deref() == Some(name));
-        let has_instance = self.instances.values().any(|i| i.class == name);
-        if has_subclass || has_instance {
-            return Err(OntologyError::ClassInUse(name.to_owned()));
-        }
-        Ok(self.classes.remove(name).expect("checked above"))
     }
 
     /// Look up a class definition.
@@ -190,18 +124,6 @@ impl KnowledgeBase {
             }
         }
         Ok(slots)
-    }
-
-    /// Find the effective slot `slot` on `class`, searching the ancestry.
-    pub fn resolve_slot(&self, class: &str, slot: &str) -> Result<&SlotDef> {
-        let slots = self.effective_slots(class)?;
-        slots
-            .into_iter()
-            .find(|s| s.name == slot)
-            .ok_or_else(|| OntologyError::UnknownSlot {
-                class: class.to_owned(),
-                slot: slot.to_owned(),
-            })
     }
 
     // ------------------------------------------------------------------
@@ -348,19 +270,6 @@ impl KnowledgeBase {
     /// [`Self::validate_all`] to audit.
     pub fn instance_mut(&mut self, id: &str) -> Option<&mut Instance> {
         self.instances.get_mut(id)
-    }
-
-    /// Update a single slot of a stored instance, with validation.
-    pub fn update_slot(&mut self, id: &str, slot: &str, value: Value) -> Result<()> {
-        let inst = self
-            .instances
-            .get(id)
-            .ok_or_else(|| OntologyError::UnknownInstance(id.to_owned()))?;
-        let mut updated = inst.clone();
-        updated.set(slot, value);
-        self.validate_instance(&updated)?;
-        self.instances.insert(id.to_owned(), updated);
-        Ok(())
     }
 
     /// Remove an instance, returning it.
@@ -560,7 +469,9 @@ mod tests {
                 .with_slot(SlotDef::required("Speed", ValueType::Float)),
         )
         .unwrap();
-        let slot = kb.resolve_slot("Derived", "Speed").unwrap();
+        let slots = kb.effective_slots("Derived").unwrap();
+        assert_eq!(slots.len(), 1, "the override replaces, not appends");
+        let slot = slots[0];
         assert!(slot.facets.required);
         assert_eq!(slot.facets.value_type, ValueType::Float);
     }
@@ -623,32 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn update_slot_validates() {
-        let mut kb = kb_with_data_class();
-        kb.add_instance(Instance::new("D1", "Data").with("Name", Value::str("x")))
-            .unwrap();
-        kb.update_slot("D1", "Size", Value::Int(10)).unwrap();
-        assert_eq!(kb.instance("D1").unwrap().get_int("Size"), Some(10));
-        assert!(kb.update_slot("D1", "Size", Value::Int(-1)).is_err());
-        // Failed update must not corrupt the stored instance.
-        assert_eq!(kb.instance("D1").unwrap().get_int("Size"), Some(10));
-    }
-
-    #[test]
-    fn remove_class_guards() {
-        let mut kb = KnowledgeBase::new("t");
-        kb.add_class(ClassDef::new("A")).unwrap();
-        kb.add_class(ClassDef::new("B").with_parent("A")).unwrap();
-        assert_eq!(
-            kb.remove_class("A").unwrap_err(),
-            OntologyError::ClassInUse("A".into())
-        );
-        kb.remove_class("B").unwrap();
-        kb.remove_class("A").unwrap();
-        assert_eq!(kb.class_count(), 0);
-    }
-
-    #[test]
     fn shell_strips_instances() {
         let mut kb = kb_with_data_class();
         kb.add_instance(Instance::new("D1", "Data").with("Name", Value::str("x")))
@@ -696,19 +581,6 @@ mod tests {
         let json = kb.to_json().unwrap();
         let back = KnowledgeBase::from_json(&json).unwrap();
         assert_eq!(kb, back);
-    }
-
-    #[test]
-    fn replace_class_rejects_cycles() {
-        let mut kb = KnowledgeBase::new("t");
-        kb.add_class(ClassDef::new("A")).unwrap();
-        kb.add_class(ClassDef::new("B").with_parent("A")).unwrap();
-        let err = kb
-            .replace_class(ClassDef::new("A").with_parent("B"))
-            .unwrap_err();
-        assert_eq!(err, OntologyError::InheritanceCycle("A".into()));
-        // Rollback: A still has no parent.
-        assert!(kb.class("A").unwrap().parent.is_none());
     }
 
     #[test]

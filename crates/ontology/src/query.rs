@@ -100,22 +100,6 @@ impl Query {
         Query::Cond(cond)
     }
 
-    /// Convenience: conjunction of predicates.
-    pub fn all_of<I>(conds: I) -> Self
-    where
-        I: IntoIterator<Item = SlotCond>,
-    {
-        Query::And(conds.into_iter().map(Query::Cond).collect())
-    }
-
-    /// Convenience: disjunction of predicates.
-    pub fn any_of<I>(conds: I) -> Self
-    where
-        I: IntoIterator<Item = SlotCond>,
-    {
-        Query::Or(conds.into_iter().map(Query::Cond).collect())
-    }
-
     /// Evaluate the query on one instance.
     pub fn matches(&self, instance: &Instance) -> bool {
         match self {
@@ -259,20 +243,5 @@ mod tests {
         let kb = sample_kb();
         assert_eq!(Query::And(vec![]).run(&kb, None).len(), 3);
         assert_eq!(Query::Or(vec![]).run(&kb, None).len(), 0);
-    }
-
-    #[test]
-    fn helpers_all_of_any_of() {
-        let kb = sample_kb();
-        let q = Query::all_of([
-            SlotCond::Exists("Domain".into()),
-            SlotCond::Gt("Speed".into(), Value::Float(3.0)),
-        ]);
-        assert_eq!(q.run(&kb, None).len(), 1);
-        let q = Query::any_of([
-            SlotCond::Eq("Name".into(), Value::str("gamma")),
-            SlotCond::Eq("Name".into(), Value::str("beta")),
-        ]);
-        assert_eq!(q.run(&kb, None).len(), 2);
     }
 }

@@ -47,11 +47,6 @@ impl PlanNode {
         PlanNode::Selective(children.into_iter().map(|c| (Condition::True, c)).collect())
     }
 
-    /// Is this a controller (internal) node?
-    pub fn is_controller(&self) -> bool {
-        !matches!(self, PlanNode::Terminal(_))
-    }
-
     /// The number of nodes in the tree — the paper's plan-tree *size*
     /// (terminal and controller nodes both count; `S_max` bounds this).
     pub fn size(&self) -> usize {

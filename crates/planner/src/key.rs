@@ -98,11 +98,6 @@ impl PlanKey {
         PlanKey(hasher.finish())
     }
 
-    /// The key as a raw 128-bit value.
-    pub fn as_u128(&self) -> u128 {
-        self.0
-    }
-
     /// Lowercase 32-hex-digit rendering (the form used in trace events).
     pub fn hex(&self) -> String {
         format!("{:032x}", self.0)

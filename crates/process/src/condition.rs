@@ -280,11 +280,6 @@ impl AnyClassifiedGoal {
                     .is_some_and(|actual| actual.loose_eq(&self.value))
         })
     }
-
-    /// Number of data-item ids the compiled goal watches.
-    pub fn watched_ids(&self) -> usize {
-        self.ids.len()
-    }
 }
 
 impl fmt::Display for Condition {

@@ -54,12 +54,6 @@ pub fn concurrent<I: IntoIterator<Item = Vec<Stmt>>>(branches: I) -> Stmt {
     Stmt::Concurrent(branches.into_iter().collect())
 }
 
-/// A guarded if/else: run `then_branch` when `cond` holds, otherwise
-/// `else_branch`.
-pub fn if_else(cond: Condition, then_branch: Vec<Stmt>, else_branch: Vec<Stmt>) -> Stmt {
-    Stmt::Selective(vec![(cond, then_branch), (Condition::True, else_branch)])
-}
-
 /// A guarded multi-way choice; the final branch is the unguarded default.
 pub fn choose<I: IntoIterator<Item = (Condition, Vec<Stmt>)>>(
     guarded: I,
@@ -77,17 +71,6 @@ pub fn do_while<I: IntoIterator<Item = Stmt>>(cond: Condition, body: I) -> Stmt 
         cond,
         body: body.into_iter().collect(),
     }
-}
-
-/// Replicated fan-out: `copies` concurrent executions of the same
-/// service (the two-stream / odd-even reconstruction idiom of §4).
-pub fn replicate(name: impl Into<String>, copies: usize) -> Stmt {
-    let name = name.into();
-    Stmt::Concurrent(
-        (0..copies.max(2))
-            .map(|_| vec![activity(name.clone())])
-            .collect(),
-    )
 }
 
 /// Wrap a body as a full process description.
@@ -119,41 +102,6 @@ mod tests {
         let g = validates(&ast);
         assert_eq!(g.end_user_activities().count(), 5);
         assert_eq!(ast.depth(), 2);
-    }
-
-    #[test]
-    fn replicate_builds_n_concurrent_copies() {
-        let ast = process([replicate("P3DR", 3)]);
-        let g = validates(&ast);
-        assert_eq!(g.end_user_activities().count(), 3);
-        // All three share the service name.
-        assert!(g
-            .end_user_activities()
-            .all(|a| a.service.as_deref() == Some("P3DR")));
-        // Degenerate copy counts clamp to 2 (a 1-branch Fork is invalid).
-        let ast = process([replicate("X", 0)]);
-        validates(&ast);
-    }
-
-    #[test]
-    fn if_else_takes_the_right_branch() {
-        let cond = Condition::compare("D", "Size", CompareOp::Gt, 100i64);
-        let ast = process([if_else(
-            cond,
-            vec![activity("big-path")],
-            vec![activity("small-path")],
-        )]);
-        let g = validates(&ast);
-        let mut state = DataState::new();
-        state.insert("D", DataItem::new().with("Size", Value::Int(500)));
-        let mut m = AtnMachine::new(&g).unwrap();
-        m.start(&state).unwrap();
-        assert_eq!(m.ready(), &["big-path".to_owned()]);
-
-        state.set_property("D", "Size", Value::Int(5));
-        let mut m = AtnMachine::new(&g).unwrap();
-        m.start(&state).unwrap();
-        assert_eq!(m.ready(), &["small-path".to_owned()]);
     }
 
     #[test]
@@ -202,9 +150,11 @@ mod tests {
             Condition::Exists("retry".into()).negate(),
             sequence([
                 activity("fetch"),
-                if_else(
-                    Condition::classified("D", "fresh"),
-                    vec![fan_out(["parse", "validate"])],
+                choose(
+                    [(
+                        Condition::classified("D", "fresh"),
+                        vec![fan_out(["parse", "validate"])],
+                    )],
                     vec![activity("refresh")],
                 ),
             ]),

@@ -26,17 +26,6 @@ pub struct PerformanceStats {
 }
 
 impl PerformanceStats {
-    /// Observed success ratio (1.0 with no observations — optimistic
-    /// prior).
-    pub fn success_ratio(&self) -> f64 {
-        let total = self.successes + self.failures;
-        if total == 0 {
-            1.0
-        } else {
-            self.successes as f64 / total as f64
-        }
-    }
-
     fn record(&mut self, r: &ExecutionRecord) {
         if r.success {
             // Incremental mean over successes only.
@@ -58,8 +47,6 @@ pub struct BrokerageService {
     classes: BTreeMap<String, Vec<String>>,
     /// Past performance, keyed by (service, container).
     performance: BTreeMap<(String, String), PerformanceStats>,
-    /// Virtual time of the last refresh.
-    snapshot_at_s: f64,
     history_cursor: usize,
 }
 
@@ -85,7 +72,6 @@ impl BrokerageService {
                 .or_default()
                 .push(r.id.clone());
         }
-        self.snapshot_at_s = world.clock_s;
         self.ingest_history(world);
     }
 
@@ -139,11 +125,6 @@ impl BrokerageService {
         } else {
             Some(stats.iter().map(|p| p.mean_duration_s).sum::<f64>() / stats.len() as f64)
         }
-    }
-
-    /// Virtual time of the last snapshot.
-    pub fn snapshot_age_s(&self, world: &GridWorld) -> f64 {
-        world.clock_s - self.snapshot_at_s
     }
 }
 
@@ -199,13 +180,12 @@ mod tests {
         assert_eq!(stats.successes, 2);
         assert_eq!(stats.failures, 0);
         assert!(stats.mean_duration_s > 0.0);
-        assert_eq!(stats.success_ratio(), 1.0);
         assert!(broker.expected_duration("S").is_some());
         assert!(broker.expected_duration("T").is_none());
     }
 
     #[test]
-    fn failures_lower_the_success_ratio() {
+    fn failures_are_counted_apart_from_successes() {
         let mut w = world();
         w.failure = gridflow_grid::failure::FailureModel::new(1, 1.0);
         w.failures_are_persistent = false;
@@ -218,7 +198,6 @@ mod tests {
         let stats = broker.performance("S", &c);
         assert_eq!(stats.failures, 1);
         assert_eq!(stats.successes, 1);
-        assert!((stats.success_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -239,16 +218,5 @@ mod tests {
         broker.refresh(&w);
         let total: usize = broker.equivalence_classes().values().map(Vec::len).sum();
         assert_eq!(total, w.topology.resources.len());
-    }
-
-    #[test]
-    fn snapshot_age_tracks_clock() {
-        let mut w = world();
-        let mut broker = BrokerageService::new();
-        broker.refresh(&w);
-        assert_eq!(broker.snapshot_age_s(&w), 0.0);
-        let c = w.executable_containers("S")[0].clone();
-        w.execute_service("S", &c).unwrap();
-        assert!(broker.snapshot_age_s(&w) > 0.0);
     }
 }

@@ -712,12 +712,8 @@ impl CaseFiber {
         self.planning.set_plan_cache(cache);
     }
 
-    /// Has the enactment reached a terminal state?
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// The report so far (final once [`CaseFiber::is_done`]).
+    /// The report so far (final once a step returned
+    /// [`FiberStatus::Finished`]).
     pub fn report(&self) -> &EnactmentReport {
         &self.report
     }
@@ -1463,7 +1459,7 @@ mod tests {
         );
         fa.step(&mut wa);
         fa.step(&mut wa);
-        assert!(!fa.is_done());
+        assert!(!fa.done);
 
         // Capture both halves of the state (fiber + world), serialize
         // the fiber image, and restore into a fresh world rebuilt from
@@ -1495,18 +1491,18 @@ mod tests {
         // trace suffixes agree exactly.
         let suffix_from = log_a.len() as u64;
         for _ in 0..64 {
-            if fa.is_done() {
+            if fa.done {
                 break;
             }
             fa.step(&mut wa);
         }
         for _ in 0..64 {
-            if fb.is_done() {
+            if fb.done {
                 break;
             }
             fb.step(&mut wb);
         }
-        assert!(fa.is_done() && fb.is_done());
+        assert!(fa.done && fb.done);
         assert_eq!(fa.report(), fb.report());
         assert!(fa.report().success);
         assert_eq!(log_a.records_from(suffix_from), log_b.records());
@@ -1561,11 +1557,11 @@ mod tests {
             }
             statuses.push(loser.step(&mut w));
             w.drain_reservations();
-            if winner.is_done() && loser.is_done() {
+            if winner.done && loser.done {
                 break;
             }
         }
-        assert!(winner.is_done() && loser.is_done());
+        assert!(winner.done && loser.done);
         (
             log.to_jsonl(),
             [winner.into_report(), loser.into_report()],

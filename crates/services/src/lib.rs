@@ -27,7 +27,6 @@ pub mod auth;
 pub mod brokerage;
 pub mod coordination;
 pub mod error;
-pub mod hierarchy;
 pub mod information;
 pub mod matchmaking;
 pub mod monitoring;
@@ -38,7 +37,6 @@ pub mod scheduling;
 pub mod simulation;
 pub mod storage;
 pub mod tracker;
-pub mod wake;
 pub mod world;
 
 pub use coordination::{
@@ -51,7 +49,6 @@ pub use plan_cache::{
     InProcPlanCache, PlanCache, PlanCacheHandle, PlanCacheStats, PlanFetchOutcome,
 };
 pub use planning::{PlanRequest, PlanResponse, PlanningService};
-pub use wake::{ServiceState, WakeCoordinator, WakeOutcome};
 pub use world::{
     ContainerImage, ExecutionRecord, GridWorld, OutputSpec, ServiceOffering, SharedWorld,
     WorldImage,

@@ -60,18 +60,6 @@ impl OntologyService {
     pub fn names(&self) -> Vec<&str> {
         self.ontologies.keys().map(String::as_str).collect()
     }
-
-    /// Validate every instance of every published ontology; returns
-    /// `(ontology name, error)` pairs.
-    pub fn audit(&self) -> Vec<(String, gridflow_ontology::OntologyError)> {
-        let mut out = Vec::new();
-        for (name, kb) in &self.ontologies {
-            for err in kb.validate_all() {
-                out.push((name.clone(), err));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -119,19 +107,5 @@ mod tests {
         assert_eq!(svc.get("grid-core").unwrap().instance_count(), 1);
         // Second merge collides.
         assert!(svc.merge_into("grid-core", &user).is_err());
-    }
-
-    #[test]
-    fn audit_reports_corruption() {
-        let mut svc = OntologyService::with_grid_core();
-        let mut kb = svc.get_shell("grid-core").unwrap();
-        kb.name = "user".into();
-        kb.add_instance(Instance::new("D1", "Data").with("Name", Value::str("x")))
-            .unwrap();
-        kb.instance_mut("D1").unwrap().set("Size", Value::Int(-4));
-        svc.publish(kb);
-        let problems = svc.audit();
-        assert_eq!(problems.len(), 1);
-        assert_eq!(problems[0].0, "user");
     }
 }

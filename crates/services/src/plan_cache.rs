@@ -11,12 +11,11 @@
 //!
 //! * a [`PlanCache`] store (in-proc reference impl:
 //!   [`InProcPlanCache`]) holding completed plans by content address;
-//! * a **single-flight latch** on [`PlanCacheHandle`], reusing the
-//!   `WakeCoordinator` bounded-latch pattern: the first caller to miss
-//!   on a key becomes the *leader* and runs GP outside the lock; later
-//!   same-key callers subscribe to a `bounded(1)` broadcast channel and
-//!   block until the leader publishes, so N concurrent cold requests
-//!   run GP exactly once.
+//! * a **single-flight latch** on [`PlanCacheHandle`]: the first caller
+//!   to miss on a key becomes the *leader* and runs GP outside the
+//!   lock; later same-key callers subscribe to a `bounded(1)` broadcast
+//!   channel and block until the leader publishes, so N concurrent cold
+//!   requests run GP exactly once.
 //!
 //! The handle itself is cheap to clone and is shared fleet-wide: every
 //! `CaseFiber` holding a clone sees every other case's plans.
@@ -127,6 +126,10 @@ pub struct PlanCacheHandle {
     store: Arc<dyn PlanCache>,
     flights: Arc<Mutex<BTreeMap<PlanKey, Flight>>>,
     counters: Arc<Counters>,
+    /// Always [`Self::DEFAULT_WAIT`].  Still a field because the handle
+    /// sits in every `CaseFiber`: its size is part of the fleet's
+    /// allocation pattern, which the frozen benchmark's `peak_rss_mb`
+    /// bounds (ROADMAP item 7).
     wait: Duration,
 }
 
@@ -171,12 +174,6 @@ impl PlanCacheHandle {
         Self::new(Arc::new(InProcPlanCache::default()))
     }
 
-    /// Override the coalescing wait (tests shorten it).
-    pub fn with_wait(mut self, wait: Duration) -> Self {
-        self.wait = wait;
-        self
-    }
-
     /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.store.len()
@@ -194,17 +191,6 @@ impl PlanCacheHandle {
             misses: self.counters.misses.load(Ordering::Relaxed),
             coalesced: self.counters.coalesced.load(Ordering::Relaxed),
         }
-    }
-
-    /// How many callers are currently parked on the in-flight run for
-    /// `key` (0 when no flight is open) — observability for coalescing
-    /// proofs.
-    pub fn inflight_waiters(&self, key: &PlanKey) -> usize {
-        self.flights
-            .lock()
-            .get(key)
-            .map(|f| f.waiters.len())
-            .unwrap_or(0)
     }
 
     /// Total callers currently parked across every open flight —
@@ -389,7 +375,7 @@ mod tests {
                 .collect();
             // Wait until every follower is parked on the flight, then
             // let the leader finish.
-            while handle.inflight_waiters(&k) < followers {
+            while handle.parked_waiters() < followers {
                 std::thread::yield_now();
             }
             release_tx.send(()).unwrap();

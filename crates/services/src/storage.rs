@@ -56,14 +56,6 @@ impl StorageService {
             .ok_or_else(|| ServiceError::NotFound(format!("{key}@v{version}")))
     }
 
-    /// Delete all versions of `key`, returning how many were removed.
-    pub fn delete(&mut self, key: &str) -> Result<usize> {
-        self.entries
-            .remove(key)
-            .map(|v| v.len())
-            .ok_or_else(|| ServiceError::NotFound(key.to_owned()))
-    }
-
     /// All keys, in order.
     pub fn keys(&self) -> Vec<&str> {
         self.entries.keys().map(String::as_str).collect()
@@ -119,16 +111,6 @@ mod tests {
         let mut s = StorageService::new();
         s.put("x", json!(1));
         assert!(s.get_version("x", 2).is_err());
-    }
-
-    #[test]
-    fn delete_removes_all_versions() {
-        let mut s = StorageService::new();
-        s.put("k", json!(1));
-        s.put("k", json!(2));
-        assert_eq!(s.delete("k").unwrap(), 2);
-        assert!(s.get("k").is_err());
-        assert!(s.delete("k").is_err());
     }
 
     #[test]

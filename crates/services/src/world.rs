@@ -549,22 +549,6 @@ impl GridWorld {
             activities: self.offerings.values().map(|o| o.activity_spec()).collect(),
         }
     }
-
-    /// Average historical duration of `service` executions (successful
-    /// only), if any history exists.
-    pub fn mean_service_duration(&self, service: &str) -> Option<f64> {
-        let durations: Vec<f64> = self
-            .history
-            .iter()
-            .filter(|r| r.service == service && r.success)
-            .map(|r| r.duration_s)
-            .collect();
-        if durations.is_empty() {
-            None
-        } else {
-            Some(durations.iter().sum::<f64>() / durations.len() as f64)
-        }
-    }
 }
 
 /// One container's mutable status inside a [`WorldImage`].
@@ -708,8 +692,6 @@ mod tests {
         assert!(record.duration_s > 0.0);
         assert_eq!(w.history.len(), 1);
         assert!((w.clock_s - record.duration_s).abs() < 1e-12);
-        assert_eq!(w.mean_service_duration("POD"), Some(record.duration_s));
-        assert_eq!(w.mean_service_duration("P3DR"), None);
     }
 
     #[test]

@@ -103,14 +103,6 @@ pub fn encode_snapshot(snap: &SnapshotRecord) -> Vec<u8> {
     frame(body)
 }
 
-/// Encode any [`LogRecord`] as a framed record.
-pub fn encode_record(record: &LogRecord) -> Vec<u8> {
-    match record {
-        LogRecord::Event(r) => encode_event(r),
-        LogRecord::Snapshot(s) => encode_snapshot(s),
-    }
-}
-
 /// The result of decoding one record at an offset.
 #[derive(Debug)]
 pub enum Decoded {

@@ -522,24 +522,6 @@ pub enum TraceEvent {
         /// The other side.
         b: String,
     },
-
-    // ------------------------------------------ service wake substrate
-    /// A cold service was woken on demand.  Concurrent requests during
-    /// the wake coalesce: exactly one event fires per cold→running
-    /// transition, carrying how many requesters shared it.
-    ServiceWoken {
-        /// The woken service (container or agent name).
-        service: String,
-        /// Requesters that coalesced onto this single wake (≥ 1).
-        waiters: usize,
-    },
-    /// An idle service was put back to sleep by the idle-timeout reaper.
-    ServiceSlept {
-        /// The slept service.
-        service: String,
-        /// Ticks it sat idle before the reaper fired.
-        idle_ticks: u64,
-    },
 }
 
 impl TraceEvent {
@@ -641,8 +623,6 @@ impl TraceEvent {
             TraceEvent::MessageReordered { .. } => "message.reordered",
             TraceEvent::PartitionStarted { .. } => "transport.partitioned",
             TraceEvent::PartitionHealed { .. } => "transport.healed",
-            TraceEvent::ServiceWoken { .. } => "wake.woken",
-            TraceEvent::ServiceSlept { .. } => "wake.slept",
         }
     }
 

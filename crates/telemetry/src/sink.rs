@@ -269,13 +269,6 @@ impl TraceHandle {
         self.sink.is_some()
     }
 
-    /// The installed sink, if any — what a fan-out layer (e.g. a
-    /// [`TeeSink`]) needs to wrap an existing handle without losing its
-    /// destination.
-    pub fn sink(&self) -> Option<Arc<dyn TraceSink>> {
-        self.sink.clone()
-    }
-
     /// Emit `event` from `source` if a sink is installed.
     pub fn emit(&self, source: &str, event: TraceEvent) {
         if let Some(sink) = &self.sink {
@@ -362,44 +355,6 @@ impl TraceSink for ScopedSink {
     }
 }
 
-/// A sink that fans every emission out to several inner sinks, in
-/// order.  The transport-selection layer uses it to mirror a run's
-/// trace stream onto a remote delivery backend without disturbing the
-/// primary log — the primary sink is listed first, so its sequence
-/// numbers are identical to an un-teed run.
-pub struct TeeSink {
-    sinks: Vec<Arc<dyn TraceSink>>,
-}
-
-impl TeeSink {
-    /// Fan emissions out to `sinks`, first to last.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        TeeSink { sinks }
-    }
-}
-
-impl std::fmt::Debug for TeeSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn emit(&self, source: &str, event: TraceEvent) {
-        for sink in &self.sinks {
-            sink.emit(source, event.clone());
-        }
-    }
-
-    fn advance_s(&self, dt: f64) {
-        for sink in &self.sinks {
-            sink.advance_s(dt);
-        }
-    }
-}
-
 /// A shared, swappable sink slot: install or clear a sink *after*
 /// construction, with the installation visible to every clone (the
 /// directory's transport-slot pattern applied to tracing).
@@ -417,11 +372,6 @@ impl TraceSlot {
     /// Install a sink, replacing any previous one.
     pub fn set(&self, sink: Arc<dyn TraceSink>) {
         *self.inner.write() = Some(sink);
-    }
-
-    /// Remove the installed sink (emission becomes a no-op).
-    pub fn clear(&self) {
-        *self.inner.write() = None;
     }
 
     /// The currently installed sink, if any.
