@@ -6,22 +6,30 @@
 //! This one can: it pins the record count and FNV-1a of the merged
 //! JSONL of the engine's scenario shapes — flaky, clean, contended,
 //! partitioned, node loss, recovery ladder, refusal, chaos, virus,
-//! generated, plan churn, kill→recover — to values computed by an
-//! earlier commit.  A change that claims "same behaviour" must leave
-//! the table alone; a change that moves bytes on purpose regenerates
-//! the affected rows with
+//! generated, plan churn, kill→recover — and of the single-case
+//! [`Scenario`] path (scripted coordinator crash and resume, replan
+//! churn, recovery ladder) to values computed by an earlier commit.  A
+//! change that claims "same behaviour" must leave the tables alone; a
+//! change that moves bytes on purpose regenerates the affected rows with
 //!
 //! ```text
 //! cargo test -p gridflow-harness --test trace_golden -- --ignored --nocapture print_goldens
 //! ```
 //!
-//! and says in CHANGES.md which rows moved and why.
+//! and says in CHANGES.md which rows moved and why.  To show *what*
+//! moved, dump every pinned trace and the snapshot payload on both
+//! commits and `diff -r` the two directories:
+//!
+//! ```text
+//! cargo test -p gridflow-harness --test trace_golden -- --ignored dump_goldens
+//! ls target/tmp/trace_golden/        # <row>.jsonl, kill-recover.snapshot.json
+//! ```
 
 use gridflow_harness::workload::{
     cook_loss_churn_plan, dinner_recovery_workload, dinner_replan_workload, dinner_workload,
     virus_reconstruction_workload, GraphShape, Workload, WorkloadGen,
 };
-use gridflow_harness::{FaultPlan, MultiCaseScenario};
+use gridflow_harness::{FaultPlan, MultiCaseScenario, Scenario, ScenarioOutcome};
 use gridflow_services::PlanCacheHandle;
 use gridflow_store::{fnv1a64, merged_jsonl, MemStore, Store};
 use std::sync::{Arc, Mutex};
@@ -95,6 +103,28 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 /// scenario recovers from: the latest one the crashed run left in the
 /// store, with fibers still live and their blueprints interned.
 const GOLDEN_SNAPSHOT: (usize, u64) = (26852, 0xa15dc13c3b606261);
+
+/// `(scenario, record count, fnv1a64(JSONL))` of the single-case
+/// [`Scenario`] path, whose only durability is the enactor's cadence
+/// checkpoints.
+const GOLDEN_SINGLE: &[(&str, usize, u64)] = &[
+    ("single-crash-0", 23, 0xbe5e43e5e472b65e),
+    ("single-crash-1", 29, 0x11165cc04fabb307),
+    ("single-crash-2", 25, 0x50a3c0cace4a7503),
+    ("single-crash-3", 23, 0xbe5e43e5e472b65e),
+    ("single-crash-4", 27, 0x4f1965f5038022dd),
+    ("single-crash-5", 25, 0x5a527a8afd9a5722),
+    ("single-crash-6", 23, 0xbe5e43e5e472b65e),
+    ("single-crash-7", 23, 0xbe5e43e5e472b65e),
+    ("single-churn", 14, 0x90ba252ca53a379b),
+    ("single-churn-crash", 56, 0xb9812d718f8ea5ab),
+    ("single-recovery-ladder", 21, 0x9495d6fa7948a9d4),
+];
+
+/// FNV-1a of `serde_json::to_string(&outcome.last_checkpoint)` for
+/// `single-crash-0`: the resumable checkpoint a crashed and resumed run
+/// ends with, byte for byte.
+const GOLDEN_LAST_CHECKPOINT: u64 = 0xb71708199d3b4ba0;
 
 fn jsonl(plan: &FaultPlan, wl: &Workload, cases: usize, in_flight: usize) -> String {
     MultiCaseScenario::new(plan, wl, cases)
@@ -256,12 +286,57 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
     (out, snapshot)
 }
 
-#[test]
-fn traces_match_the_pinned_goldens() {
-    let (traces, snapshot) = traces();
-    assert_eq!(traces.len(), GOLDEN.len(), "scenario list and table differ");
-    let mut moved = Vec::new();
-    for ((name, jsonl), &(golden_name, records, hash)) in traces.iter().zip(GOLDEN) {
+/// Every pinned single-case scenario, in table order: the dinner under
+/// a scripted coordinator crash after checkpoint 1 (eight flaky seeds),
+/// the replan churn (uninterrupted, and crashed into a replanning
+/// resume) and the recovery ladder.
+fn single_case_outcomes() -> Vec<(String, ScenarioOutcome)> {
+    let run = |plan: &FaultPlan, wl: &Workload| Scenario::new(plan, wl).budget(4).traced().run();
+    let mut out: Vec<(String, ScenarioOutcome)> = Vec::new();
+    for seed in 0..8u64 {
+        let plan = FaultPlan::seeded(seed)
+            .failing_activities(0.2)
+            .crashing_after(1);
+        out.push((
+            format!("single-crash-{seed}"),
+            run(&plan, &dinner_workload()),
+        ));
+    }
+    // The cook hosts die after execution 1; the single-case runner
+    // stages losses between phases, so only the crashed variant loses
+    // them (on resume) and replans.
+    let replan = dinner_replan_workload(11);
+    out.push((
+        "single-churn".into(),
+        run(&cook_loss_churn_plan(23), &replan),
+    ));
+    out.push((
+        "single-churn-crash".into(),
+        run(&cook_loss_churn_plan(23).crashing_after(0), &replan),
+    ));
+    let ladder = FaultPlan::seeded(2)
+        .failing_activities(0.3)
+        .transient_failures();
+    out.push((
+        "single-recovery-ladder".into(),
+        run(&ladder, &dinner_recovery_workload()),
+    ));
+    out
+}
+
+fn trace_of(outcome: &ScenarioOutcome) -> String {
+    outcome.trace.as_ref().expect("traced").to_jsonl()
+}
+
+fn last_checkpoint_json(outcome: &ScenarioOutcome) -> String {
+    serde_json::to_string(&outcome.last_checkpoint).expect("checkpoints serialize")
+}
+
+/// Compare `(name, jsonl)` rows against a pinned table, listing every
+/// row that moved.
+fn check_rows(rows: &[(String, String)], golden: &[(&str, usize, u64)], moved: &mut Vec<String>) {
+    assert_eq!(rows.len(), golden.len(), "scenario list and table differ");
+    for ((name, jsonl), &(golden_name, records, hash)) in rows.iter().zip(golden) {
         assert_eq!(name, golden_name, "scenario order and table order differ");
         let got = (jsonl.lines().count(), fnv1a64(jsonl.as_bytes()));
         if got != (records, hash) {
@@ -271,6 +346,25 @@ fn traces_match_the_pinned_goldens() {
             ));
         }
     }
+}
+
+fn print_rows(table: &str, rows: &[(String, String)]) {
+    println!("const {table}: &[(&str, usize, u64)] = &[");
+    for (name, jsonl) in rows {
+        println!(
+            "    ({name:?}, {}, {:#018x}),",
+            jsonl.lines().count(),
+            fnv1a64(jsonl.as_bytes())
+        );
+    }
+    println!("];");
+}
+
+#[test]
+fn traces_match_the_pinned_goldens() {
+    let (traces, snapshot) = traces();
+    let mut moved = Vec::new();
+    check_rows(&traces, GOLDEN, &mut moved);
     let got = (snapshot.len(), fnv1a64(&snapshot));
     if got != GOLDEN_SNAPSHOT {
         moved.push(format!(
@@ -286,21 +380,72 @@ fn traces_match_the_pinned_goldens() {
 }
 
 #[test]
-#[ignore = "regenerates the golden table; paste its output over GOLDEN / GOLDEN_SNAPSHOT"]
+fn single_case_traces_match_the_pinned_goldens() {
+    let outcomes = single_case_outcomes();
+    let rows: Vec<(String, String)> = outcomes
+        .iter()
+        .map(|(name, outcome)| (name.clone(), trace_of(outcome)))
+        .collect();
+    let mut moved = Vec::new();
+    check_rows(&rows, GOLDEN_SINGLE, &mut moved);
+    // The pinned checkpoint must come from a run the script really cut.
+    let (name, crashed) = &outcomes[0];
+    assert!(crashed.resumes >= 1, "{name} never crashed");
+    let got = fnv1a64(last_checkpoint_json(crashed).as_bytes());
+    if got != GOLDEN_LAST_CHECKPOINT {
+        moved.push(format!(
+            "{name} last checkpoint: pinned {GOLDEN_LAST_CHECKPOINT:#018x}, got {got:#018x}"
+        ));
+    }
+    assert!(
+        moved.is_empty(),
+        "the single-case trace moved across commits:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+#[ignore = "regenerates the golden tables; paste its output over the GOLDEN* constants"]
 fn print_goldens() {
     let (traces, snapshot) = traces();
-    println!("const GOLDEN: &[(&str, usize, u64)] = &[");
-    for (name, jsonl) in &traces {
-        println!(
-            "    ({name:?}, {}, {:#018x}),",
-            jsonl.lines().count(),
-            fnv1a64(jsonl.as_bytes())
-        );
-    }
-    println!("];");
+    print_rows("GOLDEN", &traces);
     println!(
         "const GOLDEN_SNAPSHOT: (usize, u64) = ({}, {:#018x});",
         snapshot.len(),
         fnv1a64(&snapshot)
     );
+    let outcomes = single_case_outcomes();
+    let rows: Vec<(String, String)> = outcomes
+        .iter()
+        .map(|(name, outcome)| (name.clone(), trace_of(outcome)))
+        .collect();
+    print_rows("GOLDEN_SINGLE", &rows);
+    println!(
+        "const GOLDEN_LAST_CHECKPOINT: u64 = {:#018x};",
+        fnv1a64(last_checkpoint_json(&outcomes[0].1).as_bytes())
+    );
+}
+
+#[test]
+#[ignore = "writes every pinned trace and the snapshot payload under target/tmp/trace_golden"]
+fn dump_goldens() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_golden");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("the dump directory is creatable");
+    let write = |file: String, bytes: &[u8]| {
+        std::fs::write(dir.join(file), bytes).expect("the dump directory is writable")
+    };
+    let (traces, snapshot) = traces();
+    for (name, jsonl) in &traces {
+        write(format!("{name}.jsonl"), jsonl.as_bytes());
+    }
+    write("kill-recover.snapshot.json".into(), &snapshot);
+    for (name, outcome) in &single_case_outcomes() {
+        write(format!("{name}.jsonl"), trace_of(outcome).as_bytes());
+        write(
+            format!("{name}.last_checkpoint.json"),
+            last_checkpoint_json(outcome).as_bytes(),
+        );
+    }
+    println!("dumped to {}", dir.display());
 }
