@@ -4,10 +4,9 @@
 //! through the `gridflow-engine` scheduler over one shared world and
 //! report cases/sec (wall clock) plus the
 //! p50/p99 virtual-tick makespan per case and the fleet's total
-//! blocked ticks.  The 100k tier runs with per-case checkpointing off
-//! (its cost is pure scheduling, not snapshot serialization) and is
-//! sized out of CI via `--max-cases 2048`.  Results land in
-//! `BENCH_enactment.json` in the working directory.
+//! blocked ticks.  The 100k tier is sized out of CI via
+//! `--max-cases 2048`.  Results land in `BENCH_enactment.json` in the
+//! working directory.
 //!
 //! A second sweep drives the **workload × policy matrix**: the dinner
 //! fixture, two generated taxonomy shapes (wide fan-out, choice-dense),
@@ -50,11 +49,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const FLEET_SIZES: [usize; 6] = [1, 8, 64, 512, 2048, 100_000];
-/// Above this fleet size the throughput sweep turns per-case
-/// checkpointing off: the 100k tier measures pure scheduling, and at
-/// one snapshot per productive step it would mostly measure
-/// serialization.
-const CHECKPOINT_OFF_ABOVE: usize = 2048;
 /// The regression gate's reference point and tolerance.
 const GUARD_CASES: u64 = 512;
 const GUARD_FLOOR: f64 = 0.8;
@@ -126,16 +120,12 @@ fn measure_cell(wl: &Workload, plan: &FaultPlan, fleet: usize) -> (EngineOutcome
     // The shared world's fresh-id counter is fleet-global, so the goal
     // range must be sized to the fleet.
     let case = Arc::new(dinner_case_for_fleet(fleet));
-    let mut config = wl.config.clone();
-    if fleet > CHECKPOINT_OFF_ABOVE {
-        config.checkpoint_every = None;
-    }
     for i in 0..fleet {
         scheduler.submit(CaseSpec {
             label: format!("dinner-{i}"),
             graph: wl.graph.clone(),
             case: case.clone(),
-            config: config.clone(),
+            config: wl.config.clone(),
             hints: Default::default(),
         });
     }

@@ -337,9 +337,11 @@ impl CaseScheduler {
     /// Loads the latest valid snapshot (schema- and hash-checked — a
     /// future-version snapshot is refused with
     /// [`StoreError::UnsupportedSchema`], mirroring
-    /// `EnactmentCheckpoint::validate`), restores the world image onto
-    /// `world`, rebuilds every live fiber and the admission policy's
-    /// history, and re-enters the tick loop at the snapshot's tick.
+    /// `EnactmentCheckpoint::validate`, and one this build could not
+    /// re-execute faithfully with [`StoreError::Corrupt`]), restores the
+    /// world image onto `world`, rebuilds every live fiber and the
+    /// admission policy's history, and re-enters the tick loop at the
+    /// snapshot's tick.
     /// With no snapshot in the log the run restarts from the submitted
     /// specs (replay-only recovery).  Either way the suffix is
     /// *re-executed*, not skipped: the store byte-verifies every

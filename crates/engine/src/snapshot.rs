@@ -143,16 +143,21 @@ pub struct AdmissionRecord {
 
 /// Engine-snapshot schema version written by this build.
 ///
-/// Version 3 is the state of the one tick loop.  Older payloads keep
-/// restoring: version 1 carries no `version` key (it defaults to `1`),
-/// and versions 1–2 also recorded which scheduler core wrote them
-/// (`core`) and that core's scheduling hints (`freed`,
-/// `last_generation`, a `blockers` list on parked live slots).  The
-/// hints are ignored — a blocked fiber's [`FiberSlim::pending`] is the
-/// state they summarised — but a `core` other than `"Event"` names a
-/// loop this build does not have and is refused, as is any payload
-/// from a *newer* schema than this build understands.
-pub const ENGINE_SNAPSHOT_VERSION: u32 = 3;
+/// Version 4 is the state of the one tick loop, with no checkpoint
+/// cadence in it.  Older payloads keep restoring: version 1 carries no
+/// `version` key (it defaults to `1`), versions 1–2 also recorded which
+/// scheduler core wrote them (`core`) and that core's scheduling hints
+/// (`freed`, `last_generation`, a `blockers` list on parked live
+/// slots), and versions 1–3 each fiber's checkpoint cadence
+/// (`since_checkpoint`, `prime_flow_base`, `checkpoint_every` in its
+/// config).  All of those are ignored — a blocked fiber's
+/// [`FiberSlim::pending`] is the state the hints summarised, and the
+/// engine checkpoints no case — but three payloads are refused: a
+/// `core` other than `"Event"` names a loop this build does not have;
+/// pre-4 reports holding captured checkpoints mean the journal has
+/// `checkpoint.captured` records this build would not regenerate; and
+/// a *newer* schema than this build's cannot be understood.
+pub const ENGINE_SNAPSHOT_VERSION: u32 = 4;
 
 /// The scheduler's complete loop state at a tick boundary.
 #[derive(Debug, Clone)]
@@ -177,9 +182,8 @@ pub struct EngineSnapshot {
 }
 
 // Hand-written serde: version 1 payloads predate the `version` key, so
-// deserialization must default it instead of erroring, must refuse
-// payloads newer than this build's schema, and must refuse a `core`
-// key naming anything but the loop that is left.
+// deserialization must default it instead of erroring, and must make
+// the three refusals `ENGINE_SNAPSHOT_VERSION` documents.
 impl Serialize for EngineSnapshot {
     fn to_json_value(&self) -> serde::Value {
         let mut m = serde::Map::new();
@@ -218,7 +222,7 @@ impl Deserialize for EngineSnapshot {
                 "field `core`: {core} names a scheduler core this build does not have"
             )));
         }
-        Ok(EngineSnapshot {
+        let image = EngineSnapshot {
             version,
             next_tick: serde::__field(obj, "next_tick", "EngineSnapshot")?,
             blueprints: serde::__field(obj, "blueprints", "EngineSnapshot")?,
@@ -227,7 +231,16 @@ impl Deserialize for EngineSnapshot {
             finished: serde::__field(obj, "finished", "EngineSnapshot")?,
             admissions: serde::__field(obj, "admissions", "EngineSnapshot")?,
             world: serde::__field(obj, "world", "EngineSnapshot")?,
-        })
+        };
+        let live = image.live.iter().map(|slot| &slot.fiber.report);
+        let finished = image.finished.iter().map(|f| &f.outcome.report);
+        if version < 4 && live.chain(finished).any(|r| !r.checkpoints.is_empty()) {
+            return Err(serde::Error::custom(format!(
+                "engine snapshot version {version} holds per-case checkpoints: its journal \
+                 has `checkpoint.captured` records this build cannot regenerate"
+            )));
+        }
+        Ok(image)
     }
 }
 
@@ -266,10 +279,8 @@ impl EngineSnapshot {
         out.into_bytes()
     }
 
-    /// Deserialize a snapshot record's payload.  Older payloads
-    /// restore (see [`ENGINE_SNAPSHOT_VERSION`]); payloads newer than
-    /// this build's schema, or written by a scheduler core this build
-    /// does not have, are refused.
+    /// Deserialize a snapshot record's payload.  Older payloads restore
+    /// and three kinds are refused; see [`ENGINE_SNAPSHOT_VERSION`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         serde_json::from_str(text).map_err(|e| e.to_string())
@@ -281,7 +292,7 @@ mod tests {
     use super::*;
     use crate::scheduler::{CaseScheduler, EngineConfig, EngineOutcome, StoreBinding};
     use gridflow_process::{lower::lower, parser::parse_process, Condition, DataItem};
-    use gridflow_services::{GridWorld, OutputSpec, ServiceOffering};
+    use gridflow_services::{Enactor, GridWorld, OutputSpec, ServiceOffering};
     use gridflow_store::{MemStore, SnapshotRecord, Store, StoreError, StoreResult};
     use gridflow_telemetry::{FrozenClock, TraceLog};
     use std::sync::Mutex;
@@ -320,6 +331,18 @@ mod tests {
         w
     }
 
+    /// The two-step workflow and its case.
+    fn meal() -> (ProcessGraph, Arc<CaseDescription>) {
+        let graph = lower("meal", &parse_process("BEGIN prep; cook; END").unwrap()).unwrap();
+        let goal = (102..=108)
+            .map(|i| Condition::classified(format!("D{i}"), "Cooked"))
+            .fold(Condition::classified("D101", "Cooked"), Condition::or);
+        let case = CaseDescription::new("meal")
+            .with_data("D1", DataItem::classified("Raw"))
+            .with_goal("G1", goal);
+        (graph, Arc::new(case))
+    }
+
     /// A scheduler over a fleet of `cases` admitted one at a time, bound
     /// to `store` and journalling into `journal`.
     fn scheduler(
@@ -339,15 +362,7 @@ mod tests {
             ..EngineConfig::default()
         })
         .trace(Arc::new(journal));
-        let graph = lower("meal", &parse_process("BEGIN prep; cook; END").unwrap()).unwrap();
-        let goal = (102..=108)
-            .map(|i| Condition::classified(format!("D{i}"), "Cooked"))
-            .fold(Condition::classified("D101", "Cooked"), Condition::or);
-        let case = Arc::new(
-            CaseDescription::new("meal")
-                .with_data("D1", DataItem::classified("Raw"))
-                .with_goal("G1", goal),
-        );
+        let (graph, case) = meal();
         for i in 0..cases {
             scheduler.submit(CaseSpec {
                 label: format!("meal-{i}"),
@@ -399,11 +414,20 @@ mod tests {
     fn event_core_payloads_round_trip_byte_for_byte() {
         let record = captured();
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
-        assert_eq!(image.version, 3);
+        assert_eq!(image.version, 4);
         assert_eq!(image.to_bytes(), record.state);
-        // Nothing a removed scheduler core kept is written any more.
+        // Nothing a removed scheduler core or the per-fiber checkpoint
+        // cadence kept is written any more.
         let text = std::str::from_utf8(&record.state).unwrap();
-        for key in ["core", "freed", "last_generation", "blockers"] {
+        for key in [
+            "core",
+            "freed",
+            "last_generation",
+            "blockers",
+            "since_checkpoint",
+            "prime_flow_base",
+            "checkpoint_every",
+        ] {
             assert!(!text.contains(&format!(r#""{key}":"#)), "{key} written");
         }
     }
@@ -464,18 +488,47 @@ mod tests {
         assert_eq!(empty.to_bytes_with_finished(&[]), empty.to_bytes());
     }
 
-    /// `payload` as a version-2 build wrote it: the `core` that ran, its
-    /// wake hints, and a `blockers` list on the live slot.
-    fn as_v2(payload: &[u8]) -> Vec<u8> {
-        let json = |text: &str| serde_json::from_str::<serde_json::Value>(text).unwrap();
+    fn json(text: &str) -> serde_json::Value {
+        serde_json::from_str(text).unwrap()
+    }
+
+    /// The object under `key`.
+    fn object_at<'a>(obj: &'a mut serde_json::Map, key: &str) -> &'a mut serde_json::Map {
+        obj.get_mut(key).unwrap().as_object_mut().unwrap()
+    }
+
+    /// The live slot of a payload's top-level object.
+    fn live_slot(obj: &mut serde_json::Map) -> &mut serde_json::Map {
+        let slot = &mut obj.get_mut("live").unwrap().as_array_mut().unwrap()[0];
+        slot.as_object_mut().unwrap()
+    }
+
+    /// `payload` as a version-3 build wrote it: the checkpoint cadence
+    /// in the blueprint configs, its counter and the resume flag on the
+    /// live fiber.
+    fn as_v3(payload: &[u8]) -> Vec<u8> {
         edited(payload, |obj| {
+            obj.insert("version".into(), json("3"));
+            for blueprint in obj.get_mut("blueprints").unwrap().as_array_mut().unwrap() {
+                object_at(blueprint.as_object_mut().unwrap(), "config")
+                    .insert("checkpoint_every".into(), json("null"));
+            }
+            let fiber = object_at(live_slot(obj), "fiber");
+            fiber.insert("since_checkpoint".into(), json("0"));
+            fiber.insert("prime_flow_base".into(), json("false"));
+        })
+    }
+
+    /// `payload` as a version-2 build wrote it: the version-3 shape
+    /// plus the `core` that ran, its wake hints, and a `blockers` list
+    /// on the live slot.
+    fn as_v2(payload: &[u8]) -> Vec<u8> {
+        edited(&as_v3(payload), |obj| {
             obj.insert("version".into(), json("2"));
             obj.insert("core".into(), json(r#""Event""#));
             obj.insert("freed".into(), json(r#"["ac-prep"]"#));
             obj.insert("last_generation".into(), json("2"));
-            let slot = &mut obj.get_mut("live").unwrap().as_array_mut().unwrap()[0];
-            let slot = slot.as_object_mut().unwrap();
-            slot.insert("blockers".into(), json(r#"["ac-cook"]"#));
+            live_slot(obj).insert("blockers".into(), json(r#"["ac-cook"]"#));
         })
     }
 
@@ -484,6 +537,22 @@ mod tests {
         let record = captured();
         let baseline = recover_from(&record, record.state.clone()).unwrap();
         assert!(baseline.all_succeeded() && baseline.cases.len() == 2);
+
+        // Version 3: the checkpoint cadence keys are present and
+        // ignored; no checkpoint was captured.
+        let v3 = as_v3(&record.state);
+        let text = std::str::from_utf8(&v3).unwrap();
+        for key in [
+            r#""version":3"#,
+            r#""since_checkpoint":0"#,
+            r#""prime_flow_base":false"#,
+            r#""checkpoint_every":null"#,
+            r#""checkpoints":[]"#,
+        ] {
+            assert!(text.contains(key), "{key} missing from the v3 shape");
+        }
+        assert_eq!(EngineSnapshot::from_bytes(&v3).unwrap().version, 3);
+        assert_eq!(recover_from(&record, v3).unwrap(), baseline);
 
         // Version 2: the removed keys are present and ignored.
         let v2 = as_v2(&record.state);
@@ -511,9 +580,7 @@ mod tests {
         // Version 2 as the sharded core wrote it: a `shard` stamp on
         // each live slot.  Unknown keys are ignored.
         let stamped = edited(&v2, |obj| {
-            let slot = &mut obj.get_mut("live").unwrap().as_array_mut().unwrap()[0];
-            let shard = serde_json::to_value(3u64).unwrap();
-            slot.as_object_mut().unwrap().insert("shard".into(), shard);
+            live_slot(obj).insert("shard".into(), json("3"));
         });
         assert!(std::str::from_utf8(&stamped)
             .unwrap()
@@ -530,15 +597,30 @@ mod tests {
                 obj.insert("core".into(), core);
             })
         };
+        // A version-3 run whose live fiber checkpointed after `prep`:
+        // its journal holds a `checkpoint.captured` this build would
+        // not re-emit, so recovery must refuse before re-executing.
+        let (graph, case) = meal();
+        let single =
+            Enactor::builder()
+                .checkpoint_every(1)
+                .build()
+                .enact(&mut world(), &graph, &case);
+        let after_prep = serde_json::to_value(&single.checkpoints[..1]).unwrap();
+        let checkpointed = edited(&as_v3(&record.state), |obj| {
+            let report = object_at(object_at(live_slot(obj), "fiber"), "report");
+            report.insert("checkpoints".into(), after_prep);
+        });
         let refusals = [
             (with_core(r#"{"Sharded":{"shards":4}}"#), "field `core`"),
             (with_core(r#""Scan""#), "field `core`"),
             (
                 edited(&record.state, |obj| {
-                    obj.insert("version".into(), serde_json::to_value(4u64).unwrap());
+                    obj.insert("version".into(), json("5"));
                 }),
-                "version 4 is newer",
+                "version 5 is newer",
             ),
+            (checkpointed, "version 3 holds per-case checkpoints"),
         ];
         for (payload, names) in refusals {
             let decode = EngineSnapshot::from_bytes(&payload).unwrap_err();

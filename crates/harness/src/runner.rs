@@ -235,10 +235,13 @@ fn run_impl(
     max_resumes: usize,
     trace: TraceHandle,
 ) -> ScenarioOutcome {
-    let enactor = Enactor::builder()
+    let mut builder = Enactor::builder()
         .config(workload.config.clone())
-        .trace_handle(trace.clone())
-        .build();
+        .trace_handle(trace.clone());
+    if let Some(every) = workload.checkpoint_every {
+        builder = builder.checkpoint_every(every);
+    }
+    let enactor = builder.build();
     let mut phase = 0usize;
     let mut world = workload.fresh_world(plan, phase);
     trace.emit("runner", TraceEvent::PhaseStarted { phase });

@@ -230,6 +230,7 @@ impl WorkloadGen {
             graph,
             case,
             config: EnactmentConfig::default(),
+            checkpoint_every: None,
             world_builder,
         }
     }

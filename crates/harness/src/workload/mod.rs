@@ -2,7 +2,8 @@
 //!
 //! A [`Workload`] bundles everything one enactment needs — a world
 //! builder (fresh state per run, so replays start identically), a
-//! process graph, a case description, and an enactment configuration.
+//! process graph, a case description, an enactment configuration, and
+//! the checkpoint cadence of the single-case driver.
 //! Three families live here:
 //!
 //! * the hand-built `dinner` family (this module), mirroring the
@@ -82,6 +83,11 @@ pub struct Workload {
     pub case: CaseDescription,
     /// Enactment configuration.
     pub config: EnactmentConfig,
+    /// The checkpoint cadence [`Scenario`](crate::Scenario) hands its
+    /// `Enactor`, so a scripted coordinator crash has something to
+    /// resume from.  [`MultiCaseScenario`](crate::MultiCaseScenario)
+    /// has none to hand it to: the engine's durability is its store.
+    pub checkpoint_every: Option<usize>,
     /// Builds a fresh world (all containers up, no failure model).
     pub world_builder: WorldBuilder,
 }
@@ -396,10 +402,8 @@ pub fn dinner_workload() -> Workload {
         name: "dinner".into(),
         graph: dinner_graph(),
         case: dinner_case(),
-        config: EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        },
+        config: EnactmentConfig::default(),
+        checkpoint_every: Some(1),
         world_builder: WorldBuilder::new(dinner_world),
     }
 }
@@ -410,7 +414,14 @@ pub fn dinner_workload() -> Workload {
 pub fn dinner_replan_workload(gp_seed: u64) -> Workload {
     let mut w = dinner_workload();
     w.name = "dinner+replan".into();
-    w.config = EnactmentConfig {
+    w.config = replan_config(gp_seed);
+    w
+}
+
+/// Escalate to the GP planner for one `Plated` item when every
+/// candidate of an activity has failed.
+fn replan_config(gp_seed: u64) -> EnactmentConfig {
+    EnactmentConfig {
         replan: true,
         planning_goals: vec![GoalSpec {
             classification: "Plated".into(),
@@ -422,10 +433,8 @@ pub fn dinner_replan_workload(gp_seed: u64) -> Workload {
             seed: gp_seed,
             ..GpConfig::default()
         },
-        checkpoint_every: Some(1),
         ..EnactmentConfig::default()
-    };
-    w
+    }
 }
 
 /// The replanning workload over [`dinner_topology_scaled`]: the scaled
@@ -444,21 +453,7 @@ pub fn dinner_replan_workload_scaled(replicas: usize, fleet: usize, gp_seed: u64
     // three activities, so the goal's id range is sized for double the
     // fleet's nominal consumption.
     w.case = dinner_case_for_fleet(fleet * 2);
-    w.config = EnactmentConfig {
-        replan: true,
-        planning_goals: vec![GoalSpec {
-            classification: "Plated".into(),
-            min_count: 1,
-        }],
-        gp: GpConfig {
-            population_size: 80,
-            generations: 25,
-            seed: gp_seed,
-            ..GpConfig::default()
-        },
-        checkpoint_every: Some(1),
-        ..EnactmentConfig::default()
-    };
+    w.config = replan_config(gp_seed);
     w
 }
 
@@ -511,6 +506,7 @@ mod tests {
         let mut world = wl.fresh_world(&FaultPlan::default(), 0);
         let report = Enactor::builder()
             .config(wl.config.clone())
+            .checkpoint_every(wl.checkpoint_every.expect("the dinner checkpoints"))
             .build()
             .enact(&mut world, &wl.graph, &wl.case);
         assert!(report.success, "abort: {:?}", report.abort_reason);

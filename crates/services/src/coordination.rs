@@ -52,10 +52,6 @@ pub struct EnactmentConfig {
     /// workflow carried (Fig. 10's Cons1 loop).  Ignored when the case
     /// has no constraint of that name.
     pub wrap_replans_with_constraint: Option<String>,
-    /// Capture a resumable [`EnactmentCheckpoint`] after every N
-    /// successful activity executions (§1: long-lasting tasks "require
-    /// checkpointing").  `None` disables checkpointing.
-    pub checkpoint_every: Option<usize>,
     /// The failure policy the enactor escalates through: retry with
     /// backoff → failover to the next candidate → breaker quarantine →
     /// re-plan.  The default is [`RecoveryPolicy::disabled`], which
@@ -78,7 +74,6 @@ impl Default for EnactmentConfig {
             },
             max_loop_iterations: 64,
             wrap_replans_with_constraint: None,
-            checkpoint_every: None,
             recovery: RecoveryPolicy::disabled(),
         }
     }
@@ -200,8 +195,9 @@ pub struct EnactmentReport {
     pub produced: Vec<String>,
     /// Why the enactment aborted, if it did.
     pub abort_reason: Option<String>,
-    /// Checkpoints captured during the run (empty unless
-    /// [`EnactmentConfig::checkpoint_every`] is set).
+    /// Checkpoints the [`Enactor`] captured while driving the run on
+    /// [`EnactorBuilder::checkpoint_every`]'s cadence.  Empty without
+    /// one, and under the engine: its durable store is its checkpoint.
     pub checkpoints: Vec<EnactmentCheckpoint>,
 }
 
@@ -210,6 +206,11 @@ pub struct EnactmentReport {
 pub struct Enactor {
     /// Configuration.
     pub config: EnactmentConfig,
+    /// Capture a resumable [`EnactmentCheckpoint`] after every N
+    /// successful activity executions (§1: long-lasting tasks "require
+    /// checkpointing") — this driver's only durability.  `None`
+    /// disables checkpointing.
+    checkpoint_every: Option<usize>,
     /// Optional trace sink: dispatch/completion/failure, flow-control
     /// transitions, checkpoints, and re-planning as typed events.
     trace: TraceHandle,
@@ -221,6 +222,7 @@ pub struct Enactor {
 #[derive(Debug, Clone, Default)]
 pub struct EnactorBuilder {
     config: EnactmentConfig,
+    checkpoint_every: Option<usize>,
     trace: TraceHandle,
 }
 
@@ -253,9 +255,9 @@ impl EnactorBuilder {
     }
 
     /// Capture a checkpoint after every `every` successful executions
-    /// (shorthand for [`EnactmentConfig::checkpoint_every`]).
+    /// into [`EnactmentReport::checkpoints`].
     pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.config.checkpoint_every = Some(every);
+        self.checkpoint_every = Some(every);
         self
     }
 
@@ -263,6 +265,7 @@ impl EnactorBuilder {
     pub fn build(self) -> Enactor {
         Enactor {
             config: self.config,
+            checkpoint_every: self.checkpoint_every,
             trace: self.trace,
         }
     }
@@ -295,20 +298,40 @@ impl Enactor {
         self.drive(world, fiber)
     }
 
-    /// Step `fiber` until it finishes.  Single-case driving releases
-    /// reservation holds after every step (the fiber is its own tick),
-    /// so an enabled reservation protocol can never deadlock one case
-    /// against itself; with the protocol off (the default) the drain is
-    /// a no-op and traces are byte-identical to the pre-fiber enactor.
+    /// Step `fiber` until it finishes, checkpointing on the cadence.
+    /// Single-case driving releases reservation holds after every step
+    /// (the fiber is its own tick), so an enabled reservation protocol
+    /// can never deadlock one case against itself; with the protocol
+    /// off (the default) the drain is a no-op and traces are
+    /// byte-identical to the pre-fiber enactor.
     fn drive(&self, world: &mut GridWorld, mut fiber: CaseFiber) -> EnactmentReport {
+        let every = self.checkpoint_every.map_or(usize::MAX, |n| n.max(1));
+        let mut checkpoints = Vec::new();
+        // Executions the latest checkpoint (taken or resumed from)
+        // covers.  A step that progressed and recorded an execution
+        // advanced the machine past exactly one activity, so the
+        // difference counts the activities since that checkpoint.
+        let mut covered = fiber.report().executions.len();
         loop {
             let status = fiber.step(world);
+            let executions = fiber.report().executions.len();
+            if status == FiberStatus::Progressed && executions - covered >= every {
+                if let Some(checkpoint) = fiber.checkpoint() {
+                    covered = executions;
+                    let index = checkpoints.len();
+                    let captured = TraceEvent::CheckpointCaptured { index, executions };
+                    self.trace.emit("enactor", captured);
+                    checkpoints.push(checkpoint);
+                }
+            }
             world.drain_reservations();
-            if matches!(status, FiberStatus::Finished) {
+            if status == FiberStatus::Finished {
                 break;
             }
         }
-        fiber.into_report()
+        let mut report = fiber.into_report();
+        report.checkpoints = checkpoints;
+        report
     }
 
     /// Resume an enactment from a checkpoint (same case, possibly a
@@ -416,11 +439,13 @@ pub struct PendingDispatch {
 /// per-case payload of a durable engine snapshot.
 ///
 /// Unlike [`EnactmentCheckpoint`] (which records only enactment
-/// accounting and is captured on the fiber's own cadence), a slim image
-/// is a *total* capture at an arbitrary tick boundary: it also carries
-/// the engine-facing fields a checkpoint deliberately omits — the
-/// blocked dispatch cache, the flow-transition baseline, the checkpoint
-/// cadence counter, and the report with its accumulated checkpoints.
+/// accounting and is captured by the single-case [`Enactor`] on its own
+/// cadence), a slim image is a *total* capture at an arbitrary tick
+/// boundary, taken by the multi-case engine for its durable store: it
+/// also carries the engine-facing fields a checkpoint deliberately
+/// omits — the blocked dispatch cache, the flow-transition baseline and
+/// the report so far (the engine never checkpoints a case, so its
+/// `checkpoints` are empty).
 /// The one thing it leaves out is the fiber's blueprint-shaped bulk
 /// ([`CaseFiber::blueprint`]: graph, case description, config), which a
 /// fleet shares: the capturer stores that once and records where in
@@ -437,21 +462,16 @@ pub struct FiberSlim {
     /// ATN machine state, if any step has run.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub snapshot: Option<AtnSnapshot>,
-    /// Whether the next restore primes the flow baseline (checkpoint
-    /// resume semantics).
-    pub prime_flow_base: bool,
     /// Flow-transition baseline counts.
     pub flow_base: BTreeMap<String, usize>,
     /// Data state.
     pub state: DataState,
-    /// The report so far, including captured checkpoints.
+    /// The report so far.
     pub report: EnactmentReport,
     /// Services excluded by re-planning.
     pub excluded: Vec<String>,
     /// Recovery-layer state (breakers, attempts, pending backoffs).
     pub recovery: RecoveryState,
-    /// Activities executed since the last cadence checkpoint.
-    pub since_checkpoint: usize,
     /// Has the enactment reached a terminal state?
     pub done: bool,
     /// Cached blocked dispatch, if the fiber is waiting on capacity.
@@ -484,19 +504,16 @@ pub struct CaseFiber {
     initial_classifications: Vec<String>,
     current_graph: ProcessGraph,
     snapshot: Option<AtnSnapshot>,
-    /// On first restore after a checkpoint resume, seed `flow_base`
-    /// from the restored counts (pre-crash transitions were already
-    /// reported by the pre-crash coordinator).
-    prime_flow_base: bool,
     /// Flow-transition baseline: ATN execution counts for the
     /// non-end-user nodes, so each increment after an activity step
-    /// surfaces as a `TransitionFired` event.
+    /// surfaces as a `TransitionFired` event.  A checkpoint resume
+    /// seeds it from the restored counts (pre-crash transitions were
+    /// already reported by the pre-crash coordinator).
     flow_base: BTreeMap<String, usize>,
     state: DataState,
     report: EnactmentReport,
     excluded: Vec<String>,
     recovery: RecoveryManager,
-    since_checkpoint: usize,
     done: bool,
     /// Set while the fiber is blocked on capacity (see
     /// [`PendingDispatch`]).
@@ -567,6 +584,7 @@ impl CaseFiber {
         let mut state = case.initial_data.clone();
         let mut excluded: Vec<String> = Vec::new();
         let mut snapshot: Option<AtnSnapshot> = None;
+        let mut flow_base = BTreeMap::new();
         let resumed = resume_from.is_some();
         let recovery = match &resume_from {
             Some(cp) => RecoveryManager::restore(
@@ -585,6 +603,7 @@ impl CaseFiber {
             report.total_duration_s = cp.total_duration_s;
             report.total_cost = cp.total_cost;
             excluded = cp.excluded;
+            flow_base = flow_counts(&graph, &cp.snapshot);
             snapshot = Some(cp.snapshot);
         }
         trace.emit(
@@ -604,14 +623,12 @@ impl CaseFiber {
             planning,
             initial_classifications,
             current_graph: graph,
-            prime_flow_base: snapshot.is_some(),
             snapshot,
-            flow_base: BTreeMap::new(),
+            flow_base,
             state,
             report,
             excluded,
             recovery,
-            since_checkpoint: 0,
             done: false,
             pending: None,
             graph_checked: false,
@@ -633,13 +650,11 @@ impl CaseFiber {
             blueprint,
             label: self.label.clone(),
             snapshot: self.snapshot.clone(),
-            prime_flow_base: self.prime_flow_base,
             flow_base: self.flow_base.clone(),
             state: self.state.clone(),
             report: self.report.clone(),
             excluded: self.excluded.clone(),
             recovery: self.recovery.snapshot(),
-            since_checkpoint: self.since_checkpoint,
             done: self.done,
             pending: self.pending.clone(),
         }
@@ -662,13 +677,11 @@ impl CaseFiber {
             blueprint: _,
             label,
             snapshot,
-            prime_flow_base,
             flow_base,
             state,
             report,
             excluded,
             recovery,
-            since_checkpoint,
             done,
             pending,
         } = slim;
@@ -684,13 +697,11 @@ impl CaseFiber {
             initial_classifications,
             current_graph: graph,
             snapshot,
-            prime_flow_base,
             flow_base,
             state,
             report,
             excluded,
             recovery,
-            since_checkpoint,
             done,
             pending,
             graph_checked: false,
@@ -716,6 +727,26 @@ impl CaseFiber {
     /// [`FiberStatus::Finished`]).
     pub fn report(&self) -> &EnactmentReport {
         &self.report
+    }
+
+    /// A resumable checkpoint of the fiber as it stands between steps.
+    /// `None` while there is no machine state — before the first step,
+    /// and between a re-plan and the step that starts the new graph.
+    pub fn checkpoint(&self) -> Option<EnactmentCheckpoint> {
+        Some(EnactmentCheckpoint {
+            version: CHECKPOINT_VERSION,
+            graph: self.current_graph.clone(),
+            snapshot: self.snapshot.clone()?,
+            state: self.state.clone(),
+            executions: self.report.executions.clone(),
+            failed_attempts: self.report.failed_attempts.clone(),
+            replans: self.report.replans,
+            excluded: self.excluded.clone(),
+            produced: self.report.produced.clone(),
+            total_duration_s: self.report.total_duration_s,
+            total_cost: self.report.total_cost,
+            recovery: self.recovery.snapshot(),
+        })
     }
 
     /// Consume the fiber, yielding its report.  A fiber that never
@@ -796,9 +827,6 @@ impl CaseFiber {
                 return self.finish_aborted(format!("start failed: {e}"));
             }
             self.emit_transitions(&atn);
-        } else if self.prime_flow_base {
-            self.flow_base = flow_counts(&self.current_graph, &atn);
-            self.prime_flow_base = false;
         }
 
         if atn.is_finished() {
@@ -873,20 +901,12 @@ impl CaseFiber {
     }
 
     /// Advance the ATN past a completed activity: fire its token,
-    /// surface flow transitions, honor the checkpoint cadence, and keep
-    /// the state for the next step.
+    /// surface flow transitions, and keep the state for the next step.
     fn advance_machine(&mut self, mut atn: AtnSnapshot, activity_id: &str) -> FiberStatus {
         if let Err(e) = atn.run_activity(&self.current_graph, activity_id, &self.state) {
             return self.finish_aborted(format!("machine error: {e}"));
         }
         self.emit_transitions(&atn);
-        self.since_checkpoint += 1;
-        if let Some(every) = self.config.checkpoint_every {
-            if self.since_checkpoint >= every.max(1) {
-                self.since_checkpoint = 0;
-                self.capture_checkpoint(&atn);
-            }
-        }
         self.snapshot = Some(atn);
         FiberStatus::Progressed
     }
@@ -969,30 +989,6 @@ impl CaseFiber {
             },
         );
         FiberStatus::Finished
-    }
-
-    fn capture_checkpoint(&mut self, atn: &AtnSnapshot) {
-        self.report.checkpoints.push(EnactmentCheckpoint {
-            version: CHECKPOINT_VERSION,
-            graph: self.current_graph.clone(),
-            snapshot: atn.clone(),
-            state: self.state.clone(),
-            executions: self.report.executions.clone(),
-            failed_attempts: self.report.failed_attempts.clone(),
-            replans: self.report.replans,
-            excluded: self.excluded.clone(),
-            produced: self.report.produced.clone(),
-            total_duration_s: self.report.total_duration_s,
-            total_cost: self.report.total_cost,
-            recovery: self.recovery.snapshot(),
-        });
-        self.trace.emit(
-            "enactor",
-            TraceEvent::CheckpointCaptured {
-                index: self.report.checkpoints.len() - 1,
-                executions: self.report.executions.len(),
-            },
-        );
     }
 
     /// Emit a `TransitionFired` event for every flow-control node whose
@@ -1713,15 +1709,35 @@ mod tests {
     #[test]
     fn checkpoints_are_captured_at_the_configured_cadence() {
         let mut w = world(7);
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
+        let log = gridflow_telemetry::TraceLog::new();
         let report = Enactor::builder()
-            .config(config)
+            .trace_handle(TraceHandle::from(log.clone()))
+            .checkpoint_every(1)
             .build()
             .enact(&mut w, &graph(), &case());
         assert!(report.success);
+        // Each capture directly follows its activity's last record: the
+        // completion, or the flow transitions the completion fired.
+        let labels: Vec<&str> = log.records().iter().map(|r| r.event.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "enactment.started",
+                "transition.fired", // Begin
+                "activity.dispatched",
+                "activity.completed",
+                "checkpoint.captured",
+                "activity.dispatched",
+                "activity.completed",
+                "checkpoint.captured",
+                "activity.dispatched",
+                "activity.completed",
+                "transition.fired", // End
+                "checkpoint.captured",
+                "enactment.finished",
+            ]
+        );
+        assert!(log.records().iter().all(|r| r.source == "enactor"));
         // Three activities → three checkpoints (one per execution).
         assert_eq!(report.checkpoints.len(), 3);
         assert_eq!(report.checkpoints[0].executions.len(), 1);
@@ -1737,31 +1753,28 @@ mod tests {
         // Run with checkpointing, pretend the coordinator crashed after
         // the first activity, resume from that checkpoint on a fresh
         // world, and compare with an uninterrupted run.
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
+        let config = EnactmentConfig::default();
         let mut w1 = world(8);
-        let full =
-            Enactor::builder()
-                .config(config.clone())
-                .build()
-                .enact(&mut w1, &graph(), &case());
+        let full = Enactor::builder()
+            .config(config.clone())
+            .checkpoint_every(1)
+            .build()
+            .enact(&mut w1, &graph(), &case());
         assert!(full.success);
 
         let mut w2 = world(8);
-        let interrupted =
-            Enactor::builder()
-                .config(config.clone())
-                .build()
-                .enact(&mut w2, &graph(), &case());
+        let interrupted = Enactor::builder()
+            .config(config.clone())
+            .checkpoint_every(1)
+            .build()
+            .enact(&mut w2, &graph(), &case());
         let checkpoint = interrupted.checkpoints[0].clone(); // after `prep`
         let mut w3 = world(8);
-        let resumed =
-            Enactor::builder()
-                .config(config)
-                .build()
-                .resume(&mut w3, checkpoint, &case());
+        let resumed = Enactor::builder()
+            .config(config)
+            .checkpoint_every(1)
+            .build()
+            .resume(&mut w3, checkpoint, &case());
         assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
         // The resumed run finishes the remaining activities only.
         let services: Vec<&str> = resumed
@@ -1783,24 +1796,22 @@ mod tests {
         let ast =
             parse_process("BEGIN prep; FORK { { cook; }, { nuke; } } JOIN; plate; END").unwrap();
         let g = lower("forked", &ast).unwrap();
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
+        let config = EnactmentConfig::default();
         let mut w1 = world(10);
         let full = Enactor::builder()
             .config(config.clone())
+            .checkpoint_every(1)
             .build()
             .enact(&mut w1, &g, &case());
         assert!(full.success, "abort: {:?}", full.abort_reason);
         assert_eq!(full.executions.len(), 4);
 
         let mut w2 = world(10);
-        let interrupted =
-            Enactor::builder()
-                .config(config.clone())
-                .build()
-                .enact(&mut w2, &g, &case());
+        let interrupted = Enactor::builder()
+            .config(config.clone())
+            .checkpoint_every(1)
+            .build()
+            .enact(&mut w2, &g, &case());
         // Checkpoint 1 sits after `prep` plus exactly one fork branch.
         let cp = interrupted.checkpoints[1].clone();
         assert_eq!(cp.executions.len(), 2);
@@ -1813,6 +1824,7 @@ mod tests {
         let mut w3 = world(10);
         let resumed = Enactor::builder()
             .config(config)
+            .checkpoint_every(1)
             .build()
             .resume(&mut w3, restored, &case());
         assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
@@ -1872,13 +1884,11 @@ mod tests {
             parse_process("BEGIN prep; ITERATIVE { COND { D10.Value > 6 } } { cook; }; plate; END")
                 .unwrap();
         let g = lower("honed", &ast).unwrap();
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
+        let config = EnactmentConfig::default();
         let mut w1 = honing_world();
         let full = Enactor::builder()
             .config(config.clone())
+            .checkpoint_every(1)
             .build()
             .enact(&mut w1, &g, &case());
         assert!(full.success, "abort: {:?}", full.abort_reason);
@@ -1886,11 +1896,11 @@ mod tests {
         assert_eq!(full_services, vec!["prep", "cook", "cook", "plate"]);
 
         let mut w2 = honing_world();
-        let interrupted =
-            Enactor::builder()
-                .config(config.clone())
-                .build()
-                .enact(&mut w2, &g, &case());
+        let interrupted = Enactor::builder()
+            .config(config.clone())
+            .checkpoint_every(1)
+            .build()
+            .enact(&mut w2, &g, &case());
         // Checkpoint 1: after the loop's first pass, `D10.Value` is 9 and
         // the loop condition is still true — a genuinely mid-loop state.
         let cp = interrupted.checkpoints[1].clone();
@@ -1907,6 +1917,7 @@ mod tests {
         let mut w3 = honing_world();
         let resumed = Enactor::builder()
             .config(config)
+            .checkpoint_every(1)
             .build()
             .resume(&mut w3, restored, &case());
         assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
@@ -1942,13 +1953,11 @@ mod tests {
         )
         .unwrap();
         let g = lower("choosy", &ast).unwrap();
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
+        let config = EnactmentConfig::default();
         let mut w1 = world(12);
         let full = Enactor::builder()
             .config(config.clone())
+            .checkpoint_every(1)
             .build()
             .enact(&mut w1, &g, &case());
         assert!(full.success, "abort: {:?}", full.abort_reason);
@@ -1956,11 +1965,11 @@ mod tests {
         assert_eq!(full_services, vec!["prep", "cook", "nuke", "plate"]);
 
         let mut w2 = world(12);
-        let interrupted =
-            Enactor::builder()
-                .config(config.clone())
-                .build()
-                .enact(&mut w2, &g, &case());
+        let interrupted = Enactor::builder()
+            .config(config.clone())
+            .checkpoint_every(1)
+            .build()
+            .enact(&mut w2, &g, &case());
         // Checkpoint 1 sits after `prep` and the taken branch's `cook` —
         // genuinely mid-branch.
         let cp = interrupted.checkpoints[1].clone();
@@ -1974,6 +1983,7 @@ mod tests {
         let mut w3 = world(12);
         let resumed = Enactor::builder()
             .config(config)
+            .checkpoint_every(1)
             .build()
             .resume(&mut w3, restored, &case());
         assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
@@ -1992,15 +2002,12 @@ mod tests {
     #[test]
     fn checkpoint_version_round_trips_and_future_versions_are_refused() {
         let mut w = world(13);
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
-        let report =
-            Enactor::builder()
-                .config(config.clone())
-                .build()
-                .enact(&mut w, &graph(), &case());
+        let config = EnactmentConfig::default();
+        let report = Enactor::builder()
+            .config(config.clone())
+            .checkpoint_every(1)
+            .build()
+            .enact(&mut w, &graph(), &case());
         let cp = report.checkpoints[0].clone();
         assert_eq!(cp.version, CHECKPOINT_VERSION);
         // The version survives the storage round trip.
@@ -2015,6 +2022,7 @@ mod tests {
         let mut w2 = world(13);
         let resumed = Enactor::builder()
             .config(config)
+            .checkpoint_every(1)
             .build()
             .resume(&mut w2, future, &case());
         assert!(!resumed.success);
@@ -2030,12 +2038,10 @@ mod tests {
     #[test]
     fn checkpoint_validation_reports_every_violation_at_once() {
         let mut w = world(13);
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
+        let config = EnactmentConfig::default();
         let report = Enactor::builder()
             .config(config)
+            .checkpoint_every(1)
             .build()
             .enact(&mut w, &graph(), &case());
         let mut cp = report.checkpoints[0].clone();
@@ -2069,12 +2075,12 @@ mod tests {
         w.set_slowdown("ac-h1", 50.0);
         let config = EnactmentConfig {
             recovery: RecoveryPolicy::standard(),
-            checkpoint_every: Some(1),
             ..EnactmentConfig::default()
         };
         let log = TraceLog::new();
         let report = Enactor::builder()
             .config(config)
+            .checkpoint_every(1)
             .trace_handle(TraceHandle::from(log.clone()))
             .build()
             .enact(&mut w, &graph(), &case());
@@ -2124,16 +2130,15 @@ mod tests {
         // times opened — survives the storage round trip verbatim).
         let config = EnactmentConfig {
             recovery: RecoveryPolicy::standard(),
-            checkpoint_every: Some(1),
             ..EnactmentConfig::default()
         };
         let mut w1 = world(15);
         w1.set_slowdown("ac-h1", 50.0);
-        let interrupted =
-            Enactor::builder()
-                .config(config.clone())
-                .build()
-                .enact(&mut w1, &graph(), &case());
+        let interrupted = Enactor::builder()
+            .config(config.clone())
+            .checkpoint_every(1)
+            .build()
+            .enact(&mut w1, &graph(), &case());
         assert!(interrupted.success);
         let cp = interrupted.checkpoints[0].clone(); // after `prep`
         assert!(matches!(
@@ -2150,6 +2155,7 @@ mod tests {
         w2.set_slowdown("ac-h1", 50.0);
         let resumed = Enactor::builder()
             .config(config)
+            .checkpoint_every(1)
             .build()
             .resume(&mut w2, restored, &case());
         assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
@@ -2169,23 +2175,20 @@ mod tests {
     #[test]
     fn resume_with_an_invalid_graph_reports_cleanly() {
         let mut w = world(9);
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
-        let report =
-            Enactor::builder()
-                .config(config.clone())
-                .build()
-                .enact(&mut w, &graph(), &case());
+        let config = EnactmentConfig::default();
+        let report = Enactor::builder()
+            .config(config.clone())
+            .checkpoint_every(1)
+            .build()
+            .enact(&mut w, &graph(), &case());
         let mut checkpoint = report.checkpoints[0].clone();
         checkpoint.graph = gridflow_process::ProcessGraph::new("empty");
         let mut w2 = world(9);
-        let resumed =
-            Enactor::builder()
-                .config(config)
-                .build()
-                .resume(&mut w2, checkpoint, &case());
+        let resumed = Enactor::builder()
+            .config(config)
+            .checkpoint_every(1)
+            .build()
+            .resume(&mut w2, checkpoint, &case());
         assert!(!resumed.success);
         assert!(resumed
             .abort_reason

@@ -5,7 +5,7 @@ use gridflow_grid::container::ApplicationContainer;
 use gridflow_grid::resource::{Resource, ResourceKind};
 use gridflow_grid::GridTopology;
 use gridflow_process::{lower::lower, parser::parse_process, CaseDescription, DataItem};
-use gridflow_services::coordination::{EnactmentConfig, Enactor};
+use gridflow_services::coordination::Enactor;
 use gridflow_services::scheduling::schedule;
 use gridflow_services::storage::StorageService;
 use gridflow_services::tracker::track_enactment;
@@ -118,18 +118,14 @@ proptest! {
         let body: String = picks.iter().map(|&i| format!("s{i}; ")).collect();
         let graph = lower("chain", &parse_process(&format!("BEGIN {body} END")).unwrap()).unwrap();
         let case = CaseDescription::new("prop").with_data("D1", DataItem::classified("seed"));
-        let config = EnactmentConfig {
-            checkpoint_every: Some(1),
-            ..EnactmentConfig::default()
-        };
+        let enactor = Enactor::builder().checkpoint_every(1).build();
         let mut world = uniform_world(3, &services);
-        let full = Enactor::builder().config(config.clone()).build().enact(&mut world, &graph, &case);
+        let full = enactor.enact(&mut world, &graph, &case);
         prop_assert!(full.success);
         prop_assert_eq!(full.checkpoints.len(), picks.len());
         for checkpoint in &full.checkpoints {
             let mut fresh = uniform_world(3, &services);
-            let resumed =
-                Enactor::builder().config(config.clone()).build().resume(&mut fresh, checkpoint.clone(), &case);
+            let resumed = enactor.resume(&mut fresh, checkpoint.clone(), &case);
             prop_assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
             prop_assert_eq!(&resumed.final_state, &full.final_state);
             prop_assert_eq!(resumed.executions.len(), full.executions.len());

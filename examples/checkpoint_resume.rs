@@ -16,17 +16,11 @@ use gridflow_services::EnactmentCheckpoint;
 fn main() {
     let graph = casestudy::process_description();
     let case = casestudy::case_description();
-    let config = EnactmentConfig {
-        checkpoint_every: Some(4),
-        ..EnactmentConfig::default()
-    };
+    let enactor = Enactor::builder().checkpoint_every(4).build();
 
     // --- First coordinator: runs, checkpointing as it goes -------------
     let mut world = casestudy::virtual_lab_world(0, 11);
-    let report = Enactor::builder()
-        .config(config.clone())
-        .build()
-        .enact(&mut world, &graph, &case);
+    let report = enactor.enact(&mut world, &graph, &case);
     assert!(report.success);
     println!(
         "first run: {} executions, {} checkpoints captured",
@@ -49,11 +43,7 @@ fn main() {
     let doc = storage.get("checkpoint/3DSD").unwrap();
     let restored: EnactmentCheckpoint = serde_json::from_value(doc.body.clone()).unwrap();
     let mut fresh_world = casestudy::virtual_lab_world(0, 11);
-    let resumed =
-        Enactor::builder()
-            .config(config)
-            .build()
-            .resume(&mut fresh_world, restored, &case);
+    let resumed = enactor.resume(&mut fresh_world, restored, &case);
     assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
     println!(
         "resumed run: {} total executions ({} new after the checkpoint)",

@@ -17,7 +17,7 @@ use gridflow_harness::workload::dinner_workload;
 use gridflow_harness::workload::Workload;
 use gridflow_harness::{FaultPlan, MultiCaseScenario};
 use gridflow_services::coordination::CHECKPOINT_VERSION;
-use gridflow_services::{EnactmentCheckpoint, EnactmentConfig, Enactor};
+use gridflow_services::{EnactmentCheckpoint, Enactor};
 use gridflow_store::{
     merged_jsonl, record, MemStore, SnapshotRecord, Store, StoreError, SNAPSHOT_SCHEMA_VERSION,
 };
@@ -200,12 +200,9 @@ fn enactment_checkpoints_round_trip_through_the_record_format() {
 fn captured_checkpoint() -> EnactmentCheckpoint {
     let wl = dinner_workload();
     let mut world = wl.fresh_world(&FaultPlan::default(), 0);
-    let config = EnactmentConfig {
-        checkpoint_every: Some(2),
-        ..wl.config.clone()
-    };
     let report = Enactor::builder()
-        .config(config)
+        .config(wl.config.clone())
+        .checkpoint_every(2)
         .build()
         .enact(&mut world, &wl.graph, &wl.case);
     assert!(report.success);

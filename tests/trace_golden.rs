@@ -36,73 +36,74 @@ use std::sync::{Arc, Mutex};
 
 /// `(scenario, record count, fnv1a64(merged JSONL))`.
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("flaky-0", 103, 0xe403079dbec1d05d),
-    ("flaky-1", 121, 0xd886e5306b0e657b),
-    ("flaky-2", 104, 0xf9f280543b84fc5e),
-    ("flaky-3", 107, 0xa3a20a45f58e922b),
-    ("flaky-4", 126, 0xc13528349def7853),
-    ("flaky-5", 70, 0xa2a55e8864a705c4),
-    ("flaky-6", 126, 0xfc3c7fd4b605111d),
-    ("flaky-7", 121, 0x9e0332fcdd85a7c3),
-    ("flaky-8", 125, 0x8ef3efe6a0d22c14),
-    ("flaky-9", 74, 0xf9ac57068e15f1a8),
-    ("flaky-10", 56, 0x15b6d3a55cbcdfb5),
-    ("flaky-11", 115, 0x0d4c2f2aec09e794),
-    ("flaky-12", 125, 0x5fc8685aa52e6a1c),
-    ("flaky-13", 80, 0xd25f54e3e74d9503),
-    ("flaky-14", 77, 0x1e6f2e8766ea4e1a),
-    ("flaky-15", 126, 0x7c2314b9ef353432),
-    ("flaky-16", 115, 0x0d4c2f2aec09e794),
-    ("flaky-17", 126, 0x49c66a220df1abba),
-    ("flaky-18", 103, 0xe403079dbec1d05d),
-    ("flaky-19", 79, 0x9562dc5cbeb2b1b8),
-    ("flaky-20", 74, 0x4f367a3e85e0232d),
-    ("flaky-21", 121, 0xabce13364a38d382),
-    ("flaky-22", 72, 0x73d41a806f0d0602),
-    ("flaky-23", 112, 0x91a761a8cb396fc2),
-    ("flaky-24", 110, 0x0b62cb7d57471466),
-    ("flaky-25", 104, 0xf9f280543b84fc5e),
-    ("flaky-26", 76, 0x7a142b08eebeaf31),
-    ("flaky-27", 67, 0xa584e4538f3e9a1b),
-    ("flaky-28", 80, 0xe9ccbe2061292d1b),
-    ("flaky-29", 90, 0xb134ea09781ed469),
-    ("flaky-30", 126, 0xac8a5083f2be469d),
+    ("flaky-0", 91, 0x45296ec9e5febc81),
+    ("flaky-1", 108, 0x5e9dacd9917efd9e),
+    ("flaky-2", 92, 0x8e0d5608ff7edc25),
+    ("flaky-3", 95, 0xface3e3fd5ee5af9),
+    ("flaky-4", 111, 0x1d10b90ca453baa3),
+    ("flaky-5", 64, 0x2f2ad153986a23a8),
+    ("flaky-6", 111, 0xf657c403aa0126a2),
+    ("flaky-7", 106, 0xf81478e2d64bdd15),
+    ("flaky-8", 110, 0x05bae2fd14f50586),
+    ("flaky-9", 68, 0x3c32e004023cbce0),
+    ("flaky-10", 53, 0x4776825ebc273487),
+    ("flaky-11", 100, 0x4a34b73fc0246c62),
+    ("flaky-12", 110, 0xd8496584c7602944),
+    ("flaky-13", 72, 0x8e9cb819ef4bc8b3),
+    ("flaky-14", 71, 0x8dbecab60ce43204),
+    ("flaky-15", 111, 0x920baa641b827246),
+    ("flaky-16", 100, 0x4a34b73fc0246c62),
+    ("flaky-17", 111, 0xc8c3b3a367a85df9),
+    ("flaky-18", 91, 0x45296ec9e5febc81),
+    ("flaky-19", 72, 0x6d5f7266bd62ef22),
+    ("flaky-20", 68, 0xe04f35c658767de7),
+    ("flaky-21", 106, 0x8a77cc63c4fc40b3),
+    ("flaky-22", 66, 0xe5bf7b38073e3c19),
+    ("flaky-23", 99, 0x58284befede86b3e),
+    ("flaky-24", 99, 0x4f7a3ec6bf7c088b),
+    ("flaky-25", 92, 0x8e0d5608ff7edc25),
+    ("flaky-26", 69, 0x8061a1409f37f3df),
+    ("flaky-27", 61, 0xf462ba153f79c826),
+    ("flaky-28", 74, 0x4a395f5c4f64fad1),
+    ("flaky-29", 81, 0x3304215cb60bba62),
+    ("flaky-30", 111, 0x16d046c78ec476ac),
     ("flaky-31", 31, 0x7a52b2bef9fa0f52),
-    ("clean-1", 26, 0x70755d1ebf82d987),
-    ("clean-2", 47, 0x9d00b6cde6da87f7),
-    ("clean-4", 92, 0x62ed83f1c3604264),
-    ("clean-8", 180, 0xb3c01377a9b4e722),
-    ("contended-5", 99, 0xc2ac832037607d27),
-    ("partitioned-3", 94, 0x1a6cc532a1c8a7de),
-    ("partitioned-17", 99, 0x967807fcd596bde7),
-    ("partitioned-29", 80, 0x003a154f3c8460c2),
-    ("node-loss-7", 71, 0x2b7180b76cd41d5d),
-    ("recovery-ladder-2", 93, 0xab679e84145b77d2),
-    ("recovery-ladder-13", 89, 0x990c679f3622562b),
-    ("recovery-ladder-31", 108, 0x90f4957a45128756),
+    ("clean-1", 23, 0x4b8639238381c283),
+    ("clean-2", 41, 0x2b98c813e720dce8),
+    ("clean-4", 80, 0x7fdbf97ec0901c23),
+    ("clean-8", 156, 0xc7f6e30ebfcd836b),
+    ("contended-5", 87, 0xcbe36016fc03a971),
+    ("partitioned-3", 85, 0xaad7eba64bd5e9aa),
+    ("partitioned-17", 90, 0x3e5ab8f05e9a6440),
+    ("partitioned-29", 71, 0x7608a0ae91e9993f),
+    ("node-loss-7", 62, 0x0811faa259d83b11),
+    ("recovery-ladder-2", 84, 0xe035ff92fe62e445),
+    ("recovery-ladder-13", 80, 0x6755772504dfa9df),
+    ("recovery-ladder-31", 99, 0xc164c4fe70026cd5),
     ("refused", 12, 0x5bc733276ab30363),
-    ("chaos-0", 89, 0x95ca9c06eb948839),
-    ("chaos-1", 61, 0x079b0e8e2d67c1db),
-    ("chaos-2", 46, 0x3898d28add997698),
-    ("chaos-3", 100, 0xcf68aae0c65c987f),
-    ("chaos-4", 97, 0xe7bd84a8798ea149),
-    ("chaos-5", 70, 0x812f9a2a3f10bfec),
-    ("chaos-6", 78, 0xbd7529123067a4ea),
-    ("chaos-7", 97, 0x6bfafb4bcfa6c72c),
+    ("chaos-0", 80, 0xf3e9532088e57a46),
+    ("chaos-1", 57, 0x0220fe00e7d18a4b),
+    ("chaos-2", 43, 0x881542890c6a01b8),
+    ("chaos-3", 91, 0x47cd9aee42e96543),
+    ("chaos-4", 85, 0xac2d7ae04781c634),
+    ("chaos-5", 64, 0xe8ed0d03494aad44),
+    ("chaos-6", 72, 0x89956bffe47d0022),
+    ("chaos-7", 85, 0xeab4ed319e486439),
     ("virus", 191, 0x0b0999b5d90b538e),
     ("generated-linear", 49, 0x3201290c334465d1),
     ("generated-fanout", 117, 0x01142de9c60ac05d),
     ("generated-choice", 61, 0xace7edbb62b7f4a6),
     ("generated-iterative", 89, 0x6c3cc2c30b02ca0b),
-    ("churn-uncached", 310, 0x354da403ec12ad2d),
-    ("churn-cached", 316, 0xc110297c737bee8d),
-    ("kill-recover", 93, 0x605aebcd98483566),
+    ("churn-uncached", 292, 0x679fb1e9277c5e7a),
+    ("churn-cached", 298, 0xcd0db35dc90a36f8),
+    ("kill-recover", 81, 0x15465189e1629183),
 ];
 
 /// `(payload bytes, fnv1a64(payload))` of the snapshot the kill→recover
 /// scenario recovers from: the latest one the crashed run left in the
-/// store, with fibers still live and their blueprints interned.
-const GOLDEN_SNAPSHOT: (usize, u64) = (26852, 0xa15dc13c3b606261);
+/// store (tick 4: two cases finished, two waiting on one interned
+/// blueprint, none live).
+const GOLDEN_SNAPSHOT: (usize, u64) = (17168, 0x2dc912722d56a776);
 
 /// `(scenario, record count, fnv1a64(JSONL))` of the single-case
 /// [`Scenario`] path, whose only durability is the enactor's cadence
@@ -328,6 +329,14 @@ fn trace_of(outcome: &ScenarioOutcome) -> String {
     outcome.trace.as_ref().expect("traced").to_jsonl()
 }
 
+/// The `(name, jsonl)` rows of [`single_case_outcomes`].
+fn single_case_rows(outcomes: &[(String, ScenarioOutcome)]) -> Vec<(String, String)> {
+    outcomes
+        .iter()
+        .map(|(name, outcome)| (name.clone(), trace_of(outcome)))
+        .collect()
+}
+
 fn last_checkpoint_json(outcome: &ScenarioOutcome) -> String {
     serde_json::to_string(&outcome.last_checkpoint).expect("checkpoints serialize")
 }
@@ -382,12 +391,8 @@ fn traces_match_the_pinned_goldens() {
 #[test]
 fn single_case_traces_match_the_pinned_goldens() {
     let outcomes = single_case_outcomes();
-    let rows: Vec<(String, String)> = outcomes
-        .iter()
-        .map(|(name, outcome)| (name.clone(), trace_of(outcome)))
-        .collect();
     let mut moved = Vec::new();
-    check_rows(&rows, GOLDEN_SINGLE, &mut moved);
+    check_rows(&single_case_rows(&outcomes), GOLDEN_SINGLE, &mut moved);
     // The pinned checkpoint must come from a run the script really cut.
     let (name, crashed) = &outcomes[0];
     assert!(crashed.resumes >= 1, "{name} never crashed");
@@ -415,11 +420,7 @@ fn print_goldens() {
         fnv1a64(&snapshot)
     );
     let outcomes = single_case_outcomes();
-    let rows: Vec<(String, String)> = outcomes
-        .iter()
-        .map(|(name, outcome)| (name.clone(), trace_of(outcome)))
-        .collect();
-    print_rows("GOLDEN_SINGLE", &rows);
+    print_rows("GOLDEN_SINGLE", &single_case_rows(&outcomes));
     println!(
         "const GOLDEN_LAST_CHECKPOINT: u64 = {:#018x};",
         fnv1a64(last_checkpoint_json(&outcomes[0].1).as_bytes())
