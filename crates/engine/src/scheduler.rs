@@ -347,6 +347,9 @@ impl CaseScheduler {
     /// *re-executed*, not skipped: the store byte-verifies every
     /// regenerated event against what it already holds, so a successful
     /// recovery is a proof the rebuilt state matches the crashed run's.
+    /// Replay-only recovery of a journal whose cases checkpointed (a
+    /// pre-v4 build's) is unsupported: no snapshot is there to refuse,
+    /// and its `checkpoint.captured` records fail that verification.
     ///
     /// The caller must have reseeded [`StoreBinding::journal`] at the
     /// snapshot's `journal_seq` (via [`TraceLog::resuming`] and a clock

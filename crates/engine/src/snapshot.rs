@@ -154,9 +154,9 @@ pub struct AdmissionRecord {
 /// [`FiberSlim::pending`] is the state the hints summarised, and the
 /// engine checkpoints no case — but three payloads are refused: a
 /// `core` other than `"Event"` names a loop this build does not have;
-/// pre-4 reports holding captured checkpoints mean the journal has
-/// `checkpoint.captured` records this build would not regenerate; and
-/// a *newer* schema than this build's cannot be understood.
+/// a pre-4 blueprint whose `checkpoint_every` is set means the journal
+/// has `checkpoint.captured` records this build would not regenerate;
+/// and a *newer* schema than this build's cannot be understood.
 pub const ENGINE_SNAPSHOT_VERSION: u32 = 4;
 
 /// The scheduler's complete loop state at a tick boundary.
@@ -222,7 +222,15 @@ impl Deserialize for EngineSnapshot {
                 "field `core`: {core} names a scheduler core this build does not have"
             )));
         }
-        let image = EngineSnapshot {
+        let checkpointed = |b: &serde::Value| !b["config"]["checkpoint_every"].is_null();
+        let blueprints = v["blueprints"].as_array();
+        if version < 4 && blueprints.is_some_and(|b| b.iter().any(checkpointed)) {
+            return Err(serde::Error::custom(format!(
+                "engine snapshot version {version} checkpointed its cases: its journal \
+                 has `checkpoint.captured` records this build cannot regenerate"
+            )));
+        }
+        Ok(EngineSnapshot {
             version,
             next_tick: serde::__field(obj, "next_tick", "EngineSnapshot")?,
             blueprints: serde::__field(obj, "blueprints", "EngineSnapshot")?,
@@ -231,16 +239,7 @@ impl Deserialize for EngineSnapshot {
             finished: serde::__field(obj, "finished", "EngineSnapshot")?,
             admissions: serde::__field(obj, "admissions", "EngineSnapshot")?,
             world: serde::__field(obj, "world", "EngineSnapshot")?,
-        };
-        let live = image.live.iter().map(|slot| &slot.fiber.report);
-        let finished = image.finished.iter().map(|f| &f.outcome.report);
-        if version < 4 && live.chain(finished).any(|r| !r.checkpoints.is_empty()) {
-            return Err(serde::Error::custom(format!(
-                "engine snapshot version {version} holds per-case checkpoints: its journal \
-                 has `checkpoint.captured` records this build cannot regenerate"
-            )));
-        }
-        Ok(image)
+        })
     }
 }
 
@@ -503,16 +502,21 @@ mod tests {
         slot.as_object_mut().unwrap()
     }
 
+    /// Set every blueprint config's `checkpoint_every` to `every`.
+    fn set_cadence(obj: &mut serde_json::Map, every: &str) {
+        for blueprint in obj.get_mut("blueprints").unwrap().as_array_mut().unwrap() {
+            object_at(blueprint.as_object_mut().unwrap(), "config")
+                .insert("checkpoint_every".into(), json(every));
+        }
+    }
+
     /// `payload` as a version-3 build wrote it: the checkpoint cadence
-    /// in the blueprint configs, its counter and the resume flag on the
-    /// live fiber.
+    /// (unset) in the blueprint configs, its counter and the resume
+    /// flag on the live fiber.
     fn as_v3(payload: &[u8]) -> Vec<u8> {
         edited(payload, |obj| {
             obj.insert("version".into(), json("3"));
-            for blueprint in obj.get_mut("blueprints").unwrap().as_array_mut().unwrap() {
-                object_at(blueprint.as_object_mut().unwrap(), "config")
-                    .insert("checkpoint_every".into(), json("null"));
-            }
+            set_cadence(obj, "null");
             let fiber = object_at(live_slot(obj), "fiber");
             fiber.insert("since_checkpoint".into(), json("0"));
             fiber.insert("prime_flow_base".into(), json("false"));
@@ -597,9 +601,12 @@ mod tests {
                 obj.insert("core".into(), core);
             })
         };
-        // A version-3 run whose live fiber checkpointed after `prep`:
-        // its journal holds a `checkpoint.captured` this build would
-        // not re-emit, so recovery must refuse before re-executing.
+        // A version-3 run checkpointing every activity: its journal
+        // holds `checkpoint.captured` records this build would not
+        // re-emit, so recovery must refuse before re-executing —
+        // whether the snapshot was taken before the first capture...
+        let cadenced = edited(&as_v3(&record.state), |obj| set_cadence(obj, "1"));
+        // ...or after the live fiber checkpointed past `prep`.
         let (graph, case) = meal();
         let single =
             Enactor::builder()
@@ -607,7 +614,7 @@ mod tests {
                 .build()
                 .enact(&mut world(), &graph, &case);
         let after_prep = serde_json::to_value(&single.checkpoints[..1]).unwrap();
-        let checkpointed = edited(&as_v3(&record.state), |obj| {
+        let checkpointed = edited(&cadenced, |obj| {
             let report = object_at(object_at(live_slot(obj), "fiber"), "report");
             report.insert("checkpoints".into(), after_prep);
         });
@@ -620,7 +627,8 @@ mod tests {
                 }),
                 "version 5 is newer",
             ),
-            (checkpointed, "version 3 holds per-case checkpoints"),
+            (cadenced, "version 3 checkpointed its cases"),
+            (checkpointed, "version 3 checkpointed its cases"),
         ];
         for (payload, names) in refusals {
             let decode = EngineSnapshot::from_bytes(&payload).unwrap_err();

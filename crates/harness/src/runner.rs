@@ -229,19 +229,20 @@ pub fn run_scenario(plan: &FaultPlan, workload: &Workload) -> ScenarioOutcome {
     Scenario::new(plan, workload).run()
 }
 
+/// Every execution, so a scripted crash has something to resume from.
+const CHECKPOINT_EVERY: usize = 1;
+
 fn run_impl(
     plan: &FaultPlan,
     workload: &Workload,
     max_resumes: usize,
     trace: TraceHandle,
 ) -> ScenarioOutcome {
-    let mut builder = Enactor::builder()
+    let enactor = Enactor::builder()
         .config(workload.config.clone())
-        .trace_handle(trace.clone());
-    if let Some(every) = workload.checkpoint_every {
-        builder = builder.checkpoint_every(every);
-    }
-    let enactor = builder.build();
+        .checkpoint_every(CHECKPOINT_EVERY)
+        .trace_handle(trace.clone())
+        .build();
     let mut phase = 0usize;
     let mut world = workload.fresh_world(plan, phase);
     trace.emit("runner", TraceEvent::PhaseStarted { phase });

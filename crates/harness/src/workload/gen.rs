@@ -230,7 +230,6 @@ impl WorkloadGen {
             graph,
             case,
             config: EnactmentConfig::default(),
-            checkpoint_every: None,
             world_builder,
         }
     }

@@ -2,8 +2,7 @@
 //!
 //! A [`Workload`] bundles everything one enactment needs — a world
 //! builder (fresh state per run, so replays start identically), a
-//! process graph, a case description, an enactment configuration, and
-//! the checkpoint cadence of the single-case driver.
+//! process graph, a case description, and an enactment configuration.
 //! Three families live here:
 //!
 //! * the hand-built `dinner` family (this module), mirroring the
@@ -83,11 +82,6 @@ pub struct Workload {
     pub case: CaseDescription,
     /// Enactment configuration.
     pub config: EnactmentConfig,
-    /// The checkpoint cadence [`Scenario`](crate::Scenario) hands its
-    /// `Enactor`, so a scripted coordinator crash has something to
-    /// resume from.  [`MultiCaseScenario`](crate::MultiCaseScenario)
-    /// has none to hand it to: the engine's durability is its store.
-    pub checkpoint_every: Option<usize>,
     /// Builds a fresh world (all containers up, no failure model).
     pub world_builder: WorldBuilder,
 }
@@ -403,7 +397,6 @@ pub fn dinner_workload() -> Workload {
         graph: dinner_graph(),
         case: dinner_case(),
         config: EnactmentConfig::default(),
-        checkpoint_every: Some(1),
         world_builder: WorldBuilder::new(dinner_world),
     }
 }
@@ -414,14 +407,7 @@ pub fn dinner_workload() -> Workload {
 pub fn dinner_replan_workload(gp_seed: u64) -> Workload {
     let mut w = dinner_workload();
     w.name = "dinner+replan".into();
-    w.config = replan_config(gp_seed);
-    w
-}
-
-/// Escalate to the GP planner for one `Plated` item when every
-/// candidate of an activity has failed.
-fn replan_config(gp_seed: u64) -> EnactmentConfig {
-    EnactmentConfig {
+    w.config = EnactmentConfig {
         replan: true,
         planning_goals: vec![GoalSpec {
             classification: "Plated".into(),
@@ -434,7 +420,8 @@ fn replan_config(gp_seed: u64) -> EnactmentConfig {
             ..GpConfig::default()
         },
         ..EnactmentConfig::default()
-    }
+    };
+    w
 }
 
 /// The replanning workload over [`dinner_topology_scaled`]: the scaled
@@ -453,7 +440,20 @@ pub fn dinner_replan_workload_scaled(replicas: usize, fleet: usize, gp_seed: u64
     // three activities, so the goal's id range is sized for double the
     // fleet's nominal consumption.
     w.case = dinner_case_for_fleet(fleet * 2);
-    w.config = replan_config(gp_seed);
+    w.config = EnactmentConfig {
+        replan: true,
+        planning_goals: vec![GoalSpec {
+            classification: "Plated".into(),
+            min_count: 1,
+        }],
+        gp: GpConfig {
+            population_size: 80,
+            generations: 25,
+            seed: gp_seed,
+            ..GpConfig::default()
+        },
+        ..EnactmentConfig::default()
+    };
     w
 }
 
@@ -506,7 +506,7 @@ mod tests {
         let mut world = wl.fresh_world(&FaultPlan::default(), 0);
         let report = Enactor::builder()
             .config(wl.config.clone())
-            .checkpoint_every(wl.checkpoint_every.expect("the dinner checkpoints"))
+            .checkpoint_every(1)
             .build()
             .enact(&mut world, &wl.graph, &wl.case);
         assert!(report.success, "abort: {:?}", report.abort_reason);

@@ -33,7 +33,6 @@ pub fn virus_reconstruction_workload() -> Workload {
         graph: casestudy::process_description(),
         case: casestudy::case_description(),
         config: EnactmentConfig::default(),
-        checkpoint_every: None,
         world_builder: WorldBuilder::new(|| casestudy::virtual_lab_world(0, WORLD_SEED)),
     }
 }

@@ -101,9 +101,9 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 
 /// `(payload bytes, fnv1a64(payload))` of the snapshot the kill→recover
 /// scenario recovers from: the latest one the crashed run left in the
-/// store (tick 4: two cases finished, two waiting on one interned
-/// blueprint, none live).
-const GOLDEN_SNAPSHOT: (usize, u64) = (17168, 0x2dc912722d56a776);
+/// store (tick 6: two cases finished, two live mid-run on one interned
+/// blueprint, none waiting), so the pin covers `FiberSlim`'s format.
+const GOLDEN_SNAPSHOT: (usize, u64) = (20289, 0x86237561decf7de0);
 
 /// `(scenario, record count, fnv1a64(JSONL))` of the single-case
 /// [`Scenario`] path, whose only durability is the enactor's cadence
@@ -159,7 +159,7 @@ fn kill_recover() -> (String, Vec<u8>) {
     let wl = dinner_workload();
     let scenario = || MultiCaseScenario::new(&plan, &wl, 4).max_in_flight(2);
     let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
-    let crashed = scenario().store(store.clone(), 2).kill_at(5).run();
+    let crashed = scenario().store(store.clone(), 2).kill_at(7).run();
     assert!(crashed.engine.killed, "the run should have been killed");
     let snapshot = store
         .lock()
