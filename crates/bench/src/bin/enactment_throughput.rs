@@ -39,8 +39,7 @@ use gridflow_engine::{
     CaseHints, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, PolicySpec,
 };
 use gridflow_harness::workload::{
-    dinner_case_for_fleet, dinner_workload, virus_reconstruction_workload, GraphShape, Workload,
-    WorkloadGen,
+    dinner_workload, virus_reconstruction_workload, GraphShape, Workload, WorkloadGen,
 };
 use gridflow_harness::{FaultPlan, MultiCaseScenario};
 use gridflow_store::{FileStore, MemStore, Store};
@@ -81,20 +80,16 @@ fn matrix_hints(i: usize) -> CaseHints {
     }
 }
 
-/// The matrix's workload axis, each sized for a fleet of `fleet`
-/// concurrent cases over one shared world.
-fn matrix_workloads(fleet: usize) -> Vec<(&'static str, Workload)> {
-    let mut dinner = dinner_workload();
-    dinner.case = dinner_case_for_fleet(fleet);
+/// The matrix's workload axis.
+fn matrix_workloads() -> Vec<(&'static str, Workload)> {
     vec![
-        ("dinner", dinner),
+        ("dinner", dinner_workload()),
         (
             "generated-wide",
             WorkloadGen::new(7)
                 .shape(GraphShape::FanOutJoin)
                 .width(3)
                 .depth(2)
-                .fleet(fleet)
                 .build(),
         ),
         (
@@ -103,7 +98,6 @@ fn matrix_workloads(fleet: usize) -> Vec<(&'static str, Workload)> {
                 .shape(GraphShape::ChoiceDense)
                 .width(3)
                 .depth(2)
-                .fleet(fleet)
                 .build(),
         ),
         ("virus", virus_reconstruction_workload()),
@@ -117,9 +111,7 @@ fn measure_cell(wl: &Workload, plan: &FaultPlan, fleet: usize) -> (EngineOutcome
         max_in_flight: 64,
         ..EngineConfig::default()
     });
-    // The shared world's fresh-id counter is fleet-global, so the goal
-    // range must be sized to the fleet.
-    let case = Arc::new(dinner_case_for_fleet(fleet));
+    let case = Arc::new(wl.case.clone());
     for i in 0..fleet {
         scheduler.submit(CaseSpec {
             label: format!("dinner-{i}"),
@@ -263,7 +255,7 @@ fn main() {
     banner("workload x policy admission matrix");
     let mut matrix_rows = Vec::new();
     let mut matrix = Vec::new();
-    for (name, wl) in matrix_workloads(matrix_cases) {
+    for (name, wl) in matrix_workloads() {
         for policy in PolicySpec::ALL {
             let start = Instant::now();
             let outcome = MultiCaseScenario::new(&plan, &wl, matrix_cases)
@@ -329,12 +321,10 @@ fn main() {
 
     banner("durable store overhead");
     let store_cases = STORE_CASES.min(max_cases.max(1));
-    let mut store_wl = dinner_workload();
-    store_wl.case = dinner_case_for_fleet(store_cases);
     let mut store_rows = Vec::new();
     let mut store_cells = Vec::new();
     for backend in ["trace-only", "memory", "file"] {
-        let scenario = MultiCaseScenario::new(&plan, &store_wl, store_cases).max_in_flight(64);
+        let scenario = MultiCaseScenario::new(&plan, &wl, store_cases).max_in_flight(64);
         // The file cell journals into a throwaway directory, removed
         // after the measurement.
         let file_dir = (backend == "file").then(|| {

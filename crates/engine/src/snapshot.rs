@@ -44,8 +44,7 @@ pub struct BlueprintPool {
     // Capture-time identity fast path: the `Arc<CaseDescription>`
     // pointer each entry was first captured from.  Specs and fibers
     // sharing that Arc still have their graph/config compared — the
-    // pointer only short-circuits the (potentially large) description
-    // comparison.
+    // pointer only short-circuits the description comparison.
     sources: Vec<*const CaseDescription>,
 }
 
@@ -143,21 +142,26 @@ pub struct AdmissionRecord {
 
 /// Engine-snapshot schema version written by this build.
 ///
-/// Version 4 is the state of the one tick loop, with no checkpoint
-/// cadence in it.  Older payloads keep restoring: version 1 carries no
-/// `version` key (it defaults to `1`), versions 1–2 also recorded which
-/// scheduler core wrote them (`core`) and that core's scheduling hints
-/// (`freed`, `last_generation`, a `blockers` list on parked live
-/// slots), and versions 1–3 each fiber's checkpoint cadence
-/// (`since_checkpoint`, `prime_flow_base`, `checkpoint_every` in its
-/// config).  All of those are ignored — a blocked fiber's
-/// [`FiberSlim::pending`] is the state the hints summarised, and the
-/// engine checkpoints no case — but three payloads are refused: a
-/// `core` other than `"Event"` names a loop this build does not have;
-/// a pre-4 blueprint whose `checkpoint_every` is set means the journal
-/// has `checkpoint.captured` records this build would not regenerate;
-/// and a *newer* schema than this build's cannot be understood.
-pub const ENGINE_SNAPSHOT_VERSION: u32 = 4;
+/// Version 5 is the state of the one tick loop, with no checkpoint
+/// cadence and no data-id counter in it.  Older payloads keep
+/// restoring: version 1 carries no `version` key (it defaults to `1`),
+/// versions 1–2 also recorded which scheduler core wrote them (`core`)
+/// and that core's scheduling hints (`freed`, `last_generation`, a
+/// `blockers` list on parked live slots), versions 1–3 each fiber's
+/// checkpoint cadence (`since_checkpoint`, `prime_flow_base`,
+/// `checkpoint_every` in its config), and versions 1–4 the world-global
+/// fresh-id counter (`world.data_counter`).  All of those are ignored —
+/// a blocked fiber's [`FiberSlim::pending`] is the state the hints
+/// summarised, the engine checkpoints no case, and fresh ids come from
+/// each case's own data state.  Dropping the counter needs no refusal:
+/// no trace event carries a data id, and a restored payload brings the
+/// blueprint goal its cases were submitted under.  Three payloads are
+/// refused: a `core` other than `"Event"` names a loop this build does
+/// not have; a pre-4 blueprint whose `checkpoint_every` is set means the
+/// journal has `checkpoint.captured` records this build would not
+/// regenerate; and a *newer* schema than this build's cannot be
+/// understood.
+pub const ENGINE_SNAPSHOT_VERSION: u32 = 5;
 
 /// The scheduler's complete loop state at a tick boundary.
 #[derive(Debug, Clone)]
@@ -413,10 +417,10 @@ mod tests {
     fn event_core_payloads_round_trip_byte_for_byte() {
         let record = captured();
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
-        assert_eq!(image.version, 4);
+        assert_eq!(image.version, 5);
         assert_eq!(image.to_bytes(), record.state);
-        // Nothing a removed scheduler core or the per-fiber checkpoint
-        // cadence kept is written any more.
+        // Nothing a removed scheduler core, the per-fiber checkpoint
+        // cadence or the world-global id counter kept is written any more.
         let text = std::str::from_utf8(&record.state).unwrap();
         for key in [
             "core",
@@ -426,6 +430,7 @@ mod tests {
             "since_checkpoint",
             "prime_flow_base",
             "checkpoint_every",
+            "data_counter",
         ] {
             assert!(!text.contains(&format!(r#""{key}":"#)), "{key} written");
         }
@@ -510,11 +515,20 @@ mod tests {
         }
     }
 
-    /// `payload` as a version-3 build wrote it: the checkpoint cadence
-    /// (unset) in the blueprint configs, its counter and the resume
-    /// flag on the live fiber.
-    fn as_v3(payload: &[u8]) -> Vec<u8> {
+    /// `payload` as a version-4 build wrote it: the world's fresh-id
+    /// counter, after the one item `meal-0` has produced.
+    fn as_v4(payload: &[u8]) -> Vec<u8> {
         edited(payload, |obj| {
+            obj.insert("version".into(), json("4"));
+            object_at(obj, "world").insert("data_counter".into(), json("101"));
+        })
+    }
+
+    /// `payload` as a version-3 build wrote it: the version-4 shape
+    /// plus the checkpoint cadence (unset) in the blueprint configs, its
+    /// counter and the resume flag on the live fiber.
+    fn as_v3(payload: &[u8]) -> Vec<u8> {
+        edited(&as_v4(payload), |obj| {
             obj.insert("version".into(), json("3"));
             set_cadence(obj, "null");
             let fiber = object_at(live_slot(obj), "fiber");
@@ -542,6 +556,15 @@ mod tests {
         let baseline = recover_from(&record, record.state.clone()).unwrap();
         assert!(baseline.all_succeeded() && baseline.cases.len() == 2);
 
+        // Version 4: the world's id counter is present and ignored.
+        let v4 = as_v4(&record.state);
+        let text = std::str::from_utf8(&v4).unwrap();
+        for key in [r#""version":4"#, r#""data_counter":101"#] {
+            assert!(text.contains(key), "{key} missing from the v4 shape");
+        }
+        assert_eq!(EngineSnapshot::from_bytes(&v4).unwrap().version, 4);
+        assert_eq!(recover_from(&record, v4).unwrap(), baseline);
+
         // Version 3: the checkpoint cadence keys are present and
         // ignored; no checkpoint was captured.
         let v3 = as_v3(&record.state);
@@ -552,6 +575,7 @@ mod tests {
             r#""prime_flow_base":false"#,
             r#""checkpoint_every":null"#,
             r#""checkpoints":[]"#,
+            r#""data_counter":101"#,
         ] {
             assert!(text.contains(key), "{key} missing from the v3 shape");
         }
@@ -623,9 +647,9 @@ mod tests {
             (with_core(r#""Scan""#), "field `core`"),
             (
                 edited(&record.state, |obj| {
-                    obj.insert("version".into(), json("5"));
+                    obj.insert("version".into(), json("6"));
                 }),
-                "version 5 is newer",
+                "version 6 is newer",
             ),
             (cadenced, "version 3 checkpointed its cases"),
             (checkpointed, "version 3 checkpointed its cases"),

@@ -22,7 +22,7 @@
 //! worker count.  All randomness is drawn from one `ChaCha8Rng` seeded
 //! with [`WorkloadGen::seed`], in a fixed order.
 
-use super::{GoalIdAllocator, Workload, WorldBuilder};
+use super::{produced_goal, Workload, WorldBuilder};
 use gridflow_grid::container::ApplicationContainer;
 use gridflow_grid::resource::{Resource, ResourceKind};
 use gridflow_grid::workload::TaskDemand;
@@ -139,13 +139,12 @@ pub struct WorkloadGen {
     duration: DurationProfile,
     hosts_per_service: usize,
     heterogeneous_capacity: bool,
-    fleet: usize,
 }
 
 impl WorkloadGen {
     /// A generator with the given seed and default knobs: linear shape,
     /// width 2, depth 3, data-staged durations, two hosts per service,
-    /// homogeneous single-slot capacities, fleet sizing for 8 cases.
+    /// homogeneous single-slot capacities.
     pub fn new(seed: u64) -> Self {
         WorkloadGen {
             seed,
@@ -155,7 +154,6 @@ impl WorkloadGen {
             duration: DurationProfile::DataStaged,
             hosts_per_service: 2,
             heterogeneous_capacity: false,
-            fleet: 8,
         }
     }
 
@@ -198,10 +196,9 @@ impl WorkloadGen {
         self
     }
 
-    /// Size the case's goal-id range for a fleet of `fleet` concurrent
-    /// cases (see [`GoalIdAllocator`]).
-    pub fn fleet(mut self, fleet: usize) -> Self {
-        self.fleet = fleet.max(1);
+    /// Does nothing (see [`super::dinner_case_for_fleet`]); kept only
+    /// because `benchmark/src/` calls it.
+    pub fn fleet(self, _fleet: usize) -> Self {
         self
     }
 
@@ -353,21 +350,7 @@ impl WorkloadGen {
                     "G2",
                     Condition::compare("R1", "Value", CompareOp::Le, refinement.target),
                 ),
-            None => {
-                // Fresh ids per case: one per activity that actually
-                // executes a plain (fresh-id) output in a single pass.
-                let ids_per_case = match self.shape {
-                    GraphShape::Linear => self.depth,
-                    GraphShape::FanOutJoin => self.depth * self.width,
-                    GraphShape::ChoiceDense => self.depth,
-                    GraphShape::Iterative => unreachable!("handled above"),
-                };
-                let allocator = GoalIdAllocator::new(ids_per_case).with_min_fleet(8);
-                case.with_goal(
-                    "G1",
-                    allocator.exists_goal(&format!("K{}", self.depth), self.fleet),
-                )
-            }
+            None => case.with_goal("G1", produced_goal(&format!("K{}", self.depth))),
         }
     }
 

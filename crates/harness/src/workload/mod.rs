@@ -28,7 +28,7 @@ use gridflow_process::parser::parse_process;
 use gridflow_process::{CaseDescription, Condition, DataItem, ProcessGraph};
 use gridflow_recovery::RecoveryPolicy;
 use gridflow_services::coordination::EnactmentConfig;
-use gridflow_services::world::{GridWorld, OutputSpec, ServiceOffering};
+use gridflow_services::world::{GridWorld, OutputSpec, ServiceOffering, FRESH_ID_BASE};
 use std::sync::Arc;
 
 pub mod gen;
@@ -153,83 +153,22 @@ impl Workload {
     }
 }
 
-/// The shared goal-id allocator: sizes an "an item with classification
-/// `X` exists" goal to a fleet of concurrent cases on one shared world.
-///
-/// The world's fresh-id counter is global and starts at
-/// [`GoalIdAllocator::BASE`]; every produced item takes the next id
-/// (`D101`, `D102`, …), so a fleet of N cases each producing
-/// `ids_per_case` fresh items consumes ids up to
-/// `BASE + ids_per_case * N` — and a case's goal must range over all of
-/// them, because which ids land in which case depends on the
-/// interleaving.  Both the dinner family and the generated workloads
-/// size their goals through this one allocator, so the id-range
-/// arithmetic cannot drift between them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GoalIdAllocator {
-    ids_per_case: usize,
-    min_fleet: usize,
-}
+/// Fresh ids a [`produced_goal`] ranges over (`D101..=D220`): room for a
+/// re-planned case, whose GP winner may run more activities than the
+/// original graph, and for generated shapes of up to 120 fresh outputs.
+const FRESH_GOAL_WINDOW: usize = 120;
 
-impl GoalIdAllocator {
-    /// The world's fresh-id counter starts here; the first produced
-    /// item is `D101`.
-    pub const BASE: usize = 100;
-
-    /// An allocator for cases that produce `ids_per_case` fresh data
-    /// items each, sized for at least [`Self::default_min_fleet`]
-    /// concurrent cases (agent-stack scenarios enact repeatedly on one
-    /// shared world, so even a single case's goal must stay reachable
-    /// on later runs).
-    pub fn new(ids_per_case: usize) -> Self {
-        GoalIdAllocator {
-            ids_per_case: ids_per_case.max(1),
-            min_fleet: Self::default_min_fleet(),
-        }
-    }
-
-    /// The default fleet floor (40 — the historical dinner goal range
-    /// `D101..=D220` at three ids per case).
-    pub const fn default_min_fleet() -> usize {
-        40
-    }
-
-    /// Same allocator with a different fleet floor.
-    pub fn with_min_fleet(mut self, min_fleet: usize) -> Self {
-        self.min_fleet = min_fleet.max(1);
-        self
-    }
-
-    /// The last data id a fleet of `fleet` cases can produce.
-    pub fn last_id(&self, fleet: usize) -> usize {
-        Self::BASE + self.ids_per_case * fleet.max(self.min_fleet)
-    }
-
-    /// Goal condition: *some* produced item (`D101` up to
-    /// [`last_id`](Self::last_id)) is classified `classification`.
-    pub fn exists_goal(&self, classification: &str, fleet: usize) -> Condition {
-        let first = Self::BASE + 1;
-        let mut layer: Vec<Condition> = (first..=self.last_id(fleet))
-            .map(|i| Condition::classified(format!("D{i}"), classification))
-            .collect();
-        // Reduce pairwise into a *balanced* Or tree: a left-nested fold
-        // would be linear in the fleet size, and everything that walks
-        // the condition recursively (drop, serde, goal compilation)
-        // would overflow the stack on 100k-case fleets.  Or is
-        // associative, so the shape is free to choose.
-        while layer.len() > 1 {
-            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-            let mut rest = layer.into_iter();
-            while let Some(a) = rest.next() {
-                match rest.next() {
-                    Some(b) => next.push(Condition::or(a, b)),
-                    None => next.push(a),
-                }
-            }
-            layer = next;
-        }
-        layer.pop().expect("goal id range is never empty")
-    }
+/// Goal condition "some item this case produced is classified
+/// `classification`".  Fresh ids are case-local (see
+/// [`GridWorld::apply_outputs`]): every case mints `D101`, `D102`, … from
+/// its own data state, so one fixed window above [`FRESH_ID_BASE`]
+/// serves the dinner family and the generated shapes alike, whatever
+/// else shares the world.
+fn produced_goal(classification: &str) -> Condition {
+    (FRESH_ID_BASE + 1..=FRESH_ID_BASE + FRESH_GOAL_WINDOW)
+        .map(|n| Condition::classified(format!("D{n}"), classification))
+        .reduce(Condition::or)
+        .expect("the goal window is not empty")
 }
 
 /// The dinner topology: each of `prep`, `cook`, `nuke`, `plate` hosted
@@ -294,13 +233,11 @@ pub fn dinner_topology_scaled(replicas: usize) -> GridTopology {
     }
 }
 
-/// The dinner workload over [`dinner_topology_scaled`], with the case
-/// goal sized for a fleet of `fleet` concurrent cases (the shared
-/// world's fresh-id counter is fleet-global).
-pub fn dinner_workload_scaled(replicas: usize, fleet: usize) -> Workload {
+/// The dinner workload over [`dinner_topology_scaled`].  `_fleet` is
+/// read by nothing (see [`dinner_case_for_fleet`]).
+pub fn dinner_workload_scaled(replicas: usize, _fleet: usize) -> Workload {
     let mut wl = dinner_workload();
     wl.name = format!("dinner-x{replicas}");
-    wl.case = dinner_case_for_fleet(fleet);
     wl.world_builder = WorldBuilder::new(move || {
         let mut w = GridWorld::new(dinner_topology_scaled(replicas));
         offer_dinner_services(&mut w);
@@ -357,30 +294,21 @@ pub fn dinner_world() -> GridWorld {
     w
 }
 
-/// The dinner goal-id allocator: three fresh items per case (`prep`,
-/// `cook`, `plate` each produce one), default fleet floor, so a single
-/// case's goal ranges over the historical `D101..=D220`.
-fn dinner_goal_ids() -> GoalIdAllocator {
-    GoalIdAllocator::new(3)
-}
-
-/// The dinner case: one `Raw` item, goal `Plated`.  Equivalent to
-/// [`dinner_case_for_fleet`]`(1)` — the goal range is wide because the
-/// agent-stack scenarios enact repeatedly on one *shared* world, and
-/// the goal must still be reachable on the later runs.
+/// The dinner case: one `Raw` item, goal `Plated`.
 pub fn dinner_case() -> CaseDescription {
-    dinner_case_for_fleet(1)
-}
-
-/// A dinner case whose goal range is sized for a fleet of `fleet`
-/// concurrent cases on one shared world.  The world's fresh-id counter
-/// is global, so a fleet of N consumes ~3·N produced ids; the
-/// [`GoalIdAllocator`] sizes the goal's id range accordingly (with the
-/// default floor, fleets up to 40 share the `D101..=D220` range).
-pub fn dinner_case_for_fleet(fleet: usize) -> CaseDescription {
     CaseDescription::new("dinner")
         .with_data("D1", DataItem::classified("Raw"))
-        .with_goal("G1", dinner_goal_ids().exists_goal("Plated", fleet))
+        .with_goal("G1", produced_goal("Plated"))
+}
+
+/// [`dinner_case`].  `_fleet` is read by nothing: fresh ids are
+/// case-local, so a case's goal does not depend on how many cases share
+/// its world.  Kept, like the `fleet` argument of
+/// [`dinner_workload_scaled`], [`dinner_replan_workload_scaled`] and
+/// [`WorkloadGen::fleet`], only because `benchmark/src/` calls it and
+/// that directory is frozen between benchmark-archetype PRs.
+pub fn dinner_case_for_fleet(_fleet: usize) -> CaseDescription {
+    dinner_case()
 }
 
 /// The linear dinner workflow `prep; cook; plate`.
@@ -426,20 +354,14 @@ pub fn dinner_replan_workload(gp_seed: u64) -> Workload {
 
 /// The replanning workload over [`dinner_topology_scaled`]: the scaled
 /// dinner with the same escalate-to-GP configuration as
-/// [`dinner_replan_workload`], sized for a fleet of `fleet` concurrent
-/// cases.  The planning goal is fleet-independent (`Plated`, count 1),
-/// so every case's replan of the same failure shares one [`PlanKey`]
-/// regardless of fleet size.
+/// [`dinner_replan_workload`].  The planning goal is `Plated`, count 1,
+/// so every case's replan of the same failure shares one [`PlanKey`].
+/// `fleet` is read by nothing (see [`dinner_case_for_fleet`]).
 ///
 /// [`PlanKey`]: gridflow_planner::PlanKey
 pub fn dinner_replan_workload_scaled(replicas: usize, fleet: usize, gp_seed: u64) -> Workload {
     let mut w = dinner_workload_scaled(replicas, fleet);
     w.name = format!("dinner+replan-x{replicas}");
-    // GP winners are valid but not always minimal — a replanned case
-    // can execute (and consume fresh ids for) more than the baseline
-    // three activities, so the goal's id range is sized for double the
-    // fleet's nominal consumption.
-    w.case = dinner_case_for_fleet(fleet * 2);
     w.config = EnactmentConfig {
         replan: true,
         planning_goals: vec![GoalSpec {

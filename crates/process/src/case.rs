@@ -7,23 +7,13 @@
 //! `CD-3DSD` names the initial data set `{D1 … D7}`, the goal result set
 //! `{D12}`, and the constraint `Cons1` steering the refinement loop.
 
-use crate::condition::{AnyClassifiedGoal, Condition};
+use crate::condition::Condition;
 use crate::data::{DataItem, DataState};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 /// A case description: the per-run instantiation of a process description.
-///
-/// Goal evaluation carries a lazily-built compiled cache (see
-/// [`Condition::compile_any_classified`]) so fleet-scale `Or`-chain
-/// goals cost O(|state|) instead of O(fleet) per check.  The cache is
-/// invisible: skipped by serde, ignored by `PartialEq`, reset by the
-/// goal builder.  The fields stay public for construction ergonomics —
-/// code that mutates `goals` directly (none in this workspace does;
-/// [`CaseDescription::with_goal`] is the only writer) must construct a
-/// fresh value instead of editing in place, or the cache goes stale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CaseDescription {
     /// Name (e.g. `CD-3DSD`).
     pub name: String,
@@ -38,58 +28,6 @@ pub struct CaseDescription {
     pub constraints: BTreeMap<String, Condition>,
     /// Data ids the user designates as results.
     pub result_set: Vec<String>,
-    /// Per-goal compiled fast paths, built on first evaluation.  `None`
-    /// entries fall back to [`Condition::eval`].
-    compiled_goals: OnceLock<Vec<Option<AnyClassifiedGoal>>>,
-}
-
-// Hand-written serde impls (the derive has no way to skip the cache):
-// the wire format is exactly the historical five-field object, and
-// deserialization rebuilds with an empty cache.
-impl Serialize for CaseDescription {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("name".to_string(), self.name.to_json_value());
-        m.insert(
-            "initial_data".to_string(),
-            self.initial_data.to_json_value(),
-        );
-        m.insert("goals".to_string(), self.goals.to_json_value());
-        m.insert("constraints".to_string(), self.constraints.to_json_value());
-        m.insert("result_set".to_string(), self.result_set.to_json_value());
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for CaseDescription {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v.as_object().ok_or_else(|| {
-            serde::Error::custom(format!(
-                "expected object for struct CaseDescription, got {v:?}"
-            ))
-        })?;
-        Ok(CaseDescription {
-            name: serde::__field(obj, "name", "CaseDescription")?,
-            initial_data: serde::__field(obj, "initial_data", "CaseDescription")?,
-            goals: serde::__field(obj, "goals", "CaseDescription")?,
-            constraints: serde::__field(obj, "constraints", "CaseDescription")?,
-            result_set: serde::__field(obj, "result_set", "CaseDescription")?,
-            compiled_goals: OnceLock::new(),
-        })
-    }
-}
-
-impl PartialEq for CaseDescription {
-    /// Semantic equality only — the compiled-goal cache is derived
-    /// state and two descriptions differing only in whether the cache
-    /// has been populated are the same description.
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.initial_data == other.initial_data
-            && self.goals == other.goals
-            && self.constraints == other.constraints
-            && self.result_set == other.result_set
-    }
 }
 
 impl CaseDescription {
@@ -101,7 +39,6 @@ impl CaseDescription {
             goals: Vec::new(),
             constraints: BTreeMap::new(),
             result_set: Vec::new(),
-            compiled_goals: OnceLock::new(),
         }
     }
 
@@ -114,8 +51,6 @@ impl CaseDescription {
     /// Add a goal specification (builder style).
     pub fn with_goal(mut self, label: impl Into<String>, cond: Condition) -> Self {
         self.goals.push((label.into(), cond));
-        // The cache indexes goals positionally; a new goal invalidates it.
-        self.compiled_goals = OnceLock::new();
         self
     }
 
@@ -131,28 +66,9 @@ impl CaseDescription {
         self
     }
 
-    /// The per-goal compiled fast paths, building them on first use.
-    /// Shared across a fleet through `Arc<CaseDescription>`: the whole
-    /// fleet compiles each goal once.
-    fn compiled(&self) -> &[Option<AnyClassifiedGoal>] {
-        self.compiled_goals.get_or_init(|| {
-            self.goals
-                .iter()
-                .map(|(_, c)| c.compile_any_classified())
-                .collect()
-        })
-    }
-
     /// How many of the goal specifications hold in `state`?
     pub fn satisfied_goals(&self, state: &DataState) -> usize {
-        self.compiled()
-            .iter()
-            .zip(self.goals.iter())
-            .filter(|(fast, (_, cond))| match fast {
-                Some(g) => g.eval(state),
-                None => cond.eval(state),
-            })
-            .count()
+        self.goals.iter().filter(|(_, c)| c.eval(state)).count()
     }
 
     /// Do all goal specifications hold in `state`?
@@ -224,16 +140,15 @@ mod tests {
     }
 
     #[test]
-    fn compiled_or_chain_goal_matches_naive_eval() {
-        // The fleet shape: any of D101..D140 classified "Plated".
+    fn or_chain_goal_holds_only_for_a_watched_id_of_the_class() {
+        // The dinner shape: any of D101..D140 classified "Plated".
         let chain = (101..=140)
             .map(|i| Condition::classified(format!("D{i}"), "Plated"))
             .reduce(Condition::or)
             .unwrap();
-        let c = CaseDescription::new("fleet").with_goal("G", chain.clone());
+        let c = CaseDescription::new("dinner").with_goal("G", chain);
         let mut state = DataState::new();
         state.insert("D1", DataItem::classified("Raw"));
-        assert_eq!(c.goals_met(&state), chain.eval(&state));
         assert!(!c.goals_met(&state));
         // An id outside the watched range does not satisfy it.
         state.insert("D999", DataItem::classified("Plated"));
@@ -243,18 +158,6 @@ mod tests {
         assert!(!c.goals_met(&state));
         // A watched id with the right class does.
         state.insert("D117", DataItem::classified("Plated"));
-        assert_eq!(c.goals_met(&state), chain.eval(&state));
-        assert!(c.goals_met(&state));
-    }
-
-    #[test]
-    fn mixed_shape_goals_fall_back_to_naive_eval() {
-        // Not a pure same-class Or-chain: must not compile, must still
-        // evaluate correctly.
-        let cond = Condition::classified("D1", "A").or(Condition::classified("D2", "B"));
-        assert!(cond.compile_any_classified().is_none());
-        let c = CaseDescription::new("mixed").with_goal("G", cond);
-        let state = DataState::new().with("D2", DataItem::classified("B"));
         assert!(c.goals_met(&state));
     }
 }

@@ -14,7 +14,6 @@ use crate::error::{ProcessError, Result};
 use gridflow_ontology::Value;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Comparison operator of a condition atom.
@@ -189,49 +188,6 @@ impl Condition {
         }
     }
 
-    /// Recognize the fleet-goal shape — an `Or`-chain whose every leaf
-    /// is `<data>.Classification = "<class>"` for one shared class —
-    /// and compile it to a set-membership test.  The naive [`eval`] of
-    /// such a chain walks every leaf (one per fleet data item), so a
-    /// goal over an N-case fleet costs O(N) per evaluation; the
-    /// compiled form answers in O(|state|) by scanning the (small) live
-    /// data state instead.  Returns `None` for any other shape; the
-    /// compiled evaluation is exactly equivalent to [`eval`] (`Or` has
-    /// no evaluation-order effects and the atoms are pure).
-    ///
-    /// [`eval`]: Condition::eval
-    pub fn compile_any_classified(&self) -> Option<AnyClassifiedGoal> {
-        let mut ids = BTreeSet::new();
-        let mut value: Option<&Value> = None;
-        let mut stack = vec![self];
-        while let Some(c) = stack.pop() {
-            match c {
-                Condition::Or(a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Condition::Compare {
-                    data,
-                    property,
-                    op: CompareOp::Eq,
-                    value: v,
-                } if property == "Classification" && v.as_str().is_some() => {
-                    match value {
-                        None => value = Some(v),
-                        Some(prev) if prev == v => {}
-                        Some(_) => return None,
-                    }
-                    ids.insert(data.clone());
-                }
-                _ => return None,
-            }
-        }
-        Some(AnyClassifiedGoal {
-            value: value?.clone(),
-            ids,
-        })
-    }
-
     /// All data-item identifiers mentioned by the condition.
     pub fn referenced_data(&self) -> Vec<&str> {
         let mut out = Vec::new();
@@ -252,33 +208,6 @@ impl Condition {
             }
             Condition::Not(c) => c.collect_refs(out),
         }
-    }
-}
-
-/// The compiled form of a fleet-scale "any item of this class" goal —
-/// see [`Condition::compile_any_classified`].  Holds the shared
-/// classification literal and the set of data-item ids the `Or`-chain
-/// named; evaluation scans the live state once and answers membership
-/// against the set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnyClassifiedGoal {
-    /// The classification literal every leaf compared against.
-    value: Value,
-    /// The data-item ids the chain's leaves named.
-    ids: BTreeSet<String>,
-}
-
-impl AnyClassifiedGoal {
-    /// Evaluate against a data state, exactly as the source `Or`-chain
-    /// would under [`Condition::eval`]: true iff any named item exists
-    /// and its `Classification` property loosely equals the class.
-    pub fn eval(&self, state: &DataState) -> bool {
-        state.iter().any(|(id, item)| {
-            self.ids.contains(id)
-                && item
-                    .get("Classification")
-                    .is_some_and(|actual| actual.loose_eq(&self.value))
-        })
     }
 }
 

@@ -50,7 +50,7 @@ pub mod recover;
 pub use ast::{ProcessAst, Stmt};
 pub use atn::{AtnMachine, AtnSnapshot, AtnStatus, EnactmentEvent};
 pub use case::CaseDescription;
-pub use condition::{AnyClassifiedGoal, CompareOp, Condition};
+pub use condition::{CompareOp, Condition};
 pub use data::{DataItem, DataState};
 pub use error::{ProcessError, Result};
 pub use graph::{ActivityDecl, ActivityKind, ProcessGraph, Transition};

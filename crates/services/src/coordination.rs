@@ -496,8 +496,7 @@ pub struct CaseFiber {
     trace: TraceHandle,
     /// Shared, not owned: a fleet of fibers enacting one workload holds
     /// one description between them, so spawning and retiring a fiber
-    /// never deep-copies the case's goal/constraint condition trees
-    /// (which scale with the fleet in capacity benchmarks).
+    /// never deep-copies the case's goal/constraint condition trees.
     case: Arc<CaseDescription>,
     label: String,
     planning: PlanningService,

@@ -44,7 +44,7 @@ pub fn predict(
     case: &CaseDescription,
     max_events: u64,
 ) -> Result<Prediction> {
-    let mut world = world.clone_for_simulation();
+    let world = world.clone_for_simulation();
     let mut machine = AtnMachine::new(graph)?;
     let mut state = case.initial_data.clone();
     machine.start(&state)?;

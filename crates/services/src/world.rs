@@ -135,6 +135,11 @@ pub struct ExecutionRecord {
     pub at_s: f64,
 }
 
+/// Fresh data ids are `D<n>` with `n` above this base: the first item a
+/// case produces is `D101`.  Ids at or below it are the case
+/// description's own (`D1` … of Fig. 13).
+pub const FRESH_ID_BASE: usize = 100;
+
 /// The shared world.
 #[derive(Debug)]
 pub struct GridWorld {
@@ -158,7 +163,6 @@ pub struct GridWorld {
     /// leases exist to catch.  Cost is unchanged (you pay for nodes, not
     /// for their sluggishness).
     pub slowdowns: BTreeMap<String, f64>,
-    data_counter: usize,
     /// Is the tick-scoped reservation protocol active?  Off by default:
     /// single-case enactment paths behave (and trace) exactly as before.
     reservations_enabled: bool,
@@ -189,7 +193,6 @@ impl GridWorld {
             clock_s: 0.0,
             failures_are_persistent: true,
             slowdowns: BTreeMap::new(),
-            data_counter: 100,
             reservations_enabled: false,
             capacities: BTreeMap::new(),
             holds: BTreeMap::new(),
@@ -361,8 +364,7 @@ impl GridWorld {
         let offering = self
             .offerings
             .get(service)
-            .ok_or_else(|| ServiceError::UnknownOffering(service.to_owned()))?
-            .clone();
+            .ok_or_else(|| ServiceError::UnknownOffering(service.to_owned()))?;
         let container = self
             .topology
             .containers
@@ -428,27 +430,20 @@ impl GridWorld {
     }
 
     /// Apply the outputs of a successful `service` execution to a data
-    /// state, returning the produced classifications.
-    pub fn apply_outputs(&mut self, service: &str, state: &mut DataState) -> Result<Vec<String>> {
-        let offering = self
-            .offerings
-            .get(service)
-            .ok_or_else(|| ServiceError::UnknownOffering(service.to_owned()))?
-            .clone();
+    /// state, returning the produced classifications.  Fresh ids are
+    /// case-local: an output without a fixed id takes the first `D<n>`
+    /// above [`FRESH_ID_BASE`] that `state` does not hold, so a case is
+    /// handed the same ids whatever else runs on this world, before or
+    /// after a checkpoint resume.
+    pub fn apply_outputs(&self, service: &str, state: &mut DataState) -> Result<Vec<String>> {
         let mut produced = Vec::new();
-        for output in &offering.outputs {
+        for output in &self.offering(service)?.outputs {
             let id = match &output.data_id {
                 Some(fixed) => fixed.clone(),
-                None => loop {
-                    // Skip ids the state already holds: after a checkpoint
-                    // resume, a fresh world's counter restarts while the
-                    // restored state carries earlier fresh ids.
-                    self.data_counter += 1;
-                    let candidate = format!("D{}", self.data_counter);
-                    if !state.contains(&candidate) {
-                        break candidate;
-                    }
-                },
+                None => (FRESH_ID_BASE + 1..)
+                    .map(|n| format!("D{n}"))
+                    .find(|id| !state.contains(id))
+                    .expect("the id range is unbounded"),
             };
             let mut item = DataItem::classified(output.classification.clone());
             if let Some(start) = output.value_start {
@@ -470,10 +465,10 @@ impl GridWorld {
     /// Capture the world's mutable state as a serializable image.
     ///
     /// The image records only what a seeded rebuild cannot reproduce:
-    /// container status counters, execution history, clocks, the data-id
-    /// counter, installed slowdowns/capacities, the matchmaking
-    /// generation, and the failure model's draw position.  Static
-    /// structure (topology shape, offerings, market) is *not* captured —
+    /// container status counters, execution history, clocks, installed
+    /// slowdowns/capacities, the matchmaking generation, and the failure
+    /// model's draw position.  Static structure (topology shape,
+    /// offerings, market) is *not* captured —
     /// [`GridWorld::restore_image`] expects to run against a world
     /// freshly rebuilt from the same `(plan, workload)` pair, which is
     /// the determinism bargain the whole harness rests on.
@@ -497,7 +492,6 @@ impl GridWorld {
             clock_s: self.clock_s,
             failures_are_persistent: self.failures_are_persistent,
             slowdowns: self.slowdowns.clone(),
-            data_counter: self.data_counter,
             capacities: self.capacities.clone(),
             generation: self.generation,
             failure_draws: self.failure.draws(),
@@ -526,7 +520,6 @@ impl GridWorld {
         self.clock_s = image.clock_s;
         self.failures_are_persistent = image.failures_are_persistent;
         self.slowdowns = image.slowdowns.clone();
-        self.data_counter = image.data_counter;
         self.capacities = image.capacities.clone();
         self.holds.clear();
         let already = self.failure.draws();
@@ -579,8 +572,6 @@ pub struct WorldImage {
     pub failures_are_persistent: bool,
     /// Installed per-container slowdown factors.
     pub slowdowns: BTreeMap<String, f64>,
-    /// Fresh-data-id counter.
-    pub data_counter: usize,
     /// Per-container slot capacities.
     pub capacities: BTreeMap<String, usize>,
     /// Matchmaking generation counter.
@@ -769,6 +760,27 @@ mod tests {
         assert_eq!(state.property("D10", "Value"), Some(&Value::Float(9.0)));
         w.apply_outputs("PSF", &mut state).unwrap();
         assert_eq!(state.property("D10", "Value"), Some(&Value::Float(6.0)));
+    }
+
+    #[test]
+    fn fresh_ids_are_minted_from_the_case_state_not_the_world() {
+        let w = world();
+        // Two cases served by one world both start at D101.
+        let (mut a, mut b) = (DataState::new(), DataState::new());
+        w.apply_outputs("POD", &mut a).unwrap();
+        w.apply_outputs("POD", &mut b).unwrap();
+        w.apply_outputs("P3DR", &mut a).unwrap();
+        assert_eq!(a.ids().collect::<Vec<_>>(), ["D101", "D102"]);
+        assert_eq!(b.ids().collect::<Vec<_>>(), ["D101"]);
+        // A state that already holds fresh ids (a resumed checkpoint)
+        // continues after them.
+        let mut resumed = a.clone();
+        w.apply_outputs("POD", &mut resumed).unwrap();
+        assert_eq!(
+            resumed.get("D103").and_then(DataItem::classification),
+            Some("Orientation File")
+        );
+        assert_eq!(resumed.len(), 3);
     }
 
     #[test]

@@ -15,18 +15,24 @@
 //! 4. **Partitions are windows** — an engine-plane partition cuts the
 //!    named containers for exactly `[from_tick, heal_tick)` and emits
 //!    its boundary events once each.
+//! 5. **A case does not know its fleet** — fresh data ids are minted
+//!    from the case's own state, so what a case seals, what its goal
+//!    ranges over and what a snapshot stores for it are the same in a
+//!    fleet of any size.
 
-use gridflow_engine::{CaseScheduler, CaseSpec, EngineConfig};
+use gridflow_engine::{CaseScheduler, CaseSpec, EngineConfig, EngineSnapshot};
 use gridflow_harness::workload::{
-    dinner_recovery_workload, dinner_workload, DurationProfile, GraphShape, Workload, WorkloadGen,
+    dinner_case_for_fleet, dinner_recovery_workload, dinner_workload, dinner_workload_scaled,
+    DurationProfile, GraphShape, Workload, WorkloadGen,
 };
 use gridflow_harness::{
     FaultPlan, MultiCaseScenario, TraceEvent, TraceLog, TraceQuery, TraceViolation,
 };
 use gridflow_services::Enactor;
+use gridflow_store::{MemStore, Store};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn query(log: &TraceLog) -> TraceQuery {
     TraceQuery::new(log.records())
@@ -411,6 +417,56 @@ fn nightly_partition_chaos_seed_sweep() {
     }
 }
 
+// ------------------------------------------------------ fleet invariance
+
+#[test]
+fn a_case_enacts_the_same_whatever_fleet_shares_its_world() {
+    // Eight cases in flight at once on hosts with slots to spare: every
+    // one seals what a lone enactment seals, data ids included.
+    let plan = FaultPlan::default();
+    let wl = dinner_workload_scaled(1, 8);
+    let direct = Enactor::builder().config(wl.config.clone()).build().enact(
+        &mut wl.fresh_world(&plan, 0),
+        &wl.graph,
+        &wl.case,
+    );
+    assert!(direct.success);
+    let fleet = MultiCaseScenario::new(&plan, &wl, 8).max_in_flight(8).run();
+    for case in &fleet.engine.cases {
+        assert_eq!(case.blocked_ticks, 0, "{} was contended", case.label);
+        assert_eq!(
+            case.report.final_state, direct.final_state,
+            "{}",
+            case.label
+        );
+        assert_eq!(case.report.executions, direct.executions, "{}", case.label);
+    }
+
+    // So nothing that builds a case reads a fleet size...
+    assert_eq!(dinner_case_for_fleet(1), dinner_case_for_fleet(100_000));
+    let gen = WorkloadGen::new(7).shape(GraphShape::FanOutJoin);
+    assert_eq!(
+        gen.fleet(3).build().fingerprint(),
+        gen.fleet(3000).build().fingerprint()
+    );
+
+    // ...and the blueprint table a snapshot carries does not grow with it.
+    let blueprint_bytes = |cases: usize| {
+        let mut wl = dinner_workload();
+        wl.case = dinner_case_for_fleet(cases);
+        let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+        let outcome = MultiCaseScenario::new(&plan, &wl, cases)
+            .max_in_flight(64)
+            .store(store.clone(), 32)
+            .run();
+        assert!(outcome.engine.all_succeeded());
+        let last = store.lock().unwrap().latest_snapshot().unwrap().unwrap();
+        let image = EngineSnapshot::from_bytes(&last.state).unwrap();
+        serde_json::to_string(&image.blueprints).unwrap().len()
+    };
+    assert_eq!(blueprint_bytes(64), blueprint_bytes(512));
+}
+
 // ------------------------------------------------- generated and chaos
 
 /// The nightly chaos sweep: 32 seeds of fleets under node loss *and* a
@@ -467,8 +523,7 @@ fn workload_gen() -> impl Strategy<Value = (GraphShape, WorkloadGen)> {
                 .width(width)
                 .depth(depth)
                 .duration(duration)
-                .heterogeneous_capacity(hetero)
-                .fleet(3);
+                .heterogeneous_capacity(hetero);
             (shape, gen)
         })
 }

@@ -18,11 +18,12 @@
 //!
 //! and says in CHANGES.md which rows moved and why.  To show *what*
 //! moved, dump every pinned trace and the snapshot payload on both
-//! commits and `diff -r` the two directories:
+//! commits and diff the two directories:
 //!
 //! ```text
 //! cargo test -p gridflow-harness --test trace_golden -- --ignored dump_goldens
 //! ls target/tmp/trace_golden/        # <row>.jsonl, kill-recover.snapshot.json
+//! scripts/golden-diff.sh <parent's dump> <this commit's dump>
 //! ```
 
 use gridflow_harness::workload::{
@@ -103,7 +104,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 /// scenario recovers from: the latest one the crashed run left in the
 /// store (tick 6: two cases finished, two live mid-run on one interned
 /// blueprint, none waiting), so the pin covers `FiberSlim`'s format.
-const GOLDEN_SNAPSHOT: (usize, u64) = (20289, 0x86237561decf7de0);
+const GOLDEN_SNAPSHOT: (usize, u64) = (20270, 0x1befe856fe956da8);
 
 /// `(scenario, record count, fnv1a64(JSONL))` of the single-case
 /// [`Scenario`] path, whose only durability is the enactor's cadence
@@ -270,7 +271,6 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
             .width(3)
             .depth(2)
             .heterogeneous_capacity(true)
-            .fleet(3)
             .build();
         out.push((
             format!("generated-{}", shape.name()),
