@@ -16,7 +16,8 @@
 
 use gridflow_engine::{CaseHints, EngineOutcome, PolicySpec};
 use gridflow_harness::workload::{
-    dinner_recovery_workload, dinner_workload, DurationProfile, GraphShape, Workload, WorkloadGen,
+    cook_loss_churn_plan, dinner_recovery_workload, dinner_replan_workload, dinner_workload,
+    DurationProfile, GraphShape, Workload, WorkloadGen,
 };
 use gridflow_harness::{FaultPlan, MultiCaseScenario};
 use gridflow_store::{merged_jsonl, FileStore, MemStore, Store};
@@ -313,6 +314,43 @@ fn recovery_ladder_fleets_survive_kills_at_every_tick() {
     let (jsonl, baseline) = fleet.baseline();
     for kill in 0..baseline.ticks {
         fleet.prove_crash_replay(kill, 4, &jsonl, &baseline);
+    }
+}
+
+/// A lone case is a fleet of one: the plans behind `trace_golden`'s
+/// `one-*` rows (the flaky dinner under eight seeds, the replan churn,
+/// the recovery ladder), killed at every tick and recovered
+/// snapshot-led (every tick) and replay-only.
+#[test]
+fn fleet_of_one_survives_kills_at_every_tick() {
+    let flaky = (0..8u64).map(|seed| {
+        (
+            FaultPlan::seeded(seed).failing_activities(0.2),
+            dinner_workload(),
+        )
+    });
+    let churn = (cook_loss_churn_plan(23), dinner_replan_workload(11));
+    let ladder = (
+        FaultPlan::seeded(2)
+            .failing_activities(0.3)
+            .transient_failures(),
+        dinner_recovery_workload(),
+    );
+    for (plan, workload) in flaky.chain([churn, ladder]) {
+        let fleet = Fleet {
+            plan,
+            workload,
+            cases: 1,
+            in_flight: 1,
+            policy: PolicySpec::Fifo,
+            hints: None,
+        };
+        let (jsonl, baseline) = fleet.baseline();
+        for snapshot_every in [1, 0] {
+            for kill in 0..baseline.ticks {
+                fleet.prove_crash_replay(kill, snapshot_every, &jsonl, &baseline);
+            }
+        }
     }
 }
 

@@ -98,6 +98,16 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("churn-uncached", 292, 0x679fb1e9277c5e7a),
     ("churn-cached", 298, 0xcd0db35dc90a36f8),
     ("kill-recover", 81, 0x15465189e1629183),
+    ("one-crash-0", 23, 0x4b8639238381c283),
+    ("one-crash-1", 31, 0xc5716d2993eeed07),
+    ("one-crash-2", 27, 0x0fd441fda4e00221),
+    ("one-crash-3", 23, 0x4b8639238381c283),
+    ("one-crash-4", 27, 0xef86cde35c360da5),
+    ("one-crash-5", 27, 0xef86cde35c360da5),
+    ("one-crash-6", 23, 0x4b8639238381c283),
+    ("one-crash-7", 23, 0x4b8639238381c283),
+    ("one-churn", 54, 0x32a6d3418a558800),
+    ("one-ladder", 30, 0xcf1cdd440150d28d),
 ];
 
 /// `(payload bytes, fnv1a64(payload))` of the snapshot the kill→recover
@@ -284,7 +294,40 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
     ));
     let (merged, snapshot) = kill_recover();
     out.push(("kill-recover".into(), merged));
+    // The single-case rows' plans as uninterrupted fleets of one.
+    for (name, plan, wl) in fleet_of_one_plans() {
+        out.push((name, jsonl(&plan, &wl, 1, 1)));
+    }
     (out, snapshot)
+}
+
+/// The plans behind the single-case rows below, each enacted as a
+/// fleet of one: the flaky dinner (eight seeds), the replan churn and
+/// the recovery ladder.  `tests/store_crash_replay.rs` kills the same
+/// ten at every tick.
+fn fleet_of_one_plans() -> Vec<(String, FaultPlan, Workload)> {
+    let mut out: Vec<(String, FaultPlan, Workload)> = (0..8u64)
+        .map(|seed| {
+            (
+                format!("one-crash-{seed}"),
+                FaultPlan::seeded(seed).failing_activities(0.2),
+                dinner_workload(),
+            )
+        })
+        .collect();
+    out.push((
+        "one-churn".into(),
+        cook_loss_churn_plan(23),
+        dinner_replan_workload(11),
+    ));
+    out.push((
+        "one-ladder".into(),
+        FaultPlan::seeded(2)
+            .failing_activities(0.3)
+            .transient_failures(),
+        dinner_recovery_workload(),
+    ));
+    out
 }
 
 /// Every pinned single-case scenario, in table order: the dinner under
