@@ -11,7 +11,7 @@ use gridflow_services::{
     CaseFiber, EnactmentConfig, EnactmentReport, FiberStatus, GridWorld, PlanCacheHandle,
 };
 use gridflow_store::{SnapshotRecord, Store, StoreError, StoreResult};
-use gridflow_telemetry::{ScopedSink, TraceEvent, TraceHandle, TraceLog, TraceSink};
+use gridflow_telemetry::{TraceEvent, TraceHandle, TraceLog, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -161,22 +161,11 @@ pub struct CaseOutcome {
 }
 
 impl CaseOutcome {
-    /// Virtual-tick makespan: admission to finish, inclusive of the
-    /// finishing tick.
-    ///
-    /// **Refused cases return 0**, which is *not* a makespan — a
-    /// refused case never ran.  Aggregations (percentiles, means) that
-    /// feed zeros in would silently report refusals as instant
-    /// completions; use [`CaseOutcome::admitted_makespan_ticks`] and
-    /// filter its `None`s instead.
-    pub fn makespan_ticks(&self) -> u64 {
-        self.admitted_makespan_ticks().unwrap_or(0)
-    }
-
     /// Virtual-tick makespan for cases that actually ran: admission to
     /// finish, inclusive of the finishing tick.  `None` when admission
-    /// refused the case — the variant aggregations should filter out
-    /// rather than count as zero.
+    /// refused the case — a refused case never ran, and aggregations
+    /// (percentiles, means) should filter it out rather than count it
+    /// as an instant completion.
     pub fn admitted_makespan_ticks(&self) -> Option<u64> {
         self.admitted_tick
             .map(|t| self.finished_tick.saturating_sub(t) + 1)
@@ -252,7 +241,6 @@ struct LoopState {
 pub struct CaseScheduler {
     config: EngineConfig,
     trace: TraceHandle,
-    sink: Option<Arc<dyn TraceSink>>,
     pending: Vec<CaseSpec>,
 }
 
@@ -271,7 +259,6 @@ impl CaseScheduler {
         CaseScheduler {
             config,
             trace: TraceHandle::none(),
-            sink: None,
             pending: Vec::new(),
         }
     }
@@ -282,8 +269,7 @@ impl CaseScheduler {
     /// [`gridflow_telemetry::TraceQuery`] can check cross-case
     /// invariants such as no-double-booking.
     pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = TraceHandle::from(sink.clone());
-        self.sink = Some(sink);
+        self.trace = TraceHandle::new(sink);
         self
     }
 
@@ -336,8 +322,7 @@ impl CaseScheduler {
     ///
     /// Loads the latest valid snapshot (schema- and hash-checked — a
     /// future-version snapshot is refused with
-    /// [`StoreError::UnsupportedSchema`], mirroring
-    /// `EnactmentCheckpoint::validate`, and one this build could not
+    /// [`StoreError::UnsupportedSchema`], and one this build could not
     /// re-execute faithfully with [`StoreError::Corrupt`]), restores the
     /// world image onto `world`, rebuilds every live fiber and the
     /// admission policy's history, and re-enters the tick loop at the
@@ -432,7 +417,7 @@ impl CaseScheduler {
                     "live case {index} references a blueprint past the pool"
                 )));
             };
-            let trace = self.scoped_trace(&slot.fiber.label);
+            let trace = self.trace.scoped(format_args!("case:{}", slot.fiber.label));
             let mut fiber = CaseFiber::from_slim(
                 slot.fiber,
                 graph.clone(),
@@ -828,24 +813,12 @@ impl CaseScheduler {
         None
     }
 
-    /// A trace handle scoped `case:<label>/…` in the merged log (no-op
-    /// when the scheduler is untraced).
-    fn scoped_trace(&self, label: &str) -> TraceHandle {
-        match &self.sink {
-            Some(sink) => TraceHandle::from(Arc::new(ScopedSink::new(
-                format!("case:{label}"),
-                sink.clone(),
-            )) as Arc<dyn TraceSink>),
-            None => TraceHandle::none(),
-        }
-    }
-
     /// A fiber whose trace events are scoped `case:<label>/…` in the
     /// merged log (no-op when the scheduler is untraced).
     fn spawn_fiber(&self, spec: &CaseSpec) -> CaseFiber {
         let mut fiber = CaseFiber::new(
             spec.config.clone(),
-            self.scoped_trace(&spec.label),
+            self.trace.scoped(format_args!("case:{}", spec.label)),
             &spec.graph,
             spec.case.clone(),
             spec.label.clone(),

@@ -142,26 +142,29 @@ pub struct AdmissionRecord {
 
 /// Engine-snapshot schema version written by this build.
 ///
-/// Version 5 is the state of the one tick loop, with no checkpoint
-/// cadence and no data-id counter in it.  Older payloads keep
-/// restoring: version 1 carries no `version` key (it defaults to `1`),
-/// versions 1–2 also recorded which scheduler core wrote them (`core`)
-/// and that core's scheduling hints (`freed`, `last_generation`, a
-/// `blockers` list on parked live slots), versions 1–3 each fiber's
-/// checkpoint cadence (`since_checkpoint`, `prime_flow_base`,
-/// `checkpoint_every` in its config), and versions 1–4 the world-global
-/// fresh-id counter (`world.data_counter`).  All of those are ignored —
-/// a blocked fiber's [`FiberSlim::pending`] is the state the hints
-/// summarised, the engine checkpoints no case, and fresh ids come from
-/// each case's own data state.  Dropping the counter needs no refusal:
-/// no trace event carries a data id, and a restored payload brings the
-/// blueprint goal its cases were submitted under.  Three payloads are
+/// Version 6 is the state of the one tick loop, with no checkpoint
+/// cadence, no data-id counter and no per-report checkpoint list in it.
+/// Older payloads keep restoring: version 1 carries no `version` key (it
+/// defaults to `1`), versions 1–2 also recorded which scheduler core
+/// wrote them (`core`) and that core's scheduling hints (`freed`,
+/// `last_generation`, a `blockers` list on parked live slots), versions
+/// 1–3 each fiber's checkpoint cadence (`since_checkpoint`,
+/// `prime_flow_base`, `checkpoint_every` in its config), versions 1–4
+/// the world-global fresh-id counter (`world.data_counter`), and
+/// versions 1–5 a `checkpoints` list in every report (empty whenever
+/// the pre-4 refusal below lets the payload through).  All of those are
+/// ignored — a blocked fiber's [`FiberSlim::pending`] is the state the
+/// hints summarised, this store is the only checkpoint there is, and
+/// fresh ids come from each case's own data state.  Dropping the
+/// counter needs no refusal: no trace event carries a data id, and a
+/// restored payload brings the blueprint goal its cases were submitted
+/// under.  Three payloads are
 /// refused: a `core` other than `"Event"` names a loop this build does
 /// not have; a pre-4 blueprint whose `checkpoint_every` is set means the
 /// journal has `checkpoint.captured` records this build would not
 /// regenerate; and a *newer* schema than this build's cannot be
 /// understood.
-pub const ENGINE_SNAPSHOT_VERSION: u32 = 5;
+pub const ENGINE_SNAPSHOT_VERSION: u32 = 6;
 
 /// The scheduler's complete loop state at a tick boundary.
 #[derive(Debug, Clone)]
@@ -295,7 +298,7 @@ mod tests {
     use super::*;
     use crate::scheduler::{CaseScheduler, EngineConfig, EngineOutcome, StoreBinding};
     use gridflow_process::{lower::lower, parser::parse_process, Condition, DataItem};
-    use gridflow_services::{Enactor, GridWorld, OutputSpec, ServiceOffering};
+    use gridflow_services::{GridWorld, OutputSpec, ServiceOffering};
     use gridflow_store::{MemStore, SnapshotRecord, Store, StoreError, StoreResult};
     use gridflow_telemetry::{FrozenClock, TraceLog};
     use std::sync::Mutex;
@@ -417,10 +420,10 @@ mod tests {
     fn event_core_payloads_round_trip_byte_for_byte() {
         let record = captured();
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
-        assert_eq!(image.version, 5);
+        assert_eq!(image.version, 6);
         assert_eq!(image.to_bytes(), record.state);
-        // Nothing a removed scheduler core, the per-fiber checkpoint
-        // cadence or the world-global id counter kept is written any more.
+        // Nothing a removed scheduler core, the single-case checkpoint
+        // mechanism or the world-global id counter kept is written any more.
         let text = std::str::from_utf8(&record.state).unwrap();
         for key in [
             "core",
@@ -430,6 +433,7 @@ mod tests {
             "since_checkpoint",
             "prime_flow_base",
             "checkpoint_every",
+            "checkpoints",
             "data_counter",
         ] {
             assert!(!text.contains(&format!(r#""{key}":"#)), "{key} written");
@@ -515,10 +519,21 @@ mod tests {
         }
     }
 
-    /// `payload` as a version-4 build wrote it: the world's fresh-id
-    /// counter, after the one item `meal-0` has produced.
-    fn as_v4(payload: &[u8]) -> Vec<u8> {
+    /// `payload` as a version-5 build wrote it: an always-empty
+    /// `checkpoints` list in the live fiber's report.
+    fn as_v5(payload: &[u8]) -> Vec<u8> {
         edited(payload, |obj| {
+            obj.insert("version".into(), json("5"));
+            let report = object_at(object_at(live_slot(obj), "fiber"), "report");
+            report.insert("checkpoints".into(), json("[]"));
+        })
+    }
+
+    /// `payload` as a version-4 build wrote it: the version-5 shape
+    /// plus the world's fresh-id counter, after the one item `meal-0`
+    /// has produced.
+    fn as_v4(payload: &[u8]) -> Vec<u8> {
+        edited(&as_v5(payload), |obj| {
             obj.insert("version".into(), json("4"));
             object_at(obj, "world").insert("data_counter".into(), json("101"));
         })
@@ -556,10 +571,23 @@ mod tests {
         let baseline = recover_from(&record, record.state.clone()).unwrap();
         assert!(baseline.all_succeeded() && baseline.cases.len() == 2);
 
+        // Version 5: the report's checkpoint list is present and ignored.
+        let v5 = as_v5(&record.state);
+        let text = std::str::from_utf8(&v5).unwrap();
+        for key in [r#""version":5"#, r#""checkpoints":[]"#] {
+            assert!(text.contains(key), "{key} missing from the v5 shape");
+        }
+        assert_eq!(EngineSnapshot::from_bytes(&v5).unwrap().version, 5);
+        assert_eq!(recover_from(&record, v5).unwrap(), baseline);
+
         // Version 4: the world's id counter is present and ignored.
         let v4 = as_v4(&record.state);
         let text = std::str::from_utf8(&v4).unwrap();
-        for key in [r#""version":4"#, r#""data_counter":101"#] {
+        for key in [
+            r#""version":4"#,
+            r#""checkpoints":[]"#,
+            r#""data_counter":101"#,
+        ] {
             assert!(text.contains(key), "{key} missing from the v4 shape");
         }
         assert_eq!(EngineSnapshot::from_bytes(&v4).unwrap().version, 4);
@@ -630,26 +658,21 @@ mod tests {
         // re-emit, so recovery must refuse before re-executing —
         // whether the snapshot was taken before the first capture...
         let cadenced = edited(&as_v3(&record.state), |obj| set_cadence(obj, "1"));
-        // ...or after the live fiber checkpointed past `prep`.
-        let (graph, case) = meal();
-        let single =
-            Enactor::builder()
-                .checkpoint_every(1)
-                .build()
-                .enact(&mut world(), &graph, &case);
-        let after_prep = serde_json::to_value(&single.checkpoints[..1]).unwrap();
+        // ...or after the live fiber checkpointed past `prep` (the
+        // entry is abbreviated: the cadence decides the refusal before
+        // any report is decoded).
         let checkpointed = edited(&cadenced, |obj| {
             let report = object_at(object_at(live_slot(obj), "fiber"), "report");
-            report.insert("checkpoints".into(), after_prep);
+            report.insert("checkpoints".into(), json(r#"[{"version":1,"replans":0}]"#));
         });
         let refusals = [
             (with_core(r#"{"Sharded":{"shards":4}}"#), "field `core`"),
             (with_core(r#""Scan""#), "field `core`"),
             (
                 edited(&record.state, |obj| {
-                    obj.insert("version".into(), json("6"));
+                    obj.insert("version".into(), json("7"));
                 }),
-                "version 6 is newer",
+                "version 7 is newer",
             ),
             (cadenced, "version 3 checkpointed its cases"),
             (checkpointed, "version 3 checkpointed its cases"),

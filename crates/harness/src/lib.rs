@@ -15,48 +15,45 @@
 //!   time);
 //! * **activity failures** — Bernoulli per-execution failures through
 //!   [`gridflow_grid::failure::FailureModel`], transient or persistent;
-//! * **node loss** — scripted container downs at chosen execution
-//!   counts;
-//! * **coordinator crashes** — the run is cut at a chosen
-//!   [`EnactmentCheckpoint`] (round-tripped through its serialized form,
-//!   as a real restart would read it from persistent storage) and
-//!   resumed via [`Enactor::resume`].
+//! * **node loss and partitions** — scripted container downs at chosen
+//!   execution counts, and node-pair cuts over tick windows;
+//! * **process death** — [`MultiCaseScenario::kill_at`] stops the run
+//!   dead at a tick boundary and [`MultiCaseScenario::recover`] resumes
+//!   it from the durable store, the one definition of what survives a
+//!   crash.
 //!
-//! The [`runner`] unfolds a `(FaultPlan, Workload)` pair through crash
-//! and resume phases; every phase is a pure function of the pair plus
-//! the phase index, so two runs of the same pair produce byte-identical
-//! [`EnactmentReport`]s ([`report_fingerprint`]) while different seeds
-//! produce different fault schedules ([`FaultyTransport::schedule`]).
-//!
-//! Every layer also mirrors what it does into the telemetry crate:
-//! [`Scenario::traced`] returns a [`TraceLog`] whose JSONL dump is
-//! itself byte-identical across replays, and [`TraceQuery`] turns that
-//! log into conformance assertions (no double dispatch, drops resolved,
-//! happens-before).  [`multi::MultiCaseScenario`] lifts the same
-//! machinery to N concurrent cases driven by the
-//! `gridflow-engine` scheduler over one shared world.
+//! A scenario is a [`MultiCaseScenario`]: N concurrent copies of a
+//! workload's case (one included) driven by the `gridflow-engine`
+//! scheduler over one shared world.  The run is a pure function of
+//! `(plan, workload, case count)`, so two runs produce byte-identical
+//! [`EnactmentReport`]s and a byte-identical merged [`TraceLog`], while
+//! different seeds produce different fault schedules
+//! ([`FaultyTransport::schedule`]).  [`TraceQuery::check_all`] turns the
+//! log into conformance checks (no double dispatch, breaker discipline,
+//! drops resolved, no double booking).
 //!
 //! ```
-//! use gridflow_harness::{run_scenario, outcome_fingerprint, FaultPlan};
 //! use gridflow_harness::workload::dinner_workload;
+//! use gridflow_harness::{FaultPlan, MultiCaseScenario};
 //!
-//! let plan = FaultPlan::seeded(42).failing_activities(0.2).crashing_after(0);
-//! let first = run_scenario(&plan, &dinner_workload());
-//! let again = run_scenario(&plan, &dinner_workload());
-//! assert_eq!(outcome_fingerprint(&first), outcome_fingerprint(&again));
-//! assert!(first.is_recoverable());
+//! let plan = FaultPlan::seeded(42).failing_activities(0.2);
+//! let wl = dinner_workload();
+//! let first = MultiCaseScenario::new(&plan, &wl, 1).traced().run();
+//! let again = MultiCaseScenario::new(&plan, &wl, 1).traced().run();
+//! assert_eq!(first.engine, again.engine);
+//! assert_eq!(
+//!     first.trace.unwrap().to_jsonl(),
+//!     again.trace.unwrap().to_jsonl()
+//! );
 //! ```
 //!
-//! [`EnactmentCheckpoint`]: gridflow_services::coordination::EnactmentCheckpoint
 //! [`EnactmentReport`]: gridflow_services::coordination::EnactmentReport
-//! [`Enactor::resume`]: gridflow_services::coordination::Enactor::resume
 
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod multi;
 pub mod plan;
-pub mod runner;
 pub mod transport;
 pub mod workload;
 
@@ -64,10 +61,6 @@ pub use clock::VirtualClock;
 pub use multi::MultiCaseScenario;
 pub use plan::{
     FaultAction, FaultEvent, FaultPlan, FaultSchedule, NodeLoss, PartitionSpec, Slowdown,
-};
-pub use runner::{
-    execution_counts, is_execution_prefix, outcome_fingerprint, report_fingerprint, run_scenario,
-    Scenario, ScenarioOutcome,
 };
 pub use transport::FaultyTransport;
 pub use workload::{dinner_workload, Workload};

@@ -153,8 +153,7 @@ impl<'a> MultiCaseScenario<'a> {
     /// Scripted node losses fire at the top of the tick on which the
     /// shared world's execution count reaches their threshold — a loss
     /// at `after_executions: k` lands between cases, never inside one
-    /// activity, exactly as the single-case runner stages it between
-    /// enactment steps.
+    /// activity.
     pub fn run(self) -> MultiCaseOutcome {
         let log = self
             .traced

@@ -3,10 +3,14 @@
 //! A [`FaultPlan`] is the *entire* description of what goes wrong in a
 //! simulated run: message-level faults (drop/duplicate/delay), Bernoulli
 //! end-user activity failures (driving
-//! [`gridflow_grid::failure::FailureModel`]), scripted node loss, and a
-//! scripted coordinator crash.  Together with a workload it determines a
-//! run completely — replaying the same `(seed, FaultPlan, workload)`
-//! triple reproduces the same [`EnactmentReport`] byte for byte.
+//! [`gridflow_grid::failure::FailureModel`]), scripted node loss and
+//! partitions.  Together with a workload it determines a run completely
+//! — replaying the same `(seed, FaultPlan, workload)` triple reproduces
+//! the same [`EnactmentReport`] byte for byte.  A process death is not
+//! part of the plan: it is [`MultiCaseScenario::kill_at`], and what
+//! survives it is what the durable store holds.
+//!
+//! [`MultiCaseScenario::kill_at`]: crate::MultiCaseScenario::kill_at
 //!
 //! [`EnactmentReport`]: gridflow_services::coordination::EnactmentReport
 
@@ -139,11 +143,6 @@ pub struct FaultPlan {
     /// Scripted per-container slowdowns (installed into the world before
     /// the run).
     pub slow_containers: Vec<Slowdown>,
-    /// Crash the coordinator after this many checkpoints have been
-    /// captured, forcing a [resume] from the last one.  `None` = never.
-    ///
-    /// [resume]: gridflow_services::coordination::Enactor::resume
-    pub crash_after_checkpoints: Option<usize>,
     /// Agents whose traffic is exempt from message faults (sender or
     /// receiver match), e.g. the information service during boot.
     pub immune_agents: Vec<String>,
@@ -163,7 +162,6 @@ impl Default for FaultPlan {
             persistent_activity_failures: true,
             node_loss: Vec::new(),
             slow_containers: Vec::new(),
-            crash_after_checkpoints: None,
             immune_agents: Vec::new(),
         }
     }
@@ -253,12 +251,6 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: crash the coordinator after `n` checkpoints.
-    pub fn crashing_after(mut self, n: usize) -> Self {
-        self.crash_after_checkpoints = Some(n);
-        self
-    }
-
     /// Builder: exempt an agent's traffic from message faults.
     pub fn immunizing(mut self, agent: impl Into<String>) -> Self {
         self.immune_agents.push(agent.into());
@@ -288,7 +280,6 @@ mod tests {
         assert!(!p.perturbs_messages());
         assert_eq!(p.activity_failure_prob, 0.0);
         assert!(p.node_loss.is_empty());
-        assert!(p.crash_after_checkpoints.is_none());
     }
 
     #[test]
@@ -338,7 +329,6 @@ mod tests {
             .partitioning("ac-h1", "ac-h2", 4, 12)
             .losing_node("ac-h2", 3)
             .slowing_container("ac-h1", 50.0)
-            .crashing_after(1)
             .immunizing("information-1");
         let json = serde_json::to_string(&p).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();

@@ -3,11 +3,13 @@
 use gridflow_agents::{AclMessage, Performative, Transport};
 use gridflow_harness::workload::dinner_workload;
 use gridflow_harness::{
-    execution_counts, is_execution_prefix, outcome_fingerprint, FaultAction, FaultPlan,
-    FaultyTransport, Scenario, VirtualClock,
+    FaultAction, FaultPlan, FaultyTransport, MultiCaseScenario, TraceQuery, VirtualClock,
 };
+use gridflow_store::{merged_jsonl, MemStore, Store};
 use proptest::prelude::*;
 use serde_json::json;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 fn fault_plan() -> impl Strategy<Value = FaultPlan> {
     (
@@ -78,45 +80,43 @@ proptest! {
         prop_assert_eq!(c1, c2);
     }
 
-    /// Scenario runs are recoverable and replayable for arbitrary seeds,
-    /// failure probabilities and crash points.
+    /// A lone case is recoverable and replayable for arbitrary seeds,
+    /// failure probabilities, kill ticks and snapshot cadences: the
+    /// recovered outcome and the store's merged log are the
+    /// uninterrupted run's, and the log passes every trace invariant.
     #[test]
     fn scenarios_recover_and_replay(
         seed in any::<u64>(),
         fail_prob in 0.0f64..0.6,
-        crash_at in prop::option::of(0usize..3),
+        kill in 0u64..6,
+        snapshot_every in 0u64..3,
     ) {
-        let mut plan = FaultPlan::seeded(seed).failing_activities(fail_prob);
-        if let Some(k) = crash_at {
-            plan = plan.crashing_after(k);
-        }
+        let plan = FaultPlan::seeded(seed).failing_activities(fail_prob);
         let wl = dinner_workload();
-        let outcome = Scenario::new(&plan, &wl).budget(3).run();
-        // 1. Complete-or-resumable, always.
-        prop_assert!(outcome.is_recoverable(),
-            "unrecoverable: {:?}", outcome.final_report().abort_reason);
-        // 2. Phases only ever extend the accounting.
-        for pair in outcome.reports.windows(2) {
-            prop_assert!(is_execution_prefix(&pair[0], &pair[1]));
-        }
-        // 3. The linear workflow never double-executes on completion.
-        if outcome.completed {
-            let counts = execution_counts(outcome.final_report());
-            prop_assert!(counts.values().all(|&c| c == 1), "{:?}", counts);
-        }
-        // 4. Byte-identical replay.
-        let again = Scenario::new(&plan, &wl).budget(3).run();
-        prop_assert_eq!(outcome_fingerprint(&outcome), outcome_fingerprint(&again));
+        let scenario = || MultiCaseScenario::new(&plan, &wl, 1);
+        let baseline = scenario().traced().run();
+        let jsonl = baseline.trace.as_ref().expect("traced").to_jsonl();
+        prop_assert_eq!(&scenario().traced().run().trace.expect("traced").to_jsonl(), &jsonl);
+
+        let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+        let crashed = scenario().store(store.clone(), snapshot_every).kill_at(kill).run();
+        // A kill tick past the schedule's end never fires.
+        let finished = if crashed.engine.killed {
+            scenario().store(store.clone(), snapshot_every).recover().expect("recovery")
+        } else {
+            crashed
+        };
+        prop_assert_eq!(&finished.engine, &baseline.engine);
+        let stored = store.lock().unwrap().replay_from(0).unwrap();
+        prop_assert_eq!(merged_jsonl(&stored), jsonl);
+        prop_assert_eq!(TraceQuery::new(stored).check_all(&BTreeMap::new()), Ok(()));
     }
 
     /// Fault plans survive the storage round trip (a replayed scenario
     /// can be reconstructed from an archived plan).
     #[test]
-    fn fault_plans_round_trip(plan in fault_plan(), crash_at in prop::option::of(0usize..5)) {
-        let mut plan = plan.losing_node("ac-h2", 1).immunizing("information-1");
-        if let Some(k) = crash_at {
-            plan = plan.crashing_after(k);
-        }
+    fn fault_plans_round_trip(plan in fault_plan()) {
+        let plan = plan.losing_node("ac-h2", 1).immunizing("information-1");
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, plan);

@@ -4,8 +4,8 @@
 //! by execution durations and backoff waits — never wall time), the
 //! per-container breaker records, per-activity attempt counters, and
 //! any pending backoff deadlines.  All of that state is captured in
-//! [`RecoveryState`], which serializes into enactment checkpoints so a
-//! crash/resume round-trip picks up quarantines and counters exactly
+//! [`RecoveryState`], which serializes into engine snapshots so a
+//! crash/recover round-trip picks up quarantines and counters exactly
 //! where they stood.
 
 use std::collections::BTreeMap;
@@ -131,7 +131,7 @@ impl RecoveryManager {
         Self::restore(policy, RecoveryState::default(), trace)
     }
 
-    /// Rebuild a manager from checkpointed state (crash/resume path).
+    /// Rebuild a manager from snapshotted state (crash/recover path).
     pub fn restore(policy: RecoveryPolicy, state: RecoveryState, trace: TraceHandle) -> Self {
         RecoveryManager {
             policy,

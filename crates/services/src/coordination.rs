@@ -24,11 +24,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The checkpoint schema version this coordinator writes (and the
-/// newest it can resume).  Bump on any change to
-/// [`EnactmentCheckpoint`]'s meaning.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
 /// Configuration of an enactment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnactmentConfig {
@@ -94,85 +89,6 @@ pub struct ActivityExecution {
     pub cost: f64,
 }
 
-/// A resumable mid-enactment checkpoint: the workflow graph in force,
-/// the ATN machine state, the data state, and the accounting so far.
-/// Serializable, so the persistent storage service can archive it and a
-/// different coordination service can pick the task up after a crash.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnactmentCheckpoint {
-    /// Schema version the writing coordinator used (see
-    /// [`CHECKPOINT_VERSION`]).  Resume refuses versions newer than it
-    /// understands rather than silently misreading them.
-    pub version: u32,
-    /// The process graph in force when the checkpoint was taken (the
-    /// original, or a re-planned replacement).
-    pub graph: ProcessGraph,
-    /// ATN machine state (taken between activity completions, so no
-    /// activity is mid-flight).
-    pub snapshot: AtnSnapshot,
-    /// Data state at checkpoint time.
-    pub state: DataState,
-    /// Accounting mirrors of the report fields.
-    pub executions: Vec<ActivityExecution>,
-    /// Failed `(activity, container)` attempts so far.
-    pub failed_attempts: Vec<(String, String)>,
-    /// Re-plans so far.
-    pub replans: usize,
-    /// Services excluded by re-planning so far.
-    pub excluded: Vec<String>,
-    /// Produced classifications so far.
-    pub produced: Vec<String>,
-    /// Serial duration so far.
-    pub total_duration_s: f64,
-    /// Cost so far.
-    pub total_cost: f64,
-    /// Recovery-layer state at checkpoint time: breaker states, attempt
-    /// counters, pending backoff deadlines.  Resuming restores it, so a
-    /// quarantine survives a coordinator crash.
-    pub recovery: RecoveryState,
-}
-
-impl EnactmentCheckpoint {
-    /// Validate the checkpoint before resuming from it.
-    ///
-    /// Collects *every* violation instead of bailing on the first, so a
-    /// single refusal message is enough to diagnose a corrupt
-    /// checkpoint fully; the violations are joined in the
-    /// [`ServiceError::InvalidCheckpoint`] it returns.
-    pub fn validate(&self) -> Result<()> {
-        let mut violations = Vec::new();
-        if self.version > CHECKPOINT_VERSION {
-            violations.push(
-                ServiceError::UnsupportedCheckpoint {
-                    found: self.version,
-                    supported: CHECKPOINT_VERSION,
-                }
-                .to_string(),
-            );
-        }
-        if self.total_duration_s < 0.0 {
-            violations.push(format!(
-                "total_duration_s is negative ({})",
-                self.total_duration_s
-            ));
-        }
-        if self.total_cost < 0.0 {
-            violations.push(format!("total_cost is negative ({})", self.total_cost));
-        }
-        if self.replans > 0 && self.excluded.is_empty() {
-            violations.push(format!(
-                "{} replan(s) recorded but no services were excluded",
-                self.replans
-            ));
-        }
-        if violations.is_empty() {
-            Ok(())
-        } else {
-            Err(ServiceError::InvalidCheckpoint { violations })
-        }
-    }
-}
-
 /// The record of one enactment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnactmentReport {
@@ -195,10 +111,6 @@ pub struct EnactmentReport {
     pub produced: Vec<String>,
     /// Why the enactment aborted, if it did.
     pub abort_reason: Option<String>,
-    /// Checkpoints the [`Enactor`] captured while driving the run on
-    /// [`EnactorBuilder::checkpoint_every`]'s cadence.  Empty without
-    /// one, and under the engine: its durable store is its checkpoint.
-    pub checkpoints: Vec<EnactmentCheckpoint>,
 }
 
 /// The enactment engine.
@@ -206,13 +118,8 @@ pub struct EnactmentReport {
 pub struct Enactor {
     /// Configuration.
     pub config: EnactmentConfig,
-    /// Capture a resumable [`EnactmentCheckpoint`] after every N
-    /// successful activity executions (§1: long-lasting tasks "require
-    /// checkpointing") — this driver's only durability.  `None`
-    /// disables checkpointing.
-    checkpoint_every: Option<usize>,
     /// Optional trace sink: dispatch/completion/failure, flow-control
-    /// transitions, checkpoints, and re-planning as typed events.
+    /// transitions, and re-planning as typed events.
     trace: TraceHandle,
 }
 
@@ -222,7 +129,6 @@ pub struct Enactor {
 #[derive(Debug, Clone, Default)]
 pub struct EnactorBuilder {
     config: EnactmentConfig,
-    checkpoint_every: Option<usize>,
     trace: TraceHandle,
 }
 
@@ -239,14 +145,6 @@ impl EnactorBuilder {
         self
     }
 
-    /// Record every enactment event through an existing handle
-    /// (possibly empty — useful for threading one handle through a
-    /// whole stack).
-    pub fn trace_handle(mut self, trace: TraceHandle) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// Install a recovery policy (shorthand for setting
     /// [`EnactmentConfig::recovery`] on the configuration).
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
@@ -254,18 +152,10 @@ impl EnactorBuilder {
         self
     }
 
-    /// Capture a checkpoint after every `every` successful executions
-    /// into [`EnactmentReport::checkpoints`].
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
     /// Finish the chain.
     pub fn build(self) -> Enactor {
         Enactor {
             config: self.config,
-            checkpoint_every: self.checkpoint_every,
             trace: self.trace,
         }
     }
@@ -280,95 +170,32 @@ impl Enactor {
         EnactorBuilder::default()
     }
 
-    /// Enact `graph` under `case` against `world`, driving a
-    /// [`CaseFiber`] to completion.
+    /// Enact `graph` under `case` against `world`, stepping a
+    /// [`CaseFiber`] until it finishes.  Reservation holds are released
+    /// after every step (the fiber is its own tick), so an enabled
+    /// reservation protocol can never deadlock one case against itself;
+    /// with the protocol off (the default) the drain is a no-op.
     pub fn enact(
         &self,
         world: &mut GridWorld,
         graph: &ProcessGraph,
         case: &CaseDescription,
     ) -> EnactmentReport {
-        let fiber = CaseFiber::new(
+        let mut fiber = CaseFiber::new(
             self.config.clone(),
             self.trace.clone(),
             graph,
             case.clone(),
             graph.name.clone(),
         );
-        self.drive(world, fiber)
-    }
-
-    /// Step `fiber` until it finishes, checkpointing on the cadence.
-    /// Single-case driving releases reservation holds after every step
-    /// (the fiber is its own tick), so an enabled reservation protocol
-    /// can never deadlock one case against itself; with the protocol
-    /// off (the default) the drain is a no-op and traces are
-    /// byte-identical to the pre-fiber enactor.
-    fn drive(&self, world: &mut GridWorld, mut fiber: CaseFiber) -> EnactmentReport {
-        let every = self.checkpoint_every.map_or(usize::MAX, |n| n.max(1));
-        let mut checkpoints = Vec::new();
-        // Executions the latest checkpoint (taken or resumed from)
-        // covers.  A step that progressed and recorded an execution
-        // advanced the machine past exactly one activity, so the
-        // difference counts the activities since that checkpoint.
-        let mut covered = fiber.report().executions.len();
         loop {
             let status = fiber.step(world);
-            let executions = fiber.report().executions.len();
-            if status == FiberStatus::Progressed && executions - covered >= every {
-                if let Some(checkpoint) = fiber.checkpoint() {
-                    covered = executions;
-                    let index = checkpoints.len();
-                    let captured = TraceEvent::CheckpointCaptured { index, executions };
-                    self.trace.emit("enactor", captured);
-                    checkpoints.push(checkpoint);
-                }
-            }
             world.drain_reservations();
             if status == FiberStatus::Finished {
                 break;
             }
         }
-        let mut report = fiber.into_report();
-        report.checkpoints = checkpoints;
-        report
-    }
-
-    /// Resume an enactment from a checkpoint (same case, possibly a
-    /// different — recovered — world).
-    pub fn resume(
-        &self,
-        world: &mut GridWorld,
-        checkpoint: EnactmentCheckpoint,
-        case: &CaseDescription,
-    ) -> EnactmentReport {
-        if let Err(e) = checkpoint.validate() {
-            let abort_reason = Some(e.to_string());
-            self.trace.emit(
-                "enactor",
-                TraceEvent::EnactmentStarted {
-                    workflow: checkpoint.graph.name.clone(),
-                    resumed: true,
-                },
-            );
-            self.trace.emit(
-                "enactor",
-                TraceEvent::EnactmentFinished {
-                    success: false,
-                    abort_reason: abort_reason.clone(),
-                },
-            );
-            let mut report = empty_report(case);
-            report.abort_reason = abort_reason;
-            return report;
-        }
-        let fiber = CaseFiber::from_checkpoint(
-            self.config.clone(),
-            self.trace.clone(),
-            checkpoint,
-            case.clone(),
-        );
-        self.drive(world, fiber)
+        fiber.into_report()
     }
 }
 
@@ -438,14 +265,9 @@ pub struct PendingDispatch {
 /// A serializable capture of a [`CaseFiber`] between steps — the
 /// per-case payload of a durable engine snapshot.
 ///
-/// Unlike [`EnactmentCheckpoint`] (which records only enactment
-/// accounting and is captured by the single-case [`Enactor`] on its own
-/// cadence), a slim image is a *total* capture at an arbitrary tick
-/// boundary, taken by the multi-case engine for its durable store: it
-/// also carries the engine-facing fields a checkpoint deliberately
-/// omits — the blocked dispatch cache, the flow-transition baseline and
-/// the report so far (the engine never checkpoints a case, so its
-/// `checkpoints` are empty).
+/// A slim image is a *total* capture at a tick boundary: ATN state,
+/// data state, recovery-layer state, the blocked dispatch cache, the
+/// flow-transition baseline and the report so far.
 /// The one thing it leaves out is the fiber's blueprint-shaped bulk
 /// ([`CaseFiber::blueprint`]: graph, case description, config), which a
 /// fleet shares: the capturer stores that once and records where in
@@ -486,7 +308,7 @@ pub struct FiberSlim {
 /// one re-planned graph) and reports how far it got, so a scheduler can
 /// interleave many fibers over one shared [`GridWorld`].  The fiber owns
 /// its graph and its ATN state ([`AtnSnapshot`], the same value a
-/// checkpoint serializes) and plays the token game on them directly, so
+/// [`FiberSlim`] serializes) and plays the token game on them directly, so
 /// a step clones no graph and rebuilds no machine; the graph is
 /// validated once, on the first step after it is installed.  A
 /// fiber-driven single case traces byte-identically to the pre-fiber
@@ -505,9 +327,7 @@ pub struct CaseFiber {
     snapshot: Option<AtnSnapshot>,
     /// Flow-transition baseline: ATN execution counts for the
     /// non-end-user nodes, so each increment after an activity step
-    /// surfaces as a `TransitionFired` event.  A checkpoint resume
-    /// seeds it from the restored counts (pre-crash transitions were
-    /// already reported by the pre-crash coordinator).
+    /// surfaces as a `TransitionFired` event.
     flow_base: BTreeMap<String, usize>,
     state: DataState,
     report: EnactmentReport,
@@ -548,86 +368,28 @@ impl CaseFiber {
         case: impl Into<Arc<CaseDescription>>,
         label: impl Into<String>,
     ) -> Self {
-        Self::build(
-            config,
-            trace,
-            graph.clone(),
-            case.into(),
-            label.into(),
-            None,
-        )
-    }
-
-    /// A fiber resuming from a checkpoint the caller has already
-    /// [`EnactmentCheckpoint::validate`]d.
-    pub fn from_checkpoint(
-        config: EnactmentConfig,
-        trace: TraceHandle,
-        checkpoint: EnactmentCheckpoint,
-        case: impl Into<Arc<CaseDescription>>,
-    ) -> Self {
-        let graph = checkpoint.graph.clone();
-        let label = graph.name.clone();
-        Self::build(config, trace, graph, case.into(), label, Some(checkpoint))
-    }
-
-    fn build(
-        config: EnactmentConfig,
-        trace: TraceHandle,
-        graph: ProcessGraph,
-        case: Arc<CaseDescription>,
-        label: String,
-        resume_from: Option<EnactmentCheckpoint>,
-    ) -> Self {
-        let mut report = empty_report(&case);
-        let mut state = case.initial_data.clone();
-        let mut excluded: Vec<String> = Vec::new();
-        let mut snapshot: Option<AtnSnapshot> = None;
-        let mut flow_base = BTreeMap::new();
-        let resumed = resume_from.is_some();
-        let recovery = match &resume_from {
-            Some(cp) => RecoveryManager::restore(
-                config.recovery.clone(),
-                cp.recovery.clone(),
-                trace.clone(),
-            ),
-            None => RecoveryManager::with_trace_handle(config.recovery.clone(), trace.clone()),
-        };
-        if let Some(cp) = resume_from {
-            state = cp.state;
-            report.executions = cp.executions;
-            report.failed_attempts = cp.failed_attempts;
-            report.replans = cp.replans;
-            report.produced = cp.produced;
-            report.total_duration_s = cp.total_duration_s;
-            report.total_cost = cp.total_cost;
-            excluded = cp.excluded;
-            flow_base = flow_counts(&graph, &cp.snapshot);
-            snapshot = Some(cp.snapshot);
-        }
+        let case = case.into();
         trace.emit(
             "enactor",
             TraceEvent::EnactmentStarted {
                 workflow: graph.name.clone(),
-                resumed,
+                resumed: false,
             },
         );
-        let planning = PlanningService::new(config.gp).with_trace_handle(trace.clone());
-        let initial_classifications = initial_classifications(&case);
         CaseFiber {
+            recovery: RecoveryManager::with_trace_handle(config.recovery.clone(), trace.clone()),
+            planning: PlanningService::new(config.gp).with_trace_handle(trace.clone()),
+            initial_classifications: initial_classifications(&case),
+            state: case.initial_data.clone(),
+            report: empty_report(&case),
             config,
             trace,
             case,
-            label,
-            planning,
-            initial_classifications,
-            current_graph: graph,
-            snapshot,
-            flow_base,
-            state,
-            report,
-            excluded,
-            recovery,
+            label: label.into(),
+            current_graph: graph.clone(),
+            snapshot: None,
+            flow_base: BTreeMap::new(),
+            excluded: Vec::new(),
             done: false,
             pending: None,
             graph_checked: false,
@@ -728,26 +490,6 @@ impl CaseFiber {
         &self.report
     }
 
-    /// A resumable checkpoint of the fiber as it stands between steps.
-    /// `None` while there is no machine state — before the first step,
-    /// and between a re-plan and the step that starts the new graph.
-    pub fn checkpoint(&self) -> Option<EnactmentCheckpoint> {
-        Some(EnactmentCheckpoint {
-            version: CHECKPOINT_VERSION,
-            graph: self.current_graph.clone(),
-            snapshot: self.snapshot.clone()?,
-            state: self.state.clone(),
-            executions: self.report.executions.clone(),
-            failed_attempts: self.report.failed_attempts.clone(),
-            replans: self.report.replans,
-            excluded: self.excluded.clone(),
-            produced: self.report.produced.clone(),
-            total_duration_s: self.report.total_duration_s,
-            total_cost: self.report.total_cost,
-            recovery: self.recovery.snapshot(),
-        })
-    }
-
     /// Consume the fiber, yielding its report.  A fiber that never
     /// finished is aborted first so the report is always sealed (and
     /// `EnactmentFinished` is always emitted).
@@ -815,7 +557,7 @@ impl CaseFiber {
                 let what = if fresh {
                     "invalid process graph"
                 } else {
-                    "checkpoint restore failed"
+                    "snapshot restore failed"
                 };
                 return self.finish_aborted(format!("{what}: {e}"));
             }
@@ -1313,18 +1055,7 @@ fn empty_report(case: &CaseDescription) -> EnactmentReport {
         total_cost: 0.0,
         produced: Vec::new(),
         abort_reason: None,
-        checkpoints: Vec::new(),
     }
-}
-
-/// Current ATN execution counts for a graph's flow-control nodes.
-fn flow_counts(graph: &ProcessGraph, atn: &AtnSnapshot) -> BTreeMap<String, usize> {
-    graph
-        .activities()
-        .iter()
-        .filter(|a| a.kind != ActivityKind::EndUser)
-        .map(|a| (a.id.clone(), atn.executions(&a.id)))
-        .collect()
 }
 
 /// Stable label for a flow-control node kind in trace events.
@@ -1705,145 +1436,83 @@ mod tests {
         assert_eq!(initial_classifications(&c), vec!["Raw".to_owned()]);
     }
 
-    #[test]
-    fn checkpoints_are_captured_at_the_configured_cadence() {
-        let mut w = world(7);
-        let log = gridflow_telemetry::TraceLog::new();
-        let report = Enactor::builder()
-            .trace_handle(TraceHandle::from(log.clone()))
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w, &graph(), &case());
-        assert!(report.success);
-        // Each capture directly follows its activity's last record: the
-        // completion, or the flow transitions the completion fired.
-        let labels: Vec<&str> = log.records().iter().map(|r| r.event.label()).collect();
-        assert_eq!(
-            labels,
-            [
-                "enactment.started",
-                "transition.fired", // Begin
-                "activity.dispatched",
-                "activity.completed",
-                "checkpoint.captured",
-                "activity.dispatched",
-                "activity.completed",
-                "checkpoint.captured",
-                "activity.dispatched",
-                "activity.completed",
-                "transition.fired", // End
-                "checkpoint.captured",
-                "enactment.finished",
-            ]
+    /// Crash a fiber enacting `graph` once it has `executions` successful
+    /// executions and resume it the way the engine's store does: the
+    /// [`FiberSlim`] through JSON, the world through its image onto a
+    /// freshly built one.  Returns the image and the resumed fiber, run
+    /// to completion.
+    fn crash_and_resume(
+        graph: &ProcessGraph,
+        config: EnactmentConfig,
+        fresh_world: impl Fn() -> GridWorld,
+        executions: usize,
+    ) -> (FiberSlim, CaseFiber) {
+        let mut w = fresh_world();
+        let mut crashed = CaseFiber::new(config, TraceHandle::none(), graph, case(), "crashed");
+        while crashed.report().executions.len() < executions {
+            assert_ne!(crashed.step(&mut w), FiberStatus::Finished);
+        }
+        let image = crashed.slim(0);
+        let archived = serde_json::to_string(&image).unwrap();
+        let restored: FiberSlim = serde_json::from_str(&archived).unwrap();
+        assert_eq!(restored, image);
+        let mut recovered_world = fresh_world();
+        recovered_world.restore_image(&w.image()).unwrap();
+        let (graph, case, config) = crashed.blueprint();
+        let mut resumed = CaseFiber::from_slim(
+            restored,
+            graph.clone(),
+            case.clone(),
+            config.clone(),
+            TraceHandle::none(),
         );
-        assert!(log.records().iter().all(|r| r.source == "enactor"));
-        // Three activities → three checkpoints (one per execution).
-        assert_eq!(report.checkpoints.len(), 3);
-        assert_eq!(report.checkpoints[0].executions.len(), 1);
-        assert_eq!(report.checkpoints[2].executions.len(), 3);
-        // Checkpoints are serializable for the storage service.
-        let json = serde_json::to_string(&report.checkpoints[1]).unwrap();
-        let back: EnactmentCheckpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report.checkpoints[1]);
+        while resumed.step(&mut recovered_world) != FiberStatus::Finished {}
+        (image, resumed)
+    }
+
+    fn services(report: &EnactmentReport) -> Vec<&str> {
+        report
+            .executions
+            .iter()
+            .map(|e| e.service.as_str())
+            .collect()
     }
 
     #[test]
     fn resume_from_checkpoint_completes_the_workflow() {
-        // Run with checkpointing, pretend the coordinator crashed after
-        // the first activity, resume from that checkpoint on a fresh
-        // world, and compare with an uninterrupted run.
-        let config = EnactmentConfig::default();
-        let mut w1 = world(8);
-        let full = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w1, &graph(), &case());
+        // Crash after the first activity of the linear dinner: the
+        // resumed run finishes the remaining activities only and seals
+        // the uninterrupted run's report.
+        let full = Enactor::default().enact(&mut world(8), &graph(), &case());
         assert!(full.success);
-
-        let mut w2 = world(8);
-        let interrupted = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w2, &graph(), &case());
-        let checkpoint = interrupted.checkpoints[0].clone(); // after `prep`
-        let mut w3 = world(8);
-        let resumed = Enactor::builder()
-            .config(config)
-            .checkpoint_every(1)
-            .build()
-            .resume(&mut w3, checkpoint, &case());
-        assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
-        // The resumed run finishes the remaining activities only.
-        let services: Vec<&str> = resumed
-            .executions
-            .iter()
-            .map(|e| e.service.as_str())
-            .collect();
-        assert_eq!(services, vec!["prep", "cook", "plate"]);
-        // And reaches the same final data state as the full run.
-        assert_eq!(resumed.final_state, full.final_state);
+        let (image, resumed) =
+            crash_and_resume(&graph(), EnactmentConfig::default(), || world(8), 1);
+        assert_eq!(services(&image.report), ["prep"]);
+        assert_eq!(services(resumed.report()), ["prep", "cook", "plate"]);
+        assert_eq!(resumed.report(), &full);
     }
 
     #[test]
     fn resume_mid_fork_round_trips_without_reexecution() {
-        // Checkpoint taken *inside* a FORK (one branch done, its sibling
+        // Image taken *inside* a FORK (one branch done, its sibling
         // pending): the ATN snapshot must carry the fork marking through
         // the storage round trip, and the resumed run must execute only
         // the remaining branch and the join's continuation.
         let ast =
             parse_process("BEGIN prep; FORK { { cook; }, { nuke; } } JOIN; plate; END").unwrap();
         let g = lower("forked", &ast).unwrap();
-        let config = EnactmentConfig::default();
-        let mut w1 = world(10);
-        let full = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w1, &g, &case());
+        let full = Enactor::default().enact(&mut world(10), &g, &case());
         assert!(full.success, "abort: {:?}", full.abort_reason);
-        assert_eq!(full.executions.len(), 4);
+        let mut ran = services(&full);
+        ran.sort_unstable();
+        assert_eq!(ran, ["cook", "nuke", "plate", "prep"]);
 
-        let mut w2 = world(10);
-        let interrupted = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w2, &g, &case());
-        // Checkpoint 1 sits after `prep` plus exactly one fork branch.
-        let cp = interrupted.checkpoints[1].clone();
-        assert_eq!(cp.executions.len(), 2);
-
-        // Round-trip through the storage service's representation.
-        let archived = serde_json::to_string(&cp).unwrap();
-        let restored: EnactmentCheckpoint = serde_json::from_str(&archived).unwrap();
-        assert_eq!(restored, cp);
-
-        let mut w3 = world(10);
-        let resumed = Enactor::builder()
-            .config(config)
-            .checkpoint_every(1)
-            .build()
-            .resume(&mut w3, restored, &case());
-        assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
-        // The checkpointed prefix is preserved verbatim…
-        assert_eq!(resumed.executions[..2], cp.executions[..]);
-        // …and every activity ran exactly once across crash and resume.
-        let services: Vec<&str> = resumed
-            .executions
-            .iter()
-            .map(|e| e.service.as_str())
-            .collect();
-        assert_eq!(services.len(), 4);
-        for s in ["prep", "cook", "nuke", "plate"] {
-            assert_eq!(
-                services.iter().filter(|x| **x == s).count(),
-                1,
-                "{s} must execute exactly once; got {services:?}"
-            );
-        }
-        assert_eq!(resumed.final_state, full.final_state);
+        // Two executions in: `prep` plus exactly one fork branch.
+        let (image, resumed) = crash_and_resume(&g, EnactmentConfig::default(), || world(10), 2);
+        assert_eq!(image.report.executions[..], full.executions[..2]);
+        // The prefix is preserved verbatim and every activity ran
+        // exactly once across crash and resume.
+        assert_eq!(resumed.report(), &full);
     }
 
     /// A world whose `cook` refines a fixed tracker item `D10` on every
@@ -1875,195 +1544,65 @@ mod tests {
 
     #[test]
     fn resume_mid_iterative_round_trips_without_reexecution() {
-        // Checkpoint taken *inside* an ITERATIVE loop (one refinement
-        // pass done, the condition still true): the resumed run must
-        // continue the refinement from the checkpointed `Value`, not
-        // restart the loop — completed iterations never re-execute.
+        // Image taken *inside* an ITERATIVE loop (one refinement pass
+        // done, the condition still true): the resumed run must continue
+        // the refinement from the stored `Value`, not restart the loop —
+        // completed iterations never re-execute.
         let ast =
             parse_process("BEGIN prep; ITERATIVE { COND { D10.Value > 6 } } { cook; }; plate; END")
                 .unwrap();
         let g = lower("honed", &ast).unwrap();
-        let config = EnactmentConfig::default();
-        let mut w1 = honing_world();
-        let full = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w1, &g, &case());
+        let full = Enactor::default().enact(&mut honing_world(), &g, &case());
         assert!(full.success, "abort: {:?}", full.abort_reason);
-        let full_services: Vec<&str> = full.executions.iter().map(|e| e.service.as_str()).collect();
-        assert_eq!(full_services, vec!["prep", "cook", "cook", "plate"]);
+        assert_eq!(services(&full), ["prep", "cook", "cook", "plate"]);
 
-        let mut w2 = honing_world();
-        let interrupted = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w2, &g, &case());
-        // Checkpoint 1: after the loop's first pass, `D10.Value` is 9 and
-        // the loop condition is still true — a genuinely mid-loop state.
-        let cp = interrupted.checkpoints[1].clone();
-        assert_eq!(cp.executions.len(), 2);
+        // After the loop's first pass `D10.Value` is 9 and the loop
+        // condition is still true — a genuinely mid-loop state.
+        let (image, resumed) = crash_and_resume(&g, EnactmentConfig::default(), honing_world, 2);
         assert_eq!(
-            cp.state.property("D10", "Value").and_then(|v| v.as_float()),
+            image
+                .state
+                .property("D10", "Value")
+                .and_then(|v| v.as_float()),
             Some(9.0)
         );
-
-        let archived = serde_json::to_string(&cp).unwrap();
-        let restored: EnactmentCheckpoint = serde_json::from_str(&archived).unwrap();
-        assert_eq!(restored, cp);
-
-        let mut w3 = honing_world();
-        let resumed = Enactor::builder()
-            .config(config)
-            .checkpoint_every(1)
-            .build()
-            .resume(&mut w3, restored, &case());
-        assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
-        assert_eq!(resumed.executions[..2], cp.executions[..]);
-        let services: Vec<&str> = resumed
-            .executions
-            .iter()
-            .map(|e| e.service.as_str())
-            .collect();
-        // One further pass only: two `cook`s total, never three — the
-        // completed first iteration is not repeated.
-        assert_eq!(services, full_services);
+        // One further pass only: two `cook`s total, never three.
+        assert_eq!(resumed.report(), &full);
         assert_eq!(
-            resumed
-                .final_state
+            full.final_state
                 .property("D10", "Value")
                 .and_then(|v| v.as_float()),
             Some(6.0),
-            "refinement must continue from the checkpointed value"
+            "refinement must continue from the stored value"
         );
-        assert_eq!(resumed.final_state, full.final_state);
     }
 
     #[test]
     fn resume_mid_choice_round_trips_without_reexecution() {
-        // Checkpoint taken *inside* a CHOICE branch (its first activity
-        // done, its second pending): the snapshot must pin the branch
-        // decision through the storage round trip — the resumed run
-        // finishes that branch and never consults the guards again.
+        // Image taken *inside* a CHOICE branch (its first activity done,
+        // its second pending): the snapshot must pin the branch decision
+        // through the storage round trip — the resumed run finishes that
+        // branch and never consults the guards again.
         let ast = parse_process(
             "BEGIN prep; CHOICE { COND { D1.Classification = \"Raw\" } { cook; nuke; }, \
              COND { true } { nuke; } } MERGE; plate; END",
         )
         .unwrap();
         let g = lower("choosy", &ast).unwrap();
-        let config = EnactmentConfig::default();
-        let mut w1 = world(12);
-        let full = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w1, &g, &case());
+        let full = Enactor::default().enact(&mut world(12), &g, &case());
         assert!(full.success, "abort: {:?}", full.abort_reason);
-        let full_services: Vec<&str> = full.executions.iter().map(|e| e.service.as_str()).collect();
-        assert_eq!(full_services, vec!["prep", "cook", "nuke", "plate"]);
+        assert_eq!(services(&full), ["prep", "cook", "nuke", "plate"]);
 
-        let mut w2 = world(12);
-        let interrupted = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w2, &g, &case());
-        // Checkpoint 1 sits after `prep` and the taken branch's `cook` —
-        // genuinely mid-branch.
-        let cp = interrupted.checkpoints[1].clone();
-        assert_eq!(cp.executions.len(), 2);
-        assert_eq!(cp.executions[1].service, "cook");
-
-        let archived = serde_json::to_string(&cp).unwrap();
-        let restored: EnactmentCheckpoint = serde_json::from_str(&archived).unwrap();
-        assert_eq!(restored, cp);
-
-        let mut w3 = world(12);
-        let resumed = Enactor::builder()
-            .config(config)
-            .checkpoint_every(1)
-            .build()
-            .resume(&mut w3, restored, &case());
-        assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
-        assert_eq!(resumed.executions[..2], cp.executions[..]);
-        let services: Vec<&str> = resumed
-            .executions
-            .iter()
-            .map(|e| e.service.as_str())
-            .collect();
+        // `prep` and the taken branch's `cook` — genuinely mid-branch.
+        let (image, resumed) = crash_and_resume(&g, EnactmentConfig::default(), || world(12), 2);
+        assert_eq!(image.report.executions[1].service, "cook");
         // The taken branch is finished — the untaken branch's lone `nuke`
         // never runs a second time and `cook` is not repeated.
-        assert_eq!(services, full_services);
-        assert_eq!(resumed.final_state, full.final_state);
-    }
-
-    #[test]
-    fn checkpoint_version_round_trips_and_future_versions_are_refused() {
-        let mut w = world(13);
-        let config = EnactmentConfig::default();
-        let report = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w, &graph(), &case());
-        let cp = report.checkpoints[0].clone();
-        assert_eq!(cp.version, CHECKPOINT_VERSION);
-        // The version survives the storage round trip.
-        let json = serde_json::to_string(&cp).unwrap();
-        let back: EnactmentCheckpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.version, CHECKPOINT_VERSION);
-        assert_eq!(back, cp);
-        // A checkpoint from a future coordinator is refused up front: no
-        // activity runs, and the reason names both versions.
-        let mut future = cp;
-        future.version = CHECKPOINT_VERSION + 1;
-        let mut w2 = world(13);
-        let resumed = Enactor::builder()
-            .config(config)
-            .checkpoint_every(1)
-            .build()
-            .resume(&mut w2, future, &case());
-        assert!(!resumed.success);
-        assert!(resumed.executions.is_empty());
-        let reason = resumed.abort_reason.as_deref().unwrap();
-        assert!(
-            reason.contains("refusing to resume")
-                && reason.contains(&(CHECKPOINT_VERSION + 1).to_string()),
-            "unhelpful refusal: {reason}"
-        );
-    }
-
-    #[test]
-    fn checkpoint_validation_reports_every_violation_at_once() {
-        let mut w = world(13);
-        let config = EnactmentConfig::default();
-        let report = Enactor::builder()
-            .config(config)
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w, &graph(), &case());
-        let mut cp = report.checkpoints[0].clone();
-        // Corrupt two independent fields: validation must name both in
-        // one refusal, not bail at the first.
-        cp.version = CHECKPOINT_VERSION + 1;
-        cp.total_cost = -1.0;
-        let msg = cp.validate().unwrap_err().to_string();
-        assert!(
-            msg.contains("refusing to resume")
-                && msg.contains(&(CHECKPOINT_VERSION + 1).to_string()),
-            "missing version violation: {msg}"
-        );
-        assert!(
-            msg.contains("total_cost is negative"),
-            "missing cost violation: {msg}"
-        );
-        assert!(msg.starts_with("invalid checkpoint:"), "{msg}");
+        assert_eq!(resumed.report(), &full);
     }
 
     #[test]
     fn recovery_ladder_survives_a_slow_container_via_lease_and_breaker() {
-        use gridflow_recovery::BreakerState;
         use gridflow_telemetry::{TraceLog, TraceQuery};
         // The top-ranked `prep` host (ac-h1, more nodes → faster) goes
         // slow: executions still "succeed" in the world but outlive the
@@ -2079,8 +1618,7 @@ mod tests {
         let log = TraceLog::new();
         let report = Enactor::builder()
             .config(config)
-            .checkpoint_every(1)
-            .trace_handle(TraceHandle::from(log.clone()))
+            .trace(Arc::new(log.clone()))
             .build()
             .enact(&mut w, &graph(), &case());
         assert!(report.success, "abort: {:?}", report.abort_reason);
@@ -2111,85 +1649,60 @@ mod tests {
             ),
             1
         );
-        q.assert_breaker_discipline();
-        q.assert_no_dispatch_while_open();
-        // The checkpoint carries the quarantine.
-        let cp = report.checkpoints.last().unwrap();
-        let rec = cp.recovery.breakers.get("ac-h1").expect("breaker record");
-        assert!(matches!(rec.state, BreakerState::Open { .. }));
-        assert_eq!(rec.times_opened, 1);
+        assert_eq!(q.check_all(&BTreeMap::new()), Ok(()));
     }
 
     #[test]
     fn resume_preserves_recovery_state_across_the_checkpoint() {
         use gridflow_recovery::BreakerState;
-        // Trip ac-h1's breaker during `prep`, crash after the first
-        // checkpoint, and resume: the restored run must still consider
-        // ac-h1 quarantined (its breaker record — state, failure count,
-        // times opened — survives the storage round trip verbatim).
+        // Trip ac-h1's breaker during `prep` and crash right after it:
+        // the restored run must still consider ac-h1 quarantined (its
+        // breaker record — state, failure count, times opened — survives
+        // the storage round trip verbatim).
         let config = EnactmentConfig {
             recovery: RecoveryPolicy::standard(),
             ..EnactmentConfig::default()
         };
-        let mut w1 = world(15);
-        w1.set_slowdown("ac-h1", 50.0);
-        let interrupted = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w1, &graph(), &case());
-        assert!(interrupted.success);
-        let cp = interrupted.checkpoints[0].clone(); // after `prep`
-        assert!(matches!(
-            cp.recovery.breakers.get("ac-h1").unwrap().state,
-            BreakerState::Open { .. }
-        ));
-        assert!(cp.recovery.now_tick > 0);
-
-        let archived = serde_json::to_string(&cp).unwrap();
-        let restored: EnactmentCheckpoint = serde_json::from_str(&archived).unwrap();
-        assert_eq!(restored.recovery, cp.recovery);
-
-        let mut w2 = world(15);
-        w2.set_slowdown("ac-h1", 50.0);
-        let resumed = Enactor::builder()
-            .config(config)
-            .checkpoint_every(1)
-            .build()
-            .resume(&mut w2, restored, &case());
-        assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
-        // The resumed run checkpoints again after `cook`; ac-h1's record
-        // is still there, untouched by the crash.
-        let later = &resumed.checkpoints[0];
-        let rec = later
-            .recovery
-            .breakers
-            .get("ac-h1")
-            .expect("quarantine survived resume");
-        assert_eq!(rec.times_opened, 1);
-        // And the clock kept counting from the checkpointed tick.
-        assert!(later.recovery.now_tick >= cp.recovery.now_tick);
+        let slow_world = || {
+            let mut w = world(15);
+            w.set_slowdown("ac-h1", 50.0);
+            w
+        };
+        let (image, resumed) = crash_and_resume(&graph(), config, slow_world, 1);
+        let before = image.recovery.breakers.get("ac-h1").unwrap();
+        assert!(matches!(before.state, BreakerState::Open { .. }));
+        assert!(image.recovery.now_tick > 0);
+        assert!(resumed.report().success);
+        // ac-h1's record is still there at the end, untouched by the
+        // crash, and the clock kept counting from the stored tick.
+        let later = resumed.slim(0).recovery;
+        assert_eq!(later.breakers.get("ac-h1").unwrap().times_opened, 1);
+        assert!(later.now_tick >= image.recovery.now_tick);
     }
 
     #[test]
     fn resume_with_an_invalid_graph_reports_cleanly() {
         let mut w = world(9);
-        let config = EnactmentConfig::default();
-        let report = Enactor::builder()
-            .config(config.clone())
-            .checkpoint_every(1)
-            .build()
-            .enact(&mut w, &graph(), &case());
-        let mut checkpoint = report.checkpoints[0].clone();
-        checkpoint.graph = gridflow_process::ProcessGraph::new("empty");
-        let mut w2 = world(9);
-        let resumed = Enactor::builder()
-            .config(config)
-            .checkpoint_every(1)
-            .build()
-            .resume(&mut w2, checkpoint, &case());
-        assert!(!resumed.success);
-        assert!(resumed
+        let mut fiber = CaseFiber::new(
+            EnactmentConfig::default(),
+            TraceHandle::none(),
+            &graph(),
+            case(),
+            "dinner",
+        );
+        fiber.step(&mut w);
+        let (_, case, config) = fiber.blueprint();
+        let mut resumed = CaseFiber::from_slim(
+            fiber.slim(0),
+            gridflow_process::ProcessGraph::new("empty"),
+            case.clone(),
+            config.clone(),
+            TraceHandle::none(),
+        );
+        assert_eq!(resumed.step(&mut w), FiberStatus::Finished);
+        let report = resumed.into_report();
+        assert!(!report.success);
+        assert!(report
             .abort_reason
             .as_deref()
             .unwrap()

@@ -38,21 +38,6 @@ pub enum ServiceError {
     NotFound(String),
     /// Malformed request payload at the agent protocol layer.
     BadRequest(String),
-    /// A checkpoint was written by a newer coordinator than this one:
-    /// resuming it could silently misinterpret state, so we refuse.
-    UnsupportedCheckpoint {
-        /// Version found in the checkpoint.
-        found: u32,
-        /// Highest version this coordinator understands.
-        supported: u32,
-    },
-    /// A checkpoint failed validation.  Every violation found is listed
-    /// — validation never bails on the first problem, so one refusal
-    /// message is enough to diagnose a corrupt checkpoint fully.
-    InvalidCheckpoint {
-        /// All violations, in field order.
-        violations: Vec<String>,
-    },
 }
 
 impl fmt::Display for ServiceError {
@@ -73,14 +58,6 @@ impl fmt::Display for ServiceError {
             Self::AuthDenied(msg) => write!(f, "authentication denied: {msg}"),
             Self::NotFound(key) => write!(f, "not found: `{key}`"),
             Self::BadRequest(msg) => write!(f, "bad request: {msg}"),
-            Self::UnsupportedCheckpoint { found, supported } => write!(
-                f,
-                "checkpoint version {found} is newer than the supported version \
-                 {supported}; refusing to resume"
-            ),
-            Self::InvalidCheckpoint { violations } => {
-                write!(f, "invalid checkpoint: {}", violations.join("; "))
-            }
         }
     }
 }
@@ -127,16 +104,5 @@ mod tests {
         }
         .to_string()
         .contains("P3DR1"));
-        let msg = ServiceError::UnsupportedCheckpoint {
-            found: 9,
-            supported: 1,
-        }
-        .to_string();
-        assert!(msg.contains("version 9") && msg.contains("refusing to resume"));
-        let msg = ServiceError::InvalidCheckpoint {
-            violations: vec!["first problem".into(), "second problem".into()],
-        }
-        .to_string();
-        assert!(msg.contains("first problem; second problem"), "{msg}");
     }
 }

@@ -40,8 +40,7 @@ pub mod tracker;
 pub mod world;
 
 pub use coordination::{
-    CaseFiber, EnactmentCheckpoint, EnactmentConfig, EnactmentReport, Enactor, EnactorBuilder,
-    FiberSlim, FiberStatus,
+    CaseFiber, EnactmentConfig, EnactmentReport, Enactor, EnactorBuilder, FiberSlim, FiberStatus,
 };
 pub use error::{Result, ServiceError};
 pub use matchmaking::{MatchIndex, MatchRequest, RankedMatch};

@@ -129,7 +129,7 @@ pub struct PlanCacheHandle {
     /// Always [`Self::DEFAULT_WAIT`].  Still a field because the handle
     /// sits in every `CaseFiber`: its size is part of the fleet's
     /// allocation pattern, which the frozen benchmark's `peak_rss_mb`
-    /// bounds (ROADMAP item 7).
+    /// bounds (ROADMAP item 1).
     wait: Duration,
 }
 

@@ -34,7 +34,7 @@ pub struct OutputSpec {
     /// …and each further execution *refines the existing item*: its
     /// `Value` decreases by this step (iterative refinement — resolution
     /// improves pass by pass).  The step is applied to the value found in
-    /// the data state, so refinement survives checkpoints and re-plans.
+    /// the data state, so refinement survives snapshots and re-plans.
     pub value_step: f64,
 }
 
@@ -434,7 +434,7 @@ impl GridWorld {
     /// case-local: an output without a fixed id takes the first `D<n>`
     /// above [`FRESH_ID_BASE`] that `state` does not hold, so a case is
     /// handed the same ids whatever else runs on this world, before or
-    /// after a checkpoint resume.
+    /// after a snapshot restore.
     pub fn apply_outputs(&self, service: &str, state: &mut DataState) -> Result<Vec<String>> {
         let mut produced = Vec::new();
         for output in &self.offering(service)?.outputs {
@@ -772,7 +772,7 @@ mod tests {
         w.apply_outputs("P3DR", &mut a).unwrap();
         assert_eq!(a.ids().collect::<Vec<_>>(), ["D101", "D102"]);
         assert_eq!(b.ids().collect::<Vec<_>>(), ["D101"]);
-        // A state that already holds fresh ids (a resumed checkpoint)
+        // A state that already holds fresh ids (a restored snapshot)
         // continues after them.
         let mut resumed = a.clone();
         w.apply_outputs("POD", &mut resumed).unwrap();

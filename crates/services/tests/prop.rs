@@ -5,11 +5,14 @@ use gridflow_grid::container::ApplicationContainer;
 use gridflow_grid::resource::{Resource, ResourceKind};
 use gridflow_grid::GridTopology;
 use gridflow_process::{lower::lower, parser::parse_process, CaseDescription, DataItem};
-use gridflow_services::coordination::Enactor;
+use gridflow_services::coordination::{
+    CaseFiber, EnactmentConfig, Enactor, FiberSlim, FiberStatus,
+};
 use gridflow_services::scheduling::schedule;
 use gridflow_services::storage::StorageService;
 use gridflow_services::tracker::track_enactment;
 use gridflow_services::world::{GridWorld, OutputSpec, ServiceOffering};
+use gridflow_telemetry::TraceHandle;
 use proptest::prelude::*;
 use serde_json::json;
 
@@ -109,26 +112,45 @@ proptest! {
         prop_assert_eq!(StorageService::restore(&snap).unwrap(), store);
     }
 
-    /// Checkpoint/resume equivalence: resuming any checkpoint of a run on
-    /// a fresh world reproduces the uninterrupted run's final state and
-    /// total execution count.
+    /// Checkpoint/resume equivalence: a fiber captured after any number
+    /// of steps — its [`FiberSlim`] through JSON, the world through its
+    /// image onto a fresh one, as the engine's store carries them —
+    /// resumes to the uninterrupted run's report.
     #[test]
     fn any_checkpoint_resumes_to_the_same_outcome(picks in prop::collection::vec(0usize..3, 2..8)) {
         let services: Vec<String> = vec!["s0".into(), "s1".into(), "s2".into()];
         let body: String = picks.iter().map(|&i| format!("s{i}; ")).collect();
         let graph = lower("chain", &parse_process(&format!("BEGIN {body} END")).unwrap()).unwrap();
         let case = CaseDescription::new("prop").with_data("D1", DataItem::classified("seed"));
-        let enactor = Enactor::builder().checkpoint_every(1).build();
-        let mut world = uniform_world(3, &services);
-        let full = enactor.enact(&mut world, &graph, &case);
+        let full = Enactor::default().enact(&mut uniform_world(3, &services), &graph, &case);
         prop_assert!(full.success);
-        prop_assert_eq!(full.checkpoints.len(), picks.len());
-        for checkpoint in &full.checkpoints {
+        for steps in 1..=picks.len() {
+            let mut world = uniform_world(3, &services);
+            let mut crashed = CaseFiber::new(
+                EnactmentConfig::default(),
+                TraceHandle::none(),
+                &graph,
+                case.clone(),
+                "chain",
+            );
+            for _ in 0..steps {
+                prop_assert_eq!(crashed.step(&mut world), FiberStatus::Progressed);
+            }
+            let archived = serde_json::to_string(&crashed.slim(0)).unwrap();
+            let image: FiberSlim = serde_json::from_str(&archived).unwrap();
+            prop_assert_eq!(image.report.executions.len(), steps);
             let mut fresh = uniform_world(3, &services);
-            let resumed = enactor.resume(&mut fresh, checkpoint.clone(), &case);
-            prop_assert!(resumed.success, "abort: {:?}", resumed.abort_reason);
-            prop_assert_eq!(&resumed.final_state, &full.final_state);
-            prop_assert_eq!(resumed.executions.len(), full.executions.len());
+            fresh.restore_image(&world.image()).unwrap();
+            let (graph, case, config) = crashed.blueprint();
+            let mut resumed = CaseFiber::from_slim(
+                image,
+                graph.clone(),
+                case.clone(),
+                config.clone(),
+                TraceHandle::none(),
+            );
+            while resumed.step(&mut fresh) != FiberStatus::Finished {}
+            prop_assert_eq!(resumed.report(), &full);
         }
     }
 

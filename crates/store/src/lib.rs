@@ -60,8 +60,7 @@ pub enum StoreError {
         found: u64,
     },
     /// A snapshot was written by a newer build than this reader
-    /// supports — the durable mirror of
-    /// `CheckpointError::UnsupportedCheckpoint`.
+    /// supports.
     UnsupportedSchema {
         /// Schema version found in the record.
         found: u8,
@@ -153,9 +152,8 @@ impl SnapshotRecord {
         Ok(())
     }
 
-    /// Recovery-time validation, mirroring `EnactmentCheckpoint::validate`:
-    /// refuse snapshots from a newer schema, and refuse payloads that
-    /// fail their content hash.
+    /// Recovery-time validation: refuse snapshots from a newer schema,
+    /// and refuse payloads that fail their content hash.
     pub fn validate(&self) -> StoreResult<()> {
         if self.schema > SNAPSHOT_SCHEMA_VERSION {
             return Err(StoreError::UnsupportedSchema {

@@ -20,8 +20,8 @@
 //!   engine state.
 //!
 //! The `schema` byte versions each kind independently; readers refuse
-//! snapshot schemas newer than they support (mirroring
-//! `EnactmentCheckpoint::validate`) instead of guessing at the payload.
+//! snapshot schemas newer than they support instead of guessing at the
+//! payload.
 //! Anything that fails the length or CRC check is a torn tail: decoding
 //! reports where the valid prefix ends so the store can truncate and
 //! carry on.
@@ -134,7 +134,7 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 /// buffer, CRC mismatch, unknown kind, unparsable payload — decodes as
 /// [`Decoded::Torn`]; the caller treats `offset` as the end of the
 /// valid prefix.  Future snapshot *schemas* decode fine (refusal
-/// happens at recovery time, mirroring `EnactmentCheckpoint::validate`);
+/// happens at recovery time, in [`SnapshotRecord::validate`]);
 /// future *container* formats do not get here because the segment
 /// header check rejects them first.
 pub fn decode_record(bytes: &[u8], offset: usize) -> Decoded {

@@ -2,7 +2,7 @@
 //!
 //! One [`TraceEvent`] describes one thing that *happened* somewhere in
 //! the stack — a message routed (or dropped), an activity dispatched, a
-//! flow-control transition fired, a checkpoint captured, a fault
+//! flow-control transition fired, a re-plan installed, a fault
 //! injected.  Events carry only simulation-derived data (virtual
 //! durations, seeded decisions), never wall-clock readings, so a
 //! serialized log replays byte-identically.
@@ -143,9 +143,9 @@ impl Deserialize for Label {
 ///
 /// Grouped by emitting layer: the agent substrate (`Message*`,
 /// `Request*`), the coordination enactor (`Enactment*`, `Activity*`,
-/// `TransitionFired`, `CheckpointCaptured`, `Replan*`), the planning
-/// service (`PlanGeneration`), and the scenario runner (`PhaseStarted`,
-/// `NodeLost`, `CoordinatorCrashed`, `ResumeStarted`).
+/// `TransitionFired`, `Replan*`), the planning service
+/// (`PlanGeneration`), and the scenario runner (`NodeLost`,
+/// `Partition*`).
 ///
 /// Serializes externally tagged — `{"MessageSent": {...}}` — the
 /// vendored serde's (and serde's default) enum representation.
@@ -227,7 +227,9 @@ pub enum TraceEvent {
     EnactmentStarted {
         /// Workflow (process graph) name.
         workflow: String,
-        /// Was this a resume from a checkpoint?
+        /// Always `false`: a recovered fiber is rebuilt silently and
+        /// nothing else resumes.  Kept because every pinned trace row
+        /// carries the key.
         resumed: bool,
     },
     /// An activity was handed to a container for execution (one event
@@ -340,20 +342,6 @@ pub enum TraceEvent {
         /// Node id in the process graph.
         node: String,
     },
-    /// A resumable checkpoint was captured.
-    CheckpointCaptured {
-        /// Index of the checkpoint within this report (0-based).
-        index: usize,
-        /// Successful executions covered by the checkpoint.
-        executions: usize,
-    },
-    /// An enactment resumed from a checkpoint.
-    ResumeStarted {
-        /// Phase index (1 = first resume).
-        phase: usize,
-        /// Executions already completed before the resume.
-        completed_executions: usize,
-    },
     /// Every candidate failed for an activity and the enactor escalated
     /// to the planning service.
     ReplanTriggered {
@@ -410,23 +398,12 @@ pub enum TraceEvent {
     },
 
     // ------------------------------------------------ scenario runner
-    /// A scenario phase began (phase 0 = initial run, ≥1 = resumes).
-    PhaseStarted {
-        /// Phase index.
-        phase: usize,
-    },
     /// A scripted node loss struck.
     NodeLost {
         /// Container taken down.
         container: String,
         /// Execution-history length at which the loss fired.
         after_executions: usize,
-    },
-    /// The scripted coordinator crash was applied: everything past the
-    /// chosen checkpoint is discarded.
-    CoordinatorCrashed {
-        /// The checkpoint index the run was cut at.
-        after_checkpoints: usize,
     },
     /// Free-form driver annotation (kept out of invariant checks).
     Custom {
@@ -600,8 +577,6 @@ impl TraceEvent {
             TraceEvent::BreakerHalfOpen { .. } => "breaker.half_open",
             TraceEvent::BreakerClosed { .. } => "breaker.closed",
             TraceEvent::TransitionFired { .. } => "transition.fired",
-            TraceEvent::CheckpointCaptured { .. } => "checkpoint.captured",
-            TraceEvent::ResumeStarted { .. } => "resume.started",
             TraceEvent::ReplanTriggered { .. } => "replan.triggered",
             TraceEvent::ReplanInstalled { .. } => "replan.installed",
             TraceEvent::PlanGeneration { .. } => "plan.generation",
@@ -609,9 +584,7 @@ impl TraceEvent {
             TraceEvent::PlanCacheMiss { .. } => "plan.cache_miss",
             TraceEvent::PlanCoalesced { .. } => "plan.coalesced",
             TraceEvent::EnactmentFinished { .. } => "enactment.finished",
-            TraceEvent::PhaseStarted { .. } => "phase.started",
             TraceEvent::NodeLost { .. } => "fault.node_lost",
-            TraceEvent::CoordinatorCrashed { .. } => "fault.crash",
             TraceEvent::Custom { .. } => "custom",
             TraceEvent::TickStarted { .. } => "engine.tick",
             TraceEvent::CaseAdmitted { .. } => "case.admitted",
@@ -628,7 +601,7 @@ impl TraceEvent {
 
     /// Is this one of the fault-injection events (`MessageDropped`,
     /// `MessageDuplicated`, `MessageDelayed`, `MessageReordered`,
-    /// `PartitionStarted`, `NodeLost`, `CoordinatorCrashed`)?
+    /// `PartitionStarted`, `NodeLost`)?
     pub fn is_fault(&self) -> bool {
         matches!(
             self,
@@ -638,7 +611,6 @@ impl TraceEvent {
                 | TraceEvent::MessageReordered { .. }
                 | TraceEvent::PartitionStarted { .. }
                 | TraceEvent::NodeLost { .. }
-                | TraceEvent::CoordinatorCrashed { .. }
         )
     }
 }
@@ -814,10 +786,7 @@ mod tests {
             tick: 7,
             at_s: 1.25,
             source: "enactor".into(),
-            event: TraceEvent::CheckpointCaptured {
-                index: 0,
-                executions: 1,
-            },
+            event: TraceEvent::ReplanInstalled { viable: true },
         };
         let json = serde_json::to_string(&r).unwrap();
         let back: TraceRecord = serde_json::from_str(&json).unwrap();

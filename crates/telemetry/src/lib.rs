@@ -21,13 +21,14 @@
 //!   per-log sequence number; causality assertions reduce to integer
 //!   comparisons over one stream.
 //! - **Trace-then-assert.**  [`TraceQuery`] turns the log into
-//!   execution invariants (no double dispatch after crash/resume,
-//!   every drop resolved by timeout-or-retry, happens-before edges,
-//!   retry counts), and [`MetricsRegistry`] folds it into counters and
+//!   execution invariants (no double dispatch, across a crash and
+//!   recovery included; every drop resolved by timeout-or-retry;
+//!   happens-before edges; retry counts — [`TraceQuery::check_all`]
+//!   runs every whole-trace one), and [`MetricsRegistry`] folds it into counters and
 //!   virtual-time latency histograms for the monitoring service.
 //!
 //! Determinism scope: byte-identical replay holds on the
-//! single-threaded scenario-runner path.  The live agent stack is
+//! single-threaded engine path.  The live agent stack is
 //! multi-threaded and draws message ids from a process-global counter,
 //! so its traces support invariant assertions but not byte equality.
 

@@ -4,12 +4,13 @@
 //! invariants: *no activity was dispatched again after completing*,
 //! *every dropped message was followed by a timeout or retry (never a
 //! wrong answer)*, *A happened before B*, *an activity was retried
-//! exactly N times*.  Checks return [`TraceViolation`] values; the
-//! `assert_*` wrappers panic with the violation rendered, for direct
-//! use in tests.
+//! exactly N times*.  Checks return [`TraceViolation`] values;
+//! [`TraceQuery::check_all`] runs every whole-trace invariant in one
+//! call, and the `assert_*` wrappers of the parameterised checks panic
+//! with the violation rendered, for direct use in tests.
 
 use crate::event::{TraceEvent, TraceRecord};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// A falsified trace invariant, carrying enough context to debug it.
@@ -305,31 +306,27 @@ impl TraceQuery {
         }
     }
 
-    /// Check: no activity is dispatched again after it completed.
-    ///
-    /// This is the crash/resume double-execution invariant in trace
-    /// form — a resumed coordinator must pick up *after* the last
-    /// checkpoint, never re-run work that already succeeded.  A
-    /// `ResumeStarted` or `ReplanTriggered` event does **not** reset
-    /// the check: completion is final.  The one exception is a
-    /// `CoordinatorCrashed` event: completions recorded *after* the
-    /// checkpoint the crash cut back to were lost with the coordinator
-    /// (never durably recorded), so re-dispatching that work on resume
-    /// is exactly what recovery is supposed to do.
+    /// Check: no activity is dispatched again after it completed —
+    /// completion is final, and a `ReplanTriggered` does **not** reset
+    /// it.  The one thing that does is a loop: a `Merge` node firing for
+    /// the second time is an `ITERATIVE` back edge, and the body it
+    /// leads into legitimately runs again.  A fiber recovered from the
+    /// durable store is rebuilt silently with its completions behind it,
+    /// so this is also the crash double-execution invariant: a merged
+    /// kill → recover log must pass it like any other.
     pub fn check_no_double_dispatch(&self) -> Result<(), TraceViolation> {
         let mut completed: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut checkpoint_seqs: BTreeMap<usize, u64> = BTreeMap::new();
+        let mut entered: BTreeSet<&str> = BTreeSet::new();
         for r in &self.records {
             match &r.event {
                 TraceEvent::ActivityCompleted { activity, .. } => {
                     completed.entry(activity).or_insert(r.seq);
                 }
-                TraceEvent::CheckpointCaptured { index, .. } => {
-                    checkpoint_seqs.entry(*index).or_insert(r.seq);
-                }
-                TraceEvent::CoordinatorCrashed { after_checkpoints } => {
-                    let cut = checkpoint_seqs.get(after_checkpoints).copied().unwrap_or(0);
-                    completed.retain(|_, seq| *seq <= cut);
+                TraceEvent::TransitionFired { kind, node } if kind == "Merge" => {
+                    let back_edge = !entered.insert(node);
+                    if back_edge {
+                        completed.clear();
+                    }
                 }
                 TraceEvent::ActivityDispatched { activity, .. } => {
                     if let Some(&done) = completed.get(activity.as_str()) {
@@ -440,54 +437,23 @@ impl TraceQuery {
 
     /// Check: every container's breaker events walk the state machine
     /// legally — `opened` only from closed or half-open, `half_open`
-    /// only from open, `closed` only from half-open.  Phase boundaries
-    /// (`CoordinatorCrashed`, `ResumeStarted`, a later `PhaseStarted`)
-    /// reset the tracking: the resumed coordinator restores breaker
-    /// state from a checkpoint taken *before* the events the trace has
-    /// already shown, so post-boundary transitions start from a state
-    /// the trace cannot see.
+    /// only from open, `closed` only from half-open.
     pub fn check_breaker_discipline(&self) -> Result<(), TraceViolation> {
-        // State implied by the last event seen per container;
-        // "unknown" after a phase boundary, "closed" before any event.
-        let mut states: BTreeMap<String, &'static str> = BTreeMap::new();
-        let mut crashed = false;
-        let mut started = false;
+        // State implied by the last event seen per container; "closed"
+        // before any event.
+        let mut states: BTreeMap<&str, &'static str> = BTreeMap::new();
         for r in &self.records {
             let (container, to) = match &r.event {
-                TraceEvent::CoordinatorCrashed { .. } | TraceEvent::ResumeStarted { .. } => {
-                    states.clear();
-                    crashed = true;
-                    continue;
-                }
-                TraceEvent::PhaseStarted { .. } => {
-                    // The first phase starts from pristine (closed)
-                    // breakers; later phases resume from a checkpoint.
-                    if started {
-                        states.clear();
-                        crashed = true;
-                    }
-                    started = true;
-                    continue;
-                }
                 TraceEvent::BreakerOpened { container, .. } => (container, "open"),
                 TraceEvent::BreakerHalfOpen { container } => (container, "half_open"),
                 TraceEvent::BreakerClosed { container } => (container, "closed"),
                 _ => continue,
             };
-            let from = states.get(container).copied().unwrap_or(if crashed {
-                "unknown"
-            } else {
-                "closed"
-            });
-            let legal = match (from, to) {
-                // After a crash the restored state is invisible to the
-                // trace: accept any first transition per container.
-                ("unknown", _) => true,
-                ("closed", "open") | ("half_open", "open") => true,
-                ("open", "half_open") => true,
-                ("half_open", "closed") => true,
-                _ => false,
-            };
+            let from = states.get(container.as_str()).copied().unwrap_or("closed");
+            let legal = matches!(
+                (from, to),
+                ("closed" | "half_open", "open") | ("open", "half_open") | ("half_open", "closed")
+            );
             if !legal {
                 return Err(TraceViolation::IllegalBreakerTransition {
                     container: container.clone(),
@@ -496,35 +462,39 @@ impl TraceQuery {
                     seq: r.seq,
                 });
             }
-            states.insert(container.clone(), to);
+            states.insert(container, to);
         }
         Ok(())
     }
 
     /// Check: every `transport.partitioned` event is matched by a
     /// later `transport.healed` for the same node pair (order within
-    /// the pair is ignored), and no heal arrives for a pair that is
-    /// not currently partitioned.
+    /// the pair is ignored) once the trace reaches its heal tick — a run
+    /// that ends inside the window legitimately leaves it open — and no
+    /// heal arrives for a pair that is not currently partitioned.
     pub fn check_partition_discipline(&self) -> Result<(), TraceViolation> {
-        // Open partitions keyed by the sorted node pair → opening seq.
-        let mut open: BTreeMap<(String, String), u64> = BTreeMap::new();
+        let pair = |a: &String, b: &String| {
+            if a <= b {
+                (a.clone(), b.clone())
+            } else {
+                (b.clone(), a.clone())
+            }
+        };
+        // Open partitions keyed by the sorted node pair → (opening seq,
+        // heal tick), and the latest tick the trace has reached: the
+        // engine's, or the message clock's on the transport plane.
+        let mut open: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
+        let mut reached = 0;
         for r in &self.records {
+            reached = reached.max(r.tick);
             match &r.event {
-                TraceEvent::PartitionStarted { a, b, .. } => {
-                    let key = if a <= b {
-                        (a.clone(), b.clone())
-                    } else {
-                        (b.clone(), a.clone())
-                    };
-                    open.insert(key, r.seq);
+                TraceEvent::TickStarted { tick } => reached = reached.max(*tick),
+                TraceEvent::PartitionStarted { a, b, heal_tick } => {
+                    open.insert(pair(a, b), (r.seq, *heal_tick));
                 }
                 TraceEvent::PartitionHealed { a, b } => {
-                    let key = if a <= b {
-                        (a.clone(), b.clone())
-                    } else {
-                        (b.clone(), a.clone())
-                    };
-                    if open.remove(&key).is_none() {
+                    let was_open = open.remove(&pair(a, b)).is_some();
+                    if !was_open {
                         return Err(TraceViolation::HealWithoutPartition {
                             a: a.clone(),
                             b: b.clone(),
@@ -535,42 +505,33 @@ impl TraceQuery {
                 _ => {}
             }
         }
-        if let Some(((a, b), opened_seq)) = open.into_iter().next() {
-            return Err(TraceViolation::UnhealedPartition { a, b, opened_seq });
+        match open
+            .into_iter()
+            .find(|(_, (_, heal_tick))| *heal_tick <= reached)
+        {
+            Some(((a, b), (opened_seq, _))) => {
+                Err(TraceViolation::UnhealedPartition { a, b, opened_seq })
+            }
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Check: no activity is dispatched to a container between its
     /// `breaker.opened` and the next `breaker.half_open`/`closed` —
-    /// quarantine means quarantine.  Tracking resets at phase
-    /// boundaries (`CoordinatorCrashed`, `ResumeStarted`, a later
-    /// `PhaseStarted`): a resumed coordinator restores breaker state
-    /// from a checkpoint taken before the open the trace showed, so a
-    /// post-boundary dispatch is legal.
+    /// quarantine means quarantine.
     pub fn check_no_dispatch_while_open(&self) -> Result<(), TraceViolation> {
-        let mut open: BTreeMap<String, u64> = BTreeMap::new();
-        let mut started = false;
+        let mut open: BTreeMap<&str, u64> = BTreeMap::new();
         for r in &self.records {
             match &r.event {
                 TraceEvent::BreakerOpened { container, .. } => {
-                    open.insert(container.clone(), r.seq);
+                    open.insert(container, r.seq);
                 }
                 TraceEvent::BreakerHalfOpen { container }
                 | TraceEvent::BreakerClosed { container } => {
-                    open.remove(container);
-                }
-                TraceEvent::CoordinatorCrashed { .. } | TraceEvent::ResumeStarted { .. } => {
-                    open.clear()
-                }
-                TraceEvent::PhaseStarted { .. } => {
-                    if started {
-                        open.clear();
-                    }
-                    started = true;
+                    open.remove(container.as_str());
                 }
                 TraceEvent::ActivityDispatched { container, .. } => {
-                    if let Some(&opened_seq) = open.get(container) {
+                    if let Some(&opened_seq) = open.get(container.as_str()) {
                         return Err(TraceViolation::DispatchWhileOpen {
                             container: container.clone(),
                             opened_seq,
@@ -761,17 +722,46 @@ impl TraceQuery {
         Ok(())
     }
 
-    /// Panic if [`TraceQuery::check_no_double_dispatch`] fails.
-    pub fn assert_no_double_dispatch(&self) {
-        if let Err(v) = self.check_no_double_dispatch() {
-            panic!("trace violation: {v}");
+    /// Every whole-trace invariant in one call, collecting every
+    /// violation instead of stopping at the first.
+    ///
+    /// Completions and breakers belong to one enactment, so double
+    /// dispatch, breaker discipline and dispatch-while-open are checked
+    /// per `case:<label>/` source scope (records outside any case scope
+    /// — a bare enactor's, the engine's, the runner's — form one scope
+    /// of their own); drops resolved, partition discipline, plans at
+    /// most once per key and double booking (against `capacities`,
+    /// unlisted containers holding one slot) are checked over the whole
+    /// log.
+    pub fn check_all(
+        &self,
+        capacities: &BTreeMap<String, usize>,
+    ) -> Result<(), Vec<TraceViolation>> {
+        let mut scopes: BTreeMap<&str, Vec<TraceRecord>> = BTreeMap::new();
+        for r in &self.records {
+            let scope = r
+                .source
+                .strip_prefix("case:")
+                .and_then(|rest| rest.split_once('/'))
+                .map_or("", |(label, _)| label);
+            scopes.entry(scope).or_default().push(r.clone());
         }
-    }
-
-    /// Panic if [`TraceQuery::check_drops_resolved`] fails.
-    pub fn assert_drops_resolved(&self) {
-        if let Err(v) = self.check_drops_resolved() {
-            panic!("trace violation: {v}");
+        let mut checks = Vec::new();
+        for records in scopes.into_values() {
+            let scope = TraceQuery::new(records);
+            checks.push(scope.check_no_double_dispatch());
+            checks.push(scope.check_breaker_discipline());
+            checks.push(scope.check_no_dispatch_while_open());
+        }
+        checks.push(self.check_drops_resolved());
+        checks.push(self.check_partition_discipline());
+        checks.push(self.check_plans_at_most_once_per_key());
+        checks.push(self.check_no_double_booking(capacities));
+        let violations: Vec<_> = checks.into_iter().filter_map(Result::err).collect();
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(violations)
         }
     }
 
@@ -795,23 +785,9 @@ impl TraceQuery {
         }
     }
 
-    /// Panic if [`TraceQuery::check_breaker_discipline`] fails.
-    pub fn assert_breaker_discipline(&self) {
-        if let Err(v) = self.check_breaker_discipline() {
-            panic!("trace violation: {v}");
-        }
-    }
-
     /// Panic if [`TraceQuery::check_partition_discipline`] fails.
     pub fn assert_partition_discipline(&self) {
         if let Err(v) = self.check_partition_discipline() {
-            panic!("trace violation: {v}");
-        }
-    }
-
-    /// Panic if [`TraceQuery::check_no_dispatch_while_open`] fails.
-    pub fn assert_no_dispatch_while_open(&self) {
-        if let Err(v) = self.check_no_dispatch_while_open() {
             panic!("trace violation: {v}");
         }
     }
@@ -909,7 +885,7 @@ mod tests {
             rec(2, dispatched("A1")), // retry before completion: fine
             rec(3, completed("A1")),
         ]);
-        ok.assert_no_double_dispatch();
+        assert_eq!(ok.check_no_double_dispatch(), Ok(()));
 
         let bad = TraceQuery::new(vec![
             rec(0, dispatched("A1")),
@@ -930,36 +906,93 @@ mod tests {
     }
 
     #[test]
-    fn crash_forgives_only_post_checkpoint_completions() {
-        let checkpoint = |index| TraceEvent::CheckpointCaptured {
-            index,
-            executions: index + 1,
+    fn a_loop_back_edge_lets_its_body_run_again() {
+        let merge = |node: &str| TraceEvent::TransitionFired {
+            kind: "Merge".into(),
+            node: node.into(),
         };
-        let crash = TraceEvent::CoordinatorCrashed {
-            after_checkpoints: 0,
+        let looped = TraceQuery::new(vec![
+            rec(0, merge("loop")), // loop entry
+            rec(1, dispatched("A1")),
+            rec(2, completed("A1")),
+            rec(3, merge("loop")), // back edge: the body runs again
+            rec(4, dispatched("A1")),
+        ]);
+        assert_eq!(looped.check_no_double_dispatch(), Ok(()));
+        // A merge firing for the first time (a CHOICE's) resets nothing.
+        let chosen = TraceQuery::new(vec![
+            rec(0, completed("A1")),
+            rec(1, merge("choice-end")),
+            rec(2, dispatched("A1")),
+        ]);
+        assert!(chosen.check_no_double_dispatch().is_err());
+    }
+
+    #[test]
+    fn a_partition_may_stay_open_only_until_its_heal_tick() {
+        let cut = TraceEvent::PartitionStarted {
+            a: "n1".into(),
+            b: "n2".into(),
+            heal_tick: 6,
         };
-        // A2 completed after checkpoint 0 and was lost with the crash:
-        // re-dispatching it is recovery, not a violation.
-        let recovered = TraceQuery::new(vec![
-            rec(0, completed("A1")),
-            rec(1, checkpoint(0)),
-            rec(2, completed("A2")),
-            rec(3, checkpoint(1)),
-            rec(4, crash.clone()),
-            rec(5, dispatched("A2")),
-        ]);
-        recovered.assert_no_double_dispatch();
-        // A1 was checkpointed before the crash: re-dispatching it after
-        // resume is still a double dispatch.
-        let bad = TraceQuery::new(vec![
-            rec(0, completed("A1")),
-            rec(1, checkpoint(0)),
-            rec(2, crash),
-            rec(3, dispatched("A1")),
-        ]);
+        let tick = |tick| TraceEvent::TickStarted { tick };
+        // The run ended inside the window: nothing to heal yet.
+        let short = TraceQuery::new(vec![rec(0, tick(2)), rec(1, cut.clone()), rec(2, tick(5))]);
+        assert_eq!(short.check_partition_discipline(), Ok(()));
+        // The run reached the heal tick and the window is still open.
+        let late = TraceQuery::new(vec![rec(0, cut), rec(1, tick(6))]);
         assert!(matches!(
-            bad.check_no_double_dispatch(),
-            Err(TraceViolation::DoubleDispatch { .. })
+            late.check_partition_discipline(),
+            Err(TraceViolation::UnhealedPartition { opened_seq: 0, .. })
+        ));
+        let stray = TraceQuery::new(vec![rec(
+            0,
+            TraceEvent::PartitionHealed {
+                a: "n2".into(),
+                b: "n1".into(),
+            },
+        )]);
+        assert!(matches!(
+            stray.check_partition_discipline(),
+            Err(TraceViolation::HealWithoutPartition { seq: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn check_all_scopes_enactments_per_case_and_collects_every_violation() {
+        let from = |source: &str, seq, event| TraceRecord {
+            source: source.into(),
+            ..rec(seq, event)
+        };
+        // Two cases run the same activity and each trips its own
+        // breaker on the same container: legal within either scope.
+        let fleet = TraceQuery::new(vec![
+            from("case:a/enactor", 0, dispatched("A1")),
+            from("case:a/enactor", 1, completed("A1")),
+            from("case:b/enactor", 2, dispatched("A1")),
+            from("case:a/recovery", 3, opened("c1")),
+            from("case:b/recovery", 4, opened("c1")),
+        ]);
+        assert!(fleet.check_no_double_dispatch().is_err());
+        assert_eq!(fleet.check_all(&BTreeMap::new()), Ok(()));
+
+        // One case breaks two rules and the fleet double-books: all
+        // three come back, scoped checks first.
+        let bad = TraceQuery::new(vec![
+            from("case:a/enactor", 0, completed("A1")),
+            from("case:a/enactor", 1, dispatched("A1")),
+            from("case:a/recovery", 2, half_open("c1")),
+            from("case:a/enactor", 3, reserved("a", "c1")),
+            from("case:b/enactor", 4, reserved("b", "c1")),
+        ]);
+        let violations = bad.check_all(&BTreeMap::new()).unwrap_err();
+        assert!(matches!(
+            violations[..],
+            [
+                TraceViolation::DoubleDispatch { .. },
+                TraceViolation::IllegalBreakerTransition { .. },
+                TraceViolation::DoubleBooking { .. },
+            ]
         ));
     }
 
@@ -980,7 +1013,7 @@ mod tests {
             rec(0, dropped),
             rec(1, TraceEvent::RequestTimedOut { agent: "b".into() }),
         ]);
-        resolved.assert_drops_resolved();
+        assert_eq!(resolved.check_drops_resolved(), Ok(()));
 
         let wrong = TraceQuery::new(vec![rec(
             0,
@@ -1062,7 +1095,7 @@ mod tests {
             rec(4, closed("c1")),
             rec(5, opened("c2")), // independent containers
         ]);
-        q.assert_breaker_discipline();
+        assert_eq!(q.check_breaker_discipline(), Ok(()));
     }
 
     #[test]
@@ -1084,20 +1117,9 @@ mod tests {
             }
             other => panic!("expected IllegalBreakerTransition, got {other:?}"),
         }
-        // half_open without a preceding open is illegal too…
+        // half_open without a preceding open is illegal too.
         let bad = TraceQuery::new(vec![rec(0, half_open("c1"))]);
         assert!(bad.check_breaker_discipline().is_err());
-        // …unless a crash wiped the trace-visible state first.
-        let crashed = TraceQuery::new(vec![
-            rec(
-                0,
-                TraceEvent::CoordinatorCrashed {
-                    after_checkpoints: 0,
-                },
-            ),
-            rec(1, half_open("c1")),
-        ]);
-        crashed.assert_breaker_discipline();
     }
 
     #[test]
@@ -1120,7 +1142,7 @@ mod tests {
             rec(2, half_open("c1")),
             rec(3, dispatched_on("A1", "c1")), // probe after readmission
         ]);
-        ok.assert_no_dispatch_while_open();
+        assert_eq!(ok.check_no_dispatch_while_open(), Ok(()));
     }
 
     #[test]

@@ -269,6 +269,17 @@ impl TraceHandle {
         self.sink.is_some()
     }
 
+    /// A handle onto the same sink through a [`ScopedSink`] prefixing
+    /// every source with `scope/`.  An empty handle stays empty and
+    /// never renders `scope`.
+    pub fn scoped(&self, scope: impl std::fmt::Display) -> TraceHandle {
+        TraceHandle {
+            sink: self.sink.as_ref().map(|sink| {
+                Arc::new(ScopedSink::new(scope.to_string(), sink.clone())) as Arc<dyn TraceSink>
+            }),
+        }
+    }
+
     /// Emit `event` from `source` if a sink is installed.
     pub fn emit(&self, source: &str, event: TraceEvent) {
         if let Some(sink) = &self.sink {

@@ -62,9 +62,6 @@ fn event() -> impl Strategy<Value = TraceEvent> {
             }
         ),
         (name(), name()).prop_map(|(kind, node)| TraceEvent::TransitionFired { kind, node }),
-        (0usize..16, 0usize..16).prop_map(|(index, executions)| {
-            TraceEvent::CheckpointCaptured { index, executions }
-        }),
         (
             name(),
             name(),

@@ -1,11 +1,15 @@
-//! Crash and recover: a fleet of dinner cases is journalled into a
-//! file-backed store, killed mid-run, and recovered from disk by a
-//! fresh process image — the recovered run finishes the fleet and the
-//! merged event log is byte-identical to an uninterrupted run.
+//! Crash and recover (§1: "Some of the computational tasks are long
+//! lasting and require checkpointing"): a fleet of dinner cases is
+//! journalled into a file-backed store, killed mid-run, and recovered
+//! from disk by a fresh process image — the recovered run finishes the
+//! fleet and the merged event log is byte-identical to an uninterrupted
+//! run.  The store is the only checkpoint there is, at any fleet size:
+//! pass `1` as the third argument for a lone case.
 //!
 //! ```sh
 //! cargo run --example crash_recover            # default seed 7, kill at ticks/2
 //! cargo run --example crash_recover -- 11 3    # seed 11, kill at tick 3
+//! cargo run --example crash_recover -- 7 2 1   # seed 7, kill at tick 2, one case
 //! ```
 
 use gridflow_engine::PolicySpec;
@@ -14,8 +18,8 @@ use gridflow_harness::{FaultPlan, MultiCaseScenario};
 use gridflow_store::{merged_jsonl, FileStore, Store};
 use std::sync::{Arc, Mutex};
 
-fn fleet<'a>(plan: &'a FaultPlan, wl: &'a Workload) -> MultiCaseScenario<'a> {
-    MultiCaseScenario::new(plan, wl, 4)
+fn fleet<'a>(plan: &'a FaultPlan, wl: &'a Workload, cases: usize) -> MultiCaseScenario<'a> {
+    MultiCaseScenario::new(plan, wl, cases)
         .max_in_flight(2)
         .policy(PolicySpec::Fifo)
         .traced()
@@ -25,12 +29,13 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(7);
     let kill_arg: Option<u64> = args.next().and_then(|s| s.parse().ok());
+    let cases: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
 
     let plan = FaultPlan::seeded(seed).failing_activities(0.2);
     let wl = dinner_workload();
 
     // --- The uninterrupted truth --------------------------------------
-    let baseline = fleet(&plan, &wl).run();
+    let baseline = fleet(&plan, &wl, cases).run();
     let truth = baseline.trace.as_ref().expect("traced").to_jsonl();
     let kill = kill_arg.unwrap_or(baseline.engine.ticks / 2);
     println!(
@@ -47,7 +52,7 @@ fn main() {
     {
         let (store, _) = FileStore::open(&dir, 64).expect("open store");
         let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(store));
-        let crashed = fleet(&plan, &wl)
+        let crashed = fleet(&plan, &wl, cases)
             .store(store.clone(), 2)
             .kill_at(kill)
             .run();
@@ -64,7 +69,7 @@ fn main() {
     let (store, report) = FileStore::open(&dir, 64).expect("reopen store");
     assert!(!report.truncated, "a kill is clean: no torn tail");
     let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(store));
-    let recovered = fleet(&plan, &wl)
+    let recovered = fleet(&plan, &wl, cases)
         .store(store.clone(), 2)
         .recover()
         .expect("recovery");

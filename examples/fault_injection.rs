@@ -1,7 +1,7 @@
 //! Deterministic fault injection: run a workload under a seeded
-//! [`FaultPlan`] (activity failures + a scripted coordinator crash),
-//! replay it byte-identically, then point a lossy message transport at
-//! the live agent stack and watch it degrade gracefully.
+//! [`FaultPlan`] (activity failures), replay it byte-identically, then
+//! point a lossy message transport at the live agent stack and watch it
+//! degrade gracefully.
 //!
 //! ```sh
 //! cargo run --example fault_injection          # default seed 42
@@ -10,9 +10,7 @@
 
 use gridflow_agents::{AgentError, AgentRuntime};
 use gridflow_harness::workload::dinner_workload;
-use gridflow_harness::{
-    execution_counts, outcome_fingerprint, run_scenario, FaultPlan, FaultyTransport, VirtualClock,
-};
+use gridflow_harness::{FaultPlan, FaultyTransport, MultiCaseScenario, VirtualClock};
 use gridflow_planner::prelude::GpConfig;
 use gridflow_services::agents::{boot_stack, GRIDFLOW_ONTOLOGY};
 use gridflow_services::coordination::EnactmentConfig;
@@ -28,28 +26,34 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
 
-    // --- A seeded scenario: activity failures + a coordinator crash ----
-    let plan = FaultPlan::seeded(seed)
-        .failing_activities(0.2)
-        .crashing_after(0);
+    // --- A seeded scenario: activity failures ---------------------------
+    let plan = FaultPlan::seeded(seed).failing_activities(0.2);
     println!("plan: {}", serde_json::to_string(&plan).unwrap());
 
     let workload = dinner_workload();
-    let outcome = run_scenario(&plan, &workload);
+    let outcome = MultiCaseScenario::new(&plan, &workload, 1).run();
+    let report = &outcome.engine.cases[0].report;
     println!(
-        "seed {seed}: completed={} after {} resume(s); executions: {:?}",
-        outcome.completed,
-        outcome.resumes,
-        execution_counts(outcome.final_report())
+        "seed {seed}: completed={} with {} failed attempt(s); executions: {:?}",
+        report.success,
+        report.failed_attempts.len(),
+        report
+            .executions
+            .iter()
+            .map(|e| e.activity.as_str())
+            .collect::<Vec<_>>()
     );
-    assert!(outcome.is_recoverable());
 
     // Same (seed, plan, workload) ⇒ byte-identical outcome.
-    let replay = run_scenario(&plan, &workload);
-    assert_eq!(outcome_fingerprint(&outcome), outcome_fingerprint(&replay));
+    let replay = MultiCaseScenario::new(&plan, &workload, 1).run();
+    let fingerprint = serde_json::to_string(&outcome.engine.cases).unwrap();
+    assert_eq!(
+        fingerprint,
+        serde_json::to_string(&replay.engine.cases).unwrap()
+    );
     println!(
         "replay fingerprint identical ✓ ({} bytes)",
-        outcome_fingerprint(&outcome).len()
+        fingerprint.len()
     );
 
     // --- The same faults, against the live agent stack -----------------

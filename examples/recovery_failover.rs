@@ -9,7 +9,8 @@
 //! ```
 
 use gridflow_harness::workload::{dinner_recovery_workload, dinner_workload};
-use gridflow_harness::{FaultPlan, Scenario, TraceEvent, TraceQuery};
+use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceEvent, TraceQuery};
+use std::collections::BTreeMap;
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -26,23 +27,23 @@ fn main() {
         .slowing_container("ac-h1", 50.0);
     println!("plan: {}", serde_json::to_string(&plan).unwrap());
 
-    // --- Recovery disabled: one phase, no ladder ----------------------
-    let legacy = Scenario::new(&plan, &dinner_workload()).budget(0).run();
+    // --- Recovery disabled: the one-shot candidate loop ---------------
+    let legacy = MultiCaseScenario::new(&plan, &dinner_workload(), 1).run();
+    let report = &legacy.engine.cases[0].report;
     println!(
         "no recovery:  completed={} ({} failed attempts)",
-        legacy.completed,
-        legacy.final_report().failed_attempts.len()
+        report.success,
+        report.failed_attempts.len()
     );
 
     // --- The standard escalation ladder -------------------------------
     let wl = dinner_recovery_workload();
-    let outcome = Scenario::new(&plan, &wl).traced().run();
+    let outcome = MultiCaseScenario::new(&plan, &wl, 1).traced().run();
     let log = outcome.trace.clone().expect("traced run keeps its log");
-    let report = outcome.final_report();
+    let report = &outcome.engine.cases[0].report;
     println!(
-        "with ladder:  completed={} after {} resume(s); containers: {:?}",
-        outcome.completed,
-        outcome.resumes,
+        "with ladder:  completed={}; containers: {:?}",
+        report.success,
         report
             .executions
             .iter()
@@ -68,14 +69,12 @@ fn main() {
         matches!(e, TraceEvent::BreakerOpened { .. })
     });
 
-    // The invariants every recovery trace must satisfy.
-    q.assert_breaker_discipline();
-    q.assert_no_dispatch_while_open();
-    q.assert_no_double_dispatch();
+    // The invariants every trace must satisfy.
+    assert_eq!(q.check_all(&BTreeMap::new()), Ok(()));
     println!("trace invariants hold ✓");
 
     // Same (plan, workload) ⇒ byte-identical event log.
-    let replay = Scenario::new(&plan, &wl)
+    let replay = MultiCaseScenario::new(&plan, &wl, 1)
         .traced()
         .run()
         .trace

@@ -185,7 +185,7 @@ fn unservable_cases_are_refused_at_admission_with_a_reason() {
             reason.contains("admission refused") && reason.contains("cook"),
             "unhelpful refusal: {reason}"
         );
-        assert_eq!(case.makespan_ticks(), 0);
+        assert_eq!(case.admitted_makespan_ticks(), None);
     }
     let log = outcome.trace.expect("traced");
     assert_eq!(
@@ -197,9 +197,8 @@ fn unservable_cases_are_refused_at_admission_with_a_reason() {
 #[test]
 fn refused_cases_have_no_makespan_and_admitted_cases_do() {
     // One admissible case alongside the refusal scenario from above:
-    // `makespan_ticks` returns 0 for refusals (documented footgun);
-    // `admitted_makespan_ticks` is the honest accessor — `None` for a
-    // case that never ran, inclusive tick span for one that did.
+    // `admitted_makespan_ticks` is `None` for a case that never ran,
+    // the inclusive tick span for one that did.
     let wl = dinner_workload();
 
     let refused = MultiCaseScenario::new(
@@ -213,14 +212,12 @@ fn refused_cases_have_no_makespan_and_admitted_cases_do() {
     let case = &refused.engine.cases[0];
     assert_eq!(case.admitted_tick, None);
     assert_eq!(case.admitted_makespan_ticks(), None);
-    assert_eq!(case.makespan_ticks(), 0);
 
     let ran = MultiCaseScenario::new(&FaultPlan::default(), &wl, 1).run();
     let case = &ran.engine.cases[0];
     let admitted = case.admitted_tick.expect("clean case admits");
     let span = case.finished_tick - admitted + 1;
     assert_eq!(case.admitted_makespan_ticks(), Some(span));
-    assert_eq!(case.makespan_ticks(), span);
     assert!(span >= 1);
 }
 

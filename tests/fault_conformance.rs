@@ -1,25 +1,29 @@
 //! The fault-injection conformance suite (hosted by `gridflow-harness`).
 //!
-//! Asserts the deterministic-simulation contract across the stack:
+//! Asserts the deterministic-simulation contract across the stack, every
+//! enactment a [`MultiCaseScenario`] fleet of one (what survives a
+//! process death is `tests/store_crash_replay.rs`'s theorem):
 //!
-//! 1. every enacted case either completes or produces a resumable
-//!    checkpoint (or did nothing at all);
-//! 2. no activity is double-executed after a resume;
-//! 3. replanning converges after node loss;
-//! 4. identical seeds yield byte-identical [`EnactmentReport`]s, and
+//! 1. replanning converges after node loss;
+//! 2. identical seeds yield byte-identical [`EnactmentReport`]s, and
 //!    differing seeds yield different fault schedules;
-//! 5. the booted agent stack survives message faults and agent crashes
-//!    (degrading to timeouts, never to wrong answers).
+//! 3. the booted agent stack survives message faults and agent crashes
+//!    (degrading to timeouts, never to wrong answers);
+//! 4. what a report accounts for, its trace shows, and every trace
+//!    passes [`TraceQuery::check_all`];
+//! 5. the recovery ladder completes scenarios the one-shot candidate
+//!    loop fails.
 //!
 //! [`EnactmentReport`]: gridflow_services::coordination::EnactmentReport
 
 use gridflow_agents::{AclMessage, AgentError, AgentRuntime, Performative, Transport};
+use gridflow_engine::CaseOutcome;
 use gridflow_harness::workload::{
-    dinner_recovery_workload, dinner_replan_workload, dinner_workload,
+    cook_loss_churn_plan, dinner_recovery_workload, dinner_replan_workload, dinner_workload,
+    Workload,
 };
 use gridflow_harness::{
-    execution_counts, is_execution_prefix, outcome_fingerprint, report_fingerprint, run_scenario,
-    FaultPlan, FaultyTransport, Scenario, TraceQuery, VirtualClock,
+    FaultPlan, FaultyTransport, MultiCaseScenario, TraceEvent, TraceQuery, VirtualClock,
 };
 use gridflow_planner::prelude::GpConfig;
 use gridflow_services::agents::{boot_stack, GRIDFLOW_ONTOLOGY};
@@ -30,74 +34,30 @@ use serde_json::json;
 use std::sync::Arc;
 use std::time::Duration;
 
-// ---------------------------------------------------------------- 1 & 2
-
-#[test]
-fn every_case_completes_or_leaves_a_resumable_checkpoint() {
-    // Sweep seeds under persistent Bernoulli activity failures plus a
-    // scripted coordinator crash: whatever happens, the task must end
-    // completed, resumable, or untouched.
-    for seed in 0..16 {
-        let plan = FaultPlan::seeded(seed)
-            .failing_activities(0.25)
-            .crashing_after(0);
-        let outcome = run_scenario(&plan, &dinner_workload());
-        assert!(
-            outcome.is_recoverable(),
-            "seed {seed} unrecoverable: {:?}",
-            outcome.final_report().abort_reason
-        );
+/// Enact `wl` under `plan` as a fleet of one: the case's outcome, its
+/// trace (which has passed every whole-trace invariant) and the trace's
+/// JSONL.
+fn enact_one(plan: &FaultPlan, wl: &Workload) -> (CaseOutcome, TraceQuery, String) {
+    let mut outcome = MultiCaseScenario::new(plan, wl, 1).traced().run();
+    let log = outcome.trace.expect("traced run keeps its log");
+    let q = TraceQuery::new(log.records());
+    let world = wl.fresh_world(plan, 0);
+    if let Err(violations) = q.check_all(world.capacities()) {
+        panic!("{} under {plan:?}: {violations:?}", wl.name);
     }
+    (outcome.engine.cases.remove(0), q, log.to_jsonl())
 }
 
-#[test]
-fn no_activity_is_double_executed_after_resume() {
-    // The dinner workflow is loop-free, so across any number of crash /
-    // resume phases each activity may execute at most once; and each
-    // phase's accounting must extend (never rewrite) the previous one.
-    let mut crashed_at_least_once = false;
-    for seed in 0..16 {
-        let plan = FaultPlan::seeded(seed)
-            .failing_activities(0.2)
-            .crashing_after(1);
-        let outcome = run_scenario(&plan, &dinner_workload());
-        for pair in outcome.reports.windows(2) {
-            assert!(
-                is_execution_prefix(&pair[0], &pair[1]),
-                "seed {seed}: resume rewrote completed work"
-            );
-        }
-        if outcome.resumes > 0 {
-            crashed_at_least_once = true;
-        }
-        if outcome.completed {
-            let counts = execution_counts(outcome.final_report());
-            assert!(
-                counts.values().all(|&c| c == 1),
-                "seed {seed}: double execution: {counts:?}"
-            );
-        }
-    }
-    assert!(crashed_at_least_once, "sweep never exercised a resume");
-}
-
-// -------------------------------------------------------------------- 3
+// -------------------------------------------------------------------- 1
 
 #[test]
 fn replanning_converges_after_node_loss() {
-    // Both `cook` hosts are lost before the run.  With replanning on,
-    // the planner must route around the loss via `nuke` and the task
-    // must still complete.
-    let plan = FaultPlan::seeded(1)
-        .losing_node("ac-h2", 0)
-        .losing_node("ac-h3", 0);
-    let outcome = run_scenario(&plan, &dinner_replan_workload(11));
-    assert!(
-        outcome.completed,
-        "abort: {:?}",
-        outcome.final_report().abort_reason
-    );
-    let report = outcome.final_report();
+    // Both `cook` hosts are lost once `prep` has run.  With replanning
+    // on, the planner must route around the loss via `nuke` and the
+    // task must still complete.
+    let (case, _, _) = enact_one(&cook_loss_churn_plan(1), &dinner_replan_workload(11));
+    let report = case.report;
+    assert!(report.success, "abort: {:?}", report.abort_reason);
     assert!(report.replans >= 1, "no replanning happened");
     assert!(
         report.executions.iter().any(|e| e.service == "nuke"),
@@ -106,25 +66,19 @@ fn replanning_converges_after_node_loss() {
     );
 }
 
-// -------------------------------------------------------------------- 4
+// -------------------------------------------------------------------- 2
 
 #[test]
 fn identical_seeds_yield_byte_identical_reports() {
     for seed in [0, 7, 42] {
-        let plan = FaultPlan::seeded(seed)
-            .failing_activities(0.3)
-            .crashing_after(0);
+        let plan = FaultPlan::seeded(seed).failing_activities(0.3);
         let wl = dinner_workload();
-        let a = run_scenario(&plan, &wl);
-        let b = run_scenario(&plan, &wl);
+        let (a, _, _) = enact_one(&plan, &wl);
+        let (b, _, _) = enact_one(&plan, &wl);
         assert_eq!(
-            outcome_fingerprint(&a),
-            outcome_fingerprint(&b),
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap(),
             "seed {seed} did not replay byte-identically"
-        );
-        assert_eq!(
-            report_fingerprint(a.final_report()),
-            report_fingerprint(b.final_report())
         );
     }
 }
@@ -154,16 +108,15 @@ fn differing_seeds_yield_different_fault_schedules() {
     assert_ne!(schedules[1], schedules[2]);
     // And differing seeds also shake the enactment itself.
     let wl = dinner_workload();
-    let r1 = run_scenario(&FaultPlan::seeded(100).failing_activities(0.5), &wl);
-    let r2 = run_scenario(&FaultPlan::seeded(101).failing_activities(0.5), &wl);
+    let (r1, _, _) = enact_one(&FaultPlan::seeded(100).failing_activities(0.5), &wl);
+    let (r2, _, _) = enact_one(&FaultPlan::seeded(101).failing_activities(0.5), &wl);
     assert_ne!(
-        outcome_fingerprint(&r1),
-        outcome_fingerprint(&r2),
+        r1, r2,
         "different seeds produced identical outcomes under heavy failure"
     );
 }
 
-// -------------------------------------------------------------------- 5
+// -------------------------------------------------------------------- 3
 
 fn booted_stack(
     rt: &mut AgentRuntime,
@@ -349,63 +302,36 @@ fn duplicated_requests_do_not_corrupt_reply_correlation() {
     rt.shutdown();
 }
 
-// ------------------------------------------------- resume bookkeeping
+// -------------------------------------------------------------------- 4
 
 #[test]
-fn scripted_crash_resumes_without_repeating_work_under_load() {
-    // Crash after every checkpoint index in turn; the final execution
-    // list must always be the exact linear schedule.
-    for crash_at in 0..3 {
-        let plan = FaultPlan::seeded(9).crashing_after(crash_at);
-        let outcome = run_scenario(&plan, &dinner_workload());
-        assert!(outcome.completed, "crash_at {crash_at}");
-        let services: Vec<&str> = outcome
-            .final_report()
-            .executions
-            .iter()
-            .map(|e| e.service.as_str())
-            .collect();
+fn every_report_invariant_also_holds_in_trace_form() {
+    // `enact_one` has run `check_all` over each trace; on top of that,
+    // every execution the report accounts for is a completion in the
+    // trace and the trace holds no other.
+    for seed in 0..8 {
+        let plan = FaultPlan::seeded(seed).failing_activities(0.2);
+        let (case, q, _) = enact_one(&plan, &dinner_workload());
+        for e in &case.report.executions {
+            assert_eq!(
+                q.count(|ev| matches!(
+                    ev,
+                    TraceEvent::ActivityCompleted { activity, .. } if *activity == e.activity
+                )),
+                1,
+                "seed {seed}: execution of {} not traced once",
+                e.activity
+            );
+        }
         assert_eq!(
-            services,
-            vec!["prep", "cook", "plate"],
-            "crash_at {crash_at}"
+            q.count(|ev| matches!(ev, TraceEvent::ActivityCompleted { .. })),
+            case.report.executions.len(),
+            "seed {seed}"
         );
     }
 }
 
-#[test]
-fn every_report_invariant_also_holds_in_trace_form() {
-    // The report-level invariants above have trace-level twins: sweep
-    // crashing plans and assert them off the event log instead of the
-    // final accounting (see telemetry_conformance.rs for the full
-    // trace suite).
-    for seed in 0..8 {
-        let plan = FaultPlan::seeded(seed)
-            .failing_activities(0.2)
-            .crashing_after(0);
-        let outcome = Scenario::new(&plan, &dinner_workload()).traced().run();
-        let log = outcome.trace.clone().expect("traced run keeps its log");
-        let q = TraceQuery::new(log.records());
-        q.assert_no_double_dispatch();
-        // Every execution the final report accounts for has a matching
-        // completion in the trace.  (The trace may hold *more*: work the
-        // scripted crash discarded really did run before being lost.)
-        for e in &outcome.final_report().executions {
-            let activity = e.activity.clone();
-            assert!(
-                q.count(|ev| matches!(
-                    ev,
-                    gridflow_harness::TraceEvent::ActivityCompleted { activity: a, .. }
-                        if *a == activity
-                )) >= 1,
-                "seed {seed}: execution of {} not traced",
-                e.activity
-            );
-        }
-    }
-}
-
-// ------------------------------------------------- recovery ladder
+// -------------------------------------------------------------------- 5
 
 /// The recovery acceptance scenario: one slow `prep` host (executions
 /// succeed but outlive their leases) plus transient Bernoulli activity
@@ -419,39 +345,28 @@ fn degraded_plan(seed: u64) -> FaultPlan {
 
 #[test]
 fn recovery_ladder_turns_failing_scenarios_into_completions() {
-    // Sweep seeds over the degraded grid.  The legacy candidate loop
-    // (recovery disabled, single phase, no replanning) must fail on a
-    // healthy share of them; the standard ladder must complete those
-    // same seeds, with byte-identical traces across replays that carry
-    // the new retry/lease/breaker event families.
+    // Sweep seeds over the degraded grid.  The one-shot candidate loop
+    // (recovery disabled, no replanning) must fail on a healthy share
+    // of them; the standard ladder must complete those same seeds, with
+    // byte-identical traces across replays that carry the
+    // retry/lease/breaker event families.
     let mut proven = 0;
     let mut saw_lease_expiry = false;
     for seed in 0..32 {
         let plan = degraded_plan(seed);
-        let legacy = Scenario::new(&plan, &dinner_workload()).budget(0).run();
+        let (legacy, _, _) = enact_one(&plan, &dinner_workload());
 
         let wl = dinner_recovery_workload();
-        let recovered = Scenario::new(&plan, &wl).traced().run();
-        let log_a = recovered.trace.clone().expect("traced run keeps its log");
-        let log_b = Scenario::new(&plan, &wl)
-            .traced()
-            .run()
-            .trace
-            .expect("traced run keeps its log");
-        let jsonl = log_a.to_jsonl();
+        let (recovered, q, jsonl) = enact_one(&plan, &wl);
         assert_eq!(
             jsonl,
-            log_b.to_jsonl(),
+            enact_one(&plan, &wl).2,
             "seed {seed}: recovery traces must replay byte-identically"
         );
-        let q = TraceQuery::new(log_a.records());
-        q.assert_breaker_discipline();
-        q.assert_no_dispatch_while_open();
 
-        if !legacy.completed && recovered.completed {
+        if !legacy.report.success && recovered.report.success {
             // The slow host burns its retries and trips its breaker on
             // the way to the healthy one — visibly, in the trace.
-            use gridflow_harness::TraceEvent;
             assert!(
                 q.count(|e| matches!(e, TraceEvent::RetryScheduled { .. })) >= 1,
                 "seed {seed}: no retry scheduled"
@@ -470,7 +385,7 @@ fn recovery_ladder_turns_failing_scenarios_into_completions() {
     }
     assert!(
         proven >= 8,
-        "only {proven}/32 seeds showed the ladder beating the legacy loop"
+        "only {proven}/32 seeds showed the ladder beating the one-shot loop"
     );
     assert!(saw_lease_expiry, "no proven seed ever expired a lease");
 }
@@ -481,36 +396,12 @@ fn nightly_recovery_seed_sweep() {
     for seed in 0..32 {
         let plan = degraded_plan(seed);
         let wl = dinner_recovery_workload();
-        let a = Scenario::new(&plan, &wl).traced().run();
-        let log_a = a.trace.clone().expect("traced run keeps its log");
-        let b = Scenario::new(&plan, &wl).traced().run();
-        let log_b = b.trace.clone().expect("traced run keeps its log");
+        let (a, _, log_a) = enact_one(&plan, &wl);
+        let (b, _, log_b) = enact_one(&plan, &wl);
+        assert_eq!(a, b, "seed {seed}: outcome must replay identically");
         assert_eq!(
-            outcome_fingerprint(&a),
-            outcome_fingerprint(&b),
-            "seed {seed}: outcome must replay byte-identically"
-        );
-        assert_eq!(
-            log_a.to_jsonl(),
-            log_b.to_jsonl(),
+            log_a, log_b,
             "seed {seed}: trace must replay byte-identically"
         );
-        let q = TraceQuery::new(log_a.records());
-        q.assert_breaker_discipline();
-        q.assert_no_dispatch_while_open();
-        q.assert_no_double_dispatch();
     }
-}
-
-#[test]
-fn resume_budget_bounds_the_phase_count() {
-    // Certain failure (every execution fails, persistently): the runner
-    // must stop at the budget, not loop.
-    let plan = FaultPlan::seeded(2).failing_activities(1.0);
-    let outcome = Scenario::new(&plan, &dinner_workload()).budget(3).run();
-    assert!(!outcome.completed);
-    assert!(outcome.resumes <= 3);
-    assert!(outcome.reports.len() <= 4);
-    // Nothing ever succeeded → trivially restartable.
-    assert!(outcome.is_recoverable());
 }

@@ -7,19 +7,14 @@
 //! * Recovery on an empty log is just a fresh run — the cold-start and
 //!   crash-recovery paths are one code path.
 //! * Future-version snapshots are refused at recovery time with a typed
-//!   error, exactly mirroring `EnactmentCheckpoint::validate`'s refusal
-//!   of future checkpoint versions.
-//! * `EnactmentCheckpoint`s round-trip through the store's framed
-//!   record format, whose explicit schema-version byte is pinned.
+//!   error.
 
 use gridflow_engine::PolicySpec;
 use gridflow_harness::workload::dinner_workload;
 use gridflow_harness::workload::Workload;
 use gridflow_harness::{FaultPlan, MultiCaseScenario};
-use gridflow_services::coordination::CHECKPOINT_VERSION;
-use gridflow_services::{EnactmentCheckpoint, Enactor};
 use gridflow_store::{
-    merged_jsonl, record, MemStore, SnapshotRecord, Store, StoreError, SNAPSHOT_SCHEMA_VERSION,
+    merged_jsonl, MemStore, SnapshotRecord, Store, StoreError, SNAPSHOT_SCHEMA_VERSION,
 };
 use std::sync::{Arc, Mutex};
 
@@ -110,12 +105,11 @@ fn recovery_from_an_empty_log_equals_a_fresh_run() {
 }
 
 /// A snapshot stamped by a future build is refused at recovery time
-/// with a typed error — the same contract `EnactmentCheckpoint::
-/// validate` enforces for future checkpoint versions.
+/// with a typed error.
 #[test]
-fn future_version_snapshots_are_refused_like_future_checkpoints() {
-    // Store side: writing is permitted (the bytes may be fine for a
-    // newer reader), recovering is not.
+fn future_version_snapshots_are_refused() {
+    // Writing is permitted (the bytes may be fine for a newer reader),
+    // recovering is not.
     let mut mem = MemStore::new();
     let mut future = SnapshotRecord::new(4, 0, 4, 1.0, b"from the future".to_vec());
     future.schema = SNAPSHOT_SCHEMA_VERSION + 1;
@@ -138,77 +132,4 @@ fn future_version_snapshots_are_refused_like_future_checkpoints() {
             if found == SNAPSHOT_SCHEMA_VERSION + 1 && supported == SNAPSHOT_SCHEMA_VERSION),
         "wrong refusal: {err}"
     );
-
-    // Checkpoint side: the in-memory ancestor of the same rule.
-    let mut checkpoint = captured_checkpoint();
-    assert!(checkpoint.validate().is_ok());
-    checkpoint.version = CHECKPOINT_VERSION + 1;
-    let refusal = checkpoint.validate().expect_err("future checkpoint");
-    assert!(
-        refusal
-            .to_string()
-            .contains(&(CHECKPOINT_VERSION + 1).to_string()),
-        "checkpoint refusal should name the offending version: {refusal}"
-    );
-}
-
-/// An [`EnactmentCheckpoint`] — the paper's "checkpointing long-lasting
-/// tasks" artifact — survives the store's framed record format intact,
-/// and the frame carries an explicit schema-version byte at a pinned
-/// offset.
-#[test]
-fn enactment_checkpoints_round_trip_through_the_record_format() {
-    let checkpoint = captured_checkpoint();
-    let payload = serde_json::to_string(&checkpoint)
-        .expect("checkpoints serialize")
-        .into_bytes();
-    let snap = SnapshotRecord::new(6, 11, 6, 2.5, payload);
-    let bytes = record::encode_snapshot(&snap);
-
-    // Frame layout: [u32le len][kind][schema]… — the schema byte sits
-    // at a fixed offset and is the *record's* version, independent of
-    // the checkpoint's own version field inside the payload.
-    assert_eq!(bytes[4], record::KIND_SNAPSHOT);
-    assert_eq!(bytes[5], SNAPSHOT_SCHEMA_VERSION);
-
-    let record::Decoded::Record {
-        record: decoded,
-        next_offset,
-    } = record::decode_record(&bytes, 0)
-    else {
-        panic!("framed snapshot failed to decode");
-    };
-    assert_eq!(next_offset, bytes.len());
-    let record::LogRecord::Snapshot(back) = decoded else {
-        panic!("decoded the wrong record kind");
-    };
-    assert_eq!(back, snap, "snapshot record fields round-trip");
-
-    let restored: EnactmentCheckpoint =
-        serde_json::from_str(std::str::from_utf8(&back.state).unwrap())
-            .expect("checkpoint deserializes from the stored payload");
-    assert_eq!(restored.version, CHECKPOINT_VERSION);
-    assert_eq!(
-        serde_json::to_string(&restored).unwrap(),
-        serde_json::to_string(&checkpoint).unwrap(),
-        "checkpoint JSON round-trips byte-identically"
-    );
-}
-
-/// A real mid-run checkpoint, captured by enacting the dinner workload
-/// with a checkpoint cadence.
-fn captured_checkpoint() -> EnactmentCheckpoint {
-    let wl = dinner_workload();
-    let mut world = wl.fresh_world(&FaultPlan::default(), 0);
-    let report = Enactor::builder()
-        .config(wl.config.clone())
-        .checkpoint_every(2)
-        .build()
-        .enact(&mut world, &wl.graph, &wl.case);
-    assert!(report.success);
-    report
-        .checkpoints
-        .first()
-        .expect("cadence 2 captures at least one checkpoint")
-        .clone()
 }

@@ -12,14 +12,16 @@
 //! event against what it already holds.  A passing sweep therefore
 //! proves three things at once — the snapshot captured the complete
 //! state, the restore rebuilt it exactly, and determinism held across
-//! the crash.
+//! the crash.  Every merged log also passes [`TraceQuery::check_all`]:
+//! no activity runs twice across a crash, at any fleet size, one
+//! included.
 
 use gridflow_engine::{CaseHints, EngineOutcome, PolicySpec};
 use gridflow_harness::workload::{
     cook_loss_churn_plan, dinner_recovery_workload, dinner_replan_workload, dinner_workload,
     DurationProfile, GraphShape, Workload, WorkloadGen,
 };
-use gridflow_harness::{FaultPlan, MultiCaseScenario};
+use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceQuery};
 use gridflow_store::{merged_jsonl, FileStore, MemStore, Store};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,11 +112,16 @@ impl Fleet {
             recovered.engine.ticks, baseline.ticks,
             "{what}: recovered tick count diverged"
         );
-        let merged = merged_jsonl(&store.lock().unwrap().replay_from(0).unwrap());
+        let stored = store.lock().unwrap().replay_from(0).unwrap();
         assert_eq!(
-            merged, baseline_jsonl,
+            merged_jsonl(&stored),
+            baseline_jsonl,
             "{what}: stored prefix + regenerated suffix is not byte-identical"
         );
+        let world = self.workload.fresh_world(&self.plan, 0);
+        if let Err(violations) = TraceQuery::new(stored).check_all(world.capacities()) {
+            panic!("{what}: merged log violates {violations:?}");
+        }
     }
 }
 
@@ -320,7 +327,8 @@ fn recovery_ladder_fleets_survive_kills_at_every_tick() {
 /// A lone case is a fleet of one: the plans behind `trace_golden`'s
 /// `one-*` rows (the flaky dinner under eight seeds, the replan churn,
 /// the recovery ladder), killed at every tick and recovered
-/// snapshot-led (every tick) and replay-only.
+/// snapshot-led (every tick) and replay-only — §1's "long lasting
+/// tasks require checkpointing", for the single case.
 #[test]
 fn fleet_of_one_survives_kills_at_every_tick() {
     let flaky = (0..8u64).map(|seed| {

@@ -2,30 +2,33 @@
 //!
 //! Where `fault_conformance.rs` asserts over final *reports*, this suite
 //! asserts over the *event trace* a run emits: the ordered, virtually
-//! timestamped record of every dispatch, fault, checkpoint, resume and
-//! replan.  The invariants:
+//! timestamped record of every dispatch, fault and replan.  Every
+//! deterministic run here is a [`MultiCaseScenario`] fleet of one whose
+//! trace has passed [`TraceQuery::check_all`]; on top of that:
 //!
 //! 1. a clean run produces a coherent span structure — one dispatch per
 //!    activity, sequential ordering, zero retries;
 //! 2. identical seeds produce **byte-identical JSONL event logs**;
-//!    differing seeds produce differing ones;
-//! 3. across crash/resume no activity is ever dispatched again after it
-//!    completed ([`TraceQuery::assert_no_double_dispatch`]);
+//!    differing seeds produce differing ones; tracing never perturbs
+//!    the run;
+//! 3. the trace's retry and completion counts are the report's;
 //! 4. every message dropped by a faulty transport is followed by a
 //!    timeout or a retry — never by a wrong answer
-//!    ([`TraceQuery::assert_drops_resolved`]);
-//! 5. replanning, node loss and coordinator crashes appear in the trace
+//!    ([`TraceQuery::check_drops_resolved`]);
+//! 5. replanning, node loss and the recovery ladder appear in the trace
 //!    in causal order;
 //! 6. the metrics registry folded from a trace agrees with the
 //!    enactment report's own accounting.
 
 use gridflow_agents::{AgentError, AgentRuntime};
+use gridflow_engine::CaseOutcome;
 use gridflow_harness::workload::{
-    dinner_recovery_workload, dinner_replan_workload, dinner_workload,
+    cook_loss_churn_plan, dinner_recovery_workload, dinner_replan_workload, dinner_workload,
+    Workload,
 };
 use gridflow_harness::{
-    outcome_fingerprint, run_scenario, FaultPlan, FaultyTransport, MetricsRegistry, Scenario,
-    TraceEvent, TraceHandle, TraceLog, TraceQuery, TraceSink, VirtualClock,
+    FaultPlan, FaultyTransport, MetricsRegistry, MultiCaseScenario, TraceEvent, TraceLog,
+    TraceQuery, TraceSink, VirtualClock,
 };
 use gridflow_planner::prelude::GpConfig;
 use gridflow_services::agents::{boot_stack, GRIDFLOW_ONTOLOGY};
@@ -36,6 +39,18 @@ use gridflow_services::world::share;
 use serde_json::json;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Enact `wl` under `plan` as a traced fleet of one: the case's outcome
+/// and its log, which has passed every whole-trace invariant.
+fn enact_one(plan: &FaultPlan, wl: &Workload) -> (CaseOutcome, TraceLog) {
+    let mut outcome = MultiCaseScenario::new(plan, wl, 1).traced().run();
+    let log = outcome.trace.expect("traced run keeps its log");
+    let world = wl.fresh_world(plan, 0);
+    if let Err(violations) = query(&log).check_all(world.capacities()) {
+        panic!("{} under {plan:?}: {violations:?}", wl.name);
+    }
+    (outcome.engine.cases.remove(0), log)
+}
 
 fn query(log: &TraceLog) -> TraceQuery {
     TraceQuery::new(log.records())
@@ -58,18 +73,15 @@ fn dispatched_activities(q: &TraceQuery) -> Vec<String> {
 
 #[test]
 fn clean_run_emits_a_coherent_span_structure() {
-    let outcome = Scenario::new(&FaultPlan::default(), &dinner_workload())
-        .traced()
-        .run();
-    let log = outcome.trace.clone().expect("traced run keeps its log");
-    assert!(outcome.completed);
+    let (case, log) = enact_one(&FaultPlan::default(), &dinner_workload());
+    assert!(case.report.success);
     let q = query(&log);
 
     // Bracketing: the enactment starts before any dispatch and finishes
     // successfully.
     q.assert_happens_before(
         "enactment start",
-        |e| matches!(e, TraceEvent::EnactmentStarted { resumed: false, .. }),
+        |e| matches!(e, TraceEvent::EnactmentStarted { .. }),
         "first dispatch",
         |e| matches!(e, TraceEvent::ActivityDispatched { .. }),
     );
@@ -81,10 +93,9 @@ fn clean_run_emits_a_coherent_span_structure() {
     // No faults were injected, none may appear.
     assert_eq!(q.count(|e| e.is_fault()), 0);
 
-    // One span per activity, zero retries, no double dispatch.
+    // One span per activity, zero retries.
     let activities = dispatched_activities(&q);
     assert_eq!(activities.len(), 3, "dinner has three steps");
-    q.assert_no_double_dispatch();
     for a in &activities {
         q.span(a).expect("every activity has a full span");
         q.assert_retry_count(a, 0);
@@ -109,7 +120,7 @@ fn clean_run_emits_a_coherent_span_structure() {
         assert!(pair[0].seq < pair[1].seq);
         assert!(pair[0].at_s <= pair[1].at_s);
     }
-    let total = outcome.final_report().total_duration_s;
+    let total = case.report.total_duration_s;
     assert!(
         (records.last().unwrap().at_s - total).abs() < 1e-9,
         "trace clock {} != report duration {}",
@@ -123,20 +134,10 @@ fn clean_run_emits_a_coherent_span_structure() {
 #[test]
 fn identical_seeds_produce_byte_identical_event_logs() {
     for seed in [0, 7, 42] {
-        let plan = FaultPlan::seeded(seed)
-            .failing_activities(0.25)
-            .crashing_after(0);
+        let plan = FaultPlan::seeded(seed).failing_activities(0.25);
         let wl = dinner_workload();
-        let log_a = Scenario::new(&plan, &wl)
-            .traced()
-            .run()
-            .trace
-            .expect("traced run keeps its log");
-        let log_b = Scenario::new(&plan, &wl)
-            .traced()
-            .run()
-            .trace
-            .expect("traced run keeps its log");
+        let (_, log_a) = enact_one(&plan, &wl);
+        let (_, log_b) = enact_one(&plan, &wl);
         assert!(!log_a.is_empty());
         assert_eq!(
             log_a.to_jsonl(),
@@ -153,106 +154,32 @@ fn identical_seeds_produce_byte_identical_event_logs() {
 #[test]
 fn differing_seeds_produce_differing_event_logs() {
     let wl = dinner_workload();
-    let a = Scenario::new(&FaultPlan::seeded(100).failing_activities(0.5), &wl)
-        .traced()
-        .run()
-        .trace
-        .expect("traced run keeps its log");
-    let b = Scenario::new(&FaultPlan::seeded(101).failing_activities(0.5), &wl)
-        .traced()
-        .run()
-        .trace
-        .expect("traced run keeps its log");
+    let (_, a) = enact_one(&FaultPlan::seeded(100).failing_activities(0.5), &wl);
+    let (_, b) = enact_one(&FaultPlan::seeded(101).failing_activities(0.5), &wl);
     assert_ne!(a.to_jsonl(), b.to_jsonl());
 }
 
 #[test]
 fn tracing_does_not_perturb_the_run() {
-    // Observation must be free: the traced and untraced runners unfold
-    // the same plan to byte-identical outcomes.
-    let plan = FaultPlan::seeded(21)
-        .failing_activities(0.3)
-        .crashing_after(1);
+    // Observation must be free: the traced and untraced scenarios unfold
+    // the same plan to identical outcomes.
+    let plan = FaultPlan::seeded(21).failing_activities(0.3);
     let wl = dinner_workload();
-    let untraced = run_scenario(&plan, &wl);
-    let traced = Scenario::new(&plan, &wl).traced().run();
-    let _ = traced.trace.clone().expect("traced run keeps its log");
-    assert_eq!(outcome_fingerprint(&untraced), outcome_fingerprint(&traced));
+    let untraced = MultiCaseScenario::new(&plan, &wl, 1).run();
+    assert!(untraced.trace.is_none());
+    let traced = MultiCaseScenario::new(&plan, &wl, 1).traced().run();
+    assert_eq!(untraced.engine, traced.engine);
 }
 
 // -------------------------------------------------------------------- 3
 
 #[test]
-fn crash_resume_traces_never_double_dispatch() {
-    let mut resumed_at_least_once = false;
-    for seed in 0..12 {
-        let plan = FaultPlan::seeded(seed)
-            .failing_activities(0.2)
-            .crashing_after(1);
-        let outcome = Scenario::new(&plan, &dinner_workload()).traced().run();
-        let log = outcome.trace.clone().expect("traced run keeps its log");
-        let q = query(&log);
-        q.assert_no_double_dispatch();
-        if outcome.resumes > 0 {
-            resumed_at_least_once = true;
-            q.assert_happens_before(
-                "coordinator crash",
-                |e| matches!(e, TraceEvent::CoordinatorCrashed { .. }),
-                "resume",
-                |e| matches!(e, TraceEvent::ResumeStarted { .. }),
-            );
-            // Resumed phases announce themselves as such.
-            assert!(
-                q.count(|e| matches!(e, TraceEvent::EnactmentStarted { resumed: true, .. })) > 0,
-                "seed {seed}: no resumed enactment event"
-            );
-        }
-    }
-    assert!(resumed_at_least_once, "sweep never exercised a resume");
-}
-
-#[test]
-fn resume_trace_reports_the_completed_prefix() {
-    // Crash right after the first checkpoint (`prep` done): the resume
-    // must announce exactly one completed execution, and the phase
-    // structure must match the report list.
-    let plan = FaultPlan::seeded(11).crashing_after(0);
-    let outcome = Scenario::new(&plan, &dinner_workload()).traced().run();
-    let log = outcome.trace.clone().expect("traced run keeps its log");
-    assert!(outcome.completed);
-    assert_eq!(outcome.resumes, 1);
-    let q = query(&log);
-    assert_eq!(
-        q.count(|e| matches!(e, TraceEvent::PhaseStarted { .. })),
-        outcome.reports.len()
-    );
-    assert_eq!(
-        q.count(|e| matches!(
-            e,
-            TraceEvent::ResumeStarted {
-                phase: 1,
-                completed_executions: 1
-            }
-        )),
-        1
-    );
-    q.assert_no_double_dispatch();
-}
-
-// -------------------------------------------------------------------- 6
-
-#[test]
 fn retry_counts_match_the_report_accounting() {
-    // Single phase (budget 0), no crash: every `ActivityFailed` in the
-    // trace corresponds to one `failed_attempts` entry in the report.
+    // Every `ActivityFailed` in the trace corresponds to one
+    // `failed_attempts` entry in the report.
     let plan = FaultPlan::seeded(4).failing_activities(0.35);
-    let wl = dinner_workload();
-    let log = TraceLog::new();
-    let outcome = Scenario::new(&plan, &wl)
-        .budget(0)
-        .trace_handle(TraceHandle::from(log.clone()))
-        .run();
-    let report = outcome.final_report();
+    let (case, log) = enact_one(&plan, &dinner_workload());
+    let report = case.report;
     let q = query(&log);
     for activity in dispatched_activities(&q) {
         let expected = report
@@ -272,27 +199,21 @@ fn retry_counts_match_the_report_accounting() {
 
 #[test]
 fn node_loss_and_abort_appear_in_the_trace() {
-    // Both `cook` hosts lost before the run, no replanning: the trace
-    // must record the losses and a failed enactment with a reason.
-    let plan = FaultPlan::seeded(3)
-        .losing_node("ac-h2", 0)
-        .losing_node("ac-h3", 0);
-    let log = TraceLog::new();
-    let outcome = Scenario::new(&plan, &dinner_workload())
-        .budget(1)
-        .trace_handle(TraceHandle::from(log.clone()))
-        .run();
-    assert!(!outcome.completed);
+    // Both `cook` hosts lost once `prep` has run, no replanning: the
+    // trace must record the losses and a failed enactment with a reason.
+    let (case, log) = enact_one(&cook_loss_churn_plan(3), &dinner_workload());
+    assert!(!case.report.success);
     let q = query(&log);
-    assert!(q.count(|e| matches!(e, TraceEvent::NodeLost { .. })) >= 2);
-    assert!(
+    assert_eq!(q.count(|e| matches!(e, TraceEvent::NodeLost { .. })), 2);
+    assert_eq!(
         q.count(|e| matches!(
             e,
             TraceEvent::EnactmentFinished {
                 success: false,
                 abort_reason: Some(_)
             }
-        )) >= 1
+        )),
+        1
     );
     q.assert_happens_before(
         "node loss",
@@ -304,15 +225,9 @@ fn node_loss_and_abort_appear_in_the_trace() {
 
 #[test]
 fn replanning_emits_generations_and_causally_ordered_replan_events() {
-    let plan = FaultPlan::seeded(1)
-        .losing_node("ac-h2", 0)
-        .losing_node("ac-h3", 0);
-    let outcome = Scenario::new(&plan, &dinner_replan_workload(11))
-        .traced()
-        .run();
-    let log = outcome.trace.clone().expect("traced run keeps its log");
-    assert!(outcome.completed);
-    assert!(outcome.final_report().replans >= 1);
+    let (case, log) = enact_one(&cook_loss_churn_plan(1), &dinner_replan_workload(11));
+    assert!(case.report.success);
+    assert!(case.report.replans >= 1);
     let q = query(&log);
     // The GP left its per-generation statistics in the trace…
     assert!(q.count(|e| matches!(e, TraceEvent::PlanGeneration { .. })) > 0);
@@ -330,20 +245,17 @@ fn replanning_emits_generations_and_causally_ordered_replan_events() {
         "viable plan installed",
         |e| matches!(e, TraceEvent::ReplanInstalled { viable: true }),
     );
-    q.assert_no_double_dispatch();
 }
 
 #[test]
 fn recovery_events_satisfy_breaker_and_lease_discipline() {
     // One slow `prep` host, no other faults: the escalation ladder
     // leases out all three tries on the slow container, opens its
-    // breaker, and fails over — and the trace must show exactly that.
+    // breaker, and fails over — and the trace must show exactly that
+    // (`enact_one` has checked the quarantine invariants).
     let plan = FaultPlan::seeded(3).slowing_container("ac-h1", 50.0);
-    let outcome = Scenario::new(&plan, &dinner_recovery_workload())
-        .traced()
-        .run();
-    let log = outcome.trace.clone().expect("traced run keeps its log");
-    assert!(outcome.completed);
+    let (case, log) = enact_one(&plan, &dinner_recovery_workload());
+    assert!(case.report.success);
     let q = query(&log);
 
     // Three leases granted and expired on the slow host, with a retry
@@ -379,22 +291,14 @@ fn recovery_events_satisfy_breaker_and_lease_discipline() {
         "successful finish",
         |e| matches!(e, TraceEvent::EnactmentFinished { success: true, .. }),
     );
-
-    // And the quarantine invariants hold on the whole trace.
-    q.assert_breaker_discipline();
-    q.assert_no_dispatch_while_open();
-    q.assert_no_double_dispatch();
 }
 
 // -------------------------------------------------------------------- 6
 
 #[test]
 fn metrics_registry_agrees_with_the_trace_and_the_report() {
-    let outcome = Scenario::new(&FaultPlan::default(), &dinner_workload())
-        .traced()
-        .run();
-    let log = outcome.trace.clone().expect("traced run keeps its log");
-    let report = outcome.final_report();
+    let (case, log) = enact_one(&FaultPlan::default(), &dinner_workload());
+    let report = case.report;
     let records = log.records();
     let m = MetricsRegistry::from_trace(&records);
     assert_eq!(
@@ -488,5 +392,5 @@ fn live_stack_drops_resolve_to_timeouts_or_retries_never_wrong_answers() {
     );
     // Every drop the transport recorded is resolved later in the trace,
     // and no request was ever answered incorrectly.
-    q.assert_drops_resolved();
+    assert_eq!(q.check_drops_resolved(), Ok(()));
 }

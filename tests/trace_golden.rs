@@ -6,10 +6,10 @@
 //! This one can: it pins the record count and FNV-1a of the merged
 //! JSONL of the engine's scenario shapes — flaky, clean, contended,
 //! partitioned, node loss, recovery ladder, refusal, chaos, virus,
-//! generated, plan churn, kill→recover — and of the single-case
-//! [`Scenario`] path (scripted coordinator crash and resume, replan
-//! churn, recovery ladder) to values computed by an earlier commit.  A
-//! change that claims "same behaviour" must leave the tables alone; a
+//! generated, plan churn, kill→recover, and fleets of one (flaky, replan
+//! churn, recovery ladder) — to values computed by an earlier commit.
+//! Every row also passes [`TraceQuery::check_all`].  A
+//! change that claims "same behaviour" must leave the table alone; a
 //! change that moves bytes on purpose regenerates the affected rows with
 //!
 //! ```text
@@ -30,7 +30,7 @@ use gridflow_harness::workload::{
     cook_loss_churn_plan, dinner_recovery_workload, dinner_replan_workload, dinner_workload,
     virus_reconstruction_workload, GraphShape, Workload, WorkloadGen,
 };
-use gridflow_harness::{FaultPlan, MultiCaseScenario, Scenario, ScenarioOutcome};
+use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceQuery, TraceRecord};
 use gridflow_services::PlanCacheHandle;
 use gridflow_store::{fnv1a64, merged_jsonl, MemStore, Store};
 use std::sync::{Arc, Mutex};
@@ -114,38 +114,26 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 /// scenario recovers from: the latest one the crashed run left in the
 /// store (tick 6: two cases finished, two live mid-run on one interned
 /// blueprint, none waiting), so the pin covers `FiberSlim`'s format.
-const GOLDEN_SNAPSHOT: (usize, u64) = (20270, 0x1befe856fe956da8);
-
-/// `(scenario, record count, fnv1a64(JSONL))` of the single-case
-/// [`Scenario`] path, whose only durability is the enactor's cadence
-/// checkpoints.
-const GOLDEN_SINGLE: &[(&str, usize, u64)] = &[
-    ("single-crash-0", 23, 0xbe5e43e5e472b65e),
-    ("single-crash-1", 29, 0x11165cc04fabb307),
-    ("single-crash-2", 25, 0x50a3c0cace4a7503),
-    ("single-crash-3", 23, 0xbe5e43e5e472b65e),
-    ("single-crash-4", 27, 0x4f1965f5038022dd),
-    ("single-crash-5", 25, 0x5a527a8afd9a5722),
-    ("single-crash-6", 23, 0xbe5e43e5e472b65e),
-    ("single-crash-7", 23, 0xbe5e43e5e472b65e),
-    ("single-churn", 14, 0x90ba252ca53a379b),
-    ("single-churn-crash", 56, 0xb9812d718f8ea5ab),
-    ("single-recovery-ladder", 21, 0x9495d6fa7948a9d4),
-];
-
-/// FNV-1a of `serde_json::to_string(&outcome.last_checkpoint)` for
-/// `single-crash-0`: the resumable checkpoint a crashed and resumed run
-/// ends with, byte for byte.
-const GOLDEN_LAST_CHECKPOINT: u64 = 0xb71708199d3b4ba0;
+const GOLDEN_SNAPSHOT: (usize, u64) = (20202, 0xb6ff7971b65069ab);
 
 fn jsonl(plan: &FaultPlan, wl: &Workload, cases: usize, in_flight: usize) -> String {
-    MultiCaseScenario::new(plan, wl, cases)
+    let log = MultiCaseScenario::new(plan, wl, cases)
         .max_in_flight(in_flight)
         .traced()
         .run()
         .trace
-        .expect("traced")
-        .to_jsonl()
+        .expect("traced");
+    check(plan, wl, log.records());
+    log.to_jsonl()
+}
+
+/// Every whole-trace invariant over a pinned trace, against the
+/// capacities of the world it ran on.
+fn check(plan: &FaultPlan, wl: &Workload, records: Vec<TraceRecord>) {
+    let world = wl.fresh_world(plan, 0);
+    if let Err(violations) = TraceQuery::new(records).check_all(world.capacities()) {
+        panic!("{} under {plan:?}: {violations:?}", wl.name);
+    }
 }
 
 /// The churn fleet of `plan_cache_conformance`: six dinner cases lose
@@ -159,7 +147,9 @@ fn churn(cache: Option<PlanCacheHandle>) -> String {
     if let Some(cache) = cache {
         scenario = scenario.plan_cache(cache);
     }
-    scenario.run().trace.expect("traced").to_jsonl()
+    let log = scenario.run().trace.expect("traced");
+    check(&plan, &wl, log.records());
+    log.to_jsonl()
 }
 
 /// Kill a flaky fleet mid-run, recover it from the same store, and
@@ -183,7 +173,9 @@ fn kill_recover() -> (String, Vec<u8>) {
         .recover()
         .expect("recovery succeeds");
     assert!(!recovered.engine.killed);
-    let merged = merged_jsonl(&store.lock().unwrap().replay_from(0).unwrap());
+    let stored = store.lock().unwrap().replay_from(0).unwrap();
+    let merged = merged_jsonl(&stored);
+    check(&plan, &wl, stored);
     (merged, snapshot.state)
 }
 
@@ -294,17 +286,16 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
     ));
     let (merged, snapshot) = kill_recover();
     out.push(("kill-recover".into(), merged));
-    // The single-case rows' plans as uninterrupted fleets of one.
+    // A lone case is a fleet of one.
     for (name, plan, wl) in fleet_of_one_plans() {
         out.push((name, jsonl(&plan, &wl, 1, 1)));
     }
     (out, snapshot)
 }
 
-/// The plans behind the single-case rows below, each enacted as a
-/// fleet of one: the flaky dinner (eight seeds), the replan churn and
-/// the recovery ladder.  `tests/store_crash_replay.rs` kills the same
-/// ten at every tick.
+/// The fleet-of-one plans: the flaky dinner (eight seeds), the replan
+/// churn and the recovery ladder.  `tests/store_crash_replay.rs` kills
+/// the same ten at every tick.
 fn fleet_of_one_plans() -> Vec<(String, FaultPlan, Workload)> {
     let mut out: Vec<(String, FaultPlan, Workload)> = (0..8u64)
         .map(|seed| {
@@ -328,60 +319,6 @@ fn fleet_of_one_plans() -> Vec<(String, FaultPlan, Workload)> {
         dinner_recovery_workload(),
     ));
     out
-}
-
-/// Every pinned single-case scenario, in table order: the dinner under
-/// a scripted coordinator crash after checkpoint 1 (eight flaky seeds),
-/// the replan churn (uninterrupted, and crashed into a replanning
-/// resume) and the recovery ladder.
-fn single_case_outcomes() -> Vec<(String, ScenarioOutcome)> {
-    let run = |plan: &FaultPlan, wl: &Workload| Scenario::new(plan, wl).budget(4).traced().run();
-    let mut out: Vec<(String, ScenarioOutcome)> = Vec::new();
-    for seed in 0..8u64 {
-        let plan = FaultPlan::seeded(seed)
-            .failing_activities(0.2)
-            .crashing_after(1);
-        out.push((
-            format!("single-crash-{seed}"),
-            run(&plan, &dinner_workload()),
-        ));
-    }
-    // The cook hosts die after execution 1; the single-case runner
-    // stages losses between phases, so only the crashed variant loses
-    // them (on resume) and replans.
-    let replan = dinner_replan_workload(11);
-    out.push((
-        "single-churn".into(),
-        run(&cook_loss_churn_plan(23), &replan),
-    ));
-    out.push((
-        "single-churn-crash".into(),
-        run(&cook_loss_churn_plan(23).crashing_after(0), &replan),
-    ));
-    let ladder = FaultPlan::seeded(2)
-        .failing_activities(0.3)
-        .transient_failures();
-    out.push((
-        "single-recovery-ladder".into(),
-        run(&ladder, &dinner_recovery_workload()),
-    ));
-    out
-}
-
-fn trace_of(outcome: &ScenarioOutcome) -> String {
-    outcome.trace.as_ref().expect("traced").to_jsonl()
-}
-
-/// The `(name, jsonl)` rows of [`single_case_outcomes`].
-fn single_case_rows(outcomes: &[(String, ScenarioOutcome)]) -> Vec<(String, String)> {
-    outcomes
-        .iter()
-        .map(|(name, outcome)| (name.clone(), trace_of(outcome)))
-        .collect()
-}
-
-fn last_checkpoint_json(outcome: &ScenarioOutcome) -> String {
-    serde_json::to_string(&outcome.last_checkpoint).expect("checkpoints serialize")
 }
 
 /// Compare `(name, jsonl)` rows against a pinned table, listing every
@@ -432,27 +369,6 @@ fn traces_match_the_pinned_goldens() {
 }
 
 #[test]
-fn single_case_traces_match_the_pinned_goldens() {
-    let outcomes = single_case_outcomes();
-    let mut moved = Vec::new();
-    check_rows(&single_case_rows(&outcomes), GOLDEN_SINGLE, &mut moved);
-    // The pinned checkpoint must come from a run the script really cut.
-    let (name, crashed) = &outcomes[0];
-    assert!(crashed.resumes >= 1, "{name} never crashed");
-    let got = fnv1a64(last_checkpoint_json(crashed).as_bytes());
-    if got != GOLDEN_LAST_CHECKPOINT {
-        moved.push(format!(
-            "{name} last checkpoint: pinned {GOLDEN_LAST_CHECKPOINT:#018x}, got {got:#018x}"
-        ));
-    }
-    assert!(
-        moved.is_empty(),
-        "the single-case trace moved across commits:\n{}",
-        moved.join("\n")
-    );
-}
-
-#[test]
 #[ignore = "regenerates the golden tables; paste its output over the GOLDEN* constants"]
 fn print_goldens() {
     let (traces, snapshot) = traces();
@@ -461,12 +377,6 @@ fn print_goldens() {
         "const GOLDEN_SNAPSHOT: (usize, u64) = ({}, {:#018x});",
         snapshot.len(),
         fnv1a64(&snapshot)
-    );
-    let outcomes = single_case_outcomes();
-    print_rows("GOLDEN_SINGLE", &single_case_rows(&outcomes));
-    println!(
-        "const GOLDEN_LAST_CHECKPOINT: u64 = {:#018x};",
-        fnv1a64(last_checkpoint_json(&outcomes[0].1).as_bytes())
     );
 }
 
@@ -484,12 +394,5 @@ fn dump_goldens() {
         write(format!("{name}.jsonl"), jsonl.as_bytes());
     }
     write("kill-recover.snapshot.json".into(), &snapshot);
-    for (name, outcome) in &single_case_outcomes() {
-        write(format!("{name}.jsonl"), trace_of(outcome).as_bytes());
-        write(
-            format!("{name}.last_checkpoint.json"),
-            last_checkpoint_json(outcome).as_bytes(),
-        );
-    }
     println!("dumped to {}", dir.display());
 }
