@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// `journal` **must** be the same [`TraceLog`] the scheduler records
 /// into (wired via [`CaseScheduler::trace`]) — the tick loop flushes
-/// `journal.records_from(..)` into `store` at every tick boundary, so a
+/// `journal.with_records_from(..)` into `store` at every tick boundary, so a
 /// different log would persist someone else's events.  For crash
 /// recovery the caller reseeds the journal
 /// ([`TraceLog::resuming`]) at the snapshot's `journal_seq` before
@@ -219,6 +219,9 @@ struct LoopState {
     /// splices the text into every later payload.  Stays empty unless
     /// snapshots are being taken.
     finished_json: Vec<String>,
+    /// Byte length of the last snapshot payload captured (or restored
+    /// from), which sizes the next one's buffer.
+    snapshot_len: usize,
     tick: u64,
     policy: Box<dyn AdmissionPolicy>,
     /// Committed admissions in order — serialized into snapshots so a
@@ -312,6 +315,7 @@ impl CaseScheduler {
             live: Vec::new(),
             finished: Vec::new(),
             finished_json: Vec::new(),
+            snapshot_len: 0,
             tick: 0,
             policy: self.config.policy.build(),
             admissions: Vec::new(),
@@ -459,6 +463,7 @@ impl CaseScheduler {
             live,
             finished: image.finished,
             finished_json: Vec::new(),
+            snapshot_len: record.state.len(),
             tick: image.next_tick,
             policy,
             admissions: image.admissions,
@@ -698,21 +703,24 @@ impl CaseScheduler {
     }
 
     /// Append every journal record at or past the cursor to the store,
-    /// advancing the cursor.  Store rejections are programming errors
-    /// (a divergence here means determinism itself broke), so they
-    /// panic rather than limp on with a corrupt log.
+    /// advancing the cursor.  The records are lent, not cloned: the
+    /// journal stays locked while the store (which never emits) reads
+    /// them.  Store rejections are programming errors (a divergence
+    /// here means determinism itself broke), so they panic rather than
+    /// limp on with a corrupt log.
     fn flush_events(binding: &StoreBinding, cursor: &mut u64) {
-        let records = binding.journal.records_from(*cursor);
-        let Some(last) = records.last() else {
-            return;
-        };
-        *cursor = last.seq + 1;
-        binding
-            .store
-            .lock()
-            .expect("store mutex poisoned")
-            .append(&records)
-            .unwrap_or_else(|e| panic!("durable store rejected a journal flush: {e}"));
+        binding.journal.with_records_from(*cursor, |records| {
+            let Some(last) = records.last() else {
+                return;
+            };
+            *cursor = last.seq + 1;
+            binding
+                .store
+                .lock()
+                .expect("store mutex poisoned")
+                .append(records)
+                .unwrap_or_else(|e| panic!("durable store rejected a journal flush: {e}"));
+        });
     }
 
     /// Freeze the loop state into a snapshot payload.  Waiting specs
@@ -745,7 +753,7 @@ impl CaseScheduler {
             st.finished_json
                 .push(serde_json::to_string(image).expect("finished images serialize"));
         }
-        EngineSnapshot {
+        let payload = EngineSnapshot {
             version: crate::snapshot::ENGINE_SNAPSHOT_VERSION,
             next_tick: st.tick,
             blueprints: pool.into_entries(),
@@ -755,7 +763,9 @@ impl CaseScheduler {
             admissions: st.admissions.clone(),
             world: world.image(),
         }
-        .to_bytes_with_finished(&st.finished_json)
+        .to_bytes_with_finished(&st.finished_json, st.snapshot_len);
+        st.snapshot_len = payload.len();
+        payload
     }
 
     /// The admission policy's next pick, removed from the waiting queue

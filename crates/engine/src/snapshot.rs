@@ -16,7 +16,6 @@ use gridflow_process::{CaseDescription, ProcessGraph};
 pub use gridflow_services::FiberSlim;
 use gridflow_services::{CaseFiber, EnactmentConfig, WorldImage};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One distinct (graph, case description, config) triple, stored once
@@ -190,7 +189,8 @@ pub struct EngineSnapshot {
 
 // Hand-written serde: version 1 payloads predate the `version` key, so
 // deserialization must default it instead of erroring, and must make
-// the three refusals `ENGINE_SNAPSHOT_VERSION` documents.
+// the three refusals `ENGINE_SNAPSHOT_VERSION` documents.  The tree
+// form is the reference the streamed payload is tested against.
 impl Serialize for EngineSnapshot {
     fn to_json_value(&self) -> serde::Value {
         let mut m = serde::Map::new();
@@ -203,6 +203,10 @@ impl Serialize for EngineSnapshot {
         m.insert("admissions".to_string(), self.admissions.to_json_value());
         m.insert("world".to_string(), self.world.to_json_value());
         serde::Value::Object(m)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.write_payload(out, |out| self.finished.write_json(out));
     }
 }
 
@@ -251,6 +255,29 @@ impl Deserialize for EngineSnapshot {
 }
 
 impl EngineSnapshot {
+    /// The one payload writer: the fields in key order (the order the
+    /// tree form prints them in), with `finished` writing the
+    /// `finished` array wherever it keeps it.
+    fn write_payload(&self, out: &mut String, finished: impl FnOnce(&mut String)) {
+        out.push_str("{\"admissions\":");
+        self.admissions.write_json(out);
+        out.push_str(",\"blueprints\":");
+        self.blueprints.write_json(out);
+        out.push_str(",\"finished\":");
+        finished(out);
+        out.push_str(",\"live\":");
+        self.live.write_json(out);
+        out.push_str(",\"next_tick\":");
+        self.next_tick.write_json(out);
+        out.push_str(",\"version\":");
+        self.version.write_json(out);
+        out.push_str(",\"waiting\":");
+        self.waiting.write_json(out);
+        out.push_str(",\"world\":");
+        self.world.write_json(out);
+        out.push('}');
+    }
+
     /// Serialize for a snapshot record's opaque payload.
     pub fn to_bytes(&self) -> Vec<u8> {
         serde_json::to_string(self)
@@ -262,26 +289,27 @@ impl EngineSnapshot {
     /// every sealed [`FinishedImage`] already encoded: `self.finished`
     /// must be empty, and `finished` is spliced in where its encoding
     /// belongs, so outcomes are not cloned and re-encoded at every
-    /// cadence tick.
-    pub(crate) fn to_bytes_with_finished(&self, finished: &[String]) -> Vec<u8> {
+    /// cadence tick.  The buffer starts a quarter above `previous_len`,
+    /// the loop's last payload, which a late snapshot outgrows by less;
+    /// the slack is given back, so a stored payload is held at its size.
+    pub(crate) fn to_bytes_with_finished(
+        &self,
+        finished: &[String],
+        previous_len: usize,
+    ) -> Vec<u8> {
         debug_assert!(self.finished.is_empty());
-        let serde::Value::Object(fields) = self.to_json_value() else {
-            unreachable!("engine snapshots serialize as objects");
-        };
-        let mut out = String::from("{");
-        for (key, value) in &fields {
-            if out.len() > 1 {
-                out.push(',');
+        let mut out = String::with_capacity(previous_len + previous_len / 4);
+        self.write_payload(&mut out, |out| {
+            out.push('[');
+            for (i, image) in finished.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(image);
             }
-            if key == "finished" {
-                out.push_str("\"finished\":[");
-                out.push_str(&finished.join(","));
-                out.push(']');
-            } else {
-                write!(out, "\"{key}\":{value}").expect("writing to a String cannot fail");
-            }
-        }
-        out.push('}');
+            out.push(']');
+        });
+        out.shrink_to_fit();
         out.into_bytes()
     }
 
@@ -441,11 +469,13 @@ mod tests {
     }
 
     /// The payload the tick loop wrote equals the plain encoding of
-    /// the fully-populated snapshot it decodes to.
+    /// the fully-populated snapshot it decodes to, and both equal the
+    /// printed tree, the reference neither goes through.
     fn assert_spliced_is_plain(record: &SnapshotRecord) -> EngineSnapshot {
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
-        let plain = serde_json::to_string(&image).unwrap();
-        assert_eq!(std::str::from_utf8(&record.state).unwrap(), plain);
+        let tree = image.to_json_value().to_string();
+        assert_eq!(std::str::from_utf8(&record.state).unwrap(), tree);
+        assert_eq!(image.to_bytes(), tree.into_bytes());
         image
     }
 
@@ -493,7 +523,11 @@ mod tests {
             admissions: Vec::new(),
             ..image
         };
-        assert_eq!(empty.to_bytes_with_finished(&[]), empty.to_bytes());
+        assert_eq!(empty.to_bytes_with_finished(&[], 0), empty.to_bytes());
+        assert_eq!(
+            empty.to_bytes(),
+            empty.to_json_value().to_string().into_bytes()
+        );
     }
 
     fn json(text: &str) -> serde_json::Value {

@@ -1231,7 +1231,7 @@ mod tests {
         assert!(fa.done && fb.done);
         assert_eq!(fa.report(), fb.report());
         assert!(fa.report().success);
-        assert_eq!(log_a.records_from(suffix_from), log_b.records());
+        log_a.with_records_from(suffix_from, |suffix| assert_eq!(suffix, log_b.records()));
     }
 
     /// Two fibers contend for the one live `prep` slot over a shared

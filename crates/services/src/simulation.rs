@@ -2,11 +2,11 @@
 //! the scalability of the system and they are also useful for end-users
 //! to simulate an experiment before actually conducting it" (§2).
 //!
-//! [`predict`] dry-runs a process description on a *clone* of the world
-//! with a discrete-event engine: ready activities start concurrently (the
-//! real enactor serializes; the prediction exploits Fork parallelism), no
-//! failures strike, and every activity runs on its best-matching
-//! container.  The result is the parallel makespan and total cost the
+//! [`predict`] dry-runs a process description against the world, which
+//! it only reads, with a discrete-event engine: ready activities start
+//! concurrently (the real enactor serializes; the prediction exploits
+//! Fork parallelism), no failures strike, and every activity runs on
+//! its best-matching container.  The result is the parallel makespan and total cost the
 //! enactment would achieve in the fault-free case.
 
 use crate::error::{Result, ServiceError};
@@ -36,15 +36,15 @@ struct Completion {
 
 /// Predict one enactment of `graph` under `case`.
 ///
-/// The caller's world is untouched: prediction runs on a clone (the
-/// paper's point — simulate *before* conducting).
+/// The caller's world is untouched: prediction only matchmakes against
+/// it and derives outputs into its own data state (the paper's point —
+/// simulate *before* conducting).
 pub fn predict(
     world: &GridWorld,
     graph: &ProcessGraph,
     case: &CaseDescription,
     max_events: u64,
 ) -> Result<Prediction> {
-    let world = world.clone_for_simulation();
     let mut machine = AtnMachine::new(graph)?;
     let mut state = case.initial_data.clone();
     machine.start(&state)?;
@@ -84,7 +84,7 @@ pub fn predict(
         Ok(())
     };
 
-    launch(&mut machine, &mut engine, &world, &mut prediction)?;
+    launch(&mut machine, &mut engine, world, &mut prediction)?;
     let mut events = 0u64;
     while let Some(Event { time, payload, .. }) = engine.next() {
         events += 1;
@@ -100,7 +100,7 @@ pub fn predict(
         world.apply_outputs(&service, &mut state)?;
         machine.complete_activity(&payload.activity, &state)?;
         prediction.makespan_s = time as f64 / 1e6;
-        launch(&mut machine, &mut engine, &world, &mut prediction)?;
+        launch(&mut machine, &mut engine, world, &mut prediction)?;
     }
     if !machine.is_finished() {
         return Err(ServiceError::BadRequest(
@@ -108,18 +108,6 @@ pub fn predict(
         ));
     }
     Ok(prediction)
-}
-
-impl GridWorld {
-    /// A deep copy for what-if simulation (same topology, market,
-    /// catalog; failures disabled — predictions are fault-free).
-    pub fn clone_for_simulation(&self) -> GridWorld {
-        let mut clone = GridWorld::new(self.topology.clone());
-        for offering in self.offerings.values() {
-            clone.offer(offering.clone());
-        }
-        clone
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! policy) is explicitly out of scope for this simulation-first store.
 
 use crate::record::{
-    decode_record, encode_event, encode_snapshot, header_is_valid, segment_header, Decoded,
+    decode_record, encode_snapshot, event_into, header_is_valid, segment_header, Decoded,
     LogRecord, SEGMENT_HEADER_LEN,
 };
 use crate::{Accepted, JournalCore, SnapshotRecord, Store, StoreError, StoreResult};
@@ -183,17 +183,17 @@ impl FileStore {
         &self.dir
     }
 
-    /// Add one framed record to `batch`, the bytes bound for the
-    /// current segment; a full segment's batch is written out first and
-    /// the next segment started.
-    fn stage(&mut self, batch: &mut Vec<u8>, frame: &[u8]) -> StoreResult<()> {
+    /// Make room in the current segment for one more record, which the
+    /// caller then frames onto `batch`, the bytes bound for that
+    /// segment; a full segment's batch is written out first and the
+    /// next segment started.
+    fn stage(&mut self, batch: &mut Vec<u8>) -> StoreResult<()> {
         if self.current_records >= self.records_per_segment {
             self.write_batch(batch)?;
             self.current_index += 1;
             self.current_records = 0;
             self.current = None;
         }
-        batch.extend_from_slice(frame);
         self.current_records += 1;
         Ok(())
     }
@@ -227,9 +227,11 @@ impl FileStore {
 impl Store for FileStore {
     fn append(&mut self, events: &[TraceRecord]) -> StoreResult<()> {
         let mut batch = Vec::new();
+        let mut json = String::new();
         let accepted = events.iter().try_for_each(|record| {
             if self.core.accept_event(record)? == Accepted::Stored {
-                self.stage(&mut batch, &encode_event(record))?;
+                self.stage(&mut batch)?;
+                event_into(&mut batch, &mut json, record);
             }
             Ok(())
         });
@@ -241,10 +243,9 @@ impl Store for FileStore {
 
     fn snapshot(&mut self, snap: SnapshotRecord) -> StoreResult<()> {
         if self.core.accept_snapshot(snap)? == Accepted::Stored {
-            let stored = self.core.snapshots.last().expect("just stored");
-            let frame = encode_snapshot(stored);
-            let mut batch = Vec::new();
-            self.stage(&mut batch, &frame)?;
+            // Nothing is staged yet, so the frame is the batch.
+            self.stage(&mut Vec::new())?;
+            let mut batch = encode_snapshot(self.core.snapshots.last().expect("just stored"));
             self.write_batch(&mut batch)?;
         }
         Ok(())

@@ -205,7 +205,7 @@ pub trait Store: Send {
 pub fn merged_jsonl(events: &[TraceRecord]) -> String {
     let mut out = String::new();
     for r in events {
-        out.push_str(&serde_json::to_string(r).expect("trace records serialize"));
+        serde::Serialize::write_json(r, &mut out);
         out.push('\n');
     }
     out
@@ -249,11 +249,11 @@ impl JournalCore {
     }
 
     pub(crate) fn events_from(&self, seq: u64) -> Vec<TraceRecord> {
-        self.events
-            .iter()
-            .filter(|r| r.seq >= seq)
-            .cloned()
-            .collect()
+        // Sequence numbers are dense from the first stored record's, so
+        // `seq` locates its record directly.
+        let base = self.events.first().map_or(0, |r| r.seq);
+        let start = usize::try_from(seq.saturating_sub(base)).unwrap_or(usize::MAX);
+        self.events.get(start..).unwrap_or_default().to_vec()
     }
 
     pub(crate) fn latest_snapshot(&self) -> StoreResult<Option<SnapshotRecord>> {
@@ -371,6 +371,29 @@ mod tests {
             })
         );
         assert_eq!(core.next_seq(), 2);
+    }
+
+    #[test]
+    fn events_from_indexes_a_log_whose_base_is_not_zero() {
+        // A store that first saw a resumed journal: its log starts at 7.
+        let mut core = JournalCore::default();
+        for seq in 7..=9 {
+            core.accept_event(&event(seq, seq)).unwrap();
+        }
+        assert_eq!(core.next_seq(), 10);
+        // Below the base, inside the log and past its end, indexing by
+        // `seq - base` returns what a scan of the log would.
+        for seq in (0..=12).chain([u64::MAX]) {
+            let scanned: Vec<_> = core
+                .events
+                .iter()
+                .filter(|r| r.seq >= seq)
+                .cloned()
+                .collect();
+            assert_eq!(core.events_from(seq), scanned, "from {seq}");
+        }
+        assert_eq!(core.events_from(8).first().map(|r| r.seq), Some(8));
+        assert!(JournalCore::default().events_from(0).is_empty());
     }
 
     #[test]

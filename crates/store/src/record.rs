@@ -68,39 +68,53 @@ pub fn header_is_valid(bytes: &[u8]) -> bool {
         && u16::from_le_bytes([bytes[4], bytes[5]]) == SEGMENT_FORMAT_VERSION
 }
 
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    let crc = crc32(&body);
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Frame one record onto the end of `batch`: reserve the length prefix,
+/// let `body` write the record body in place, then fill the prefix in
+/// and append the CRC of the bytes where they lie.
+fn frame_into(batch: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let prefix = batch.len();
+    batch.extend_from_slice(&[0; 4]);
+    body(batch);
+    let len = (batch.len() - prefix - 4) as u32;
+    batch[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&batch[prefix + 4..]);
+    batch.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Frame one trace event onto the end of `batch`.  `json` is scratch
+/// the caller reuses from record to record: the streamed text is the
+/// only intermediate, copied once into the frame.
+pub(crate) fn event_into(batch: &mut Vec<u8>, json: &mut String, record: &TraceRecord) {
+    json.clear();
+    serde::Serialize::write_json(record, json);
+    frame_into(batch, |body| {
+        body.extend_from_slice(&[KIND_EVENT, EVENT_SCHEMA_VERSION]);
+        body.extend_from_slice(json.as_bytes());
+    });
 }
 
 /// Encode one trace event as a framed record.
 pub fn encode_event(record: &TraceRecord) -> Vec<u8> {
-    let json = serde_json::to_string(record).expect("trace records serialize");
-    let mut body = Vec::with_capacity(json.len() + 2);
-    body.push(KIND_EVENT);
-    body.push(EVENT_SCHEMA_VERSION);
-    body.extend_from_slice(json.as_bytes());
-    frame(body)
+    let mut frame = Vec::new();
+    event_into(&mut frame, &mut String::new(), record);
+    frame
 }
 
-/// Encode one snapshot as a framed record.  The record's `schema` byte
-/// is taken from the snapshot itself so version handling round-trips
-/// through the log.
+/// Encode one snapshot as a framed record, its payload copied once.
+/// The record's `schema` byte is taken from the snapshot itself so
+/// version handling round-trips through the log.
 pub fn encode_snapshot(snap: &SnapshotRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(SNAPSHOT_HEADER_LEN + snap.state.len() + 2);
-    body.push(KIND_SNAPSHOT);
-    body.push(snap.schema);
-    body.extend_from_slice(&snap.next_tick.to_le_bytes());
-    body.extend_from_slice(&snap.journal_seq.to_le_bytes());
-    body.extend_from_slice(&snap.clock_ticks.to_le_bytes());
-    body.extend_from_slice(&snap.clock_s.to_bits().to_le_bytes());
-    body.extend_from_slice(&snap.state_hash.to_le_bytes());
-    body.extend_from_slice(&snap.state);
-    frame(body)
+    let mut frame = Vec::with_capacity(SNAPSHOT_HEADER_LEN + snap.state.len() + 10);
+    frame_into(&mut frame, |body| {
+        body.extend_from_slice(&[KIND_SNAPSHOT, snap.schema]);
+        body.extend_from_slice(&snap.next_tick.to_le_bytes());
+        body.extend_from_slice(&snap.journal_seq.to_le_bytes());
+        body.extend_from_slice(&snap.clock_ticks.to_le_bytes());
+        body.extend_from_slice(&snap.clock_s.to_bits().to_le_bytes());
+        body.extend_from_slice(&snap.state_hash.to_le_bytes());
+        body.extend_from_slice(&snap.state);
+    });
+    frame
 }
 
 /// The result of decoding one record at an offset.

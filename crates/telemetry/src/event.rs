@@ -129,6 +129,12 @@ impl Serialize for Label {
     fn to_json_value(&self) -> serde::Value {
         serde::Value::String(self.0.to_string())
     }
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+    fn is_json_null(&self) -> bool {
+        false
+    }
 }
 
 impl Deserialize for Label {

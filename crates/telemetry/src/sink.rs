@@ -148,16 +148,20 @@ impl TraceLog {
         self.clock.now()
     }
 
-    /// All records with `seq >= seq`, in emission order — the
-    /// incremental read used to flush a tick's worth of journal into a
-    /// durable store.
-    pub fn records_from(&self, seq: u64) -> Vec<TraceRecord> {
+    /// Lend `read` all records with `seq >= seq`, in emission order —
+    /// the incremental read used to flush a tick's worth of journal into
+    /// a durable store without cloning it.
+    ///
+    /// The log stays locked while `read` runs, so `read` must not emit
+    /// into this log: the engine's lock order is journal, then store,
+    /// and a store never emits.
+    pub fn with_records_from<R>(&self, seq: u64, read: impl FnOnce(&[TraceRecord]) -> R) -> R {
         let st = self.state.lock();
         // Sequence numbers are dense from the first record's (0, or a
         // resumed log's base), so `seq` locates its record directly.
         let base = st.records.first().map_or(0, |r| r.seq);
         let start = usize::try_from(seq.saturating_sub(base)).unwrap_or(usize::MAX);
-        st.records.get(start..).unwrap_or_default().to_vec()
+        read(st.records.get(start..).unwrap_or_default())
     }
 
     /// Number of records so far.
@@ -189,7 +193,7 @@ impl TraceLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in self.state.lock().records.iter() {
-            out.push_str(&serde_json::to_string(r).expect("trace records serialize"));
+            serde::Serialize::write_json(r, &mut out);
             out.push('\n');
         }
         out
@@ -537,16 +541,17 @@ mod tests {
         log.emit("t", msg(2));
         let recs = log.records();
         assert_eq!((recs[0].seq, recs[1].seq), (7, 8));
-        // records_from slices by stamped seq, not vector index.
-        assert_eq!(log.records_from(8).len(), 1);
-        assert_eq!(log.records_from(8)[0].seq, 8);
-        assert!(log.records_from(9).is_empty());
-        assert_eq!(log.records_from(0).len(), 2);
+        // with_records_from slices by stamped seq, not vector index.
+        let records_from = |seq| log.with_records_from(seq, <[TraceRecord]>::to_vec);
+        assert_eq!(records_from(8).len(), 1);
+        assert_eq!(records_from(8)[0].seq, 8);
+        assert!(records_from(9).is_empty());
+        assert_eq!(records_from(0).len(), 2);
         // Indexing by `seq - base` returns what a scan of the log would,
         // below the base, inside it and past its end.
         for seq in (0..=10).chain([u64::MAX]) {
             let scanned: Vec<_> = recs.iter().filter(|r| r.seq >= seq).cloned().collect();
-            assert_eq!(log.records_from(seq), scanned, "from {seq}");
+            assert_eq!(records_from(seq), scanned, "from {seq}");
         }
     }
 
