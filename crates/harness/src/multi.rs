@@ -97,6 +97,13 @@ impl<'a> MultiCaseScenario<'a> {
         self
     }
 
+    /// Abort every still-running case once `ticks` ticks have elapsed
+    /// ([`EngineConfig::max_ticks`]).
+    pub fn max_ticks(mut self, ticks: u64) -> Self {
+        self.config.max_ticks = ticks;
+        self
+    }
+
     /// Admit cases under `policy` instead of the FIFO default.
     pub fn policy(mut self, policy: PolicySpec) -> Self {
         self.config.policy = policy;
