@@ -64,11 +64,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Cases enacting at once; the rest wait in the admission queue.
     pub max_in_flight: usize,
-    /// Turn on the world's tick-scoped reservation protocol for the
-    /// run, so concurrent cases contend for container capacity instead
-    /// of double-booking it.  The world's previous setting is restored
-    /// when the run ends.
-    pub enforce_reservations: bool,
     /// Abort every still-running case once this many ticks have
     /// elapsed — the engine's defense against a live-locked schedule.
     pub max_ticks: u64,
@@ -111,7 +106,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 1,
             max_in_flight: 16,
-            enforce_reservations: true,
             max_ticks: 100_000,
             policy: PolicySpec::Fifo,
             store: None,
@@ -310,9 +304,14 @@ impl CaseScheduler {
     /// specs.
     fn fresh_state(&mut self) -> LoopState {
         let specs = std::mem::take(&mut self.pending);
+        // Sized once, and before the queue is built: a slot is about a
+        // kilobyte, and the chain of dead buffers that growing the list
+        // by doubling left in the heap cost `fleet-contended` 8 MB of
+        // peak RSS once a slot shrank by 48 bytes (CHANGES.md, PR 23).
+        let live = Vec::with_capacity(self.config.max_in_flight.max(1).min(specs.len()));
         LoopState {
             waiting: specs.into_iter().enumerate().collect(),
-            live: Vec::new(),
+            live,
             finished: Vec::new(),
             finished_json: Vec::new(),
             snapshot_len: 0,
@@ -344,21 +343,14 @@ impl CaseScheduler {
     /// snapshot's `journal_seq` (via [`TraceLog::resuming`] and a clock
     /// resumed at the snapshot's reading) — or at 0 for replay-only —
     /// before constructing the scheduler; a mismatch is reported as
-    /// [`StoreError::Corrupt`].
-    ///
-    /// # Panics
-    ///
-    /// If [`EngineConfig::store`] is `None`.
+    /// [`StoreError::Corrupt`], and a scheduler with no
+    /// [`EngineConfig::store`] as [`StoreError::NotBound`].
     pub fn recover(
         &mut self,
         world: &mut GridWorld,
         on_tick: impl FnMut(u64, &mut GridWorld),
     ) -> StoreResult<EngineOutcome> {
-        let binding = self
-            .config
-            .store
-            .clone()
-            .expect("CaseScheduler::recover requires EngineConfig::store");
+        let binding = self.config.store.clone().ok_or(StoreError::NotBound)?;
         let snap = binding
             .store
             .lock()
@@ -483,8 +475,12 @@ impl CaseScheduler {
         mut on_tick: impl FnMut(u64, &mut GridWorld),
         mut st: LoopState,
     ) -> EngineOutcome {
+        // Concurrent cases contend for container capacity through the
+        // world's tick-scoped reservation protocol instead of
+        // double-booking it; the world's own setting is restored when
+        // the run ends.
         let reservations_before = world.reservations_enabled();
-        world.enable_reservations(self.config.enforce_reservations);
+        world.enable_reservations(true);
 
         let binding = self.config.store.clone();
         let mut flush_cursor = binding.as_ref().map_or(0, |b| b.journal.next_seq());

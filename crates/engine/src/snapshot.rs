@@ -141,29 +141,37 @@ pub struct AdmissionRecord {
 
 /// Engine-snapshot schema version written by this build.
 ///
-/// Version 6 is the state of the one tick loop, with no checkpoint
-/// cadence, no data-id counter and no per-report checkpoint list in it.
+/// Version 7 is the state of the one tick loop and the one dispatch
+/// ladder, with no checkpoint cadence, no data-id counter, no
+/// per-report checkpoint list and no recovery switch in it.
 /// Older payloads keep restoring: version 1 carries no `version` key (it
 /// defaults to `1`), versions 1–2 also recorded which scheduler core
 /// wrote them (`core`) and that core's scheduling hints (`freed`,
 /// `last_generation`, a `blockers` list on parked live slots), versions
 /// 1–3 each fiber's checkpoint cadence (`since_checkpoint`,
 /// `prime_flow_base`, `checkpoint_every` in its config), versions 1–4
-/// the world-global fresh-id counter (`world.data_counter`), and
-/// versions 1–5 a `checkpoints` list in every report (empty whenever
-/// the pre-4 refusal below lets the payload through).  All of those are
-/// ignored — a blocked fiber's [`FiberSlim::pending`] is the state the
-/// hints summarised, this store is the only checkpoint there is, and
-/// fresh ids come from each case's own data state.  Dropping the
-/// counter needs no refusal: no trace event carries a data id, and a
-/// restored payload brings the blueprint goal its cases were submitted
-/// under.  Three payloads are
-/// refused: a `core` other than `"Event"` names a loop this build does
-/// not have; a pre-4 blueprint whose `checkpoint_every` is set means the
-/// journal has `checkpoint.captured` records this build would not
-/// regenerate; and a *newer* schema than this build's cannot be
-/// understood.
-pub const ENGINE_SNAPSHOT_VERSION: u32 = 6;
+/// the world-global fresh-id counter (`world.data_counter`), versions
+/// 1–5 a `checkpoints` list in every report (empty whenever the pre-4
+/// refusal below lets the payload through), and versions 1–6 a
+/// `recovery.enabled` switch in every config with per-activity
+/// `attempts` and an always-empty `pending_backoffs` list in every
+/// fiber's recovery state.  All of those are ignored — a blocked
+/// fiber's [`FiberSlim::pending`] is the state the hints summarised,
+/// this store is the only checkpoint there is, fresh ids come from each
+/// case's own data state, and the ladder's rungs follow from the
+/// policy's parts.  Dropping the counter needs no refusal: no trace
+/// event carries a data id, and a restored payload brings the blueprint
+/// goal its cases were submitted under.  Five payloads are refused: a
+/// `core` other than `"Event"` names a loop this build does not have; a
+/// pre-4 blueprint whose `checkpoint_every` is set means the journal has
+/// `checkpoint.captured` records this build would not regenerate; a
+/// pre-7 blueprint whose `recovery.enabled` disagrees with what its
+/// retry, lease and breaker parts derive would run a different ladder
+/// here; a pre-7 blueprint that configures any of those parts numbered
+/// the `attempt`s in its journal as this build does not (a candidate
+/// that was reserved away now counts); and a *newer* schema than this
+/// build's cannot be understood.
+pub const ENGINE_SNAPSHOT_VERSION: u32 = 7;
 
 /// The scheduler's complete loop state at a tick boundary.
 #[derive(Debug, Clone)]
@@ -189,7 +197,7 @@ pub struct EngineSnapshot {
 
 // Hand-written serde: version 1 payloads predate the `version` key, so
 // deserialization must default it instead of erroring, and must make
-// the three refusals `ENGINE_SNAPSHOT_VERSION` documents.  The tree
+// the refusals `ENGINE_SNAPSHOT_VERSION` documents.  The tree
 // form is the reference the streamed payload is tested against.
 impl Serialize for EngineSnapshot {
     fn to_json_value(&self) -> serde::Value {
@@ -240,6 +248,26 @@ impl Deserialize for EngineSnapshot {
                 "engine snapshot version {version} checkpointed its cases: its journal \
                  has `checkpoint.captured` records this build cannot regenerate"
             )));
+        }
+        let pre_ladder_merge = blueprints.into_iter().flatten().filter(|_| version < 7);
+        for policy in pre_ladder_merge.map(|b| &b["config"]["recovery"]) {
+            let enabled = policy["enabled"].as_bool() == Some(true);
+            let configured = policy["retry"]["max_attempts"].as_u64() > Some(1)
+                || !policy["lease"].is_null()
+                || !policy["breaker"].is_null();
+            if enabled != configured {
+                return Err(serde::Error::custom(format!(
+                    "engine snapshot version {version} stored `recovery.enabled`: {enabled} \
+                     over retry, lease and breaker parts that derive {configured}: this \
+                     build would run a different ladder"
+                )));
+            }
+            if configured {
+                return Err(serde::Error::custom(format!(
+                    "engine snapshot version {version} ran the recovery ladder: its journal \
+                     numbers dispatch `attempt`s as this build does not"
+                )));
+            }
         }
         Ok(EngineSnapshot {
             version,
@@ -314,7 +342,7 @@ impl EngineSnapshot {
     }
 
     /// Deserialize a snapshot record's payload.  Older payloads restore
-    /// and three kinds are refused; see [`ENGINE_SNAPSHOT_VERSION`].
+    /// and five kinds are refused; see [`ENGINE_SNAPSHOT_VERSION`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         serde_json::from_str(text).map_err(|e| e.to_string())
@@ -448,10 +476,11 @@ mod tests {
     fn event_core_payloads_round_trip_byte_for_byte() {
         let record = captured();
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
-        assert_eq!(image.version, 6);
+        assert_eq!(image.version, 7);
         assert_eq!(image.to_bytes(), record.state);
         // Nothing a removed scheduler core, the single-case checkpoint
-        // mechanism or the world-global id counter kept is written any more.
+        // mechanism, the world-global id counter or the recovery switch
+        // kept is written any more.
         let text = std::str::from_utf8(&record.state).unwrap();
         for key in [
             "core",
@@ -463,6 +492,9 @@ mod tests {
             "checkpoint_every",
             "checkpoints",
             "data_counter",
+            "enabled",
+            "attempts",
+            "pending_backoffs",
         ] {
             assert!(!text.contains(&format!(r#""{key}":"#)), "{key} written");
         }
@@ -553,10 +585,31 @@ mod tests {
         }
     }
 
-    /// `payload` as a version-5 build wrote it: an always-empty
-    /// `checkpoints` list in the live fiber's report.
-    fn as_v5(payload: &[u8]) -> Vec<u8> {
+    /// Set `key` in every blueprint's recovery policy.
+    fn set_policy(obj: &mut serde_json::Map, key: &str, value: &str) {
+        for blueprint in obj.get_mut("blueprints").unwrap().as_array_mut().unwrap() {
+            let config = object_at(blueprint.as_object_mut().unwrap(), "config");
+            object_at(config, "recovery").insert(key.into(), json(value));
+        }
+    }
+
+    /// `payload` as a version-6 build wrote it: the recovery switch
+    /// (off) in the blueprint configs, and the attempt counters and the
+    /// always-empty backoff list in the live fiber's recovery state.
+    fn as_v6(payload: &[u8]) -> Vec<u8> {
         edited(payload, |obj| {
+            obj.insert("version".into(), json("6"));
+            set_policy(obj, "enabled", "false");
+            let recovery = object_at(object_at(live_slot(obj), "fiber"), "recovery");
+            recovery.insert("attempts".into(), json("{}"));
+            recovery.insert("pending_backoffs".into(), json("[]"));
+        })
+    }
+
+    /// `payload` as a version-5 build wrote it: the version-6 shape plus
+    /// an always-empty `checkpoints` list in the live fiber's report.
+    fn as_v5(payload: &[u8]) -> Vec<u8> {
+        edited(&as_v6(payload), |obj| {
             obj.insert("version".into(), json("5"));
             let report = object_at(object_at(live_slot(obj), "fiber"), "report");
             report.insert("checkpoints".into(), json("[]"));
@@ -604,6 +657,21 @@ mod tests {
         let record = captured();
         let baseline = recover_from(&record, record.state.clone()).unwrap();
         assert!(baseline.all_succeeded() && baseline.cases.len() == 2);
+
+        // Version 6: the recovery switch, the attempt counters and the
+        // backoff list are present and ignored.
+        let v6 = as_v6(&record.state);
+        let text = std::str::from_utf8(&v6).unwrap();
+        for key in [
+            r#""version":6"#,
+            r#""enabled":false"#,
+            r#""attempts":{}"#,
+            r#""pending_backoffs":[]"#,
+        ] {
+            assert!(text.contains(key), "{key} missing from the v6 shape");
+        }
+        assert_eq!(EngineSnapshot::from_bytes(&v6).unwrap().version, 6);
+        assert_eq!(recover_from(&record, v6).unwrap(), baseline);
 
         // Version 5: the report's checkpoint list is present and ignored.
         let v5 = as_v5(&record.state);
@@ -679,6 +747,13 @@ mod tests {
     }
 
     #[test]
+    fn recovering_with_no_store_bound_is_a_typed_error() {
+        let mut unbound = CaseScheduler::new(EngineConfig::default());
+        let refused = unbound.recover(&mut world(), |_, _| {});
+        assert_eq!(refused, Err(StoreError::NotBound));
+    }
+
+    #[test]
     fn unknown_cores_and_newer_versions_are_refused_not_panicked_on() {
         let record = captured();
         let with_core = |core: &str| {
@@ -699,17 +774,52 @@ mod tests {
             let report = object_at(object_at(live_slot(obj), "fiber"), "report");
             report.insert("checkpoints".into(), json(r#"[{"version":1,"replans":0}]"#));
         });
+        // A version-6 fleet that ran the ladder numbered its `attempt`s
+        // without the reserved-away candidates: the overlap this build
+        // regenerates could differ from the journal's, so recovery
+        // refuses before re-executing — whichever part switched a rung
+        // on...
+        let ladder = |key: &str, value: &str| {
+            edited(&as_v6(&record.state), |obj| {
+                set_policy(obj, "enabled", "true");
+                set_policy(obj, key, value);
+            })
+        };
+        // ...and a switch that disagrees with the parts (on over
+        // nothing, off over a lease) would select a different loop.
+        let switched_on = edited(&as_v6(&record.state), |obj| {
+            set_policy(obj, "enabled", "true");
+        });
+        let switched_off = edited(&as_v6(&record.state), |obj| {
+            set_policy(obj, "lease", r#"{"lease_ticks":60}"#);
+        });
         let refusals = [
             (with_core(r#"{"Sharded":{"shards":4}}"#), "field `core`"),
             (with_core(r#""Scan""#), "field `core`"),
             (
                 edited(&record.state, |obj| {
-                    obj.insert("version".into(), json("7"));
+                    obj.insert("version".into(), json("8"));
                 }),
-                "version 7 is newer",
+                "version 8 is newer",
             ),
             (cadenced, "version 3 checkpointed its cases"),
             (checkpointed, "version 3 checkpointed its cases"),
+            (
+                ladder("lease", r#"{"lease_ticks":60}"#),
+                "version 6 ran the recovery ladder",
+            ),
+            (
+                ladder("breaker", r#"{"failure_threshold":3,"open_ticks":120}"#),
+                "version 6 ran the recovery ladder",
+            ),
+            // (abbreviated: the refusal is decided before the policy is
+            // decoded)
+            (
+                ladder("retry", r#"{"max_attempts":3}"#),
+                "version 6 ran the recovery ladder",
+            ),
+            (switched_on, "`recovery.enabled`: true"),
+            (switched_off, "`recovery.enabled`: false"),
         ];
         for (payload, names) in refusals {
             let decode = EngineSnapshot::from_bytes(&payload).unwrap_err();
@@ -718,6 +828,56 @@ mod tests {
                 Err(StoreError::Corrupt(why)) => assert!(why.contains(names), "{why}"),
                 other => panic!("expected StoreError::Corrupt, got {other:?}"),
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Decode fuzzing: a payload is bytes from a disk, so nothing in
+        /// them may panic the decoder.
+        #[test]
+        fn arbitrary_payload_bytes_never_panic_the_decoder(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            let _ = EngineSnapshot::from_bytes(&bytes);
+        }
+
+        /// A flipped bit is refused or decodes to a different state.  It
+        /// can go unnoticed in one place only: the name of a key that
+        /// held `null`, which decodes to the `None` the unknown key
+        /// leaves behind.
+        #[test]
+        fn a_flipped_payload_bit_is_an_error_or_a_different_snapshot(bit_pick in 0usize..1_000_000) {
+            let original = captured().state;
+            let mut payload = original.clone();
+            let bit = bit_pick % (payload.len() * 8);
+            payload[bit / 8] ^= 1 << (bit % 8);
+            let same_state = EngineSnapshot::from_bytes(&payload)
+                .is_ok_and(|image| image.to_bytes() == original);
+            if same_state {
+                let without_nulls = |bytes: &[u8]| {
+                    let mut tree = json(std::str::from_utf8(bytes).unwrap());
+                    strip_nulls(&mut tree);
+                    tree
+                };
+                proptest::prop_assert_eq!(
+                    without_nulls(&payload),
+                    without_nulls(&original),
+                    "bit {} went unnoticed",
+                    bit
+                );
+            }
+        }
+    }
+
+    /// Remove every `null`-valued entry of every object under `tree`.
+    fn strip_nulls(tree: &mut serde_json::Value) {
+        if let Some(items) = tree.as_array_mut() {
+            items.iter_mut().for_each(strip_nulls);
+        } else if let Some(obj) = tree.as_object_mut() {
+            obj.retain(|_, value| !value.is_null());
+            obj.values_mut().for_each(strip_nulls);
         }
     }
 }

@@ -17,7 +17,7 @@ use gridflow_engine::{
     StoreBinding,
 };
 use gridflow_services::{GridWorld, PlanCacheHandle};
-use gridflow_store::{Store, StoreResult};
+use gridflow_store::{Store, StoreError, StoreResult};
 use gridflow_telemetry::{TraceEvent, TraceHandle, TraceLog, TraceSink};
 use std::sync::{Arc, Mutex};
 
@@ -195,15 +195,10 @@ impl<'a> MultiCaseScenario<'a> {
     /// The scenario must describe the *same* `(plan, workload, cases,
     /// config)` as the crashed run — recovery re-executes, so a
     /// different scenario would diverge and be rejected by the store.
-    ///
-    /// # Panics
-    ///
-    /// If the scenario has no [`store`](MultiCaseScenario::store).
+    /// A scenario with no [`store`](MultiCaseScenario::store) is
+    /// refused with [`StoreError::NotBound`].
     pub fn recover(self) -> StoreResult<MultiCaseOutcome> {
-        let (store, _) = self
-            .store
-            .clone()
-            .expect("MultiCaseScenario::recover requires a store");
+        let (store, _) = self.store.clone().ok_or(StoreError::NotBound)?;
         let snap = store
             .lock()
             .expect("store mutex poisoned")
@@ -387,6 +382,14 @@ mod tests {
     }
 
     #[test]
+    fn recovering_a_scenario_with_no_store_is_a_typed_error() {
+        let refused = MultiCaseScenario::new(&FaultPlan::default(), &dinner_workload(), 1)
+            .recover()
+            .unwrap_err();
+        assert_eq!(refused, StoreError::NotBound);
+    }
+
+    #[test]
     fn fault_hook_stages_partition_windows_and_honors_holds() {
         use crate::workload::dinner_world;
         use gridflow_telemetry::TraceQuery;
@@ -414,7 +417,7 @@ mod tests {
 
         let records = log.records();
         let q = TraceQuery::new(records.clone());
-        q.assert_partition_discipline();
+        assert_eq!(q.check_partition_discipline(), Ok(()));
         assert_eq!(q.count(|e| e.label() == "fault.node_lost"), 1);
         assert_eq!(q.count(|e| e.label() == "transport.partitioned"), 2);
         assert_eq!(q.count(|e| e.label() == "transport.healed"), 2);

@@ -17,18 +17,21 @@
 //!   from matchmaking until a half-open probe readmits them.
 //!
 //! [`RecoveryManager`] binds the three together behind one stateful
-//! façade the enactor drives; its [`RecoveryState`] serializes into
-//! enactment checkpoints so crash/resume round-trips preserve breaker
-//! states, attempt counters, and pending backoff deadlines.  Every
-//! decision is announced on the telemetry trace (`retry.scheduled`,
-//! `lease.granted`/`lease.expired`, `breaker.opened`/`half_open`/
-//! `closed`), making the whole ladder assertable per seed.
+//! façade the enactor's dispatch loop drives; each mechanism is a rung
+//! that does nothing when its part of the [`RecoveryPolicy`] is absent
+//! (`retry.max_attempts: 1`, `lease: None`, `breaker: None`), so one
+//! loop serves every policy.  Every decision is announced on the
+//! telemetry trace (`retry.scheduled`, `lease.granted`/`lease.expired`,
+//! `breaker.opened`/`half_open`/`closed`), making the whole ladder
+//! assertable per seed.
 //!
-//! [`RecoveryState`] is the only copy of what the ladder remembers: a
-//! lease is an allowance checked when its execution settles, a breaker
+//! [`RecoveryState`] — the recovery clock and the breaker records — is
+//! the only copy of what the ladder remembers, and serializes into
+//! engine snapshots so a crash/recover round-trip preserves quarantines:
+//! a lease is an allowance checked when its execution settles, a breaker
 //! cooldown is the `until_tick` of its [`BreakerState`], and a backoff
-//! wait is a [`PendingBackoff`] the manager elapses by jumping its
-//! clock.
+//! wait is over, the clock advanced past it, before the step that
+//! scheduled it returns.
 
 #![warn(missing_docs)]
 
@@ -37,5 +40,5 @@ mod manager;
 mod policy;
 
 pub use breaker::{Admission, BreakerConfig, BreakerRecord, BreakerSignal, BreakerState};
-pub use manager::{LeaseConfig, PendingBackoff, RecoveryManager, RecoveryPolicy, RecoveryState};
+pub use manager::{LeaseConfig, RecoveryManager, RecoveryPolicy, RecoveryState};
 pub use policy::RetryPolicy;

@@ -1,12 +1,11 @@
 //! The [`RecoveryManager`]: one stateful façade the enactor drives.
 //!
 //! The manager owns a private virtual *recovery clock* (ticks, advanced
-//! by execution durations and backoff waits — never wall time), the
-//! per-container breaker records, per-activity attempt counters, and
-//! any pending backoff deadlines.  All of that state is captured in
+//! by execution durations and backoff waits — never wall time) and the
+//! per-container breaker records.  Both are captured in
 //! [`RecoveryState`], which serializes into engine snapshots so a
-//! crash/recover round-trip picks up quarantines and counters exactly
-//! where they stood.
+//! crash/recover round-trip picks up quarantines exactly where they
+//! stood.
 
 use std::collections::BTreeMap;
 
@@ -33,15 +32,14 @@ impl Default for LeaseConfig {
     }
 }
 
-/// The complete failure policy the enactor runs under.
+/// The complete failure policy the enactor runs under.  Each part
+/// switches on its own rung of the dispatch ladder; there is no master
+/// switch.
 ///
 /// [`RecoveryPolicy::default`] is the *disabled* policy: one attempt
-/// per candidate, no leases, no breakers — the enactor behaves (and
-/// traces) exactly as it did before this crate existed.
+/// per candidate, no leases, no breakers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
-    /// Master switch; `false` reproduces the legacy candidate loop.
-    pub enabled: bool,
     /// Per-candidate retry/backoff policy.
     pub retry: RetryPolicy,
     /// Lease deadlines for dispatched executions (`None` = unlimited).
@@ -57,10 +55,9 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Legacy-identical behaviour: recovery off.
+    /// Every rung off: one try per candidate, nothing else.
     pub fn disabled() -> Self {
         RecoveryPolicy {
-            enabled: false,
             retry: RetryPolicy::disabled(),
             lease: None,
             breaker: None,
@@ -71,27 +68,11 @@ impl RecoveryPolicy {
     /// breakers.
     pub fn standard() -> Self {
         RecoveryPolicy {
-            enabled: true,
             retry: RetryPolicy::default(),
             lease: Some(LeaseConfig::default()),
             breaker: Some(BreakerConfig::default()),
         }
     }
-}
-
-/// A scheduled-but-not-yet-dispatched backoff wait.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PendingBackoff {
-    /// Activity waiting to retry.
-    pub activity: String,
-    /// Service it will re-execute.
-    pub service: String,
-    /// Candidate container it will retry on.
-    pub container: String,
-    /// Attempt index the retry will carry.
-    pub attempt: usize,
-    /// Recovery-clock tick at which the retry dispatches.
-    pub resume_tick: u64,
 }
 
 /// Everything the recovery layer must remember across a crash.
@@ -103,10 +84,6 @@ pub struct RecoveryState {
     /// Per-container breaker records (only containers that have ever
     /// taken a failure appear here).
     pub breakers: BTreeMap<String, BreakerRecord>,
-    /// Lifetime dispatch attempts per activity.
-    pub attempts: BTreeMap<String, usize>,
-    /// Backoffs scheduled but not yet elapsed.
-    pub pending_backoffs: Vec<PendingBackoff>,
 }
 
 /// Drives retries, leases, and breakers for one enactment.
@@ -140,29 +117,14 @@ impl RecoveryManager {
         }
     }
 
-    /// Is the ladder active, or are we in legacy mode?
-    pub fn enabled(&self) -> bool {
-        self.policy.enabled
-    }
-
     /// The policy this manager runs under.
     pub fn policy(&self) -> &RecoveryPolicy {
         &self.policy
     }
 
-    /// Read-only view of the serializable state.
-    pub fn state(&self) -> &RecoveryState {
-        &self.state
-    }
-
     /// Clone the serializable state (checkpoint capture).
     pub fn snapshot(&self) -> RecoveryState {
         self.state.clone()
-    }
-
-    /// Current recovery-clock reading.
-    pub fn now_tick(&self) -> u64 {
-        self.state.now_tick
     }
 
     /// Convert virtual execution seconds to recovery ticks (1 tick per
@@ -216,21 +178,6 @@ impl RecoveryManager {
             .filter(|(_, r)| r.state != BreakerState::Closed)
             .map(|(c, _)| c.clone())
             .collect()
-    }
-
-    // -------------------------------------------------------- attempts
-
-    /// Record a dispatch attempt for `activity`; returns its lifetime
-    /// attempt count.
-    pub fn note_attempt(&mut self, activity: &str) -> usize {
-        let n = self.state.attempts.entry(activity.to_string()).or_insert(0);
-        *n += 1;
-        *n
-    }
-
-    /// Lifetime attempts recorded for `activity`.
-    pub fn attempts(&self, activity: &str) -> usize {
-        self.state.attempts.get(activity).copied().unwrap_or(0)
     }
 
     // ---------------------------------------------------------- leases
@@ -353,9 +300,10 @@ impl RecoveryManager {
 
     // --------------------------------------------------------- backoff
 
-    /// Schedule a backoff retry: computes the deterministic backoff,
-    /// records the pending deadline, announces `retry.scheduled`, and
-    /// returns the resume tick.
+    /// Wait out the backoff before retry number `retry` of `activity`
+    /// on `container`: announces `retry.scheduled` and advances the
+    /// recovery clock to the resume tick.  `attempt` is the index the
+    /// retry's dispatch will carry.
     pub fn schedule_retry(
         &mut self,
         activity: &str,
@@ -363,17 +311,9 @@ impl RecoveryManager {
         container: &str,
         attempt: usize,
         retry: usize,
-    ) -> u64 {
+    ) {
         let backoff_ticks = self.policy.retry.backoff_ticks(activity, retry);
         let resume_tick = self.state.now_tick.saturating_add(backoff_ticks);
-        let pending = PendingBackoff {
-            activity: activity.to_string(),
-            service: service.to_string(),
-            container: container.to_string(),
-            attempt,
-            resume_tick,
-        };
-        self.state.pending_backoffs.push(pending);
         self.trace.emit(
             SOURCE,
             TraceEvent::RetryScheduled {
@@ -385,23 +325,7 @@ impl RecoveryManager {
                 resume_tick,
             },
         );
-        resume_tick
-    }
-
-    /// Elapse every pending backoff for `activity`: the recovery clock
-    /// jumps to the latest of their resume ticks (never backwards) and
-    /// the entries are consumed.
-    pub fn await_retry(&mut self, activity: &str) {
-        let backoffs = &mut self.state.pending_backoffs;
-        let latest = backoffs
-            .iter()
-            .filter(|p| p.activity == activity)
-            .map(|p| p.resume_tick)
-            .max();
-        if let Some(latest) = latest {
-            self.state.now_tick = self.state.now_tick.max(latest);
-            backoffs.retain(|p| p.activity != activity);
-        }
+        self.state.now_tick = resume_tick;
     }
 
     fn emit_signal(&mut self, container: &str, signal: Option<BreakerSignal>) {
@@ -432,7 +356,6 @@ mod tests {
 
     fn policy() -> RecoveryPolicy {
         RecoveryPolicy {
-            enabled: true,
             retry: RetryPolicy {
                 max_attempts: 3,
                 base_backoff_ticks: 2,
@@ -451,7 +374,6 @@ mod tests {
     #[test]
     fn default_policy_is_disabled_and_legacy_shaped() {
         let p = RecoveryPolicy::default();
-        assert!(!p.enabled);
         assert_eq!(p.retry.max_attempts, 1);
         assert!(p.lease.is_none() && p.breaker.is_none());
     }
@@ -476,7 +398,7 @@ mod tests {
         let mut m = RecoveryManager::new(policy());
         // Unknown healthy container: probes are a no-op.
         m.note_probe("c2", true);
-        assert!(m.state().breakers.is_empty());
+        assert!(m.snapshot().breakers.is_empty());
         // Down probes accrue failures until the breaker trips.
         m.note_probe("c2", false);
         m.note_probe("c2", false);
@@ -501,52 +423,20 @@ mod tests {
     }
 
     #[test]
-    fn schedule_and_await_retry_drive_the_recovery_clock() {
+    fn schedule_retry_drives_the_recovery_clock() {
         let mut m = RecoveryManager::new(policy());
         m.note_execution_seconds(3.2); // → 4 ticks
-        assert_eq!(m.now_tick(), 4);
-        let resume = m.schedule_retry("A1", "cook", "c1", 1, 1);
-        assert_eq!(resume, 6); // base 2 << 0 = 2 ticks
-        assert_eq!(m.state().pending_backoffs.len(), 1);
-        m.await_retry("A1");
-        assert_eq!(m.now_tick(), 6);
-        assert!(m.state().pending_backoffs.is_empty());
+        assert_eq!(m.snapshot().now_tick, 4);
+        // base 2 << 0 = 2 ticks, then 2 << 1 = 4 more.
+        m.schedule_retry("A1", "cook", "c1", 1, 1);
+        assert_eq!(m.snapshot().now_tick, 6);
+        m.schedule_retry("A1", "cook", "c1", 2, 2);
+        assert_eq!(m.snapshot().now_tick, 10);
     }
 
     #[test]
-    fn await_retry_jumps_to_the_largest_resume_tick_of_that_activity_only() {
-        // A1 waits on two backoffs (resume ticks 2 and 4), A2 on one.
-        let scheduled = || {
-            let mut m = RecoveryManager::new(policy());
-            assert_eq!(m.schedule_retry("A1", "cook", "c1", 1, 1), 2);
-            assert_eq!(m.schedule_retry("A1", "cook", "c2", 2, 2), 4);
-            assert_eq!(m.schedule_retry("A2", "plate", "c3", 1, 1), 2);
-            m
-        };
-        let mut direct = scheduled();
-        direct.await_retry("A1");
-        assert_eq!(direct.now_tick(), 4);
-        let left = &direct.state().pending_backoffs;
-        assert_eq!(left.len(), 1);
-        assert_eq!((left[0].activity.as_str(), left[0].resume_tick), ("A2", 2));
-        // A crash between scheduling and waiting changes nothing.
-        let crashed = scheduled();
-        let mut restored =
-            RecoveryManager::restore(policy(), crashed.snapshot(), TraceHandle::none());
-        restored.await_retry("A1");
-        assert_eq!(restored.state(), direct.state());
-        // A deadline already behind the clock never moves it backwards.
-        direct.tick(10);
-        direct.await_retry("A2");
-        assert_eq!(direct.now_tick(), 14);
-        assert!(direct.state().pending_backoffs.is_empty());
-    }
-
-    #[test]
-    fn state_round_trips_through_json_with_pending_backoffs() {
+    fn state_round_trips_through_json() {
         let mut m = RecoveryManager::new(policy());
-        m.note_attempt("A1");
-        m.note_attempt("A1");
         m.record_failure("c1");
         m.record_failure("c1");
         m.schedule_retry("A1", "cook", "c1", 2, 1);
@@ -554,10 +444,9 @@ mod tests {
         let json = serde_json::to_string(&state).unwrap();
         let back: RecoveryState = serde_json::from_str(&json).unwrap();
         assert_eq!(back, state);
-        // Restoring picks up quarantines and counters exactly.
+        // Restoring picks up quarantines and the clock exactly.
         let mut restored = RecoveryManager::restore(policy(), back, TraceHandle::none());
         assert_eq!(restored.admit("c1"), Admission::Reject);
-        assert_eq!(restored.attempts("A1"), 2);
-        assert_eq!(restored.state().pending_backoffs.len(), 1);
+        assert_eq!(restored.snapshot().now_tick, 2);
     }
 }

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// replays of the same scenario back off identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RetryPolicy {
-    /// Attempts per candidate (1 = no retries, the legacy behaviour).
+    /// Attempts per candidate (1 = no retries).
     pub max_attempts: usize,
     /// Backoff before the first retry, in ticks.
     pub base_backoff_ticks: u64,
@@ -35,8 +35,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The degenerate policy: one attempt, no backoff — byte-identical
-    /// to the pre-recovery enactor.
+    /// The degenerate policy: one attempt, no backoff.
     pub fn disabled() -> Self {
         RetryPolicy {
             max_attempts: 1,

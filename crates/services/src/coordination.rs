@@ -4,25 +4,29 @@
 //! ATN machine over the process description.
 //!
 //! [`Enactor`] is the core: it runs ready activities against the grid
-//! world (locating containers through matchmaking, retrying alternates on
-//! failure), folds each activity's outputs into the case's data state,
-//! evaluates choice/loop conditions against that state, and — when every
-//! candidate container for an activity has failed — triggers re-planning
-//! through the planning service, exactly the escalation of §3.3.
+//! world (locating containers through matchmaking and walking the
+//! dispatch ladder of `coordination/ladder.rs` over them), folds each
+//! activity's outputs into the case's data state, evaluates choice/loop
+//! conditions against that state, and — when every candidate container
+//! for an activity has failed — triggers re-planning through the
+//! planning service, exactly the escalation of §3.3.
 
 use crate::error::{Result, ServiceError};
-use crate::matchmaking::{matchmake, matchmake_admitted, MatchRequest, RankedMatch};
-use crate::monitoring::MonitoringService;
 use crate::planning::{PlanRequest, PlanningService};
 use crate::world::GridWorld;
 use gridflow_planner::prelude::GpConfig;
 use gridflow_planner::GoalSpec;
 use gridflow_process::{ActivityKind, AtnSnapshot, CaseDescription, DataState, ProcessGraph};
-use gridflow_recovery::{Admission, RecoveryManager, RecoveryPolicy, RecoveryState};
+use gridflow_recovery::{RecoveryManager, RecoveryPolicy, RecoveryState};
 use gridflow_telemetry::{TraceEvent, TraceHandle, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+mod ladder;
+
+use ladder::ActivityOutcome;
+pub use ladder::PendingDispatch;
 
 /// Configuration of an enactment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,9 +53,8 @@ pub struct EnactmentConfig {
     pub wrap_replans_with_constraint: Option<String>,
     /// The failure policy the enactor escalates through: retry with
     /// backoff → failover to the next candidate → breaker quarantine →
-    /// re-plan.  The default is [`RecoveryPolicy::disabled`], which
-    /// reproduces the legacy one-shot candidate loop (and its traces)
-    /// exactly.
+    /// re-plan.  The default is [`RecoveryPolicy::disabled`]: one try
+    /// per candidate, then re-plan.
     pub recovery: RecoveryPolicy,
 }
 
@@ -216,52 +219,6 @@ pub enum FiberStatus {
     Finished,
 }
 
-/// What one activity attempt inside a step came to (the `Err` of the
-/// surrounding `Result` still means *every candidate failed* — the
-/// re-planning escalation).
-enum ActivityOutcome {
-    /// The activity executed and its outputs were applied.
-    Completed,
-    /// No candidate was even dispatched: every matched container was
-    /// already reserved by another case this tick.
-    Blocked {
-        /// The candidate containers that were all reserved away, in
-        /// rank order — the contention set a blocked re-step checks
-        /// cheaply before re-ranking.  Empty when the recovery ladder
-        /// was active (its admission filter mutates breaker state, so
-        /// its candidate list cannot be cached).
-        taken: Vec<String>,
-    },
-}
-
-/// Cached context from a step that returned [`FiberStatus::Blocked`].
-///
-/// While a fiber is blocked on reserved-away capacity nothing about its
-/// own state changes — the ATN state, data state, and graph are exactly
-/// as the blocking step left them — so the next step would choose the
-/// same activity.  When the candidate ranking provably could not have
-/// changed either and every ranked candidate is still fully booked, that
-/// step skips the matchmake too and just reports the block again.  Every
-/// observable emission is preserved: a still-blocked re-step produces
-/// exactly the one `CaseBlocked` event the full path would.  Stored as
-/// is in a [`FiberSlim`], so a restored fiber resumes the same way.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PendingDispatch {
-    /// The ready activity the blocking step chose.
-    pub activity_id: String,
-    /// The service it resolves to.
-    pub service: String,
-    /// [`GridWorld::generation`] at the blocking step: candidate
-    /// rankings are only reused while the generation is unchanged.
-    pub generation: u64,
-    /// The reserved-away candidate set, in rank order.  `None` when the
-    /// recovery ladder is enabled — its monitoring feed and admission
-    /// filter mutate breaker state (and may emit trace events) every
-    /// step, so a blocked re-step must re-run the full dispatch path.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub taken: Option<Vec<String>>,
-}
-
 /// A serializable capture of a [`CaseFiber`] between steps — the
 /// per-case payload of a durable engine snapshot.
 ///
@@ -292,7 +249,7 @@ pub struct FiberSlim {
     pub report: EnactmentReport,
     /// Services excluded by re-planning.
     pub excluded: Vec<String>,
-    /// Recovery-layer state (breakers, attempts, pending backoffs).
+    /// Recovery-layer state (the recovery clock and the breakers).
     pub recovery: RecoveryState,
     /// Has the enactment reached a terminal state?
     pub done: bool,
@@ -519,30 +476,8 @@ impl CaseFiber {
         if self.done {
             return FiberStatus::Finished;
         }
-        // Contention-only fast path: while the world's matchmaking
-        // generation is unchanged the blocking step's candidate ranking
-        // still stands, and if every ranked candidate is still fully
-        // booked the outcome is another block — one `CaseBlocked`
-        // event, nothing else, exactly like the full path.
-        if let Some(pending) = self.pending.take() {
-            if let Some(taken) = &pending.taken {
-                if world.reservations_enabled()
-                    && world.generation() == pending.generation
-                    && !taken.is_empty()
-                    && taken.iter().all(|c| world.free_slots(c) == 0)
-                {
-                    let service = pending.service.clone();
-                    self.trace.emit(
-                        "enactor",
-                        TraceEvent::CaseBlocked {
-                            case: self.label.clone(),
-                            service: service.clone(),
-                        },
-                    );
-                    self.pending = Some(pending);
-                    return FiberStatus::Blocked { service };
-                }
-            }
+        if let Some(status) = self.still_blocked(world) {
+            return status;
         }
         // The ATN state is the step's to mutate; it goes back into
         // `self.snapshot` unless the step ends the enactment or installs
@@ -599,12 +534,6 @@ impl CaseFiber {
             .and_then(|a| a.service.clone())
             .unwrap_or_else(|| activity_id.clone());
 
-        // Monitoring feedback: let live probes open/half-open the
-        // circuit breakers before matchmaking sees the candidates.
-        if self.recovery.enabled() {
-            MonitoringService.feed_recovery(world, &mut self.recovery);
-        }
-
         match self.run_activity(world, &service, &activity_id) {
             Ok(ActivityOutcome::Blocked { taken }) => {
                 self.snapshot = Some(atn);
@@ -613,32 +542,6 @@ impl CaseFiber {
             Ok(ActivityOutcome::Completed) => self.advance_machine(atn, &activity_id),
             Err(_) => self.escalate_replan(world, &activity_id, &service),
         }
-    }
-
-    /// Record a capacity block: cache the dispatch context for the next
-    /// step's contention check, announce `CaseBlocked`, and report
-    /// [`FiberStatus::Blocked`].
-    fn note_blocked(
-        &mut self,
-        world: &GridWorld,
-        activity_id: String,
-        service: String,
-        taken: Vec<String>,
-    ) -> FiberStatus {
-        self.pending = Some(PendingDispatch {
-            activity_id,
-            service: service.clone(),
-            generation: world.generation(),
-            taken: (!self.recovery.enabled()).then_some(taken),
-        });
-        self.trace.emit(
-            "enactor",
-            TraceEvent::CaseBlocked {
-                case: self.label.clone(),
-                service: service.clone(),
-            },
-        );
-        FiberStatus::Blocked { service }
     }
 
     /// Advance the ATN past a completed activity: fire its token,
@@ -780,267 +683,6 @@ impl CaseFiber {
             None => Ok(response.graph.clone()),
         }
     }
-
-    /// Reserve a tick slot on `container` under the world's reservation
-    /// protocol.  Always succeeds (and emits nothing) while the
-    /// protocol is off, keeping single-case traces byte-identical.
-    fn reserve(&mut self, world: &mut GridWorld, container: &str) -> bool {
-        if !world.reservations_enabled() {
-            return true;
-        }
-        if world.try_reserve(&self.label, container) {
-            self.trace.emit(
-                "enactor",
-                TraceEvent::SlotReserved {
-                    case: self.label.clone(),
-                    container: container.to_owned(),
-                },
-            );
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Try to execute one activity, applying outputs on success.
-    ///
-    /// With recovery disabled this is the classic candidate loop: one
-    /// dispatch per ranked container, first success wins.  With recovery
-    /// enabled the escalation ladder runs instead: retry-with-backoff on
-    /// each admitted candidate, failover to the next candidate, breaker
-    /// quarantine of repeat offenders, and finally (an `Err` here) the
-    /// caller's re-planning escalation.  Candidates whose reservation
-    /// fails are skipped without dispatching; if *no* candidate could be
-    /// dispatched and at least one was reserved away, the outcome is
-    /// [`ActivityOutcome::Blocked`] — contention is not failure.
-    fn run_activity(
-        &mut self,
-        world: &mut GridWorld,
-        service: &str,
-        activity_id: &str,
-    ) -> Result<ActivityOutcome> {
-        if self.recovery.enabled() {
-            return self.run_activity_ladder(world, service, activity_id);
-        }
-        let candidates = matchmake(world, &MatchRequest::for_service(service))?;
-        let mut blocked = false;
-        let mut dispatched = false;
-        let mut taken: Vec<String> = Vec::new();
-        for (attempt, candidate) in candidates
-            .iter()
-            .take(self.config.max_candidates.max(1))
-            .enumerate()
-        {
-            if !self.reserve(world, &candidate.container) {
-                blocked = true;
-                taken.push(candidate.container.clone());
-                continue;
-            }
-            dispatched = true;
-            self.trace.emit(
-                "enactor",
-                TraceEvent::ActivityDispatched {
-                    activity: activity_id.to_owned(),
-                    service: service.to_owned(),
-                    container: candidate.container.clone(),
-                    attempt,
-                },
-            );
-            match world.execute_service(service, &candidate.container) {
-                Ok(record) => {
-                    self.apply_success(world, service, activity_id, candidate, &record)?;
-                    return Ok(ActivityOutcome::Completed);
-                }
-                Err(_) => {
-                    self.report
-                        .failed_attempts
-                        .push((activity_id.to_owned(), candidate.container.clone()));
-                    self.trace.emit(
-                        "enactor",
-                        TraceEvent::ActivityFailed {
-                            activity: activity_id.to_owned(),
-                            service: service.to_owned(),
-                            container: candidate.container.clone(),
-                            attempt,
-                        },
-                    );
-                }
-            }
-        }
-        if blocked && !dispatched {
-            return Ok(ActivityOutcome::Blocked { taken });
-        }
-        Err(ServiceError::ActivityFailed {
-            activity: activity_id.to_owned(),
-            service: service.to_owned(),
-        })
-    }
-
-    /// The recovery escalation ladder: for each admitted candidate, up to
-    /// `RetryPolicy::max_attempts` tries with seeded backoff between
-    /// them; a candidate whose breaker opens mid-ladder is abandoned
-    /// (failover); a candidate admitted half-open gets exactly one probe
-    /// try.  An execution that outlives its lease counts as a failure
-    /// even though the world completed it — slow is the failure mode
-    /// leases exist to catch.
-    fn run_activity_ladder(
-        &mut self,
-        world: &mut GridWorld,
-        service: &str,
-        activity_id: &str,
-    ) -> Result<ActivityOutcome> {
-        let candidates = matchmake_admitted(
-            world,
-            &MatchRequest::for_service(service),
-            &mut self.recovery,
-        )?;
-        let mut attempt = 0usize;
-        let mut blocked = false;
-        let mut dispatched = false;
-        for candidate in candidates.iter().take(self.config.max_candidates.max(1)) {
-            if !self.reserve(world, &candidate.container) {
-                blocked = true;
-                continue;
-            }
-            let mut local_try = 0usize;
-            loop {
-                let admission = self.recovery.admit(&candidate.container);
-                if admission == Admission::Reject {
-                    // The breaker opened mid-ladder: fail over.
-                    break;
-                }
-                if local_try > 0 {
-                    // Backoff before the retry, in deterministic virtual
-                    // ticks drawn from the seeded policy.
-                    self.recovery.schedule_retry(
-                        activity_id,
-                        service,
-                        &candidate.container,
-                        attempt,
-                        local_try,
-                    );
-                    self.recovery.await_retry(activity_id);
-                }
-                self.recovery.note_attempt(activity_id);
-                let lease = self.recovery.grant_lease(activity_id, &candidate.container);
-                dispatched = true;
-                self.trace.emit(
-                    "enactor",
-                    TraceEvent::ActivityDispatched {
-                        activity: activity_id.to_owned(),
-                        service: service.to_owned(),
-                        container: candidate.container.clone(),
-                        attempt,
-                    },
-                );
-                attempt += 1;
-                local_try += 1;
-                match world.execute_service(service, &candidate.container) {
-                    Ok(record) => {
-                        let took = self.recovery.note_execution_seconds(record.duration_s);
-                        let lease_broken = lease.is_some()
-                            && self
-                                .recovery
-                                .lease_expired(activity_id, &candidate.container, took);
-                        if lease_broken {
-                            // The work finished, but past its deadline:
-                            // the coordinator already gave up on it.  The
-                            // time and cost were still spent.
-                            self.report.total_duration_s += record.duration_s;
-                            self.report.total_cost += record.cost;
-                            self.trace.advance_s(record.duration_s);
-                            self.recovery.record_failure(&candidate.container);
-                            self.report
-                                .failed_attempts
-                                .push((activity_id.to_owned(), candidate.container.clone()));
-                            self.trace.emit(
-                                "enactor",
-                                TraceEvent::ActivityFailed {
-                                    activity: activity_id.to_owned(),
-                                    service: service.to_owned(),
-                                    container: candidate.container.clone(),
-                                    attempt: attempt - 1,
-                                },
-                            );
-                        } else {
-                            self.recovery.record_success(&candidate.container);
-                            self.apply_success(world, service, activity_id, candidate, &record)?;
-                            return Ok(ActivityOutcome::Completed);
-                        }
-                    }
-                    Err(_) => {
-                        self.recovery.tick(1);
-                        self.recovery.record_failure(&candidate.container);
-                        self.report
-                            .failed_attempts
-                            .push((activity_id.to_owned(), candidate.container.clone()));
-                        self.trace.emit(
-                            "enactor",
-                            TraceEvent::ActivityFailed {
-                                activity: activity_id.to_owned(),
-                                service: service.to_owned(),
-                                container: candidate.container.clone(),
-                                attempt: attempt - 1,
-                            },
-                        );
-                    }
-                }
-                // A half-open probe gets exactly one try; otherwise the
-                // retry budget bounds the ladder rung.
-                if admission == Admission::Probe
-                    || local_try >= self.recovery.policy().retry.max_attempts.max(1)
-                {
-                    break;
-                }
-            }
-        }
-        if blocked && !dispatched {
-            // The ladder's candidate set passed through the admission
-            // filter, which mutates breaker state — not cacheable.
-            return Ok(ActivityOutcome::Blocked { taken: Vec::new() });
-        }
-        Err(ServiceError::ActivityFailed {
-            activity: activity_id.to_owned(),
-            service: service.to_owned(),
-        })
-    }
-
-    /// Shared success bookkeeping: apply outputs, accrue totals, record
-    /// the execution, advance the virtual clock, emit `ActivityCompleted`.
-    fn apply_success(
-        &mut self,
-        world: &mut GridWorld,
-        service: &str,
-        activity_id: &str,
-        candidate: &RankedMatch,
-        record: &crate::ExecutionRecord,
-    ) -> Result<()> {
-        let produced = world.apply_outputs(service, &mut self.state)?;
-        self.report.produced.extend(produced);
-        self.report.total_duration_s += record.duration_s;
-        self.report.total_cost += record.cost;
-        self.report.executions.push(ActivityExecution {
-            activity: activity_id.to_owned(),
-            service: service.to_owned(),
-            container: candidate.container.clone(),
-            duration_s: record.duration_s,
-            cost: record.cost,
-        });
-        // Advance the trace's virtual clock by the simulated execution
-        // time, so `at_s` reads as cumulative virtual seconds.
-        self.trace.advance_s(record.duration_s);
-        self.trace.emit(
-            "enactor",
-            TraceEvent::ActivityCompleted {
-                activity: activity_id.to_owned(),
-                service: service.to_owned(),
-                container: candidate.container.clone(),
-                duration_s: record.duration_s,
-                cost: record.cost,
-            },
-        );
-        Ok(())
-    }
 }
 
 /// A blank report carrying the case's initial data as `final_state`.
@@ -1082,6 +724,7 @@ pub fn initial_classifications(case: &CaseDescription) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matchmaking::{matchmake, MatchRequest};
     use crate::world::{OutputSpec, ServiceOffering};
     use gridflow_grid::GridTopology;
     use gridflow_process::{lower::lower, parser::parse_process, Condition, DataItem};
@@ -1607,8 +1250,9 @@ mod tests {
         // The top-ranked `prep` host (ac-h1, more nodes → faster) goes
         // slow: executions still "succeed" in the world but outlive the
         // 60-tick lease.  The ladder must burn its retries, trip the
-        // breaker, fail over to ac-h0 and complete — the scenario the
-        // legacy loop cannot survive, because it trusts the slow success.
+        // breaker, fail over to ac-h0 and complete — the scenario a
+        // lease-less policy cannot survive, because it trusts the slow
+        // success.
         let mut w = world(14);
         w.set_slowdown("ac-h1", 50.0);
         let config = EnactmentConfig {

@@ -312,17 +312,19 @@ pub fn matchmake(world: &GridWorld, request: &MatchRequest) -> Result<Vec<Ranked
 /// during this filter (and is admitted as a probe candidate), so the
 /// call takes the recovery manager mutably.  Unlike [`matchmake`], an
 /// all-quarantined result is `Ok(vec![])` rather than an error: the
-/// enactor treats it as "every candidate failed" and escalates.
+/// enactor treats it as "every candidate failed" and escalates.  Under
+/// a policy with no breaker nothing can be quarantined and the ranking
+/// is returned as [`matchmake`] built it.
 pub fn matchmake_admitted(
     world: &GridWorld,
     request: &MatchRequest,
     recovery: &mut gridflow_recovery::RecoveryManager,
 ) -> Result<Vec<RankedMatch>> {
-    let ranked = matchmake(world, request)?;
-    Ok(ranked
-        .into_iter()
-        .filter(|m| recovery.is_admitted(&m.container))
-        .collect())
+    let mut ranked = matchmake(world, request)?;
+    if recovery.policy().breaker.is_some() {
+        ranked.retain(|m| recovery.is_admitted(&m.container));
+    }
+    Ok(ranked)
 }
 
 /// Like [`matchmake`], but duration estimates prefer the brokerage

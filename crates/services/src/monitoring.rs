@@ -98,12 +98,16 @@ impl MonitoringService {
     /// failures (quarantining them without wasting dispatches); open
     /// breakers whose cooldown has elapsed take the probe as their
     /// half-open trial, so a healthy container is readmitted here.
-    /// Returns the number of containers probed.
+    /// Returns the number of containers probed: none under a policy with
+    /// no breaker, which has nothing to feed.
     pub fn feed_recovery(
         &self,
         world: &GridWorld,
         recovery: &mut gridflow_recovery::RecoveryManager,
     ) -> usize {
+        if recovery.policy().breaker.is_none() {
+            return 0;
+        }
         let statuses = self.probe_all_containers(world);
         let fed = statuses.len();
         for status in statuses {

@@ -67,6 +67,8 @@ pub enum StoreError {
         /// Newest schema version this build supports.
         supported: u8,
     },
+    /// A recovery was asked of a run that has no store bound to it.
+    NotBound,
 }
 
 impl std::fmt::Display for StoreError {
@@ -84,6 +86,7 @@ impl std::fmt::Display for StoreError {
                 f,
                 "snapshot schema {found} is newer than supported {supported}"
             ),
+            StoreError::NotBound => write!(f, "no durable store is bound to this run"),
         }
     }
 }

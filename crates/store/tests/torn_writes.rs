@@ -7,7 +7,12 @@
 //! (a) never panic, (b) recover a sequence-contiguous *prefix* of the
 //! original events, (c) report what it discarded, and (d) be idempotent
 //! — a second open of the repaired directory finds nothing left to fix.
+//! One level down, [`decode_record`] is fed arbitrary bytes and
+//! single-bit flips of valid frames directly: it never panics, never
+//! hands out more than the buffer holds, and calls a damaged frame
+//! [`Decoded::Torn`].
 
+use gridflow_store::record::{decode_record, encode_event, encode_snapshot, Decoded, LogRecord};
 use gridflow_store::{FileStore, SnapshotRecord, Store};
 use gridflow_telemetry::{TraceEvent, TraceRecord};
 use proptest::prelude::*;
@@ -173,5 +178,68 @@ proptest! {
         let (reread, report) = FileStore::open(&tmp.0, SEG_CAP).expect("reopen");
         prop_assert!(!report.truncated);
         prop_assert_eq!(reread.replay_from(0).expect("replay"), originals);
+    }
+}
+
+// The record decoder itself, with no file under it: cheap enough for
+// many more cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn arbitrary_bytes_decode_without_panicking_or_overrunning_the_buffer(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        offset_pick in 0usize..512,
+    ) {
+        let offset = offset_pick % (bytes.len() + 1);
+        match decode_record(&bytes, offset) {
+            Decoded::End => prop_assert_eq!(offset, bytes.len()),
+            Decoded::Torn => {}
+            // Whatever decodes was wholly inside the buffer: the length
+            // prefix is checked against what is there before anything
+            // is copied out.
+            Decoded::Record { record, next_offset } => {
+                prop_assert!(offset < next_offset && next_offset <= bytes.len());
+                if let LogRecord::Snapshot(snap) = record {
+                    prop_assert!(snap.state.len() < next_offset - offset);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_past_the_buffer_is_torn_whatever_it_claims(
+        claimed in any::<u32>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        // The frame guard: a body cannot be longer than the bytes that
+        // follow its prefix, so a claim past them allocates nothing.
+        prop_assume!(claimed as usize + 4 > tail.len());
+        let mut bytes = claimed.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&tail);
+        prop_assert!(matches!(decode_record(&bytes, 0), Decoded::Torn));
+    }
+
+    #[test]
+    fn any_single_bit_flip_of_a_valid_frame_is_torn(
+        seq in 0u64..1_000,
+        snapshot in any::<bool>(),
+        bit_pick in 0usize..100_000,
+    ) {
+        let mut frame = if snapshot {
+            let state = format!("state-at-{seq}").into_bytes();
+            encode_snapshot(&SnapshotRecord::new(seq + 1, seq, seq, seq as f64 * 0.5, state))
+        } else {
+            encode_event(&event(seq))
+        };
+        let whole = matches!(
+            decode_record(&frame, 0),
+            Decoded::Record { next_offset, .. } if next_offset == frame.len()
+        );
+        prop_assert!(whole, "the unflipped frame decodes");
+        let bit = bit_pick % (frame.len() * 8);
+        frame[bit / 8] ^= 1 << (bit % 8);
+        let decoded = decode_record(&frame, 0);
+        prop_assert!(matches!(decoded, Decoded::Torn), "bit {bit}: {decoded:?}");
     }
 }

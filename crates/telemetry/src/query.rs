@@ -764,61 +764,6 @@ impl TraceQuery {
             Err(violations)
         }
     }
-
-    /// Panic if [`TraceQuery::check_happens_before`] fails.
-    pub fn assert_happens_before(
-        &self,
-        first_desc: &str,
-        first: impl FnMut(&TraceEvent) -> bool,
-        second_desc: &str,
-        second: impl FnMut(&TraceEvent) -> bool,
-    ) {
-        if let Err(v) = self.check_happens_before(first_desc, first, second_desc, second) {
-            panic!("trace violation: {v}");
-        }
-    }
-
-    /// Panic if [`TraceQuery::check_retry_count`] fails.
-    pub fn assert_retry_count(&self, activity: &str, expected: usize) {
-        if let Err(v) = self.check_retry_count(activity, expected) {
-            panic!("trace violation: {v}");
-        }
-    }
-
-    /// Panic if [`TraceQuery::check_partition_discipline`] fails.
-    pub fn assert_partition_discipline(&self) {
-        if let Err(v) = self.check_partition_discipline() {
-            panic!("trace violation: {v}");
-        }
-    }
-
-    /// Panic if [`TraceQuery::check_no_double_booking`] fails.
-    pub fn assert_no_double_booking(&self, capacities: &BTreeMap<String, usize>) {
-        if let Err(v) = self.check_no_double_booking(capacities) {
-            panic!("trace violation: {v}");
-        }
-    }
-
-    /// Panic if [`TraceQuery::check_admission_priority`] fails.
-    pub fn assert_admission_priority(&self, priorities: &BTreeMap<String, i64>) {
-        if let Err(v) = self.check_admission_priority(priorities) {
-            panic!("trace violation: {v}");
-        }
-    }
-
-    /// Panic if [`TraceQuery::check_admission_deadlines`] fails.
-    pub fn assert_admission_deadlines(&self, deadlines: &BTreeMap<String, u64>) {
-        if let Err(v) = self.check_admission_deadlines(deadlines) {
-            panic!("trace violation: {v}");
-        }
-    }
-
-    /// Panic if [`TraceQuery::check_plans_at_most_once_per_key`] fails.
-    pub fn assert_plans_at_most_once_per_key(&self) {
-        if let Err(v) = self.check_plans_at_most_once_per_key() {
-            panic!("trace violation: {v}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1031,11 +976,14 @@ mod tests {
     #[test]
     fn happens_before_orders_first_matches() {
         let q = TraceQuery::new(vec![rec(0, dispatched("A1")), rec(1, completed("A1"))]);
-        q.assert_happens_before(
-            "dispatch",
-            |e| matches!(e, TraceEvent::ActivityDispatched { .. }),
-            "completion",
-            |e| matches!(e, TraceEvent::ActivityCompleted { .. }),
+        assert_eq!(
+            q.check_happens_before(
+                "dispatch",
+                |e| matches!(e, TraceEvent::ActivityDispatched { .. }),
+                "completion",
+                |e| matches!(e, TraceEvent::ActivityCompleted { .. }),
+            ),
+            Ok(())
         );
         assert!(q
             .check_happens_before(
@@ -1208,7 +1156,7 @@ mod tests {
             rec(2, reserved("case-1", "c1")),
             rec(3, released("case-1", "c1")),
         ]);
-        ok.assert_no_double_booking(&BTreeMap::new());
+        assert_eq!(ok.check_no_double_booking(&BTreeMap::new()), Ok(()));
 
         // …but two live holders on a single-slot container are not.
         let bad = TraceQuery::new(vec![
@@ -1231,7 +1179,7 @@ mod tests {
 
         // A declared two-slot container admits both holders.
         let caps = BTreeMap::from([("c1".to_string(), 2)]);
-        bad.assert_no_double_booking(&caps);
+        assert_eq!(bad.check_no_double_booking(&caps), Ok(()));
         let msg = bad
             .check_no_double_booking(&BTreeMap::new())
             .unwrap_err()
@@ -1271,7 +1219,7 @@ mod tests {
             rec(0, admitted("hi", 0, None)),
             rec(1, admitted("lo", 0, None)),
         ]);
-        ok.assert_admission_priority(&priorities);
+        assert_eq!(ok.check_admission_priority(&priorities), Ok(()));
         // Same tick, low first: violation.
         let bad = TraceQuery::new(vec![
             rec(0, admitted("lo", 0, None)),
@@ -1289,7 +1237,7 @@ mod tests {
             rec(0, admitted("lo", 0, None)),
             rec(1, admitted("hi", 1, None)),
         ]);
-        staggered.assert_admission_priority(&priorities);
+        assert_eq!(staggered.check_admission_priority(&priorities), Ok(()));
     }
 
     #[test]
@@ -1300,7 +1248,7 @@ mod tests {
             rec(1, admitted("late", 0, None)),
             rec(2, admitted("never", 0, None)), // no deadline sorts last
         ]);
-        ok.assert_admission_deadlines(&deadlines);
+        assert_eq!(ok.check_admission_deadlines(&deadlines), Ok(()));
         let bad = TraceQuery::new(vec![
             rec(0, admitted("never", 0, None)),
             rec(1, admitted("soon", 0, None)),
@@ -1323,7 +1271,7 @@ mod tests {
             rec(5, completed("A1")),
         ]);
         assert_eq!(q.retry_count("A1"), 2);
-        q.assert_retry_count("A1", 2);
+        assert_eq!(q.check_retry_count("A1", 2), Ok(()));
         assert!(matches!(
             q.check_retry_count("A1", 1),
             Err(TraceViolation::RetryCountMismatch {
@@ -1358,7 +1306,7 @@ mod tests {
         assert_eq!(q.plan_cache_hits(), 1);
         assert_eq!(q.plan_coalesced(), 1);
         assert_eq!(q.plan_runs(), 1);
-        q.assert_plans_at_most_once_per_key();
+        assert_eq!(q.check_plans_at_most_once_per_key(), Ok(()));
 
         // Fully warm trace: hits only, zero actual runs.
         let warm = TraceQuery::new(vec![
@@ -1371,7 +1319,7 @@ mod tests {
         let uncached = TraceQuery::new(vec![rec(0, generation0()), rec(1, generation0())]);
         assert_eq!(uncached.plan_runs(), 2);
         assert_eq!(uncached.plan_cache_hits(), 0);
-        uncached.assert_plans_at_most_once_per_key();
+        assert_eq!(uncached.check_plans_at_most_once_per_key(), Ok(()));
     }
 
     #[test]

@@ -27,9 +27,9 @@ fn main() {
         .slowing_container("ac-h1", 50.0);
     println!("plan: {}", serde_json::to_string(&plan).unwrap());
 
-    // --- Recovery disabled: the one-shot candidate loop ---------------
-    let legacy = MultiCaseScenario::new(&plan, &dinner_workload(), 1).run();
-    let report = &legacy.engine.cases[0].report;
+    // --- Every rung off: one try per candidate ------------------------
+    let bare = MultiCaseScenario::new(&plan, &dinner_workload(), 1).run();
+    let report = &bare.engine.cases[0].report;
     println!(
         "no recovery:  completed={} ({} failed attempts)",
         report.success,

@@ -25,60 +25,41 @@ use gridflow_harness::workload::{
     dinner_case_for_fleet, dinner_recovery_workload, dinner_workload, dinner_workload_scaled,
     DurationProfile, GraphShape, Workload, WorkloadGen,
 };
-use gridflow_harness::{
-    FaultPlan, MultiCaseScenario, TraceEvent, TraceLog, TraceQuery, TraceViolation,
-};
+use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceEvent, TraceLog, TraceQuery};
 use gridflow_services::Enactor;
 use gridflow_store::{MemStore, Store};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-fn query(log: &TraceLog) -> TraceQuery {
-    TraceQuery::new(log.records())
+/// The query over a run's merged trace, which must keep every
+/// whole-trace invariant ([`TraceQuery::check_all`]) against the
+/// capacities of the world it ran on.
+fn checked(plan: &FaultPlan, wl: &Workload, log: &TraceLog) -> TraceQuery {
+    let q = TraceQuery::new(log.records());
+    let world = wl.fresh_world(plan, 0);
+    if let Err(violations) = q.check_all(world.capacities()) {
+        panic!("{} under {plan:?}: {violations:?}", wl.name);
+    }
+    q
 }
 
 /// Enact `cases` copies of `wl` under `plan` twice, require the same
 /// merged JSONL of both runs, and check on it what must hold of any
-/// fleet whatever was done to it: no slot is double-booked,
-/// every partition window is healed (when the run lived to see the
-/// heal ticks), and — within each case's own `case:<label>/` scope,
-/// unless the workflow loops — no activity is dispatched again once it
-/// has completed.
-fn replayed_and_checked(
-    plan: &FaultPlan,
-    wl: &Workload,
-    cases: usize,
-    in_flight: usize,
-    loops: bool,
-) -> Result<(), TraceViolation> {
+/// fleet whatever was done to it.
+fn replayed_and_checked(plan: &FaultPlan, wl: &Workload, cases: usize, in_flight: usize) {
     let run = || {
-        let outcome = MultiCaseScenario::new(plan, wl, cases)
+        MultiCaseScenario::new(plan, wl, cases)
             .max_in_flight(in_flight)
             .traced()
-            .run();
-        (outcome.engine.ticks, outcome.trace.expect("traced"))
+            .run()
+            .trace
+            .expect("traced")
     };
-    let (ticks, log) = run();
+    let log = run();
     let jsonl = log.to_jsonl();
     assert!(!jsonl.is_empty(), "{}: empty trace", wl.name);
-    assert_eq!(jsonl, run().1.to_jsonl(), "{}: two runs diverged", wl.name);
-
-    let records = log.records();
-    let q = TraceQuery::new(records.clone());
-    q.check_no_double_booking(wl.fresh_world(plan, 0).capacities())?;
-    if plan.partitions.iter().all(|cut| ticks > cut.heal_tick) {
-        q.check_partition_discipline()?;
-    }
-    if loops {
-        return Ok(());
-    }
-    for i in 0..cases {
-        let scope = format!("case:{}-{i}/", wl.name);
-        let own = records.iter().filter(|r| r.source.starts_with(&scope));
-        TraceQuery::new(own.cloned().collect()).check_no_double_dispatch()?;
-    }
-    Ok(())
+    assert_eq!(jsonl, run().to_jsonl(), "{}: two runs diverged", wl.name);
+    checked(plan, wl, &log);
 }
 
 // ------------------------------------------------------------------ 1
@@ -95,7 +76,9 @@ fn merged_traces_replay_byte_identically() {
             .traced()
             .run();
         assert_eq!(outcome.engine.cases.len(), 5);
-        outcome.trace.expect("traced").to_jsonl()
+        let log = outcome.trace.expect("traced");
+        checked(&plan, &wl, &log);
+        log.to_jsonl()
     };
     let first = jsonl();
     assert!(!first.is_empty());
@@ -106,12 +89,11 @@ fn merged_traces_replay_byte_identically() {
 fn differing_seeds_produce_differing_merged_traces() {
     let wl = dinner_workload();
     let jsonl_for = |seed: u64| {
-        MultiCaseScenario::new(&FaultPlan::seeded(seed).failing_activities(0.5), &wl, 4)
-            .traced()
-            .run()
-            .trace
-            .expect("traced")
-            .to_jsonl()
+        let plan = FaultPlan::seeded(seed).failing_activities(0.5);
+        let outcome = MultiCaseScenario::new(&plan, &wl, 4).traced().run();
+        let log = outcome.trace.expect("traced");
+        checked(&plan, &wl, &log);
+        log.to_jsonl()
     };
     assert_ne!(jsonl_for(100), jsonl_for(101));
 }
@@ -125,17 +107,14 @@ fn contending_cases_block_without_double_booking_and_both_finish() {
     // least one tick blocked — and the trace must prove the slot was
     // never double-booked.
     let plan = FaultPlan::seeded(5).losing_node("ac-h1", 0);
-    let outcome = MultiCaseScenario::new(&plan, &dinner_workload(), 2)
-        .traced()
-        .run();
+    let wl = dinner_workload();
+    let outcome = MultiCaseScenario::new(&plan, &wl, 2).traced().run();
     assert!(outcome.engine.all_succeeded(), "fleet failed");
     let blocked_total: u64 = outcome.engine.cases.iter().map(|c| c.blocked_ticks).sum();
     assert!(blocked_total >= 1, "no contention observed");
 
-    let log = outcome.trace.expect("traced");
-    let q = query(&log);
     // Every container in the dinner world has the default single slot.
-    q.assert_no_double_booking(&BTreeMap::new());
+    let q = checked(&plan, &wl, &outcome.trace.expect("traced"));
     // The blocked case announced itself, and blocking targeted `prep`.
     assert!(
         q.count(|e| matches!(
@@ -174,9 +153,8 @@ fn unservable_cases_are_refused_at_admission_with_a_reason() {
     let plan = FaultPlan::seeded(3)
         .losing_node("ac-h2", 0)
         .losing_node("ac-h3", 0);
-    let outcome = MultiCaseScenario::new(&plan, &dinner_workload(), 2)
-        .traced()
-        .run();
+    let wl = dinner_workload();
+    let outcome = MultiCaseScenario::new(&plan, &wl, 2).traced().run();
     for case in &outcome.engine.cases {
         assert_eq!(case.admitted_tick, None);
         assert!(case.report.executions.is_empty());
@@ -187,11 +165,8 @@ fn unservable_cases_are_refused_at_admission_with_a_reason() {
         );
         assert_eq!(case.admitted_makespan_ticks(), None);
     }
-    let log = outcome.trace.expect("traced");
-    assert_eq!(
-        query(&log).count(|e| matches!(e, TraceEvent::CaseRejected { .. })),
-        2
-    );
+    let q = checked(&plan, &wl, &outcome.trace.expect("traced"));
+    assert_eq!(q.count(|e| matches!(e, TraceEvent::CaseRejected { .. })), 2);
 }
 
 #[test]
@@ -226,12 +201,10 @@ fn mid_schedule_node_loss_fails_over_without_failing_the_fleet() {
     // `cook` loses one of its two hosts once the fleet has executed a
     // few activities; the survivors absorb the load.
     let plan = FaultPlan::seeded(7).losing_node("ac-h2", 3);
-    let outcome = MultiCaseScenario::new(&plan, &dinner_workload(), 3)
-        .traced()
-        .run();
+    let wl = dinner_workload();
+    let outcome = MultiCaseScenario::new(&plan, &wl, 3).traced().run();
     assert!(outcome.engine.all_succeeded());
-    let log = outcome.trace.expect("traced");
-    let q = query(&log);
+    let q = checked(&plan, &wl, &outcome.trace.expect("traced"));
     assert_eq!(
         q.count(|e| matches!(e, TraceEvent::NodeLost { container, .. } if container == "ac-h2")),
         1
@@ -313,7 +286,8 @@ fn zero_capacity_hosts_block_every_live_case_every_tick_until_the_budget_abort()
         let reason = case.report.abort_reason.as_deref().unwrap_or("");
         assert!(reason.contains("tick budget exhausted"), "{reason}");
     }
-    let q = query(&log);
+    let q = TraceQuery::new(log.records());
+    assert_eq!(q.check_all(world.capacities()), Ok(()));
     assert_eq!(
         q.count(|e| matches!(e, TraceEvent::CaseBlocked { service, .. } if service == "prep")),
         2 * MAX_TICKS as usize
@@ -323,11 +297,9 @@ fn zero_capacity_hosts_block_every_live_case_every_tick_until_the_budget_abort()
 
 #[test]
 fn engine_events_carry_case_labels_for_cross_case_queries() {
-    let outcome = MultiCaseScenario::new(&FaultPlan::default(), &dinner_workload(), 2)
-        .traced()
-        .run();
-    let log = outcome.trace.expect("traced");
-    let labelled: Vec<String> = log
+    let (plan, wl) = (FaultPlan::default(), dinner_workload());
+    let outcome = MultiCaseScenario::new(&plan, &wl, 2).traced().run();
+    let labelled: Vec<String> = checked(&plan, &wl, &outcome.trace.expect("traced"))
         .records()
         .iter()
         .filter_map(|r| r.event.case_label().map(str::to_owned))
@@ -347,16 +319,17 @@ fn engine_partition_window_emits_boundaries() {
     let wl = dinner_workload();
     let reference = MultiCaseScenario::new(&plan, &wl, 3).traced().run();
     assert!(reference.engine.all_succeeded());
-    let log = reference.trace.expect("traced");
-    let q = TraceQuery::new(log.records());
-    q.assert_partition_discipline();
+    let q = checked(&plan, &wl, &reference.trace.expect("traced"));
     assert_eq!(q.count(|e| e.label() == "transport.partitioned"), 1);
     assert_eq!(q.count(|e| e.label() == "transport.healed"), 1);
-    q.assert_happens_before(
-        "transport.partitioned",
-        |e| e.label() == "transport.partitioned",
-        "transport.healed",
-        |e| e.label() == "transport.healed",
+    assert_eq!(
+        q.check_happens_before(
+            "transport.partitioned",
+            |e| e.label() == "transport.partitioned",
+            "transport.healed",
+            |e| e.label() == "transport.healed",
+        ),
+        Ok(())
     );
 }
 
@@ -377,7 +350,7 @@ fn recovery_fleet_rides_out_a_partition_heal_under_message_chaos() {
         outcome.engine.all_succeeded(),
         "recovery fleet must complete across the partition window"
     );
-    query(&outcome.trace.expect("traced")).assert_partition_discipline();
+    checked(&plan, &wl, &outcome.trace.expect("traced"));
 }
 
 /// 32-seed partition/chaos sweep: replay byte-identity and partition
@@ -400,11 +373,8 @@ fn nightly_partition_chaos_seed_sweep() {
         let first = MultiCaseScenario::new(&plan, &wl, 3).traced().run();
         let log = first.trace.expect("traced");
         // A fleet whose cases all abort before `heal` legitimately ends
-        // with the window open; discipline is only assertable when the
-        // run lived to see the heal tick.
-        if first.engine.ticks > heal {
-            TraceQuery::new(log.records()).assert_partition_discipline();
-        }
+        // with the window open, which the partition check allows.
+        checked(&plan, &wl, &log);
         let replay = MultiCaseScenario::new(&plan, &wl, 3).traced().run();
         assert_eq!(
             log.to_jsonl(),
@@ -457,6 +427,11 @@ fn a_case_enacts_the_same_whatever_fleet_shares_its_world() {
             .store(store.clone(), 32)
             .run();
         assert!(outcome.engine.all_succeeded());
+        checked(
+            &plan,
+            &wl,
+            &outcome.trace.expect("store-bound runs are traced"),
+        );
         let last = store.lock().unwrap().latest_snapshot().unwrap().unwrap();
         let image = EngineSnapshot::from_bytes(&last.state).unwrap();
         serde_json::to_string(&image.blueprints).unwrap().len()
@@ -489,15 +464,13 @@ fn nightly_chaos_replay_seed_sweep() {
                 1 + seed % 3,
                 4 + seed % 4,
             );
-        if let Err(violation) = replayed_and_checked(&plan, &wl, cases, in_flight, false) {
-            panic!("chaos, seed {seed}: {violation}");
-        }
+        replayed_and_checked(&plan, &wl, cases, in_flight);
     }
 }
 
 /// Strategy over the generator's taxonomy knobs, kept small enough
 /// that each sampled workload enacts in milliseconds.
-fn workload_gen() -> impl Strategy<Value = (GraphShape, WorkloadGen)> {
+fn workload_gen() -> impl Strategy<Value = WorkloadGen> {
     (
         any::<u64>(),
         prop_oneof![
@@ -515,13 +488,12 @@ fn workload_gen() -> impl Strategy<Value = (GraphShape, WorkloadGen)> {
         prop_oneof![Just(false), Just(true)],
     )
         .prop_map(|(seed, shape, width, depth, duration, hetero)| {
-            let gen = WorkloadGen::new(seed)
+            WorkloadGen::new(seed)
                 .shape(shape)
                 .width(width)
                 .depth(depth)
                 .duration(duration)
-                .heterogeneous_capacity(hetero);
-            (shape, gen)
+                .heterogeneous_capacity(hetero)
         })
 }
 
@@ -535,10 +507,6 @@ proptest! {
     fn generated_workloads_replay_byte_identically_and_keep_the_fleet_invariants(
         sample in workload_gen()
     ) {
-        let (shape, gen) = sample;
-        let wl = gen.build();
-        let loops = shape == GraphShape::Iterative;
-        let checked = replayed_and_checked(&FaultPlan::default(), &wl, 3, 2, loops);
-        prop_assert!(checked.is_ok(), "{}: {}", wl.name, checked.unwrap_err());
+        replayed_and_checked(&FaultPlan::default(), &sample.build(), 3, 2);
     }
 }

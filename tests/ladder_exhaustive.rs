@@ -24,8 +24,6 @@
 //! [`PINNED`], pinned across commits like `trace_golden`'s rows: a change
 //! to the dispatch loop that claims "same behaviour" must leave them
 //! alone, and one that moves a rung on purpose says which third moved.
-//! (`None`: the two thirds that retry are pinned once the dispatch loops
-//! are one; the merge renumbers their `attempt`s.)
 //!
 //! Tier-1 runs `k ≤ 2`: 7,326 runs (the 407 sets of at most two of a
 //! case's 28 single faults × 3 cases × 2 fleets × 3 policies).  The
@@ -41,7 +39,14 @@ use std::sync::{Arc, Mutex};
 /// Per policy of [`policies`], FNV-1a over the hashes (little-endian
 /// FNV-1a of the reports and the trace) of its runs of the `k ≤ 2`
 /// scope, in enumeration order.
-const PINNED: [Option<u64>; 3] = [Some(0x9175_585d_1ed3_3c5b), None, None];
+///
+/// The first two are equal: nothing in this scope fails inside a step
+/// without a lease to outlive, so a retry budget alone changes nothing.
+const PINNED: [u64; 3] = [
+    0x9175_585d_1ed3_3c5b,
+    0x9175_585d_1ed3_3c5b,
+    0x1ad7_9e31_c352_af8e,
+];
 
 /// Ticks a run may take: several times the longest clean run's, so only
 /// a starved case reaches it.
@@ -270,10 +275,12 @@ fn enumerate(k: usize, fleets: &[usize]) -> (usize, [u64; 3]) {
             .map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     });
-    let of_policy = |i: usize| proved.iter().flat_map(|cell| &cell[i]).copied().collect();
-    let hashes: [Vec<u8>; 3] = [of_policy(0), of_policy(1), of_policy(2)];
-    let runs = hashes.iter().map(|h| h.len() / 8).sum();
-    (runs, hashes.map(|h| fnv1a64(&h)))
+    let runs = proved.iter().flatten().map(|hashes| hashes.len() / 8).sum();
+    let pins = std::array::from_fn(|i| {
+        let hashes: Vec<u8> = proved.iter().flat_map(|cell| &cell[i]).copied().collect();
+        fnv1a64(&hashes)
+    });
+    (runs, pins)
 }
 
 #[test]
@@ -282,8 +289,11 @@ fn every_placement_of_up_to_two_faults_keeps_the_ladder_sound() {
     println!("{runs} (case, fleet, policy, fault-set) runs; pins {pins:#018x?}");
     assert_eq!(runs, 7326);
     for (i, (name, _)) in policies().iter().enumerate() {
-        let moved = PINNED[i].is_some_and(|pinned| pinned != pins[i]);
-        assert!(!moved, "the `{name}` runs moved: got {:#018x}", pins[i]);
+        assert!(
+            pins[i] == PINNED[i],
+            "the `{name}` runs moved: got {:#018x}",
+            pins[i]
+        );
     }
 }
 

@@ -13,8 +13,9 @@
 //! 2. **Single-flight** — N concurrent cold requests for one key run
 //!    GP exactly once; the other N−1 coalesce onto the leader's run.
 //! 3. **Fleet-scale dedup** — an identical-goal fleet of any size runs
-//!    GP once per distinct key, provable from the merged trace alone
-//!    via [`TraceQuery::assert_plans_at_most_once_per_key`].
+//!    GP once per distinct key, provable from the merged trace alone:
+//!    every trace produced here passes [`TraceQuery::check_all`], which
+//!    includes `check_plans_at_most_once_per_key`.
 
 use gridflow_harness::workload::{
     cook_loss_churn_plan, cook_loss_churn_plan_scaled, dinner_replan_workload,
@@ -30,7 +31,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// The replan-under-churn scenario: a fleet of identical dinner cases
 /// loses both `cook` hosts right after everyone has prepped, so every
 /// case escalates to the GP planner with the same content-addressed
-/// problem (goal `Plated`, produced `Prepped`, excluded `cook`).
+/// problem (goal `Plated`, produced `Prepped`, excluded `cook`).  The
+/// merged trace is checked before it is returned.
 fn churn_records(fleet: usize, cache: Option<&PlanCacheHandle>) -> Vec<TraceRecord> {
     let plan = cook_loss_churn_plan(23);
     let wl = dinner_replan_workload(11);
@@ -46,7 +48,16 @@ fn churn_records(fleet: usize, cache: Option<&PlanCacheHandle>) -> Vec<TraceReco
         "churn fleet failed: {:?}",
         outcome.engine.cases
     );
-    outcome.trace.expect("traced").records()
+    checked(&wl, outcome.trace.expect("traced").records())
+}
+
+/// `records`, which must keep every whole-trace invariant against the
+/// capacities of `wl`'s world.
+fn checked(wl: &Workload, records: Vec<TraceRecord>) -> Vec<TraceRecord> {
+    let world = wl.world_builder.build();
+    let q = TraceQuery::new(records.clone());
+    assert_eq!(q.check_all(world.capacities()), Ok(()), "{}", wl.name);
+    records
 }
 
 /// Strip `seq` so traces can be compared after filtering out records
@@ -80,11 +91,9 @@ fn warm_trace_differs_from_cold_only_in_cache_events() {
     let cold_q = TraceQuery::new(cold.clone());
     assert_eq!(cold_q.plan_runs(), 1);
     assert_eq!(cold_q.plan_cache_hits(), FLEET - 1);
-    cold_q.assert_plans_at_most_once_per_key();
     let warm_q = TraceQuery::new(warm.clone());
     assert_eq!(warm_q.plan_runs(), 0, "warm fleet must not run GP");
     assert_eq!(warm_q.plan_cache_hits(), FLEET);
-    warm_q.assert_plans_at_most_once_per_key();
 
     // Warm vs cold: byte-identical except the deterministic
     // `plan.cache_*` records (the cold leader's miss reads as a hit
@@ -222,7 +231,7 @@ fn concurrent_cold_replans_run_gp_exactly_once() {
     assert_eq!(q.plan_runs(), 1, "exactly one GP run");
     assert_eq!(q.plan_coalesced(), FOLLOWERS);
     assert_eq!(q.plan_cache_hits(), 0);
-    q.assert_plans_at_most_once_per_key();
+    assert_eq!(q.check_all(world.capacities()), Ok(()));
 }
 
 // ------------------------------------------------------------------ 3
@@ -254,10 +263,9 @@ fn identical_goal_fleet_of_512_plans_exactly_once() {
             .take(3)
             .collect::<Vec<_>>()
     );
-    let q = TraceQuery::new(outcome.trace.expect("traced").records());
+    let q = TraceQuery::new(checked(&wl, outcome.trace.expect("traced").records()));
     assert_eq!(q.plan_runs(), 1, "512 identical replans must share 1 run");
     assert_eq!(q.plan_cache_hits(), FLEET - 1);
-    q.assert_plans_at_most_once_per_key();
     assert_eq!(cache.len(), 1, "one content-addressed entry");
     let stats = cache.stats();
     assert_eq!((stats.misses, stats.hits), (1, (FLEET - 1) as u64));
@@ -275,5 +283,4 @@ fn disabled_cache_fleet_still_replans_per_case() {
     let q = TraceQuery::new(records);
     assert_eq!(q.plan_runs(), 3);
     assert_eq!(q.plan_cache_hits(), 0);
-    q.assert_plans_at_most_once_per_key();
 }

@@ -14,13 +14,24 @@
 //!    same-tick admissions across tenants instead of letting one
 //!    tenant's burst starve the rest.
 
-use gridflow_engine::{CaseHints, PolicySpec};
+use gridflow_engine::{CaseHints, EngineOutcome, PolicySpec};
 use gridflow_harness::workload::dinner_workload;
 use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceQuery};
+use gridflow_store::merged_jsonl;
 use std::collections::BTreeMap;
 
+/// Run `scenario` traced: its outcome and the query over its merged
+/// trace, which must keep every whole-trace invariant (every dinner
+/// host holds the default single slot).
+fn run_checked(scenario: MultiCaseScenario<'_>) -> (EngineOutcome, TraceQuery) {
+    let outcome = scenario.traced().run();
+    let q = TraceQuery::new(outcome.trace.expect("traced").records());
+    assert_eq!(q.check_all(&BTreeMap::new()), Ok(()));
+    (outcome.engine, q)
+}
+
 fn jsonl(scenario: MultiCaseScenario<'_>) -> String {
-    scenario.traced().run().trace.expect("traced").to_jsonl()
+    merged_jsonl(run_checked(scenario).1.records())
 }
 
 // ------------------------------------------------------------------ 1
@@ -45,11 +56,8 @@ fn explicit_fifo_is_byte_identical_to_the_default_configuration() {
 #[test]
 fn fifo_admissions_carry_no_reason_and_keep_submission_order() {
     let wl = dinner_workload();
-    let outcome = MultiCaseScenario::new(&FaultPlan::default(), &wl, 4)
-        .max_in_flight(2)
-        .traced()
-        .run();
-    let q = TraceQuery::new(outcome.trace.expect("traced").records());
+    let (_, q) =
+        run_checked(MultiCaseScenario::new(&FaultPlan::default(), &wl, 4).max_in_flight(2));
     let admissions = q.admissions();
     assert_eq!(admissions.len(), 4);
     for a in &admissions {
@@ -73,18 +81,17 @@ fn staggered_priority(i: usize) -> CaseHints {
 #[test]
 fn priority_policy_admits_high_priorities_first_within_a_tick() {
     let wl = dinner_workload();
-    let outcome = MultiCaseScenario::new(&FaultPlan::default(), &wl, 6)
-        .max_in_flight(2)
-        .policy(PolicySpec::Priority)
-        .case_hints(staggered_priority)
-        .traced()
-        .run();
-    assert!(outcome.engine.all_succeeded());
-    let q = TraceQuery::new(outcome.trace.expect("traced").records());
+    let (engine, q) = run_checked(
+        MultiCaseScenario::new(&FaultPlan::default(), &wl, 6)
+            .max_in_flight(2)
+            .policy(PolicySpec::Priority)
+            .case_hints(staggered_priority),
+    );
+    assert!(engine.all_succeeded());
     let priorities: BTreeMap<String, i64> = (0..6)
         .map(|i| (format!("dinner-{i}"), (i % 3) as i64))
         .collect();
-    q.assert_admission_priority(&priorities);
+    assert_eq!(q.check_admission_priority(&priorities), Ok(()));
     // The first admission must be a priority-2 case, not dinner-0.
     let first = &q.admission_sequence()[0];
     assert_eq!(
@@ -103,18 +110,17 @@ fn deadline_policy_admits_in_edf_order_within_a_tick() {
     let wl = dinner_workload();
     // Deadlines run strictly against submission order: the last
     // submitted case is the most urgent.
-    let outcome = MultiCaseScenario::new(&FaultPlan::default(), &wl, 5)
-        .max_in_flight(2)
-        .policy(PolicySpec::Deadline)
-        .case_hints(|i| CaseHints::with_deadline(100 - 10 * i as u64))
-        .traced()
-        .run();
-    assert!(outcome.engine.all_succeeded());
-    let q = TraceQuery::new(outcome.trace.expect("traced").records());
+    let (engine, q) = run_checked(
+        MultiCaseScenario::new(&FaultPlan::default(), &wl, 5)
+            .max_in_flight(2)
+            .policy(PolicySpec::Deadline)
+            .case_hints(|i| CaseHints::with_deadline(100 - 10 * i as u64)),
+    );
+    assert!(engine.all_succeeded());
     let deadlines: BTreeMap<String, u64> = (0..5)
         .map(|i| (format!("dinner-{i}"), 100 - 10 * i as u64))
         .collect();
-    q.assert_admission_deadlines(&deadlines);
+    assert_eq!(q.check_admission_deadlines(&deadlines), Ok(()));
     assert_eq!(
         q.admission_sequence()[0],
         "dinner-4",
@@ -128,14 +134,13 @@ fn fair_share_spreads_same_tick_admissions_across_tenants() {
     // Submission order front-loads tenant `a` (a, a, b, b): FIFO would
     // hand tenant `a` both opening slots; fair share must give each
     // tenant one.
-    let outcome = MultiCaseScenario::new(&FaultPlan::default(), &wl, 4)
-        .max_in_flight(2)
-        .policy(PolicySpec::FairShare)
-        .case_hints(|i| CaseHints::with_tenant(if i < 2 { "a" } else { "b" }))
-        .traced()
-        .run();
-    assert!(outcome.engine.all_succeeded());
-    let q = TraceQuery::new(outcome.trace.expect("traced").records());
+    let (engine, q) = run_checked(
+        MultiCaseScenario::new(&FaultPlan::default(), &wl, 4)
+            .max_in_flight(2)
+            .policy(PolicySpec::FairShare)
+            .case_hints(|i| CaseHints::with_tenant(if i < 2 { "a" } else { "b" })),
+    );
+    assert!(engine.all_succeeded());
     let admissions = q.admissions();
     let first_tick = admissions[0].tick;
     let openers: Vec<&str> = admissions

@@ -79,11 +79,14 @@ fn clean_run_emits_a_coherent_span_structure() {
 
     // Bracketing: the enactment starts before any dispatch and finishes
     // successfully.
-    q.assert_happens_before(
-        "enactment start",
-        |e| matches!(e, TraceEvent::EnactmentStarted { .. }),
-        "first dispatch",
-        |e| matches!(e, TraceEvent::ActivityDispatched { .. }),
+    assert_eq!(
+        q.check_happens_before(
+            "enactment start",
+            |e| matches!(e, TraceEvent::EnactmentStarted { .. }),
+            "first dispatch",
+            |e| matches!(e, TraceEvent::ActivityDispatched { .. }),
+        ),
+        Ok(())
     );
     assert_eq!(
         q.count(|e| matches!(e, TraceEvent::EnactmentFinished { success: true, .. })),
@@ -98,19 +101,19 @@ fn clean_run_emits_a_coherent_span_structure() {
     assert_eq!(activities.len(), 3, "dinner has three steps");
     for a in &activities {
         q.span(a).expect("every activity has a full span");
-        q.assert_retry_count(a, 0);
+        assert_eq!(q.check_retry_count(a, 0), Ok(()));
     }
 
     // The linear dinner order holds in the trace: each step completes
     // before the next is dispatched.
     for pair in ["prep", "cook", "plate"].windows(2) {
         let (earlier, later) = (pair[0].to_string(), pair[1].to_string());
-        q.assert_happens_before(
+        assert_eq!(q.check_happens_before(
             "earlier step completes",
             |e| matches!(e, TraceEvent::ActivityCompleted { service, .. } if *service == earlier),
             "later step dispatches",
             |e| matches!(e, TraceEvent::ActivityDispatched { service, .. } if *service == later),
-        );
+        ), Ok(()));
     }
 
     // Sequence numbers and virtual time are monotonically nondecreasing,
@@ -187,7 +190,7 @@ fn retry_counts_match_the_report_accounting() {
             .iter()
             .filter(|(a, _)| *a == activity)
             .count();
-        q.assert_retry_count(&activity, expected);
+        assert_eq!(q.check_retry_count(&activity, expected), Ok(()));
     }
     assert_eq!(
         q.count(|e| matches!(e, TraceEvent::ActivityCompleted { .. })),
@@ -215,11 +218,14 @@ fn node_loss_and_abort_appear_in_the_trace() {
         )),
         1
     );
-    q.assert_happens_before(
-        "node loss",
-        |e| matches!(e, TraceEvent::NodeLost { .. }),
-        "failed finish",
-        |e| matches!(e, TraceEvent::EnactmentFinished { success: false, .. }),
+    assert_eq!(
+        q.check_happens_before(
+            "node loss",
+            |e| matches!(e, TraceEvent::NodeLost { .. }),
+            "failed finish",
+            |e| matches!(e, TraceEvent::EnactmentFinished { success: false, .. }),
+        ),
+        Ok(())
     );
 }
 
@@ -239,11 +245,14 @@ fn replanning_emits_generations_and_causally_ordered_replan_events() {
             TraceEvent::ReplanTriggered { excluded, .. } if excluded.iter().any(|s| s == "cook")
         )));
     // …and a viable plan is installed after the trigger, never before.
-    q.assert_happens_before(
-        "replan trigger",
-        |e| matches!(e, TraceEvent::ReplanTriggered { .. }),
-        "viable plan installed",
-        |e| matches!(e, TraceEvent::ReplanInstalled { viable: true }),
+    assert_eq!(
+        q.check_happens_before(
+            "replan trigger",
+            |e| matches!(e, TraceEvent::ReplanTriggered { .. }),
+            "viable plan installed",
+            |e| matches!(e, TraceEvent::ReplanInstalled { viable: true }),
+        ),
+        Ok(())
     );
 }
 
@@ -279,17 +288,23 @@ fn recovery_events_satisfy_breaker_and_lease_discipline() {
 
     // Causality: the first lease expiry precedes the breaker opening,
     // which precedes the successful finish on the healthy host.
-    q.assert_happens_before(
-        "first lease expiry",
-        |e| matches!(e, TraceEvent::LeaseExpired { .. }),
-        "breaker opens",
-        |e| matches!(e, TraceEvent::BreakerOpened { .. }),
+    assert_eq!(
+        q.check_happens_before(
+            "first lease expiry",
+            |e| matches!(e, TraceEvent::LeaseExpired { .. }),
+            "breaker opens",
+            |e| matches!(e, TraceEvent::BreakerOpened { .. }),
+        ),
+        Ok(())
     );
-    q.assert_happens_before(
-        "breaker opens",
-        |e| matches!(e, TraceEvent::BreakerOpened { .. }),
-        "successful finish",
-        |e| matches!(e, TraceEvent::EnactmentFinished { success: true, .. }),
+    assert_eq!(
+        q.check_happens_before(
+            "breaker opens",
+            |e| matches!(e, TraceEvent::BreakerOpened { .. }),
+            "successful finish",
+            |e| matches!(e, TraceEvent::EnactmentFinished { success: true, .. }),
+        ),
+        Ok(())
     );
 }
 

@@ -74,21 +74,21 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("clean-4", 80, 0x7fdbf97ec0901c23),
     ("clean-8", 156, 0xc7f6e30ebfcd836b),
     ("contended-5", 87, 0xcbe36016fc03a971),
-    ("partitioned-3", 85, 0xaad7eba64bd5e9aa),
-    ("partitioned-17", 90, 0x3e5ab8f05e9a6440),
-    ("partitioned-29", 71, 0x7608a0ae91e9993f),
+    ("partitioned-3", 85, 0xfc58b83033a9417f),
+    ("partitioned-17", 90, 0xd6f10bb083c6fd7c),
+    ("partitioned-29", 71, 0x4e139066147b8c12),
     ("node-loss-7", 62, 0x0811faa259d83b11),
-    ("recovery-ladder-2", 84, 0xe035ff92fe62e445),
-    ("recovery-ladder-13", 80, 0x6755772504dfa9df),
+    ("recovery-ladder-2", 84, 0x10dd4d52bfa5a663),
+    ("recovery-ladder-13", 80, 0x46117efc60229c10),
     ("recovery-ladder-31", 99, 0xc164c4fe70026cd5),
     ("refused", 12, 0x5bc733276ab30363),
     ("chaos-0", 80, 0xf3e9532088e57a46),
     ("chaos-1", 57, 0x0220fe00e7d18a4b),
     ("chaos-2", 43, 0x881542890c6a01b8),
-    ("chaos-3", 91, 0x47cd9aee42e96543),
+    ("chaos-3", 91, 0x7f93cb606e85de4a),
     ("chaos-4", 85, 0xac2d7ae04781c634),
     ("chaos-5", 64, 0xe8ed0d03494aad44),
-    ("chaos-6", 72, 0x89956bffe47d0022),
+    ("chaos-6", 72, 0x17fb79a8edfc9d7d),
     ("chaos-7", 85, 0xeab4ed319e486439),
     ("virus", 191, 0x0b0999b5d90b538e),
     ("generated-linear", 49, 0x3201290c334465d1),
@@ -114,7 +114,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 /// scenario recovers from: the latest one the crashed run left in the
 /// store (tick 6: two cases finished, two live mid-run on one interned
 /// blueprint, none waiting), so the pin covers `FiberSlim`'s format.
-const GOLDEN_SNAPSHOT: (usize, u64) = (20202, 0xb6ff7971b65069ab);
+const GOLDEN_SNAPSHOT: (usize, u64) = (20116, 0xbe662ef9608823a3);
 
 fn jsonl(plan: &FaultPlan, wl: &Workload, cases: usize, in_flight: usize) -> String {
     let log = MultiCaseScenario::new(plan, wl, cases)

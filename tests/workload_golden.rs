@@ -37,7 +37,10 @@ fn traced_run(wl: &Workload, cases: usize) -> TraceQuery {
             .map(|c| c.report.abort_reason.clone())
             .collect::<Vec<_>>()
     );
-    TraceQuery::new(outcome.trace.expect("traced").records())
+    let q = TraceQuery::new(outcome.trace.expect("traced").records());
+    let world = wl.world_builder.build();
+    assert_eq!(q.check_all(world.capacities()), Ok(()), "{}", wl.name);
+    q
 }
 
 fn dispatched(activity: &'static str) -> impl FnMut(&TraceEvent) -> bool {
@@ -52,8 +55,7 @@ fn virus_trace_respects_the_pipelines_happens_before_edges() {
     let q = traced_run(&wl, 1);
     // The one-shot prefix runs exactly once; only the refinement loop's
     // body (POR, P3DR2/3/4, PSF) may legitimately re-dispatch, once per
-    // pass.  (`check_no_double_dispatch` is the crash/resume invariant
-    // and would flag the loop itself, so the claim is made per activity.)
+    // pass.
     for activity in ["POD", "P3DR1"] {
         assert_eq!(
             q.count(|e| matches!(e,
@@ -62,17 +64,23 @@ fn virus_trace_respects_the_pipelines_happens_before_edges() {
             "{activity} is outside the loop and must dispatch exactly once"
         );
     }
-    q.assert_happens_before(
-        "POD dispatched",
-        dispatched("POD"),
-        "P3DR1 dispatched",
-        dispatched("P3DR1"),
+    assert_eq!(
+        q.check_happens_before(
+            "POD dispatched",
+            dispatched("POD"),
+            "P3DR1 dispatched",
+            dispatched("P3DR1"),
+        ),
+        Ok(())
     );
-    q.assert_happens_before(
-        "POR dispatched",
-        dispatched("POR"),
-        "PSF dispatched",
-        dispatched("PSF"),
+    assert_eq!(
+        q.check_happens_before(
+            "POR dispatched",
+            dispatched("POR"),
+            "PSF dispatched",
+            dispatched("PSF"),
+        ),
+        Ok(())
     );
     // The refinement loop drives resolution 12.0 → 10.0 → 8.0 Å: three
     // PSF passes, and (per loop pass) a full P3DR2/3/4 fan-out.
@@ -85,17 +93,13 @@ fn virus_trace_respects_the_pipelines_happens_before_edges() {
 #[test]
 fn virus_p3dr_fan_out_branches_dispatch_concurrently() {
     let wl = virus_reconstruction_workload();
-    let outcome = MultiCaseScenario::new(&FaultPlan::default(), &wl, 1)
-        .traced()
-        .run();
-    assert!(outcome.engine.all_succeeded());
-    let log = outcome.trace.expect("traced");
+    let q = traced_run(&wl, 1);
     // First dispatch tick of each fan-out branch.  The virtual lab has
     // three live P3DR hosts (purdue-sp2, sdsc-sp3, anl-backup), so the
     // FORK's branches must all go out in the same tick — serialized
     // branches would mean the engine ignored available capacity.
     let first_tick = |activity: &str| {
-        log.records()
+        q.records()
             .iter()
             .find(|r| {
                 matches!(&r.event,
