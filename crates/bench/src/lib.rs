@@ -1,29 +1,78 @@
-//! Shared helpers for the GridFlow benchmark harness: plain-text table
-//! rendering for the table/figure regeneration binaries and the ablation
-//! sweeps.
+//! The paper's tables, figures and studies as functions returning text.
 //!
-//! Regeneration binaries (`cargo run -p gridflow-bench --release --bin <name>`):
+//! [`ARTEFACTS`] is the one table of `(id, fn() -> String)`; the `repro`
+//! binary prints or writes its entries (`cargo run --release -p
+//! gridflow-bench --bin repro -- <id>|all|list [--out DIR]`) and
+//! `tests/paper_golden.rs` compares each with `tests/paper_golden/<id>.txt`.
 //!
-//! | target | reproduces |
+//! | id | reproduces |
 //! |---|---|
-//! | `table1` | Table 1 (GP parameter settings) |
-//! | `table2` | Table 2 (ten-run planning study) |
-//! | `fig1_architecture` | Fig. 1 (core/end-user service architecture) |
-//! | `fig2_planning_flow` | Fig. 2 (planning request message flow) |
-//! | `fig3_replanning_flow` | Fig. 3 (re-planning probe message flow) |
-//! | `fig4to7_conversions` | Figs. 4–7 (process ⇄ plan-tree conversions) |
-//! | `fig8_crossover` | Fig. 8 (crossover example) |
-//! | `fig9_mutation` | Fig. 9 (mutation example) |
-//! | `fig10_process_description` | Fig. 10 (virus workflow) |
-//! | `fig11_plan_tree` | Fig. 11 (its plan tree) |
-//! | `fig12_ontology_structure` | Fig. 12 (ontology classes/slots) |
-//! | `fig13_ontology_instances` | Fig. 13 (ontology instances) |
-//! | `ablation_smax`, `ablation_population`, `ablation_operators`, `ablation_weights`, `ablation_selection` | design-choice sweeps (A1–A4, A6) |
-//! | `scaling_activities` | planner scalability vs. catalog size (A5) |
+//! | `table1`, `table2` | Table 1 (GP parameter settings), Table 2 (ten-run planning study) |
+//! | `fig1_architecture`, `fig2_planning_flow`, `fig3_replanning_flow` | Figs. 1–3 on the live agent stack |
+//! | `fig4to7_conversions`, `fig8_crossover`, `fig9_mutation` | Figs. 4–9 (process ⇄ plan-tree conversions, GP operators) |
+//! | `fig10_process_description`, `fig11_plan_tree` | Figs. 10–11 (the virus workflow and its plan tree) |
+//! | `fig12_ontology_structure`, `fig13_ontology_instances` | Figs. 12–13 (ontology classes and instances) |
+//! | `ablation_smax`, `ablation_population`, `ablation_operators`, `ablation_weights`, `scaling_activities`, `ablation_selection` | design-choice sweeps A1–A6 |
 //! | `replanning_robustness` | enactment success vs. failure probability (A8) |
+//! | `convergence`, `migration_costs`, `scalability_study` | supplementary studies |
 //!
+//! The other two binaries, `enactment_throughput` and
+//! `planner_throughput`, write `BENCH_*.json` and are not artefacts.
 //! Criterion benches (`cargo bench -p gridflow-bench`): `table2_planning`,
-//! `enactment`, `matchmaking`, `ontology`, `representations`.
+//! `enactment` (A7), `matchmaking` (A9), `ontology` (A10),
+//! `representations`.
+
+mod paper;
+mod studies;
+
+/// Append one formatted line to a `String`.
+macro_rules! outln {
+    ($out:expr) => { $out.push('\n') };
+    ($out:expr, $($arg:tt)*) => {{
+        $out.push_str(&format!($($arg)*));
+        $out.push('\n');
+    }};
+}
+pub(crate) use outln;
+
+/// An artefact: its id and the function that regenerates its text at
+/// the documented seeds.
+pub type Artefact = (&'static str, fn() -> String);
+
+/// Every artefact, in the paper's order.
+pub const ARTEFACTS: &[Artefact] = &[
+    ("table1", paper::table1),
+    ("table2", paper::table2),
+    ("fig1_architecture", paper::fig1_architecture),
+    ("fig2_planning_flow", paper::fig2_planning_flow),
+    ("fig3_replanning_flow", paper::fig3_replanning_flow),
+    ("fig4to7_conversions", paper::fig4to7_conversions),
+    ("fig8_crossover", paper::fig8_crossover),
+    ("fig9_mutation", paper::fig9_mutation),
+    (
+        "fig10_process_description",
+        paper::fig10_process_description,
+    ),
+    ("fig11_plan_tree", paper::fig11_plan_tree),
+    ("fig12_ontology_structure", paper::fig12_ontology_structure),
+    ("fig13_ontology_instances", paper::fig13_ontology_instances),
+    ("ablation_smax", studies::ablation_smax),
+    ("ablation_population", studies::ablation_population),
+    ("ablation_operators", studies::ablation_operators),
+    ("ablation_weights", studies::ablation_weights),
+    ("scaling_activities", studies::scaling_activities),
+    ("ablation_selection", studies::ablation_selection),
+    ("replanning_robustness", studies::replanning_robustness),
+    ("convergence", studies::convergence),
+    ("migration_costs", studies::migration_costs),
+    ("scalability_study", studies::scalability_study),
+];
+
+/// Regenerate the artefact `id`; `None` when the table has no such entry.
+pub fn artefact(id: &str) -> Option<String> {
+    let (_, regenerate) = ARTEFACTS.iter().find(|(known, _)| *known == id)?;
+    Some(regenerate())
+}
 
 /// Render a plain-text table: headers + rows, columns padded to fit.
 /// Widths are measured in characters (not bytes), so the block-glyph
@@ -63,7 +112,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Render a one-line ASCII bar of `value` against `max`, `width` chars.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
+pub(crate) fn bar(value: f64, max: f64, width: usize) -> String {
     let filled = if max > 0.0 {
         ((value / max) * width as f64)
             .round()
@@ -74,14 +123,22 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     format!("{}{}", "█".repeat(filled), "·".repeat(width - filled))
 }
 
-/// Standard banner for regeneration binaries.
+/// Print [`banner_text`]: the two throughput binaries head their
+/// sections with it.
 pub fn banner(what: &str) {
-    println!("================================================================");
-    println!("GridFlow reproduction — {what}");
-    println!("Yu, Bai, Wang, Ji, Marinescu: \"Metainformation and Workflow");
-    println!("Management for Solving Complex Problems in Grid Environments\"");
-    println!("(IPDPS 2004)");
-    println!("================================================================\n");
+    print!("{}", banner_text(what));
+}
+
+/// The banner every artefact opens with, a blank line after it.
+pub(crate) fn banner_text(what: &str) -> String {
+    format!(
+        "================================================================\n\
+         GridFlow reproduction — {what}\n\
+         Yu, Bai, Wang, Ji, Marinescu: \"Metainformation and Workflow\n\
+         Management for Solving Complex Problems in Grid Environments\"\n\
+         (IPDPS 2004)\n\
+         ================================================================\n\n"
+    )
 }
 
 #[cfg(test)]

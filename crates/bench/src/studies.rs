@@ -1,0 +1,512 @@
+//! The ablations A1–A6 and A8 and the supplementary studies, each
+//! regenerated as text.
+
+use crate::{banner_text, bar, outln, render_table};
+use gridflow::casestudy;
+use gridflow::experiments::{sweep, SweepPoint};
+use gridflow::prelude::*;
+use gridflow_grid::failure::FailureModel;
+use gridflow_grid::transform::estimate_migration;
+use gridflow_planner::FitnessWeights;
+use gridflow_services::simulation::predict;
+use std::time::Instant;
+
+/// Table 1's parameters at `seed`: the base every sweep varies.
+fn table1_at(seed: u64) -> GpConfig {
+    GpConfig {
+        seed,
+        ..GpConfig::default()
+    }
+}
+
+/// A column of a sweep table: cell `i` of the point's tab-separated
+/// label, or a measured value of its `Table2Result`.
+#[derive(Clone, Copy)]
+enum Col {
+    Label(usize),
+    Solved,
+    Bar,
+    Fitness,
+    Validity,
+    Goal,
+    Size,
+}
+
+/// The one renderer the GP sweeps (A1–A6) print through: a row per
+/// point, a `(header, column)` pair per column, a blank line after.
+fn sweep_table(columns: &[(&str, Col)], points: &[SweepPoint]) -> String {
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            let (r, runs) = (&p.result, p.result.runs.len());
+            let cell = |&(_, col): &(&str, Col)| match col {
+                Col::Label(i) => p.label.split('\t').nth(i).unwrap_or("").to_owned(),
+                Col::Solved => format!("{}/{runs}", r.perfect()),
+                Col::Bar => bar(r.perfect() as f64, runs as f64, 10),
+                Col::Fitness => format!("{:.3}", r.avg_fitness),
+                Col::Validity => format!("{:.2}", r.avg_validity),
+                Col::Goal => format!("{:.2}", r.avg_goal),
+                Col::Size => format!("{:.1}", r.avg_size),
+            };
+            columns.iter().map(cell).collect()
+        })
+        .collect();
+    let headers: Vec<&str> = columns.iter().map(|(header, _)| *header).collect();
+    render_table(&headers, &rows) + "\n"
+}
+
+/// **Ablation A1 — S_max.**  §3.4.1: "The value of S_max should be
+/// properly set to ensure the efficiency of the search without
+/// compromising the quality of solutions."  Sweep S_max and report
+/// solve rate, fitness, and solution size.
+pub(crate) fn ablation_smax() -> String {
+    let base = table1_at(7);
+    // A perfect plan needs ≥ 5 nodes (POD, P3DR, P3DR, PSF + root), so
+    // very small caps must fail; very large caps dilute the f_r pressure.
+    let points = sweep(
+        &casestudy::planning_problem(),
+        [6usize, 8, 10, 15, 20, 40, 80, 120].map(|smax| {
+            let config = GpConfig {
+                smax,
+                init_max_size: smax.min(base.init_max_size),
+                ..base
+            };
+            (format!("{smax}"), config)
+        }),
+        10,
+    );
+    let columns = [
+        ("S_max", Col::Label(0)),
+        ("solved", Col::Solved),
+        ("", Col::Bar),
+        ("avg fitness", Col::Fitness),
+        ("avg size", Col::Size),
+    ];
+    banner_text("Ablation A1: the S_max size cap")
+        + &sweep_table(&columns, &points)
+        + "expected shape: S_max < 5 cannot hold a valid plan; mid-range\n\
+           values solve consistently; very large caps still solve but\n\
+           relax the size pressure (avg size drifts up).\n"
+}
+
+/// **Ablation A2 — population/generation budget.**  How large does the
+/// GP population need to be (at the paper's 20 generations) to solve the
+/// case study reliably?
+pub(crate) fn ablation_population() -> String {
+    let base = table1_at(11);
+    let points = sweep(
+        &casestudy::planning_problem(),
+        [10usize, 25, 50, 100, 200, 400].map(|population_size| {
+            let config = GpConfig {
+                population_size,
+                ..base
+            };
+            (format!("{population_size}"), config)
+        }),
+        10,
+    );
+    let columns = [
+        ("population", Col::Label(0)),
+        ("solved", Col::Solved),
+        ("", Col::Bar),
+        ("avg fitness", Col::Fitness),
+        ("avg f_g", Col::Goal),
+        ("avg size", Col::Size),
+    ];
+    banner_text("Ablation A2: population size at 20 generations")
+        + &sweep_table(&columns, &points)
+        + "expected shape: solve rate climbs with population and saturates\n\
+           around the paper's 200; tiny populations miss the goal chain.\n"
+}
+
+/// **Ablation A3 — operator rates.**  A grid over crossover rate ×
+/// mutation rate around the paper's (0.7, 0.001).
+pub(crate) fn ablation_operators() -> String {
+    let base = table1_at(13);
+    let cells = [0.0, 0.3, 0.7, 0.9]
+        .into_iter()
+        .flat_map(|pc| [0.0, 0.001, 0.01, 0.05].map(|pm| (pc, pm)));
+    let points = sweep(
+        &casestudy::planning_problem(),
+        cells.map(|(crossover_rate, mutation_rate)| {
+            let marker = if (crossover_rate, mutation_rate) == (0.7, 0.001) {
+                "← Table 1"
+            } else {
+                ""
+            };
+            let config = GpConfig {
+                crossover_rate,
+                mutation_rate,
+                ..base
+            };
+            (
+                format!("{crossover_rate}\t{mutation_rate}\t{marker}"),
+                config,
+            )
+        }),
+        8,
+    );
+    let columns = [
+        ("p_c", Col::Label(0)),
+        ("p_m", Col::Label(1)),
+        ("solved", Col::Solved),
+        ("avg fitness", Col::Fitness),
+        ("avg size", Col::Size),
+        ("", Col::Label(2)),
+    ];
+    banner_text("Ablation A3: crossover × mutation rates")
+        + &sweep_table(&columns, &points)
+        + "expected shape: crossover does the heavy lifting (p_c = 0 hurts);\n\
+           mutation is a background operator — a little helps diversity,\n\
+           a lot disrupts converged building blocks.\n"
+}
+
+/// **Ablation A4 — fitness weights.**  Vary the (w_v, w_g, w_r) mix of
+/// Eq. 4 and observe what the search optimizes for.
+pub(crate) fn ablation_weights() -> String {
+    let base = table1_at(17);
+    let mixes = [
+        (0.2, 0.5, 0.3, "Table 1"),
+        (1.0, 0.0, 0.0, "validity only"),
+        (0.0, 1.0, 0.0, "goal only"),
+        (0.0, 0.0, 1.0, "size only"),
+        (0.45, 0.45, 0.1, "balanced v/g"),
+        (0.1, 0.8, 0.1, "goal heavy"),
+    ];
+    let points = sweep(
+        &casestudy::planning_problem(),
+        mixes.map(|(wv, wg, wr, mix)| {
+            let config = GpConfig {
+                weights: FitnessWeights::new(wv, wg, wr).expect("weights sum to 1"),
+                ..base
+            };
+            (format!("({wv}, {wg}, {wr})\t{mix}"), config)
+        }),
+        8,
+    );
+    let columns = [
+        ("(w_v, w_g, w_r)", Col::Label(0)),
+        ("mix", Col::Label(1)),
+        ("solved", Col::Solved),
+        ("avg f_v", Col::Validity),
+        ("avg f_g", Col::Goal),
+        ("avg size", Col::Size),
+    ];
+    banner_text("Ablation A4: fitness weights (w_v, w_g, w_r)")
+        + &sweep_table(&columns, &points)
+        + "expected shape: goal weight is what drives problem solving;\n\
+           size-only collapses to trivial one-node plans; validity-only\n\
+           rewards tiny always-valid plans that ignore the goal.\n"
+}
+
+/// The case-study problem plus `extra` chained distractor services:
+/// plausible but goal-irrelevant.
+fn problem_with_distractors(extra: usize) -> PlanningProblem {
+    let mut problem = casestudy::planning_problem();
+    for i in 0..extra {
+        let input = match i {
+            0 => "2D Image".to_owned(),
+            _ => format!("Noise-{}", i - 1),
+        };
+        problem.activities.push(ActivitySpec::new(
+            format!("distractor-{i}"),
+            [input],
+            [format!("Noise-{i}")],
+        ));
+    }
+    problem
+}
+
+/// **Ablation A5 — planner scalability vs. |T|.**  Grow the activity
+/// catalog with distractor services and measure solve rate and wall
+/// time — the search-space growth the paper's heterogeneous grid
+/// implies.
+pub(crate) fn scaling_activities() -> String {
+    let points: Vec<SweepPoint> = [0usize, 2, 4, 8, 16, 32]
+        .into_iter()
+        .flat_map(|extra| {
+            let start = Instant::now();
+            let mut point = sweep(
+                &problem_with_distractors(extra),
+                [(format!("{}", 4 + extra), table1_at(23))],
+                8,
+            );
+            point[0].label += &format!("\t{:.2}s", start.elapsed().as_secs_f64());
+            point
+        })
+        .collect();
+    let columns = [
+        ("|T|", Col::Label(0)),
+        ("solved", Col::Solved),
+        ("", Col::Bar),
+        ("avg fitness", Col::Fitness),
+        ("avg size", Col::Size),
+        ("time (8 runs)", Col::Label(1)),
+    ];
+    banner_text("Ablation A5: planner scalability vs. catalog size |T|")
+        + &sweep_table(&columns, &points)
+        + "observed shape: the Table-1 budget (pop 200 / 20 generations) is\n\
+           tuned to the paper's |T| = 4; distractors dilute the goal-reaching\n\
+           genetic material quickly, and past |T| ≈ 12 the search collapses\n\
+           into the small-valid-plan local optimum (w_v + w_r reward tiny\n\
+           always-valid plans).  Larger budgets or restarts recover — see\n\
+           ablation_population and the best-of-3 pattern in the tests.\n"
+}
+
+/// **Ablation A6 — selection pressure.**  §3.4.5 uses binary tournament
+/// selection; sweep the tournament size (1 = no selection pressure,
+/// pure drift) and watch convergence respond.  Companion sweep: elitism
+/// on top of binary tournaments.  The paper's procedure has none;
+/// elitism makes the best-of-generation fitness monotone (the engine
+/// test asserts this) at a mild diversity cost.
+pub(crate) fn ablation_selection() -> String {
+    let (base, problem) = (table1_at(19), casestudy::planning_problem());
+    let marked = |value: usize, papers: usize, section: &str| {
+        if value == papers {
+            format!("{value}\t← paper ({section})")
+        } else {
+            format!("{value}")
+        }
+    };
+    let tournaments = sweep(
+        &problem,
+        [1usize, 2, 4, 8, 16].map(|tournament_size| {
+            let config = GpConfig {
+                tournament_size,
+                ..base
+            };
+            (marked(tournament_size, 2, "§3.4.5"), config)
+        }),
+        10,
+    );
+    let elites = sweep(
+        &problem,
+        [0usize, 1, 4, 16].map(|elitism| {
+            let config = GpConfig { elitism, ..base };
+            (marked(elitism, 0, "§3.4.6"), config)
+        }),
+        10,
+    );
+    let columns = |swept| {
+        [
+            (swept, Col::Label(0)),
+            ("solved", Col::Solved),
+            ("", Col::Bar),
+            ("avg fitness", Col::Fitness),
+            ("avg size", Col::Size),
+            ("", Col::Label(1)),
+        ]
+    };
+    banner_text("Ablation A6: tournament size (selection pressure)")
+        + &sweep_table(&columns("tournament"), &tournaments)
+        + "elitism (with binary tournaments):\n\n"
+        + &sweep_table(&columns("elites"), &elites)
+        + "expected shape: size 1 is random drift (rarely solves);\n\
+           binary tournaments already solve reliably; very large\n\
+           tournaments over-exploit; a little elitism never hurts on\n\
+           this landscape and pins the best plan in place.\n"
+}
+
+/// Enact Fig. 10 `trials` times at `failure_prob` under one coordination
+/// policy; how many succeed, and the mean number of re-plans.
+fn run_policy(
+    failure_prob: f64,
+    max_candidates: usize,
+    replan: bool,
+    trials: u64,
+    seed: u64,
+) -> (usize, f64) {
+    let mut successes = 0;
+    let mut replans_total = 0usize;
+    for trial in 0..trials {
+        let mut world = casestudy::virtual_lab_world(0, 5);
+        world.failure = if failure_prob == 0.0 {
+            FailureModel::none()
+        } else {
+            FailureModel::new(seed * 1000 + trial, failure_prob)
+        };
+        // Failures are transient here: the service instance crashes but
+        // the container survives (persistent failures are covered by the
+        // Fig. 3 flow).
+        world.failures_are_persistent = false;
+        let config = EnactmentConfig {
+            max_candidates,
+            replan,
+            planning_goals: casestudy::planning_problem().goals,
+            wrap_replans_with_constraint: Some("Cons1".into()),
+            gp: GpConfig {
+                population_size: 100,
+                generations: 15,
+                seed: seed * 7 + trial,
+                ..GpConfig::default()
+            },
+            ..EnactmentConfig::default()
+        };
+        let report = Enactor::builder().config(config).build().enact(
+            &mut world,
+            &casestudy::process_description(),
+            &casestudy::case_description(),
+        );
+        successes += usize::from(report.success);
+        replans_total += report.replans;
+    }
+    (successes, replans_total as f64 / trials as f64)
+}
+
+/// **Ablation A8 — enactment robustness vs. failure probability.**
+/// Sweep the per-execution failure rate of the grid and compare three
+/// coordination policies on the Fig. 10 workflow: no retries, retries
+/// only, retries + re-planning (§3.3).
+pub(crate) fn replanning_robustness() -> String {
+    let trials = 20u64;
+    let share = |n: usize| format!("{n}/{trials} {}", bar(n as f64, trials as f64, 10));
+    let rows: Vec<Vec<String>> = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5]
+        .map(|p| {
+            let (no_retry, _) = run_policy(p, 1, false, trials, 1);
+            let (retry, _) = run_policy(p, 3, false, trials, 2);
+            let (retry_replan, avg_replans) = run_policy(p, 3, true, trials, 3);
+            vec![
+                format!("{p:.2}"),
+                share(no_retry),
+                share(retry),
+                format!("{} (avg {avg_replans:.1} replans)", share(retry_replan)),
+            ]
+        })
+        .into();
+    let headers = ["p(fail)", "no retry", "retry×3", "retry×3 + re-planning"];
+    banner_text("Ablation A8: enactment success vs. failure probability")
+        + &render_table(&headers, &rows)
+        + "\nobserved shape: success collapses without retries as the\n\
+           ~17-execution workflow compounds per-step failure; retries\n\
+           absorb moderate failure rates; at high rates re-planning\n\
+           dominates — when every candidate of an activity fails, a fresh\n\
+           plan (with the refinement loop re-attached) restarts the chase\n\
+           with the data produced so far credited to S_init.\n"
+}
+
+/// Supplementary figure: GP convergence on the case-study problem — best
+/// and mean fitness per generation for the Table-1 configuration, as an
+/// ASCII chart (the learning curve the paper describes but does not
+/// plot).
+pub(crate) fn convergence() -> String {
+    let mut out = banner_text("Supplementary: GP convergence (Table 1 configuration)");
+    let result = GpPlanner::new(table1_at(1), casestudy::planning_problem()).run();
+    let rows: Vec<Vec<String>> = result
+        .history
+        .iter()
+        .map(|g| {
+            vec![
+                format!("{}", g.generation),
+                format!("{:.3}", g.best.overall),
+                bar(g.best.overall, 1.0, 24),
+                format!("{:.3}", g.mean_overall),
+                format!("{:.1}", g.mean_size),
+                format!("{:.2}", g.best.goal),
+            ]
+        })
+        .collect();
+    let headers = ["gen", "best f", "", "mean f", "mean size", "best f_g"];
+    outln!(out, "{}", render_table(&headers, &rows));
+    let best = result.best_fitness;
+    outln!(
+        out,
+        "final best: fitness {:.3}, size {}, validity {:.2}, goal {:.2}",
+        best.overall,
+        best.size,
+        best.validity,
+        best.goal
+    );
+    outln!(out, "{} fitness evaluations total", result.evaluations);
+    out + "\nexpected shape: goal fitness locks in within the first few\n\
+           generations; the remaining generations trade size for the f_r\n\
+           term (mean size falls as smaller perfect plans take over).\n"
+}
+
+/// Supplementary table: task-migration costs between the virtual
+/// laboratory's sites (§1: migration "is likely to be more difficult in
+/// this environment" — compression, encryption, and byte swapping pay
+/// real time).
+pub(crate) fn migration_costs() -> String {
+    let mut out = banner_text("Supplementary: task-migration transformation costs");
+    let world = casestudy::virtual_lab_world(0, 1);
+    let data_mb = 1_500.0; // a 1.5 GB micrograph checkpoint (D7 scale)
+    outln!(out, "migrating a {data_mb} MB checkpoint between sites:\n");
+    let mut rows = Vec::new();
+    for source in &world.topology.resources {
+        for dest in &world.topology.resources {
+            if source.id == dest.id {
+                continue;
+            }
+            let (plan, time) = estimate_migration(source, dest, data_mb);
+            let steps: Vec<String> = plan.steps.iter().map(|s| format!("{s:?}")).collect();
+            rows.push(vec![
+                source.id.clone(),
+                dest.id.clone(),
+                if plan.is_empty() {
+                    "—".to_owned()
+                } else {
+                    steps.join("+")
+                },
+                format!("{:.1}s", time),
+            ]);
+        }
+    }
+    let headers = ["from", "to", "transformations", "total time"];
+    outln!(out, "{}", render_table(&headers, &rows));
+    out + "expected shape: same-domain, same-endianness moves need no\n\
+           transformation; crossing administrative domains adds encryption;\n\
+           x86 ↔ POWER adds byte swapping; the slow commodity links dominate\n\
+           total time either way.\n"
+}
+
+/// Supplementary study via the simulation service: "Simulation services
+/// are necessary to study the scalability of the system" (§2).  Predict
+/// the Fig. 10 enactment across grid sizes and workflow widths without
+/// touching the live world.
+pub(crate) fn scalability_study() -> String {
+    let mut out = banner_text("Supplementary: scalability study through the simulation service");
+    let case = casestudy::case_description();
+    let prediction_row = |label: usize, world: &GridWorld, graph: &ProcessGraph| {
+        let p = predict(world, graph, &case, 100_000).expect("predicts");
+        vec![
+            format!("{label}"),
+            format!("{}", p.executions),
+            format!("{:.1}s", p.makespan_s),
+            format!("{:.2}", p.total_cost),
+        ]
+    };
+
+    // Grid size: does a bigger grid speed the reference workflow?
+    out += "Fig. 10 prediction vs. grid size:\n\n";
+    let graph = casestudy::process_description();
+    let rows: Vec<Vec<String>> = [0usize, 4, 16, 64]
+        .map(|extra| prediction_row(5 + extra, &casestudy::virtual_lab_world(extra, 33), &graph))
+        .into();
+    let headers = ["sites", "executions", "makespan", "cost"];
+    outln!(out, "{}", render_table(&headers, &rows));
+
+    // Workflow width: reconstruction fan-out 2..32 streams.
+    out += "prediction vs. reconstruction fan-out (P3DR streams per pass):\n\n";
+    let world = casestudy::virtual_lab_world(8, 33);
+    let rows: Vec<Vec<String>> = [2usize, 4, 8, 16, 32]
+        .map(|width| {
+            let src = format!(
+                "BEGIN POD; P3DR; FORK {{ {} }} JOIN; PSF; END",
+                vec!["{ P3DR; }"; width].join(", ")
+            );
+            let wide = lower("wide", &parse_process(&src).unwrap()).unwrap();
+            prediction_row(width, &world, &wide)
+        })
+        .into();
+    let headers = ["streams", "executions", "makespan", "cost"];
+    outln!(out, "{}", render_table(&headers, &rows));
+    out + "observed shape: extra sites barely move the Fig. 10 makespan —\n\
+           its critical path (POD → P3DR → 3 iterations of POR/P3DR/PSF)\n\
+           has little parallel slack, so grid growth mostly shops for\n\
+           cheaper/faster hosts (see the cost column).  The fan-out sweep\n\
+           shows the prediction model's contract plainly: it is fault-free\n\
+           AND contention-free, so widening the fork grows cost linearly\n\
+           while the makespan stays at the slowest single branch — the\n\
+           lower bound a real enactment approaches only with unbounded\n\
+           capacity (the serial Enactor gives the matching upper bound).\n"
+}

@@ -201,12 +201,6 @@ fn cmd_table2(args: &[String]) -> Result<(), String> {
         .map(|s| s.parse().map_err(|_| format!("bad run count `{s}`")))
         .transpose()?
         .unwrap_or(10);
-    let config = GpConfig {
-        seed: 1,
-        ..experiments::table1_config()
-    };
-    let result = experiments::table2(config, runs);
-    print!("{result}");
-    println!("(paper, ten runs: fitness 0.928, validity 1.0, goal 1.0, size 9.7)");
+    print!("{}", experiments::table2_report(runs));
     Ok(())
 }

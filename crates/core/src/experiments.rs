@@ -68,9 +68,9 @@ pub struct Table2Result {
 }
 
 impl Table2Result {
-    /// Do all runs solve the problem (f_v = f_g = 1)?
-    pub fn all_perfect(&self) -> bool {
-        self.imperfect().next().is_none()
+    /// How many runs solve the problem (f_v = f_g = 1)?
+    pub fn perfect(&self) -> usize {
+        self.runs.len() - self.imperfect().count()
     }
 
     /// The runs whose final-generation best is not a perfect plan.
@@ -165,6 +165,57 @@ fn format_num(x: f64) -> String {
 /// run index`).
 pub fn table2(config: GpConfig, runs: usize) -> Table2Result {
     table2_on(&casestudy::planning_problem(), config, runs)
+}
+
+/// The §5 experiment as text, at Table 1's parameters and seeds
+/// 1..=`runs`: every run's best solution, the Table 2 aggregate with its
+/// success rate, the paper's row, and the shape check.  `gridflow table2
+/// [runs]` and `repro table2` both print exactly this.
+pub fn table2_report(runs: usize) -> String {
+    let config = GpConfig {
+        seed: 1,
+        ..table1_config()
+    };
+    let result = table2(config, runs);
+    // Columns as wide as their widest cell, two spaces apart.
+    let digits = result.runs.len().to_string().len();
+    let (run_w, seed_w) = (digits.max(3), digits.max(4));
+    let mut out = String::from("per-run best solutions:\n");
+    out.push_str(&format!(
+        "{:<run_w$}  {:<seed_w$}  fitness  f_v   f_g   size  \n",
+        "run", "seed"
+    ));
+    out.push_str(&format!(
+        "{:-<run_w$}  {:-<seed_w$}  -------  ----  ----  ----  \n",
+        "", ""
+    ));
+    for (i, r) in result.runs.iter().enumerate() {
+        let f = r.fitness;
+        out.push_str(&format!(
+            "{:<run_w$}  {:<seed_w$}  {:<7.3}  {:<4.2}  {:<4.2}  {:<4}  \n",
+            i + 1,
+            r.seed,
+            f.overall,
+            f.validity,
+            f.goal,
+            f.size
+        ));
+    }
+    out.push_str(&format!("\n{result}\npaper reports (Table 2):\n"));
+    for (name, value) in [
+        ("Average Fitness", "0.928"),
+        ("Average Validity Fitness", "1.0"),
+        ("Average Goal Fitness", "1.0"),
+        ("Average Size of solutions", "9.7"),
+    ] {
+        out.push_str(&format!("{name:<28} {value:>8}\n"));
+    }
+    out.push_str(&format!(
+        "\nshape check: every run perfect = {}, avg fitness in (0.9, 1.0) = {}\n",
+        result.perfect() == result.runs.len(),
+        result.avg_fitness > 0.9 && result.avg_fitness < 1.0
+    ));
+    out
 }
 
 /// The same aggregation over an arbitrary problem (used by the ablation
