@@ -9,7 +9,6 @@ use gridflow_grid::failure::FailureModel;
 use gridflow_grid::transform::estimate_migration;
 use gridflow_planner::FitnessWeights;
 use gridflow_services::simulation::predict;
-use std::time::Instant;
 
 /// Table 1's parameters at `seed`: the base every sweep varies.
 fn table1_at(seed: u64) -> GpConfig {
@@ -218,21 +217,15 @@ fn problem_with_distractors(extra: usize) -> PlanningProblem {
 }
 
 /// **Ablation A5 — planner scalability vs. |T|.**  Grow the activity
-/// catalog with distractor services and measure solve rate and wall
-/// time — the search-space growth the paper's heterogeneous grid
-/// implies.
+/// catalog with distractor services and measure the solve rate — the
+/// search-space growth the paper's heterogeneous grid implies.  (Planner
+/// speed is `BENCH_planner.json`'s, not an artefact's.)
 pub(crate) fn scaling_activities() -> String {
     let points: Vec<SweepPoint> = [0usize, 2, 4, 8, 16, 32]
         .into_iter()
         .flat_map(|extra| {
-            let start = Instant::now();
-            let mut point = sweep(
-                &problem_with_distractors(extra),
-                [(format!("{}", 4 + extra), table1_at(23))],
-                8,
-            );
-            point[0].label += &format!("\t{:.2}s", start.elapsed().as_secs_f64());
-            point
+            let point = (format!("{}", 4 + extra), table1_at(23));
+            sweep(&problem_with_distractors(extra), [point], 8)
         })
         .collect();
     let columns = [
@@ -241,7 +234,6 @@ pub(crate) fn scaling_activities() -> String {
         ("", Col::Bar),
         ("avg fitness", Col::Fitness),
         ("avg size", Col::Size),
-        ("time (8 runs)", Col::Label(1)),
     ];
     banner_text("Ablation A5: planner scalability vs. catalog size |T|")
         + &sweep_table(&columns, &points)

@@ -11,10 +11,9 @@
 //! Each row calls the artefact's function (`gridflow_bench::artefact`,
 //! the table the `repro` binary prints from) at its documented seeds
 //! and compares byte for byte.  All 22 are deterministic, Figs. 1–3 (the
-//! threaded agent stack) included, except `scaling_activities`, whose
-//! `time (8 runs)` wall-clock column is cut on both sides first.  One
-//! `#[test]` per artefact, so the ≈13 s of debug-mode GP spread over
-//! the cores.  Re-pin with `repro all --out tests/paper_golden`.
+//! threaded agent stack) included; no artefact prints a wall-clock time.
+//! One `#[test]` per artefact, so the ≈13 s of debug-mode GP spread
+//! over the cores.  Re-pin with `repro all --out tests/paper_golden`.
 
 use gridflow_bench::{artefact, ARTEFACTS};
 use std::path::{Path, PathBuf};
@@ -48,27 +47,6 @@ fn assert_same_text(id: &str, pinned: &str, actual: &str) {
     }
 }
 
-/// Cut the table column headed `time (8 runs)` (the header is ASCII, so
-/// its byte offset is the column's character offset on every row).
-fn without_time_column(text: &str) -> String {
-    let mut cut = None;
-    let lines: Vec<String> = text
-        .split('\n')
-        .map(|line| {
-            if let Some(at) = line.find("time (8 runs)") {
-                cut = Some(at);
-            } else if line.is_empty() {
-                cut = None;
-            }
-            match cut {
-                Some(at) => line.chars().take(at).collect(),
-                None => line.to_owned(),
-            }
-        })
-        .collect();
-    lines.join("\n")
-}
-
 macro_rules! artefacts {
     ($($id:ident)*) => {
         /// The pinned ids, in `ARTEFACTS` order.
@@ -77,12 +55,8 @@ macro_rules! artefacts {
             #[test]
             fn $id() {
                 let id = stringify!($id);
-                let mut got = artefact(id).expect("an entry of ARTEFACTS");
-                let mut want = pinned(id);
-                if id == "scaling_activities" {
-                    (want, got) = (without_time_column(&want), without_time_column(&got));
-                }
-                assert_same_text(id, &want, &got);
+                let got = artefact(id).expect("an entry of ARTEFACTS");
+                assert_same_text(id, &pinned(id), &got);
             }
         )*
     };
@@ -96,15 +70,6 @@ artefacts! {
     ablation_smax ablation_population ablation_operators ablation_weights
     scaling_activities ablation_selection replanning_robustness
     convergence migration_costs scalability_study
-}
-
-#[test]
-fn the_column_cut_removes_the_clock_and_nothing_else() {
-    let text = "head\n\n|T|  size  time (8 runs)  \n---  ----  -------------  \n4    █·    0.05s          \n\ntail time\n";
-    assert_eq!(
-        without_time_column(text),
-        "head\n\n|T|  size  \n---  ----  \n4    █·    \n\ntail time\n"
-    );
 }
 
 fn repro(args: &[&str]) -> std::process::Output {
