@@ -38,7 +38,8 @@ fn main() -> ExitCode {
         };
         let path = dir.join(format!("{id}.txt"));
         if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
-            return fail(&format!("writing {}: {e}", path.display()));
+            eprintln!("error: writing {}: {e}", path.display());
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS

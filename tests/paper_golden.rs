@@ -14,16 +14,24 @@
 //! threaded agent stack) included; no artefact prints a wall-clock time.
 //! One `#[test]` per artefact, so the ≈13 s of debug-mode GP spread
 //! over the cores.  Re-pin with `repro all --out tests/paper_golden`.
+//!
+//! The documents are held to the same texts: every measured table of
+//! EXPERIMENTS.md is a quoted run of lines of a pinned text, and every
+//! artefact README, EXPERIMENTS.md or DESIGN.md names exists.
 
 use gridflow_bench::{artefact, ARTEFACTS};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// A file of the repository, by its path from the root.
-fn repo_file(path: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+/// A path of the repository, from its root.
+fn repo_path(path: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
-        .join(path);
+        .join(path)
+}
+
+fn repo_file(path: &str) -> String {
+    let path = repo_path(path);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
@@ -87,8 +95,7 @@ fn repro_list_the_table_and_the_pinned_files_name_the_same_ids() {
     assert!(listed.status.success());
     let listed = String::from_utf8(listed.stdout).unwrap();
     assert_eq!(listed.lines().collect::<Vec<_>>(), table);
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/paper_golden");
-    let mut files: Vec<String> = std::fs::read_dir(dir)
+    let mut files: Vec<String> = std::fs::read_dir(repo_path("tests/paper_golden"))
         .expect("tests/paper_golden exists")
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
         .collect();
@@ -119,6 +126,94 @@ fn repro_out_writes_the_pinned_text() {
     assert!(written.status.success() && written.stdout.is_empty());
     let text = std::fs::read_to_string(dir.join("fig11_plan_tree.txt")).expect("written");
     assert_same_text("fig11_plan_tree", &pinned("fig11_plan_tree"), &text);
+}
+
+/// The word after each occurrence of `prefix` in `text`.
+fn names_after<'a>(text: &'a str, prefix: &str) -> Vec<&'a str> {
+    let is_id = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.split(prefix)
+        .skip(1)
+        .map(|rest| rest.split(|c| !is_id(c)).next().unwrap_or(""))
+        .filter(|name| !name.is_empty()) // `repro <id>`: a placeholder
+        .collect()
+}
+
+/// README, EXPERIMENTS.md and DESIGN.md (§4's regeneration targets
+/// among them) name artefacts as `repro <id>`, `--bin repro -- <id>` and
+/// `<!-- repro:<id> -->`: a doc that names one the table lacks fails
+/// here, and so does one whose list of ids lacks one the table has.
+#[test]
+fn the_documents_name_the_artefacts_of_the_table_and_all_of_them() {
+    for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md"] {
+        let text = repo_file(doc);
+        for prefix in ["`repro ", "--bin repro -- ", "<!-- repro:"] {
+            for id in names_after(&text, prefix) {
+                assert!(
+                    ["all", "list"].contains(&id) || PINNED.contains(&id),
+                    "{doc} names `repro {id}`, which is not in ARTEFACTS"
+                );
+            }
+        }
+        for id in PINNED {
+            assert!(text.contains(id), "{doc} does not mention `{id}`");
+        }
+    }
+}
+
+/// Every measured table of EXPERIMENTS.md is a fenced block under a
+/// `<!-- repro:<id> -->` marker — the two tables and every study have
+/// one — and each block is a contiguous run of lines of
+/// `tests/paper_golden/<id>.txt` (trailing blanks aside, which editors
+/// strip): the file cannot quote what the code does not print.
+#[test]
+fn experiments_md_quotes_the_pinned_texts_verbatim() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let mut lines = doc.lines().map(str::trim_end).enumerate();
+    let mut quoted_ids = Vec::new();
+    while let Some((at, line)) = lines.next() {
+        let Some(id) = line.strip_prefix("<!-- repro:") else {
+            continue;
+        };
+        let id = id.trim_end_matches(" -->");
+        let fenced = matches!(lines.next(), Some((_, fence)) if fence.starts_with("```"));
+        assert!(
+            fenced,
+            "EXPERIMENTS.md:{}: no fenced block under the marker",
+            at + 1
+        );
+        let quoted: Vec<&str> = lines
+            .by_ref()
+            .map(|(_, l)| l)
+            .take_while(|l| !l.starts_with("```"))
+            .collect();
+        let pinned = pinned(id);
+        let pinned: Vec<&str> = pinned.lines().map(str::trim_end).collect();
+        // Where in the pinned text the block matches furthest, and how far.
+        let (matched, from) = (0..pinned.len())
+            .map(|from| {
+                let same = quoted
+                    .iter()
+                    .zip(&pinned[from..])
+                    .take_while(|(q, p)| q == p);
+                (same.count(), from)
+            })
+            .max_by_key(|&(matched, from)| (matched, std::cmp::Reverse(from)))
+            .expect("a pinned text has lines");
+        assert!(
+            matched == quoted.len() && matched > 0,
+            "EXPERIMENTS.md:{}: the repro:{id} block leaves tests/paper_golden/{id}.txt\n  quoted: {}\n  pinned: {}",
+            at + 3 + matched,
+            quoted.get(matched).unwrap_or(&"<end of block>"),
+            pinned.get(from + matched).unwrap_or(&"<end of text>"),
+        );
+        quoted_ids.push(id);
+    }
+    for measured in PINNED.iter().filter(|id| !id.starts_with("fig")) {
+        assert!(
+            quoted_ids.contains(measured),
+            "EXPERIMENTS.md has no <!-- repro:{measured} --> block"
+        );
+    }
 }
 
 /// Figs. 1–3 run the threaded agent stack.  PR 15 fixed the Fig. 3 flake
