@@ -16,9 +16,9 @@
 //! array keeps its schema (and the N=512/FIFO guard cell) untouched.
 //!
 //! A third sweep quantifies **durable-store overhead**: the N=512 fleet
-//! traced only, journalled into a `MemStore`, and journalled into a
-//! `FileStore` (snapshot cadence 32), reported as cases/sec under
-//! `"store"`.
+//! traced only, journalled into a `MemStore` and into a `FileStore`
+//! (snapshot cadence 32), as cases/sec under `"store"`; `"recover"` times
+//! reopening, decoding and recovering that fleet killed near its end.
 //!
 //! ```sh
 //! cargo run --release --bin enactment_throughput
@@ -36,7 +36,7 @@
 
 use gridflow_bench::{banner, render_table};
 use gridflow_engine::{
-    CaseHints, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, PolicySpec,
+    CaseHints, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, EngineSnapshot, PolicySpec,
 };
 use gridflow_harness::workload::{
     dinner_workload, virus_reconstruction_workload, GraphShape, Workload, WorkloadGen,
@@ -64,6 +64,9 @@ const MATRIX_CASES: usize = 32;
 /// Fleet size and snapshot cadence for the durable-store overhead sweep.
 const STORE_CASES: usize = 512;
 const STORE_SNAPSHOT_EVERY: u64 = 32;
+/// The recovery cell's kill point, in ticks before the end, and reps.
+const RECOVER_KILL_BEFORE_END: u64 = 9;
+const RECOVER_REPS: usize = 11;
 
 /// Staggered hints so every non-FIFO policy visibly reorders the
 /// fleet: alternating tenants, three priority classes, deadlines
@@ -130,6 +133,13 @@ fn measure_cell(wl: &Workload, plan: &FaultPlan, fleet: usize) -> (EngineOutcome
         "fleet of {fleet} did not fully succeed"
     );
     (outcome, wall)
+}
+
+/// `run`'s result and its wall time in milliseconds.
+fn timed<T>(run: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = run();
+    (start.elapsed().as_secs_f64() * 1e3, out)
 }
 
 fn percentile_ticks(sorted: &[u64], pct: f64) -> u64 {
@@ -383,6 +393,35 @@ fn main() {
         )
     );
 
+    banner("recovery from a killed store");
+    // Each rep kills the fleet, then times trace-only / open / decode / restore.
+    let scenario = || MultiCaseScenario::new(&plan, &wl, store_cases).max_in_flight(64);
+    let kill_tick = scenario().run().engine.ticks - RECOVER_KILL_BEFORE_END;
+    let dir = std::env::temp_dir().join(format!("gridflow-bench-kill-{}", std::process::id()));
+    let open = || FileStore::create(&dir, 4096).expect("open bench store");
+    let durable = |fs| scenario().store(Arc::new(Mutex::new(fs)), STORE_SNAPSHOT_EVERY);
+    let mut reps = Vec::new();
+    for _ in 0..RECOVER_REPS {
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(durable(open()).kill_at(kill_tick).run().engine.killed);
+        let (trace_only, _) = timed(|| scenario().traced().run());
+        let (open_ms, fs) = timed(open);
+        let snapshot = fs.latest_snapshot().expect("valid").expect("kept");
+        let (decode_ms, _) = timed(|| EngineSnapshot::from_bytes(&snapshot.state));
+        let (restore_ms, _) = timed(|| durable(fs).recover().expect("recovers"));
+        let ratio = (open_ms + restore_ms) / trace_only;
+        reps.push([trace_only, open_ms, decode_ms, restore_ms, ratio]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let median = |i: usize| {
+        let mut v: Vec<f64> = reps.iter().map(|rep| rep[i]).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let recover = json!({"cases": store_cases, "kill_tick": kill_tick, "reps": RECOVER_REPS,
+        "trace_only_ms": median(0), "open_ms": median(1), "decode_ms": median(2),
+        "restore_ms": median(3), "recover_over_trace_only": median(4)});
+    println!("{recover}\n");
     let measured_store_ratio = store_ratio(&store_cells);
     let report = json!({
         "bench": "enactment_throughput",
@@ -391,6 +430,7 @@ fn main() {
         "results": results,
         "matrix": matrix,
         "store": store_cells,
+        "recover": recover,
     });
     std::fs::write(
         path,

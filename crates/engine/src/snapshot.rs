@@ -174,7 +174,7 @@ pub struct AdmissionRecord {
 pub const ENGINE_SNAPSHOT_VERSION: u32 = 7;
 
 /// The scheduler's complete loop state at a tick boundary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineSnapshot {
     /// Snapshot schema version (see [`ENGINE_SNAPSHOT_VERSION`]).
     pub version: u32,
@@ -279,6 +279,36 @@ impl Deserialize for EngineSnapshot {
             admissions: serde::__field(obj, "admissions", "EngineSnapshot")?,
             world: serde::__field(obj, "world", "EngineSnapshot")?,
         })
+    }
+
+    /// A payload as this build writes it — its eight keys, each once, in
+    /// byte order, `version` current — is read straight into the image.
+    /// Any other (another `version`, a `core` key, text the direct read
+    /// refuses) is read again as a tree, so every refusal and its message
+    /// are the tree form's.
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
+        let (start, mut image, mut keys) = (r.offset(), Self::default(), Vec::new());
+        let direct = r.object(|r, key| {
+            match &*key {
+                "admissions" => image.admissions = Deserialize::read_json(r)?,
+                "blueprints" => image.blueprints = Deserialize::read_json(r)?,
+                "finished" => image.finished = Deserialize::read_json(r)?,
+                "live" => image.live = Deserialize::read_json(r)?,
+                "next_tick" => image.next_tick = Deserialize::read_json(r)?,
+                "version" => image.version = Deserialize::read_json(r)?,
+                "waiting" => image.waiting = Deserialize::read_json(r)?,
+                "world" => image.world = Deserialize::read_json(r)?,
+                _ => return Err(serde::Error::custom("not a key this build writes")),
+            }
+            keys.push(key);
+            Ok(())
+        });
+        let as_written = keys.len() == 8 && keys.windows(2).all(|w| w[0] < w[1]);
+        if direct.is_ok() && as_written && image.version == ENGINE_SNAPSHOT_VERSION {
+            return Ok(image);
+        }
+        r.rewind(start);
+        Self::from_json_value(&r.value()?)
     }
 }
 
@@ -744,6 +774,69 @@ mod tests {
             .unwrap()
             .contains(r#""shard":3"#));
         assert_eq!(recover_from(&record, stamped).unwrap(), baseline);
+    }
+
+    /// `v` as JSON text with every object's keys in reverse order.
+    fn reversed_keys(v: &serde_json::Value) -> String {
+        let list = |items: Vec<String>| items.join(",");
+        match v {
+            serde_json::Value::Object(map) => format!(
+                "{{{}}}",
+                list(
+                    map.iter()
+                        .rev()
+                        .map(|(k, v)| format!(
+                            "{}:{}",
+                            serde_json::Value::from(k.as_str()),
+                            reversed_keys(v)
+                        ))
+                        .collect()
+                )
+            ),
+            serde_json::Value::Array(items) => {
+                format!("[{}]", list(items.iter().map(reversed_keys).collect()))
+            }
+            scalar => scalar.to_string(),
+        }
+    }
+
+    /// A current-version payload read straight into an image and read
+    /// as a tree gives one image: as written, and with every object's
+    /// keys reversed, an unknown key or a `core` key, which the direct
+    /// read hands to the tree form.  Its refusals are the tree form's.
+    #[test]
+    fn current_payloads_read_directly_into_the_image_their_tree_gives() {
+        let record = captured();
+        let text = |payload: &[u8]| std::str::from_utf8(payload).unwrap().to_owned();
+        let reversed = reversed_keys(&json(&text(&record.state))).into_bytes();
+        assert_ne!(reversed, record.state);
+        let unknown = edited(&record.state, |obj| {
+            obj.insert("zz".into(), json(r#"[1,{"a":null}]"#));
+        });
+        let core = edited(&record.state, |obj| {
+            obj.insert("core".into(), json(r#""Event""#));
+        });
+        for payload in [record.state.clone(), reversed, unknown, core] {
+            let read = EngineSnapshot::from_bytes(&payload).unwrap();
+            let tree = EngineSnapshot::from_json_value(&json(&text(&payload))).unwrap();
+            assert_eq!(read.to_bytes(), tree.to_bytes());
+            assert_eq!(read.to_bytes(), record.state);
+        }
+        // Any other `core`, even `null`, and a missing key are refused.
+        for core in [r#""Scan""#, "null"] {
+            let refused = edited(&record.state, |obj| {
+                obj.insert("core".into(), json(core));
+            });
+            let why = EngineSnapshot::from_bytes(&refused).unwrap_err();
+            assert!(why.starts_with("field `core`"), "{why}");
+        }
+        for key in ["finished", "world"] {
+            let cut = edited(&record.state, |obj| {
+                obj.remove(key);
+            });
+            let why = EngineSnapshot::from_bytes(&cut).unwrap_err();
+            assert!(why.starts_with(&format!("missing field `{key}`")), "{why}");
+        }
     }
 
     #[test]

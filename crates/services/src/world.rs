@@ -560,7 +560,7 @@ pub struct ContainerImage {
 /// A serializable capture of a [`GridWorld`]'s mutable state, taken at
 /// a tick boundary — the world's half of a durable engine snapshot.
 /// See [`GridWorld::image`] for what is (and is not) captured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorldImage {
     /// Mutable status of every container, in topology order.
     pub containers: Vec<ContainerImage>,

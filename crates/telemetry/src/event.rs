@@ -143,6 +143,9 @@ impl Deserialize for Label {
             .map(Label::new)
             .ok_or_else(|| serde::Error::custom(format!("expected string label, got {v:?}")))
     }
+    fn read_json(r: &mut serde::JsonReader<'_>) -> std::result::Result<Self, serde::Error> {
+        Ok(Label::new(&r.str()?))
+    }
 }
 
 /// One thing that happened during a run.
