@@ -6,8 +6,9 @@
 //! This one can: it pins the record count and FNV-1a of the merged
 //! JSONL of the engine's scenario shapes — flaky, clean, contended,
 //! partitioned, node loss, recovery ladder, refusal, chaos, virus,
-//! generated, plan churn, kill→recover, and fleets of one (flaky, replan
-//! churn, recovery ladder) — to values computed by an earlier commit.
+//! generated, plan churn (with and without breakers), kill→recover, and
+//! fleets of one (flaky, replan churn, recovery ladder) — to values
+//! computed by an earlier commit.
 //! Every row also passes [`TraceQuery::check_all`].  A
 //! change that claims "same behaviour" must leave the table alone; a
 //! change that moves bytes on purpose regenerates the affected rows with
@@ -27,10 +28,11 @@
 //! ```
 
 use gridflow_harness::workload::{
-    cook_loss_churn_plan, dinner_recovery_workload, dinner_replan_workload, dinner_workload,
+    cook_loss_churn_plan, cook_loss_churn_plan_scaled, dinner_recovery_workload,
+    dinner_replan_workload, dinner_replan_workload_scaled, dinner_workload,
     virus_reconstruction_workload, GraphShape, Workload, WorkloadGen,
 };
-use gridflow_harness::{FaultPlan, MultiCaseScenario, TraceQuery, TraceRecord};
+use gridflow_harness::{FaultPlan, MultiCaseScenario, RecoveryPolicy, TraceQuery, TraceRecord};
 use gridflow_services::PlanCacheHandle;
 use gridflow_store::{fnv1a64, merged_jsonl, MemStore, Store};
 use std::sync::{Arc, Mutex};
@@ -97,6 +99,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("generated-iterative", 89, 0x6c3cc2c30b02ca0b),
     ("churn-uncached", 292, 0x679fb1e9277c5e7a),
     ("churn-cached", 298, 0xcd0db35dc90a36f8),
+    ("churn-breakers", 1899, 0x0c1df8076e3775ef),
     ("kill-recover", 81, 0x15465189e1629183),
     ("one-crash-0", 23, 0x4b8639238381c283),
     ("one-crash-1", 31, 0xc5716d2993eeed07),
@@ -148,6 +151,25 @@ fn churn(cache: Option<PlanCacheHandle>) -> String {
         scenario = scenario.plan_cache(cache);
     }
     let log = scenario.run().trace.expect("traced");
+    check(&plan, &wl, log.records());
+    log.to_jsonl()
+}
+
+/// The churn fleet under the standard ladder on the scaled dinner: 32
+/// cases, all in flight, lose every one of four 16-slot `cook` hosts and
+/// replan through a shared cache, with a breaker on every container —
+/// the shape the monitoring sweep and the breaker admission filter see
+/// most of.
+fn churn_breakers() -> String {
+    let plan = cook_loss_churn_plan_scaled(4, 23);
+    let wl = dinner_replan_workload_scaled(4, 32, 7).with_recovery(RecoveryPolicy::standard());
+    let log = MultiCaseScenario::new(&plan, &wl, 32)
+        .max_in_flight(32)
+        .traced()
+        .plan_cache(PlanCacheHandle::in_proc())
+        .run()
+        .trace
+        .expect("traced");
     check(&plan, &wl, log.records());
     log.to_jsonl()
 }
@@ -284,6 +306,7 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
         "churn-cached".into(),
         churn(Some(PlanCacheHandle::in_proc())),
     ));
+    out.push(("churn-breakers".into(), churn_breakers()));
     let (merged, snapshot) = kill_recover();
     out.push(("kill-recover".into(), merged));
     // A lone case is a fleet of one.
