@@ -19,6 +19,8 @@
 //! traced only, journalled into a `MemStore` and into a `FileStore`
 //! (snapshot cadence 32), as cases/sec under `"store"`; `"recover"` times
 //! reopening, decoding and recovering that fleet killed near its end.
+//! `"dispatch"` times the `fleet-wide` and `replan-churn` fleets of
+//! `benchmark/`, where one dispatch ranks and probes many hosts.
 //!
 //! ```sh
 //! cargo run --release --bin enactment_throughput
@@ -39,9 +41,11 @@ use gridflow_engine::{
     CaseHints, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, EngineSnapshot, PolicySpec,
 };
 use gridflow_harness::workload::{
-    dinner_workload, virus_reconstruction_workload, GraphShape, Workload, WorkloadGen,
+    cook_loss_churn_plan_scaled, dinner_replan_workload_scaled, dinner_workload,
+    dinner_workload_scaled, virus_reconstruction_workload, GraphShape, Workload, WorkloadGen,
 };
-use gridflow_harness::{FaultPlan, MultiCaseScenario};
+use gridflow_harness::{FaultPlan, MultiCaseScenario, RecoveryPolicy};
+use gridflow_services::PlanCacheHandle;
 use gridflow_store::{FileStore, MemStore, Store};
 use serde_json::json;
 use std::sync::{Arc, Mutex};
@@ -67,6 +71,7 @@ const STORE_SNAPSHOT_EVERY: u64 = 32;
 /// The recovery cell's kill point, in ticks before the end, and reps.
 const RECOVER_KILL_BEFORE_END: u64 = 9;
 const RECOVER_REPS: usize = 11;
+const DISPATCH_REPS: usize = 7;
 
 /// Staggered hints so every non-FIFO policy visibly reorders the
 /// fleet: alternating tenants, three priority classes, deadlines
@@ -422,6 +427,39 @@ fn main() {
         "trace_only_ms": median(0), "open_ms": median(1), "decode_ms": median(2),
         "restore_ms": median(3), "recover_over_trace_only": median(4)});
     println!("{recover}\n");
+
+    banner("dispatch over many hosts per service");
+    // `benchmark/`'s fleet-wide and replan-churn fleets, 512 in flight.
+    let churn = dinner_replan_workload_scaled(16, 512, 7).with_recovery(RecoveryPolicy::standard());
+    let wide = (
+        "fleet-wide",
+        dinner_workload_scaled(64, 2048),
+        FaultPlan::default(),
+        2048,
+    );
+    let replan = (
+        "replan-churn",
+        churn,
+        cook_loss_churn_plan_scaled(16, 7),
+        512,
+    );
+    let mut dispatch = Vec::new();
+    for (shape, wl, plan, cases) in [wide, replan] {
+        let mut walls: Vec<f64> = (0..DISPATCH_REPS)
+            .map(|_| {
+                let run = MultiCaseScenario::new(&plan, &wl, cases).max_in_flight(512);
+                let run = run.traced().plan_cache(PlanCacheHandle::in_proc());
+                let (ms, out) = timed(|| run.run());
+                assert!(out.engine.all_succeeded(), "{shape} did not fully succeed");
+                ms
+            })
+            .collect();
+        walls.sort_by(f64::total_cmp);
+        let ms = walls[DISPATCH_REPS / 2];
+        dispatch.push(json!({"shape": shape, "cases": cases, "max_in_flight": 512,
+            "reps": DISPATCH_REPS, "wall_ms": ms, "cases_per_sec": cases as f64 / ms * 1e3}));
+    }
+    println!("{}\n", json!(dispatch));
     let measured_store_ratio = store_ratio(&store_cells);
     let report = json!({
         "bench": "enactment_throughput",
@@ -431,6 +469,7 @@ fn main() {
         "matrix": matrix,
         "store": store_cells,
         "recover": recover,
+        "dispatch": dispatch,
     });
     std::fs::write(
         path,

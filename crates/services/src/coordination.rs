@@ -874,7 +874,9 @@ mod tests {
         assert!(fa.done && fb.done);
         assert_eq!(fa.report(), fb.report());
         assert!(fa.report().success);
-        log_a.with_records_from(suffix_from, |suffix| assert_eq!(suffix, log_b.records()));
+        let mut suffix = Vec::new();
+        log_a.with_records_from(suffix_from, |run| suffix.extend_from_slice(run));
+        assert_eq!(suffix, log_b.records());
     }
 
     /// Two fibers contend for the one live `prep` slot over a shared

@@ -17,6 +17,12 @@
 //! So `RecoveryPolicy::disabled()` is the paper's §3.3 sequence and
 //! nothing more: one try per ranked container, then re-plan.
 //!
+//! A step copies nothing it does not use.  The monitoring feed reads
+//! each container's `up` flag in place; the ranking arrives from
+//! [`rank_candidates`] as positions into `topology.containers`, every
+//! one passed through the breaker filter in rank order; and a container
+//! id is cloned only for a candidate the loop reaches.
+//!
 //! `attempt`, carried by `activity.dispatched`, `activity.failed` and
 //! `retry.scheduled`, counts the *candidate slots passed or tried in
 //! this step*: it starts at 0 and grows by one for every candidate that
@@ -24,12 +30,13 @@
 
 use super::{ActivityExecution, CaseFiber, FiberStatus};
 use crate::error::{Result, ServiceError};
-use crate::matchmaking::{matchmake_admitted, MatchRequest};
+use crate::matchmaking::{rank_candidates, MatchRequest};
 use crate::monitoring::MonitoringService;
 use crate::world::GridWorld;
-use gridflow_recovery::Admission;
+use gridflow_recovery::{Admission, RecoveryManager};
 use gridflow_telemetry::TraceEvent;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// What one pass over the ladder came to (the `Err` of the surrounding
 /// `Result` still means *every candidate failed* — the re-planning
@@ -172,22 +179,19 @@ impl CaseFiber {
         // Monitoring feedback: let live probes open/half-open the
         // circuit breakers before matchmaking sees the candidates.
         MonitoringService.feed_recovery(world, &mut self.recovery);
-        let candidates = matchmake_admitted(
-            world,
-            &MatchRequest::for_service(service),
-            &mut self.recovery,
-        )?;
+        let candidates = admitted(world, service, &mut self.recovery)?;
         let tries = self.recovery.policy().retry.max_attempts.max(1);
         let mut attempt = 0usize;
         let mut dispatched = false;
         let mut taken: Vec<String> = Vec::new();
-        for candidate in candidates.iter().take(self.config.max_candidates.max(1)) {
-            let container = candidate.container.as_str();
-            if !self.reserve(world, container) {
-                taken.push(container.to_owned());
+        for &pos in candidates.iter().take(self.config.max_candidates.max(1)) {
+            let id = world.topology.containers[pos].id.clone();
+            if !self.reserve(world, &id) {
+                taken.push(id);
                 attempt += 1;
                 continue;
             }
+            let container = id.as_str();
             for retry in 0..tries {
                 let admission = self.recovery.admit(container);
                 if admission == Admission::Reject {
@@ -291,5 +295,152 @@ impl CaseFiber {
             },
         );
         Ok(())
+    }
+}
+
+/// The ranked candidates for `service` that their breakers admit, as
+/// positions into `world.topology.containers`.  Every candidate passes
+/// the filter, in rank order, before any is tried: an open breaker whose
+/// cooldown has elapsed turns half-open here and is admitted as a probe,
+/// so `breaker.half_open` events follow the ranking.  A quarantined
+/// container is invisible to placement.  Unlike the ranking's own
+/// "nothing qualifies" error, an all-quarantined result is `Ok(vec![])`:
+/// the ladder treats it as "every candidate failed" and escalates.
+fn admitted(
+    world: &GridWorld,
+    service: &str,
+    recovery: &mut RecoveryManager,
+) -> Result<Vec<usize>> {
+    let mut admitted = Vec::new();
+    rank_candidates(world, &MatchRequest::for_service(service), |c| {
+        if recovery.is_admitted(&c.container) {
+            admitted.push(c.container_pos);
+        }
+        ControlFlow::Continue(())
+    })?;
+    Ok(admitted)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::matchmaking::matchmake;
+    use crate::world::{OutputSpec, ServiceOffering};
+    use gridflow_grid::GridTopology;
+    use gridflow_recovery::{BreakerConfig, RecoveryPolicy};
+    use gridflow_telemetry::{TraceHandle, TraceLog};
+
+    /// `sites` generated containers, every one hosting `X`.
+    fn world(sites: usize, seed: u64) -> GridWorld {
+        let mut w = GridWorld::new(GridTopology::generate(sites, &["X".into()], seed));
+        w.offer(ServiceOffering::new(
+            "X",
+            Vec::<String>::new(),
+            vec![OutputSpec::plain("Out")],
+        ));
+        w
+    }
+
+    fn ids(w: &GridWorld, positions: &[usize]) -> Vec<String> {
+        positions
+            .iter()
+            .map(|&p| w.topology.containers[p].id.clone())
+            .collect()
+    }
+
+    /// The filter the ladder ran before it ranked by position: the owned
+    /// ranking, then a `retain` over the breakers.
+    fn cloning_filter(w: &GridWorld, recovery: &mut RecoveryManager) -> Result<Vec<String>> {
+        let mut ranked = matchmake(w, &MatchRequest::for_service("X"))?;
+        if recovery.policy().breaker.is_some() {
+            ranked.retain(|m| recovery.is_admitted(&m.container));
+        }
+        Ok(ranked.into_iter().map(|m| m.container).collect())
+    }
+
+    #[test]
+    fn quarantined_containers_are_filtered_from_matches() {
+        let w = world(3, 1);
+        let standard = || RecoveryManager::new(RecoveryPolicy::standard());
+        let all = ids(&w, &admitted(&w, "X", &mut standard()).unwrap());
+        assert_eq!(all.len(), 3);
+        // Trip one breaker (threshold 3 under the standard policy).
+        let out = all[1].clone();
+        let mut recovery = standard();
+        for _ in 0..3 {
+            recovery.record_failure(&out);
+        }
+        let kept = ids(&w, &admitted(&w, "X", &mut recovery).unwrap());
+        assert_eq!(kept.len(), 2);
+        assert!(!kept.contains(&out));
+        // Serve the cooldown: the filter itself moves the breaker to
+        // half-open and readmits the container as a probe candidate.
+        recovery.tick(1_000);
+        assert_eq!(ids(&w, &admitted(&w, "X", &mut recovery).unwrap()), all);
+        assert_eq!(recovery.admit(&out), Admission::Probe);
+        // Quarantining everything yields an empty (not error) result.
+        let mut all_out = standard();
+        for c in &all {
+            for _ in 0..3 {
+                all_out.record_failure(c);
+            }
+        }
+        assert!(admitted(&w, "X", &mut all_out).unwrap().is_empty());
+    }
+
+    #[test]
+    fn the_admission_filter_emits_what_the_cloning_filter_did() {
+        let policy = RecoveryPolicy {
+            breaker: Some(BreakerConfig {
+                failure_threshold: 2,
+                open_ticks: 10,
+            }),
+            ..RecoveryPolicy::standard()
+        };
+        let mut half_opened = 0;
+        for seed in 0..16u64 {
+            let mut w = world(10, seed);
+            for i in (0..10).filter(|i| (i + seed) % 4 == 0) {
+                let id = w.topology.containers[i as usize].id.clone();
+                w.set_container_up(&id, false).unwrap();
+            }
+            // Breakers trip on a seeded subset at staggered clock
+            // readings, so a pass finds some open, some past their
+            // cooldown (half-open on admission) and some closed.
+            let manager = |log: &TraceLog| {
+                let mut m = RecoveryManager::with_trace_handle(
+                    policy.clone(),
+                    TraceHandle::from(log.clone()),
+                );
+                for (i, c) in w.topology.containers.iter().enumerate() {
+                    if !(i as u64 * 7 + seed).is_multiple_of(3) {
+                        m.record_failure(&c.id);
+                        m.record_failure(&c.id);
+                    }
+                    m.tick(3);
+                }
+                m
+            };
+            let (old_log, new_log) = (TraceLog::new(), TraceLog::new());
+            let (mut old, mut new) = (manager(&old_log), manager(&new_log));
+            for _ in 0..4 {
+                let expected = cloning_filter(&w, &mut old).ok();
+                let got = admitted(&w, "X", &mut new).ok().map(|p| ids(&w, &p));
+                assert_eq!(got, expected, "seed {seed}");
+                assert_eq!(new.snapshot(), old.snapshot(), "seed {seed}");
+                old.tick(4);
+                new.tick(4);
+            }
+            assert_eq!(new_log.to_jsonl(), old_log.to_jsonl(), "seed {seed}");
+            half_opened += new_log
+                .records()
+                .iter()
+                .filter(|r| matches!(r.event, TraceEvent::BreakerHalfOpen { .. }))
+                .count();
+        }
+        assert!(
+            half_opened > 16,
+            "the sweep must exercise half-open admissions"
+        );
     }
 }

@@ -6,12 +6,20 @@
 //! A [`MatchRequest`] expresses those conditions — soft deadline, budget,
 //! interconnect requirements, administrative domain, minimum reliability
 //! — and [`matchmake`] ranks the containers that satisfy all of them.
+//!
+//! There is one ranking, [`rank_candidates`]: it walks the world's
+//! cached [`MatchIndex`] and lends each qualifying [`Candidate`] — its
+//! position in `topology.containers` and its estimates — to a visitor,
+//! copying nothing.  [`matchmake`] is its owned view; the dispatch
+//! ladder keeps positions and clones a container id only for a
+//! candidate it tries; the engine's admission gate stops at the first.
 
 use crate::error::{Result, ServiceError};
-use crate::world::{GridWorld, ServiceOffering};
+use crate::world::GridWorld;
 use gridflow_grid::workload::estimate;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 /// Conditions on a resource match.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,17 +67,18 @@ pub struct RankedMatch {
     pub reliability: f64,
 }
 
-/// One precomputed candidate for a service: everything about the
+/// One ranked candidate for a service: everything about the
 /// `(container, resource)` pair that does not change between
-/// matchmaking-visible world mutations.  Liveness (`up`) is the one
-/// dynamic fact, re-checked against the topology at query time via the
-/// recorded container position.
+/// matchmaking-visible world mutations, precomputed by the
+/// [`MatchIndex`] and lent by [`rank_candidates`].  Liveness (`up`) is
+/// the one dynamic fact, re-checked against the topology at query time
+/// via the recorded container position.
 #[derive(Debug, Clone)]
-struct IndexEntry {
+pub struct Candidate {
     /// Candidate container id.
-    container: String,
+    pub(crate) container: String,
     /// Its position in `topology.containers` (verified at query time).
-    container_pos: usize,
+    pub(crate) container_pos: usize,
     /// Backing resource id.
     resource: String,
     /// Model-estimated duration for the service on this resource.
@@ -87,18 +96,18 @@ struct IndexEntry {
 /// Precomputed per-service candidate rankings, keyed to a
 /// [`GridWorld::generation`].
 ///
-/// Built lazily by [`matchmake`] and cached on the world; a generation
-/// mismatch (container flip, catalog change) invalidates it wholesale.
-/// Entries are pre-sorted by matchmaking's ranking key `(duration,
-/// container id)`, so a query is a filtered copy instead of a full
-/// container scan, resource lookup, estimate, and sort per call.
+/// Built lazily by [`rank_candidates`] and cached on the world; a
+/// generation mismatch (container flip, catalog change) invalidates it
+/// wholesale.  Candidates are pre-sorted by matchmaking's ranking key
+/// `(duration, container id)`, so a query is a filtered walk instead of
+/// a full container scan, resource lookup, estimate, and sort per call.
 #[derive(Debug)]
 pub struct MatchIndex {
     /// The world generation this index reflects.
     generation: u64,
-    /// service name → ranked candidate entries (hosting containers,
-    /// up or not — liveness is checked at query time).
-    by_service: BTreeMap<String, Vec<IndexEntry>>,
+    /// service name → ranked candidates (hosting containers, up or not
+    /// — liveness is checked at query time).
+    by_service: BTreeMap<String, Vec<Candidate>>,
 }
 
 impl MatchIndex {
@@ -121,7 +130,7 @@ impl MatchIndex {
                     continue;
                 };
                 let est = estimate(&offering.demand, resource);
-                entries.push(IndexEntry {
+                entries.push(Candidate {
                     container: container.id.clone(),
                     container_pos,
                     resource: resource.id.clone(),
@@ -155,7 +164,7 @@ impl MatchIndex {
 /// Does `entry` pass every *static* condition of `request`?  Liveness
 /// (`container.up`) is the one check this cannot answer — the caller
 /// verifies it against the topology.
-fn admit_entry(entry: &IndexEntry, request: &MatchRequest) -> bool {
+fn admit_entry(entry: &Candidate, request: &MatchRequest) -> bool {
     if request.require_fine_grain && !entry.fine_grain {
         return false;
     }
@@ -180,121 +189,51 @@ fn admit_entry(entry: &IndexEntry, request: &MatchRequest) -> bool {
     true
 }
 
-/// Answer `request` from the world's cached [`MatchIndex`],
-/// (re)building it on generation mismatch.  Returns `None` — falling
-/// back to the scan path — when the index turns out to be stale in a
-/// way the generation could not see (pub topology fields mutated
-/// without [`GridWorld::bump_generation`]); the cache is dropped so the
-/// next call rebuilds.
-fn indexed_matches(world: &GridWorld, request: &MatchRequest) -> Option<Vec<RankedMatch>> {
+/// The ranking core: lend `visit` every container that can execute the
+/// request's service *and* satisfy every condition, fastest first
+/// (`(estimated duration, container id)`, a total order), until it
+/// breaks.  Nothing is copied; [`matchmake`] is the owned view.  Fails
+/// as [`matchmake`] does when nothing qualifies.
+///
+/// Served from the world's cached [`MatchIndex`], rebuilt on
+/// [`GridWorld::generation`] mismatch — and also when a recorded
+/// position no longer holds its container: pub topology fields mutated
+/// without [`GridWorld::bump_generation`] cost a rebuild, never a wrong
+/// answer.
+pub fn rank_candidates(
+    world: &GridWorld,
+    request: &MatchRequest,
+    mut visit: impl FnMut(&Candidate) -> ControlFlow<()>,
+) -> Result<()> {
+    world.offering(&request.service)?;
+    let containers = &world.topology.containers;
     let mut cache = world.match_index.lock();
-    let stale = cache
-        .as_ref()
-        .is_none_or(|idx| idx.generation != world.generation());
-    if stale {
+    let current = cache.as_ref().is_some_and(|idx| {
+        idx.generation == world.generation()
+            && idx.by_service.get(&request.service).is_some_and(|entries| {
+                entries.iter().all(|e| {
+                    containers
+                        .get(e.container_pos)
+                        .is_some_and(|c| c.id == e.container)
+                })
+            })
+    });
+    if !current {
         *cache = Some(MatchIndex::build(world));
     }
-    let index = cache.as_ref().expect("cache populated above");
-    let entries = index.by_service.get(&request.service)?;
-    let mut matches = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let Some(container) = world.topology.containers.get(entry.container_pos) else {
-            *cache = None;
-            return None;
-        };
-        if container.id != entry.container {
-            *cache = None;
-            return None;
-        }
-        if !container.up || !admit_entry(entry, request) {
-            continue;
-        }
-        matches.push(RankedMatch {
-            container: entry.container.clone(),
-            resource: entry.resource.clone(),
-            duration_s: entry.duration_s,
-            cost: entry.cost,
-            reliability: entry.reliability,
-        });
-    }
-    Some(matches)
-}
-
-/// The pre-index matchmaking path: scan every container, look up its
-/// resource, estimate, filter, sort.  Kept verbatim as the fallback
-/// when the index cannot be trusted — and as the reference the index
-/// equivalence tests compare against.
-fn scan_matches(
-    world: &GridWorld,
-    offering: &ServiceOffering,
-    request: &MatchRequest,
-) -> Vec<RankedMatch> {
-    let mut matches = Vec::new();
-    for container in world
-        .topology
-        .containers
+    let mut found = false;
+    let entries = cache
+        .as_ref()
+        .and_then(|idx| idx.by_service.get(&request.service))
+        .map_or(&[][..], Vec::as_slice);
+    let _ = entries
         .iter()
-        .filter(|c| c.can_execute(&request.service))
-    {
-        let Some(resource) = world.topology.resource(&container.resource_id) else {
-            continue;
-        };
-        if request.require_fine_grain && !resource.hardware.suits_fine_grain() {
-            continue;
-        }
-        if let Some(domain) = &request.domain {
-            if &resource.domain != domain {
-                continue;
-            }
-        }
-        if resource.reliability < request.min_reliability {
-            continue;
-        }
-        let est = estimate(&offering.demand, resource);
-        if let Some(deadline) = request.deadline_s {
-            if est.duration_s > deadline {
-                continue;
-            }
-        }
-        if let Some(budget) = request.budget {
-            if est.cost > budget {
-                continue;
-            }
-        }
-        matches.push(RankedMatch {
-            container: container.id.clone(),
-            resource: resource.id.clone(),
-            duration_s: est.duration_s,
-            cost: est.cost,
-            reliability: resource.reliability,
+        .filter(|e| containers[e.container_pos].up && admit_entry(e, request))
+        .try_for_each(|e| {
+            found = true;
+            visit(e)
         });
-    }
-    matches.sort_by(|a, b| {
-        a.duration_s
-            .partial_cmp(&b.duration_s)
-            .expect("durations are finite")
-            .then_with(|| a.container.cmp(&b.container))
-    });
-    matches
-}
-
-/// Rank the containers that can execute the request's service *and*
-/// satisfy every condition, fastest first.  Fails with
-/// [`ServiceError::Grid`] wrapping [`gridflow_grid::GridError::NoMatchingOffer`]
-/// when nothing qualifies.
-///
-/// Served from the world's cached [`MatchIndex`] (rebuilt on
-/// [`GridWorld::generation`] mismatch); the legacy full scan remains as
-/// the fallback and produces identical rankings — both orderings are
-/// `(estimated duration, container id)`, which is total, so the two
-/// paths cannot disagree.
-pub fn matchmake(world: &GridWorld, request: &MatchRequest) -> Result<Vec<RankedMatch>> {
-    let offering = world.offering(&request.service)?;
-    let matches = match indexed_matches(world, request) {
-        Some(matches) => matches,
-        None => scan_matches(world, offering, request),
-    };
-    if matches.is_empty() {
+    if !found {
         return Err(ServiceError::Grid(
             gridflow_grid::GridError::NoMatchingOffer(format!(
                 "service `{}` under the given conditions",
@@ -302,29 +241,26 @@ pub fn matchmake(world: &GridWorld, request: &MatchRequest) -> Result<Vec<Ranked
             )),
         ));
     }
-    Ok(matches)
+    Ok(())
 }
 
-/// Like [`matchmake`], but containers whose circuit breaker is open are
-/// excluded from the candidate list — a quarantined container is
-/// invisible to placement until its half-open probe readmits it.  An
-/// open breaker whose cooldown has elapsed transitions to half-open
-/// during this filter (and is admitted as a probe candidate), so the
-/// call takes the recovery manager mutably.  Unlike [`matchmake`], an
-/// all-quarantined result is `Ok(vec![])` rather than an error: the
-/// enactor treats it as "every candidate failed" and escalates.  Under
-/// a policy with no breaker nothing can be quarantined and the ranking
-/// is returned as [`matchmake`] built it.
-pub fn matchmake_admitted(
-    world: &GridWorld,
-    request: &MatchRequest,
-    recovery: &mut gridflow_recovery::RecoveryManager,
-) -> Result<Vec<RankedMatch>> {
-    let mut ranked = matchmake(world, request)?;
-    if recovery.policy().breaker.is_some() {
-        ranked.retain(|m| recovery.is_admitted(&m.container));
-    }
-    Ok(ranked)
+/// Rank the containers that can execute the request's service *and*
+/// satisfy every condition, fastest first.  Fails with
+/// [`ServiceError::Grid`] wrapping [`gridflow_grid::GridError::NoMatchingOffer`]
+/// when nothing qualifies.  The owned view of [`rank_candidates`].
+pub fn matchmake(world: &GridWorld, request: &MatchRequest) -> Result<Vec<RankedMatch>> {
+    let mut matches = Vec::new();
+    rank_candidates(world, request, |c| {
+        matches.push(RankedMatch {
+            container: c.container.clone(),
+            resource: c.resource.clone(),
+            duration_s: c.duration_s,
+            cost: c.cost,
+            reliability: c.reliability,
+        });
+        ControlFlow::Continue(())
+    })?;
+    Ok(matches)
 }
 
 /// Like [`matchmake`], but duration estimates prefer the brokerage
@@ -600,82 +536,204 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quarantined_containers_are_filtered_from_matches() {
-        use gridflow_recovery::{Admission, RecoveryManager, RecoveryPolicy};
-        let w = world(false);
-        let mut recovery = RecoveryManager::new(RecoveryPolicy::standard());
-        // Trip ac-pc's breaker (threshold 3 under the standard policy).
-        for _ in 0..3 {
-            recovery.record_failure("ac-pc");
+    /// The pre-index matchmaking path, verbatim: scan every container,
+    /// look up its resource, estimate, filter, sort.  The oracle the
+    /// ranking core is held to.
+    fn scan_matches(
+        world: &GridWorld,
+        offering: &ServiceOffering,
+        request: &MatchRequest,
+    ) -> Vec<RankedMatch> {
+        let mut matches = Vec::new();
+        for container in world
+            .topology
+            .containers
+            .iter()
+            .filter(|c| c.can_execute(&request.service))
+        {
+            let Some(resource) = world.topology.resource(&container.resource_id) else {
+                continue;
+            };
+            if request.require_fine_grain && !resource.hardware.suits_fine_grain() {
+                continue;
+            }
+            if let Some(domain) = &request.domain {
+                if &resource.domain != domain {
+                    continue;
+                }
+            }
+            if resource.reliability < request.min_reliability {
+                continue;
+            }
+            let est = estimate(&offering.demand, resource);
+            if let Some(deadline) = request.deadline_s {
+                if est.duration_s > deadline {
+                    continue;
+                }
+            }
+            if let Some(budget) = request.budget {
+                if est.cost > budget {
+                    continue;
+                }
+            }
+            matches.push(RankedMatch {
+                container: container.id.clone(),
+                resource: resource.id.clone(),
+                duration_s: est.duration_s,
+                cost: est.cost,
+                reliability: resource.reliability,
+            });
         }
-        let admitted =
-            matchmake_admitted(&w, &MatchRequest::for_service("X"), &mut recovery).unwrap();
-        assert_eq!(admitted.len(), 2);
-        assert!(admitted.iter().all(|m| m.container != "ac-pc"));
-        // Serve the cooldown: the filter itself moves the breaker to
-        // half-open and readmits the container as a probe candidate.
-        recovery.tick(1_000);
-        let readmitted =
-            matchmake_admitted(&w, &MatchRequest::for_service("X"), &mut recovery).unwrap();
-        assert_eq!(readmitted.len(), 3);
-        assert_eq!(recovery.admit("ac-pc"), Admission::Probe);
-        // Quarantining everything yields an empty (not error) result.
-        let mut all_out = RecoveryManager::new(RecoveryPolicy::standard());
-        for c in ["ac-sc", "ac-pc", "ac-ws"] {
-            for _ in 0..3 {
-                all_out.record_failure(c);
+        matches.sort_by(|a, b| {
+            a.duration_s
+                .partial_cmp(&b.duration_s)
+                .expect("durations are finite")
+                .then_with(|| a.container.cmp(&b.container))
+        });
+        matches
+    }
+
+    /// Every condition a request can carry, each on its own and in
+    /// pairs, with thresholds taken from the unconstrained ranking so
+    /// each one lands exactly on a candidate's value.
+    fn every_condition(w: &GridWorld, service: &str) -> Vec<MatchRequest> {
+        let any = MatchRequest::for_service(service);
+        let mut requests = vec![
+            any.clone(),
+            MatchRequest {
+                require_fine_grain: true,
+                ..any.clone()
+            },
+            MatchRequest {
+                domain: Some("nowhere".into()),
+                ..any.clone()
+            },
+        ];
+        let offering = w.offering(service).unwrap();
+        for m in scan_matches(w, offering, &any) {
+            let domain = w.topology.resource(&m.resource).unwrap().domain.clone();
+            requests.extend([
+                MatchRequest {
+                    deadline_s: Some(m.duration_s),
+                    ..any.clone()
+                },
+                MatchRequest {
+                    budget: Some(m.cost),
+                    ..any.clone()
+                },
+                MatchRequest {
+                    min_reliability: m.reliability,
+                    ..any.clone()
+                },
+                MatchRequest {
+                    domain: Some(domain.clone()),
+                    ..any.clone()
+                },
+                MatchRequest {
+                    deadline_s: Some(m.duration_s * 2.0),
+                    budget: Some(m.cost),
+                    ..any.clone()
+                },
+                MatchRequest {
+                    domain: Some(domain),
+                    min_reliability: m.reliability,
+                    require_fine_grain: true,
+                    ..any.clone()
+                },
+            ]);
+        }
+        requests
+    }
+
+    /// The ranking core, `matchmake` and a first-candidate query all
+    /// agree with the scan oracle on `request`, and every lent position
+    /// holds the container it names.
+    fn assert_agrees_with_the_scan(w: &GridWorld, request: &MatchRequest) {
+        let oracle = scan_matches(w, w.offering(&request.service).unwrap(), request);
+        let mut lent = Vec::new();
+        let ranked = rank_candidates(w, request, |c| {
+            assert_eq!(w.topology.containers[c.container_pos].id, c.container);
+            lent.push(c.container.clone());
+            ControlFlow::Continue(())
+        });
+        let names: Vec<String> = oracle.iter().map(|m| m.container.clone()).collect();
+        assert_eq!(lent, names, "{request:?}");
+        assert_eq!(ranked.is_ok(), !oracle.is_empty(), "{request:?}");
+        match matchmake(w, request) {
+            Ok(matches) => assert_eq!(matches, oracle, "{request:?}"),
+            Err(e) => {
+                assert!(oracle.is_empty(), "{request:?}: {e}");
+                assert!(matches!(
+                    e,
+                    ServiceError::Grid(gridflow_grid::GridError::NoMatchingOffer(_))
+                ));
             }
         }
-        assert!(
-            matchmake_admitted(&w, &MatchRequest::for_service("X"), &mut all_out)
-                .unwrap()
-                .is_empty()
-        );
+        let mut first = Vec::new();
+        let _ = rank_candidates(w, request, |c| {
+            first.push(c.container.clone());
+            ControlFlow::Break(())
+        });
+        assert_eq!(first, names.into_iter().take(1).collect::<Vec<_>>());
+    }
+
+    fn assert_every_condition_agrees(w: &GridWorld) {
+        for service in w.offerings.keys() {
+            for request in every_condition(w, service) {
+                assert_agrees_with_the_scan(w, &request);
+            }
+        }
     }
 
     #[test]
     fn indexed_path_matches_the_scan_oracle_across_mutations() {
-        let mut w = world(false);
-        let requests = [
-            MatchRequest::for_service("X"),
-            MatchRequest {
-                require_fine_grain: true,
-                ..MatchRequest::for_service("X")
-            },
-            MatchRequest {
-                domain: Some("ucf.edu".into()),
-                min_reliability: 0.9,
-                ..MatchRequest::for_service("X")
-            },
-            MatchRequest {
-                budget: Some(1.0e9),
-                deadline_s: Some(1.0e9),
-                ..MatchRequest::for_service("X")
-            },
-        ];
-        let assert_agree = |w: &GridWorld| {
-            for request in &requests {
-                let offering = w.offering(&request.service).unwrap();
-                let indexed = indexed_matches(w, request).expect("index path answers");
-                let scanned = scan_matches(w, offering, request);
-                assert_eq!(indexed, scanned, "request {request:?}");
+        let services = ["X".to_string(), "Y".to_string()];
+        for seed in 0..8 {
+            let mut w = GridWorld::new(GridTopology::generate(12, &services, seed));
+            for (i, s) in services.iter().enumerate() {
+                let demand = if i == 0 {
+                    TaskDemand::fine(s.clone(), 300.0, 5.0)
+                } else {
+                    TaskDemand::coarse(s.clone(), 80.0, 1.0)
+                };
+                w.offer(
+                    ServiceOffering::new(
+                        s.clone(),
+                        Vec::<String>::new(),
+                        vec![OutputSpec::plain("o")],
+                    )
+                    .with_demand(demand),
+                );
             }
-        };
-        assert_agree(&w);
-        // Container flips bump the generation; the rebuilt index must
-        // track them exactly.
-        w.set_container_up("ac-pc", false).unwrap();
-        assert_agree(&w);
-        w.set_container_up("ac-pc", true).unwrap();
-        assert_agree(&w);
-        // Catalog changes too (the new offering re-ranks nothing for
-        // `X` but forces a rebuild).
-        w.offer(
-            ServiceOffering::new("Y", Vec::<String>::new(), vec![OutputSpec::plain("Out")])
-                .with_demand(TaskDemand::coarse("Y", 5.0, 1.0)),
-        );
-        assert_agree(&w);
+            assert_every_condition_agrees(&w);
+            // Container flips bump the generation; the rebuilt index
+            // must track them exactly.
+            let ids: Vec<String> = w.topology.containers.iter().map(|c| c.id.clone()).collect();
+            for id in ids.iter().step_by(3) {
+                w.set_container_up(id, false).unwrap();
+            }
+            assert_every_condition_agrees(&w);
+            w.set_container_up(&ids[0], true).unwrap();
+            assert_every_condition_agrees(&w);
+            // A catalog change re-ranks `Y`.
+            w.offer(
+                ServiceOffering::new("Y", Vec::<String>::new(), vec![OutputSpec::plain("o")])
+                    .with_demand(TaskDemand::fine("Y", 900.0, 40.0)),
+            );
+            assert_every_condition_agrees(&w);
+            // Mutations the generation cannot see: reordered containers,
+            // a removed one, an offering inserted behind its back.
+            w.topology.containers.reverse();
+            assert_every_condition_agrees(&w);
+            w.topology.containers.remove(1);
+            assert_every_condition_agrees(&w);
+            w.offerings.insert(
+                "Z".into(),
+                ServiceOffering::new("Z", Vec::<String>::new(), vec![OutputSpec::plain("o")]),
+            );
+            w.topology.containers[0].services.push("Z".into());
+            assert_every_condition_agrees(&w);
+        }
     }
 
     #[test]
@@ -693,25 +751,27 @@ mod tests {
     }
 
     #[test]
-    fn untracked_topology_mutation_falls_back_to_the_scan() {
+    fn untracked_topology_mutation_rebuilds_the_index() {
         let mut w = world(false);
         let before = matchmake(&w, &MatchRequest::for_service("X")).unwrap();
         assert_eq!(before.len(), 3);
         // Remove a container behind the generation counter's back: the
-        // index's position check must notice and the scan must answer.
+        // position check must notice, and the answer must come from an
+        // index of the topology as it now is.
+        let generation = w.generation();
         w.topology.containers.retain(|c| c.id != "ac-pc");
         let after = matchmake(&w, &MatchRequest::for_service("X")).unwrap();
         assert_eq!(after.len(), 2);
         assert!(after.iter().all(|m| m.container != "ac-pc"));
-        // The poisoned cache was dropped; the next call rebuilds a
-        // fresh index that agrees with the scan again.
         let offering = w.offering("X").unwrap();
-        let indexed =
-            indexed_matches(&w, &MatchRequest::for_service("X")).expect("rebuilt index answers");
         assert_eq!(
-            indexed,
+            after,
             scan_matches(&w, offering, &MatchRequest::for_service("X"))
         );
+        assert_eq!(w.generation(), generation);
+        let cache = w.match_index.lock();
+        let rebuilt = &cache.as_ref().unwrap().by_service["X"];
+        assert!(rebuilt.iter().all(|c| c.container != "ac-pc"));
     }
 
     #[test]

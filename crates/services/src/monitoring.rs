@@ -60,16 +60,6 @@ impl MonitoringService {
         })
     }
 
-    /// Probe every container.
-    pub fn probe_all_containers(&self, world: &GridWorld) -> Vec<ContainerStatus> {
-        world
-            .topology
-            .containers
-            .iter()
-            .map(|c| self.probe_container(world, &c.id).expect("exists"))
-            .collect()
-    }
-
     /// Probe one resource (market load included).
     pub fn probe_resource(&self, world: &GridWorld, id: &str) -> Option<ResourceStatus> {
         let r = world.topology.resource(id)?;
@@ -92,14 +82,16 @@ impl MonitoringService {
         up as f64 / total as f64
     }
 
-    /// Probe every container and feed the up/down results into the
-    /// recovery layer's circuit breakers — the paper's monitoring
-    /// feedback driving rescheduling.  Down containers accrue breaker
-    /// failures (quarantining them without wasting dispatches); open
-    /// breakers whose cooldown has elapsed take the probe as their
-    /// half-open trial, so a healthy container is readmitted here.
-    /// Returns the number of containers probed: none under a policy with
-    /// no breaker, which has nothing to feed.
+    /// Probe every container, in topology order, and feed the up/down
+    /// results into the recovery layer's circuit breakers — the paper's
+    /// monitoring feedback driving rescheduling.  Down containers accrue
+    /// breaker failures (quarantining them without wasting dispatches);
+    /// open breakers whose cooldown has elapsed take the probe as their
+    /// half-open trial, so a healthy container is readmitted here.  The
+    /// sweep reads each container's `up` flag in place: it runs on every
+    /// dispatch of a breaker-configured case, so it builds no
+    /// [`ContainerStatus`].  Returns the number of containers probed:
+    /// none under a policy with no breaker, which has nothing to feed.
     pub fn feed_recovery(
         &self,
         world: &GridWorld,
@@ -108,12 +100,10 @@ impl MonitoringService {
         if recovery.policy().breaker.is_none() {
             return 0;
         }
-        let statuses = self.probe_all_containers(world);
-        let fed = statuses.len();
-        for status in statuses {
-            recovery.note_probe(&status.container, status.up);
+        for c in &world.topology.containers {
+            recovery.note_probe(&c.id, c.up);
         }
-        fed
+        world.topology.containers.len()
     }
 
     /// Fold an execution trace into counters and virtual-time latency
@@ -169,7 +159,11 @@ mod tests {
     fn probe_all_and_availability() {
         let mut w = world();
         let mon = MonitoringService;
-        assert_eq!(mon.probe_all_containers(&w).len(), 5);
+        assert!(w
+            .topology
+            .containers
+            .iter()
+            .all(|c| mon.probe_container(&w, &c.id).is_some_and(|s| s.up)));
         assert_eq!(mon.availability(&w), 1.0);
         let id = w.topology.containers[0].id.clone();
         w.set_container_up(&id, false).unwrap();
@@ -211,7 +205,9 @@ mod tests {
         }
         assert_eq!(mon.availability(&w), 0.0);
         // Probes keep working during the blackout…
-        assert!(mon.probe_all_containers(&w).iter().all(|c| !c.up));
+        assert!(ids
+            .iter()
+            .all(|id| mon.probe_container(&w, id).is_some_and(|s| !s.up)));
         // …and recovery is symmetric.
         w.set_container_up(&ids[0], true).unwrap();
         assert!((mon.availability(&w) - 1.0 / ids.len() as f64).abs() < 1e-12);
