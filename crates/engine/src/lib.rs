@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 
+mod durable;
 pub mod policy;
 pub mod scheduler;
 pub mod snapshot;
@@ -39,6 +40,6 @@ pub use scheduler::{
     CaseOutcome, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, StoreBinding,
 };
 pub use snapshot::{
-    AdmissionRecord, BlueprintPool, CaseBlueprint, EngineSnapshot, FinishedImage, SlotImage,
-    WaitingImage, ENGINE_SNAPSHOT_VERSION,
+    AdmissionRecord, CaseBlueprint, EngineSnapshot, FinishedImage, SlotImage, WaitingImage,
+    ENGINE_SNAPSHOT_VERSION,
 };

@@ -1,62 +1,24 @@
 //! The tick scheduler: admission, rotation-fair stepping, tick-scoped
 //! reservations, and per-case scoped tracing.
 
+pub use crate::durable::StoreBinding;
+use crate::durable::{flush_refused, snapshot_refused, Durable};
 use crate::policy::{AdmissionPolicy, CaseHints, PolicySpec, WaitingCase};
-use crate::snapshot::{
-    AdmissionRecord, BlueprintPool, EngineSnapshot, FinishedImage, SlotImage, WaitingImage,
-};
+use crate::snapshot::{AdmissionRecord, FinishedImage};
 use gridflow_process::{ActivityKind, CaseDescription, ProcessGraph};
 use gridflow_services::matchmaking::{rank_candidates, MatchRequest};
 use gridflow_services::{
     CaseFiber, EnactmentConfig, EnactmentReport, FiberStatus, GridWorld, PlanCacheHandle,
 };
-use gridflow_store::{SnapshotRecord, Store, StoreError, StoreResult};
-use gridflow_telemetry::{TraceEvent, TraceHandle, TraceLog, TraceSink};
+use gridflow_store::StoreResult;
+use gridflow_telemetry::{TraceEvent, TraceHandle, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
-
-/// The durable-store attachment for a run: where tick events and
-/// snapshots go, and which journal they are read back out of.
-///
-/// `journal` **must** be the same [`TraceLog`] the scheduler records
-/// into (wired via [`CaseScheduler::trace`]) — the tick loop flushes
-/// `journal.with_records_from(..)` into `store` at every tick boundary, so a
-/// different log would persist someone else's events.  For crash
-/// recovery the caller reseeds the journal
-/// ([`TraceLog::resuming`]) at the snapshot's `journal_seq` before
-/// constructing the scheduler; the store then byte-verifies the
-/// regenerated overlap instead of trusting it.
-#[derive(Clone)]
-pub struct StoreBinding {
-    /// The durable backend (shared so tests and recovery can read it
-    /// back after the run).
-    pub store: Arc<Mutex<dyn Store>>,
-    /// The trace log the engine journals into — the flush source.
-    pub journal: TraceLog,
-    /// Snapshot cadence: capture engine state every `snapshot_every`
-    /// ticks.  `0` disables snapshots (the log still appends events,
-    /// and recovery replays from the very beginning).
-    pub snapshot_every: u64,
-}
-
-impl std::fmt::Debug for StoreBinding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreBinding")
-            .field("snapshot_every", &self.snapshot_every)
-            .finish_non_exhaustive()
-    }
-}
-
-impl PartialEq for StoreBinding {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.store, &other.store) && self.snapshot_every == other.snapshot_every
-    }
-}
+use std::sync::Arc;
 
 /// Scheduler knobs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Read by nothing: the scheduler is single-threaded.  Kept only
     /// because `benchmark/src/fleet.rs` writes `EngineConfig { workers:
@@ -73,11 +35,9 @@ pub struct EngineConfig {
     /// engine; non-FIFO policies reorder admission only and stamp each
     /// `case.admitted` event with a `reason`.
     pub policy: PolicySpec,
-    /// Durable store attachment.  `None` (the default) leaves the
-    /// engine exactly as before — no I/O, no snapshots.  `Some` makes
-    /// the tick loop flush the journal's new records into the store at
-    /// every tick boundary and capture an [`EngineSnapshot`] every
-    /// [`StoreBinding::snapshot_every`] ticks.
+    /// Durable store attachment: the journal flushed at every tick
+    /// boundary and the snapshot cadence.  `None` (the default) does no
+    /// I/O and takes no snapshots.
     pub store: Option<StoreBinding>,
     /// Crash-injection knob: stop the tick loop dead at the top of
     /// this tick, *before* the tick's `TickStarted` is emitted and
@@ -192,37 +152,45 @@ impl EngineOutcome {
 }
 
 /// A fiber the scheduler is driving, with its accounting.
-struct Slot {
-    index: usize,
-    fiber: CaseFiber,
-    admitted_tick: u64,
-    blocked_ticks: u64,
+pub(crate) struct Slot {
+    pub(crate) index: usize,
+    pub(crate) fiber: CaseFiber,
+    pub(crate) admitted_tick: u64,
+    pub(crate) blocked_ticks: u64,
 }
 
 /// The tick loop's complete state, factored out of the loop so a
 /// run can start fresh ([`CaseScheduler::run`]) or resume from a
-/// restored [`EngineSnapshot`] ([`CaseScheduler::recover`]) through the
+/// restored engine snapshot ([`CaseScheduler::recover`]) through the
 /// *same* code path — recovery re-executes the identical loop, which is
 /// what makes the regenerated trace byte-verifiable.
-struct LoopState {
-    waiting: VecDeque<(usize, CaseSpec)>,
-    live: Vec<Slot>,
-    finished: Vec<FinishedImage>,
-    /// `finished[i]` as snapshot JSON, for the prefix of `finished` some
-    /// snapshot has already included: a sealed outcome never changes,
-    /// so [`CaseScheduler::capture_snapshot`] encodes each one once and
-    /// splices the text into every later payload.  Stays empty unless
-    /// snapshots are being taken.
-    finished_json: Vec<String>,
-    /// Byte length of the last snapshot payload captured (or restored
-    /// from), which sizes the next one's buffer.
-    snapshot_len: usize,
-    tick: u64,
-    policy: Box<dyn AdmissionPolicy>,
+pub(crate) struct LoopState {
+    pub(crate) waiting: VecDeque<(usize, CaseSpec)>,
+    pub(crate) live: Vec<Slot>,
+    pub(crate) finished: Vec<FinishedImage>,
+    pub(crate) tick: u64,
+    pub(crate) policy: Box<dyn AdmissionPolicy>,
     /// Committed admissions in order — serialized into snapshots so a
     /// restored run can rebuild the policy's history by replaying
     /// [`AdmissionPolicy::admitted`] calls.
-    admissions: Vec<AdmissionRecord>,
+    pub(crate) admissions: Vec<AdmissionRecord>,
+}
+
+impl LoopState {
+    /// Seal `fiber`'s case into `finished` at this tick.  A case
+    /// admission refused was never `admitted` and never `blocked`.
+    fn seal(&mut self, index: usize, fiber: CaseFiber, admitted: Option<u64>, blocked: u64) {
+        self.finished.push(FinishedImage {
+            index,
+            outcome: CaseOutcome {
+                label: fiber.label().to_owned(),
+                report: fiber.into_report(),
+                admitted_tick: admitted,
+                finished_tick: self.tick,
+                blocked_ticks: blocked,
+            },
+        });
+    }
 }
 
 /// The multi-case enactment engine.
@@ -237,7 +205,7 @@ struct LoopState {
 ///
 /// [`run`]: CaseScheduler::run
 pub struct CaseScheduler {
-    config: EngineConfig,
+    pub(crate) config: EngineConfig,
     trace: TraceHandle,
     pending: Vec<CaseSpec>,
 }
@@ -298,7 +266,8 @@ impl CaseScheduler {
         on_tick: impl FnMut(u64, &mut GridWorld),
     ) -> EngineOutcome {
         let st = self.fresh_state();
-        self.run_loop(world, on_tick, st)
+        let durable = Durable::new(self.config.store.clone());
+        self.run_loop(world, on_tick, durable, st)
     }
 
     /// The loop state of a run starting at tick 0 from the submitted
@@ -317,8 +286,6 @@ impl CaseScheduler {
             waiting: specs.into_iter().enumerate().collect(),
             live,
             finished,
-            finished_json: Vec::new(),
-            snapshot_len: 0,
             tick: 0,
             policy: self.config.policy.build(),
             admissions: Vec::new(),
@@ -327,156 +294,43 @@ impl CaseScheduler {
 
     /// Resume a crashed run from the durable store.
     ///
-    /// Loads the latest valid snapshot (schema- and hash-checked — a
-    /// future-version snapshot is refused with
-    /// [`StoreError::UnsupportedSchema`], and one this build could not
-    /// re-execute faithfully with [`StoreError::Corrupt`]), restores the
-    /// world image onto `world`, rebuilds every live fiber and the
-    /// admission policy's history, and re-enters the tick loop at the
-    /// snapshot's tick.
-    /// With no snapshot in the log the run restarts from the submitted
-    /// specs (replay-only recovery).  Either way the suffix is
-    /// *re-executed*, not skipped: the store byte-verifies every
-    /// regenerated event against what it already holds, so a successful
-    /// recovery is a proof the rebuilt state matches the crashed run's.
-    /// Replay-only recovery of a journal whose cases checkpointed (a
-    /// pre-v4 build's) is unsupported: no snapshot is there to refuse,
-    /// and its `checkpoint.captured` records fail that verification.
-    ///
-    /// The caller must have reseeded [`StoreBinding::journal`] at the
-    /// snapshot's `journal_seq` (via [`TraceLog::resuming`] and a clock
-    /// resumed at the snapshot's reading) — or at 0 for replay-only —
-    /// before constructing the scheduler; a mismatch is reported as
-    /// [`StoreError::Corrupt`], and a scheduler with no
-    /// [`EngineConfig::store`] as [`StoreError::NotBound`].
+    /// Restores the world, every live fiber and the admission policy's
+    /// history from the latest valid snapshot and re-enters the tick
+    /// loop at its tick; with no snapshot the run restarts from the
+    /// submitted specs (replay-only recovery).  Either way the suffix is
+    /// *re-executed* into a journal reseeded as [`StoreBinding`]
+    /// describes, and the store byte-verifies it, so a successful
+    /// recovery proves the rebuilt state matches the crashed run's.
+    /// Refusals are typed: `UnsupportedSchema` for a newer snapshot,
+    /// `Corrupt` for one this build cannot re-execute faithfully or a
+    /// journal reseeded elsewhere, `NotBound` without
+    /// [`EngineConfig::store`].  Replay-only recovery of a pre-v4
+    /// journal whose cases checkpointed is unsupported: its
+    /// `checkpoint.captured` records fail verification.
     pub fn recover(
         &mut self,
         world: &mut GridWorld,
         on_tick: impl FnMut(u64, &mut GridWorld),
     ) -> StoreResult<EngineOutcome> {
-        let binding = self.config.store.clone().ok_or(StoreError::NotBound)?;
-        let snap = binding
-            .store
-            .lock()
-            .expect("store mutex poisoned")
-            .latest_snapshot()?;
-        let Some(record) = snap else {
-            // Replay-only recovery: no snapshot survived, so the run
-            // restarts from scratch and the store verifies the whole
-            // regenerated prefix against the stored events.
-            if binding.journal.next_seq() != 0 {
-                return Err(StoreError::Corrupt(format!(
-                    "replay-only recovery needs a journal reseeded at 0, got {}",
-                    binding.journal.next_seq()
-                )));
-            }
-            let st = self.fresh_state();
-            return Ok(self.run_loop(world, on_tick, st));
-        };
-        if binding.journal.next_seq() != record.journal_seq {
-            return Err(StoreError::Corrupt(format!(
-                "journal reseeded at {}, snapshot expects {}",
-                binding.journal.next_seq(),
-                record.journal_seq
-            )));
-        }
-        let image = EngineSnapshot::from_bytes(&record.state)
-            .map_err(|e| StoreError::Corrupt(format!("snapshot payload: {e}")))?;
-        if image.next_tick != record.next_tick {
-            return Err(StoreError::Corrupt(format!(
-                "snapshot payload resumes at tick {} but its record says {}",
-                image.next_tick, record.next_tick
-            )));
-        }
-        world
-            .restore_image(&image.world)
-            .map_err(|e| StoreError::Corrupt(format!("world restore: {e}")))?;
-        // The snapshot, not the pending queue, is the truth now.
+        let mut durable = Durable::new(self.config.store.clone());
+        let restored = durable.recover(self, world)?;
+        let st = restored.unwrap_or_else(|| self.fresh_state());
+        // A restored snapshot, not the pending queue, is the truth now.
         self.pending.clear();
-        let mut policy = self.config.policy.build();
-        for a in &image.admissions {
-            policy.admitted(&WaitingCase {
-                submitted: a.submitted,
-                label: &a.label,
-                hints: &a.hints,
-            });
-        }
-        // Re-share each blueprint's description behind one Arc, as the
-        // original submissions did, so snapshots taken from here on
-        // intern waiting specs and live fibers by pointer again.
-        let shared: Vec<_> = image
-            .blueprints
-            .into_iter()
-            .map(|b| (b.graph, Arc::new(b.case), b.config))
-            .collect();
-        let mut live = Vec::new();
-        for slot in image.live {
-            let index = slot.index;
-            let Some((graph, case, config)) = shared.get(slot.fiber.blueprint) else {
-                return Err(StoreError::Corrupt(format!(
-                    "live case {index} references a blueprint past the pool"
-                )));
-            };
-            let trace = self.trace.scoped(format_args!("case:{}", slot.fiber.label));
-            let mut fiber = CaseFiber::from_slim(
-                slot.fiber,
-                graph.clone(),
-                case.clone(),
-                config.clone(),
-                trace,
-            );
-            self.install_plan_cache(&mut fiber);
-            live.push(Slot {
-                index,
-                fiber,
-                admitted_tick: slot.admitted_tick,
-                blocked_ticks: slot.blocked_ticks,
-            });
-        }
-        let mut waiting = VecDeque::new();
-        for w in image.waiting {
-            let Some((graph, case, config)) = shared.get(w.blueprint) else {
-                return Err(StoreError::Corrupt(format!(
-                    "waiting case {} references blueprint {} of {}",
-                    w.index,
-                    w.blueprint,
-                    shared.len()
-                )));
-            };
-            waiting.push_back((
-                w.index,
-                CaseSpec {
-                    label: w.label,
-                    graph: graph.clone(),
-                    case: case.clone(),
-                    config: config.clone(),
-                    hints: w.hints,
-                },
-            ));
-        }
-        let st = LoopState {
-            waiting,
-            live,
-            finished: image.finished,
-            finished_json: Vec::new(),
-            snapshot_len: record.state.len(),
-            tick: image.next_tick,
-            policy,
-            admissions: image.admissions,
-        };
-        Ok(self.run_loop(world, on_tick, st))
+        Ok(self.run_loop(world, on_tick, durable, st))
     }
 
     /// The tick loop proper, driving a [`LoopState`] that is either
-    /// fresh or restored from a snapshot.  When a [`StoreBinding`] is
-    /// configured, every tick boundary flushes the journal's new
-    /// records into the store and every `snapshot_every` ticks captures
-    /// an [`EngineSnapshot`]; [`EngineConfig::kill_at`] stops the loop
-    /// dead at a tick boundary to simulate a crash.
+    /// fresh or restored from a snapshot.  The loop reaches the store
+    /// only through `durable`: every tick boundary flushes the journal's
+    /// new records, and every `snapshot_every` ticks captures an engine
+    /// snapshot; [`EngineConfig::kill_at`] stops the loop dead at a tick
+    /// boundary to simulate a crash.
     fn run_loop(
         &mut self,
         world: &mut GridWorld,
         mut on_tick: impl FnMut(u64, &mut GridWorld),
+        mut durable: Durable,
         mut st: LoopState,
     ) -> EngineOutcome {
         // Concurrent cases contend for container capacity through the
@@ -485,9 +339,6 @@ impl CaseScheduler {
         // the run ends.
         let reservations_before = world.reservations_enabled();
         world.enable_reservations(true);
-
-        let binding = self.config.store.clone();
-        let mut flush_cursor = binding.as_ref().map_or(0, |b| b.journal.next_seq());
         let mut killed = false;
 
         loop {
@@ -551,16 +402,7 @@ impl CaseScheduler {
                         );
                         let mut fiber = self.spawn_fiber(&spec);
                         fiber.abort(format!("admission refused: {reason}"));
-                        st.finished.push(FinishedImage {
-                            index,
-                            outcome: CaseOutcome {
-                                label: spec.label.clone(),
-                                report: fiber.into_report(),
-                                admitted_tick: None,
-                                finished_tick: st.tick,
-                                blocked_ticks: 0,
-                            },
-                        });
+                        st.seal(index, fiber, None, 0);
                     }
                 }
             }
@@ -588,23 +430,8 @@ impl CaseScheduler {
             done.sort_unstable();
             for &slot_idx in done.iter().rev() {
                 let slot = st.live.remove(slot_idx);
-                self.trace.emit(
-                    "engine",
-                    TraceEvent::CaseCompleted {
-                        case: slot.fiber.label().to_owned(),
-                        success: slot.fiber.report().success,
-                    },
-                );
-                st.finished.push(FinishedImage {
-                    index: slot.index,
-                    outcome: CaseOutcome {
-                        label: slot.fiber.label().to_owned(),
-                        report: slot.fiber.into_report(),
-                        admitted_tick: Some(slot.admitted_tick),
-                        finished_tick: st.tick,
-                        blocked_ticks: slot.blocked_ticks,
-                    },
-                });
+                let success = slot.fiber.report().success;
+                self.complete(&mut st, slot, success);
             }
 
             // Reservations are tick-scoped: release every hold, in
@@ -623,34 +450,16 @@ impl CaseScheduler {
 
             // Durable boundary: everything emitted through the end of
             // this tick reaches the store before the next tick starts.
-            if let Some(b) = &binding {
-                Self::flush_events(b, &mut flush_cursor);
-            }
+            durable.flush().unwrap_or_else(|e| flush_refused(e));
 
             st.tick += 1;
             if st.tick >= self.config.max_ticks {
-                for mut slot in st.live.drain(..) {
+                for mut slot in std::mem::take(&mut st.live) {
                     slot.fiber.abort(format!(
                         "engine tick budget exhausted after {} ticks",
                         self.config.max_ticks
                     ));
-                    self.trace.emit(
-                        "engine",
-                        TraceEvent::CaseCompleted {
-                            case: slot.fiber.label().to_owned(),
-                            success: false,
-                        },
-                    );
-                    st.finished.push(FinishedImage {
-                        index: slot.index,
-                        outcome: CaseOutcome {
-                            label: slot.fiber.label().to_owned(),
-                            report: slot.fiber.into_report(),
-                            admitted_tick: Some(slot.admitted_tick),
-                            finished_tick: st.tick,
-                            blocked_ticks: slot.blocked_ticks,
-                        },
-                    });
+                    self.complete(&mut st, slot, false);
                 }
                 st.waiting.clear();
                 break;
@@ -658,39 +467,19 @@ impl CaseScheduler {
 
             // Snapshot cadence.  Placed after the budget check so a
             // snapshot never points a restored run at a tick the loop
-            // would refuse to start; journal_seq equals the flush
-            // cursor, so every event the snapshot assumes is already
-            // durable.  During recovery the same snapshots are
-            // regenerated and verified as duplicates — another equality
-            // proof, this time over the full engine state.
-            if let Some(b) = &binding {
-                if b.snapshot_every > 0 && st.tick.is_multiple_of(b.snapshot_every) {
-                    let (clock_ticks, clock_s) = b.journal.clock_now();
-                    let record = SnapshotRecord::new(
-                        st.tick,
-                        flush_cursor,
-                        clock_ticks,
-                        clock_s,
-                        Self::capture_snapshot(&mut st, world),
-                    );
-                    b.store
-                        .lock()
-                        .expect("store mutex poisoned")
-                        .snapshot(record)
-                        .unwrap_or_else(|e| {
-                            panic!("durable store rejected an engine snapshot: {e}")
-                        });
-                }
-            }
+            // would refuse to start.  During recovery the same snapshots
+            // are regenerated and verified as duplicates — another
+            // equality proof, this time over the full engine state.
+            durable
+                .capture(&st, world)
+                .unwrap_or_else(|e| snapshot_refused(e));
         }
 
         // A killed run deliberately loses its unflushed tail — that is
         // the crash being simulated.  Every other exit flushes the
         // final events (completion or budget-abort records).
         if !killed {
-            if let Some(b) = &binding {
-                Self::flush_events(b, &mut flush_cursor);
-            }
+            durable.flush().unwrap_or_else(|e| flush_refused(e));
         }
 
         world.enable_reservations(reservations_before);
@@ -702,70 +491,18 @@ impl CaseScheduler {
         }
     }
 
-    /// Append every journal record at or past the cursor to the store,
-    /// advancing the cursor.  The records are lent, not cloned, one
-    /// journal chunk's run per append: the journal stays locked while
-    /// the store (which never emits) reads them.  Store rejections are
-    /// programming errors (a divergence here means determinism itself
-    /// broke), so they panic rather than limp on with a corrupt log.
-    fn flush_events(binding: &StoreBinding, cursor: &mut u64) {
-        binding.journal.with_records_from(*cursor, |records| {
-            let Some(last) = records.last() else {
-                return;
-            };
-            *cursor = last.seq + 1;
-            binding
-                .store
-                .lock()
-                .expect("store mutex poisoned")
-                .append(records)
-                .unwrap_or_else(|e| panic!("durable store rejected a journal flush: {e}"));
-        });
-    }
-
-    /// Freeze the loop state into a snapshot payload.  Waiting specs
-    /// and live fibers are interned through a [`BlueprintPool`] so the
-    /// shared workload is stored once, not once per case, and finished
-    /// outcomes are encoded once each (see `LoopState::finished_json`).
-    fn capture_snapshot(st: &mut LoopState, world: &GridWorld) -> Vec<u8> {
-        let mut pool = BlueprintPool::default();
-        let waiting = st
-            .waiting
-            .iter()
-            .map(|(index, spec)| WaitingImage {
-                index: *index,
-                label: spec.label.clone(),
-                hints: spec.hints.clone(),
-                blueprint: pool.intern(spec),
-            })
-            .collect();
-        let live = st
-            .live
-            .iter()
-            .map(|slot| SlotImage {
-                index: slot.index,
-                admitted_tick: slot.admitted_tick,
-                blocked_ticks: slot.blocked_ticks,
-                fiber: pool.slim(&slot.fiber),
-            })
-            .collect();
-        for image in &st.finished[st.finished_json.len()..] {
-            st.finished_json
-                .push(serde_json::to_string(image).expect("finished images serialize"));
-        }
-        let payload = EngineSnapshot {
-            version: crate::snapshot::ENGINE_SNAPSHOT_VERSION,
-            next_tick: st.tick,
-            blueprints: pool.into_entries(),
-            waiting,
-            live,
-            finished: Vec::new(),
-            admissions: st.admissions.clone(),
-            world: world.image(),
-        }
-        .to_bytes_with_finished(&st.finished_json, st.snapshot_len);
-        st.snapshot_len = payload.len();
-        payload
+    /// Announce a live case's end with `success` (`false` for a budget
+    /// abort) and seal it into `finished`.
+    fn complete(&self, st: &mut LoopState, slot: Slot, success: bool) {
+        self.trace.emit(
+            "engine",
+            TraceEvent::CaseCompleted {
+                case: slot.fiber.label().to_owned(),
+                success,
+            },
+        );
+        let admitted = Some(slot.admitted_tick);
+        st.seal(slot.index, slot.fiber, admitted, slot.blocked_ticks);
     }
 
     /// The admission policy's next pick, removed from the waiting queue
@@ -820,12 +557,11 @@ impl CaseScheduler {
             })
     }
 
-    /// A fiber whose trace events are scoped `case:<label>/…` in the
-    /// merged log (no-op when the scheduler is untraced).
+    /// A fresh fiber for `spec`'s case.
     fn spawn_fiber(&self, spec: &CaseSpec) -> CaseFiber {
         let mut fiber = CaseFiber::new(
             spec.config.clone(),
-            self.trace.scoped(format_args!("case:{}", spec.label)),
+            self.case_trace(&spec.label),
             &spec.graph,
             spec.case.clone(),
             spec.label.clone(),
@@ -834,10 +570,16 @@ impl CaseScheduler {
         fiber
     }
 
+    /// The trace a case's fiber records into: scoped `case:<label>/…`
+    /// in the merged log (no-op when the scheduler is untraced).
+    pub(crate) fn case_trace(&self, label: &str) -> TraceHandle {
+        self.trace.scoped(format_args!("case:{label}"))
+    }
+
     /// Hands the engine's shared plan cache (when configured) to a fiber so
     /// every replan across the fleet goes through the same content-addressed
     /// store and single-flight latch.
-    fn install_plan_cache(&self, fiber: &mut CaseFiber) {
+    pub(crate) fn install_plan_cache(&self, fiber: &mut CaseFiber) {
         if let Some(cache) = &self.config.plan_cache {
             fiber.set_plan_cache(cache.clone());
         }

@@ -11,7 +11,7 @@
 //! [`SnapshotRecord`]: gridflow_store::SnapshotRecord
 
 use crate::policy::CaseHints;
-use crate::scheduler::{CaseOutcome, CaseSpec};
+use crate::scheduler::CaseOutcome;
 use gridflow_process::{CaseDescription, ProcessGraph};
 pub use gridflow_services::FiberSlim;
 use gridflow_services::{CaseFiber, EnactmentConfig, WorldImage};
@@ -38,8 +38,9 @@ pub struct CaseBlueprint {
 
 /// A blueprint pool under construction during snapshot capture.
 #[derive(Debug, Default)]
-pub struct BlueprintPool {
-    entries: Vec<CaseBlueprint>,
+pub(crate) struct BlueprintPool {
+    /// The snapshot's blueprint table, in interning order.
+    pub(crate) entries: Vec<CaseBlueprint>,
     // Capture-time identity fast path: the `Arc<CaseDescription>`
     // pointer each entry was first captured from.  Specs and fibers
     // sharing that Arc still have their graph/config compared — the
@@ -48,21 +49,18 @@ pub struct BlueprintPool {
 }
 
 impl BlueprintPool {
-    /// Intern `spec`'s blueprint, returning its pool index.
-    pub fn intern(&mut self, spec: &CaseSpec) -> usize {
-        self.intern_parts(&spec.graph, &spec.case, &spec.config)
-    }
-
     /// Capture a live fiber with its blueprint-shaped bulk (graph,
     /// case, config) interned by borrowing it.  A re-planned fiber's
     /// graph differs from its submission blueprint and simply interns
     /// as a further pool entry.
-    pub fn slim(&mut self, fiber: &CaseFiber) -> FiberSlim {
+    pub(crate) fn slim(&mut self, fiber: &CaseFiber) -> FiberSlim {
         let (graph, case, config) = fiber.blueprint();
-        fiber.slim(self.intern_parts(graph, case, config))
+        fiber.slim(self.intern(graph, case, config))
     }
 
-    fn intern_parts(
+    /// Intern a (graph, case, config) blueprint, returning its pool
+    /// index.
+    pub(crate) fn intern(
         &mut self,
         graph: &ProcessGraph,
         case: &Arc<CaseDescription>,
@@ -82,11 +80,6 @@ impl BlueprintPool {
         });
         self.sources.push(ptr);
         self.entries.len() - 1
-    }
-
-    /// Seal the pool into the snapshot's blueprint table.
-    pub fn into_entries(self) -> Vec<CaseBlueprint> {
-        self.entries
     }
 }
 
@@ -382,7 +375,7 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{CaseScheduler, EngineConfig, EngineOutcome, StoreBinding};
+    use crate::scheduler::{CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, StoreBinding};
     use gridflow_process::{lower::lower, parser::parse_process, Condition, DataItem};
     use gridflow_services::{GridWorld, OutputSpec, ServiceOffering};
     use gridflow_store::{MemStore, SnapshotRecord, Store, StoreError, StoreResult};

@@ -119,8 +119,7 @@ struct Counters {
 }
 
 /// A cloneable, fleet-shared handle bundling a [`PlanCache`] store with
-/// the single-flight latch.  Clones share everything; handle identity
-/// (for `PartialEq`, mirroring `StoreBinding`) is the latch allocation.
+/// the single-flight latch.  Clones share everything.
 #[derive(Clone)]
 pub struct PlanCacheHandle {
     store: Arc<dyn PlanCache>,
@@ -139,12 +138,6 @@ impl fmt::Debug for PlanCacheHandle {
             .field("len", &self.store.len())
             .field("wait", &self.wait)
             .finish_non_exhaustive()
-    }
-}
-
-impl PartialEq for PlanCacheHandle {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.flights, &other.flights)
     }
 }
 
@@ -399,12 +392,16 @@ mod tests {
     }
 
     #[test]
-    fn handle_equality_is_latch_identity() {
+    fn clones_share_one_cache_and_fresh_handles_do_not() {
         let a = PlanCacheHandle::in_proc();
         let b = a.clone();
         let c = PlanCacheHandle::in_proc();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        a.fetch_or_plan(key(1), || Ok(response()));
+        assert!(matches!(
+            b.fetch_or_plan(key(1), || panic!("a clone must hit")),
+            PlanFetchOutcome::Hit(_)
+        ));
+        assert_eq!((a.stats().hits, b.len(), c.len()), (1, 1, 0));
         assert!(format!("{a:?}").contains("PlanCacheHandle"));
     }
 }
