@@ -1,6 +1,9 @@
-//! Planning problems: `P = {S_init, G, T}` (§3.2).
+//! Planning problems: `P = {S_init, G, T}` (§3.2), by hand or from Fig. 13.
 
+use gridflow_ontology::{schema::classes, Instance, KnowledgeBase, OntologyError, Value};
+use gridflow_process::{parser::parse_condition, CompareOp, Condition};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// An end-user activity available to the planner (an element of `T`).
 ///
@@ -74,6 +77,45 @@ impl PlanningProblem {
         PlanningProblemBuilder::default()
     }
 
+    /// `P` as the knowledge base states it for `task` (Fig. 13): `S_init`
+    /// classifies the task's `Data Set`, `G` counts its `Result Set` by
+    /// classification, and `T` is every `Service`, by id, at unit cost,
+    /// signed by its `Input` / `Output Condition`.  Services the task's
+    /// process description uses come first, in its order: the GP draws
+    /// terminals by index, so this order is part of every plan.
+    pub fn from_kb(kb: &KnowledgeBase, task: &str) -> Result<PlanningProblem, OntologyError> {
+        let task = lookup(kb, task)?;
+        let classified = |slot| -> Result<Vec<String>, OntologyError> {
+            let classify = |id: &str| {
+                let class = lookup(kb, id)?.get_str("Classification").map(str::to_owned);
+                class.ok_or_else(|| OntologyError::MissingRequiredSlot {
+                    instance: id.to_owned(),
+                    slot: "Classification".to_owned(),
+                })
+            };
+            task.get_ref_list(slot).into_iter().map(classify).collect()
+        };
+        let mut problem = Self::builder().initial(classified("Data Set")?);
+        let mut results = classified("Result Set")?;
+        results.sort();
+        for same in results.chunk_by(|a, b| a == b) {
+            problem = problem.goal(&same[0], same.len());
+        }
+        let mut used = Vec::new();
+        if let Some(process) = task.get_ref("Process Description") {
+            for id in lookup(kb, process)?.get_ref_list("Activity Set") {
+                used.extend(lookup(kb, id)?.get_str("Service Name"));
+            }
+        }
+        let mut services: Vec<&Instance> = kb.instances_of(classes::SERVICE).collect();
+        services.sort_by_key(|s| used.iter().position(|&u| u == s.id).unwrap_or(used.len()));
+        for service in services {
+            let (inputs, outputs) = (signature(service, "Input")?, signature(service, "Output")?);
+            problem = problem.activity(ActivitySpec::new(&service.id, inputs, outputs));
+        }
+        Ok(problem.build())
+    }
+
     /// Look up an activity by service name.
     pub fn activity(&self, name: &str) -> Option<&ActivitySpec> {
         self.activities.iter().find(|a| a.name == name)
@@ -95,6 +137,54 @@ impl PlanningProblem {
                 .collect(),
         }
     }
+}
+
+/// The instance `id`, or `UnknownInstance`.
+fn lookup<'k>(kb: &'k KnowledgeBase, id: &str) -> Result<&'k Instance, OntologyError> {
+    kb.instance(id)
+        .ok_or_else(|| OntologyError::UnknownInstance(id.to_owned()))
+}
+
+/// The classifications of `service`'s `{side} Data Set` variables, as the
+/// `X.Classification = "…"` conjuncts of its `{side} Condition` state
+/// them; a condition entry that is not a string states nothing.
+fn signature(service: &Instance, side: &str) -> Result<Vec<String>, OntologyError> {
+    let slot = format!("{side} Condition");
+    let violation = |reason: String| OntologyError::FacetViolation {
+        instance: service.id.clone(),
+        slot: slot.clone(),
+        reason,
+    };
+    let mut classified = BTreeMap::new();
+    let texts = service.get_list(&slot).unwrap_or_default();
+    for text in texts.iter().filter_map(Value::as_str) {
+        // Fig. 13 labels each condition: `C1: …`.
+        let body = match text.split_once(':') {
+            Some((label, body)) if label.chars().all(char::is_alphanumeric) => body,
+            _ => text,
+        };
+        let mut conjuncts = vec![parse_condition(body).map_err(|e| violation(e.to_string()))?];
+        while let Some(conjunct) = conjuncts.pop() {
+            match conjunct {
+                Condition::And(a, b) => conjuncts.extend([*a, *b]),
+                Condition::Compare {
+                    data,
+                    property,
+                    op: CompareOp::Eq,
+                    value: Value::Str(class),
+                } if property == "Classification" => {
+                    classified.insert(data, class);
+                }
+                other => return Err(violation(format!("`{other}` is not a classification"))),
+            }
+        }
+    }
+    let classify = |var: &Value| {
+        let class = var.as_str().and_then(|var| classified.get(var)).cloned();
+        class.ok_or_else(|| violation(format!("no conjunct classifies {var}")))
+    };
+    let variables = service.get_list(&format!("{side} Data Set"));
+    variables.unwrap_or_default().iter().map(classify).collect()
 }
 
 /// Builder for [`PlanningProblem`].

@@ -59,9 +59,10 @@ fn distractor_activities_do_not_break_planning() {
 #[test]
 fn produced_data_shrinks_the_plan() {
     // Re-planning after POD and both P3DRs already ran: only PSF remains.
+    let problem = casestudy::planning_problem();
     let request_full = gridflow_services::planning::PlanRequest {
-        initial: casestudy::initial_classifications(),
-        goals: casestudy::planning_problem().goals,
+        initial: problem.initial,
+        goals: problem.goals,
         produced: vec![],
         excluded: vec![],
     };
