@@ -116,32 +116,7 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
 fn cmd_tree(args: &[String]) -> Result<(), String> {
     let (ast, _) = parse_and_lower(args)?;
     let tree = ast_to_tree(&ast);
-    fn show(node: &PlanNode, depth: usize) {
-        let pad = "  ".repeat(depth);
-        match node {
-            PlanNode::Terminal(name) => println!("{pad}{name}"),
-            PlanNode::Sequential(c) => {
-                println!("{pad}Sequential");
-                c.iter().for_each(|n| show(n, depth + 1));
-            }
-            PlanNode::Concurrent(c) => {
-                println!("{pad}Concurrent");
-                c.iter().for_each(|n| show(n, depth + 1));
-            }
-            PlanNode::Selective(c) => {
-                println!("{pad}Selective");
-                for (cond, n) in c {
-                    println!("{pad}  [{cond}]");
-                    show(n, depth + 2);
-                }
-            }
-            PlanNode::Iterative { cond, body } => {
-                println!("{pad}Iterative [{cond}]");
-                body.iter().for_each(|n| show(n, depth + 1));
-            }
-        }
-    }
-    show(&tree, 0);
+    print!("{}", tree_text(&tree, "  ", 0, Some(" [")));
     println!("\nsize {} / depth {}", tree.size(), tree.depth());
     Ok(())
 }

@@ -42,7 +42,9 @@ pub mod prelude {
     pub use gridflow_agents::{AgentRuntime, Performative};
     pub use gridflow_grid::{GridTopology, Resource, ResourceKind};
     pub use gridflow_ontology::{Instance, KnowledgeBase, Query, SlotCond, Value};
-    pub use gridflow_plan::{ast_to_tree, graph_to_tree, tree_to_ast, tree_to_graph, PlanNode};
+    pub use gridflow_plan::{
+        ast_to_tree, graph_to_tree, tree_text, tree_to_ast, tree_to_graph, PlanNode,
+    };
     pub use gridflow_planner::prelude::*;
     pub use gridflow_process::{
         lower::lower, parser::parse_process, printer, recover::recover, AtnMachine,

@@ -28,4 +28,4 @@ pub mod convert;
 pub mod tree;
 
 pub use convert::{ast_to_tree, canonicalize, graph_to_tree, tree_to_ast, tree_to_graph};
-pub use tree::PlanNode;
+pub use tree::{tree_text, PlanNode};

@@ -264,6 +264,40 @@ impl PlanNode {
     }
 }
 
+/// List `node` one line per tree node, `indent` per level, starting at
+/// `depth`.  `guard` is what precedes an Iterative node's condition (`]`
+/// closes it) and makes every Selective branch open with its
+/// `[condition]`; `None` draws the tree unguarded, as Figs. 8–9 do.
+pub fn tree_text(node: &PlanNode, indent: &str, depth: usize, guard: Option<&str>) -> String {
+    let pad = indent.repeat(depth);
+    let list = |children: &[PlanNode], depth| -> String {
+        let lines = children.iter().map(|n| tree_text(n, indent, depth, guard));
+        lines.collect()
+    };
+    match node {
+        PlanNode::Terminal(name) => format!("{pad}{name}\n"),
+        PlanNode::Sequential(c) => format!("{pad}Sequential\n{}", list(c, depth + 1)),
+        PlanNode::Concurrent(c) => format!("{pad}Concurrent\n{}", list(c, depth + 1)),
+        PlanNode::Selective(branches) => {
+            let mut out = format!("{pad}Selective\n");
+            for (cond, n) in branches {
+                match guard {
+                    Some(_) => {
+                        out.push_str(&format!("{pad}{indent}[{cond}]\n"));
+                        out.push_str(&tree_text(n, indent, depth + 2, guard));
+                    }
+                    None => out.push_str(&tree_text(n, indent, depth + 1, guard)),
+                }
+            }
+            out
+        }
+        PlanNode::Iterative { cond, body } => {
+            let cond = guard.map_or(String::new(), |open| format!("{open}{cond}]"));
+            format!("{pad}Iterative{cond}\n{}", list(body, depth + 1))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
