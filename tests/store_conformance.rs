@@ -11,11 +11,15 @@
 //! * Every other recovery refusal is a typed error too, each with the
 //!   exact reason it names; a store that refuses a write aborts the run
 //!   with one message per kind of write.
+//! * A recovery handed a colder plan cache than its crashed run had
+//!   re-plans where the store holds a cache hit, and is refused.
 
 use gridflow_engine::{CaseScheduler, CaseSpec, EngineConfig, PolicySpec, StoreBinding};
-use gridflow_harness::workload::dinner_workload;
-use gridflow_harness::workload::Workload;
+use gridflow_harness::workload::{
+    cook_loss_churn_plan, dinner_replan_workload, dinner_workload, Workload,
+};
 use gridflow_harness::{FaultPlan, MultiCaseScenario, VirtualClock};
+use gridflow_services::PlanCacheHandle;
 use gridflow_store::{
     merged_jsonl, MemStore, SnapshotRecord, Store, StoreError, StoreResult, SNAPSHOT_SCHEMA_VERSION,
 };
@@ -346,10 +350,14 @@ fn a_world_image_the_world_cannot_take_is_refused() {
 /// Run [`scenario`] into `store` and return the message it panicked with.
 fn panic_message(store: Arc<Mutex<dyn Store>>) -> String {
     let (plan, wl) = fixture();
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        scenario(&plan, &wl).store(store, 1).run()
-    }));
-    let payload = run.expect_err("the refused write aborts the run");
+    panic_text(|| scenario(&plan, &wl).store(store, 1).run())
+}
+
+/// The message `run` panicked with.
+fn panic_text<T>(run: impl FnOnce() -> T) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(run))
+        .err()
+        .expect("the refused write aborts the run");
     match payload.downcast::<String>() {
         Ok(message) => *message,
         Err(payload) => payload.downcast_ref::<&str>().unwrap().to_string(),
@@ -390,5 +398,52 @@ fn a_store_refusing_a_snapshot_aborts_the_run() {
     assert_eq!(
         panic_message(store),
         "durable store rejected an engine snapshot: store io error: snapshot refused"
+    );
+}
+
+/// `EngineConfig::plan_cache`'s recovery caveat: re-execution
+/// regenerates the crashed run's `plan.cache_*` events, so it must run
+/// against the cache the crashed run warmed.  The churn fleet runs GP
+/// once, at tick 1 (the miss), before its last snapshot; two cases hit
+/// that plan at tick 2, between the snapshot and the kill.  The crashed
+/// run's handle reproduces the uninterrupted log.  A fresh handle misses
+/// where the store holds a hit, and the store refuses the flush.
+#[test]
+fn recovery_needs_the_plan_cache_the_crashed_run_warmed() {
+    let plan = cook_loss_churn_plan(23);
+    let wl = dinner_replan_workload(11);
+    let churn = |cache: &PlanCacheHandle| {
+        MultiCaseScenario::new(&plan, &wl, 6)
+            .max_in_flight(6)
+            .plan_cache(cache.clone())
+            .traced()
+    };
+    let uninterrupted = churn(&PlanCacheHandle::in_proc())
+        .run()
+        .trace
+        .expect("traced")
+        .to_jsonl();
+    let crashed = |cache: &PlanCacheHandle| {
+        let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+        let run = churn(cache).store(store.clone(), 2).kill_at(3).run();
+        assert!(run.engine.killed, "the run should have been killed");
+        store
+    };
+
+    let warmed = PlanCacheHandle::in_proc();
+    let store = crashed(&warmed);
+    churn(&warmed)
+        .store(store.clone(), 2)
+        .recover()
+        .expect("recovery with the crashed run's cache");
+    assert_eq!(
+        merged_jsonl(&store.lock().unwrap().replay_from(0).unwrap()),
+        uninterrupted
+    );
+
+    let store = crashed(&PlanCacheHandle::in_proc());
+    assert_eq!(
+        panic_text(|| churn(&PlanCacheHandle::in_proc()).store(store, 2).recover()),
+        "durable store rejected a journal flush: replay diverged from stored record at seq 102"
     );
 }

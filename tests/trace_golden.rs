@@ -6,9 +6,10 @@
 //! This one can: it pins the record count and FNV-1a of the merged
 //! JSONL of the engine's scenario shapes — flaky, clean, contended,
 //! partitioned, node loss, recovery ladder, refusal, chaos, virus,
-//! generated, plan churn (with and without breakers), kill→recover, and
-//! fleets of one (flaky, replan churn, recovery ladder) — to values
-//! computed by an earlier commit.
+//! generated, plan churn (with and without breakers), kill→recover,
+//! fleets of one (flaky, replan churn, recovery ladder), one fleet under
+//! each admission policy, and that fleet killed and recovered under fair
+//! share — to values computed by an earlier commit.
 //! Every row also passes [`TraceQuery::check_all`].  A
 //! change that claims "same behaviour" must leave the table alone; a
 //! change that moves bytes on purpose regenerates the affected rows with
@@ -27,6 +28,7 @@
 //! scripts/golden-diff.sh <parent's dump> <this commit's dump>
 //! ```
 
+use gridflow_engine::{CaseHints, EngineSnapshot, PolicySpec};
 use gridflow_harness::workload::{
     cook_loss_churn_plan, cook_loss_churn_plan_scaled, dinner_recovery_workload,
     dinner_replan_workload, dinner_replan_workload_scaled, dinner_workload,
@@ -111,6 +113,11 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("one-crash-7", 23, 0x4b8639238381c283),
     ("one-churn", 54, 0x32a6d3418a558800),
     ("one-ladder", 30, 0xcf1cdd440150d28d),
+    ("policy-fifo", 234, 0x8ab8ea5e7a4189c8),
+    ("policy-priority", 234, 0x8078203ee4805803),
+    ("policy-fair_share", 234, 0xd520e1a1ae9b2b89),
+    ("policy-deadline", 234, 0x4113c576876525b5),
+    ("fair-share-kill-recover", 234, 0xd520e1a1ae9b2b89),
 ];
 
 /// `(payload bytes, fnv1a64(payload))` of the snapshot the kill→recover
@@ -199,6 +206,89 @@ fn kill_recover() -> (String, Vec<u8>) {
     let merged = merged_jsonl(&stored);
     check(&plan, &wl, stored);
     (merged, snapshot.state)
+}
+
+/// Hints that set the four policies apart on one fleet: priorities
+/// staggered mod 4, tenant `b` for the first eight cases and `a` after,
+/// and a deadline falling with the index except on every third case,
+/// which has none.
+fn staggered_hints(i: usize) -> CaseHints {
+    CaseHints {
+        priority: (i % 4) as i64,
+        tenant: Some(if i < 8 { "b" } else { "a" }.to_string()),
+        deadline_tick: (i % 3 != 2).then(|| 90 - 5 * i as u64),
+    }
+}
+
+/// Twelve flaky dinner cases with [`staggered_hints`], four in flight,
+/// admitted under `policy`.
+fn policy_fleet<'a>(
+    plan: &'a FaultPlan,
+    wl: &'a Workload,
+    policy: PolicySpec,
+) -> MultiCaseScenario<'a> {
+    MultiCaseScenario::new(plan, wl, 12)
+        .max_in_flight(4)
+        .policy(policy)
+        .case_hints(staggered_hints)
+}
+
+/// [`policy_fleet`]'s trace.  FIFO admits in submission order with no
+/// reason; every other policy reorders the admissions and stamps each
+/// with its reason.
+fn policy_row(policy: PolicySpec) -> String {
+    let plan = FaultPlan::seeded(19).failing_activities(0.1);
+    let wl = dinner_workload();
+    let log = policy_fleet(&plan, &wl, policy)
+        .traced()
+        .run()
+        .trace
+        .expect("traced");
+    let admissions = TraceQuery::new(log.records()).admissions();
+    let submitted: Vec<String> = (0..12).map(|i| format!("{}-{i}", wl.name)).collect();
+    let order: Vec<String> = admissions.iter().map(|a| a.case.clone()).collect();
+    let fifo = policy == PolicySpec::Fifo;
+    assert_eq!(order == submitted, fifo, "{}: {order:?}", policy.name());
+    assert!(
+        admissions.iter().all(|a| a.reason.is_none() == fifo),
+        "{}: {admissions:?}",
+        policy.name()
+    );
+    check(&plan, &wl, log.records());
+    log.to_jsonl()
+}
+
+/// Kill [`policy_fleet`] under fair share once some cases are admitted
+/// and others still wait, and recover it: the merged log pins how
+/// recovery replays the snapshot's admissions into the tenant counts.
+fn fair_share_kill_recover() -> String {
+    let plan = FaultPlan::seeded(19).failing_activities(0.1);
+    let wl = dinner_workload();
+    let scenario = || policy_fleet(&plan, &wl, PolicySpec::FairShare);
+    let uninterrupted = scenario().traced().run().trace.expect("traced");
+    let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
+    let crashed = scenario().store(store.clone(), 3).kill_at(8).run();
+    assert!(crashed.engine.killed, "the run should have been killed");
+    let snapshot = store
+        .lock()
+        .unwrap()
+        .latest_snapshot()
+        .unwrap()
+        .expect("the crashed run snapshots before the kill tick");
+    let image = EngineSnapshot::from_bytes(&snapshot.state).expect("the payload decodes");
+    assert!(
+        !image.admissions.is_empty() && !image.waiting.is_empty(),
+        "the snapshot holds admissions and waiting cases"
+    );
+    scenario()
+        .store(store.clone(), 3)
+        .recover()
+        .expect("recovery succeeds");
+    let stored = store.lock().unwrap().replay_from(0).unwrap();
+    let merged = merged_jsonl(&stored);
+    assert_eq!(merged, uninterrupted.to_jsonl());
+    check(&plan, &wl, stored);
+    merged
 }
 
 /// Every pinned scenario's merged JSONL, in table order, and the
@@ -313,6 +403,10 @@ fn traces() -> (Vec<(String, String)>, Vec<u8>) {
     for (name, plan, wl) in fleet_of_one_plans() {
         out.push((name, jsonl(&plan, &wl, 1, 1)));
     }
+    for policy in PolicySpec::ALL {
+        out.push((format!("policy-{}", policy.name()), policy_row(policy)));
+    }
+    out.push(("fair-share-kill-recover".into(), fair_share_kill_recover()));
     (out, snapshot)
 }
 
