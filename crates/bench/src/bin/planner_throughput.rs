@@ -14,7 +14,7 @@
 //!    and once against a pre-warmed [`PlanCacheHandle`] (N content-
 //!    addressed hits), reporting both wall times, the speedup, and the
 //!    cache hit rate.
-//! 4. **Single-flight dedup** — the same fleet issued cold against one
+//! 4. **Fleet dedup** — the same fleet issued cold against one
 //!    shared cache: the first request runs GP, the rest hit the entry
 //!    it published.
 //!
@@ -224,7 +224,7 @@ fn main() {
 
     let cache = PlanCacheHandle::in_proc();
     let cached = PlanningService::new(gp_config()).with_plan_cache(cache.clone());
-    // Single-flight dedup: the fleet issued cold against one shared
+    // Fleet dedup: the fleet issued cold against one shared
     // cache — request 0 runs GP, requests 1..N hit its entry.
     let start = Instant::now();
     for _ in 0..fleet {

@@ -6,7 +6,7 @@
 //! payload.  Capture and restore are the two directions of the
 //! [`EngineSnapshot`] format, so they sit side by side here.
 
-use crate::policy::WaitingCase;
+use crate::policy::Policy;
 use crate::scheduler::{CaseScheduler, CaseSpec, LoopState, Slot};
 use crate::snapshot::{
     BlueprintPool, EngineSnapshot, SlotImage, WaitingImage, ENGINE_SNAPSHOT_VERSION,
@@ -196,13 +196,9 @@ impl Durable {
         world
             .restore_image(&image.world)
             .map_err(|e| StoreError::Corrupt(format!("world restore: {e}")))?;
-        let mut policy = engine.config.policy.build();
+        let mut policy = Policy::new(engine.config.policy);
         for a in &image.admissions {
-            policy.admitted(&WaitingCase {
-                submitted: a.submitted,
-                label: &a.label,
-                hints: &a.hints,
-            });
+            policy.admitted(&a.hints);
         }
         // Re-share each blueprint's description behind one Arc, as the
         // original submissions did, so snapshots taken from here on

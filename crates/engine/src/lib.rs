@@ -32,10 +32,7 @@ pub mod policy;
 pub mod scheduler;
 pub mod snapshot;
 
-pub use policy::{
-    Admission, AdmissionPolicy, CaseHints, Deadline, FairShare, Fifo, PolicySpec, Priority,
-    WaitingCase,
-};
+pub use policy::{CaseHints, PolicySpec};
 pub use scheduler::{
     CaseOutcome, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, StoreBinding,
 };

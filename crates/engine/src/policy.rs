@@ -1,26 +1,25 @@
-//! Pluggable admission policies for the case scheduler.
+//! Admission policies for the case scheduler.
 //!
 //! Admission order is the one scheduling decision the engine makes that
 //! is not dictated by the workflow itself, and it is exactly the axis
 //! the Yu & Buyya taxonomy files under *scheduling / market-driven
 //! architecture*: who gets into the running set first when capacity is
-//! scarce.  [`AdmissionPolicy`] abstracts that choice.  Every tick,
-//! while the running set has room, the scheduler hands the policy a
-//! view of the waiting queue and the policy picks the next case (or
-//! declines).  Everything else — matchmaking gates, rotation-fair
-//! stepping, reservation drains — is unchanged, so two runs under
-//! different policies differ *only* in admission order and in the
-//! optional `reason` recorded on each `case.admitted` event.
+//! scarce.  The choice is a closed set, [`PolicySpec`].  Every tick,
+//! while the running set has room, the scheduler asks the run's policy
+//! for the next waiting case.  Everything else — matchmaking gates,
+//! rotation-fair stepping, reservation drains — is unchanged, so two
+//! runs under different policies differ *only* in admission order and
+//! in the optional `reason` recorded on each `case.admitted` event.
 //!
-//! Determinism contract: a policy must be a pure function of the
-//! waiting view, the tick, and its own admission history.  No clocks,
-//! no randomness — the same submitted fleet must admit in the same
-//! order on every run and on both scheduler cores.  [`Fifo`] is the
-//! default and is byte-identical to the pre-policy engine: it always
-//! picks position 0 with no reason, which is exactly the old
-//! `pop_front`.
+//! Determinism contract: a pick is a pure function of the waiting
+//! queue and the run's admission history.  No clocks, no randomness —
+//! the same submitted fleet admits in the same order on every run.
+//! FIFO is the default and is byte-identical to the pre-policy engine:
+//! it always picks the queue head with no reason, which is exactly the
+//! old `pop_front`.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Scheduling metadata a case carries into admission.  All fields are
@@ -29,14 +28,14 @@ use std::collections::BTreeMap;
 /// the hints of still-waiting cases.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CaseHints {
-    /// Bigger is more urgent.  Read by [`Priority`]; ties fall back to
-    /// submission order.
+    /// Bigger is more urgent.  Read by [`PolicySpec::Priority`]; ties
+    /// fall back to submission order.
     pub priority: i64,
-    /// Accounting bucket for [`FairShare`]; `None` pools the case into
-    /// the `"default"` tenant.
+    /// Accounting bucket for [`PolicySpec::FairShare`]; `None` pools
+    /// the case into the `"default"` tenant.
     pub tenant: Option<String>,
     /// Absolute tick this case wants to finish by.  Read by
-    /// [`Deadline`]; `None` sorts after every real deadline.
+    /// [`PolicySpec::Deadline`]; `None` sorts after every real deadline.
     pub deadline_tick: Option<u64>,
 }
 
@@ -64,207 +63,29 @@ impl CaseHints {
             ..Default::default()
         }
     }
-}
 
-/// One waiting case as the policy sees it.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitingCase<'a> {
-    /// Submission index: position in the original submit order, stable
-    /// across ticks.  The canonical tie-breaker.
-    pub submitted: usize,
-    /// The case's scheduler label.
-    pub label: &'a str,
-    /// The case's scheduling hints.
-    pub hints: &'a CaseHints,
-}
-
-/// A policy's pick: which waiting-queue position to admit, and why.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Admission {
-    /// Index into the waiting view passed to [`AdmissionPolicy::next`].
-    pub pos: usize,
-    /// Human-readable reason recorded on the `case.admitted` trace
-    /// event.  `None` omits the field, keeping FIFO traces
-    /// byte-identical to the pre-policy engine.
-    pub reason: Option<String>,
-}
-
-/// Chooses which waiting case the scheduler admits next.
-///
-/// Called repeatedly within a tick while the running set has room;
-/// returning `None` stops admission for the tick (FIFO-style policies
-/// never decline while cases wait, but a budget- or market-driven
-/// policy may).  `&mut self` lets a policy carry admission history
-/// (fair-share counts); [`AdmissionPolicy::admitted`] is the commit
-/// signal — a pick that fails the matchmaking gate is rejected, not
-/// admitted, and must not update history.
-pub trait AdmissionPolicy {
-    /// Stable identifier (`"fifo"`, `"priority"`, …) surfaced in bench
-    /// matrices and logs.
-    fn name(&self) -> &'static str;
-
-    /// Pick the next case to admit from `waiting`, or `None` to stop
-    /// admitting this tick.  `waiting` is in queue order; `pos` indexes
-    /// it.  Must be deterministic.
-    fn next(&mut self, waiting: &[WaitingCase<'_>], tick: u64) -> Option<Admission>;
-
-    /// The pick at `case` passed the admission gate and is now running.
-    fn admitted(&mut self, case: &WaitingCase<'_>) {
-        let _ = case;
-    }
-
-    /// `true` iff this policy always picks position 0 with no reason —
-    /// i.e. it is plain FIFO.  Lets the scheduler skip building the
-    /// O(waiting) view entirely and pop the queue front directly, which
-    /// matters at fleet scale (the view build was O(N²) across a run).
-    /// The fast path is byte-identical by construction: position 0, no
-    /// reason, stop when empty — exactly [`Fifo::next`].
-    fn is_fifo(&self) -> bool {
-        false
+    /// The fair-share accounting bucket.
+    fn tenant(&self) -> &str {
+        self.tenant.as_deref().unwrap_or("default")
     }
 }
 
-/// First come, first served — the default, byte-identical to the
-/// pre-policy engine (always position 0, no reason).
-#[derive(Debug, Default)]
-pub struct Fifo;
-
-impl AdmissionPolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn next(&mut self, waiting: &[WaitingCase<'_>], _tick: u64) -> Option<Admission> {
-        if waiting.is_empty() {
-            None
-        } else {
-            Some(Admission {
-                pos: 0,
-                reason: None,
-            })
-        }
-    }
-
-    fn is_fifo(&self) -> bool {
-        true
-    }
-}
-
-/// Highest [`CaseHints::priority`] first; ties in submission order, so
-/// equal-priority cases degrade to FIFO and a starved high-priority
-/// case is never overtaken by a lower one arriving at the same tick.
-#[derive(Debug, Default)]
-pub struct Priority;
-
-impl AdmissionPolicy for Priority {
-    fn name(&self) -> &'static str {
-        "priority"
-    }
-
-    fn next(&mut self, waiting: &[WaitingCase<'_>], _tick: u64) -> Option<Admission> {
-        let pos = waiting
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (std::cmp::Reverse(c.hints.priority), c.submitted))
-            .map(|(pos, _)| pos)?;
-        let p = waiting[pos].hints.priority;
-        Some(Admission {
-            pos,
-            reason: Some(format!("priority={p}")),
-        })
-    }
-}
-
-/// Round-robins admission across tenants: always the waiting case whose
-/// tenant has the fewest admissions so far (ties in submission order),
-/// so one tenant's burst cannot starve another's queue.
-#[derive(Debug, Default)]
-pub struct FairShare {
-    admitted: BTreeMap<String, u64>,
-}
-
-impl FairShare {
-    fn tenant(hints: &CaseHints) -> &str {
-        hints.tenant.as_deref().unwrap_or("default")
-    }
-}
-
-impl AdmissionPolicy for FairShare {
-    fn name(&self) -> &'static str {
-        "fair_share"
-    }
-
-    fn next(&mut self, waiting: &[WaitingCase<'_>], _tick: u64) -> Option<Admission> {
-        let pos = waiting
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| {
-                let share = self
-                    .admitted
-                    .get(Self::tenant(c.hints))
-                    .copied()
-                    .unwrap_or(0);
-                (share, c.submitted)
-            })
-            .map(|(pos, _)| pos)?;
-        let tenant = Self::tenant(waiting[pos].hints);
-        let share = self.admitted.get(tenant).copied().unwrap_or(0);
-        Some(Admission {
-            pos,
-            reason: Some(format!("fair_share tenant={tenant} admitted={share}")),
-        })
-    }
-
-    fn admitted(&mut self, case: &WaitingCase<'_>) {
-        *self
-            .admitted
-            .entry(Self::tenant(case.hints).to_owned())
-            .or_insert(0) += 1;
-    }
-}
-
-/// Earliest deadline first: smallest [`CaseHints::deadline_tick`] wins;
-/// deadline-less cases sort after every real deadline; ties in
+/// Which admission policy a run uses.  Every policy breaks ties in
 /// submission order.
-#[derive(Debug, Default)]
-pub struct Deadline;
-
-impl AdmissionPolicy for Deadline {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn next(&mut self, waiting: &[WaitingCase<'_>], _tick: u64) -> Option<Admission> {
-        let pos = waiting
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.hints.deadline_tick.unwrap_or(u64::MAX), c.submitted))
-            .map(|(pos, _)| pos)?;
-        let reason = match waiting[pos].hints.deadline_tick {
-            Some(d) => format!("deadline={d}"),
-            None => "deadline=none".to_string(),
-        };
-        Some(Admission {
-            pos,
-            reason: Some(reason),
-        })
-    }
-}
-
-/// Which [`AdmissionPolicy`] a run uses — the value form carried by
-/// `EngineConfig` (policies themselves are stateful, so the config
-/// holds this spec and [`PolicySpec::build`] mints a fresh instance per
-/// run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicySpec {
-    /// [`Fifo`] — the byte-identical default.
+    /// First come, first served — the byte-identical default.
     #[default]
     Fifo,
-    /// [`Priority`].
+    /// Highest [`CaseHints::priority`] first, so equal-priority cases
+    /// degrade to FIFO and a starved high-priority case is never
+    /// overtaken by a lower one arriving at the same tick.
     Priority,
-    /// [`FairShare`].
+    /// The waiting case whose tenant has the fewest admissions so far,
+    /// so one tenant's burst cannot starve another's queue.
     FairShare,
-    /// [`Deadline`].
+    /// Earliest [`CaseHints::deadline_tick`] first; deadline-less cases
+    /// sort after every real deadline.
     Deadline,
 }
 
@@ -284,16 +105,6 @@ impl PolicySpec {
             PolicySpec::Priority => "priority",
             PolicySpec::FairShare => "fair_share",
             PolicySpec::Deadline => "deadline",
-        }
-    }
-
-    /// A fresh policy instance with empty history.
-    pub fn build(&self) -> Box<dyn AdmissionPolicy> {
-        match self {
-            PolicySpec::Fifo => Box::new(Fifo),
-            PolicySpec::Priority => Box::new(Priority),
-            PolicySpec::FairShare => Box::new(FairShare::default()),
-            PolicySpec::Deadline => Box::new(Deadline),
         }
     }
 
@@ -319,36 +130,102 @@ impl std::str::FromStr for PolicySpec {
     }
 }
 
+/// The admission policy a run applies: its spec plus the history fair
+/// share reads, the admissions so far per tenant.
+#[derive(Debug)]
+pub(crate) struct Policy {
+    spec: PolicySpec,
+    admitted: BTreeMap<String, u64>,
+}
+
+impl Policy {
+    /// A fresh policy with empty history.
+    pub(crate) fn new(spec: PolicySpec) -> Self {
+        Policy {
+            spec,
+            admitted: BTreeMap::new(),
+        }
+    }
+
+    /// `true` iff this is FIFO, which always picks the queue head with
+    /// no reason.
+    pub(crate) fn is_fifo(&self) -> bool {
+        self.spec == PolicySpec::Fifo
+    }
+
+    /// The queue position to admit next and the reason recorded on its
+    /// `case.admitted` event, or `None` when nothing waits.  `waiting`
+    /// yields each waiting case's submission index and hints in queue
+    /// order.
+    pub(crate) fn next<'a>(
+        &self,
+        mut waiting: impl Iterator<Item = (usize, &'a CaseHints)>,
+    ) -> Option<(usize, Option<String>)> {
+        match self.spec {
+            PolicySpec::Fifo => waiting.next().map(|_| (0, None)),
+            PolicySpec::Priority => first_by(waiting, |h| Reverse(h.priority))
+                .map(|(pos, h)| (pos, Some(format!("priority={}", h.priority)))),
+            PolicySpec::FairShare => first_by(waiting, |h| self.share(h)).map(|(pos, h)| {
+                let reason = format!(
+                    "fair_share tenant={} admitted={}",
+                    h.tenant(),
+                    self.share(h)
+                );
+                (pos, Some(reason))
+            }),
+            PolicySpec::Deadline => {
+                first_by(waiting, |h| h.deadline_tick.unwrap_or(u64::MAX)).map(|(pos, h)| {
+                    let reason = match h.deadline_tick {
+                        Some(d) => format!("deadline={d}"),
+                        None => "deadline=none".to_string(),
+                    };
+                    (pos, Some(reason))
+                })
+            }
+        }
+    }
+
+    /// The case with `hints` passed the admission gate and is now
+    /// running.  A pick the gate rejects is never admitted and leaves
+    /// the history alone.
+    pub(crate) fn admitted(&mut self, hints: &CaseHints) {
+        if self.spec == PolicySpec::FairShare {
+            *self.admitted.entry(hints.tenant().to_owned()).or_insert(0) += 1;
+        }
+    }
+
+    /// Admissions so far of `hints`' tenant.
+    fn share(&self, hints: &CaseHints) -> u64 {
+        self.admitted.get(hints.tenant()).copied().unwrap_or(0)
+    }
+}
+
+/// The queue position and hints of the waiting case with the smallest
+/// `key`, ties to the earlier submission.
+fn first_by<'a, K: Ord>(
+    waiting: impl Iterator<Item = (usize, &'a CaseHints)>,
+    key: impl Fn(&CaseHints) -> K,
+) -> Option<(usize, &'a CaseHints)> {
+    waiting
+        .enumerate()
+        .min_by_key(|(_, (submitted, hints))| (key(hints), *submitted))
+        .map(|(pos, (_, hints))| (pos, hints))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn view<'a>(hints: &'a [CaseHints], labels: &'a [String]) -> Vec<WaitingCase<'a>> {
-        hints
-            .iter()
-            .zip(labels)
-            .enumerate()
-            .map(|(i, (h, l))| WaitingCase {
-                submitted: i,
-                label: l,
-                hints: h,
-            })
-            .collect()
-    }
-
-    fn labels(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("c-{i}")).collect()
+    fn pick(policy: &Policy, hints: &[CaseHints]) -> Option<(usize, Option<String>)> {
+        policy.next(hints.iter().enumerate())
     }
 
     #[test]
     fn fifo_always_picks_the_front_with_no_reason() {
         let hints = vec![CaseHints::with_priority(0), CaseHints::with_priority(9)];
-        let labels = labels(2);
-        let mut p = Fifo;
-        let pick = p.next(&view(&hints, &labels), 0).unwrap();
-        assert_eq!(pick.pos, 0);
-        assert_eq!(pick.reason, None);
-        assert!(p.next(&[], 0).is_none());
+        let p = Policy::new(PolicySpec::Fifo);
+        assert_eq!(pick(&p, &hints), Some((0, None)));
+        assert_eq!(pick(&p, &[]), None);
     }
 
     #[test]
@@ -358,11 +235,12 @@ mod tests {
             CaseHints::with_priority(5),
             CaseHints::with_priority(5),
         ];
-        let labels = labels(3);
-        let mut p = Priority;
-        let pick = p.next(&view(&hints, &labels), 0).unwrap();
-        assert_eq!(pick.pos, 1, "first of the tied high-priority pair");
-        assert_eq!(pick.reason.as_deref(), Some("priority=5"));
+        let p = Policy::new(PolicySpec::Priority);
+        assert_eq!(
+            pick(&p, &hints),
+            Some((1, Some("priority=5".into()))),
+            "first of the tied high-priority pair"
+        );
     }
 
     #[test]
@@ -372,14 +250,13 @@ mod tests {
             CaseHints::with_tenant("a"),
             CaseHints::with_tenant("b"),
         ];
-        let labels = labels(3);
-        let mut p = FairShare::default();
-        let v = view(&hints, &labels);
-        let first = p.next(&v, 0).unwrap();
-        assert_eq!(first.pos, 0, "all shares zero: submission order");
-        p.admitted(&v[first.pos]);
-        let second = p.next(&v, 0).unwrap();
-        assert_eq!(second.pos, 2, "tenant b owed after a's admission");
+        let mut p = Policy::new(PolicySpec::FairShare);
+        let (first, reason) = pick(&p, &hints).unwrap();
+        assert_eq!(first, 0, "all shares zero: submission order");
+        assert_eq!(reason.as_deref(), Some("fair_share tenant=a admitted=0"));
+        p.admitted(&hints[first]);
+        let (second, _) = pick(&p, &hints).unwrap();
+        assert_eq!(second, 2, "tenant b owed after a's admission");
     }
 
     #[test]
@@ -389,18 +266,18 @@ mod tests {
             CaseHints::with_deadline(40),
             CaseHints::with_deadline(10),
         ];
-        let labels = labels(3);
-        let mut p = Deadline;
-        let pick = p.next(&view(&hints, &labels), 0).unwrap();
-        assert_eq!(pick.pos, 2);
-        assert_eq!(pick.reason.as_deref(), Some("deadline=10"));
+        let p = Policy::new(PolicySpec::Deadline);
+        assert_eq!(pick(&p, &hints), Some((2, Some("deadline=10".into()))));
+        assert_eq!(
+            pick(&p, &hints[..1]),
+            Some((0, Some("deadline=none".into())))
+        );
     }
 
     #[test]
     fn spec_round_trips_names() {
         for spec in PolicySpec::ALL {
             assert_eq!(PolicySpec::parse(spec.name()), Some(spec));
-            assert_eq!(spec.build().name(), spec.name());
         }
         assert_eq!(PolicySpec::parse("edf"), Some(PolicySpec::Deadline));
         assert_eq!(PolicySpec::parse("nope"), None);

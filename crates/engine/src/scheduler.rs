@@ -3,7 +3,7 @@
 
 pub use crate::durable::StoreBinding;
 use crate::durable::{flush_refused, snapshot_refused, Durable};
-use crate::policy::{AdmissionPolicy, CaseHints, PolicySpec, WaitingCase};
+use crate::policy::{CaseHints, Policy, PolicySpec};
 use crate::snapshot::{AdmissionRecord, FinishedImage};
 use gridflow_process::{ActivityKind, CaseDescription, ProcessGraph};
 use gridflow_services::matchmaking::{rank_candidates, MatchRequest};
@@ -58,7 +58,8 @@ pub struct EngineConfig {
     /// Recovery note: re-execution regenerates the crashed run's
     /// events, so a store-verified recovery must be given the same (or
     /// an equally warmed) cache handle the crashed run used — or plan
-    /// cache events in the journal will not reproduce.
+    /// cache events in the journal will not reproduce, and the store
+    /// refuses the flush (`tests/store_conformance.rs` pins both).
     pub plan_cache: Option<PlanCacheHandle>,
 }
 
@@ -169,10 +170,10 @@ pub(crate) struct LoopState {
     pub(crate) live: Vec<Slot>,
     pub(crate) finished: Vec<FinishedImage>,
     pub(crate) tick: u64,
-    pub(crate) policy: Box<dyn AdmissionPolicy>,
+    pub(crate) policy: Policy,
     /// Committed admissions in order — serialized into snapshots so a
     /// restored run can rebuild the policy's history by replaying
-    /// [`AdmissionPolicy::admitted`] calls.
+    /// [`Policy::admitted`] calls.
     pub(crate) admissions: Vec<AdmissionRecord>,
 }
 
@@ -287,7 +288,7 @@ impl CaseScheduler {
             live,
             finished,
             tick: 0,
-            policy: self.config.policy.build(),
+            policy: Policy::new(self.config.policy),
             admissions: Vec::new(),
         }
     }
@@ -359,9 +360,7 @@ impl CaseScheduler {
             // none of the live containers can serve is refused outright
             // instead of failing activity-by-activity later.
             while st.live.len() < self.config.max_in_flight.max(1) {
-                let Some((index, spec, why)) =
-                    Self::pick_next(st.policy.as_mut(), &mut st.waiting, st.tick)
-                else {
+                let Some((index, spec, why)) = Self::pick_next(&st.policy, &mut st.waiting) else {
                     break;
                 };
                 match self.admission_gap(world, &spec.graph) {
@@ -374,11 +373,7 @@ impl CaseScheduler {
                                 reason: why,
                             },
                         );
-                        st.policy.admitted(&WaitingCase {
-                            submitted: index,
-                            label: &spec.label,
-                            hints: &spec.hints,
-                        });
+                        st.policy.admitted(&spec.hints);
                         st.admissions.push(AdmissionRecord {
                             submitted: index,
                             label: spec.label.clone(),
@@ -506,36 +501,26 @@ impl CaseScheduler {
     }
 
     /// The admission policy's next pick, removed from the waiting queue
-    /// and returned with its admission reason.  `None` ends admission
-    /// for the tick (queue empty, or the policy declined).
+    /// and returned with its admission reason.  `None` when nothing
+    /// waits.
     fn pick_next(
-        policy: &mut dyn AdmissionPolicy,
+        policy: &Policy,
         waiting: &mut VecDeque<(usize, CaseSpec)>,
-        tick: u64,
     ) -> Option<(usize, CaseSpec, Option<String>)> {
         // FIFO fast path: the default policy always takes the queue
-        // head with no reason, so building the O(waiting) borrowed view
-        // per admission — O(fleet²) over a large fleet's admission
-        // phase — is pure waste.  Pop the head directly.
+        // head with no reason, so scanning the O(waiting) queue per
+        // admission — O(fleet²) over a large fleet's admission phase —
+        // is pure waste.  Pop the head directly.
         if policy.is_fifo() {
             let (index, spec) = waiting.pop_front()?;
             return Some((index, spec, None));
         }
-        let admission = {
-            let view: Vec<WaitingCase<'_>> = waiting
-                .iter()
-                .map(|(index, spec)| WaitingCase {
-                    submitted: *index,
-                    label: &spec.label,
-                    hints: &spec.hints,
-                })
-                .collect();
-            policy.next(&view, tick)?
-        };
+        let (pos, reason) =
+            policy.next(waiting.iter().map(|(index, spec)| (*index, &spec.hints)))?;
         let (index, spec) = waiting
-            .remove(admission.pos)
+            .remove(pos)
             .expect("policy picked an out-of-range waiting position");
-        Some((index, spec, admission.reason))
+        Some((index, spec, reason))
     }
 
     /// `None` when matchmaking can place every end-user service of
@@ -578,7 +563,7 @@ impl CaseScheduler {
 
     /// Hands the engine's shared plan cache (when configured) to a fiber so
     /// every replan across the fleet goes through the same content-addressed
-    /// store and single-flight latch.
+    /// map.
     pub(crate) fn install_plan_cache(&self, fiber: &mut CaseFiber) {
         if let Some(cache) = &self.config.plan_cache {
             fiber.set_plan_cache(cache.clone());

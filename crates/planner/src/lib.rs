@@ -21,7 +21,9 @@
 //! combined as `f = w_v·f_v + w_g·f_g + w_r·f_r` (Eq. 4).
 //!
 //! Re-planning (§3.3) is planning with a set of *excluded* activities —
-//! those observed to be non-executable in the runtime environment.
+//! those observed to be non-executable in the runtime environment —
+//! and is done by `gridflow-services`' planning service through
+//! [`PlanningProblem::without_activities`].
 //!
 //! ```
 //! use gridflow_planner::prelude::*;
@@ -42,7 +44,6 @@ pub mod fitness;
 pub mod genetic;
 pub mod key;
 pub mod problem;
-pub mod replan;
 pub mod simulate;
 mod state;
 
@@ -52,7 +53,6 @@ pub mod prelude {
     pub use crate::genetic::{GenerationStats, GpConfig, GpPlanner, GpResult};
     pub use crate::key::{PlanKey, StableHasher};
     pub use crate::problem::{ActivitySpec, GoalSpec, PlanningProblem};
-    pub use crate::replan::{replan, ReplanRequest};
     pub use crate::simulate::{simulate, SimOutcome};
 }
 

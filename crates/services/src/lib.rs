@@ -44,9 +44,7 @@ pub use coordination::{
 };
 pub use error::{Result, ServiceError};
 pub use matchmaking::{MatchIndex, MatchRequest, RankedMatch};
-pub use plan_cache::{
-    InProcPlanCache, PlanCache, PlanCacheHandle, PlanCacheStats, PlanFetchOutcome,
-};
+pub use plan_cache::{PlanCacheHandle, PlanCacheStats, PlanFetchOutcome};
 pub use planning::{PlanRequest, PlanResponse, PlanningService};
 pub use world::{
     ContainerImage, ExecutionRecord, GridWorld, OutputSpec, ServiceOffering, SharedWorld,

@@ -57,7 +57,7 @@ pub struct PlanningService {
     pub config: GpConfig,
     /// Optional trace sink: per-generation GP statistics as events.
     trace: TraceHandle,
-    /// Optional fleet-shared plan cache with single-flight coalescing.
+    /// Optional fleet-shared plan cache.
     cache: Option<PlanCacheHandle>,
 }
 
@@ -104,11 +104,11 @@ impl PlanningService {
     /// catalog.
     ///
     /// With a plan cache installed, the request's [`PlanKey`] is
-    /// resolved against it first: hits and coalesced requests reuse the
-    /// byte-identical cached plan (replaying its `plan.generation`
-    /// history so traced runs stay conformant) and announce themselves
-    /// with a `plan.cache_hit` / `plan.coalesced` event; misses emit
-    /// `plan.cache_miss` and run GP exactly once per key fleet-wide.
+    /// resolved against it first: hits reuse the byte-identical cached
+    /// plan (replaying its `plan.generation` history so traced runs stay
+    /// conformant) and announce themselves with a `plan.cache_hit`
+    /// event; misses emit `plan.cache_miss` and run GP exactly once per
+    /// key fleet-wide.
     /// Without a cache the behavior (and trace) is unchanged.
     pub fn plan(&self, world: &GridWorld, request: &PlanRequest) -> Result<PlanResponse> {
         let mut initial = request.initial.clone();
@@ -140,12 +140,6 @@ impl PlanningService {
                 Ok((*response).clone())
             }
             PlanFetchOutcome::Ran(result) => result.map(|r| (*r).clone()),
-            PlanFetchOutcome::Coalesced(result) => result.map(|response| {
-                self.trace
-                    .emit("planner", TraceEvent::PlanCoalesced { key: key.hex() });
-                self.replay_history(&response);
-                (*response).clone()
-            }),
         }
     }
 
@@ -285,6 +279,48 @@ mod tests {
         let response = planner().plan(&world(), &req).unwrap();
         assert!(!response.viable, "plating is the only path to Plated");
         assert!(!response.tree.activities().contains(&"plate"));
+    }
+
+    /// [`world`] plus a two-step detour around `cook`: `marinate`
+    /// (Prepped → Marinated), then `grill` (Marinated → Cooked).
+    fn world_with_detour() -> GridWorld {
+        let mut w = world();
+        w.offer(ServiceOffering::new(
+            "marinate",
+            ["Prepped"],
+            vec![OutputSpec::plain("Marinated")],
+        ));
+        w.offer(ServiceOffering::new(
+            "grill",
+            ["Marinated"],
+            vec![OutputSpec::plain("Cooked")],
+        ));
+        w
+    }
+
+    #[test]
+    fn an_excluded_service_is_routed_around_through_a_detour() {
+        let mut req = request();
+        req.excluded = vec!["cook".into()];
+        let response = planner().plan(&world_with_detour(), &req).unwrap();
+        assert!(response.viable, "fitness {:?}", response.fitness);
+        let acts = response.tree.activities();
+        assert!(!acts.contains(&"cook"), "excluded service reused: {acts:?}");
+        assert!(acts.contains(&"marinate") && acts.contains(&"grill"));
+    }
+
+    #[test]
+    fn produced_data_combines_with_exclusions() {
+        // `Marinated` was produced before the failure; only `grill` and
+        // `plate` are needed now, even though `marinate` is excluded.
+        let mut req = request();
+        req.produced = vec!["Marinated".into()];
+        req.excluded = vec!["cook".into(), "marinate".into()];
+        let response = planner().plan(&world_with_detour(), &req).unwrap();
+        assert!(response.viable, "fitness {:?}", response.fitness);
+        let acts = response.tree.activities();
+        assert!(acts.contains(&"grill"), "{acts:?}");
+        assert!(!acts.contains(&"marinate") && !acts.contains(&"cook"));
     }
 
     #[test]

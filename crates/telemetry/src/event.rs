@@ -391,13 +391,6 @@ pub enum TraceEvent {
         /// Content-addressed plan key (32 lowercase hex digits).
         key: String,
     },
-    /// A planning request found a same-key GP run already in flight and
-    /// coalesced onto it (single-flight), reusing its result instead of
-    /// starting another run.
-    PlanCoalesced {
-        /// Content-addressed plan key (32 lowercase hex digits).
-        key: String,
-    },
     /// An enactment ended.
     EnactmentFinished {
         /// Did the workflow reach End with all case goals met?
@@ -553,12 +546,10 @@ impl TraceEvent {
     }
 
     /// The content-addressed plan key carried by the `plan.cache_hit` /
-    /// `plan.cache_miss` / `plan.coalesced` events, if any.
+    /// `plan.cache_miss` events, if any.
     pub fn plan_key(&self) -> Option<&str> {
         match self {
-            TraceEvent::PlanCacheHit { key }
-            | TraceEvent::PlanCacheMiss { key }
-            | TraceEvent::PlanCoalesced { key } => Some(key),
+            TraceEvent::PlanCacheHit { key } | TraceEvent::PlanCacheMiss { key } => Some(key),
             _ => None,
         }
     }
@@ -591,7 +582,6 @@ impl TraceEvent {
             TraceEvent::PlanGeneration { .. } => "plan.generation",
             TraceEvent::PlanCacheHit { .. } => "plan.cache_hit",
             TraceEvent::PlanCacheMiss { .. } => "plan.cache_miss",
-            TraceEvent::PlanCoalesced { .. } => "plan.coalesced",
             TraceEvent::EnactmentFinished { .. } => "enactment.finished",
             TraceEvent::NodeLost { .. } => "fault.node_lost",
             TraceEvent::Custom { .. } => "custom",
@@ -673,11 +663,9 @@ mod tests {
         let key = "00000000000000000000000000000abc".to_string();
         let hit = TraceEvent::PlanCacheHit { key: key.clone() };
         let miss = TraceEvent::PlanCacheMiss { key: key.clone() };
-        let coalesced = TraceEvent::PlanCoalesced { key: key.clone() };
         assert_eq!(hit.label(), "plan.cache_hit");
         assert_eq!(miss.label(), "plan.cache_miss");
-        assert_eq!(coalesced.label(), "plan.coalesced");
-        for e in [&hit, &miss, &coalesced] {
+        for e in [&hit, &miss] {
             assert_eq!(e.plan_key(), Some(key.as_str()));
             assert!(!e.is_fault());
             assert_eq!(e.activity(), None);

@@ -131,7 +131,7 @@ pub enum TraceViolation {
         seq: u64,
     },
     /// A content-addressed plan key ran GP more than once — the plan
-    /// cache (or single-flight coalescing) failed to share the work.
+    /// cache failed to share the work.
     DuplicatePlanRun {
         /// The offending plan key (32 hex digits).
         key: String,
@@ -640,12 +640,6 @@ impl TraceQuery {
         self.count(|e| matches!(e, TraceEvent::PlanCacheHit { .. }))
     }
 
-    /// Number of `plan.coalesced` events — planning requests that
-    /// joined a same-key GP run already in flight.
-    pub fn plan_coalesced(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::PlanCoalesced { .. }))
-    }
-
     /// Number of actual GP runs observed.
     ///
     /// With a plan cache installed, every real run announces itself with
@@ -665,7 +659,7 @@ impl TraceQuery {
 
     /// Check: no content-addressed plan key ran GP more than once (each
     /// key may miss the cache at most once; all later same-key requests
-    /// must hit or coalesce).
+    /// must hit).
     pub fn check_plans_at_most_once_per_key(&self) -> Result<(), TraceViolation> {
         let mut miss_seqs: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
         for r in &self.records {
@@ -1300,11 +1294,8 @@ mod tests {
             rec(1, generation0()),
             rec(2, TraceEvent::PlanCacheHit { key: "k1".into() }),
             rec(3, generation0()),
-            rec(4, TraceEvent::PlanCoalesced { key: "k1".into() }),
-            rec(5, generation0()),
         ]);
         assert_eq!(q.plan_cache_hits(), 1);
-        assert_eq!(q.plan_coalesced(), 1);
         assert_eq!(q.plan_runs(), 1);
         assert_eq!(q.check_plans_at_most_once_per_key(), Ok(()));
 

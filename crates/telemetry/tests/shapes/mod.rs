@@ -252,7 +252,6 @@ pub fn one_of_each() -> Vec<TraceEvent> {
         },
         PlanCacheHit { key: s() },
         PlanCacheMiss { key: s() },
-        PlanCoalesced { key: s() },
         EnactmentFinished {
             success: false,
             abort_reason: Some(s()),

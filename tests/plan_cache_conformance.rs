@@ -1,7 +1,7 @@
 //! Conformance suite for the fleet-shared, content-addressed plan
 //! cache.
 //!
-//! The cache's contract has three planks:
+//! The cache's contract has two planks:
 //!
 //! 1. **Caching is a pure performance knob** — GP planning is a
 //!    deterministic function of `(seed, problem)`, so a cache hit
@@ -10,23 +10,18 @@
 //!    deterministic `plan.cache_*` announcements, and with the cache
 //!    disabled the trace is byte-identical to the legacy (pre-cache)
 //!    one.
-//! 2. **Single-flight** — N concurrent cold requests for one key run
-//!    GP exactly once; the other N−1 coalesce onto the leader's run.
-//! 3. **Fleet-scale dedup** — an identical-goal fleet of any size runs
+//! 2. **Fleet-scale dedup** — an identical-goal fleet of any size runs
 //!    GP once per distinct key, provable from the merged trace alone:
 //!    every trace produced here passes [`TraceQuery::check_all`], which
 //!    includes `check_plans_at_most_once_per_key`.
 
 use gridflow_harness::workload::{
     cook_loss_churn_plan, cook_loss_churn_plan_scaled, dinner_replan_workload,
-    dinner_replan_workload_scaled, dinner_world,
+    dinner_replan_workload_scaled,
 };
 use gridflow_harness::{MultiCaseScenario, TraceQuery, Workload};
-use gridflow_planner::prelude::GpConfig;
-use gridflow_planner::GoalSpec;
-use gridflow_services::{PlanCacheHandle, PlanRequest, PlanningService};
-use gridflow_telemetry::{TraceEvent, TraceLog, TraceRecord, TraceSink};
-use std::sync::{Arc, Condvar, Mutex};
+use gridflow_services::PlanCacheHandle;
+use gridflow_telemetry::{TraceEvent, TraceRecord};
 
 /// The replan-under-churn scenario: a fleet of identical dinner cases
 /// loses both `cook` hosts right after everyone has prepped, so every
@@ -125,116 +120,6 @@ fn warm_trace_differs_from_cold_only_in_cache_events() {
 }
 
 // ------------------------------------------------------------------ 2
-
-/// A sink that forwards to a [`TraceLog`] but parks the emitter of the
-/// first `plan.cache_miss` until released — holding the single-flight
-/// leader inside its GP run so followers have a deterministic window to
-/// pile onto the flight.
-struct GateSink {
-    inner: Arc<TraceLog>,
-    released: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl GateSink {
-    fn new(inner: Arc<TraceLog>) -> Self {
-        GateSink {
-            inner,
-            released: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn release(&self) {
-        *self.released.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-}
-
-impl TraceSink for GateSink {
-    fn emit(&self, source: &str, event: TraceEvent) {
-        let is_miss = event.label() == "plan.cache_miss";
-        self.inner.emit(source, event);
-        if is_miss {
-            let mut released = self.released.lock().unwrap();
-            while !*released {
-                released = self.cv.wait(released).unwrap();
-            }
-        }
-    }
-}
-
-#[test]
-fn concurrent_cold_replans_run_gp_exactly_once() {
-    const FOLLOWERS: usize = 5;
-    let world = dinner_world();
-    let cache = PlanCacheHandle::in_proc();
-    let log = Arc::new(TraceLog::new());
-    let gate = Arc::new(GateSink::new(log.clone()));
-    let request = PlanRequest {
-        initial: vec!["Raw".into()],
-        goals: vec![GoalSpec {
-            classification: "Plated".into(),
-            min_count: 1,
-        }],
-        produced: vec![],
-        excluded: vec![],
-    };
-    let service = || {
-        PlanningService::new(GpConfig {
-            population_size: 40,
-            generations: 10,
-            seed: 5,
-            ..GpConfig::default()
-        })
-        .with_trace(gate.clone())
-        .with_plan_cache(cache.clone())
-    };
-
-    let responses = std::thread::scope(|scope| {
-        let leader = {
-            let service = service();
-            let (world, request) = (&world, &request);
-            scope.spawn(move || service.plan(world, request).unwrap())
-        };
-        // The leader parks inside its miss announcement (emitted inside
-        // the flight, before GP); once it is visible the flight is open
-        // and every follower must coalesce onto it.
-        while log.records().is_empty() {
-            std::thread::yield_now();
-        }
-        let followers: Vec<_> = (0..FOLLOWERS)
-            .map(|_| {
-                let service = service();
-                let (world, request) = (&world, &request);
-                scope.spawn(move || service.plan(world, request).unwrap())
-            })
-            .collect();
-        while cache.parked_waiters() < FOLLOWERS {
-            std::thread::yield_now();
-        }
-        gate.release();
-        let mut responses = vec![leader.join().unwrap()];
-        responses.extend(followers.into_iter().map(|f| f.join().unwrap()));
-        responses
-    });
-
-    for response in &responses[1..] {
-        assert_eq!(response, &responses[0], "coalesced plans must be identical");
-    }
-    let stats = cache.stats();
-    assert_eq!(
-        (stats.misses, stats.coalesced, stats.hits),
-        (1, FOLLOWERS as u64, 0)
-    );
-    let q = TraceQuery::new(log.records());
-    assert_eq!(q.plan_runs(), 1, "exactly one GP run");
-    assert_eq!(q.plan_coalesced(), FOLLOWERS);
-    assert_eq!(q.plan_cache_hits(), 0);
-    assert_eq!(q.check_all(world.capacities()), Ok(()));
-}
-
-// ------------------------------------------------------------------ 3
 
 #[test]
 fn identical_goal_fleet_of_512_plans_exactly_once() {
