@@ -508,9 +508,7 @@ impl CaseScheduler {
         waiting: &mut VecDeque<(usize, CaseSpec)>,
     ) -> Option<(usize, CaseSpec, Option<String>)> {
         // FIFO fast path: the default policy always takes the queue
-        // head with no reason, so scanning the O(waiting) queue per
-        // admission — O(fleet²) over a large fleet's admission phase —
-        // is pure waste.  Pop the head directly.
+        // head with no reason, so pop it directly.
         if policy.is_fifo() {
             let (index, spec) = waiting.pop_front()?;
             return Some((index, spec, None));
