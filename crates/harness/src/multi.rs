@@ -417,7 +417,7 @@ mod tests {
 
         let records = log.records();
         let q = TraceQuery::new(records.clone());
-        assert_eq!(q.check_partition_discipline(), Ok(()));
+        assert_eq!(q.check_all(world.capacities()), Ok(()));
         assert_eq!(q.count(|e| e.label() == "fault.node_lost"), 1);
         assert_eq!(q.count(|e| e.label() == "transport.partitioned"), 2);
         assert_eq!(q.count(|e| e.label() == "transport.healed"), 2);
