@@ -35,5 +35,5 @@ pub use error::{AgentError, Result};
 pub use message::{AclMessage, Performative};
 pub use net::{NodeServer, RetryCfg, TcpChannel};
 pub use runtime::{Agent, AgentContext, AgentRuntime, RuntimeHandle};
-pub use transport::{Passthrough, Transport};
+pub use transport::Transport;
 pub use wire::Frame;

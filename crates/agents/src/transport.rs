@@ -46,17 +46,6 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// The identity transport: every message is delivered exactly once, in
-/// send order.  Installing it is equivalent to installing no transport.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Passthrough;
-
-impl Transport for Passthrough {
-    fn intercept(&self, msg: AclMessage) -> Vec<AclMessage> {
-        vec![msg]
-    }
-}
-
 /// The directory's transport slot: an optional shared [`Transport`]
 /// behind a lock, cloneable alongside the directory itself.
 ///
@@ -97,25 +86,21 @@ impl std::fmt::Debug for TransportSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Performative;
-    use serde_json::json;
 
-    fn msg(n: i64) -> AclMessage {
-        AclMessage::new(Performative::Inform, "a", "b", "t", json!(n))
-    }
+    /// Delivers every message once, in send order.
+    struct Identity;
 
-    #[test]
-    fn passthrough_is_identity() {
-        let out = Passthrough.intercept(msg(1));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].content, json!(1));
+    impl Transport for Identity {
+        fn intercept(&self, msg: AclMessage) -> Vec<AclMessage> {
+            vec![msg]
+        }
     }
 
     #[test]
     fn slot_set_get_clear() {
         let slot = TransportSlot::default();
         assert!(slot.get().is_none());
-        slot.set(Arc::new(Passthrough));
+        slot.set(Arc::new(Identity));
         assert!(slot.get().is_some());
         assert_eq!(format!("{slot:?}"), "TransportSlot { installed: true }");
         slot.clear();
@@ -124,6 +109,6 @@ mod tests {
 
     #[test]
     fn default_drain_is_empty() {
-        assert!(Passthrough.drain().is_empty());
+        assert!(Identity.drain().is_empty());
     }
 }

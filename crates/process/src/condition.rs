@@ -10,7 +10,6 @@
 //! [`DataState`] values.
 
 use crate::data::DataState;
-use crate::error::{ProcessError, Result};
 use gridflow_ontology::Value;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -138,9 +137,9 @@ impl Condition {
         }
     }
 
-    /// Lenient evaluation: a comparison on a missing data item or property
-    /// is simply false (the environment "does not yet satisfy" the
-    /// condition).  This is the semantics the planner's validity simulation
+    /// Evaluate against `state`: a comparison on a missing data item or
+    /// property is simply false (the environment "does not yet satisfy"
+    /// the condition).  This is the semantics the planner's validity simulation
     /// needs: preconditions on absent data fail rather than abort.
     pub fn eval(&self, state: &DataState) -> bool {
         match self {
@@ -158,55 +157,6 @@ impl Condition {
             Condition::And(a, b) => a.eval(state) && b.eval(state),
             Condition::Or(a, b) => a.eval(state) || b.eval(state),
             Condition::Not(c) => !c.eval(state),
-        }
-    }
-
-    /// Strict evaluation: referencing a missing data item or property is an
-    /// error.  Used by the coordination service, where a constraint naming
-    /// data that was never produced indicates a broken plan.
-    pub fn eval_strict(&self, state: &DataState) -> Result<bool> {
-        match self {
-            Condition::True => Ok(true),
-            Condition::Exists(data) => Ok(state.contains(data)),
-            Condition::Compare {
-                data,
-                property,
-                op,
-                value,
-            } => {
-                let item = state
-                    .get(data)
-                    .ok_or_else(|| ProcessError::UnknownData(format!("data item `{data}`")))?;
-                let actual = item.get(property).ok_or_else(|| {
-                    ProcessError::UnknownData(format!("property `{data}.{property}`"))
-                })?;
-                Ok(op.holds(actual.partial_cmp_value(value), actual.loose_eq(value)))
-            }
-            Condition::And(a, b) => Ok(a.eval_strict(state)? && b.eval_strict(state)?),
-            Condition::Or(a, b) => Ok(a.eval_strict(state)? || b.eval_strict(state)?),
-            Condition::Not(c) => Ok(!c.eval_strict(state)?),
-        }
-    }
-
-    /// All data-item identifiers mentioned by the condition.
-    pub fn referenced_data(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_refs(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn collect_refs<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Condition::True => {}
-            Condition::Exists(d) => out.push(d),
-            Condition::Compare { data, .. } => out.push(data),
-            Condition::And(a, b) | Condition::Or(a, b) => {
-                a.collect_refs(out);
-                b.collect_refs(out);
-            }
-            Condition::Not(c) => c.collect_refs(out),
         }
     }
 }
@@ -330,25 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn strict_eval_errors_on_missing() {
-        let c = Condition::compare("Nope", "X", CompareOp::Eq, 1i64);
-        assert!(matches!(
-            c.eval_strict(&DataState::new()),
-            Err(ProcessError::UnknownData(_))
-        ));
-        let s = DataState::new().with("Nope", DataItem::new());
-        assert!(matches!(
-            c.eval_strict(&s),
-            Err(ProcessError::UnknownData(_))
-        ));
-    }
-
-    #[test]
     fn exists_atom() {
         let s = DataState::new().with("D1", DataItem::new());
         assert!(Condition::Exists("D1".into()).eval(&s));
         assert!(!Condition::Exists("D2".into()).eval(&s));
-        assert!(Condition::Exists("D1".into()).eval_strict(&s).unwrap());
     }
 
     #[test]
@@ -394,13 +329,6 @@ mod tests {
         ] {
             let c = Condition::compare("D", "X", op, 5i64);
             assert!(!c.eval(&s), "{op} held on a missing property");
-            // Strict evaluation names the property, not the item.
-            match c.eval_strict(&s) {
-                Err(ProcessError::UnknownData(msg)) => {
-                    assert!(msg.contains("D.X"), "unhelpful error: {msg}")
-                }
-                other => panic!("expected UnknownData, got {other:?}"),
-            }
         }
     }
 
@@ -431,19 +359,6 @@ mod tests {
         assert!(!check(CompareOp::Le));
         assert!(!check(CompareOp::Ge));
         assert!(check(CompareOp::Ne));
-        // Strict evaluation agrees: the property exists, so a mismatch
-        // is a (false) answer, not an error.
-        assert!(!Condition::compare("D", "X", CompareOp::Le, 1i64)
-            .eval_strict(&s)
-            .unwrap());
-    }
-
-    #[test]
-    fn referenced_data_is_sorted_and_deduped() {
-        let c = Condition::classified("D2", "x")
-            .and(Condition::classified("D1", "y"))
-            .or(Condition::Exists("D2".into()));
-        assert_eq!(c.referenced_data(), vec!["D1", "D2"]);
     }
 
     #[test]

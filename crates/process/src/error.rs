@@ -30,9 +30,6 @@ pub enum ProcessError {
     /// The ATN machine was driven incorrectly (e.g. completing an activity
     /// that is not running).
     Enactment(String),
-    /// A condition referenced a data item or property that does not exist
-    /// (only raised in strict evaluation mode).
-    UnknownData(String),
 }
 
 impl fmt::Display for ProcessError {
@@ -45,7 +42,6 @@ impl fmt::Display for ProcessError {
             Self::Structure(msg) => write!(f, "structural error: {msg}"),
             Self::Unstructured(msg) => write!(f, "cannot recover structure: {msg}"),
             Self::Enactment(msg) => write!(f, "enactment error: {msg}"),
-            Self::UnknownData(msg) => write!(f, "unknown data: {msg}"),
         }
     }
 }

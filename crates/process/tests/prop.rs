@@ -4,7 +4,7 @@
 
 use gridflow_ontology::Value;
 use gridflow_process::condition::{CompareOp, Condition};
-use gridflow_process::data::{DataItem, DataState};
+use gridflow_process::data::DataState;
 use gridflow_process::lower::lower;
 use gridflow_process::parser::{parse_condition, parse_process};
 use gridflow_process::printer::print;
@@ -180,30 +180,6 @@ proptest! {
                 "executed more activities than exist in a loop-free flow");
         }
         prop_assert!(machine.is_finished());
-    }
-
-    /// Strict evaluation agrees with lenient evaluation whenever all
-    /// referenced data exist with the referenced property.
-    #[test]
-    fn strict_agrees_with_lenient_when_defined(
-        cond in condition(),
-        size in -100i64..100,
-    ) {
-        let mut state = DataState::new();
-        for id in cond.referenced_data() {
-            state.insert(
-                id,
-                DataItem::new()
-                    .with("Classification", Value::str("X"))
-                    .with("Size", Value::Int(size))
-                    .with("Value", Value::Float(size as f64 / 2.0))
-                    .with("Location", Value::str("ucf.edu")),
-            );
-        }
-        match cond.eval_strict(&state) {
-            Ok(strict) => prop_assert_eq!(strict, cond.eval(&state)),
-            Err(e) => prop_assert!(false, "strict eval failed on fully defined state: {e}"),
-        }
     }
 
     /// The parser and lexer never panic on arbitrary input — they either

@@ -24,9 +24,6 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Default record-count capacity of one segment.
-pub const DEFAULT_RECORDS_PER_SEGMENT: usize = 1024;
-
 /// What `FileStore::open` found — and what it had to discard.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpenReport {

@@ -26,7 +26,7 @@ mod hash;
 mod mem;
 pub mod record;
 
-pub use file::{FileStore, OpenReport, DEFAULT_RECORDS_PER_SEGMENT};
+pub use file::{FileStore, OpenReport};
 pub use hash::{crc32, fnv1a64};
 pub use mem::MemStore;
 

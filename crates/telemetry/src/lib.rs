@@ -24,8 +24,9 @@
 //!   execution invariants (no double dispatch, across a crash and
 //!   recovery included; every drop resolved by timeout-or-retry;
 //!   happens-before edges; retry counts — [`TraceQuery::check_all`]
-//!   runs every whole-trace one), and [`MetricsRegistry`] folds it into counters and
-//!   virtual-time latency histograms for the monitoring service.
+//!   checks every whole-trace one in a single walk over the log), and
+//!   [`MetricsRegistry`] folds it into counters and virtual-time
+//!   latency histograms for the monitoring service.
 //!
 //! Determinism scope: byte-identical replay holds on the
 //! single-threaded engine path.  The live agent stack is
@@ -42,6 +43,4 @@ pub mod sink;
 pub use event::{Label, TraceEvent, TraceRecord};
 pub use metrics::{Histogram, MetricsRegistry, LATENCY_BUCKETS_S};
 pub use query::{AdmissionRecord, TraceQuery, TraceViolation};
-pub use sink::{
-    FrozenClock, NullSink, ScopedSink, TraceClock, TraceHandle, TraceLog, TraceSink, TraceSlot,
-};
+pub use sink::{FrozenClock, ScopedSink, TraceClock, TraceHandle, TraceLog, TraceSink, TraceSlot};

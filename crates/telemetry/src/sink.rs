@@ -53,15 +53,6 @@ pub trait TraceSink: Send + Sync {
     }
 }
 
-/// A sink that discards everything (useful to keep instrumentation
-/// paths exercised without retaining data).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&self, _source: &str, _event: TraceEvent) {}
-}
-
 /// Records per chunk of a [`TraceLog`]: 512 of 144 bytes, under glibc's
 /// default 128 KiB mmap threshold.  A full chunk is never reallocated:
 /// where a growing buffer's multi-megabyte copies land is up to the

@@ -5,6 +5,8 @@
 # as a word in no other file under crates/, tests/, examples/ or
 # benchmark/src/ and nowhere else in its own non-test part.  Comments do
 # not count as readers, except fenced code in doc comments (doc-tests);
+# nor do `use` declarations (a re-export or an import is not a use) or
+# `impl` headers (implementing a trait for a type reads neither);
 # crates/bench and benchmark/src count like any other reader, which is
 # why the surface kept only for the frozen benchmark (`workers`,
 # `threads`, agents' `net` / `wire`) passes without an entry below — its
@@ -35,6 +37,7 @@ awk -v allow="$allow" '
         own = (FILENAME ~ /^crates\/[^\/]+\/src\//)
         intest = 0
         fence = 0
+        inuse = 0
     }
     {
         line = $0
@@ -47,6 +50,11 @@ awk -v allow="$allow" '
         } else {
             sub(/\/\/.*$/, "", line)
         }
+        if (inuse || line ~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/) {
+            inuse = (line !~ /;/)
+            next
+        }
+        if (line ~ /^[[:space:]]*impl[[:space:]<]/) next
         if (own && !intest && !isdoc &&
             match(line, /(^|[[:space:]])pub +((const|unsafe|async) +)*(fn|struct|enum|trait|const|type) +[A-Za-z_][A-Za-z0-9_]*/)) {
             name = substr(line, RSTART, RLENGTH)
