@@ -20,7 +20,9 @@
 //! (snapshot cadence 32), as cases/sec under `"store"`; `"recover"` times
 //! reopening, decoding and recovering that fleet killed near its end.
 //! `"dispatch"` times the `fleet-wide` and `replan-churn` fleets of
-//! `benchmark/`, where one dispatch ranks and probes many hosts.
+//! `benchmark/`, where one dispatch ranks and probes many hosts, and
+//! `"emit"` its traced `fleet-contended` fleet, where most records are
+//! blocked re-steps, as cases/sec and trace records/sec.
 //!
 //! ```sh
 //! cargo run --release --bin enactment_throughput
@@ -72,6 +74,9 @@ const STORE_SNAPSHOT_EVERY: u64 = 32;
 const RECOVER_KILL_BEFORE_END: u64 = 9;
 const RECOVER_REPS: usize = 11;
 const DISPATCH_REPS: usize = 7;
+/// The emission cell: `benchmark/`'s `fleet-contended` fleet, and reps.
+const EMIT_CASES: usize = 2048;
+const EMIT_REPS: usize = 7;
 
 /// Staggered hints so every non-FIFO policy visibly reorders the
 /// fleet: alternating tenants, three priority classes, deadlines
@@ -460,6 +465,31 @@ fn main() {
             "reps": DISPATCH_REPS, "wall_ms": ms, "cases_per_sec": cases as f64 / ms * 1e3}));
     }
     println!("{}\n", json!(dispatch));
+
+    banner("trace emission on a contended fleet");
+    // `benchmark/`'s fleet-contended: the 8-container world, 64 in
+    // flight, timed with and without the trace in alternating reps.
+    let contended = || MultiCaseScenario::new(&plan, &wl, EMIT_CASES).max_in_flight(64);
+    let mut records = 0;
+    let mut reps: Vec<[f64; 2]> = (0..EMIT_REPS)
+        .map(|_| {
+            let (untraced, _) = timed(|| contended().run());
+            let (traced, out) = timed(|| contended().traced().run());
+            assert!(out.engine.all_succeeded(), "fleet-contended failed");
+            records = out.trace.map_or(0, |log| log.len());
+            [traced, untraced]
+        })
+        .collect();
+    let mut median = |i: usize| {
+        reps.sort_by(|a, b| a[i].total_cmp(&b[i]));
+        reps[EMIT_REPS / 2][i]
+    };
+    let (ms, untraced_ms) = (median(0), median(1));
+    let emit = json!({"shape": "fleet-contended", "cases": EMIT_CASES, "max_in_flight": 64,
+        "reps": EMIT_REPS, "records": records, "wall_ms": ms, "untraced_ms": untraced_ms,
+        "cases_per_sec": EMIT_CASES as f64 / ms * 1e3,
+        "records_per_sec": records as f64 / ms * 1e3});
+    println!("{emit}\n");
     let measured_store_ratio = store_ratio(&store_cells);
     let report = json!({
         "bench": "enactment_throughput",
@@ -470,6 +500,7 @@ fn main() {
         "store": store_cells,
         "recover": recover,
         "dispatch": dispatch,
+        "emit": emit,
     });
     std::fs::write(
         path,

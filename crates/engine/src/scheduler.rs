@@ -11,7 +11,7 @@ use gridflow_services::{
     CaseFiber, EnactmentConfig, EnactmentReport, FiberStatus, GridWorld, PlanCacheHandle,
 };
 use gridflow_store::StoreResult;
-use gridflow_telemetry::{TraceEvent, TraceHandle, TraceSink};
+use gridflow_telemetry::{Label, TraceEvent, TraceHandle, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -184,7 +184,7 @@ impl LoopState {
         self.finished.push(FinishedImage {
             index,
             outcome: CaseOutcome {
-                label: fiber.label().to_owned(),
+                label: fiber.label().to_string(),
                 report: fiber.into_report(),
                 admitted_tick: admitted,
                 finished_tick: self.tick,
@@ -363,12 +363,13 @@ impl CaseScheduler {
                 let Some((index, spec, why)) = Self::pick_next(&st.policy, &mut st.waiting) else {
                     break;
                 };
+                let label = Label::from(&spec.label);
                 match self.admission_gap(world, &spec.graph) {
                     None => {
                         self.trace.emit(
                             "engine",
                             TraceEvent::CaseAdmitted {
-                                case: spec.label.clone(),
+                                case: label.clone(),
                                 tick: st.tick,
                                 reason: why,
                             },
@@ -379,7 +380,7 @@ impl CaseScheduler {
                             label: spec.label.clone(),
                             hints: spec.hints.clone(),
                         });
-                        let fiber = self.spawn_fiber(&spec);
+                        let fiber = self.spawn_fiber(&spec, label);
                         st.live.push(Slot {
                             index,
                             fiber,
@@ -391,11 +392,11 @@ impl CaseScheduler {
                         self.trace.emit(
                             "engine",
                             TraceEvent::CaseRejected {
-                                case: spec.label.clone(),
+                                case: label.clone(),
                                 reason: reason.clone(),
                             },
                         );
-                        let mut fiber = self.spawn_fiber(&spec);
+                        let mut fiber = self.spawn_fiber(&spec, label);
                         fiber.abort(format!("admission refused: {reason}"));
                         st.seal(index, fiber, None, 0);
                     }
@@ -492,7 +493,7 @@ impl CaseScheduler {
         self.trace.emit(
             "engine",
             TraceEvent::CaseCompleted {
-                case: slot.fiber.label().to_owned(),
+                case: slot.fiber.label().clone(),
                 success,
             },
         );
@@ -540,14 +541,15 @@ impl CaseScheduler {
             })
     }
 
-    /// A fresh fiber for `spec`'s case.
-    fn spawn_fiber(&self, spec: &CaseSpec) -> CaseFiber {
+    /// A fresh fiber for `spec`'s case, traced and holding slots as
+    /// `label` (`spec.label`, shared with the admission event).
+    fn spawn_fiber(&self, spec: &CaseSpec, label: Label) -> CaseFiber {
         let mut fiber = CaseFiber::new(
             spec.config.clone(),
             self.case_trace(&spec.label),
             &spec.graph,
             spec.case.clone(),
-            spec.label.clone(),
+            label,
         );
         self.install_plan_cache(&mut fiber);
         fiber

@@ -18,7 +18,7 @@ use gridflow_planner::prelude::GpConfig;
 use gridflow_planner::GoalSpec;
 use gridflow_process::{ActivityKind, AtnSnapshot, CaseDescription, DataState, ProcessGraph};
 use gridflow_recovery::{RecoveryManager, RecoveryPolicy, RecoveryState};
-use gridflow_telemetry::{TraceEvent, TraceHandle, TraceSink};
+use gridflow_telemetry::{Label, TraceEvent, TraceHandle, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -213,7 +213,7 @@ pub enum FiberStatus {
     /// — and the case retries on the next tick.
     Blocked {
         /// The service the case was trying to dispatch.
-        service: String,
+        service: Label,
     },
     /// The enactment reached a terminal state; the report is final.
     Finished,
@@ -237,7 +237,7 @@ pub struct FiberSlim {
     /// in an engine snapshot, an index into its blueprint table.
     pub blueprint: usize,
     /// Case label (trace scope and reservation-hold owner).
-    pub label: String,
+    pub label: Label,
     /// ATN machine state, if any step has run.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub snapshot: Option<AtnSnapshot>,
@@ -277,7 +277,7 @@ pub struct CaseFiber {
     /// one description between them, so spawning and retiring a fiber
     /// never deep-copies the case's goal/constraint condition trees.
     case: Arc<CaseDescription>,
-    label: String,
+    label: Label,
     planning: PlanningService,
     initial_classifications: Vec<String>,
     current_graph: ProcessGraph,
@@ -323,7 +323,7 @@ impl CaseFiber {
         trace: TraceHandle,
         graph: &ProcessGraph,
         case: impl Into<Arc<CaseDescription>>,
-        label: impl Into<String>,
+        label: impl Into<Label>,
     ) -> Self {
         let case = case.into();
         trace.emit(
@@ -427,7 +427,7 @@ impl CaseFiber {
     }
 
     /// The case label this fiber reserves and traces under.
-    pub fn label(&self) -> &str {
+    pub fn label(&self) -> &Label {
         &self.label
     }
 
@@ -537,7 +537,7 @@ impl CaseFiber {
         match self.run_activity(world, &service, &activity_id) {
             Ok(ActivityOutcome::Blocked { taken }) => {
                 self.snapshot = Some(atn);
-                self.note_blocked(world, activity_id, service, taken)
+                self.note_blocked(world, activity_id, service.into(), taken)
             }
             Ok(ActivityOutcome::Completed) => self.advance_machine(atn, &activity_id),
             Err(_) => self.escalate_replan(world, &activity_id, &service),
@@ -912,7 +912,7 @@ mod tests {
             // cached ranking is stale and only the dispatch is reused.
             // Tick 4 is the tick the slot frees.
             if (1..=3).contains(&tick) {
-                assert!(w.try_reserve("squatter", "ac-h0"));
+                assert!(w.try_reserve(&"squatter".into(), "ac-h0"));
             }
             if tick == 2 {
                 w.bump_generation();

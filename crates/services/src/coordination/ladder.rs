@@ -34,7 +34,7 @@ use crate::matchmaking::{rank_candidates, MatchRequest};
 use crate::monitoring::MonitoringService;
 use crate::world::GridWorld;
 use gridflow_recovery::{Admission, RecoveryManager};
-use gridflow_telemetry::TraceEvent;
+use gridflow_telemetry::{Label, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 
@@ -71,7 +71,7 @@ pub struct PendingDispatch {
     /// The ready activity the blocking step chose.
     pub activity_id: String,
     /// The service it resolves to.
-    pub service: String,
+    pub service: Label,
     /// [`GridWorld::generation`] at the blocking step: candidate
     /// rankings are only reused while the generation is unchanged.
     pub generation: u64,
@@ -113,7 +113,7 @@ impl CaseFiber {
         &mut self,
         world: &GridWorld,
         activity_id: String,
-        service: String,
+        service: Label,
         taken: Vec<String>,
     ) -> FiberStatus {
         let cacheable = self.recovery.policy().breaker.is_none();
@@ -126,7 +126,7 @@ impl CaseFiber {
         self.announce_blocked(service)
     }
 
-    fn announce_blocked(&mut self, service: String) -> FiberStatus {
+    fn announce_blocked(&mut self, service: Label) -> FiberStatus {
         self.trace.emit(
             "enactor",
             TraceEvent::CaseBlocked {

@@ -15,6 +15,7 @@ use gridflow_grid::{GridError, GridTopology, SpotMarket};
 use gridflow_ontology::Value;
 use gridflow_planner::{ActivitySpec, GoalSpec, PlanningProblem};
 use gridflow_process::{DataItem, DataState};
+use gridflow_telemetry::Label;
 use parking_lot::Mutex;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -169,7 +170,7 @@ pub struct GridWorld {
     /// Per-container slot capacities; containers not listed have one slot.
     capacities: BTreeMap<String, usize>,
     /// Live reservations: container → case labels holding a slot.
-    holds: BTreeMap<String, Vec<String>>,
+    holds: BTreeMap<String, Vec<Label>>,
     /// Monotone counter bumped on every matchmaking-visible mutation
     /// (container up/down flips, catalog changes).  Cached candidate
     /// rankings and fiber dispatch plans key their validity to it.
@@ -260,7 +261,7 @@ impl GridWorld {
     /// `true` (and records the hold) when a slot is free, `false` when
     /// the container is fully booked this tick.  Always `true` while
     /// the protocol is disabled.
-    pub fn try_reserve(&mut self, case: &str, container: &str) -> bool {
+    pub fn try_reserve(&mut self, case: &Label, container: &str) -> bool {
         if !self.reservations_enabled {
             return true;
         }
@@ -269,7 +270,7 @@ impl GridWorld {
         if holders.len() >= capacity {
             return false;
         }
-        holders.push(case.to_owned());
+        holders.push(case.clone());
         true
     }
 
@@ -289,7 +290,7 @@ impl GridWorld {
     /// Release every hold, returning `container → holders` in
     /// deterministic (BTreeMap) order — the engine calls this at each
     /// tick boundary and emits one `slot.released` event per hold.
-    pub fn drain_reservations(&mut self) -> BTreeMap<String, Vec<String>> {
+    pub fn drain_reservations(&mut self) -> BTreeMap<String, Vec<Label>> {
         let mut drained = std::mem::take(&mut self.holds);
         drained.retain(|_, holders| !holders.is_empty());
         drained
@@ -786,23 +787,24 @@ mod tests {
     #[test]
     fn reservations_are_opt_in_and_enforce_capacity() {
         let mut w = world();
+        let [c0, c1, c2] = ["case-0", "case-1", "case-2"].map(Label::new);
         // Disabled (the default): everything "reserves", nothing is held.
         assert!(!w.reservations_enabled());
-        assert!(w.try_reserve("case-0", "c1"));
-        assert!(w.try_reserve("case-1", "c1"));
+        assert!(w.try_reserve(&c0, "c1"));
+        assert!(w.try_reserve(&c1, "c1"));
         assert_eq!(w.reserved_count("c1"), 0);
 
         w.enable_reservations(true);
-        assert!(w.try_reserve("case-0", "c1"));
-        assert!(!w.try_reserve("case-1", "c1"), "default capacity is 1");
+        assert!(w.try_reserve(&c0, "c1"));
+        assert!(!w.try_reserve(&c1, "c1"), "default capacity is 1");
         assert_eq!(w.reserved_count("c1"), 1);
 
         w.set_capacity("c2", 2);
         assert_eq!(w.capacity_of("c2"), 2);
         assert_eq!(w.capacity_of("c1"), 1);
-        assert!(w.try_reserve("case-0", "c2"));
-        assert!(w.try_reserve("case-1", "c2"));
-        assert!(!w.try_reserve("case-2", "c2"));
+        assert!(w.try_reserve(&c0, "c2"));
+        assert!(w.try_reserve(&c1, "c2"));
+        assert!(!w.try_reserve(&c2, "c2"));
 
         let drained = w.drain_reservations();
         assert_eq!(drained["c1"], vec!["case-0".to_string()]);
@@ -811,7 +813,7 @@ mod tests {
             vec!["case-0".to_string(), "case-1".to_string()]
         );
         assert_eq!(w.reserved_count("c1"), 0);
-        assert!(w.try_reserve("case-1", "c1"), "slots free after drain");
+        assert!(w.try_reserve(&c1, "c1"), "slots free after drain");
 
         // Turning the protocol off clears any live holds.
         w.enable_reservations(false);

@@ -10,8 +10,9 @@
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// An interned trace-source label (`"enactor"`, `"case:dinner-3/enactor"`,
-/// …).
+/// An interned trace name: a record's source (`"enactor"`,
+/// `"case:dinner-3/enactor"`, …), and the case and service names the
+/// engine's per-tick events carry.
 ///
 /// A merged multi-case trace repeats the same handful of source strings
 /// hundreds of thousands of times; storing each record's source as an
@@ -424,7 +425,7 @@ pub enum TraceEvent {
     /// Admission control accepted a case into the running set.
     CaseAdmitted {
         /// The case's label in the scheduler.
-        case: String,
+        case: Label,
         /// Tick at which it was admitted.
         tick: u64,
         /// Why the admission policy picked this case now (e.g.
@@ -437,7 +438,7 @@ pub enum TraceEvent {
     /// Admission control rejected a case outright (it never runs).
     CaseRejected {
         /// The case's label in the scheduler.
-        case: String,
+        case: Label,
         /// Why admission refused it.
         reason: String,
     },
@@ -446,28 +447,28 @@ pub enum TraceEvent {
     /// failure is recorded, the case retries next tick).
     CaseBlocked {
         /// The blocked case's label.
-        case: String,
+        case: Label,
         /// The service it was trying to dispatch.
-        service: String,
+        service: Label,
     },
     /// A case left the running set with a final report.
     CaseCompleted {
         /// The case's label in the scheduler.
-        case: String,
+        case: Label,
         /// Did its enactment succeed?
         success: bool,
     },
     /// A case reserved a container slot for the current tick.
     SlotReserved {
         /// The reserving case's label.
-        case: String,
+        case: Label,
         /// The reserved container.
         container: String,
     },
     /// A tick-scoped container reservation was released.
     SlotReleased {
         /// The case that held the slot.
-        case: String,
+        case: Label,
         /// The released container.
         container: String,
     },
@@ -526,7 +527,7 @@ impl TraceEvent {
             | TraceEvent::CaseBlocked { case, .. }
             | TraceEvent::CaseCompleted { case, .. }
             | TraceEvent::SlotReserved { case, .. }
-            | TraceEvent::SlotReleased { case, .. } => Some(case),
+            | TraceEvent::SlotReleased { case, .. } => Some(case.as_str()),
             _ => None,
         }
     }

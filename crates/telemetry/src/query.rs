@@ -390,7 +390,7 @@ impl TraceQuery {
             .filter_map(|r| match &r.event {
                 TraceEvent::CaseAdmitted { case, tick, reason } => Some(AdmissionRecord {
                     seq: r.seq,
-                    case: case.clone(),
+                    case: case.to_string(),
                     tick: *tick,
                     reason: reason.clone(),
                 }),

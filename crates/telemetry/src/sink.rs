@@ -1,12 +1,12 @@
 //! Sinks: where trace events go.
 //!
-//! [`TraceSink`] is the one-method surface instrumented components talk
-//! to.  The canonical implementation is [`TraceLog`] — an ordered
-//! in-memory log stamped from a [`TraceClock`] (virtual time only), with
-//! JSONL serialization and a byte-stable fingerprint for replay
-//! equality checks.  [`TraceHandle`] is the `Option<Arc<dyn TraceSink>>`
-//! newtype components embed so their `Debug`/`Clone`/`Default` derives
-//! survive.
+//! [`TraceSink`] is the surface instrumented components talk to: one
+//! `emit` per event.  The canonical implementation is [`TraceLog`] — an
+//! ordered in-memory log stamped from a [`TraceClock`] (virtual time
+//! only), with JSONL serialization and a byte-stable fingerprint for
+//! replay equality checks.  [`TraceHandle`] is the
+//! `Option<Arc<dyn TraceSink>>` newtype components embed so their
+//! `Debug`/`Clone`/`Default` derives survive.
 
 use crate::event::{Label, TraceEvent, TraceRecord};
 use parking_lot::Mutex;
@@ -46,6 +46,12 @@ impl TraceClock for FrozenClock {
 pub trait TraceSink: Send + Sync {
     /// Record that `event` happened inside `source`.
     fn emit(&self, source: &str, event: TraceEvent);
+    /// [`emit`](TraceSink::emit) from a source already resolved to a
+    /// [`Label`], which a sink that stores labels may share instead of
+    /// looking it up.  Default: `emit(source.as_str(), event)`.
+    fn emit_label(&self, source: &Label, event: TraceEvent) {
+        self.emit(source.as_str(), event);
+    }
     /// Advance the sink's notion of virtual seconds (forwarded to the
     /// underlying clock, if any).  Default: no-op.
     fn advance_s(&self, dt: f64) {
@@ -65,9 +71,10 @@ struct LogState {
     /// Records in emission order, in chunks of [`CHUNK`]; only the last
     /// may be short.
     chunks: Vec<Vec<TraceRecord>>,
-    /// Source-label intern table: each distinct source string is
-    /// allocated once; every further emission from it stamps its record
-    /// with a reference-counted clone.
+    /// Source-label intern table for [`TraceSink::emit`]: each distinct
+    /// source string is allocated once; every further emission from it
+    /// stamps its record with a reference-counted clone.  Sources that
+    /// arrive as labels ([`TraceSink::emit_label`]) bypass it.
     sources: BTreeMap<Label, ()>,
 }
 
@@ -220,15 +227,14 @@ impl TraceLog {
     pub fn fingerprint(&self) -> String {
         self.to_jsonl()
     }
-}
 
-impl TraceSink for TraceLog {
-    fn emit(&self, source: &str, event: TraceEvent) {
+    /// Append `event`, stamped with the source `label` yields.
+    fn append(&self, label: impl FnOnce(&mut LogState) -> Label, event: TraceEvent) {
         let (tick, at_s) = self.clock.now();
         let mut st = self.state.lock();
         let seq = st.next_seq;
         st.next_seq += 1;
-        let source = st.intern(source);
+        let source = label(&mut st);
         if st.chunks.last().is_none_or(|c| c.len() == CHUNK) {
             // The first chunk grows as a short log needs; the rest are
             // allocated whole.
@@ -244,6 +250,16 @@ impl TraceSink for TraceLog {
                 event,
             });
         }
+    }
+}
+
+impl TraceSink for TraceLog {
+    fn emit(&self, source: &str, event: TraceEvent) {
+        self.append(|st| st.intern(source), event);
+    }
+
+    fn emit_label(&self, source: &Label, event: TraceEvent) {
+        self.append(|_| source.clone(), event);
     }
 
     fn advance_s(&self, dt: f64) {
@@ -331,14 +347,16 @@ impl From<TraceLog> for TraceHandle {
 /// attributable per case without threading case ids through every
 /// instrumented component.
 ///
-/// Composed `"{scope}/{source}"` labels are cached per inner source, so
-/// the steady-state emit path formats each distinct source once instead
-/// of allocating a fresh prefix string per event.
+/// Each composed `"{scope}/{source}"` is built once, as a [`Label`], and
+/// handed to the inner sink through [`TraceSink::emit_label`] from then
+/// on: a case has a handful of inner sources, so they sit in a short
+/// `Vec` searched by suffix, and a log shares the one label among all
+/// the records it stamps.
 pub struct ScopedSink {
     scope: String,
     inner: Arc<dyn TraceSink>,
-    /// inner source → composed `"{scope}/{source}"` label.
-    composed: Mutex<BTreeMap<String, String>>,
+    /// One composed `"{scope}/{source}"` label per inner source seen.
+    composed: Mutex<Vec<Label>>,
 }
 
 impl ScopedSink {
@@ -348,7 +366,7 @@ impl ScopedSink {
         ScopedSink {
             scope: scope.into(),
             inner,
-            composed: Mutex::new(BTreeMap::new()),
+            composed: Mutex::new(Vec::new()),
         }
     }
 
@@ -369,13 +387,15 @@ impl std::fmt::Debug for ScopedSink {
 impl TraceSink for ScopedSink {
     fn emit(&self, source: &str, event: TraceEvent) {
         let mut composed = self.composed.lock();
-        if let Some(full) = composed.get(source) {
-            self.inner.emit(full, event);
-            return;
-        }
-        let full = format!("{}/{source}", self.scope);
-        self.inner.emit(&full, event);
-        composed.insert(source.to_owned(), full);
+        let n = self.scope.len() + 1;
+        let at = match composed.iter().position(|label| &label[n..] == source) {
+            Some(at) => at,
+            None => {
+                composed.push(Label::from(format!("{}/{source}", self.scope)));
+                composed.len() - 1
+            }
+        };
+        self.inner.emit_label(&composed[at], event);
     }
 
     fn advance_s(&self, dt: f64) {
@@ -543,6 +563,41 @@ mod tests {
         assert_eq!(recs[0].source, "case:x/enactor");
         assert_eq!(recs[1].source, "case:x/enactor");
         assert_eq!(recs[2].source, "case:x/recovery");
+        // Records from one scoped source share one label allocation.
+        let text = |i: usize| recs[i].source.as_ptr();
+        assert!(std::ptr::eq(text(0), text(1)));
+        assert!(!std::ptr::eq(text(0), text(2)));
+    }
+
+    #[test]
+    fn scoped_sources_reach_a_sink_that_implements_only_emit() {
+        // Like the benchmark's timing wrapper: `emit_label` is defaulted.
+        struct Forward(TraceLog);
+        impl TraceSink for Forward {
+            fn emit(&self, source: &str, event: TraceEvent) {
+                self.0.emit(source, event);
+            }
+        }
+        let log = TraceLog::new();
+        let scoped = ScopedSink::new("case:x", Arc::new(Forward(log.clone())));
+        scoped.emit("src", msg(1));
+        scoped.emit("src", msg(2));
+        let sources: Vec<_> = log.records().into_iter().map(|r| r.source).collect();
+        assert_eq!(sources, ["case:x/src", "case:x/src"]);
+    }
+
+    #[test]
+    fn scoped_emission_leaves_the_intern_table_alone() {
+        let log = TraceLog::new();
+        for case in ["case:a", "case:b"] {
+            let scoped = ScopedSink::new(case, Arc::new(log.clone()));
+            scoped.emit("enactor", msg(1));
+            scoped.emit("recovery", msg(2));
+        }
+        assert_eq!(log.state.lock().sources.len(), 0);
+        log.emit("engine", msg(3));
+        assert_eq!(log.state.lock().sources.len(), 1);
+        assert_eq!(log.len(), 5);
     }
 
     #[test]

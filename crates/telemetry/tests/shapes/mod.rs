@@ -4,7 +4,7 @@
 
 #![allow(dead_code)]
 
-use gridflow_telemetry::TraceEvent;
+use gridflow_telemetry::{Label, TraceEvent};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -139,6 +139,7 @@ pub fn shape() -> Sampler<Shape<f64>> {
 pub fn one_of_each() -> Vec<TraceEvent> {
     use TraceEvent::*;
     let s = || "a\"b\\c\n\u{1}é".to_string();
+    let l = || Label::from(s());
     vec![
         MessageSent {
             id: u64::MAX,
@@ -270,33 +271,33 @@ pub fn one_of_each() -> Vec<TraceEvent> {
         },
         TickStarted { tick: 0 },
         CaseAdmitted {
-            case: s(),
+            case: l(),
             tick: 1,
             reason: Some(s()),
         },
         CaseAdmitted {
-            case: s(),
+            case: l(),
             tick: 1,
             reason: None,
         },
         CaseRejected {
-            case: s(),
+            case: l(),
             reason: s(),
         },
         CaseBlocked {
-            case: s(),
-            service: s(),
+            case: l(),
+            service: l(),
         },
         CaseCompleted {
-            case: s(),
+            case: l(),
             success: true,
         },
         SlotReserved {
-            case: s(),
+            case: l(),
             container: s(),
         },
         SlotReleased {
-            case: s(),
+            case: l(),
             container: s(),
         },
         MessageReordered {

@@ -22,6 +22,7 @@ use gridflow_harness::{
     TraceViolation,
 };
 use gridflow_services::PlanCacheHandle;
+use gridflow_telemetry::Label;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A merged log and the slot capacities of the world it ran on.
@@ -230,7 +231,7 @@ fn move_dispatch_into_open_window(t: &mut Trace) {
 /// Add a reservation by another case right after the first reservation
 /// that fills its container.
 fn overbook(t: &mut Trace) {
-    let cases: Vec<String> = t
+    let cases: Vec<Label> = t
         .records
         .iter()
         .filter_map(|r| match &r.event {
@@ -238,7 +239,7 @@ fn overbook(t: &mut Trace) {
             _ => None,
         })
         .collect();
-    let mut holders: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut holders: BTreeMap<String, Vec<Label>> = BTreeMap::new();
     let capacities = t.capacities.clone();
     let at = t.find(0, |r| match &r.event {
         TraceEvent::SlotReserved { case, container } => {
