@@ -17,10 +17,11 @@
 //! | `convergence`, `migration_costs`, `scalability_study` | supplementary studies |
 //!
 //! The other two binaries, `enactment_throughput` and
-//! `planner_throughput`, write `BENCH_*.json` and are not artefacts.
-//! Criterion benches (`cargo bench -p gridflow-bench`): `table2_planning`,
-//! `enactment` (A7), `matchmaking` (A9), `ontology` (A10),
-//! `representations`.
+//! `planner_throughput`, write `BENCH_*.json` through [`report`] and are
+//! not artefacts.  The scaling sweeps A7 (enactment vs. workflow depth
+//! and width), A9 (matchmaking and brokerage vs. grid size) and A10
+//! (ontology query vs. instance count) are `enactment_throughput`'s
+//! `"scaling"` cell.
 
 mod paper;
 mod studies;
@@ -123,12 +124,6 @@ pub(crate) fn bar(value: f64, max: f64, width: usize) -> String {
     format!("{}{}", "█".repeat(filled), "·".repeat(width - filled))
 }
 
-/// Print [`banner_text`]: the two throughput binaries head their
-/// sections with it.
-pub fn banner(what: &str) {
-    print!("{}", banner_text(what));
-}
-
 /// The banner every artefact opens with, a blank line after it.
 pub(crate) fn banner_text(what: &str) -> String {
     format!(
@@ -139,6 +134,101 @@ pub(crate) fn banner_text(what: &str) -> String {
          (IPDPS 2004)\n\
          ================================================================\n\n"
     )
+}
+
+/// The one way the throughput binaries read, guard and write their
+/// `BENCH_*.json` reports.
+pub mod report {
+    use serde_json::{Map, Value};
+    use std::path::PathBuf;
+
+    /// A guarded figure fails below this share of its committed value.
+    pub const GUARD_FLOOR: f64 = 0.8;
+    /// A guarded figure is the best of this many measurements: shared
+    /// CI runners jitter wall-clock throughput far more than a real
+    /// regression, and best-of-N strips the downward noise.
+    pub const GUARD_MEASUREMENTS: usize = 3;
+
+    /// The committed report, read once before anything is measured,
+    /// and the cells this run has recorded.
+    pub struct Report {
+        path: PathBuf,
+        committed: Map,
+        cells: Map,
+    }
+
+    impl Report {
+        /// Read the committed report at `path` (empty when unreadable).
+        pub fn open(path: impl Into<PathBuf>) -> Report {
+            let path = path.into();
+            let text = std::fs::read_to_string(&path).unwrap_or_default();
+            let committed = match serde_json::from_str(&text) {
+                Ok(Value::Object(cells)) => cells,
+                _ => Map::new(),
+            };
+            let cells = Map::new();
+            Report {
+                path,
+                committed,
+                cells,
+            }
+        }
+
+        /// The committed report's `key` cell.
+        pub fn committed(&self, key: &str) -> Option<&Value> {
+            self.committed.get(key)
+        }
+
+        /// Record `cell` under `key` and print it as written.
+        pub fn cell(&mut self, key: &str, cell: Value) {
+            println!("{key}: {cell}\n");
+            self.cells.insert(key.to_owned(), cell);
+        }
+
+        /// Write the recorded cells and, unchanged, every committed cell
+        /// this run did not record (cells measured at earlier commits,
+        /// the before half of a before/after pair).
+        pub fn write(&self) {
+            let mut report = self.committed.clone();
+            report.extend(self.cells.clone());
+            let text = serde_json::to_string_pretty(&Value::Object(report)).expect("serializes");
+            std::fs::write(&self.path, text).expect("write the report");
+            println!("wrote {}", self.path.display());
+        }
+    }
+
+    /// The best-of-N regression guard on `what` (higher is better):
+    /// `first` and [`GUARD_MEASUREMENTS`] − 1 calls of `remeasure`,
+    /// failing below [`GUARD_FLOOR`] × `baseline`; without a baseline
+    /// it only records.  Returns `false` on a failure.
+    pub fn guard(
+        what: &str,
+        baseline: Option<f64>,
+        first: f64,
+        mut remeasure: impl FnMut() -> f64,
+    ) -> bool {
+        let Some(base) = baseline else {
+            return gate(
+                true,
+                &format!("no committed baseline for {what}; recording only"),
+            );
+        };
+        let measured = (1..GUARD_MEASUREMENTS).fold(first, |best, _| best.max(remeasure()));
+        let floor = base * GUARD_FLOOR;
+        let line = format!("{what}: {measured:.2} vs committed {base:.2} (floor {floor:.2})");
+        gate(measured >= floor, &line)
+    }
+
+    /// Print `line` as a guard verdict, to stderr and marked failing
+    /// unless `ok`.  Returns `ok`.
+    pub fn gate(ok: bool, line: &str) -> bool {
+        if ok {
+            println!("guard: {line}");
+        } else {
+            eprintln!("guard: {line} — failing");
+        }
+        ok
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +248,39 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("Parameter"));
         assert!(lines[2].contains("200"));
+    }
+
+    #[test]
+    fn report_carries_the_committed_cells_a_run_does_not_record() {
+        let path =
+            std::env::temp_dir().join(format!("gridflow-report-{}.json", std::process::id()));
+        std::fs::write(&path, r#"{"kept": [1, {"commit": "abc"}], "measured": 1}"#).unwrap();
+        let mut report = report::Report::open(&path);
+        assert_eq!(report.committed("measured"), Some(&serde_json::json!(1)));
+        report.cell("measured", serde_json::json!(2));
+        report.cell("new", serde_json::json!("x"));
+        report.write();
+        let written: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let expected =
+            serde_json::json!({"kept": [1, {"commit": "abc"}], "measured": 2, "new": "x"});
+        assert_eq!(written, expected);
+    }
+
+    #[test]
+    fn guard_keeps_the_best_of_n_and_fails_below_the_floor() {
+        assert!(report::guard("x", Some(100.0), 70.0, || 85.0));
+        assert!(!report::guard("x", Some(100.0), 70.0, || 75.0));
+        assert!(report::guard("x", None, 1.0, || unreachable!(
+            "no baseline, no re-measure"
+        )));
+        let mut calls = 0;
+        report::guard("x", Some(1.0), 1.0, || {
+            calls += 1;
+            1.0
+        });
+        assert_eq!(calls, report::GUARD_MEASUREMENTS - 1);
     }
 
     #[test]

@@ -147,12 +147,6 @@ impl Policy {
         }
     }
 
-    /// `true` iff this is FIFO, which always picks the queue head with
-    /// no reason.
-    pub(crate) fn is_fifo(&self) -> bool {
-        self.spec == PolicySpec::Fifo
-    }
-
     /// The queue position to admit next and the reason recorded on its
     /// `case.admitted` event, or `None` when nothing waits.  `waiting`
     /// yields each waiting case's submission index and hints in queue

@@ -508,12 +508,6 @@ impl CaseScheduler {
         policy: &Policy,
         waiting: &mut VecDeque<(usize, CaseSpec)>,
     ) -> Option<(usize, CaseSpec, Option<String>)> {
-        // FIFO fast path: the default policy always takes the queue
-        // head with no reason, so pop it directly.
-        if policy.is_fifo() {
-            let (index, spec) = waiting.pop_front()?;
-            return Some((index, spec, None));
-        }
         let (pos, reason) =
             policy.next(waiting.iter().map(|(index, spec)| (*index, &spec.hints)))?;
         let (index, spec) = waiting

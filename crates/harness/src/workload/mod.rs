@@ -245,17 +245,10 @@ pub fn dinner_workload_scaled(replicas: usize, _fleet: usize) -> Workload {
         // top-ranked hosts each tick.  Give each replica a real slot
         // budget so the schedule is compute-bound (machine rebuilds,
         // candidate ranking) rather than reservation-bound.
-        for container in w.hosting_containers("prep") {
-            w.set_capacity(&container, 16);
-        }
-        for container in w.hosting_containers("cook") {
-            w.set_capacity(&container, 16);
-        }
-        for container in w.hosting_containers("nuke") {
-            w.set_capacity(&container, 16);
-        }
-        for container in w.hosting_containers("plate") {
-            w.set_capacity(&container, 16);
+        for service in ["prep", "cook", "nuke", "plate"] {
+            for container in w.hosting_containers(service) {
+                w.set_capacity(&container, 16);
+            }
         }
         w
     });
@@ -327,13 +320,11 @@ pub fn dinner_workload() -> Workload {
     }
 }
 
-/// The replanning workload: same dinner, but activity failure on every
-/// candidate escalates to the GP planner (which can route `cook` →
-/// `nuke`).
-pub fn dinner_replan_workload(gp_seed: u64) -> Workload {
-    let mut w = dinner_workload();
-    w.name = "dinner+replan".into();
-    w.config = EnactmentConfig {
+/// The dinner replanning configuration: escalate to a GP planner
+/// (population 80 × 25 generations, seeded `gp_seed`) aiming at one
+/// `Plated` item.
+fn replan_config(gp_seed: u64) -> EnactmentConfig {
+    EnactmentConfig {
         replan: true,
         planning_goals: vec![GoalSpec {
             classification: "Plated".into(),
@@ -346,7 +337,16 @@ pub fn dinner_replan_workload(gp_seed: u64) -> Workload {
             ..GpConfig::default()
         },
         ..EnactmentConfig::default()
-    };
+    }
+}
+
+/// The replanning workload: same dinner, but activity failure on every
+/// candidate escalates to the GP planner (which can route `cook` →
+/// `nuke`).
+pub fn dinner_replan_workload(gp_seed: u64) -> Workload {
+    let mut w = dinner_workload();
+    w.name = "dinner+replan".into();
+    w.config = replan_config(gp_seed);
     w
 }
 
@@ -360,20 +360,7 @@ pub fn dinner_replan_workload(gp_seed: u64) -> Workload {
 pub fn dinner_replan_workload_scaled(replicas: usize, fleet: usize, gp_seed: u64) -> Workload {
     let mut w = dinner_workload_scaled(replicas, fleet);
     w.name = format!("dinner+replan-x{replicas}");
-    w.config = EnactmentConfig {
-        replan: true,
-        planning_goals: vec![GoalSpec {
-            classification: "Plated".into(),
-            min_count: 1,
-        }],
-        gp: GpConfig {
-            population_size: 80,
-            generations: 25,
-            seed: gp_seed,
-            ..GpConfig::default()
-        },
-        ..EnactmentConfig::default()
-    };
+    w.config = replan_config(gp_seed);
     w
 }
 
