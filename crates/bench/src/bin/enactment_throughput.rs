@@ -32,9 +32,10 @@
 //!
 //! `--guard` reads the committed report *before* overwriting it and
 //! exits non-zero if the headline point (N=512, best of three
-//! measurements) regressed more than 20% in cases/sec against it, or if
+//! measurements) regressed more than 20% in cases/sec against it, if
 //! this run's own `file ÷ trace-only` store ratio fell below half the
-//! committed ratio — a same-run ratio, so the machine the baseline came
+//! committed ratio, or if its `recover_over_trace_only` rose above twice
+//! the committed one — same-run ratios, so the machine the baseline came
 //! from cancels out.
 
 use gridflow::casestudy;
@@ -66,6 +67,9 @@ const GUARD_CASES: u64 = 512;
 /// The store gate: this run's `file ÷ trace-only` cases/sec ratio may
 /// not fall below this share of the committed report's ratio.
 const GUARD_STORE_RATIO_FLOOR: f64 = 0.5;
+/// The recovery gate: this run's `recover_over_trace_only` may not
+/// exceed this multiple of the committed report's.
+const GUARD_RECOVER_RATIO_CEILING: f64 = 2.0;
 /// Default fleet size per workload × policy matrix cell.
 const MATRIX_CASES: usize = 32;
 /// Fleet size and snapshot cadence for the durable-store overhead sweep.
@@ -343,6 +347,10 @@ fn main() {
     let mut report = Report::open("BENCH_enactment.json");
     let baseline = report.committed("results").and_then(baseline_cases_per_sec);
     let baseline_store_ratio = report.committed("store").and_then(store_ratio);
+    let baseline_recover_ratio = report
+        .committed("recover")
+        .and_then(|cell| cell.get("recover_over_trace_only")?.as_f64());
+    let mut measured_recover_ratio = None;
     let wl = dinner_workload();
     let plan = FaultPlan::default();
     report.cell("bench", json!("enactment_throughput"));
@@ -475,6 +483,7 @@ fn main() {
             v.sort_by(f64::total_cmp);
             v[v.len() / 2]
         };
+        measured_recover_ratio = Some(median(4));
         report.cell(
             "recover",
             json!({"cases": store_cases, "kill_tick": kill_tick, "reps": RECOVER_REPS,
@@ -576,7 +585,20 @@ fn main() {
                 &format!("no N={GUARD_CASES} store ratio on both sides; recording only"),
             ),
         };
-        if !(throughput && store) {
+        let recover = match (measured_recover_ratio, baseline_recover_ratio) {
+            (Some(ratio), Some(base)) => {
+                let ceiling = base * GUARD_RECOVER_RATIO_CEILING;
+                gate(
+                    ratio <= ceiling,
+                    &format!(
+                        "recover ÷ trace-only: {ratio:.3} this run \
+                         vs committed {base:.3} (ceiling {ceiling:.3})"
+                    ),
+                )
+            }
+            _ => gate(true, "no recover ratio on both sides; recording only"),
+        };
+        if !(throughput && store && recover) {
             std::process::exit(1);
         }
     }

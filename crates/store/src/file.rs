@@ -2,21 +2,23 @@
 //! logs with torn-tail truncation on open.
 //!
 //! A store directory holds `seg-NNNNNN.log` files (see [`crate::record`]
-//! for the byte layout).  Writes go to the highest-numbered segment
-//! until it holds `records_per_segment` records, then a new segment is
-//! started.  On open, every segment is scanned front to back; the first
-//! record that fails its length or CRC check marks the end of the valid
-//! prefix — the segment is truncated there, any later segments are
-//! removed, and the damage is *reported* in an [`OpenReport`] rather
-//! than panicking.  The crash model is process death: every
-//! `append()`/`snapshot()` call hands its bytes to the OS before it
-//! returns — one `write_all` per segment the call touches, on a handle
-//! kept open across calls — and durability across power loss (fsync
-//! policy) is explicitly out of scope for this simulation-first store.
+//! for the byte layout); writes go to the highest-numbered segment until
+//! it holds `records_per_segment` records.  Every read checks each
+//! record's frame front to back (length, CRC, kind, an event's schema
+//! byte, a snapshot's header length).  On open the first that fails ends
+//! the valid prefix: its segment is truncated there, later ones removed,
+//! and the damage *reported* in an [`OpenReport`].  Open decodes the
+//! snapshots, the first event (the log's base) and the events from the
+//! latest snapshot's `journal_seq` on (all of them without a snapshot).
+//! That window alone stays resident, and an event in it that does not
+//! parse is a torn point too.  Other reads scan the segments again, and
+//! there damage is [`StoreError::Corrupt`].  Each `append()`/`snapshot()`
+//! call hands its bytes to the OS before it returns (one `write_all` per
+//! segment it touches): the crash model is process death, not power loss.
 
 use crate::record::{
-    decode_record, encode_snapshot, event_into, header_is_valid, segment_header, Decoded,
-    LogRecord, SEGMENT_HEADER_LEN,
+    check_frame, encode_snapshot, event_into, header_is_valid, parse_event, segment_header,
+    Decoded, Frame, SEGMENT_HEADER_LEN,
 };
 use crate::{Accepted, JournalCore, SnapshotRecord, Store, StoreError, StoreResult};
 use gridflow_telemetry::TraceRecord;
@@ -51,30 +53,19 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:06}.log"))
 }
 
-/// A file-backed [`Store`].
-#[derive(Debug)]
-pub struct FileStore {
-    dir: PathBuf,
-    records_per_segment: usize,
-    core: JournalCore,
-    current_index: u64,
-    current_records: usize,
-    /// Append handle on segment `current_index`, opened by the first
-    /// write that reaches the segment.
-    current: Option<fs::File>,
+/// A directory read and frame-checked up to its first damage; records
+/// and damage are found by (segment position, offset), 0: a bad header.
+#[derive(Default)]
+struct Scan {
+    indices: Vec<u64>,
+    segments: Vec<Vec<u8>>,
+    frames: Vec<((usize, usize), Frame)>,
+    cut: Option<(usize, usize)>,
 }
 
-impl FileStore {
-    /// Open (or create) the store in `dir`, recovering whatever valid
-    /// prefix the segments hold and truncating any torn tail.  Returns
-    /// the store plus a report of what was found and discarded.
-    pub fn open(
-        dir: impl Into<PathBuf>,
-        records_per_segment: usize,
-    ) -> StoreResult<(FileStore, OpenReport)> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(io_err)?;
-        let mut indices: Vec<u64> = fs::read_dir(&dir)
+impl Scan {
+    fn read(dir: &Path) -> StoreResult<Scan> {
+        let mut indices: Vec<u64> = fs::read_dir(dir)
             .map_err(io_err)?
             .filter_map(|entry| {
                 let name = entry.ok()?.file_name().into_string().ok()?;
@@ -83,89 +74,133 @@ impl FileStore {
             })
             .collect();
         indices.sort_unstable();
-
-        let mut report = OpenReport {
-            segments: indices.len(),
-            ..OpenReport::default()
-        };
-        let mut events = Vec::new();
-        let mut snapshots = Vec::new();
-        let mut current_index = 0u64;
-        let mut current_records = 0usize;
-        let mut corrupted = false;
-
+        let mut scan = Scan::default();
         for (pos, &index) in indices.iter().enumerate() {
-            let path = segment_path(&dir, index);
-            if corrupted {
-                // Everything past the corruption point is stranded:
-                // keeping it would leave a hole in the event sequence.
-                let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                report.discarded_bytes += len;
-                report.discarded_segments += 1;
-                fs::remove_file(&path).map_err(io_err)?;
-                continue;
+            if scan.cut.is_some() {
+                break; // past the damage, segments are removed unread
             }
-            let bytes = fs::read(&path).map_err(io_err)?;
-            if !header_is_valid(&bytes) {
-                // The segment cannot be read at all.  Drop it (and
-                // everything after it) and let writes restart here.
-                report.discarded_bytes += bytes.len() as u64;
-                report.discarded_segments += 1;
-                fs::remove_file(&path).map_err(io_err)?;
-                corrupted = true;
-                current_index = index;
-                current_records = 0;
-                continue;
-            }
+            let bytes = fs::read(segment_path(dir, index)).map_err(io_err)?;
             let mut offset = SEGMENT_HEADER_LEN;
-            let mut records_here = 0usize;
-            loop {
-                match decode_record(&bytes, offset) {
-                    Decoded::End => break,
-                    Decoded::Torn => {
-                        report.discarded_bytes += (bytes.len() - offset) as u64;
-                        let file = fs::OpenOptions::new()
-                            .write(true)
-                            .open(&path)
-                            .map_err(io_err)?;
-                        file.set_len(offset as u64).map_err(io_err)?;
-                        corrupted = true;
-                        break;
-                    }
+            scan.cut = scan.cut.or((!header_is_valid(&bytes)).then_some((pos, 0)));
+            while scan.cut.is_none() {
+                match check_frame(&bytes, offset) {
                     Decoded::Record {
                         record,
                         next_offset,
                     } => {
-                        match record {
-                            LogRecord::Event(r) => {
-                                report.events += 1;
-                                events.push(r);
-                            }
-                            LogRecord::Snapshot(s) => {
-                                report.snapshots += 1;
-                                snapshots.push(s);
-                            }
-                        }
-                        records_here += 1;
+                        scan.frames.push(((pos, offset), record));
                         offset = next_offset;
                     }
+                    Decoded::Torn => scan.cut = Some((pos, offset)),
+                    Decoded::End => break,
                 }
             }
-            current_index = index;
-            current_records = records_here;
-            // A full segment that was the last one: further writes
-            // must rotate.  Handled uniformly by append's rotation
-            // check.
-            let _ = pos;
+            scan.segments.push(bytes);
         }
-        report.truncated = corrupted;
+        Ok(Scan { indices, ..scan })
+    }
+
+    /// Parse the first event and those from seq `from` on, up to one that
+    /// fails: the log's base and next seq, the events, the failure.
+    fn events(&self, from: u64) -> (u64, u64, Vec<TraceRecord>, Option<usize>) {
+        let (mut base, mut count, mut kept, mut failed) = (None, 0, Vec::new(), None);
+        for (at, ((segment, _), frame)) in self.frames.iter().enumerate() {
+            let Frame::Event(text) = frame else { continue };
+            if base.is_none_or(|base| base + count >= from) {
+                let Some(record) = parse_event(&self.segments[*segment][text.clone()]) else {
+                    failed = Some(at);
+                    break;
+                };
+                if *base.get_or_insert(record.seq) + count >= from {
+                    kept.push(record);
+                }
+            }
+            count += 1;
+        }
+        let base = base.unwrap_or(0);
+        (base, base + count, kept, failed)
+    }
+}
+
+/// A file-backed [`Store`].
+#[derive(Debug)]
+pub struct FileStore {
+    dir: PathBuf,
+    records_per_segment: usize,
+    core: JournalCore,
+    current_index: u64,
+    current_records: usize,
+    /// Append handle on segment `current_index`, opened by its first write.
+    current: Option<fs::File>,
+    /// An append's batch and JSON scratch, kept for their capacity.
+    scratch: (Vec<u8>, String),
+}
+
+impl FileStore {
+    /// Open (or create) the store in `dir`, truncating any torn tail;
+    /// returns it with a report of what was found and discarded.
+    pub fn open(
+        dir: impl Into<PathBuf>,
+        records_per_segment: usize,
+    ) -> StoreResult<(FileStore, OpenReport)> {
+        let dir = dir.into();
+        fs::create_dir_all(&dir).map_err(io_err)?;
+        let scan = Scan::read(&dir)?;
+        let from = scan.frames.iter().rev().find_map(|f| match &f.1 {
+            Frame::Snapshot(snap) => Some(snap.journal_seq),
+            Frame::Event(_) => None,
+        });
+        // A window event that does not parse cuts the log there.
+        let (base, next, resident, failed) = scan.events(from.unwrap_or(0));
+        let end = failed.unwrap_or(scan.frames.len());
+        let cut = scan.frames.get(end).map(|f| f.0).or(scan.cut);
+        let last = cut.map_or(scan.indices.len().saturating_sub(1), |(pos, _)| pos);
+        let current_records = scan.frames[..end].iter().filter(|f| f.0 .0 == last).count();
+        let kept = scan.frames.into_iter().take(end);
+        let snapshots: Vec<_> = kept
+            .filter_map(|f| match f.1 {
+                Frame::Snapshot(snap) => Some(snap),
+                Frame::Event(_) => None,
+            })
+            .collect();
+        let mut report = OpenReport {
+            segments: scan.indices.len(),
+            events: (next - base) as usize,
+            snapshots: snapshots.len(),
+            truncated: cut.is_some(),
+            ..OpenReport::default()
+        };
+        // Writes resume at the cut; what lies past it would leave a hole.
+        for (pos, &index) in scan.indices.iter().enumerate().skip(last) {
+            let (Some((_, offset)), path) = (cut, segment_path(&dir, index)) else {
+                break;
+            };
+            let len = fs::metadata(&path).map_or(0, |m| m.len());
+            if pos == last && offset > 0 {
+                report.discarded_bytes += len - offset as u64;
+                let file = fs::OpenOptions::new().write(true).open(&path);
+                file.and_then(|f| f.set_len(offset as u64))
+                    .map_err(io_err)?;
+            } else {
+                report.discarded_bytes += len;
+                report.discarded_segments += 1;
+                fs::remove_file(&path).map_err(io_err)?;
+            }
+        }
         let store = FileStore {
             dir,
             records_per_segment: records_per_segment.max(1),
-            core: JournalCore::from_parts(events, snapshots),
-            current_index,
+            core: JournalCore {
+                base,
+                next,
+                resident,
+                window: from.unwrap_or(0).clamp(base, next),
+                snapshots,
+            },
+            current_index: scan.indices.get(last).copied().unwrap_or(0),
             current_records,
             current: None,
+            scratch: Default::default(),
         };
         Ok((store, report))
     }
@@ -175,15 +210,23 @@ impl FileStore {
         Ok(Self::open(dir, records_per_segment)?.0)
     }
 
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The stored events with seq `>= from`, read back from the segments.
+    fn read_events(&self, from: u64) -> StoreResult<Vec<TraceRecord>> {
+        let scan = Scan::read(&self.dir)?;
+        let at = |(pos, offset)| format!("seg-{:06}.log at byte {offset}", scan.indices[pos]);
+        let (_, next, events, failed) = scan.events(from);
+        let why = match (scan.cut, failed) {
+            (Some(cut), _) => format!("a damaged frame in {}", at(cut)),
+            (_, Some(i)) => format!("no trace event in {}", at(scan.frames[i].0)),
+            _ if next == self.core.next => return Ok(events),
+            _ => format!("the segments end at seq {next}, not {}", self.core.next),
+        };
+        Err(StoreError::Corrupt(why))
     }
 
     /// Make room in the current segment for one more record, which the
-    /// caller then frames onto `batch`, the bytes bound for that
-    /// segment; a full segment's batch is written out first and the
-    /// next segment started.
+    /// caller frames onto `batch`; a full segment's batch is written out
+    /// first and the next segment started.
     fn stage(&mut self, batch: &mut Vec<u8>) -> StoreResult<()> {
         if self.current_records >= self.records_per_segment {
             self.write_batch(batch)?;
@@ -223,10 +266,17 @@ impl FileStore {
 
 impl Store for FileStore {
     fn append(&mut self, events: &[TraceRecord]) -> StoreResult<()> {
-        let mut batch = Vec::new();
-        let mut json = String::new();
+        let (mut batch, mut json) = std::mem::take(&mut self.scratch);
         let accepted = events.iter().try_for_each(|record| {
-            if self.core.accept_event(record)? == Accepted::Stored {
+            let mut verdict = self.core.accept_event(record)?;
+            if verdict == Accepted::NotResident {
+                // Read the log from there back into the window, then verify.
+                self.write_batch(&mut batch)?;
+                self.core.resident = self.read_events(record.seq)?;
+                self.core.window = record.seq;
+                verdict = self.core.accept_event(record)?;
+            }
+            if verdict == Accepted::Stored {
                 self.stage(&mut batch)?;
                 event_into(&mut batch, &mut json, record);
             }
@@ -235,21 +285,24 @@ impl Store for FileStore {
         // Records accepted before a refused one are already part of the
         // log: they reach the segment whatever `accepted` says.
         let written = self.write_batch(&mut batch);
+        batch.clear();
+        self.scratch = (batch, json);
         accepted.and(written)
     }
 
     fn snapshot(&mut self, snap: SnapshotRecord) -> StoreResult<()> {
-        if self.core.accept_snapshot(snap)? == Accepted::Stored {
-            // Nothing is staged yet, so the frame is the batch.
+        if let Some(stored) = self.core.accept_snapshot(snap)? {
+            let mut batch = encode_snapshot(stored);
+            // Nothing else is staged, so the frame is the batch.
             self.stage(&mut Vec::new())?;
-            let mut batch = encode_snapshot(self.core.snapshots.last().expect("just stored"));
             self.write_batch(&mut batch)?;
         }
         Ok(())
     }
 
     fn replay_from(&self, seq: u64) -> StoreResult<Vec<TraceRecord>> {
-        Ok(self.core.events_from(seq))
+        let resident = self.core.events_from(seq);
+        resident.map_or_else(|| self.read_events(seq), Ok)
     }
 
     fn latest_snapshot(&self) -> StoreResult<Option<SnapshotRecord>> {
@@ -257,11 +310,11 @@ impl Store for FileStore {
     }
 
     fn next_seq(&self) -> u64 {
-        self.core.next_seq()
+        self.core.next
     }
 
     fn snapshot_count(&self) -> usize {
-        self.core.snapshot_count()
+        self.core.snapshots.len()
     }
 }
 
@@ -504,5 +557,165 @@ mod tests {
         assert_eq!(report.events, 2);
         assert_eq!(report.discarded_segments, 1);
         assert_eq!(store.next_seq(), 2);
+    }
+
+    /// Every event `written` holds with seq `>= from`.
+    fn suffix(written: &[TraceRecord], from: u64) -> Vec<TraceRecord> {
+        written.iter().filter(|r| r.seq >= from).cloned().collect()
+    }
+
+    #[test]
+    fn a_snapshot_as_the_last_record_leaves_an_empty_window() {
+        let tmp = TempDir::new("empty-window");
+        let written: Vec<_> = (0..7).map(event).collect();
+        {
+            let mut store = FileStore::create(tmp.path(), 3).unwrap();
+            store.append(&written[..5]).unwrap();
+            store.snapshot(snap(5, 5)).unwrap();
+        }
+        let (mut store, report) = FileStore::open(tmp.path(), 3).unwrap();
+        assert_eq!((report.events, report.snapshots), (5, 1));
+        assert!(store.core.resident.is_empty());
+        assert_eq!(store.next_seq(), 5);
+        assert_eq!(store.replay_from(5).unwrap(), vec![]);
+        store.append(&written[5..]).unwrap();
+        assert_eq!(store.next_seq(), 7);
+        assert!(store.core.resident.is_empty(), "appends are not kept");
+        assert_eq!(store.replay_from(0).unwrap(), written);
+        drop(store);
+        let (store, report) = FileStore::open(tmp.path(), 3).unwrap();
+        assert_eq!(report.events, 7);
+        assert_eq!(store.replay_from(0).unwrap(), written);
+        assert_eq!(store.core.resident, written[5..]);
+    }
+
+    #[test]
+    fn replay_from_every_seq_of_a_resumed_log_across_segments() {
+        // A store that first saw a journal resumed at 7, in segments of
+        // three records, with a snapshot in the middle.
+        let tmp = TempDir::new("resumed");
+        let written: Vec<_> = (7..21).map(event).collect();
+        let mut store = FileStore::create(tmp.path(), 3).unwrap();
+        store.append(&written[..5]).unwrap();
+        store.snapshot(snap(12, 12)).unwrap();
+        store.append(&written[5..]).unwrap();
+        let check = |store: &FileStore| {
+            for from in (0..=23).chain([u64::MAX]) {
+                let stored = store.replay_from(from).unwrap();
+                assert_eq!(stored, suffix(&written, from), "from {from}");
+            }
+        };
+        check(&store);
+        drop(store);
+        let (store, report) = FileStore::open(tmp.path(), 3).unwrap();
+        assert_eq!((report.segments, report.events), (5, 14));
+        assert_eq!(store.core.resident, written[5..]);
+        assert_eq!(store.next_seq(), 21);
+        check(&store);
+    }
+
+    #[test]
+    fn a_re_append_below_the_window_is_verified_against_the_disk() {
+        let tmp = TempDir::new("below");
+        let written: Vec<_> = (0..10).map(event).collect();
+        {
+            let mut store = FileStore::create(tmp.path(), 4).unwrap();
+            store.append(&written[..6]).unwrap();
+            store.snapshot(snap(6, 6)).unwrap();
+            store.append(&written[6..]).unwrap();
+        }
+        let (mut store, _) = FileStore::open(tmp.path(), 4).unwrap();
+        assert_eq!(store.core.resident, written[6..]);
+        let bytes = segment_files(tmp.path());
+        store.append(&written[2..4]).unwrap();
+        store.append(&written[7..]).unwrap();
+        assert_eq!(segment_files(tmp.path()), bytes, "nothing re-written");
+        let mut other = event(3);
+        other.tick = 99;
+        assert_eq!(
+            store.append(&[other]),
+            Err(StoreError::ReplayDivergence { seq: 3 })
+        );
+        assert_eq!(segment_files(tmp.path()), bytes);
+        // The log goes on where it ended.
+        store.append(&[event(10)]).unwrap();
+        assert_eq!(
+            store.replay_from(0).unwrap(),
+            (0..11).map(event).collect::<Vec<_>>()
+        );
+    }
+
+    use crate::record::encode_event;
+
+    /// A CRC-valid event frame whose text is not a trace record.
+    fn unparsable_event() -> Vec<u8> {
+        let mut body = vec![crate::record::KIND_EVENT, crate::EVENT_SCHEMA_VERSION];
+        body.extend_from_slice(br#"{"seq":"not a trace record"}"#);
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame.extend_from_slice(&crate::crc32(&body).to_le_bytes());
+        frame
+    }
+
+    /// One segment of events `0..n` and a snapshot resuming at
+    /// `journal_seq` after event `journal_seq - 1`, with event `bad`'s
+    /// frame replaced by [`unparsable_event`].
+    fn segment_with_bad_event(dir: &Path, n: u64, journal_seq: u64, bad: u64) {
+        let mut bytes = segment_header().to_vec();
+        for seq in 0..n {
+            if seq == journal_seq {
+                bytes.extend(crate::record::encode_snapshot(&snap(seq, seq)));
+            }
+            let frame = match seq == bad {
+                true => unparsable_event(),
+                false => encode_event(&event(seq)),
+            };
+            bytes.extend(frame);
+        }
+        fs::write(segment_path(dir, 0), bytes).unwrap();
+    }
+
+    #[test]
+    fn an_unparsable_event_before_the_latest_snapshot_is_corrupt_on_read() {
+        let tmp = TempDir::new("bad-before");
+        segment_with_bad_event(tmp.path(), 8, 5, 2);
+        let (mut store, report) = FileStore::open(tmp.path(), 100).unwrap();
+        // Open checks the frame, not the text: nothing is cut, and the
+        // report counts every event frame.
+        assert!(!report.truncated);
+        assert_eq!((report.events, report.snapshots), (8, 1));
+        assert_eq!(store.next_seq(), 8);
+        assert_eq!(
+            store.replay_from(5).unwrap(),
+            suffix(&(0..8).map(event).collect::<Vec<_>>(), 5)
+        );
+        // Every read that parses it says where it is.
+        let at: usize = SEGMENT_HEADER_LEN
+            + (0..2)
+                .map(|seq| encode_event(&event(seq)).len())
+                .sum::<usize>();
+        let corrupt = StoreError::Corrupt(format!("no trace event in seg-000000.log at byte {at}"));
+        assert_eq!(store.replay_from(0), Err(corrupt.clone()));
+        assert_eq!(store.append(&[event(2)]), Err(corrupt));
+        // Events past it read back and re-append as ever.
+        store.append(&[event(3), event(8)]).unwrap();
+        assert_eq!(store.replay_from(3).unwrap().len(), 6);
+    }
+
+    #[test]
+    fn an_unparsable_event_after_the_latest_snapshot_is_a_torn_point() {
+        let tmp = TempDir::new("bad-after");
+        segment_with_bad_event(tmp.path(), 8, 3, 5);
+        let (store, report) = FileStore::open(tmp.path(), 100).unwrap();
+        assert!(report.truncated);
+        assert_eq!((report.events, report.snapshots), (5, 1));
+        assert!(report.discarded_bytes > 0);
+        assert_eq!(store.next_seq(), 5);
+        assert_eq!(
+            store.replay_from(0).unwrap(),
+            (0..5).map(event).collect::<Vec<_>>()
+        );
+        let (_, report) = FileStore::open(tmp.path(), 100).unwrap();
+        assert!(!report.truncated, "the cut is on disk");
     }
 }

@@ -14,10 +14,11 @@
 //! Two backends ship:
 //!
 //! * [`MemStore`] — the in-memory reference; byte-identical semantics,
-//!   no I/O.  The legacy default is no store at all: engine behavior is
-//!   unchanged unless a store is wired in.
-//! * [`FileStore`] — segmented, length-prefixed, CRC-checked files with
-//!   torn-tail truncation on open (see [`record`] for the layout).
+//!   no I/O, every event resident.
+//! * [`FileStore`] — segmented, length-prefixed, CRC-checked files (see
+//!   [`record`]).  Open checks every frame and truncates a torn tail, but
+//!   parses only the events a recovery re-appends, from the latest
+//!   snapshot on; only those stay resident, and other reads go to disk.
 
 #![warn(missing_docs)]
 
@@ -214,13 +215,16 @@ pub fn merged_jsonl(events: &[TraceRecord]) -> String {
     out
 }
 
-/// The backend-independent log state: ordered events, ordered
-/// snapshots, and the verified-append rules.  Both backends delegate
-/// their semantics here; [`FileStore`] additionally persists what this
-/// core accepts.
+/// The log state both backends delegate to, and the verified-append
+/// rules: the base and next seq (both 0 when empty), the resident events
+/// from seq `window` on, and the snapshots.  The core keeps no appended
+/// event: [`MemStore`] adds each to `resident`, [`FileStore`] writes it.
 #[derive(Debug, Default)]
 pub(crate) struct JournalCore {
-    events: Vec<TraceRecord>,
+    base: u64,
+    next: u64,
+    resident: Vec<TraceRecord>,
+    window: u64,
     snapshots: Vec<SnapshotRecord>,
 }
 
@@ -231,84 +235,67 @@ pub(crate) enum Accepted {
     Stored,
     /// Already stored and byte-identical — nothing to persist.
     Duplicate,
+    /// Stored, not resident (never in a `MemStore`): read back, retry.
+    NotResident,
 }
 
 impl JournalCore {
-    /// Rebuild a core from records parsed off a backend, trusting them
-    /// as the stored truth.
-    pub(crate) fn from_parts(events: Vec<TraceRecord>, snapshots: Vec<SnapshotRecord>) -> Self {
-        JournalCore { events, snapshots }
-    }
-
-    pub(crate) fn next_seq(&self) -> u64 {
-        match (self.events.first(), self.events.last()) {
-            (Some(_), Some(last)) => last.seq + 1,
-            _ => 0,
-        }
-    }
-
-    pub(crate) fn snapshot_count(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    pub(crate) fn events_from(&self, seq: u64) -> Vec<TraceRecord> {
-        // Sequence numbers are dense from the first stored record's, so
-        // `seq` locates its record directly.
-        let base = self.events.first().map_or(0, |r| r.seq);
-        let start = usize::try_from(seq.saturating_sub(base)).unwrap_or(usize::MAX);
-        self.events.get(start..).unwrap_or_default().to_vec()
+    /// The stored events with seq `>= seq`, or `None` when some are not
+    /// resident.  Sequence numbers are dense, so `seq` locates its record.
+    pub(crate) fn events_from(&self, seq: u64) -> Option<Vec<TraceRecord>> {
+        let start = seq.clamp(self.base, self.next).checked_sub(self.window)?;
+        let whole = self.window + self.resident.len() as u64 == self.next;
+        whole.then(|| self.resident[start as usize..].to_vec())
     }
 
     pub(crate) fn latest_snapshot(&self) -> StoreResult<Option<SnapshotRecord>> {
-        match self.snapshots.last() {
-            None => Ok(None),
-            Some(snap) => {
-                snap.validate()?;
-                Ok(Some(snap.clone()))
-            }
-        }
+        let latest = self.snapshots.last();
+        latest.map(|s| s.validate().map(|()| s.clone())).transpose()
     }
 
-    /// Verified event append (see [`Store::append`]).
+    /// Verified event append (see [`Store::append`]); the first sets the base.
     pub(crate) fn accept_event(&mut self, record: &TraceRecord) -> StoreResult<Accepted> {
-        let Some(first) = self.events.first() else {
-            self.events.push(record.clone());
-            return Ok(Accepted::Stored);
-        };
-        let base = first.seq;
-        if record.seq < base {
+        let seq = record.seq;
+        if self.next == 0 {
+            (self.base, self.next, self.window) = (seq, seq, seq);
+        }
+        if seq < self.base {
             return Err(StoreError::Corrupt(format!(
-                "event seq {} precedes the log base {base}",
-                record.seq
+                "event seq {seq} precedes the log base {}",
+                self.base
             )));
         }
-        let next = self.next_seq();
-        if record.seq > next {
+        if seq > self.next {
             return Err(StoreError::SequenceGap {
-                expected: next,
-                found: record.seq,
+                expected: self.next,
+                found: seq,
             });
         }
-        if record.seq == next {
-            self.events.push(record.clone());
+        if seq == self.next {
+            self.next += 1;
             return Ok(Accepted::Stored);
         }
-        let stored = &self.events[(record.seq - base) as usize];
+        let at = usize::try_from(seq.wrapping_sub(self.window)).ok();
+        let Some(stored) = at.and_then(|at| self.resident.get(at)) else {
+            return Ok(Accepted::NotResident);
+        };
         // Equal records encode identically, so only records that differ
         // as values need their bytes compared.  (The one `==`-equal pair
         // JSON tells apart is 0.0 and -0.0; virtual clocks, durations
         // and costs never produce a negative zero.)
-        if stored != record
-            && serde_json::to_string(stored).expect("trace records serialize")
-                != serde_json::to_string(record).expect("trace records serialize")
-        {
-            return Err(StoreError::ReplayDivergence { seq: record.seq });
+        let json = |r| merged_jsonl(std::slice::from_ref(r));
+        if stored != record && json(stored) != json(record) {
+            return Err(StoreError::ReplayDivergence { seq });
         }
         Ok(Accepted::Duplicate)
     }
 
-    /// Verified snapshot append (see [`Store::snapshot`]).
-    pub(crate) fn accept_snapshot(&mut self, snap: SnapshotRecord) -> StoreResult<Accepted> {
+    /// Verified snapshot append (see [`Store::snapshot`]): the snapshot
+    /// as stored when it is new, `None` for a verified duplicate.
+    pub(crate) fn accept_snapshot(
+        &mut self,
+        snap: SnapshotRecord,
+    ) -> StoreResult<Option<&SnapshotRecord>> {
         snap.verify_hash()?;
         if let Some(existing) = self
             .snapshots
@@ -316,7 +303,7 @@ impl JournalCore {
             .find(|s| s.journal_seq == snap.journal_seq && s.next_tick == snap.next_tick)
         {
             if existing.state == snap.state && existing.schema == snap.schema {
-                return Ok(Accepted::Duplicate);
+                return Ok(None);
             }
             return Err(StoreError::ReplayDivergence {
                 seq: snap.journal_seq,
@@ -331,7 +318,7 @@ impl JournalCore {
             }
         }
         self.snapshots.push(snap);
-        Ok(Accepted::Stored)
+        Ok(self.snapshots.last())
     }
 }
 
@@ -350,11 +337,27 @@ mod tests {
         }
     }
 
+    /// Accept `record` and keep it resident, as `MemStore` does.
+    fn keep(core: &mut JournalCore, record: &TraceRecord) -> StoreResult<Accepted> {
+        let verdict = core.accept_event(record)?;
+        if verdict == Accepted::Stored {
+            core.resident.push(record.clone());
+        }
+        Ok(verdict)
+    }
+
     #[test]
     fn verified_append_accepts_identical_overlap_and_rejects_divergence() {
         let mut core = JournalCore::default();
-        assert_eq!(core.accept_event(&event(0, 0)).unwrap(), Accepted::Stored);
+        assert_eq!(keep(&mut core, &event(0, 0)).unwrap(), Accepted::Stored);
         assert_eq!(core.accept_event(&event(1, 1)).unwrap(), Accepted::Stored);
+        // A stored record the core does not hold is for the backend to
+        // read back.
+        assert_eq!(
+            core.accept_event(&event(1, 1)).unwrap(),
+            Accepted::NotResident
+        );
+        core.resident.push(event(1, 1));
         // Identical replay of seq 1 is a verified duplicate.
         assert_eq!(
             core.accept_event(&event(1, 1)).unwrap(),
@@ -373,7 +376,7 @@ mod tests {
                 found: 3
             })
         );
-        assert_eq!(core.next_seq(), 2);
+        assert_eq!(core.next, 2);
     }
 
     #[test]
@@ -381,36 +384,30 @@ mod tests {
         // A store that first saw a resumed journal: its log starts at 7.
         let mut core = JournalCore::default();
         for seq in 7..=9 {
-            core.accept_event(&event(seq, seq)).unwrap();
+            keep(&mut core, &event(seq, seq)).unwrap();
         }
-        assert_eq!(core.next_seq(), 10);
+        assert_eq!(core.next, 10);
         // Below the base, inside the log and past its end, indexing by
         // `seq - base` returns what a scan of the log would.
         for seq in (0..=12).chain([u64::MAX]) {
             let scanned: Vec<_> = core
-                .events
+                .resident
                 .iter()
                 .filter(|r| r.seq >= seq)
                 .cloned()
                 .collect();
-            assert_eq!(core.events_from(seq), scanned, "from {seq}");
+            assert_eq!(core.events_from(seq), Some(scanned), "from {seq}");
         }
-        assert_eq!(core.events_from(8).first().map(|r| r.seq), Some(8));
-        assert!(JournalCore::default().events_from(0).is_empty());
+        assert_eq!(core.events_from(8).unwrap().first().map(|r| r.seq), Some(8));
+        assert_eq!(JournalCore::default().events_from(0), Some(Vec::new()));
     }
 
     #[test]
     fn snapshots_verify_hash_and_schema() {
         let mut core = JournalCore::default();
         let snap = SnapshotRecord::new(4, 10, 4, 1.5, b"abc".to_vec());
-        assert_eq!(
-            core.accept_snapshot(snap.clone()).unwrap(),
-            Accepted::Stored
-        );
-        assert_eq!(
-            core.accept_snapshot(snap.clone()).unwrap(),
-            Accepted::Duplicate
-        );
+        assert_eq!(core.accept_snapshot(snap.clone()).unwrap(), Some(&snap));
+        assert_eq!(core.accept_snapshot(snap.clone()).unwrap(), None);
         // Same position, different payload: divergence.
         let mut other = SnapshotRecord::new(4, 10, 4, 1.5, b"xyz".to_vec());
         assert_eq!(

@@ -1,11 +1,9 @@
-//! The in-memory backend: verified-append semantics with no I/O.
-//!
-//! `MemStore` is the reference implementation the file backend must
-//! agree with, and the cheapest way to give an engine run a durable
-//! journal when the "process" being killed is a simulated one (the
-//! store outlives the engine object, not the OS process).
+//! The in-memory backend: verified-append semantics with no I/O, every
+//! event resident.  `MemStore` is the reference the file backend must
+//! agree with, and the cheapest durable journal when the "process"
+//! killed is a simulated one (the store outlives the engine object).
 
-use crate::{JournalCore, SnapshotRecord, Store, StoreResult};
+use crate::{Accepted, JournalCore, SnapshotRecord, Store, StoreResult};
 use gridflow_telemetry::TraceRecord;
 
 /// An in-memory [`Store`].
@@ -24,18 +22,20 @@ impl MemStore {
 impl Store for MemStore {
     fn append(&mut self, events: &[TraceRecord]) -> StoreResult<()> {
         for record in events {
-            self.core.accept_event(record)?;
+            if self.core.accept_event(record)? == Accepted::Stored {
+                self.core.resident.push(record.clone());
+            }
         }
         Ok(())
     }
 
     fn snapshot(&mut self, snap: SnapshotRecord) -> StoreResult<()> {
-        self.core.accept_snapshot(snap)?;
-        Ok(())
+        self.core.accept_snapshot(snap).map(|_| ())
     }
 
     fn replay_from(&self, seq: u64) -> StoreResult<Vec<TraceRecord>> {
-        Ok(self.core.events_from(seq))
+        // Every event a `MemStore` accepts is resident.
+        Ok(self.core.events_from(seq).unwrap_or_default())
     }
 
     fn latest_snapshot(&self) -> StoreResult<Option<SnapshotRecord>> {
@@ -43,11 +43,11 @@ impl Store for MemStore {
     }
 
     fn next_seq(&self) -> u64 {
-        self.core.next_seq()
+        self.core.next
     }
 
     fn snapshot_count(&self) -> usize {
-        self.core.snapshot_count()
+        self.core.snapshots.len()
     }
 }
 

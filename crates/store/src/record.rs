@@ -29,6 +29,7 @@
 use crate::hash::crc32;
 use crate::{SnapshotRecord, EVENT_SCHEMA_VERSION};
 use gridflow_telemetry::TraceRecord;
+use std::ops::Range;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"GFS1";
@@ -117,13 +118,13 @@ pub fn encode_snapshot(snap: &SnapshotRecord) -> Vec<u8> {
     frame
 }
 
-/// The result of decoding one record at an offset.
+/// The result of decoding one record at an offset (or checking its frame).
 #[derive(Debug)]
-pub enum Decoded {
+pub enum Decoded<R = LogRecord> {
     /// A valid record; the next record starts at `next_offset`.
     Record {
         /// The decoded record.
-        record: LogRecord,
+        record: R,
         /// Byte offset of the next record in the segment.
         next_offset: usize,
     },
@@ -135,88 +136,92 @@ pub enum Decoded {
     End,
 }
 
+/// A record that passed the frame checks: a snapshot, decoded, or where
+/// an event's JSON text lies, not yet parsed.
+#[derive(Debug)]
+pub(crate) enum Frame {
+    Event(Range<usize>),
+    Snapshot(SnapshotRecord),
+}
+
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     let mut buf = [0u8; 8];
     buf.copy_from_slice(&bytes[at..at + 8]);
     u64::from_le_bytes(buf)
 }
 
-/// Decode the record starting at `offset` in a segment's byte buffer
-/// (the header must already have been skipped).
-///
-/// Every malformed case — short length prefix, body running past the
-/// buffer, CRC mismatch, unknown kind, unparsable payload — decodes as
-/// [`Decoded::Torn`]; the caller treats `offset` as the end of the
-/// valid prefix.  Future snapshot *schemas* decode fine (refusal
-/// happens at recovery time, in [`SnapshotRecord::validate`]);
-/// future *container* formats do not get here because the segment
-/// header check rejects them first.
-pub fn decode_record(bytes: &[u8], offset: usize) -> Decoded {
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+}
+
+/// Check the frame at `offset` without parsing its body: length prefix,
+/// CRC, kind, an event's schema byte and a snapshot's header length.
+pub(crate) fn check_frame(bytes: &[u8], offset: usize) -> Decoded<Frame> {
     if offset == bytes.len() {
         return Decoded::End;
     }
     if offset + 4 > bytes.len() {
         return Decoded::Torn;
     }
-    let len = u32::from_le_bytes([
-        bytes[offset],
-        bytes[offset + 1],
-        bytes[offset + 2],
-        bytes[offset + 3],
-    ]) as usize;
     let body_start = offset + 4;
-    let Some(crc_start) = body_start.checked_add(len) else {
+    let Some(crc_start) = body_start.checked_add(u32_at(bytes, offset) as usize) else {
         return Decoded::Torn;
     };
     if crc_start + 4 > bytes.len() {
         return Decoded::Torn;
     }
     let body = &bytes[body_start..crc_start];
-    let stored_crc = u32::from_le_bytes([
-        bytes[crc_start],
-        bytes[crc_start + 1],
-        bytes[crc_start + 2],
-        bytes[crc_start + 3],
-    ]);
-    if crc32(body) != stored_crc || body.len() < 2 {
+    if crc32(body) != u32_at(bytes, crc_start) || body.len() < 2 {
         return Decoded::Torn;
     }
-    let next_offset = crc_start + 4;
     let (kind, schema, payload) = (body[0], body[1], &body[2..]);
-    match kind {
-        KIND_EVENT => {
-            if schema > EVENT_SCHEMA_VERSION {
-                return Decoded::Torn;
-            }
-            match serde_json::from_str::<TraceRecord>(
-                std::str::from_utf8(payload).unwrap_or_default(),
-            ) {
-                Ok(record) => Decoded::Record {
-                    record: LogRecord::Event(record),
-                    next_offset,
-                },
-                Err(_) => Decoded::Torn,
-            }
-        }
-        KIND_SNAPSHOT => {
-            if payload.len() < SNAPSHOT_HEADER_LEN {
-                return Decoded::Torn;
-            }
-            let snap = SnapshotRecord {
-                schema,
-                next_tick: u64_at(payload, 0),
-                journal_seq: u64_at(payload, 8),
-                clock_ticks: u64_at(payload, 16),
-                clock_s: f64::from_bits(u64_at(payload, 24)),
-                state_hash: u64_at(payload, 32),
-                state: payload[SNAPSHOT_HEADER_LEN..].to_vec(),
-            };
-            Decoded::Record {
-                record: LogRecord::Snapshot(snap),
-                next_offset,
-            }
-        }
-        _ => Decoded::Torn,
+    let frame = match kind {
+        KIND_EVENT if schema <= EVENT_SCHEMA_VERSION => Frame::Event(body_start + 2..crc_start),
+        KIND_SNAPSHOT if payload.len() >= SNAPSHOT_HEADER_LEN => Frame::Snapshot(SnapshotRecord {
+            schema,
+            next_tick: u64_at(payload, 0),
+            journal_seq: u64_at(payload, 8),
+            clock_ticks: u64_at(payload, 16),
+            clock_s: f64::from_bits(u64_at(payload, 24)),
+            state_hash: u64_at(payload, 32),
+            state: payload[SNAPSHOT_HEADER_LEN..].to_vec(),
+        }),
+        _ => return Decoded::Torn,
+    };
+    Decoded::Record {
+        record: frame,
+        next_offset: crc_start + 4,
+    }
+}
+
+/// Parse an event frame's text; `None` when it is not a [`TraceRecord`].
+pub(crate) fn parse_event(text: &[u8]) -> Option<TraceRecord> {
+    serde_json::from_str(std::str::from_utf8(text).ok()?).ok()
+}
+
+/// Decode the record at `offset` in a segment's bytes (its header
+/// skipped): a frame that fails its checks, or event text that is not a
+/// [`TraceRecord`], is [`Decoded::Torn`].  Future snapshot *schemas*
+/// decode fine; recovery refuses them, in [`SnapshotRecord::validate`].
+pub fn decode_record(bytes: &[u8], offset: usize) -> Decoded {
+    let (frame, next_offset) = match check_frame(bytes, offset) {
+        Decoded::Record {
+            record,
+            next_offset,
+        } => (record, next_offset),
+        Decoded::Torn => return Decoded::Torn,
+        Decoded::End => return Decoded::End,
+    };
+    let record = match frame {
+        Frame::Event(text) => match parse_event(&bytes[text]) {
+            Some(record) => LogRecord::Event(record),
+            None => return Decoded::Torn,
+        },
+        Frame::Snapshot(snap) => LogRecord::Snapshot(snap),
+    };
+    Decoded::Record {
+        record,
+        next_offset,
     }
 }
 
