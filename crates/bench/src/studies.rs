@@ -306,7 +306,7 @@ pub(crate) fn ablation_selection() -> String {
 fn run_policy(
     failure_prob: f64,
     max_candidates: usize,
-    replan: bool,
+    max_replans: usize,
     trials: u64,
     seed: u64,
 ) -> (usize, f64) {
@@ -325,7 +325,7 @@ fn run_policy(
         world.failures_are_persistent = false;
         let config = EnactmentConfig {
             max_candidates,
-            replan,
+            max_replans,
             planning_goals: casestudy::planning_problem().goals,
             wrap_replans_with_constraint: Some("Cons1".into()),
             gp: GpConfig {
@@ -356,9 +356,9 @@ pub(crate) fn replanning_robustness() -> String {
     let share = |n: usize| format!("{n}/{trials} {}", bar(n as f64, trials as f64, 10));
     let rows: Vec<Vec<String>> = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5]
         .map(|p| {
-            let (no_retry, _) = run_policy(p, 1, false, trials, 1);
-            let (retry, _) = run_policy(p, 3, false, trials, 2);
-            let (retry_replan, avg_replans) = run_policy(p, 3, true, trials, 3);
+            let (no_retry, _) = run_policy(p, 1, 0, trials, 1);
+            let (retry, _) = run_policy(p, 3, 0, trials, 2);
+            let (retry_replan, avg_replans) = run_policy(p, 3, 3, trials, 3);
             vec![
                 format!("{p:.2}"),
                 share(no_retry),

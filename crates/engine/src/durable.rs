@@ -140,7 +140,8 @@ impl Durable {
             })
             .collect();
         for image in &st.finished[self.finished_json.len()..] {
-            let json = serde_json::to_string(image).expect("finished images serialize");
+            let mut json = String::new();
+            serde::Serialize::write_json(image, &mut json);
             self.finished_json.push(json);
         }
         let payload = EngineSnapshot {
@@ -150,7 +151,7 @@ impl Durable {
             waiting,
             live,
             finished: Vec::new(),
-            admissions: st.admissions.clone(),
+            tenants: st.policy.tenants().clone(),
             world: world.image(),
         }
         .to_bytes_with_finished(&self.finished_json, self.snapshot_len);
@@ -196,10 +197,6 @@ impl Durable {
         world
             .restore_image(&image.world)
             .map_err(|e| StoreError::Corrupt(format!("world restore: {e}")))?;
-        let mut policy = Policy::new(engine.config.policy);
-        for a in &image.admissions {
-            policy.admitted(&a.hints);
-        }
         // Re-share each blueprint's description behind one Arc, as the
         // original submissions did, so snapshots taken from here on
         // intern waiting specs and live fibers by pointer again.
@@ -251,8 +248,7 @@ impl Durable {
             live,
             finished: image.finished,
             tick: image.next_tick,
-            policy,
-            admissions: image.admissions,
+            policy: Policy::new(engine.config.policy, image.tenants),
         }))
     }
 }

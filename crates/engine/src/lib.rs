@@ -37,6 +37,5 @@ pub use scheduler::{
     CaseOutcome, CaseScheduler, CaseSpec, EngineConfig, EngineOutcome, StoreBinding,
 };
 pub use snapshot::{
-    AdmissionRecord, CaseBlueprint, EngineSnapshot, FinishedImage, SlotImage, WaitingImage,
-    ENGINE_SNAPSHOT_VERSION,
+    CaseBlueprint, EngineSnapshot, FinishedImage, SlotImage, WaitingImage, ENGINE_SNAPSHOT_VERSION,
 };

@@ -139,12 +139,19 @@ pub(crate) struct Policy {
 }
 
 impl Policy {
-    /// A fresh policy with empty history.
-    pub(crate) fn new(spec: PolicySpec) -> Self {
+    /// A policy whose history is `tenants`' admission counts (empty for
+    /// a fresh run), which only fair share keeps.
+    pub(crate) fn new(spec: PolicySpec, tenants: BTreeMap<String, u64>) -> Self {
+        let admitted = (spec == PolicySpec::FairShare).then_some(tenants);
         Policy {
             spec,
-            admitted: BTreeMap::new(),
+            admitted: admitted.unwrap_or_default(),
         }
+    }
+
+    /// Admissions so far per tenant (empty unless fair share).
+    pub(crate) fn tenants(&self) -> &BTreeMap<String, u64> {
+        &self.admitted
     }
 
     /// The queue position to admit next and the reason recorded on its
@@ -217,7 +224,7 @@ mod tests {
     #[test]
     fn fifo_always_picks_the_front_with_no_reason() {
         let hints = vec![CaseHints::with_priority(0), CaseHints::with_priority(9)];
-        let p = Policy::new(PolicySpec::Fifo);
+        let p = Policy::new(PolicySpec::Fifo, BTreeMap::new());
         assert_eq!(pick(&p, &hints), Some((0, None)));
         assert_eq!(pick(&p, &[]), None);
     }
@@ -229,7 +236,7 @@ mod tests {
             CaseHints::with_priority(5),
             CaseHints::with_priority(5),
         ];
-        let p = Policy::new(PolicySpec::Priority);
+        let p = Policy::new(PolicySpec::Priority, BTreeMap::new());
         assert_eq!(
             pick(&p, &hints),
             Some((1, Some("priority=5".into()))),
@@ -244,7 +251,7 @@ mod tests {
             CaseHints::with_tenant("a"),
             CaseHints::with_tenant("b"),
         ];
-        let mut p = Policy::new(PolicySpec::FairShare);
+        let mut p = Policy::new(PolicySpec::FairShare, BTreeMap::new());
         let (first, reason) = pick(&p, &hints).unwrap();
         assert_eq!(first, 0, "all shares zero: submission order");
         assert_eq!(reason.as_deref(), Some("fair_share tenant=a admitted=0"));
@@ -260,7 +267,7 @@ mod tests {
             CaseHints::with_deadline(40),
             CaseHints::with_deadline(10),
         ];
-        let p = Policy::new(PolicySpec::Deadline);
+        let p = Policy::new(PolicySpec::Deadline, BTreeMap::new());
         assert_eq!(pick(&p, &hints), Some((2, Some("deadline=10".into()))));
         assert_eq!(
             pick(&p, &hints[..1]),

@@ -4,7 +4,7 @@
 pub use crate::durable::StoreBinding;
 use crate::durable::{flush_refused, snapshot_refused, Durable};
 use crate::policy::{CaseHints, Policy, PolicySpec};
-use crate::snapshot::{AdmissionRecord, FinishedImage};
+use crate::snapshot::FinishedImage;
 use gridflow_process::{ActivityKind, CaseDescription, ProcessGraph};
 use gridflow_services::matchmaking::{rank_candidates, MatchRequest};
 use gridflow_services::{
@@ -171,10 +171,6 @@ pub(crate) struct LoopState {
     pub(crate) finished: Vec<FinishedImage>,
     pub(crate) tick: u64,
     pub(crate) policy: Policy,
-    /// Committed admissions in order — serialized into snapshots so a
-    /// restored run can rebuild the policy's history by replaying
-    /// [`Policy::admitted`] calls.
-    pub(crate) admissions: Vec<AdmissionRecord>,
 }
 
 impl LoopState {
@@ -288,8 +284,7 @@ impl CaseScheduler {
             live,
             finished,
             tick: 0,
-            policy: Policy::new(self.config.policy),
-            admissions: Vec::new(),
+            policy: Policy::new(self.config.policy, Default::default()),
         }
     }
 
@@ -375,11 +370,6 @@ impl CaseScheduler {
                             },
                         );
                         st.policy.admitted(&spec.hints);
-                        st.admissions.push(AdmissionRecord {
-                            submitted: index,
-                            label: spec.label.clone(),
-                            hints: spec.hints.clone(),
-                        });
                         let fiber = self.spawn_fiber(&spec, label);
                         st.live.push(Slot {
                             index,

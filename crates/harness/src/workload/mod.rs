@@ -325,7 +325,7 @@ pub fn dinner_workload() -> Workload {
 /// `Plated` item.
 fn replan_config(gp_seed: u64) -> EnactmentConfig {
     EnactmentConfig {
-        replan: true,
+        max_replans: 3,
         planning_goals: vec![GoalSpec {
             classification: "Plated".into(),
             min_count: 1,

@@ -25,20 +25,18 @@ use std::sync::Arc;
 
 mod ladder;
 
-use ladder::ActivityOutcome;
-pub use ladder::PendingDispatch;
+use ladder::{ActivityOutcome, PendingDispatch};
 
 /// Configuration of an enactment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnactmentConfig {
     /// How many candidate containers to try per activity execution.
     pub max_candidates: usize,
-    /// Re-plan when an activity fails on every candidate?
-    pub replan: bool,
-    /// Maximum number of re-planning rounds.
+    /// Re-planning rounds allowed when an activity fails on every
+    /// candidate; `0` (the default) aborts the case instead.
     pub max_replans: usize,
     /// Goal specifications handed to the planning service on re-plans
-    /// (required when `replan` is on).
+    /// (required when `max_replans > 0`).
     pub planning_goals: Vec<GoalSpec>,
     /// GP configuration for re-planning.
     pub gp: GpConfig,
@@ -62,8 +60,7 @@ impl Default for EnactmentConfig {
     fn default() -> Self {
         EnactmentConfig {
             max_candidates: 3,
-            replan: false,
-            max_replans: 3,
+            max_replans: 0,
             planning_goals: Vec::new(),
             gp: GpConfig {
                 population_size: 100,
@@ -222,15 +219,14 @@ pub enum FiberStatus {
 /// A serializable capture of a [`CaseFiber`] between steps — the
 /// per-case payload of a durable engine snapshot.
 ///
-/// A slim image is a *total* capture at a tick boundary: ATN state,
-/// data state, recovery-layer state, the blocked dispatch cache, the
-/// flow-transition baseline and the report so far.
-/// The one thing it leaves out is the fiber's blueprint-shaped bulk
-/// ([`CaseFiber::blueprint`]: graph, case description, config), which a
-/// fleet shares: the capturer stores that once and records where in
-/// `blueprint`.  Handed the same three parts back,
-/// [`CaseFiber::from_slim`] reconstructs the fiber *exactly*, emitting
-/// nothing.
+/// A slim image holds what a live fiber cannot re-derive at a tick
+/// boundary: ATN, data and recovery-layer state and the report so far,
+/// but not the blueprint-shaped bulk ([`CaseFiber::blueprint`]: graph,
+/// case description, config) a fleet shares, which the capturer stores
+/// once and records where in `blueprint`.  Handed those three parts
+/// back, [`CaseFiber::from_slim`] rebuilds the fiber, emitting nothing:
+/// the transition baseline comes from the ATN state, and the first step
+/// walks the ladder the blocked-dispatch cache would have skipped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FiberSlim {
     /// The capturer's reference to the fiber's (graph, case, config) —
@@ -241,8 +237,6 @@ pub struct FiberSlim {
     /// ATN machine state, if any step has run.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub snapshot: Option<AtnSnapshot>,
-    /// Flow-transition baseline counts.
-    pub flow_base: BTreeMap<String, usize>,
     /// Data state.
     pub state: DataState,
     /// The report so far.
@@ -251,11 +245,6 @@ pub struct FiberSlim {
     pub excluded: Vec<String>,
     /// Recovery-layer state (the recovery clock and the breakers).
     pub recovery: RecoveryState,
-    /// Has the enactment reached a terminal state?
-    pub done: bool,
-    /// Cached blocked dispatch, if the fiber is waiting on capacity.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub pending: Option<PendingDispatch>,
 }
 
 /// A resumable, single-step enactment — the coroutine the enactor's
@@ -291,8 +280,8 @@ pub struct CaseFiber {
     excluded: Vec<String>,
     recovery: RecoveryManager,
     done: bool,
-    /// Set while the fiber is blocked on capacity (see
-    /// [`PendingDispatch`]).
+    /// Set while the fiber is blocked on capacity and its ladder has no
+    /// breaker (see [`PendingDispatch`]).
     pending: Option<PendingDispatch>,
     /// Has `current_graph` passed [`ProcessGraph::validate`]?  Cleared
     /// whenever a graph is installed (construction, restore, re-plan),
@@ -362,19 +351,16 @@ impl CaseFiber {
 
     /// Capture the fiber's state as a serializable [`FiberSlim`] whose
     /// `blueprint` field records where the caller keeps
-    /// [`CaseFiber::blueprint`].  Must be taken between steps.
+    /// [`CaseFiber::blueprint`].  Must be taken between steps of a live fiber.
     pub fn slim(&self, blueprint: usize) -> FiberSlim {
         FiberSlim {
             blueprint,
             label: self.label.clone(),
             snapshot: self.snapshot.clone(),
-            flow_base: self.flow_base.clone(),
             state: self.state.clone(),
             report: self.report.clone(),
             excluded: self.excluded.clone(),
             recovery: self.recovery.snapshot(),
-            done: self.done,
-            pending: self.pending.clone(),
         }
     }
 
@@ -395,14 +381,22 @@ impl CaseFiber {
             blueprint: _,
             label,
             snapshot,
-            flow_base,
             state,
             report,
             excluded,
             recovery,
-            done,
-            pending,
         } = slim;
+        // Between steps a traced fiber's baseline is exactly the non-zero
+        // execution counts of its flow-control nodes.
+        let flow_base = snapshot.iter().flat_map(|atn| {
+            graph
+                .activities()
+                .iter()
+                .filter(|a| a.kind != ActivityKind::EndUser)
+                .map(|a| (a.id.clone(), atn.executions(&a.id)))
+                .filter(|&(_, n)| n > 0)
+        });
+        let flow_base = flow_base.collect();
         let recovery = RecoveryManager::restore(config.recovery.clone(), recovery, trace.clone());
         let planning = PlanningService::new(config.gp).with_trace_handle(trace.clone());
         let initial_classifications = initial_classifications(&case);
@@ -420,8 +414,8 @@ impl CaseFiber {
             report,
             excluded,
             recovery,
-            done,
-            pending,
+            done: false,
+            pending: None,
             graph_checked: false,
         }
     }
@@ -537,7 +531,7 @@ impl CaseFiber {
         match self.run_activity(world, &service, &activity_id) {
             Ok(ActivityOutcome::Blocked { taken }) => {
                 self.snapshot = Some(atn);
-                self.note_blocked(world, activity_id, service.into(), taken)
+                self.note_blocked(world, service.into(), taken)
             }
             Ok(ActivityOutcome::Completed) => self.advance_machine(atn, &activity_id),
             Err(_) => self.escalate_replan(world, &activity_id, &service),
@@ -555,15 +549,15 @@ impl CaseFiber {
         FiberStatus::Progressed
     }
 
-    /// Every candidate failed → escalate to re-planning (or abort when
-    /// re-planning is off or exhausted).
+    /// Every candidate failed → escalate to re-planning (or abort once
+    /// `max_replans` rounds are used, at once when it is 0).
     fn escalate_replan(
         &mut self,
         world: &mut GridWorld,
         activity_id: &str,
         service: &str,
     ) -> FiberStatus {
-        if !self.config.replan || self.report.replans >= self.config.max_replans {
+        if self.report.replans >= self.config.max_replans {
             return self.finish_aborted(
                 ServiceError::ActivityFailed {
                     activity: activity_id.to_owned(),
@@ -852,9 +846,12 @@ mod tests {
             config.clone(),
             TraceHandle::from(log_b.clone()),
         );
-        // The restore is silent: recovery must not re-emit history.
+        // The restore is silent: recovery must not re-emit history, and
+        // re-derives the transition baseline the traced fiber kept.
         assert!(log_b.is_empty());
         assert_eq!(fb.label(), fa.label());
+        assert!(!fa.flow_base.is_empty());
+        assert_eq!(fb.flow_base, fa.flow_base);
 
         // Both fibers run to completion; reports and the remaining
         // trace suffixes agree exactly.
@@ -923,7 +920,7 @@ mod tests {
             }
             winner.step(&mut w);
             if !rederive && (1..=4).contains(&tick) {
-                let cached = loser.pending.as_ref().map(|p| p.activity_id.as_str());
+                let cached = loser.pending.as_ref().map(|p| &*p.service);
                 assert_eq!(cached, Some("prep"), "tick {tick}: nothing cached");
             }
             statuses.push(loser.step(&mut w));
@@ -1010,7 +1007,7 @@ mod tests {
             w.set_container_up(&c, false).unwrap();
         }
         let config = EnactmentConfig {
-            replan: true,
+            max_replans: 3,
             planning_goals: vec![GoalSpec {
                 classification: "Plated".into(),
                 min_count: 1,

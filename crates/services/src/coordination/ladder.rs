@@ -35,7 +35,6 @@ use crate::monitoring::MonitoringService;
 use crate::world::GridWorld;
 use gridflow_recovery::{Admission, RecoveryManager};
 use gridflow_telemetry::{Label, TraceEvent};
-use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 
 /// What one pass over the ladder came to (the `Err` of the surrounding
@@ -63,25 +62,22 @@ pub(super) enum ActivityOutcome {
 /// changed either and every ranked candidate is still fully booked, that
 /// step skips the matchmake too and just reports the block again.  Every
 /// observable emission is preserved: a still-blocked re-step produces
-/// exactly the one `CaseBlocked` event the full path would.  Stored as
-/// is in a [`FiberSlim`](super::FiberSlim), so a restored fiber resumes
-/// the same way.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PendingDispatch {
-    /// The ready activity the blocking step chose.
-    pub activity_id: String,
-    /// The service it resolves to.
-    pub service: Label,
+/// exactly the one `CaseBlocked` event the full path would.
+///
+/// Kept only when the policy configures no breaker: the monitoring feed
+/// and the admission filter are the only rungs that change state (and
+/// may emit trace events) on a step that dispatches nothing, so with
+/// them on a blocked re-step must walk the whole ladder again.  Nor is
+/// it in a [`FiberSlim`](super::FiberSlim): a restored fiber's first
+/// step walks the ladder, blocks on the same candidates and caches them.
+pub(super) struct PendingDispatch {
+    /// The service the blocked activity resolves to.
+    pub(super) service: Label,
     /// [`GridWorld::generation`] at the blocking step: candidate
     /// rankings are only reused while the generation is unchanged.
-    pub generation: u64,
-    /// The reserved-away candidate set, in rank order.  `None` when the
-    /// policy configures a breaker: the monitoring feed and the
-    /// admission filter are the only rungs that change state (and may
-    /// emit trace events) on a step that dispatches nothing, so with
-    /// them on a blocked re-step must walk the whole ladder again.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub taken: Option<Vec<String>>,
+    generation: u64,
+    /// The reserved-away candidate set, in rank order.
+    taken: Vec<String>,
 }
 
 impl CaseFiber {
@@ -93,11 +89,10 @@ impl CaseFiber {
     /// cleared) when the step must walk the ladder.
     pub(super) fn still_blocked(&mut self, world: &GridWorld) -> Option<FiberStatus> {
         let pending = self.pending.take()?;
-        let taken = pending.taken.as_ref()?;
         let unchanged = world.reservations_enabled()
             && world.generation() == pending.generation
-            && !taken.is_empty()
-            && taken.iter().all(|c| world.free_slots(c) == 0);
+            && !pending.taken.is_empty()
+            && pending.taken.iter().all(|c| world.free_slots(c) == 0);
         if !unchanged {
             return None;
         }
@@ -107,22 +102,21 @@ impl CaseFiber {
     }
 
     /// Record a capacity block: cache the dispatch context for the next
-    /// step's contention check, announce `CaseBlocked`, and report
-    /// [`FiberStatus::Blocked`].
+    /// step's contention check (with no breaker configured), announce
+    /// `CaseBlocked`, and report [`FiberStatus::Blocked`].
     pub(super) fn note_blocked(
         &mut self,
         world: &GridWorld,
-        activity_id: String,
         service: Label,
         taken: Vec<String>,
     ) -> FiberStatus {
-        let cacheable = self.recovery.policy().breaker.is_none();
-        self.pending = Some(PendingDispatch {
-            activity_id,
-            service: service.clone(),
-            generation: world.generation(),
-            taken: cacheable.then_some(taken),
-        });
+        if self.recovery.policy().breaker.is_none() {
+            self.pending = Some(PendingDispatch {
+                service: service.clone(),
+                generation: world.generation(),
+                taken,
+            });
+        }
         self.announce_blocked(service)
     }
 

@@ -390,14 +390,14 @@ impl GridWorld {
             .resources
             .iter()
             .find(|r| r.id == container.resource_id)
-            .cloned()
             .ok_or_else(|| {
                 ServiceError::Grid(GridError::UnknownResource(container.resource_id.clone()))
             })?;
-        let est = estimate(&offering.demand, &resource);
+        let est = estimate(&offering.demand, resource);
         let slowdown = self.slowdowns.get(container_id).copied().unwrap_or(1.0);
         let duration_s = est.duration_s * slowdown;
         let failed = self.failure.execution_fails(resource.reliability);
+        let resource = resource.id.clone();
         let mut went_down = false;
         if failed {
             container.failed += 1;
@@ -415,7 +415,7 @@ impl GridWorld {
         let record = ExecutionRecord {
             service: service.to_owned(),
             container: container_id.to_owned(),
-            resource: resource.id.clone(),
+            resource,
             duration_s,
             cost: est.cost,
             success: !failed,

@@ -97,7 +97,7 @@ fn main() {
     // With re-planning: the planning service avoids `express` and routes
     // through stage → deliver.
     let config = EnactmentConfig {
-        replan: true,
+        max_replans: 3,
         planning_goals: vec![GoalSpec {
             classification: "Delivered".into(),
             min_count: 1,

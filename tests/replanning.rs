@@ -8,7 +8,7 @@ use gridflow_grid::failure::FailureModel;
 
 fn enactment_config(seed: u64) -> EnactmentConfig {
     EnactmentConfig {
-        replan: true,
+        max_replans: 3,
         planning_goals: casestudy::planning_problem().goals,
         // Fresh GP plans are loop-free; re-attach the case's refinement
         // loop so the resolution goal stays reachable after a re-plan.

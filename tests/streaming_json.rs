@@ -12,7 +12,7 @@ use gridflow_harness::{FaultPlan, MultiCaseScenario};
 use gridflow_planner::prelude::*;
 use gridflow_store::record::{decode_record, Decoded, LogRecord, KIND_EVENT, SEGMENT_HEADER_LEN};
 use gridflow_store::{FileStore, MemStore, Store};
-use gridflow_telemetry::TraceRecord;
+use gridflow_telemetry::{Label, TraceEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
@@ -47,8 +47,8 @@ fn read_as_its_tree<T: Serialize + Deserialize>(text: &str) -> T {
 
 /// Every engine snapshot of a contended fleet, one per kill tick: the
 /// payload the tick loop spliced, its plain re-encoding and each live
-/// fiber equal their trees — among them fibers blocked mid-dispatch,
-/// whose `pending` (and its skipped `taken`) only contention produces.
+/// fiber equal their trees — among them fibers the tick before the
+/// snapshot left blocked mid-dispatch, a state only contention produces.
 /// Each payload also reads straight into the image its tree gives.
 #[test]
 fn snapshots_and_blocked_fibers_stream_their_tree() {
@@ -56,17 +56,23 @@ fn snapshots_and_blocked_fibers_stream_their_tree() {
     let workload = dinner_workload();
     let scenario = || MultiCaseScenario::new(&plan, &workload, 6).max_in_flight(4);
     let ticks = scenario().run().engine.ticks;
-    let mut pending = 0;
+    let mut blocked_live = 0;
     for kill in 1..ticks {
         let store: Arc<Mutex<dyn Store>> = Arc::new(Mutex::new(MemStore::new()));
-        assert!(
-            scenario()
-                .store(store.clone(), 1)
-                .kill_at(kill)
-                .run()
-                .engine
-                .killed
-        );
+        let crashed = scenario().store(store.clone(), 1).kill_at(kill).run();
+        assert!(crashed.engine.killed);
+        let records = crashed.trace.expect("traced").records();
+        let last_tick = records
+            .iter()
+            .rposition(|r| matches!(r.event, TraceEvent::TickStarted { .. }))
+            .unwrap();
+        let blocked: Vec<&Label> = records[last_tick..]
+            .iter()
+            .filter_map(|r| match &r.event {
+                TraceEvent::CaseBlocked { case, .. } => Some(case),
+                _ => None,
+            })
+            .collect();
         let record = store.lock().unwrap().latest_snapshot().unwrap().unwrap();
         let image = EngineSnapshot::from_bytes(&record.state).unwrap();
         read_as_its_tree::<EngineSnapshot>(std::str::from_utf8(&record.state).unwrap());
@@ -79,11 +85,11 @@ fn snapshots_and_blocked_fibers_stream_their_tree() {
         assert_eq!(image.to_bytes(), tree.into_bytes(), "kill@{kill}");
         for slot in &image.live {
             assert_streams_its_tree(&slot.fiber);
-            pending += usize::from(slot.fiber.pending.is_some());
+            blocked_live += usize::from(blocked.contains(&&slot.fiber.label));
         }
     }
     assert!(
-        pending > 0,
+        blocked_live > 0,
         "no snapshot caught a fiber blocked mid-dispatch"
     );
 }
